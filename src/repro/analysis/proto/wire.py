@@ -271,6 +271,12 @@ def _driver_side(
     return encoded
 
 
+#: calls that frame one of their arguments as the kind: callee → (position,
+#: keyword).  ``deliver_round(comm, kind, ...)`` hands its ``kind`` straight
+#: to ``encode_frame``, so the kinds it constructs are at *its* call sites.
+_KIND_ARGUMENT = {"encode_frame": (0, "kind"), "deliver_round": (1, "kind")}
+
+
 def _frame_usage(
     contexts: list[FileContext],
     kinds: set[str],
@@ -278,19 +284,26 @@ def _frame_usage(
 ) -> tuple[set[str], set[str]]:
     """Constructed vs accepted frame kinds across the whole comm layer.
 
-    A kind is *constructed* where it is the first argument of an
-    ``encode_frame`` call; it is *accepted* where it appears in a
+    A kind is *constructed* where it is the kind argument of a
+    :data:`_KIND_ARGUMENT` call; it is *accepted* where it appears in a
     comparison against some ``.kind`` attribute (``==``, ``!=``, ``in``,
-    ``not in``).  Dynamic kinds (``resp.kind`` re-encoded verbatim) are
-    skipped — they can only carry values a decoder already validated.
+    ``not in``).  Dynamic kinds (``resp.kind`` re-encoded verbatim,
+    ``deliver_round``'s own parameter) are skipped — they can only carry
+    values validated or counted elsewhere.
     """
     constructed: set[str] = set()
     accepted: set[str] = set()
     for ctx in contexts:
         for chain, call in call_chains(ctx.tree):
-            if chain[-1] != "encode_frame" or not call.args:
+            if chain[-1] not in _KIND_ARGUMENT:
                 continue
-            kind = tail_name(call.args[0])
+            pos, param = _KIND_ARGUMENT[chain[-1]]
+            args = call.args[pos:pos + 1] or [
+                kw.value for kw in call.keywords if kw.arg == param
+            ]
+            if not args:
+                continue
+            kind = tail_name(args[0])
             if kind is None or not kind.isupper():
                 continue  # dynamic (e.g. resp.kind): validated upstream
             constructed.add(kind)

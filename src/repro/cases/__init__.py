@@ -26,6 +26,41 @@ CASE_BUILDERS = {
     "lshape": lshape_poisson_case,
 }
 
+#: descriptive aliases for the paper's tcN keys
+CASE_ALIASES = {
+    "poisson2d": "tc1",
+    "poisson3d": "tc2",
+    "poisson_unstructured": "tc3",
+    "heat3d": "tc4",
+    "convection2d": "tc5",
+    "elasticity_ring": "tc6",
+}
+
+
+def resolve_case_key(key: str) -> str:
+    """The ``CASE_BUILDERS`` key for a case key or alias; ``ValueError`` if unknown."""
+    key = CASE_ALIASES.get(key, key)
+    if key not in CASE_BUILDERS:
+        raise ValueError(
+            f"unknown case {key!r}; pick from {sorted(CASE_BUILDERS)} "
+            f"or aliases {sorted(CASE_ALIASES)}"
+        )
+    return key
+
+
+def build_case(key: str, size: int | None = None) -> TestCase:
+    """Build a case by key or alias at resolution ``size`` (None: default)."""
+    key = resolve_case_key(key)
+    builder = CASE_BUILDERS[key]
+    if size is None:
+        return builder()
+    if key == "tc3":
+        return builder(target_h=1.0 / size)
+    if key == "tc6":
+        return builder(n_theta=size, n_r=max(3, size // 3))
+    return builder(n=size)
+
+
 __all__ = [
     "TestCase",
     "poisson2d_case",
@@ -37,4 +72,7 @@ __all__ = [
     "anisotropic2d_case",
     "lshape_poisson_case",
     "CASE_BUILDERS",
+    "CASE_ALIASES",
+    "build_case",
+    "resolve_case_key",
 ]

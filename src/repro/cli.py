@@ -29,7 +29,7 @@ import sys
 
 from repro import faults, obs
 from repro.analysis import sanitize
-from repro.cases import CASE_BUILDERS
+from repro.cases import CASE_BUILDERS, build_case
 from repro.comm.backends import BACKEND_NAMES
 from repro.resilience.errors import SolverFault
 from repro.factor import cache as factor_cache
@@ -39,33 +39,12 @@ from repro.perfmodel.machine import machine_by_name
 from repro.resilience import ResilientSolver
 from repro.service.serve import add_serve_arguments, cmd_serve
 
-#: descriptive aliases for the paper's tcN keys
-CASE_ALIASES = {
-    "poisson2d": "tc1",
-    "poisson3d": "tc2",
-    "poisson_unstructured": "tc3",
-    "heat3d": "tc4",
-    "convection2d": "tc5",
-    "elasticity_ring": "tc6",
-}
-
 
 def _build_case(key: str, size: int | None):
-    key = CASE_ALIASES.get(key, key)
     try:
-        builder = CASE_BUILDERS[key]
-    except KeyError:
-        raise SystemExit(
-            f"unknown case {key!r}; pick from {sorted(CASE_BUILDERS)} "
-            f"or aliases {sorted(CASE_ALIASES)}"
-        )
-    if size is None:
-        return builder()
-    if key == "tc3":
-        return builder(target_h=1.0 / size)
-    if key == "tc6":
-        return builder(n_theta=size, n_r=max(3, size // 3))
-    return builder(n=size)
+        return build_case(key, size)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -13,9 +13,10 @@ execute and how bytes move between them* to an :class:`ExecutionBackend`:
   lifecycle (heartbeats, real death, hangs, fencing).
 
 The transport speaks two *internal* exceptions — :class:`TransportTimeout`
-and :class:`TransportBroken` — that never escape the ghost exchange: the
-envelope retry loop converts them into retries, ledger charges, and finally
-the typed :class:`~repro.resilience.errors.CommFault` taxonomy via
+and :class:`TransportBroken` — that never escape the delivery round
+(:func:`repro.comm.delivery.deliver_round`, the transport's one consumer):
+it converts them into retries and finally the typed
+:class:`~repro.resilience.errors.CommFault` taxonomy via
 :meth:`ExecutionBackend.classify`.
 """
 
@@ -66,7 +67,7 @@ class ExecutionBackend(ABC):
     transfer and are shut down by the owning communicator's ``close()``.
     ``is_real`` distinguishes backends whose ranks can *actually* die from
     the simulated default — the ghost exchange routes every transfer
-    through :meth:`request` when it is True.
+    through the wire when it is True.
     """
 
     #: short selectable name (one of :data:`BACKEND_NAMES`)
@@ -90,30 +91,16 @@ class ExecutionBackend(ABC):
     # -- transport ---------------------------------------------------------
 
     @abstractmethod
-    def request(self, rank: int, raw: bytes, timeout: float) -> bytes:
-        """Round-trip one encoded frame through ``rank``'s process.
-
-        Returns the response frame's raw bytes.  Raises
-        :class:`TransportTimeout` when no (matching) response arrives
-        within ``timeout`` seconds and :class:`TransportBroken` when the
-        rank's process is confirmed gone.
-        """
-
     def request_many(self, messages, timeout: float):
-        """Round-trip a batch ``{rank: raw}``; per-rank results or errors.
+        """Round-trip a batch ``{rank: raw frame}``; per-rank results or errors.
 
-        Returns ``{rank: bytes | Exception}`` — transport failures are
-        *values*, not raises, so one broken rank cannot mask the others.
-        The default is a sequential loop; real transports override this
-        with send-all-then-collect so rank processes overlap their work.
+        Returns ``{rank: Frame | Exception}``: the validated response frame
+        (decoded exactly once, here), or the failure as a *value* —
+        :class:`TransportTimeout`, :class:`TransportBroken`, or
+        ``MessageCorruption`` for a response that arrived garbled — so one
+        bad rank cannot mask the others.  Real transports send everything
+        before collecting anything, so rank processes overlap their work.
         """
-        results: dict[int, bytes | Exception] = {}
-        for rank in sorted(messages):
-            try:
-                results[rank] = self.request(rank, messages[rank], timeout)
-            except (TransportTimeout, TransportBroken) as exc:
-                results[rank] = exc
-        return results
 
     # -- liveness / supervision -------------------------------------------
 
@@ -126,6 +113,13 @@ class ExecutionBackend(ABC):
         """OS pid of ``rank``'s process (None for simulated ranks)."""
         self._check_rank(rank)
         return None
+
+    def record_ready(self, rank: int) -> None:
+        """``rank`` answered correctly: a free heartbeat, its misses reset."""
+
+    def handle_timeout(self, rank: int) -> str:
+        """``rank`` let a window pass: count the miss, maybe fence; returns its state."""
+        raise NotImplementedError(f"backend {self.name!r} cannot time out")
 
     def classify(self, rank: int, **context) -> CommFault:
         """The typed fault describing ``rank``'s current failure state."""

@@ -162,6 +162,21 @@ def decode_frame(raw: bytes) -> Frame:
     return Frame(kind=kind, src=src, dst=dst, seq=seq, payload=payload)
 
 
+def nak_reply(raw: bytes, exc: MessageCorruption, rank: int) -> bytes:
+    """The NAK a receiver answers a frame that failed validation with.
+
+    Addressed from the (unvalidated) header so the sender's response
+    matcher pairs it with the retransmit instead of draining it as a stale
+    reply (``rank``'s self-edge if even the header is unreadable).
+    """
+    try:
+        _, src, dst, seq = peek_header(raw)
+    except MessageCorruption:
+        src, dst, seq = rank, rank, 0
+    reason = str(exc.context.get("reason", "corrupt"))
+    return encode_frame(NAK, src, dst, seq, reason.encode())
+
+
 # -- array payloads ----------------------------------------------------------
 #
 # Worker-compute commands ship numerical arrays.  Pickling them would copy

@@ -3,15 +3,20 @@
 Ranks are slices of the driver process, a transfer is an array copy, and the
 clean path never touches the wire — the ghost exchange keeps its direct-copy
 fast path, so this backend is bit-identical *and* cost-identical to the
-pre-backend behavior.  :meth:`InProcessBackend.request` still implements the
-frame protocol as a local loopback (validate, echo) so transport-level tests
-and tooling can exercise framing without spawning processes.
+pre-backend behavior.  :meth:`InProcessBackend.request_many` implements the
+frame protocol as a local loopback (validate, echo, NAK a frame that fails
+validation): under an active fault plan the delivery round
+(:mod:`repro.comm.delivery`) runs simulated transfers through it, so both
+backends share one retry/classify loop.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.comm.backends import framing
 from repro.comm.backends.base import ExecutionBackend
+from repro.resilience.errors import MessageCorruption
 
 
 class InProcessBackend(ExecutionBackend):
@@ -20,19 +25,19 @@ class InProcessBackend(ExecutionBackend):
     name = "inprocess"
     is_real = False
 
-    def request(self, rank: int, raw: bytes, timeout: float) -> bytes:
-        """Local loopback: validate the frame and echo like a rank would."""
+    def request_many(self, messages, timeout: float):
+        return {r: self._loopback(r, messages[r]) for r in sorted(messages)}
+
+    def _loopback(self, rank: int, raw: bytes) -> framing.Frame:
+        """Validate the frame and answer like a rank process would."""
         self._check_rank(rank)
-        frame = framing.decode_frame(raw)
+        try:
+            frame = framing.decode_frame(raw)
+        except MessageCorruption as exc:
+            return framing.decode_frame(framing.nak_reply(raw, exc, rank))
         if frame.kind == framing.PING:
-            return framing.encode_frame(
-                framing.PONG, frame.src, frame.dst, frame.seq
-            )
+            return replace(frame, kind=framing.PONG, payload=b"")
         if frame.kind == framing.DATA:
-            return framing.encode_frame(
-                framing.ACK, frame.src, frame.dst, frame.seq, frame.payload
-            )
-        return framing.encode_frame(
-            framing.NAK, frame.src, frame.dst, frame.seq,
-            f"unexpected {frame.kind_name} frame".encode(),
-        )
+            return replace(frame, kind=framing.ACK)
+        reason = f"unexpected {frame.kind_name} frame"
+        return replace(frame, kind=framing.NAK, payload=reason.encode())

@@ -4,7 +4,7 @@ Each rank runs :func:`_worker_main` — a small event loop on the child end of
 a duplex pipe that validates incoming :mod:`~repro.comm.backends.framing`
 frames (seq + CRC-32, the PR 3 integrity envelope now framing real bytes),
 echoes DATA payloads back as ACKs, answers PING probes, and exits on
-SHUTDOWN.  The parent side implements :meth:`MultiprocessBackend.request`
+SHUTDOWN.  The parent side implements :meth:`MultiprocessBackend.request_many`
 with deadline-based response matching (stale replies from earlier timed-out
 attempts are drained and discarded by ``(kind, src, dst, seq)``).
 
@@ -72,17 +72,7 @@ def _worker_main(rank: int, size: int, conn: Connection,
             try:
                 frame = framing.decode_frame(raw)
             except MessageCorruption as exc:
-                reason = str(exc.context.get("reason", "corrupt"))
-                # address the NAK from the (unvalidated) header so the
-                # sender's response matcher pairs it with the retransmit
-                # loop instead of draining it as a stale reply
-                try:
-                    _, src, dst, seq = framing.peek_header(raw)
-                except MessageCorruption:
-                    src, dst, seq = rank, rank, 0
-                conn.send_bytes(framing.encode_frame(
-                    framing.NAK, src, dst, seq, reason.encode()
-                ))
+                conn.send_bytes(framing.nak_reply(raw, exc, rank))
                 continue
             if frame.kind == framing.SHUTDOWN:
                 return
@@ -229,25 +219,16 @@ class MultiprocessBackend(ExecutionBackend):
 
     # -- transport ---------------------------------------------------------
 
-    def request(self, rank: int, raw: bytes, timeout: float) -> bytes:
-        """Round-trip ``raw`` through ``rank``; deadline-matched response."""
-        self._check_rank(rank)
-        self.ensure_started()
-        want = self._send(rank, raw)
-        return self._collect(rank, want, monotonic() + timeout, timeout)
-
     def request_many(self, messages, timeout: float):
         """Send to every addressed rank, *then* collect the responses.
 
         This is the overlap primitive worker-resident compute depends on:
         all CMD frames hit the pipes before the driver blocks on the first
         response, so the rank processes execute their subdomain work
-        concurrently while the driver waits.  Per-rank failures come back
-        as exception values, never raised — one dead rank must not hide
-        the other ranks' finished results from the caller's retry loop.
+        concurrently while the driver waits.
         """
         self.ensure_started()
-        results: dict[int, bytes | Exception] = {}
+        results: dict[int, framing.Frame | Exception] = {}
         sent: dict[int, tuple[int, int, int, int]] = {}
         for rank in sorted(messages):
             self._check_rank(rank)
@@ -261,7 +242,7 @@ class MultiprocessBackend(ExecutionBackend):
                 results[rank] = self._collect(
                     rank, sent[rank], deadline, timeout
                 )
-            except (TransportTimeout, TransportBroken) as exc:
+            except (TransportTimeout, TransportBroken, MessageCorruption) as exc:
                 results[rank] = exc
         return results
 
@@ -288,8 +269,8 @@ class MultiprocessBackend(ExecutionBackend):
         want: tuple[int, int, int, int],
         deadline: float,
         timeout: float,
-    ) -> bytes:
-        """Wait for the response matching ``want`` until ``deadline``."""
+    ) -> framing.Frame:
+        """Wait for the validated response matching ``want`` until ``deadline``."""
         want_kind, want_src, want_dst, want_seq = want
         conn = self._conns[rank]
         if conn is None:
@@ -305,8 +286,8 @@ class MultiprocessBackend(ExecutionBackend):
             except (EOFError, OSError) as exc:
                 self._record_exit_if_dead(rank, force=True)
                 raise TransportBroken(rank, str(exc)) from exc
-            # corrupt response frames propagate MessageCorruption to the
-            # retry loop, which counts a checksum failure and retransmits
+            # a corrupt response frame raises MessageCorruption: the
+            # delivery round counts a checksum failure and retransmits
             if (resp.src, resp.dst, resp.seq) != (want_src, want_dst, want_seq):
                 continue  # stale reply from an earlier timed-out attempt
             if want_kind == framing.PING and resp.kind != framing.PONG:
@@ -319,9 +300,7 @@ class MultiprocessBackend(ExecutionBackend):
                 framing.RESULT, framing.NAK
             ):
                 continue
-            return framing.encode_frame(
-                resp.kind, resp.src, resp.dst, resp.seq, resp.payload
-            )
+            return resp
 
     def probe(self, rank: int, timeout: float | None = None) -> bool:
         """PING ``rank``; True on a PONG within the window, False on a miss.
@@ -329,21 +308,17 @@ class MultiprocessBackend(ExecutionBackend):
         Misses are recorded with the supervisor (this is the heartbeat);
         a miss that exhausts the budget triggers fencing.
         """
-        self._check_rank(rank)
-        self.ensure_started()
         timeout = self.heartbeat.probe_timeout if timeout is None else timeout
         self._ping_seq += 1
         ping = framing.encode_frame(
             framing.PING, rank, rank, self._ping_seq
         )
-        try:
-            self.request(rank, ping, timeout)
-        except TransportTimeout:
+        res = self.request_many({rank: ping}, timeout)[rank]
+        if isinstance(res, TransportTimeout):
             self.handle_timeout(rank)
+        if isinstance(res, Exception):  # timed out, broken, or a garbled PONG
             return False
-        except TransportBroken:
-            return False
-        self.supervisor.record_ready(rank)
+        self.record_ready(rank)
         return True
 
     # -- liveness / supervision -------------------------------------------
@@ -366,11 +341,11 @@ class MultiprocessBackend(ExecutionBackend):
             return True
         return not self._record_exit_if_dead(rank)
 
-    def handle_timeout(self, rank: int) -> str:
-        """A transfer/probe to ``rank`` timed out: record, maybe fence.
+    def record_ready(self, rank: int) -> None:
+        self.supervisor.record_ready(rank)
 
-        Returns the rank's post-escalation supervision state.
-        """
+    def handle_timeout(self, rank: int) -> str:
+        """A transfer/probe to ``rank`` timed out: record, maybe fence."""
         if self._record_exit_if_dead(rank):
             return self.supervisor.state(rank)
         state = self.supervisor.record_miss(rank)

@@ -24,14 +24,14 @@ and classifies the terminal states into the existing
   :class:`MessageTimeout`, so bounded stalls stay retryable.
 
 Probing is pull-based: liveness is checked on demand (at startup, and
-whenever a transfer times out), never from a background thread, so runs
-stay deterministic.  Worker command rounds (:mod:`repro.comm.compute`)
-feed the same accounting without extra probes: every successful command
-response calls :meth:`RankSupervisor.record_ready` (a free heartbeat —
-with worker-resident compute the ranks answer many times per iteration),
-and a round that times out classifies through the supervisor exactly
-like a stalled transfer.  Every transition emits a ``comm.backend.*``
-trace event (``docs/observability.md``).
+whenever a delivery times out), never from a background thread, so runs
+stay deterministic.  The delivery round (``docs/robustness.md``, "The
+delivery round") feeds the accounting without extra probes: every validated
+response — a ghost-exchange ACK or a worker command RESULT alike — calls
+:meth:`RankSupervisor.record_ready` (a free heartbeat, which is what makes
+``fence_after`` a budget of *consecutive* misses), and an edge that times
+out classifies through the supervisor.  Every transition emits a
+``comm.backend.*`` trace event (``docs/observability.md``).
 """
 
 from __future__ import annotations

@@ -7,20 +7,17 @@ one communicator + real backend that ships each rank its subdomain state
 drives the per-iteration hot path — triangular-sweep APPLY, ghost-only
 MATVEC, dot partials — through batched ``CMD`` rounds.
 
-A **round** sends one command frame to every participating rank through
-:meth:`ExecutionBackend.request_many` (all frames hit the pipes before the
-driver blocks on the first response, so rank processes overlap their
-compute), then retries per-rank failures under the communicator's
-:class:`~repro.comm.communicator.RetryPolicy` exactly like the ghost
-exchange: timeouts feed the supervisor's miss accounting (fencing), NAKs
-and garbled frames count checksum failures and retransmit (every worker op
-is idempotent, so a duplicate command re-executes bitwise identically),
-and exhausted budgets classify through the supervisor into the typed
-:class:`~repro.resilience.errors.CommFault` taxonomy — which is what lets
-``absorb_rank`` + :class:`ResilientSolver` recover from a rank killed
-mid-MATVEC.  After recovery the fresh communicator gets a fresh session
-whose shipped-key set is empty, so surviving ranks are transparently
-re-shipped their (re-partitioned) subdomains.
+A **round** is one delivery round (:func:`repro.comm.delivery.deliver_round`,
+``docs/robustness.md`` "The delivery round") with a ``CMD`` edge per
+participating rank: all frames hit the pipes before the driver blocks on
+the first response, so rank processes overlap their compute, and failures
+are retried and classified exactly like a ghost-exchange transfer (every
+worker op is idempotent, so a duplicate command re-executes bitwise
+identically).  The typed :class:`~repro.resilience.errors.CommFault` an
+exhausted budget raises is what lets ``absorb_rank`` +
+:class:`ResilientSolver` recover from a rank killed mid-MATVEC; the fresh
+communicator's fresh session (:func:`session`) then re-ships the survivors
+their re-partitioned subdomains.
 
 Every round fires the active fault plan's ``exchange_begin`` hook (worker
 rounds are delivery opportunities like ghost exchanges) and emits one
@@ -44,7 +41,6 @@ import numpy as np
 
 from repro import faults, obs
 from repro.comm.backends import framing
-from repro.comm.backends.base import TransportBroken, TransportTimeout
 from repro.comm.backends.worker import (
     OP_APPLY,
     OP_DOT_PARTIAL,
@@ -58,8 +54,8 @@ from repro.comm.backends.worker import (
     unpack_command,
 )
 from repro.comm.communicator import Communicator
+from repro.comm.delivery import Delivery, deliver_round
 from repro.resilience import errors as _errors
-from repro.resilience.errors import MessageCorruption, RankDeadError
 
 #: disable worker-resident compute (fall back to driver compute)
 COMPUTE_ENV = "REPRO_WORKER_COMPUTE"
@@ -148,147 +144,47 @@ class WorkerCompute:
     def _round(
         self, op: int, payloads: dict[int, bytes], floor: float
     ) -> dict[int, tuple[dict, list]]:
-        """One batched command round with envelope-grade retry semantics."""
+        """One batched command round: a CMD edge per participating rank."""
         comm = self.comm
-        backend = self.backend
-        policy = comm.retry_policy
-        stats = comm.comm_stats
         op_name = OP_NAMES[op]
         plan = faults.active()
         if plan is not None:
             # a worker round is a delivery opportunity: proc-kill /
             # proc-hang / rank-dead specs fire here exactly as they do at
             # a ghost exchange
-            plan.exchange_begin(backend=backend)
+            plan.exchange_begin(backend=self.backend)
         t0 = perf_counter()
-        frames: dict[int, bytes] = {}
-        seqs: dict[int, int] = {}
-        for rank in sorted(payloads):
-            # commands ride the (rank, rank) self-edge of the envelope seq
-            # space — ghost-exchange edges keep their own counters
-            seq = comm.next_seq(rank, rank)
-            frames[rank] = framing.encode_frame(
-                framing.CMD, rank, rank, seq, payloads[rank]
-            )
-            seqs[rank] = seq
-        stats.messages += len(frames)
-        pending = dict(frames)
-        broken: set[int] = set()
+        comm.comm_stats.messages += len(payloads)
+        # commands ride the (rank, rank) self-edge of the envelope seq
+        # space — ghost-exchange edges keep their own counters
         out: dict[int, tuple[dict, list]] = {}
-        for attempt in range(policy.max_retries + 1):
-            if not pending:
-                break
-            if attempt:
-                stats.retries += len(pending)
-            timeout = max(policy.wait(attempt), floor)
-            dead_sim = (
-                sorted(set(pending) & plan.dead_ranks)
-                if plan is not None else []
-            )
-            for rank in dead_sim:
-                # simulated death: the process is healthy but plays dead,
-                # so the attempt burns its full window unanswered
-                stats.timeouts += 1
-                obs.event(
-                    "resilience.comm.retry", src=rank, dst=rank,
-                    seq=seqs[rank], attempt=attempt, reason="timeout",
-                    backend=backend.name, op=op_name,
-                )
-            live = {
-                r: pending[r] for r in sorted(pending) if r not in dead_sim
-            }
-            results = backend.request_many(live, timeout) if live else {}
-            for rank in sorted(results):
-                res = results[rank]
-                if isinstance(res, TransportTimeout):
-                    stats.timeouts += 1
-                    state = backend.handle_timeout(rank)
-                    obs.event(
-                        "resilience.comm.retry", src=rank, dst=rank,
-                        seq=seqs[rank], attempt=attempt, reason="timeout",
-                        backend=backend.name, peer_state=state, op=op_name,
-                    )
-                    continue
-                if isinstance(res, TransportBroken):
-                    # confirmed gone — stop burning retry windows on it,
-                    # but keep collecting the other ranks' results
-                    pending.pop(rank)
-                    broken.add(rank)
-                    continue
-                if isinstance(res, Exception):  # pragma: no cover - safety
-                    pending.pop(rank)
-                    broken.add(rank)
-                    continue
-                try:
-                    resp = framing.decode_frame(res)
-                except MessageCorruption:
-                    stats.checksum_failures += 1
-                    obs.event(
-                        "resilience.comm.retry", src=rank, dst=rank,
-                        seq=seqs[rank], attempt=attempt, reason="checksum",
-                        backend=backend.name, op=op_name,
-                    )
-                    continue
-                if resp.kind == framing.NAK:
-                    stats.checksum_failures += 1
-                    obs.event(
-                        "resilience.comm.retry", src=rank, dst=rank,
-                        seq=seqs[rank], attempt=attempt, reason="checksum",
-                        backend=backend.name, op=op_name,
-                        nak=resp.payload.decode(errors="replace"),
-                    )
-                    continue
-                r_op, meta, arrays = unpack_command(resp.payload)
-                if "error" in meta:
-                    _raise_worker_error(rank, r_op, meta)
-                out[rank] = (meta, arrays)
-                pending.pop(rank)
-                supervisor = getattr(backend, "supervisor", None)
-                if supervisor is not None:
-                    supervisor.record_ready(rank)
-        failed = sorted(set(pending) | broken)
-        if failed:
-            rank = failed[0]
-            if plan is not None and rank in plan.dead_ranks:
-                stats.rank_dead += 1
-                obs.event(
-                    "resilience.comm.rank_dead", rank=rank, src=rank,
-                    dst=rank, seq=seqs[rank], backend=backend.name,
-                    op=op_name,
-                )
-                raise RankDeadError(
-                    f"rank {rank} stopped responding: worker {op_name} "
-                    f"round timed out {policy.max_retries + 1} times",
-                    rank=rank, src=rank, dst=rank, seq=seqs[rank],
-                    attempts=policy.max_retries + 1,
-                )
-            fault = backend.classify(rank, src=rank, dst=rank, op=op_name)
-            if isinstance(fault, RankDeadError):
-                stats.rank_dead += 1
-                obs.event(
-                    "resilience.comm.rank_dead", rank=fault.rank, src=rank,
-                    dst=rank, seq=seqs[rank], backend=backend.name,
-                    op=op_name,
-                )
-            else:
-                obs.event(
-                    "resilience.comm.give_up", src=rank, dst=rank,
-                    seq=seqs[rank], reason="timeout", backend=backend.name,
-                    op=op_name,
-                )
-            raise fault
+
+        def settle(edge: Delivery) -> None:
+            if edge.frame is None:
+                return
+            # a worker's typed error leaves the round at once
+            r_op, meta, arrays = unpack_command(edge.frame.payload)
+            if "error" in meta:
+                _raise_worker_error(edge.dst, r_op, meta)
+            out[edge.dst] = (meta, arrays)
+
+        deliver_round(
+            comm, framing.CMD,
+            {rank: (rank, payloads[rank]) for rank in sorted(payloads)},
+            floor=floor, settle=settle, op=op_name,
+        )
         self.rounds += 1
         if obs.enabled():
             ranks = sorted(out)
             obs.event(
-                "comm.worker.round", op=op_name, backend=backend.name,
+                "comm.worker.round", op=op_name, backend=self.backend.name,
                 ranks=ranks,
                 seconds=[float(out[r][0].get("seconds", 0.0)) for r in ranks],
                 cpu_seconds=[
                     float(out[r][0].get("cpu_seconds", 0.0)) for r in ranks
                 ],
                 driver_seconds=perf_counter() - t0,
-                bytes=sum(len(frames[r]) for r in sorted(frames)),
+                bytes=sum(framing.HEADER_SIZE + len(payloads[r]) for r in ranks),
             )
         return out
 

@@ -7,36 +7,34 @@ toolbox calls this "communication pattern recognition"; here the pattern is a
 static object built once from the partition and reused by every exchange.
 
 Every transfer travels inside an **integrity envelope**: a per-(src, dst)
-sequence number plus a CRC-32 payload checksum.  Under fault injection the
-receiver validates the envelope and a failed delivery (drop, corruption,
-dead peer) is retransmitted under the communicator's bounded
-:class:`~repro.comm.communicator.RetryPolicy`; each failed attempt charges
-its timeout window to the cost ledger and emits a ``resilience.comm.retry``
-trace event.  Exhausting the budget raises a typed
-:class:`~repro.resilience.errors.CommFault` (``docs/robustness.md``).
-Without an active fault plan nothing can be lost or corrupted in a simulated
-exchange, so the checksum computation is elided from the clean hot path.
+sequence number plus a CRC-32 payload checksum.  On a real backend, or under
+fault injection, each transfer is one DATA edge of a delivery round
+(:func:`repro.comm.delivery.deliver_round`, ``docs/robustness.md``): a
+failed delivery (drop, corruption, dead peer) is retransmitted under the
+communicator's bounded :class:`~repro.comm.communicator.RetryPolicy`, and
+this module charges each burned timeout window and retransmission to the
+cost ledger.  Without an active fault plan nothing can be lost or corrupted
+in a simulated exchange, so the envelope is elided from the clean hot path.
 
 With worker-resident compute active (multiprocess backend,
 :mod:`repro.comm.compute`), the values an exchange delivers are exactly
 what the next ``MATVEC_GHOSTS`` worker round ships back out: the driver
 gathers interface ghosts here, then forwards only those ghosts — never
-whole vectors — to the rank processes.  Worker command rounds share this
-module's failure model: the same fault-plan hook, the same retry
-classification, the same typed faults (``docs/algorithms.md`` §8).
+whole vectors — to the rank processes.  Worker command rounds are CMD edges
+of the same delivery round (``docs/algorithms.md`` §8).
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from repro import faults, obs
+from repro.comm.backends import framing
 from repro.comm.communicator import Communicator
-from repro.resilience.errors import MessageCorruption, MessageTimeout, RankDeadError
+from repro.comm.delivery import Delivery, deliver_round
 
 
 @dataclass(frozen=True)
@@ -172,269 +170,40 @@ class CommunicationPattern:
                     else:  # "scale"
                         ghost[t.dst][t.recv_ghost] *= value
                     continue
-                if backend.is_real:
-                    self._deliver_backend(comm, plan, t, owned, ghost)
-                else:
-                    self._deliver_envelope(comm, plan, t, owned, ghost)
+                self._deliver(comm, t, owned, ghost)
                 continue
             if backend.is_real:
-                self._deliver_backend(comm, None, t, owned, ghost)
+                self._deliver(comm, t, owned, ghost)
                 continue
             ghost[t.dst][t.recv_ghost] = owned[t.src][t.send_local]
         comm.ledger.add_phase(
             0.0, msgs_per_rank=self._msgs_per_rank, bytes_per_rank=self._bytes_per_rank
         )
 
-    def _deliver_envelope(
+    def _deliver(
         self,
         comm: Communicator,
-        plan,
         t: ExchangeSpec,
         owned: list[np.ndarray],
         ghost: list[np.ndarray],
     ) -> None:
-        """Deliver one transfer through the integrity envelope.
+        """Deliver one transfer as a DATA edge of a delivery round.
 
-        Sequence number + CRC-32 checksum, bounded retransmission under
-        ``comm.retry_policy``.  Failed attempts charge their timeout window
-        (and the retransmission's messages/bytes) to the ledger; exhausting
-        the budget raises the matching :class:`CommFault`.
+        The ghost slots are written from the receiver's ACK echo, so the
+        bytes provably survived the round trip; retransmissions and waits
+        are charged whether the delivery succeeded or gave up.
         """
-        policy = comm.retry_policy
-        stats = comm.comm_stats
-        seq = comm.next_seq(t.src, t.dst)
         payload = owned[t.src][t.send_local]
-        checksum = zlib.crc32(payload.tobytes())
-        delay = 0.0
-        retransmits = 0
-        last_reason = "timeout"
-        for attempt in range(policy.max_retries + 1):
-            if attempt:
-                stats.retries += 1
-                retransmits += 1
-            dead = plan.dead_ranks.intersection((t.src, t.dst))
-            if dead:
-                # no ack will ever come: the receiver burns the full
-                # timeout window on every attempt
-                last_reason = "timeout"
-                stats.timeouts += 1
-                delay += policy.wait(attempt)
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="timeout",
-                )
-                continue
-            action = plan.delivery_action(t.src, t.dst, attempt)
-            if action == "drop":
-                last_reason = "timeout"
-                stats.timeouts += 1
-                delay += policy.wait(attempt)
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="timeout",
-                )
-                continue
-            if action == "corrupt":
-                # the payload arrived, but its CRC does not match the
-                # envelope's: discard and request retransmission
-                wire = bytearray(payload.tobytes())
-                if wire:
-                    wire[0] ^= 0xFF  # one flipped bit is enough for CRC-32
-                corrupted = zlib.crc32(bytes(wire))
-                last_reason = "checksum"
-                stats.checksum_failures += 1
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="checksum",
-                    expected=checksum, got=corrupted,
-                )
-                continue
-            lateness = plan.straggler_delay(t.src, t.dst)
-            if lateness > 0.0:
-                # late but intact: counted apart from retries so traces can
-                # tell a slow link from a lossy one
-                stats.straggler_waits += 1
-                delay += lateness
-            ghost[t.dst][t.recv_ghost] = payload
-            self._charge_recovery(comm, t, retransmits, delay)
-            return
-        self._charge_recovery(comm, t, retransmits, delay)
-        dead = plan.dead_ranks.intersection((t.src, t.dst))
-        if dead:
-            rank = min(dead)
-            stats.rank_dead += 1
-            obs.event("resilience.comm.rank_dead", rank=rank, src=t.src, dst=t.dst, seq=seq)
-            raise RankDeadError(
-                f"rank {rank} stopped responding: transfer {t.src}->{t.dst} "
-                f"timed out {policy.max_retries + 1} times",
-                rank=rank, src=t.src, dst=t.dst, seq=seq,
-                attempts=policy.max_retries + 1,
-            )
-        cls = MessageCorruption if last_reason == "checksum" else MessageTimeout
-        obs.event(
-            "resilience.comm.give_up", src=t.src, dst=t.dst, seq=seq,
-            reason=last_reason,
-        )
-        raise cls(
-            f"transfer {t.src}->{t.dst} failed {last_reason} validation "
-            f"{policy.max_retries + 1} times",
-            src=t.src, dst=t.dst, seq=seq, attempts=policy.max_retries + 1,
-        )
 
-    def _deliver_backend(
-        self,
-        comm: Communicator,
-        plan,
-        t: ExchangeSpec,
-        owned: list[np.ndarray],
-        ghost: list[np.ndarray],
-    ) -> None:
-        """Deliver one transfer over a real execution-backend transport.
+        def settle(edge: Delivery) -> None:
+            if edge.frame is not None:
+                ghost[t.dst][t.recv_ghost] = np.frombuffer(
+                    edge.frame.payload, dtype=payload.dtype
+                )
+            self._charge_recovery(comm, t, edge.retransmits, edge.delay)
 
-        The payload travels as a :mod:`~repro.comm.backends.framing` DATA
-        frame to the destination rank's process, which validates seq +
-        CRC-32 and echoes it back as an ACK; the ghost slots are written
-        from the *response* payload, so the bytes provably survived the
-        round trip.  Transport timeouts feed the backend's supervisor
-        (missed-heartbeat accounting, fencing); a confirmed-dead rank
-        raises the supervisor's classification
-        (:class:`~repro.resilience.errors.RankDeadError`).  Injected
-        drops/corruption operate on the real wire bytes.
-        """
-        # deferred import: repro.comm.backends.base imports this package
-        from repro.comm.backends import framing
-        from repro.comm.backends.base import TransportBroken, TransportTimeout
-
-        backend = comm.backend
-        policy = comm.retry_policy
-        stats = comm.comm_stats
-        seq = comm.next_seq(t.src, t.dst)
-        payload = owned[t.src][t.send_local]
-        raw = framing.encode_frame(
-            framing.DATA, t.src, t.dst, seq, payload.tobytes()
-        )
-        delay = 0.0
-        retransmits = 0
-        last_reason = "timeout"
-        for attempt in range(policy.max_retries + 1):
-            if attempt:
-                stats.retries += 1
-                retransmits += 1
-            wire = raw
-            if plan is not None and plan.dead_ranks.intersection((t.src, t.dst)):
-                # simulated rank-dead kinds: the peer process is healthy but
-                # plays dead, so every attempt burns its full window
-                last_reason = "timeout"
-                stats.timeouts += 1
-                delay += policy.wait(attempt)
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="timeout", backend=backend.name,
-                )
-                continue
-            if plan is not None:
-                action = plan.delivery_action(t.src, t.dst, attempt)
-                if action == "drop":
-                    # lost on the wire: nothing to send, the window burns
-                    last_reason = "timeout"
-                    stats.timeouts += 1
-                    delay += policy.wait(attempt)
-                    obs.event(
-                        "resilience.comm.retry", src=t.src, dst=t.dst,
-                        seq=seq, attempt=attempt, reason="timeout",
-                        backend=backend.name,
-                    )
-                    continue
-                if action == "corrupt":
-                    # flip one payload bit in the real frame; the receiving
-                    # process detects the CRC mismatch and NAKs
-                    garbled = bytearray(raw)
-                    garbled[-1] ^= 0xFF
-                    wire = bytes(garbled)
-            timeout = policy.wait(attempt)
-            try:
-                resp = framing.decode_frame(
-                    backend.request(t.dst, wire, timeout)
-                )
-            except TransportTimeout:
-                last_reason = "timeout"
-                stats.timeouts += 1
-                delay += timeout
-                state = backend.handle_timeout(t.dst)
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="timeout",
-                    backend=backend.name, peer_state=state,
-                )
-                continue
-            except TransportBroken:
-                # the peer process is confirmed gone — no point burning
-                # the remaining retry windows on a corpse
-                break
-            except MessageCorruption:
-                # a garbled response frame is a delivery fault like any
-                # other: count it and retransmit
-                last_reason = "checksum"
-                stats.checksum_failures += 1
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="checksum", backend=backend.name,
-                )
-                continue
-            if resp.kind == framing.NAK:
-                reason = resp.payload.decode(errors="replace")
-                last_reason = "checksum"
-                stats.checksum_failures += 1
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="checksum",
-                    backend=backend.name, nak=reason,
-                )
-                continue
-            if plan is not None:
-                lateness = plan.straggler_delay(t.src, t.dst)
-                if lateness > 0.0:
-                    stats.straggler_waits += 1
-                    delay += lateness
-            ghost[t.dst][t.recv_ghost] = np.frombuffer(
-                resp.payload, dtype=payload.dtype
-            )
-            self._charge_recovery(comm, t, retransmits, delay)
-            return
-        self._charge_recovery(comm, t, retransmits, delay)
-        fault = backend.classify(t.dst, src=t.src, dst=t.dst, seq=seq)
-        if isinstance(fault, RankDeadError):
-            stats.rank_dead += 1
-            obs.event(
-                "resilience.comm.rank_dead", rank=fault.rank, src=t.src,
-                dst=t.dst, seq=seq, backend=backend.name,
-            )
-            raise fault
-        if plan is not None:
-            dead = plan.dead_ranks.intersection((t.src, t.dst))
-            if dead:
-                rank = min(dead)
-                stats.rank_dead += 1
-                obs.event(
-                    "resilience.comm.rank_dead", rank=rank, src=t.src,
-                    dst=t.dst, seq=seq, backend=backend.name,
-                )
-                raise RankDeadError(
-                    f"rank {rank} stopped responding: transfer "
-                    f"{t.src}->{t.dst} timed out "
-                    f"{policy.max_retries + 1} times",
-                    rank=rank, src=t.src, dst=t.dst, seq=seq,
-                    attempts=policy.max_retries + 1,
-                )
-        cls = MessageCorruption if last_reason == "checksum" else MessageTimeout
-        obs.event(
-            "resilience.comm.give_up", src=t.src, dst=t.dst, seq=seq,
-            reason=last_reason, backend=backend.name,
-        )
-        raise cls(
-            f"transfer {t.src}->{t.dst} failed {last_reason} validation "
-            f"{policy.max_retries + 1} times",
-            src=t.src, dst=t.dst, seq=seq, attempts=policy.max_retries + 1,
+        deliver_round(
+            comm, framing.DATA, {t.dst: (t.src, payload.tobytes())}, settle=settle
         )
 
     def _charge_recovery(

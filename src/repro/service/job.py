@@ -31,6 +31,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 
+from repro.cases import resolve_case_key
 from repro.service.errors import UnknownJob
 
 #: every status a job can report; the last four are terminal
@@ -72,6 +73,7 @@ class JobSpec:
     def __post_init__(self) -> None:
         from repro.core.driver import PRECONDITIONER_NAMES, SOLVER_NAMES
 
+        resolve_case_key(self.case)
         if self.precond not in PRECONDITIONER_NAMES:
             raise ValueError(
                 f"unknown preconditioner {self.precond!r}; "

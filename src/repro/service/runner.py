@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.cases import build_case
 from repro.cases.base import TestCase
 from repro.checkpoint import CheckpointManager
 from repro.comm.communicator import RetryPolicy
@@ -68,13 +69,11 @@ class CaseCache:
         self._cases: dict[tuple, TestCase] = {}
 
     def get(self, case_key: str, size: int | None) -> TestCase:
-        from repro.cli import _build_case
-
         key = (case_key, size)
         with self._lock:
             case = self._cases.get(key, None)
             if case is None:
-                case = self._cases[key] = _build_case(case_key, size)
+                case = self._cases[key] = build_case(case_key, size)
             return case
 
 

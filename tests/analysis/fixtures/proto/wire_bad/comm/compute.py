@@ -1,8 +1,9 @@
 """Driver side seeded with RPR010 violations (fixture).
 
 OP_WORK and OP_ORPHAN are never encoded, a frame of unknown kind BOGUS is
-constructed, worker errors bypass the typed mapping, and a float16 array
-is shipped outside the closed dtype table.
+constructed (and PHANTOM through deliver_round), worker errors
+bypass the typed mapping, and a float16 array is shipped outside the closed
+dtype table.
 """
 
 import numpy as np
@@ -20,4 +21,9 @@ def run(conn, x):
     op, meta, arrays = worker.unpack_command(resp.payload)
     shrunk = np.asarray(arrays[0], dtype="float16")
     conn.send(framing.encode_frame(framing.BOGUS, 2, bytes(shrunk)))
+    deliver_round(conn, seq=3, payload=b"", kind=framing.PHANTOM)
     return meta
+
+
+def deliver_round(conn, kind, seq, payload):
+    conn.send(framing.encode_frame(kind, seq, payload))

@@ -5,11 +5,16 @@ import numpy as np
 from .backends import framing, worker
 
 
+def deliver_round(conn, kind, seq, payload):
+    # the kind is forwarded: the checker reads it at the call sites
+    conn.send(framing.encode_frame(kind, seq, payload))
+
+
 def run(conn, x):
     payload = np.asarray(x, dtype="<f8")
     conn.send(framing.encode_frame(framing.DATA, 0, bytes(payload)))
     cmd = worker.pack_command(worker.OP_PING, {"n": len(x)})
-    conn.send(framing.encode_frame(framing.CMD, 1, cmd))
+    deliver_round(conn, framing.CMD, 1, cmd)
     resp = conn.recv()
     if resp.kind == framing.RESULT:
         op, meta, arrays = worker.unpack_command(resp.payload)

@@ -29,6 +29,7 @@ class TestBadTree:
         assert "never routes worker errors" in msgs
         # frame-kind usage
         assert "constructs frame kind BOGUS" in msgs
+        assert "constructs frame kind PHANTOM" in msgs  # via deliver_round
         assert "RESULT is constructed but never matched" in msgs
         assert "GHOST is declared in FRAME_KINDS but never constructed" in msgs
         # dtype closed table

@@ -20,6 +20,11 @@ from repro.comm.communicator import Communicator, RetryPolicy
 from repro.resilience.errors import MessageTimeout, RankDeadError
 
 
+def _request(backend, rank, raw, timeout):
+    """One frame through the batch transport: its response or failure value."""
+    return backend.request_many({rank: raw}, timeout)[rank]
+
+
 @pytest.fixture()
 def mp_backend():
     b = MultiprocessBackend(
@@ -128,18 +133,16 @@ class TestInProcessLoopback:
     def test_data_acked_with_payload_echo(self):
         b = InProcessBackend(2)
         payload = np.arange(5.0).tobytes()
-        resp = framing.decode_frame(b.request(
-            1, framing.encode_frame(framing.DATA, 0, 1, 9, payload), 1.0
-        ))
+        resp = _request(
+            b, 1, framing.encode_frame(framing.DATA, 0, 1, 9, payload), 1.0
+        )
         assert resp.kind == framing.ACK
         assert (resp.src, resp.dst, resp.seq) == (0, 1, 9)
         assert resp.payload == payload
 
     def test_ping_ponged(self):
         b = InProcessBackend(1)
-        resp = framing.decode_frame(b.request(
-            0, framing.encode_frame(framing.PING, 0, 0, 1), 1.0
-        ))
+        resp = _request(b, 0, framing.encode_frame(framing.PING, 0, 0, 1), 1.0)
         assert resp.kind == framing.PONG
 
     def test_no_real_processes(self):
@@ -154,7 +157,7 @@ class TestInProcessLoopback:
     def test_rank_bounds_checked(self):
         b = InProcessBackend(2)
         with pytest.raises(ValueError, match="rank 2"):
-            b.request(2, framing.encode_frame(framing.PING, 0, 2, 0), 1.0)
+            _request(b, 2, framing.encode_frame(framing.PING, 0, 2, 0), 1.0)
 
 
 class TestMultiprocessLifecycle:
@@ -167,7 +170,7 @@ class TestMultiprocessLifecycle:
     def test_data_round_trip_bitwise(self, mp_backend):
         payload = np.linspace(0.0, 1.0, 17)
         raw = framing.encode_frame(framing.DATA, 0, 2, 0, payload.tobytes())
-        resp = framing.decode_frame(mp_backend.request(2, raw, 1.0))
+        resp = _request(mp_backend, 2, raw, 1.0)
         assert resp.kind == framing.ACK
         echoed = np.frombuffer(resp.payload, dtype=np.float64)
         assert echoed.tobytes() == payload.tobytes()
@@ -175,16 +178,15 @@ class TestMultiprocessLifecycle:
     def test_stale_seq_nakked(self, mp_backend):
         new = framing.encode_frame(framing.DATA, 0, 1, 5, b"new")
         old = framing.encode_frame(framing.DATA, 0, 1, 4, b"old")
-        assert framing.decode_frame(
-            mp_backend.request(1, new, 1.0)).kind == framing.ACK
-        resp = framing.decode_frame(mp_backend.request(1, old, 1.0))
+        assert _request(mp_backend, 1, new, 1.0).kind == framing.ACK
+        resp = _request(mp_backend, 1, old, 1.0)
         assert resp.kind == framing.NAK
         assert resp.payload == b"stale-seq"
 
     def test_corrupt_frame_nakked_with_reason(self, mp_backend):
         raw = bytearray(framing.encode_frame(framing.DATA, 0, 1, 6, b"xyzw"))
         raw[-1] ^= 0xFF
-        resp = framing.decode_frame(mp_backend.request(1, bytes(raw), 1.0))
+        resp = _request(mp_backend, 1, bytes(raw), 1.0)
         assert resp.kind == framing.NAK
         assert b"checksum" in resp.payload
 
@@ -196,10 +198,8 @@ class TestMultiprocessLifecycle:
         mp_backend.ensure_started()
         mp_backend.kill_rank(1)
         assert not mp_backend.check_alive(1)
-        with pytest.raises(TransportBroken):
-            mp_backend.request(
-                1, framing.encode_frame(framing.PING, 1, 1, 1), 5.0
-            )
+        ping = framing.encode_frame(framing.PING, 1, 1, 1)
+        assert isinstance(_request(mp_backend, 1, ping, 5.0), TransportBroken)
         fault = mp_backend.classify(1)
         assert isinstance(fault, RankDeadError) and fault.rank == 1
 
@@ -207,8 +207,7 @@ class TestMultiprocessLifecycle:
         mp_backend.ensure_started()
         mp_backend.hang_rank(2)
         ping = framing.encode_frame(framing.PING, 2, 2, 1)
-        with pytest.raises(TransportTimeout):
-            mp_backend.request(2, ping, 0.1)
+        assert isinstance(_request(mp_backend, 2, ping, 0.1), TransportTimeout)
         # escalate through the miss budget: SUSPECT, then fenced DEAD
         assert mp_backend.handle_timeout(2) == "suspect"
         assert isinstance(mp_backend.classify(2), MessageTimeout)
@@ -299,3 +298,29 @@ class TestExchangeOverBackend:
                 comm.close()
         for got, want in zip(results["multiprocess"], results["inprocess"]):
             assert got.tobytes() == want.tobytes()
+
+    def test_startup_death_during_first_exchange_is_typed(self, monkeypatch):
+        """The backend starts lazily, inside the first delivery round: a rank
+        that never says HELLO must reach recovery as ``RankDeadError``."""
+        from repro.comm.pattern import CommunicationPattern, ExchangeSpec
+
+        hello = MultiprocessBackend._await_hello
+
+        def no_hello_from_rank_1(self, rank):
+            if rank != 1:
+                return hello(self, rank)
+            self._record_exit_if_dead(rank, force=True)
+            raise self.supervisor.classify(rank, phase="startup")
+
+        monkeypatch.setattr(MultiprocessBackend, "_await_hello", no_hello_from_rank_1)
+        pattern = CommunicationPattern(
+            num_ranks=2, transfers=[ExchangeSpec(0, 1, np.array([0]), np.array([0]))]
+        )
+        comm = Communicator(2, backend="multiprocess")
+        try:
+            with pytest.raises(RankDeadError) as exc:
+                pattern.exchange(comm, [np.ones(1), np.ones(1)], [np.zeros(1)] * 2)
+            assert exc.value.rank == 1
+            assert exc.value.context["phase"] == "startup"
+        finally:
+            comm.close()

@@ -7,11 +7,7 @@ from repro import faults, obs
 from repro.comm.communicator import Communicator, RetryPolicy
 from repro.comm.pattern import CommunicationPattern, ExchangeSpec
 from repro.perfmodel.machine import machine_by_name
-from repro.resilience.errors import (
-    MessageCorruption,
-    MessageTimeout,
-    RankDeadError,
-)
+from repro.resilience.errors import RankDeadError
 
 
 @pytest.fixture()
@@ -72,54 +68,31 @@ class TestSequenceNumbers:
 
 
 class TestDropAndCorrupt:
-    def test_drop_is_retried_transparently(self, pattern):
+    # retry counts, event reasons and fault classes of drop / corrupt /
+    # dead-rank deliveries are rows of tests/comm/test_delivery.py; what
+    # stays here is what only the ghost exchange does with a delivery
+
+    def test_failed_attempts_charge_the_ledger(self, pattern):
         comm = Communicator(2)
         owned, ghost = _buffers()
         plan = faults.FaultPlan(faults.FaultSpec("message-drop", count=1))
-        with obs.tracing() as tracer, faults.inject(plan):
+        with faults.inject(plan):
             pattern.exchange(comm, owned, ghost)
-        # the data still arrived
-        assert ghost[1][0] == 3.0 and ghost[0][1] == 10.0
-        assert comm.comm_stats.retries == 1
-        assert comm.comm_stats.timeouts == 1
-        retries = _events(tracer, "resilience.comm.retry")
-        assert len(retries) == 1 and retries[0]["attrs"]["reason"] == "timeout"
         # the failed attempt burned its timeout window on the ledger
-        assert comm.ledger.delay_seconds > 0.0
+        assert comm.ledger.delay_seconds == pytest.approx(comm.retry_policy.wait(0))
 
-    def test_corrupt_detected_by_checksum(self, pattern):
+    def test_checksum_retry_names_both_crcs(self, pattern):
         comm = Communicator(2)
         owned, ghost = _buffers()
         plan = faults.FaultPlan(faults.FaultSpec("message-corrupt", count=1))
         with obs.tracing() as tracer, faults.inject(plan):
             pattern.exchange(comm, owned, ghost)
         assert ghost[1][0] == 3.0
-        assert comm.comm_stats.checksum_failures == 1
         (ev,) = _events(tracer, "resilience.comm.retry")
-        assert ev["attrs"]["reason"] == "checksum"
         assert ev["attrs"]["expected"] != ev["attrs"]["got"]
 
     def test_underscore_kind_alias(self):
         assert faults.FaultSpec("message_drop").kind == "message-drop"
-
-    def test_drop_exhaustion_raises_timeout(self, pattern):
-        comm = Communicator(2, retry_policy=RetryPolicy(max_retries=2, timeout=1e-3))
-        owned, ghost = _buffers()
-        plan = faults.FaultPlan(faults.FaultSpec("message-drop", count=-1))
-        with faults.inject(plan), pytest.raises(MessageTimeout) as exc:
-            pattern.exchange(comm, owned, ghost)
-        assert exc.value.status == "diverged"
-        assert exc.value.context["attempts"] == 3
-        assert comm.comm_stats.timeouts == 3
-
-    def test_corrupt_exhaustion_raises_corruption(self, pattern):
-        comm = Communicator(2, retry_policy=RetryPolicy(max_retries=1, timeout=1e-3))
-        owned, ghost = _buffers()
-        plan = faults.FaultPlan(faults.FaultSpec("message-corrupt", count=-1))
-        with obs.tracing() as tracer, faults.inject(plan), \
-                pytest.raises(MessageCorruption):
-            pattern.exchange(comm, owned, ghost)
-        assert _events(tracer, "resilience.comm.give_up")
 
     def test_rank_filter(self, pattern):
         # a drop spec aimed at rank 7 never matches a 2-rank exchange
@@ -136,19 +109,14 @@ class TestRankDead:
         with pytest.raises(ValueError, match="rank"):
             faults.FaultSpec("rank-dead")
 
-    def test_confirmed_dead_raises(self, pattern):
+    def test_give_up_still_charges_the_burned_windows(self, pattern):
         comm = Communicator(2, retry_policy=RetryPolicy(max_retries=1, timeout=1e-3))
         owned, ghost = _buffers()
         plan = faults.FaultPlan(faults.FaultSpec("rank-dead", rank=1))
-        with obs.tracing() as tracer, faults.inject(plan), \
-                pytest.raises(RankDeadError) as exc:
+        with faults.inject(plan), pytest.raises(RankDeadError):
             pattern.exchange(comm, owned, ghost)
-        assert exc.value.rank == 1
-        assert exc.value.status == "breakdown"
-        assert comm.comm_stats.rank_dead == 1
-        assert _events(tracer, "resilience.comm.rank_dead")
         # every attempt burned a timeout window before the sender gave up
-        assert comm.ledger.delay_seconds > 0.0
+        assert comm.ledger.delay_seconds == pytest.approx(1e-3 + 2e-3)
 
     def test_start_aims_at_kth_exchange(self, pattern):
         comm = Communicator(2)

@@ -2,7 +2,7 @@
 
 These tests drive :class:`repro.comm.compute.WorkerCompute` against a real
 multiprocess backend (2 rank processes) without a full solve, plus the
-``request_many`` default that sequential backends inherit.
+``request_many`` batch contract of both transports.
 """
 
 import numpy as np
@@ -129,8 +129,8 @@ class TestBitwiseParity:
         assert local == shipped  # bitwise: same partials, same tree
 
 
-class TestRequestManyDefault:
-    def test_sequential_fallback_answers_every_rank(self):
+class TestRequestMany:
+    def test_loopback_answers_every_rank(self):
         backend = InProcessBackend(3)
         try:
             messages = {
@@ -139,8 +139,7 @@ class TestRequestManyDefault:
             }
             out = backend.request_many(messages, timeout=1.0)
             assert sorted(out) == [0, 1, 2]
-            for r, raw in out.items():
-                frame = framing.decode_frame(raw)
+            for r, frame in out.items():
                 assert frame.kind == framing.PONG and frame.seq == 10 + r
         finally:
             backend.shutdown()
@@ -151,4 +150,4 @@ class TestRequestManyDefault:
         backend = mp_comm.backend
         good = framing.encode_frame(framing.PING, 0, 0, 999)
         out = backend.request_many({0: good}, timeout=2.0)
-        assert framing.decode_frame(out[0]).kind == framing.PONG
+        assert out[0].kind == framing.PONG

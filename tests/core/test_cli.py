@@ -1,6 +1,7 @@
 import pytest
 
-from repro.cli import CASE_ALIASES, main, make_parser
+from repro.cases import CASE_ALIASES
+from repro.cli import main, make_parser
 from repro.obs import read_json_trace
 
 

@@ -29,6 +29,7 @@ class TestJobSpec:
         assert spec.tenant == "default" and spec.precond == "schur1"
 
     @pytest.mark.parametrize("kwargs,match", [
+        ({"case": "nope"}, "unknown case"),
         ({"precond": "nope"}, "unknown preconditioner"),
         ({"solver": "bicg"}, "unknown solver"),
         ({"nparts": 0}, "nparts"),
@@ -39,6 +40,9 @@ class TestJobSpec:
     def test_invalid_fields_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             JobSpec(**kwargs)
+
+    def test_case_aliases_are_valid(self):
+        assert JobSpec(case="poisson2d").case == "poisson2d"
 
     def test_round_trips_through_dict(self):
         spec = JobSpec(tenant="t", case="tc3", size=9, precond="block2",

@@ -232,6 +232,22 @@ class TestWorkerError:
         assert rec.updates[-1].detail["reason"] == "internal-error"
 
 
+    def test_unknown_case_cannot_wedge_the_only_worker(self, spool):
+        # an unknown case used to reach the worker and raise SystemExit
+        # past its ``except Exception``: the thread died, the job stayed
+        # "running" and a workers=1 service stopped serving
+        with make_service(spool, workers=1) as svc:
+            with pytest.raises(ValueError, match="unknown case"):
+                svc.submit({**SMALL, "case": "nope"})
+            with pytest.raises(ValueError, match="unknown case"):
+                svc.resume({"schema": DRAIN_SCHEMA, "jobs": [
+                    {"job_id": "job-1", "spec": {**SMALL, "case": "nope"}},
+                ]})
+            rec = svc.submit(JobSpec(**SMALL))
+            assert svc.wait(rec.job_id, timeout=60.0).status == "converged"
+            assert all(t.is_alive() for t in svc._threads)
+
+
 class TestBreakerRouting:
     def test_tripped_primary_degrades_down_the_chain(self, spool):
         calls = []
