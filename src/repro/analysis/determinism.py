@@ -5,7 +5,7 @@ contract for parallel ILU: without it, preconditioner comparisons measure
 scheduling noise, not algorithms.  This repo has two places where that
 contract is at risk and this module checks both, bitwise:
 
-* **kernel tiers** — the reference / numpy / numba dispatch
+* **kernel tiers** — the reference / numpy dispatch
   (:mod:`repro.kernels`) must produce identical factors, iterates and
   residual histories for the same case;
 * **setup parallelism** — ``REPRO_SETUP_WORKERS=1`` vs ``N`` must not
@@ -14,8 +14,8 @@ contract is at risk and this module checks both, bitwise:
 ``python -m repro check-determinism`` runs each case twice per tier plus a
 serial/parallel setup sweep, compares SHA-256 digests of the solution
 iterate, the residual history, the per-subdomain factors and the apply
-kernels (triangular sweeps + matvec, including both numpy-tier backends of
-:mod:`repro.kernels.apply`), and writes a ``repro.determinism.v1`` report.
+kernels (triangular sweeps + matvec, :mod:`repro.kernels.apply`), and
+writes a ``repro.determinism.v1`` report.
 The factor cache is disabled for the duration — a cache hit returns the
 same object and would vacuously pass.
 """
@@ -46,7 +46,6 @@ DETERMINISM_SCHEMA = "repro.determinism.v1"
 CHECK_KINDS = ("repeat", "cross-tier", "workers", "factors", "apply", "backend")
 
 _WORKERS_ENV = "REPRO_SETUP_WORKERS"
-_BACKEND_ENV = "REPRO_APPLY_BACKEND"
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -184,32 +183,13 @@ def _subdomain_blocks(case: TestCase, nparts: int, seed: int) -> list[sp.csr_mat
     ]
 
 
-@contextmanager
-def _apply_backend(name: str | None) -> Iterator[None]:
-    prev = os.environ.get(_BACKEND_ENV)
-    try:
-        if name is None:
-            os.environ.pop(_BACKEND_ENV, None)
-        else:
-            os.environ[_BACKEND_ENV] = name
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(_BACKEND_ENV, None)
-        else:
-            os.environ[_BACKEND_ENV] = prev
-
-
-def _apply_digest(
-    blocks: Sequence[sp.csr_matrix], tier: str, backend: str | None = None
-) -> str:
+def _apply_digest(blocks: Sequence[sp.csr_matrix], tier: str) -> str:
     """One digest over the apply kernels: both sweeps, the fused ILU solve
-    and the CSR matvec of every subdomain block, under one tier (and, on
-    the numpy tier, one :mod:`repro.kernels.apply` backend)."""
+    and the CSR matvec of every subdomain block, under one tier."""
     from repro.kernels import apply as apply_kernels
 
     h = hashlib.sha256()
-    with kernels.forced_tier(tier), _apply_backend(backend):
+    with kernels.forced_tier(tier):
         for a in blocks:
             n = a.shape[0]
             rhs = np.cos(np.arange(n, dtype=np.float64))
@@ -235,7 +215,7 @@ def _factor_digest(blocks: Sequence[sp.csr_matrix], tier: str) -> str:
 
 
 def available_tiers() -> tuple[str, ...]:
-    """The kernel tiers this process can force (numba only if importable)."""
+    """The kernel tiers this process can force."""
     return kernels.available_tiers()
 
 
@@ -256,7 +236,7 @@ def check_determinism(
     across tiers; (3) solve under serial vs. parallel setup and compare;
     (4) factor every subdomain block twice per tier and across tiers;
     (5) run the apply kernels (triangular sweeps, fused ILU solve, matvec)
-    twice per tier, across tiers, and across the numpy-tier backends;
+    twice per tier and across tiers;
     (6) solve under every execution backend (inprocess vs multiprocess)
     and compare — real pipe transport must not change a bit.
 
@@ -365,27 +345,17 @@ def check_determinism(
                 ))
 
             if "apply" in selected:
-                from repro.kernels import apply as apply_kernels
-
                 adig = {
                     tier: [_apply_digest(blocks, tier) for _ in range(2)]
                     for tier in tiers
                 }
-                backends = ["levels"] + (
-                    ["superlu"] if apply_kernels.superlu_available() else []
-                )
-                bdig = {bk: _apply_digest(blocks, "numpy", backend=bk)
-                        for bk in backends}
                 a_repeat_ok = all(d[0] == d[1] for d in adig.values())
-                a_cross_ok = len(
-                    {d[0] for d in adig.values()} | set(bdig.values())
-                ) == 1
+                a_cross_ok = len({d[0] for d in adig.values()}) == 1
                 report.checks.append(Check(
                     kind="apply", case=case.key,
                     identical=a_repeat_ok and a_cross_ok,
-                    detail={"tiers": list(tiers), "backends": backends,
+                    detail={"tiers": list(tiers),
                             "digests": {t: d[0] for t, d in adig.items()},
-                            "backend_digests": bdig,
                             "repeat_identical": a_repeat_ok,
                             "cross_tier_identical": a_cross_ok},
                 ))

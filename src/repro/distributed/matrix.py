@@ -174,8 +174,8 @@ class DistributedMatrix:
             bytes_per_rank=pat.bytes_per_rank,
         )
         # tier-dispatched product (repro.kernels.apply): scipy's compiled CSR
-        # matvec on the numpy tier, the scalar spec loop on reference/numba —
-        # all bit-compatible, so forcing a tier pins the whole solve.  On a
+        # matvec on the numpy tier, the scalar spec loop on reference —
+        # both bit-compatible, so forcing a tier pins the whole solve.  On a
         # real backend the product runs *in the rank processes* over
         # column-compacted row blocks (bitwise equal by construction); the
         # guard and fault hooks below see the assembled result either way.

@@ -7,9 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro import obs
-from repro.kernels import apply as apply_kernels
-from repro.kernels import applyspec
+from repro.kernels.apply import UnitSweeps
 from repro.sparse.triangular import TriangularFactor
 from repro.utils.validation import ensure_csr
 
@@ -40,7 +38,7 @@ class ILUFactorization:
 
     ``l_strict`` holds the strictly lower triangle of L (unit diagonal
     implicit); ``u_upper`` holds U including its diagonal.  Solves use the
-    level-scheduled vectorized kernels of :mod:`repro.sparse.triangular`.
+    tiered sweep kernels of :mod:`repro.kernels.apply`.
     ``stats`` carries the producing algorithm's health counters (pivot
     floors, diagonal shift); factorizations built directly from L/U parts
     get zeroed stats.
@@ -63,49 +61,19 @@ class ILUFactorization:
         diag = self.u_upper.diagonal()
         self.L = TriangularFactor(self.l_strict, None, lower=True)
         self.U = TriangularFactor(ensure_csr(u_strict), diag, lower=False)
-        self._fused_ok: bool | None = None  # None = superlu probe not yet run
+        self.sweeps = UnitSweeps(n, self.L.scaled, self.U.scaled)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply (LU)^{-1}: forward then backward substitution.
 
-        On the numpy tier with the superlu backend, both sweeps run fused
-        in a single compiled gstrs call (probe-verified bitwise against
-        the scalar spec on first use — see docs/performance.md); every
-        other tier/backend composes the two :class:`TriangularFactor`
-        solves, which are bit-compatible with the fused path.
+        Both sweeps run fused through :class:`repro.kernels.apply.UnitSweeps`
+        (one compiled gstrs call on the numpy tier, probe-verified bitwise
+        against the scalar spec on first use — see docs/performance.md),
+        bit-compatible with composing ``self.L.solve`` and ``self.U.solve``.
         """
-        if (
-            apply_kernels.resolve_tier() == "numpy"
-            and self._fused_ok is not False
-            and apply_kernels.backend() == "superlu"
-        ):
-            lslots = self.L.superlu_slots()
-            uslots = self.U.superlu_slots()
-            if lslots is not None and uslots is not None:
-                x = apply_kernels.gstrs_sweeps(self.n, lslots[0], uslots[1], b)
-                if self._fused_ok is None:
-                    self._fused_ok = (
-                        not apply_kernels.verify_enabled()
-                        or bool(np.array_equal(x, self._solve_spec(b)))
-                    )
-                    if not self._fused_ok:
-                        obs.event("apply.probe_mismatch", kernel="ilu_fused", n=self.n)
-                        return self.U.solve(self.L.solve(b))
-                if self.U.invd is not None:
-                    x = x * self.U.invd
-                return x
-        return self.U.solve(self.L.solve(b))
-
-    def _solve_spec(self, b: np.ndarray) -> np.ndarray:
-        """Both sweeps via the interpreted scalar spec (probe comparand).
-
-        Deliberately *excludes* the trailing ``x *= invd`` scaling so it
-        compares against the raw fused-sweep output.
-        """
-        x = np.array(b, dtype=np.float64, copy=True)
-        ls, us = self.L.scaled, self.U.scaled
-        applyspec.forward_unit(ls.indptr, ls.indices, ls.data, x)
-        applyspec.backward_unit(us.indptr, us.indices, us.data, x)
+        x = self.sweeps.solve(b)
+        if self.U.invd is not None:
+            x = x * self.U.invd
         return x
 
     def solve_flops(self) -> float:

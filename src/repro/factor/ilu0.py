@@ -7,24 +7,21 @@ ILU(0) per subdomain; Schur 2 uses a distributed ILU(0) on the expanded Schur
 system.
 
 This module is the orchestrator: it validates input, consults the
-content-addressed factor cache (:mod:`repro.factor.cache`), dispatches to a
-kernel tier (:mod:`repro.kernels`), and assembles the result.  MILU and
-active fault plans are pinned to the reference tier, whose scalar kernel
-lives in :mod:`repro.factor.reference`.
+content-addressed factor cache (:mod:`repro.factor.cache`), runs the scalar
+kernel in :mod:`repro.factor.reference` (the only ILU(0) kernel: it carries
+MILU's dropped-mass accumulation and the fault-injection pivot hooks), and
+assembles the result.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import scipy.sparse as sp
 
-from repro import faults, kernels
+from repro import faults
 from repro.analysis.sanitize.fp import kernel_guard
 from repro.factor import cache as factor_cache
 from repro.factor.base import FactorStats, ILUFactorization
 from repro.factor.reference import _check_breakdown, ilu0_reference
-from repro.kernels import band
-from repro.sparse.csr import diag_indices_csr
 from repro.utils.validation import check_square, ensure_csr
 
 __all__ = ["ilu0", "_check_breakdown"]
@@ -61,14 +58,8 @@ def ilu0(
     n = a.shape[0]
     plan = faults.active()
     # an exhausted or non-pivot fault plan cannot corrupt this factorization,
-    # so only a live pivot spec forces the reference tier and a cache bypass
+    # so only a live pivot spec forces a cache bypass
     pivot_faults = plan is not None and plan.pivot_faults_possible()
-
-    # MILU accumulates dropped mass in raster order and fault hooks fire per
-    # row — both are reference-tier semantics
-    bw = band.bandwidth(n, a.indptr, a.indices)
-    tier = kernels.resolve(n, bw, require_reference=modified or pivot_faults)
-    family = "reference" if tier == "reference" else "band"
 
     cache = factor_cache.get_cache()
     key = None
@@ -76,7 +67,7 @@ def ilu0(
         if cache.enabled:
             cache.note_bypass("ilu0", reason="fault-plan")
     elif cache.enabled:
-        key = cache.key("ilu0", a, (bool(modified), float(shift)), family)
+        key = cache.key("ilu0", a, (bool(modified), float(shift)), "reference")
         fac = cache.get(key, "ilu0")
         if fac is not None:
             _check_breakdown(
@@ -84,19 +75,8 @@ def ilu0(
             )
             return fac
 
-    with kernel_guard(f"factor.ilu0.{tier}"):
-        if tier == "reference":
-            lu_data, floored = ilu0_reference(a, modified, shift)
-        else:
-            dpos = diag_indices_csr(a)  # validates the stored diagonal
-            data = a.data.copy()
-            if shift:
-                data[dpos] += shift
-            norms = band.row_norms_inf(n, a.indptr, data)
-            _, ilu0_sweep = kernels.sweeps_for(tier)
-            lu_data, floored = band.ilu0_factor(
-                n, a.indptr, a.indices, data, norms, sweep=ilu0_sweep
-            )
+    with kernel_guard("factor.ilu0.reference"):
+        lu_data, floored = ilu0_reference(a, modified, shift)
 
     _check_breakdown("ilu0", floored, n, breakdown_frac, shift)
     lu = sp.csr_matrix((lu_data, a.indices.copy(), a.indptr.copy()), shape=a.shape)

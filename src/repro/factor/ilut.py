@@ -10,8 +10,8 @@ This module is the orchestrator: it validates input, consults the
 content-addressed factor cache (:mod:`repro.factor.cache`), dispatches to a
 kernel tier (:mod:`repro.kernels`), and assembles the result.  Active fault
 plans are pinned to the reference tier (:mod:`repro.factor.reference`); the
-fast tiers match it bit-for-bit except for |value| ties in the fill-cap
-selection, where they keep the smallest columns instead of the reference's
+band sweep matches it bit-for-bit except for |value| ties in the fill-cap
+selection, where it keeps the smallest columns instead of the reference's
 discovery order.
 """
 
@@ -86,11 +86,9 @@ def ilut(
             u_upper = (u_strict + sp.diags(u_diag, format="csr")).tocsr()
         else:
             norms = band.row_norms2(n, a.indptr, a.data)
-            ilut_sweep, _ = kernels.sweeps_for(tier)
             (l_indptr, l_indices, l_data,
              u_indptr, u_indices, u_data, floored) = band.ilut_factor(
-                n, a.indptr, a.indices, a.data, drop_tol, fill, shift, norms,
-                sweep=ilut_sweep,
+                n, a.indptr, a.indices, a.data, drop_tol, fill, shift, norms
             )
             _check_breakdown("ilut", floored, n, breakdown_frac, shift)
             l_csr = sp.csr_matrix((l_data, l_indices, l_indptr), shape=a.shape)

@@ -5,35 +5,37 @@ dispatched below and the apply-phase triangular sweeps/matvec dispatched
 by :mod:`repro.kernels.apply` (which consults the same forced/env state,
 so a single ``REPRO_KERNEL_TIER`` pins the whole solve).
 
-Three tiers compute the incomplete factorizations:
+Every operation has the reference path plus at most one fast path:
 
-* ``"reference"`` — the original dict/heap scalar kernels in
-  :mod:`repro.factor.reference`.  Always available; the only tier that
-  supports MILU's dropped-mass accumulation and fault-injection pivot
-  hooks, so those cases are routed here unconditionally.
-* ``"numpy"`` — vectorized band-window sweeps (:mod:`repro.kernels.band`).
-* ``"numba"`` — the scalar specification kernels jit-compiled
-  (:mod:`repro.kernels.numba_tier`); bit-compatible with ``"numpy"``.
+* ``"reference"`` — the interpreted scalar kernels: the dict/heap
+  factorizations in :mod:`repro.factor.reference` and the apply loops in
+  :mod:`repro.kernels.applyspec`.  Always available; the only ILU(0), and
+  the only tier that supports MILU's dropped-mass accumulation and
+  fault-injection pivot hooks, so those cases are routed here
+  unconditionally.
+* ``"numpy"`` — the vectorized band-window ILUT sweep
+  (:mod:`repro.kernels.band`) and the compiled apply kernels
+  (:mod:`repro.kernels.apply`).
 
-Selection order under ``"auto"`` policy: numba if importable, else the
-NumPy band tier when it is economical for the matrix at hand (the dense
-band workspace is only worth it for moderate bandwidths), else reference.
-Override with :func:`set_tier`/:func:`forced_tier` or the
-``REPRO_KERNEL_TIER`` environment variable (``auto`` | ``reference`` |
-``numpy`` | ``numba``).
+Under ``"auto"`` policy the code picks per operation: ILUT takes the band
+sweep when its dense workspace is economical for the matrix at hand (only
+worth it for moderate bandwidths), the apply phase always takes the
+compiled kernels.  Override with :func:`set_tier`/:func:`forced_tier` or
+the ``REPRO_KERNEL_TIER`` environment variable (``auto`` | ``reference`` |
+``numpy``).
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from typing import Iterator
 
-from . import apply, applyspec, band, numba_tier, rowspec
+from . import apply, applyspec, band, rowspec
 
 __all__ = [
     "band",
     "rowspec",
-    "numba_tier",
     "apply",
     "applyspec",
     "available_tiers",
@@ -42,10 +44,9 @@ __all__ = [
     "forced_tier",
     "band_economical",
     "resolve",
-    "sweeps_for",
 ]
 
-_TIERS = ("reference", "numpy", "numba")
+_TIERS = ("reference", "numpy")
 _ENV_VAR = "REPRO_KERNEL_TIER"
 
 # the band workspace is O(n * bandwidth): cap both the bandwidth (per-row
@@ -57,39 +58,36 @@ _forced: str | None = None
 
 
 def available_tiers() -> tuple[str, ...]:
-    """Tiers usable in this process (numba only when importable)."""
-    if numba_tier.available():
-        return _TIERS
-    return ("reference", "numpy")
+    """Tiers usable in this process."""
+    return _TIERS
+
+
+def _checked(name: str | None) -> str | None:
+    """``name`` as a forced tier: ``None`` for auto, else a member of ``_TIERS``."""
+    if name is None or name == "auto":
+        return None
+    if name not in _TIERS:
+        raise ValueError(
+            f"unknown kernel tier {name!r}; expected one of {_TIERS} or 'auto'"
+        )
+    return name
 
 
 def get_tier() -> str | None:
     """The explicitly forced tier, or ``None`` under auto policy."""
     if _forced is not None:
         return _forced
-    env = os.environ.get(_ENV_VAR, "").strip().lower()
-    if env in _TIERS:
-        return env
-    return None
+    return _checked(os.environ.get(_ENV_VAR, "").strip().lower() or None)
 
 
 def set_tier(name: str | None) -> None:
     """Force a tier for all subsequent factorizations (``None`` = auto)."""
     global _forced
-    if name is None or name == "auto":
-        _forced = None
-        return
-    if name not in _TIERS:
-        raise ValueError(
-            f"unknown kernel tier {name!r}; expected one of {_TIERS} or 'auto'"
-        )
-    if name == "numba" and not numba_tier.available():
-        raise RuntimeError("kernel tier 'numba' requested but numba is not installed")
-    _forced = name
+    _forced = _checked(name)
 
 
 @contextmanager
-def forced_tier(name: str | None):
+def forced_tier(name: str | None) -> Iterator[None]:
     """Temporarily force a kernel tier (restores the previous policy)."""
     global _forced
     prev = _forced
@@ -100,39 +98,28 @@ def forced_tier(name: str | None):
         _forced = prev
 
 
-def band_economical(n: int, bw: int) -> bool:
-    """Whether the dense band workspace pays off for an n x n matrix."""
-    if bw > BAND_BW_CAP:
-        return False
-    # two workspaces in the worst case (values + ILU(0) pattern mask)
+def _band_fits(n: int, bw: int) -> bool:
+    # the window itself plus as much again in headroom (sweep scratch,
+    # extraction index arrays)
     return 2 * (n + bw + 1) * (2 * bw + 1) * 8 <= BAND_MEM_CAP
 
 
+def band_economical(n: int, bw: int) -> bool:
+    """Whether the dense band workspace pays off for an n x n matrix."""
+    return bw <= BAND_BW_CAP and _band_fits(n, bw)
+
+
 def resolve(n: int, bw: int, *, require_reference: bool = False) -> str:
-    """Pick the tier for one factorization.
+    """Pick the ILUT tier for one factorization.
 
     ``require_reference`` is set by the factor layer when semantics demand
-    the scalar kernels (MILU, active fault plans); it wins over any forced
-    policy so fault hooks are never silently skipped.
+    the scalar kernels (active fault plans); it wins over any forced policy
+    so fault hooks are never silently skipped.  Forcing ``"numpy"``
+    overrides the bandwidth *economy* cap, never the ``BAND_MEM_CAP``
+    *safety* cap: a window that large is a dense ``O(n * bw)`` allocation.
     """
-    if require_reference:
-        return "reference"
     forced = get_tier()
-    if forced == "numba" and numba_tier.load() is None:
-        forced = "numpy"
-    if forced is not None:
-        return forced
-    if not band_economical(n, bw):
+    if require_reference or forced == "reference":
         return "reference"
-    if numba_tier.available() and numba_tier.load() is not None:
-        return "numba"
-    return "numpy"
-
-
-def sweeps_for(tier: str):
-    """Return ``(ilut_sweep, ilu0_sweep)`` for a fast tier."""
-    if tier == "numba":
-        pair = numba_tier.load()
-        if pair is not None:
-            return pair
-    return band.ilut_sweep, band.ilu0_sweep
+    worth_it = _band_fits if forced == "numpy" else band_economical
+    return "numpy" if worth_it(n, bw) else "reference"

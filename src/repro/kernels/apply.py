@@ -2,33 +2,23 @@
 
 The apply hot path reuses the factor-kernel tier policy
 (:func:`repro.kernels.get_tier` / ``REPRO_KERNEL_TIER``) with the same
-three names and the same bit-compatibility contract:
+names and the same bit-compatibility contract:
 
 * ``"reference"`` — the interpreted scalar loops in
   :mod:`repro.kernels.applyspec`.
-* ``"numba"`` — the same loops jit-compiled (numba's default pipeline does
-  not contract multiply-add or reassociate, so the compiled sweeps are
-  bit-compatible with the spec by construction).
-* ``"numpy"`` — array-native backends; two are provided and selected by
-  ``REPRO_APPLY_BACKEND`` (``auto`` | ``superlu`` | ``levels``):
-
-  - ``superlu`` (default when available): both unit sweeps of one
-    preconditioner application executed by a single call into scipy's
-    compiled SuperLU ``gstrs`` routine.  Its column-oriented substitution
-    performs, per unknown, the identical sequence of multiply-subtract
-    operations as the row-oriented spec (ascending column order forward,
-    descending backward — see :mod:`repro.kernels.applyspec`), so the
-    result is bitwise identical.  Because that identity rests on an
-    external library's implementation detail, it is *probe-verified*: the
-    first application through each prepared factor is recomputed with the
-    interpreted spec and compared bitwise; any mismatch disables the
-    backend for that factor and emits an ``apply.probe_mismatch``
-    observability event (``REPRO_APPLY_VERIFY=0`` skips the probe).
-  - ``levels`` — level-scheduled slot sweep, pure NumPy: rows of one
-    dependency level are advanced together, one entry *slot* at a time
-    (ascending slots forward, descending backward), so every row's
-    accumulator sees the spec's operation order exactly.  Bit-compatible
-    by construction; the fallback when SuperLU's private module moves.
+* ``"numpy"`` — both unit sweeps of one preconditioner application
+  executed by a single call into scipy's compiled SuperLU ``gstrs``
+  routine.  Its column-oriented substitution performs, per unknown, the
+  identical sequence of multiply-subtract operations as the row-oriented
+  spec (ascending column order forward, descending backward — see
+  :mod:`repro.kernels.applyspec`), so the result is bitwise identical.
+  Because that identity rests on an external library's implementation
+  detail, it is *probe-verified*: the first application through each
+  prepared factor is recomputed with the interpreted spec and compared
+  bitwise; any mismatch drops that factor to the spec loops for good and
+  emits an ``apply.probe_mismatch`` observability event.  The spec loops
+  are also the fallback when SuperLU's private module moves or a factor
+  overflows its C-int index arrays.
 
 Matvec: scipy's compiled CSR product accumulates each row left-to-right
 into a scalar, matching ``applyspec.csr_matvec`` bitwise, so the numpy
@@ -37,21 +27,17 @@ tier uses ``A @ x`` directly.
 All sweeps here solve *unit* triangles.  Non-unit diagonals are handled by
 the factor objects (column-scale the strict triangle by ``invd`` at
 preparation time, multiply the sweep output by ``invd`` afterwards), so
-every tier shares one elementwise scaling and the sweeps never divide.
+both tiers share one elementwise scaling and the sweeps never divide.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.sparse as sp
 
-from . import applyspec, numba_tier
+from repro import obs
 
-_BACKEND_ENV = "REPRO_APPLY_BACKEND"
-_VERIFY_ENV = "REPRO_APPLY_VERIFY"
-_BACKENDS = ("auto", "superlu", "levels")
+from . import applyspec
 
 # SuperLU's index arrays are C ints; fall back rather than overflow
 _INTC_MAX = np.iinfo(np.intc).max
@@ -77,46 +63,16 @@ def superlu_available() -> bool:
     return _superlu() is not None
 
 
-def backend() -> str:
-    """Resolved numpy-tier backend: ``"superlu"`` or ``"levels"``."""
-    env = os.environ.get(_BACKEND_ENV, "auto").strip().lower() or "auto"
-    if env not in _BACKENDS:
-        raise ValueError(
-            f"unknown apply backend {env!r}; expected one of {_BACKENDS}"
-        )
-    if env == "levels":
-        return "levels"
-    if env == "superlu" and not superlu_available():
-        raise RuntimeError(
-            "apply backend 'superlu' requested but scipy's compiled gstrs "
-            "is not importable"
-        )
-    return "superlu" if superlu_available() else "levels"
-
-
-def verify_enabled() -> bool:
-    """Whether the one-time superlu probe verification runs (default on)."""
-    flag = os.environ.get(_VERIFY_ENV, "1").strip().lower()
-    return flag not in ("0", "off", "false", "no")
-
-
 def resolve_tier() -> str:
-    """Pick the apply tier for one application.
+    """The apply-phase tier: the forced/env kernel tier, else ``"numpy"``.
 
-    The forced/env factor-kernel tier applies to the apply phase too, so
-    one ``REPRO_KERNEL_TIER`` (or :func:`repro.kernels.forced_tier`)
-    setting pins the entire solve.  Under auto policy the numpy tier wins:
-    its compiled backends carry no per-process jit latency and match the
-    numba tier's throughput.
+    One ``REPRO_KERNEL_TIER`` (or :func:`repro.kernels.forced_tier`)
+    setting pins the entire solve.  The compiled kernels carry no setup
+    cost, so auto policy never picks the interpreted loops.
     """
     from repro import kernels
 
-    forced = kernels.get_tier()
-    if forced == "numba" and numba_tier.load_apply() is None:
-        forced = "numpy"
-    if forced is not None:
-        return forced
-    return "numpy"
+    return kernels.get_tier() or "numpy"
 
 
 # -- SuperLU slot preparation -------------------------------------------------
@@ -136,36 +92,29 @@ def _csc_slot(mat: sp.spmatrix):
     )
 
 
-def csc_unit_lower_slot(strict_lower: sp.csr_matrix):
-    """L-slot arrays for ``I + L`` (unit diagonal stored explicitly).
+def _gstrs_slots(n: int, lower: sp.csr_matrix | None, upper: sp.csr_matrix | None):
+    """gstrs ``(lslot, uslot)`` arrays for ``(I + L)(I + U)``, or ``None``.
 
     gstrs expects the L factor as a CSC unit-lower matrix *with* its
     diagonal present; the U factor's diagonal is implicit.  Passing the
-    conventions the other way round silently produces garbage.
+    conventions the other way round silently produces garbage.  A missing
+    triangle is the identity L slot / the all-zero U slot.  ``None`` when
+    gstrs is not importable or a slot overflows its C-int index arrays.
     """
-    n = strict_lower.shape[0]
-    return _csc_slot(sp.eye(n, format="csc") + strict_lower)
-
-
-def csc_strict_upper_slot(strict_upper: sp.csr_matrix):
-    """U-slot arrays for a strictly upper triangle (unit diagonal implicit)."""
-    return _csc_slot(strict_upper)
-
-
-def csc_identity_slot(n: int):
-    """L-slot arrays for the identity (used by solo backward sweeps)."""
-    return _csc_slot(sp.eye(n, format="csc"))
-
-
-def csc_empty_slot(n: int):
-    """U-slot arrays for an all-zero triangle (used by solo forward sweeps)."""
-    return _csc_slot(sp.csc_matrix((n, n)))
+    if not superlu_available():
+        return None
+    eye = sp.eye(n, format="csc")
+    lslot = _csc_slot(eye if lower is None else eye + lower)
+    uslot = _csc_slot(sp.csc_matrix((n, n)) if upper is None else upper)
+    if lslot is None or uslot is None:
+        return None
+    return lslot, uslot
 
 
 def gstrs_sweeps(n: int, lslot, uslot, b: np.ndarray) -> np.ndarray:
     """Solve ``(I + L) (I + U) x = b`` with one compiled gstrs call.
 
-    ``lslot``/``uslot`` come from the ``csc_*_slot`` helpers.  ``b`` is not
+    ``lslot``/``uslot`` come from :func:`_gstrs_slots`.  ``b`` is not
     mutated (gstrs overwrites its right-hand side, so a fresh copy is
     passed in).  Raises ``RuntimeError`` if gstrs reports failure.
     """
@@ -183,50 +132,69 @@ def gstrs_sweeps(n: int, lslot, uslot, b: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-# -- level-scheduled slot sweep (pure NumPy, bit-compatible) ------------------
+# -- the sweeps of one prepared factor ----------------------------------------
 
 
-def prepare_level_slots(strict: sp.csr_matrix, schedule, lower: bool):
-    """Precompute per-level slot gathers for the ``levels`` backend.
+class UnitSweeps:
+    """Solve ``(I + L)(I + U) x = b`` for one prepared factor.
 
-    For each dependency level, rows are advanced together one entry *slot*
-    at a time: slot ``s`` of a row is its ``s``-th stored entry counted in
-    sweep order (from the row start for forward sweeps, from the row end
-    for backward sweeps).  Each slot update is one elementwise
-    multiply-subtract across the level's still-active rows, so every row's
-    accumulator sees the exact operation sequence of the scalar spec while
-    the Python-level loop runs over ``levels × slots`` instead of rows.
+    ``lower`` / ``upper`` are strictly triangular CSR matrices with sorted
+    indices; ``None`` stands for the identity, so a solo forward or
+    backward sweep and the fused ILU apply are the same object.  On the
+    numpy tier the first solve prepares the gstrs slots and probes them
+    against the spec loops; this factor then stays on whichever path the
+    probe chose.
     """
-    indptr, indices, data = strict.indptr, strict.indices, strict.data
-    order, level_ptr = schedule.order, schedule.level_ptr
-    levels = []
-    for k in range(schedule.num_levels):
-        rows = order[level_ptr[k] : level_ptr[k + 1]]
-        starts = indptr[rows].astype(np.int64)
-        counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-        max_c = int(counts.max()) if len(counts) else 0
-        slots = []
-        # sort rows by descending count once so slot s is a prefix slice
-        by_count = np.argsort(-counts, kind="stable")
-        rows_s, starts_s, counts_s = rows[by_count], starts[by_count], counts[by_count]
-        for s in range(max_c):
-            # rows remain active at slot s while their count exceeds s
-            active = int(np.searchsorted(-counts_s, -s, side="left"))
-            rsub = rows_s[:active]
-            entry = (starts_s[:active] + s) if lower else (
-                starts_s[:active] + counts_s[:active] - 1 - s
-            )
-            slots.append((rsub, data[entry].copy(), indices[entry].copy()))
-        levels.append(slots)
-    return levels
 
+    def __init__(
+        self, n: int, lower: sp.csr_matrix | None, upper: sp.csr_matrix | None
+    ) -> None:
+        self.n = n
+        self.lower = lower
+        self.upper = upper
+        self._slots: tuple | None = None
+        # None = gstrs not tried yet; False = this factor runs the spec loops
+        self.superlu_ok: bool | None = None
 
-def level_slot_solve(levels, x: np.ndarray) -> np.ndarray:
-    """In-place unit-triangle solve using prepared level slots."""
-    for slots in levels:
-        for rows, vals, cols in slots:
-            x[rows] -= vals * x[cols]
-    return x
+    def spec(self, b: np.ndarray) -> np.ndarray:
+        """Both sweeps through the interpreted scalar spec."""
+        x = np.array(b, dtype=np.float64, copy=True)
+        if self.lower is not None:
+            t = self.lower
+            applyspec.forward_unit(t.indptr, t.indices, t.data, x)
+        if self.upper is not None:
+            t = self.upper
+            applyspec.backward_unit(t.indptr, t.indices, t.data, x)
+        return x
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Tier-dispatched solve; ``b`` is not mutated."""
+        if self.superlu_ok is False or resolve_tier() == "reference":
+            return self.spec(b)
+        if self._slots is None:
+            return self._probe(b)
+        return gstrs_sweeps(self.n, self._slots[0], self._slots[1], b)
+
+    def _probe(self, b: np.ndarray) -> np.ndarray:
+        """First numpy-tier solve: gstrs must exist, fit C ints and
+        reproduce the spec's bits, or this factor keeps to the spec."""
+        x = self.spec(b)
+        slots = _gstrs_slots(self.n, self.lower, self.upper)
+        if slots is None:
+            self.superlu_ok = False
+            return x
+        self._slots = slots
+        y = gstrs_sweeps(self.n, slots[0], slots[1], b)
+        self.superlu_ok = bool(np.array_equal(y, x))
+        if not self.superlu_ok:
+            if self.lower is not None and self.upper is not None:
+                obs.event("apply.probe_mismatch", kernel="ilu_fused", n=self.n)
+            else:
+                obs.event(
+                    "apply.probe_mismatch", kernel="triangular",
+                    n=self.n, lower=self.upper is None,
+                )
+        return x
 
 
 # -- matvec -------------------------------------------------------------------
@@ -237,18 +205,10 @@ def csr_matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
     scipy's compiled CSR product performs each row's accumulation
     left-to-right into a scalar, exactly the spec's order, so the numpy
-    tier is the library call itself; the reference and numba tiers run the
-    spec loop (interpreted / jitted).
+    tier is the library call itself; the reference tier runs the spec loop.
     """
-    tier = resolve_tier()
-    if tier == "numpy":
+    if resolve_tier() == "numpy":
         return a @ x
     xf = np.ascontiguousarray(x, dtype=np.float64)
     y = np.empty(a.shape[0], dtype=np.float64)
-    if tier == "numba":
-        kernels = numba_tier.load_apply()
-        if kernels is not None:
-            kernels[2](a.indptr, a.indices, a.data, xf, y)
-            return y
-        return a @ x
     return applyspec.csr_matvec(a.indptr, a.indices, a.data, xf, y)

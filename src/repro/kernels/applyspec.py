@@ -2,10 +2,10 @@
 
 The apply hot path (one forward + one backward triangular sweep per
 preconditioner application, plus the CSR matvec the Krylov loop wraps
-around it) has the same three-tier structure as the factorization kernels:
-these scalar loops are the *specification*, the numba tier jit-compiles
-them unchanged, and the fast array-native tier (:mod:`repro.kernels.apply`)
-must reproduce their exact IEEE-754 operation sequence.
+around it) has the same two-tier structure as the factorization kernels:
+these scalar loops are the *specification* (and the reference tier), and
+the compiled tier (:mod:`repro.kernels.apply`) must reproduce their exact
+IEEE-754 operation sequence.
 
 The operation order is the contract (docs/performance.md, "Apply phase"):
 
@@ -26,10 +26,8 @@ stores its strictly triangular part column-scaled by the inverse diagonal
 ``invd`` afterwards — one shared elementwise operation, identical in every
 tier, so the sweeps themselves only ever see unit triangles.
 
-Everything here is written in the numba-compilable subset (plain loops over
-CSR arrays) and doubles as the source for the jitted tier in
-:mod:`repro.kernels.numba_tier`.  Keep edits in semantic lockstep with the
-compiled backend checks in ``tests/kernels/test_apply_tiers.py``.
+Keep edits in semantic lockstep with the compiled backend checks in
+``tests/kernels/test_apply_tiers.py``.
 """
 
 from __future__ import annotations

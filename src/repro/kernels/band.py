@@ -1,28 +1,28 @@
-"""Array-native band-window ILU kernels (the fast tiers).
+"""Array-native band-window ILUT kernel (the fast factorization tier).
 
-Both incomplete factorizations are reformulated right-looking over a dense
-band workspace ``W[i, c - i + bw]`` (``bw`` = bandwidth of A).  Rows finalize
-in ascending order; each finalized row k applies ONE rank-1 update to the
-parallelogram of future rows ``k+1 .. k+bw``.  The elimination sweep is a
-pluggable callable so three implementations can share the exact same setup
-and extraction code:
+ILUT is reformulated right-looking over a dense band workspace
+``W[i, c - i + bw]`` (``bw`` = bandwidth of A).  Rows finalize in ascending
+order; each finalized row k applies ONE rank-1 update to the parallelogram
+of future rows ``k+1 .. k+bw``.  The elimination sweep is a pluggable
+callable so two implementations share the exact same setup and extraction
+code:
 
-* :func:`ilut_sweep` / :func:`ilu0_sweep` here — vectorized NumPy, a handful
-  of small-array ufunc calls per row through stride-tricks views;
-* :mod:`repro.kernels.rowspec` — scalar row-by-row mirrors of the same
-  elementwise operation sequence (the readable specification);
-* :mod:`repro.kernels.numba_tier` — the rowspec functions jit-compiled.
+* :func:`ilut_sweep` here — vectorized NumPy, a handful of small-array
+  ufunc calls per row through stride-tricks views;
+* :func:`repro.kernels.rowspec.ilut_sweep` — the scalar row-by-row mirror
+  of the same elementwise operation sequence (the readable specification
+  the tests hold this sweep to).
 
 Why the band reformulation is exact: incomplete-LU fill of a band matrix
 stays inside the band (L and U inherit A's bandwidth inductively), and the
 right-looking order applies the same ascending-k sequence of
 ``w -= lik * u`` operations to every element as the reference left-looking
-row sweep — so all three sweeps produce bit-identical factors, and match
-the reference tier up to rare tie-breaking in the fill-cap selection.
+row sweep — so both sweeps produce bit-identical factors, and match the
+reference tier up to rare tie-breaking in the fill-cap selection.
 
-The kernels are deliberately hook-free: fault-injection pivot hooks and
-MILU's dropped-mass accumulation are semantics of the reference tier, and
-the dispatcher (:mod:`repro.kernels`) routes those cases there.
+The kernel is deliberately hook-free: fault-injection pivot hooks are
+semantics of the reference tier, and the dispatcher (:mod:`repro.kernels`)
+routes those cases there.
 """
 
 from __future__ import annotations
@@ -52,22 +52,10 @@ def bandwidth(n: int, indptr: np.ndarray, indices: np.ndarray) -> int:
 
 
 def row_norms2(n: int, indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Per-row 2-norms (zero rows -> 1.0), shared by the fast ILUT tiers."""
+    """Per-row 2-norms (zero rows -> 1.0)."""
     rows = csr_row_ids(n, indptr)
     with kernel_guard("kernels.band.row_norms2"):
         norms = np.sqrt(np.bincount(rows, weights=data * data, minlength=n))
-    norms[norms <= 0.0] = 1.0  # norms are non-negative
-    return norms
-
-
-def row_norms_inf(n: int, indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Per-row max-norms of (shifted) data, zero/empty rows -> 1.0."""
-    norms = np.zeros(n)
-    lo = indptr[:-1]
-    nonempty = lo < indptr[1:]
-    if data.size:
-        with kernel_guard("kernels.band.row_norms_inf"):
-            norms[nonempty] = np.maximum.reduceat(np.abs(data), lo[nonempty])
     norms[norms <= 0.0] = 1.0  # norms are non-negative
     return norms
 
@@ -88,7 +76,7 @@ def band_scatter(n, indptr, indices, data, shift, bw):
 
 
 # ---------------------------------------------------------------------------
-# vectorized elimination sweeps (the pure-NumPy tier)
+# vectorized elimination sweep (the pure-NumPy tier)
 # ---------------------------------------------------------------------------
 
 def ilut_sweep(wst, n, bw, fill, taus, norms):
@@ -176,63 +164,6 @@ def ilut_sweep(wst, n, bw, fill, taus, norms):
     return floored
 
 
-def ilu0_sweep(wst, mst, n, bw, norms):
-    """Vectorized pattern-restricted ILU(0) elimination.
-
-    ``mst`` is A's sparsity pattern in the same band geometry (1.0 where a
-    value is stored).  Updates land everywhere in the window — positions
-    outside the pattern accumulate garbage that is never read back, because
-    the multipliers are pattern-masked and extraction gathers only pattern
-    positions.
-    """
-    width = 2 * bw + 1
-    s = wst.strides[0]
-    base = wst[1:, bw - 1:]
-    c_col = as_strided(base, shape=(n, bw), strides=(s, s - 8))
-    c_out = as_strided(base, shape=(n, bw, 1), strides=(s, s - 8, 8))
-    d_win = as_strided(wst[1:, bw:], shape=(n, bw, bw), strides=(s, s - 8, 8))
-    sm = mst.strides[0]
-    m_col = as_strided(mst[1:, bw - 1:], shape=(n, bw), strides=(sm, sm - 8))
-    upper = wst[:n, bw + 1:]
-    m_up = mst[:n, bw + 1:]
-
-    tmp = np.empty((bw, bw))
-    floored = 0
-    np_mul, np_div, np_sub = np.multiply, np.divide, np.subtract
-    wflat = wst.ravel()
-    norms_l = norms.tolist()
-
-    n_main = max(n - bw, 0)
-    for k in range(n):
-        main = k < n_main
-        nf = bw if main else n - 1 - k
-
-        if nf:
-            up = upper[k] if main else upper[k, :nf]
-            np_mul(up, m_up[k] if main else m_up[k, :nf], out=up)
-
-        diag = wflat.item(k * width + bw)
-        lim = _PIVOT_FLOOR * norms_l[k]
-        if -lim < diag < lim:
-            floored += 1
-            diag = lim if diag >= 0 else -lim
-            wflat[k * width + bw] = diag
-
-        if nf:
-            col0 = c_col[k] if main else c_col[k, :nf]
-            np_div(col0, diag, out=col0)
-            np_mul(col0, m_col[k] if main else m_col[k, :nf], out=col0)
-            t = np_mul(
-                c_out[k] if main else c_out[k, :nf],
-                up,
-                out=tmp if main else tmp[:nf, :nf],
-            )
-            vsub = d_win[k] if main else d_win[k, :nf, :nf]
-            np_sub(vsub, t, out=vsub)
-
-    return floored
-
-
 # ---------------------------------------------------------------------------
 # factor drivers: setup -> sweep -> vectorized extraction
 # ---------------------------------------------------------------------------
@@ -277,19 +208,3 @@ def ilut_factor(n, indptr, indices, data, drop_tol, fill, shift, norms,
     u_data = udiag_up[uri, uci]
     u_indptr = np.concatenate(([0], np.cumsum(np.bincount(uri, minlength=n))))  # repro: noqa(RPR005) — integer indptr construction, exact
     return l_indptr, lcols, lvals, u_indptr, u_indices, u_data, floored
-
-
-def ilu0_factor(n, indptr, indices, data, norms, sweep=ilu0_sweep):
-    """Band ILU(0): ``data`` must already carry the diagonal shift.
-
-    Returns ``(lu_data, floored)`` with ``lu_data`` aligned to A's CSR
-    pattern, exactly like the reference kernel's in-place data array.
-    """
-    bw = bandwidth(n, indptr, indices)
-    wst = band_scatter(n, indptr, indices, data, 0.0, bw)
-    mst = np.zeros_like(wst)
-    rows = csr_row_ids(n, indptr)
-    mst[rows, indices - rows + bw] = 1.0
-    floored = sweep(wst, mst, n, bw, norms)
-    lu_data = wst[rows, indices - rows + bw]
-    return lu_data, floored

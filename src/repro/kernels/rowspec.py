@@ -1,17 +1,12 @@
-"""Scalar row-by-row elimination sweeps — the readable specification.
+"""Scalar row-by-row ILUT elimination sweep — the readable specification.
 
-These functions mirror the vectorized sweeps in :mod:`repro.kernels.band`
+:func:`ilut_sweep` mirrors the vectorized sweep in :mod:`repro.kernels.band`
 element for element: the same ascending-k elimination order, the same
 multiply-then-subtract update (no fused multiply-add), the same
 mask-by-multiplication dropping, the same sign-preserving pivot floor.
-They therefore produce *bit-identical* band workspaces, which the unit
-tests assert.
-
-They are written in the numba-compilable subset of NumPy (plain loops,
-``np.sort`` on small scratch arrays, no fancy indexing) and double as the
-source for the jitted tier in :mod:`repro.kernels.numba_tier`.  Keep any
-edit here semantically in lockstep with ``band.ilut_sweep`` /
-``band.ilu0_sweep``.
+It therefore produces a *bit-identical* band workspace, which the unit
+tests assert.  Keep any edit here semantically in lockstep with
+``band.ilut_sweep``.
 """
 
 from __future__ import annotations
@@ -74,33 +69,6 @@ def ilut_sweep(wst, n, bw, fill, taus, norms):
             f = k + 1 + r
             lik = wst[f, bw - 1 - r] / diag
             lik = lik * (abs(lik) > taus[f])
-            wst[f, bw - 1 - r] = lik
-            for j in range(nf):
-                wst[f, bw - r + j] = wst[f, bw - r + j] - lik * wst[k, bw + 1 + j]
-
-    return floored
-
-
-def ilu0_sweep(wst, mst, n, bw, norms):
-    """Scalar pattern-restricted ILU(0) elimination (see band.ilu0_sweep)."""
-    floored = 0
-
-    for k in range(n):
-        nf = bw if k + bw < n else n - 1 - k
-
-        for j in range(nf):
-            wst[k, bw + 1 + j] = wst[k, bw + 1 + j] * mst[k, bw + 1 + j]
-
-        diag = wst[k, bw]
-        lim = _PIVOT_FLOOR * norms[k]
-        if -lim < diag < lim:
-            floored += 1
-            diag = lim if diag >= 0 else -lim
-            wst[k, bw] = diag
-
-        for r in range(nf):
-            f = k + 1 + r
-            lik = (wst[f, bw - 1 - r] / diag) * mst[f, bw - 1 - r]
             wst[f, bw - 1 - r] = lik
             for j in range(nf):
                 wst[f, bw - r + j] = wst[f, bw - r + j] - lik * wst[k, bw + 1 + j]

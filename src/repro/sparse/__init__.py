@@ -2,8 +2,8 @@
 
 Built on :mod:`scipy.sparse` CSR storage (per the HPC guides: prefer scipy
 sparse arrays and vectorized kernels).  Everything algorithmic — triangular
-solves with level scheduling, 2x2 block splitting of subdomain matrices,
-permutations — is implemented here from scratch.
+solves, 2x2 block splitting of subdomain matrices, permutations — is
+implemented here from scratch.
 """
 
 from repro.sparse.csr import (
@@ -15,9 +15,7 @@ from repro.sparse.csr import (
     spmv,
 )
 from repro.sparse.triangular import (
-    LevelSchedule,
     TriangularFactor,
-    build_levels,
     solve_lower_unit,
     solve_upper,
 )
@@ -38,9 +36,7 @@ __all__ = [
     "is_sorted_csr",
     "nnz_per_row",
     "spmv",
-    "LevelSchedule",
     "TriangularFactor",
-    "build_levels",
     "solve_lower_unit",
     "solve_upper",
     "BlockSplit",

@@ -3,90 +3,26 @@
 Forward/backward substitution is the kernel executed on every
 preconditioner application (twice per subdomain per iteration), so it must
 not be a Python per-row loop.  :class:`TriangularFactor` prepares a
-strictly triangular factor once and dispatches each solve through the
-apply-kernel tiers of :mod:`repro.kernels.apply` — a compiled SuperLU
-column sweep or a level-scheduled slot sweep on the numpy tier, the jitted
-scalar loops on the numba tier, and the interpreted specification loops on
-the reference tier.  All tiers produce bitwise-identical solutions (the
-contract is documented in docs/performance.md, "Apply phase").
+strictly triangular factor once and hands each solve to the apply-kernel
+tiers of :mod:`repro.kernels.apply` — a compiled SuperLU column sweep on
+the numpy tier, the interpreted specification loops on the reference tier.
+Both produce bitwise-identical solutions (the contract is documented in
+docs/performance.md, "Apply phase").
 
 Non-unit diagonals never enter the sweeps: the factor stores its strict
 triangle column-scaled by the inverse diagonal (``t̃_ij = t_ij / d_j``,
 algebraically ``T = (I + S D^{-1}) D``) and multiplies the unit-sweep
 output elementwise by ``1/d`` — one shared operation, identical in every
 tier.
-
-Level scheduling (Saad, "Iterative Methods for Sparse Linear Systems",
-Ch. 12) groups rows into dependency levels; it drives the pure-NumPy slot
-sweep and feeds the performance model: the number of levels is the
-critical-path length of the triangular solve, exactly the quantity a
-parallel ILU apply is limited by.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro import obs
-from repro.kernels import apply as apply_kernels
-from repro.kernels import applyspec, numba_tier
+from repro.kernels.apply import UnitSweeps
 from repro.utils.validation import ensure_csr
-
-
-@dataclass(frozen=True)
-class LevelSchedule:
-    """Rows grouped by dependency level.
-
-    ``order`` lists row indices sorted by level; rows of level ``k`` occupy
-    ``order[level_ptr[k]:level_ptr[k+1]]``.
-    """
-
-    order: np.ndarray
-    level_ptr: np.ndarray
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.level_ptr) - 1
-
-
-def build_levels(a: sp.csr_matrix, lower: bool = True) -> LevelSchedule:
-    """Compute the level schedule of a strictly triangular CSR matrix.
-
-    For a lower factor, row ``i`` depends on the rows named by its column
-    indices (all ``< i``); for an upper factor the dependencies are the columns
-    ``> i`` and the sweep runs bottom-up.
-    """
-    a = ensure_csr(a)
-    n = a.shape[0]
-    # The longest-path recurrence level[i] = max(level[deps]) + 1 is an
-    # inherently sequential scan (ILU factors of banded matrices produce
-    # near-chain dependency graphs, so level-parallel formulations
-    # degenerate to O(num_levels) tiny steps).  A plain-list scan keeps the
-    # whole O(nnz) walk at C speed inside ``max(map(...))`` — an order of
-    # magnitude faster than per-row NumPy fancy indexing.
-    ptr = a.indptr.tolist()
-    ind = a.indices.tolist()
-    lev_list = [0] * n
-    get = lev_list.__getitem__
-    rows = range(n) if lower else range(n - 1, -1, -1)
-    for i in rows:
-        lo, hi = ptr[i], ptr[i + 1]
-        if hi > lo:
-            lev_list[i] = 1 + max(map(get, ind[lo:hi]))
-    level = np.asarray(lev_list, dtype=np.int64)
-    nlev = int(level.max()) + 1 if n else 1
-    # counting sort of rows by level, preserving sweep order within a level
-    counts = np.bincount(level, minlength=nlev)
-    level_ptr = np.concatenate(([0], np.cumsum(counts)))
-    order = np.argsort(level, kind="stable").astype(np.int64)
-    if not lower:
-        # argsort is ascending in row index within each level; the upper sweep
-        # is index-order independent within a level, so no extra work needed.
-        pass
-    return LevelSchedule(order=order, level_ptr=level_ptr.astype(np.int64))
 
 
 class TriangularFactor:
@@ -101,9 +37,9 @@ class TriangularFactor:
     lower:
         Orientation of the triangle.
 
-    The level schedule and the per-backend solve state are built lazily —
-    on first access / first solve — so constructing factors (e.g. inside
-    the parallel setup phase or the factor cache) stays cheap.
+    The compiled-sweep state is built lazily, on the first solve, so
+    constructing factors (e.g. inside the parallel setup phase or the
+    factor cache) stays cheap.
     """
 
     def __init__(
@@ -139,101 +75,18 @@ class TriangularFactor:
                 (strict.data * self.invd[strict.indices], strict.indices, strict.indptr),
                 shape=strict.shape,
             )
-        self._schedule: LevelSchedule | None = None
-        self._level_slots = None
-        self._superlu_slots = None
-        self._superlu_ok: bool | None = None  # None = not yet probed
-
-    # -- lazy prepared state -------------------------------------------------
-
-    @property
-    def schedule(self) -> LevelSchedule:
-        if self._schedule is None:
-            self._schedule = build_levels(self.strict, lower=self.lower)
-        return self._schedule
-
-    @property
-    def num_levels(self) -> int:
-        return self.schedule.num_levels
+        self.sweeps = (
+            UnitSweeps(n, self.scaled, None) if lower
+            else UnitSweeps(n, None, self.scaled)
+        )
 
     @property
     def nnz(self) -> int:
         return self.strict.nnz + (0 if self.diag is None else self.n)
 
-    def superlu_slots(self):
-        """Prepared gstrs ``(lslot, uslot)`` arrays, or ``None``.
-
-        Lower factors occupy the L slot (unit diagonal stored, paired with
-        an empty U slot); upper factors occupy the U slot (unit diagonal
-        implicit, paired with an identity L slot).  The fused ILU apply
-        combines the L slot of one factor with the U slot of another.
-        """
-        if self._superlu_slots is None:
-            if not apply_kernels.superlu_available():
-                return None
-            if self.lower:
-                slots = (
-                    apply_kernels.csc_unit_lower_slot(self.scaled),
-                    apply_kernels.csc_empty_slot(self.n),
-                )
-            else:
-                slots = (
-                    apply_kernels.csc_identity_slot(self.n),
-                    apply_kernels.csc_strict_upper_slot(self.scaled),
-                )
-            if slots[0] is None or slots[1] is None:
-                return None
-            self._superlu_slots = slots
-        return self._superlu_slots
-
-    def _slot_levels(self):
-        if self._level_slots is None:
-            self._level_slots = apply_kernels.prepare_level_slots(
-                self.scaled, self.schedule, self.lower
-            )
-        return self._level_slots
-
-    # -- solves ---------------------------------------------------------------
-
-    def _sweep_reference(self, x: np.ndarray) -> np.ndarray:
-        s = self.scaled
-        if self.lower:
-            return applyspec.forward_unit(s.indptr, s.indices, s.data, x)
-        return applyspec.backward_unit(s.indptr, s.indices, s.data, x)
-
-    def _sweep_numpy(self, x: np.ndarray) -> np.ndarray:
-        if apply_kernels.backend() == "superlu" and self._superlu_ok is not False:
-            slots = self.superlu_slots()
-            if slots is not None:
-                y = apply_kernels.gstrs_sweeps(self.n, slots[0], slots[1], x)
-                if self._superlu_ok is None:
-                    self._superlu_ok = not apply_kernels.verify_enabled() or bool(
-                        np.array_equal(y, self._sweep_reference(x.copy()))
-                    )
-                    if not self._superlu_ok:
-                        obs.event(
-                            "apply.probe_mismatch", kernel="triangular",
-                            n=self.n, lower=bool(self.lower),
-                        )
-                        return apply_kernels.level_slot_solve(self._slot_levels(), x)
-                return y
-        return apply_kernels.level_slot_solve(self._slot_levels(), x)
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``T x = b`` where ``T = strict + diag(diag or 1)``."""
-        x = np.array(b, dtype=np.float64, copy=True)
-        tier = apply_kernels.resolve_tier()
-        if tier == "numba":
-            kernels = numba_tier.load_apply()
-            s = self.scaled
-            if self.lower:
-                kernels[0](s.indptr, s.indices, s.data, x)
-            else:
-                kernels[1](s.indptr, s.indices, s.data, x)
-        elif tier == "reference":
-            x = self._sweep_reference(x)
-        else:
-            x = self._sweep_numpy(x)
+        x = self.sweeps.solve(b)
         if self.invd is not None:
             x = x * self.invd
         return x

@@ -1,36 +1,22 @@
-"""Tier- and backend-equivalence of the apply kernels — bitwise.
+"""Tier-equivalence of the apply kernels — bitwise.
 
-The contract (docs/performance.md, "Apply phase"): every tier and every
-numpy-tier backend of the triangular sweeps, the fused ILU apply and the
-CSR matvec produces bit-identical output.  These tests compare raw arrays
-with ``np.array_equal`` — no tolerances anywhere.
+The contract (docs/performance.md, "Apply phase"): both tiers of the
+triangular sweeps, the fused ILU apply and the CSR matvec produce
+bit-identical output, and a factor whose compiled sweep cannot be trusted
+falls back to the spec loops.  These tests compare raw arrays with
+``np.array_equal`` — no tolerances anywhere.
 """
-
-import os
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import kernels
+from repro import kernels, obs
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
 from repro.kernels import apply as apply_kernels
-from repro.kernels import applyspec, numba_tier
-from repro.sparse.triangular import TriangularFactor, build_levels
-
-NUMBA = numba_tier.available() and numba_tier.load_apply() is not None
-
-
-@pytest.fixture
-def backend_env():
-    """Restore REPRO_APPLY_BACKEND after a test that forces it."""
-    prev = os.environ.get("REPRO_APPLY_BACKEND")
-    yield
-    if prev is None:
-        os.environ.pop("REPRO_APPLY_BACKEND", None)
-    else:
-        os.environ["REPRO_APPLY_BACKEND"] = prev
+from repro.kernels import applyspec
+from repro.sparse.triangular import TriangularFactor
 
 
 def _test_matrix(n=300, seed=7):
@@ -42,45 +28,29 @@ def _test_matrix(n=300, seed=7):
     return sp.csr_matrix(a + sp.random(n, n, 0.02, random_state=seed))
 
 
-def _tier_solutions(fac, b, backend_env):
-    """fac.solve(b) under every tier/backend this process supports."""
-    out = {}
+def _assert_tiers_bitwise(fac, b):
+    """fac.solve(b) is bit-identical under reference, numpy and auto."""
     with kernels.forced_tier("reference"):
-        out["reference"] = fac.solve(b)
-    with kernels.forced_tier("numpy"):
-        out["numpy_auto"] = fac.solve(b)
-        os.environ["REPRO_APPLY_BACKEND"] = "levels"
-        out["numpy_levels"] = fac.solve(b)
-        if apply_kernels.superlu_available():
-            os.environ["REPRO_APPLY_BACKEND"] = "superlu"
-            out["numpy_superlu"] = fac.solve(b)
-        os.environ.pop("REPRO_APPLY_BACKEND", None)
-    if NUMBA:
-        with kernels.forced_tier("numba"):
-            out["numba"] = fac.solve(b)
-    return out
+        ref = fac.solve(b)
+    for tier in ("numpy", None):
+        with kernels.forced_tier(tier):
+            assert np.array_equal(fac.solve(b), ref), f"{tier} differs from reference"
 
 
 class TestTriangularTierEquivalence:
     @pytest.mark.parametrize("factorizer", [ilu0, lambda a: ilut(a, 1e-4, 15)])
-    def test_fused_ilu_solve_bitwise_across_tiers(self, factorizer, backend_env, rng):
+    def test_fused_ilu_solve_bitwise_across_tiers(self, factorizer, rng):
         a = _test_matrix()
         fac = factorizer(a)
-        b = rng.standard_normal(a.shape[0])
-        sols = _tier_solutions(fac, b, backend_env)
-        ref = sols.pop("reference")
-        for name, x in sols.items():
-            assert np.array_equal(x, ref), f"{name} differs from reference"
+        _assert_tiers_bitwise(fac, rng.standard_normal(a.shape[0]))
+        assert fac.sweeps.superlu_ok is apply_kernels.superlu_available()
 
-    def test_solo_sweeps_bitwise_across_tiers(self, backend_env, rng):
+    def test_solo_sweeps_bitwise_across_tiers(self, rng):
         a = _test_matrix(seed=11)
         fac = ilut(a, 1e-4, 15)
         b = rng.standard_normal(a.shape[0])
         for tri in (fac.L, fac.U):
-            sols = _tier_solutions(tri, b, backend_env)
-            ref = sols.pop("reference")
-            for name, x in sols.items():
-                assert np.array_equal(x, ref), f"{name} sweep differs from reference"
+            _assert_tiers_bitwise(tri, b)
 
     def test_fused_equals_composed_sweeps(self, rng):
         fac = ilut(_test_matrix(seed=3), 1e-4, 15)
@@ -98,22 +68,6 @@ class TestTriangularTierEquivalence:
                 fac.U.solve(b)
         assert np.array_equal(b, b0)
 
-    def test_levels_backend_forced(self, backend_env, rng):
-        """REPRO_APPLY_BACKEND=levels must not touch SuperLU at all."""
-        os.environ["REPRO_APPLY_BACKEND"] = "levels"
-        fac = ilut(_test_matrix(seed=13), 1e-4, 15)
-        b = rng.standard_normal(fac.n)
-        with kernels.forced_tier("numpy"):
-            x = fac.solve(b)
-        assert fac.L._superlu_slots is None and fac.U._superlu_slots is None
-        with kernels.forced_tier("reference"):
-            assert np.array_equal(x, fac.solve(b))
-
-    def test_unknown_backend_rejected(self, backend_env):
-        os.environ["REPRO_APPLY_BACKEND"] = "cuda"
-        with pytest.raises(ValueError):
-            apply_kernels.backend()
-
 
 class TestMatvecTiers:
     def test_matvec_bitwise_across_tiers(self, rng):
@@ -123,9 +77,6 @@ class TestMatvecTiers:
             ref = apply_kernels.csr_matvec(a, x)
         with kernels.forced_tier("numpy"):
             assert np.array_equal(apply_kernels.csr_matvec(a, x), ref)
-        if NUMBA:
-            with kernels.forced_tier("numba"):
-                assert np.array_equal(apply_kernels.csr_matvec(a, x), ref)
 
     def test_matvec_matches_scipy(self, rng):
         a = _test_matrix(seed=19)
@@ -138,6 +89,27 @@ class TestMatvecTiers:
         y = np.empty(4)
         applyspec.csr_matvec(a.indptr, a.indices, a.data, np.ones(4), y)
         assert np.array_equal(y, np.zeros(4))
+
+
+class _FlippedGstrs:
+    """scipy's ``_superlu`` with one bit of every gstrs result flipped."""
+
+    def __init__(self):
+        self.real = apply_kernels._superlu()
+        self.calls = 0
+
+    def gstrs(self, *args):
+        self.calls += 1
+        x, info = self.real.gstrs(*args)
+        x[0] = np.nextafter(x[0], np.inf)
+        return x, info
+
+
+def _probe_events(tracer):
+    return [
+        e["attrs"] for span in tracer.spans for e in span.events
+        if e["name"] == "apply.probe_mismatch"
+    ]
 
 
 class TestProbeVerification:
@@ -156,113 +128,92 @@ class TestProbeVerification:
             x1 = fac.solve(b)
             x2 = fac.solve(b)
         assert np.array_equal(x1, x2)
-        assert fac._fused_ok is True
+        assert fac.sweeps.superlu_ok is True
         assert len(calls) == 2  # probe compares, it does not re-run gstrs
 
-    def test_probe_mismatch_falls_back(self, rng, monkeypatch):
-        """A backend that stops being bit-identical is dropped, not trusted."""
-        orig = apply_kernels.gstrs_sweeps
-
-        def corrupted(n, lslot, uslot, b):
-            return np.nextafter(orig(n, lslot, uslot, b), np.inf)
-
-        monkeypatch.setattr(apply_kernels, "gstrs_sweeps", corrupted)
-        fac = ilut(_test_matrix(seed=29), 1e-4, 15)
+    @pytest.mark.parametrize("pick,attrs", [
+        pytest.param(lambda fac: fac, {"kernel": "ilu_fused"}, id="fused"),
+        pytest.param(
+            lambda fac: fac.L, {"kernel": "triangular", "lower": True}, id="L"
+        ),
+        pytest.param(
+            lambda fac: fac.U, {"kernel": "triangular", "lower": False}, id="U"
+        ),
+    ])
+    def test_probe_mismatch_falls_back(self, rng, monkeypatch, pick, attrs):
+        """A gstrs that stops being bit-identical is dropped, not trusted:
+        one event, the spec's bits, and no further gstrs call for that factor."""
+        flipped = _FlippedGstrs()
+        monkeypatch.setattr(apply_kernels, "_superlu", lambda: flipped)
+        fac = pick(ilut(_test_matrix(seed=29), 1e-4, 15))
         b = rng.standard_normal(fac.n)
-        with kernels.forced_tier("numpy"):
-            x = fac.solve(b)
-        assert fac._fused_ok is False
         with kernels.forced_tier("reference"):
-            assert np.array_equal(x, fac.solve(b))
+            ref = fac.solve(b)
+        with obs.tracing() as tracer, tracer.span("apply"):
+            with kernels.forced_tier("numpy"):
+                xs = [fac.solve(b) for _ in range(3)]
+        assert all(np.array_equal(x, ref) for x in xs)
+        assert flipped.calls == 1
+        assert fac.sweeps.superlu_ok is False
+        assert _probe_events(tracer) == [{"n": fac.n, **attrs}]
 
-    def test_verify_disabled_skips_probe(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_APPLY_VERIFY", "0")
-        assert not apply_kernels.verify_enabled()
+    def test_missing_superlu_runs_the_spec_silently(self, rng, monkeypatch):
+        monkeypatch.setattr(apply_kernels, "_superlu", lambda: None)
         fac = ilut(_test_matrix(seed=31), 1e-4, 15)
         b = rng.standard_normal(fac.n)
+        with kernels.forced_tier("reference"):
+            refs = [f.solve(b) for f in (fac, fac.L, fac.U)]
+        with obs.tracing() as tracer, tracer.span("apply"):
+            with kernels.forced_tier("numpy"):
+                got = [f.solve(b) for f in (fac, fac.L, fac.U)]
+        assert all(np.array_equal(x, r) for x, r in zip(got, refs))
+        assert fac.sweeps.superlu_ok is False
+        assert _probe_events(tracer) == []
+
+    def test_intc_overflow_runs_the_spec(self, rng, monkeypatch):
+        monkeypatch.setattr(apply_kernels, "_INTC_MAX", 10)
+        fac = ilut(_test_matrix(seed=37), 1e-4, 15)
+        b = rng.standard_normal(fac.n)
+        with kernels.forced_tier("reference"):
+            ref = fac.solve(b)
         with kernels.forced_tier("numpy"):
-            fac.solve(b)
-        assert fac._fused_ok is True
+            assert np.array_equal(fac.solve(b), ref)
+        assert fac.sweeps.superlu_ok is False
 
 
-class TestLevelSchedulerEdgeCases:
-    """Empty-level / singleton-row suite for the level scheduler and the
-    slot-sweep backend built on it."""
+def _chain(n, rng):
+    return sp.csr_matrix(sp.diags([rng.random(n - 1) + 0.5], [-1], format="csr"))
 
-    def test_singleton_matrix(self, backend_env, rng):
+
+def _two_chains(n):
+    rows = np.arange(1, n, 2)
+    return sp.coo_matrix(
+        (np.full(len(rows), 0.5), (rows, rows - 1)), shape=(n, n)
+    ).tocsr()
+
+
+class TestEdgeShapes:
+    """Degenerate triangles through both tiers: empty, singleton, rows with
+    no strict entries, a fully sequential chain, independent 2-chains."""
+
+    @pytest.mark.parametrize("strict,lower", [
+        pytest.param(lambda rng: sp.csr_matrix((0, 0)), True, id="empty"),
+        pytest.param(lambda rng: sp.csr_matrix((1, 1)), True, id="singleton"),
+        pytest.param(lambda rng: sp.csr_matrix((7, 7)), False, id="diagonal-only"),
+        pytest.param(lambda rng: _two_chains(100), True, id="two-chains-lower"),
+        pytest.param(lambda rng: _two_chains(100).T, False, id="two-chains-upper"),
+        pytest.param(lambda rng: _chain(60, rng), True, id="chain-lower"),
+        pytest.param(lambda rng: _chain(60, rng).T, False, id="chain-upper"),
+    ])
+    @pytest.mark.parametrize("unit_diag", [True, False])
+    def test_bitwise_across_tiers(self, strict, lower, unit_diag, rng):
+        s = sp.csr_matrix(strict(rng))
+        diag = None if unit_diag else 1.0 + rng.random(s.shape[0])
+        t = TriangularFactor(s, diag, lower=lower)
+        _assert_tiers_bitwise(t, rng.standard_normal(t.n))
+
+    def test_singleton_value(self):
         t = TriangularFactor(sp.csr_matrix((1, 1)), np.array([2.0]), lower=False)
-        assert t.num_levels == 1
         for tier in ("reference", "numpy"):
             with kernels.forced_tier(tier):
                 assert np.array_equal(t.solve(np.array([3.0])), np.array([1.5]))
-
-    def test_diagonal_only_factor_single_level(self, backend_env, rng):
-        n = 7
-        t = TriangularFactor(sp.csr_matrix((n, n)), np.arange(1.0, n + 1.0), lower=False)
-        assert t.num_levels == 1
-        b = rng.standard_normal(n)
-        sols = _tier_solutions(t, b, backend_env)
-        ref = sols.pop("reference")
-        for name, x in sols.items():
-            assert np.array_equal(x, ref), name
-
-    def test_empty_strict_rows_inside_levels(self, backend_env, rng):
-        # half the rows have no strict entries (level 0), half depend on
-        # them (level 1): exercises zero-count rows in the slot sweep
-        n = 100
-        rows = np.arange(1, n, 2)
-        l = sp.coo_matrix(
-            (np.full(len(rows), 0.5), (rows, rows - 1)), shape=(n, n)
-        ).tocsr()
-        t = TriangularFactor(l, None, lower=True)
-        assert t.num_levels == 2
-        b = rng.standard_normal(n)
-        sols = _tier_solutions(t, b, backend_env)
-        ref = sols.pop("reference")
-        for name, x in sols.items():
-            assert np.array_equal(x, ref), name
-
-    def test_chain_every_level_singleton(self, backend_env, rng):
-        # bidiagonal chain: n levels of one row each — the slot sweep's
-        # worst case and the shape that motivated the superlu backend
-        n = 60
-        l = sp.diags([rng.random(n - 1) + 0.5], [-1], format="csr")
-        t = TriangularFactor(sp.csr_matrix(l), None, lower=True)
-        assert t.num_levels == n
-        b = rng.standard_normal(n)
-        sols = _tier_solutions(t, b, backend_env)
-        ref = sols.pop("reference")
-        for name, x in sols.items():
-            assert np.array_equal(x, ref), name
-
-    def test_prepare_level_slots_partitions_entries(self):
-        l = sp.tril(sp.random(50, 50, 0.2, random_state=2), -1, format="csr")
-        sched = build_levels(l, lower=True)
-        levels = apply_kernels.prepare_level_slots(l, sched, lower=True)
-        total = sum(len(rows) for slots in levels for rows, _, _ in slots)
-        assert total == l.nnz
-
-    def test_empty_matrix_zero_slots(self):
-        l = sp.csr_matrix((5, 5))
-        sched = build_levels(l, lower=True)
-        levels = apply_kernels.prepare_level_slots(l, sched, lower=True)
-        assert levels == [[]]
-
-
-@pytest.mark.skipif(not NUMBA, reason="numba not installed")
-class TestNumbaApplyTier:
-    def test_jitted_kernels_match_spec(self, rng):
-        fwd, bwd, mv = numba_tier.load_apply()
-        l = sp.tril(sp.random(80, 80, 0.1, random_state=4), -1, format="csr")
-        l.sort_indices()
-        b = rng.standard_normal(80)
-        x_jit, x_ref = b.copy(), b.copy()
-        fwd(l.indptr, l.indices, l.data, x_jit)
-        applyspec.forward_unit(l.indptr, l.indices, l.data, x_ref)
-        assert np.array_equal(x_jit, x_ref)
-        u = sp.csr_matrix(l.T)
-        u.sort_indices()
-        x_jit, x_ref = b.copy(), b.copy()
-        bwd(u.indptr, u.indices, u.data, x_jit)
-        applyspec.backward_unit(u.indptr, u.indices, u.data, x_ref)
-        assert np.array_equal(x_jit, x_ref)

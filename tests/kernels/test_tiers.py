@@ -1,10 +1,11 @@
 """Kernel-tier dispatch policy and cross-tier factor equality.
 
 The bit-compatibility contract (ISSUE 4, in the spirit of Dong & Cooperman):
-the NumPy band tier, the scalar rowspec sweeps, and the numba tier must all
-produce byte-identical factors, and must match the reference tier exactly
-whenever no |value| ties occur in the ILUT fill-cap selection (random data
-breaks all ties, so these matrices exercise the exact-match regime).
+the NumPy band tier and the scalar rowspec sweep must produce byte-identical
+factors, and must match the reference tier exactly whenever no |value| ties
+occur in the ILUT fill-cap selection (random data breaks all ties, so these
+matrices exercise the exact-match regime).  ILU(0) has one kernel; its
+tier tests pin that a forced tier never changes it.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from repro.factor import cache as factor_cache
 from repro.resilience.errors import FactorizationBreakdown
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
-from repro.kernels import band, numba_tier, rowspec
+from repro.kernels import band, rowspec
 from tests.conftest import random_nonsymmetric_csr, random_spd_csr
 
 
@@ -134,36 +135,6 @@ class TestBandVsRowspec:
         for x, y in zip(vec, scal):
             assert np.array_equal(x, y)
 
-    def test_ilu0_sweeps_bitwise(self):
-        a = random_nonsymmetric_csr(30, 0.2, 9)
-        n = a.shape[0]
-        norms = band.row_norms_inf(n, a.indptr, a.data)
-        args = (n, a.indptr, a.indices, a.data, norms)
-        lu_v, fl_v = band.ilu0_factor(*args)
-        lu_s, fl_s = band.ilu0_factor(*args, sweep=rowspec.ilu0_sweep)
-        assert np.array_equal(lu_v, lu_s)
-        assert fl_v == fl_s
-
-
-class TestNumbaTier:
-    def test_matches_numpy_exactly(self):
-        pytest.importorskip("numba")
-        a = random_nonsymmetric_csr(40, 0.15, 10)
-        with kernels.forced_tier("numpy"):
-            f_np = ilut(a, 1e-4, 8)
-            f0_np = ilu0(a)
-        with kernels.forced_tier("numba"):
-            f_nb = ilut(a, 1e-4, 8)
-            f0_nb = ilu0(a)
-        _assert_factors_equal(f_np, f_nb)
-        _assert_factors_equal(f0_np, f0_nb)
-
-    def test_numba_without_numba_rejected(self):
-        if numba_tier.available():
-            pytest.skip("numba present in this environment")
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            kernels.set_tier("numba")
-
 
 class TestDispatchPolicy:
     def test_require_reference_wins_over_forced(self):
@@ -171,9 +142,7 @@ class TestDispatchPolicy:
             assert kernels.resolve(100, 5, require_reference=True) == "reference"
 
     def test_auto_uses_fast_tier_when_economical(self):
-        tier = kernels.resolve(100, 5)
-        assert tier in ("numpy", "numba")
-        assert tier == ("numba" if numba_tier.available() else "numpy")
+        assert kernels.resolve(100, 5) == "numpy"
 
     def test_economy_gate_bandwidth_cap(self):
         assert kernels.band_economical(1000, kernels.BAND_BW_CAP)
@@ -186,19 +155,32 @@ class TestDispatchPolicy:
         assert kernels.resolve(10**6, 100) == "reference"
 
     def test_forced_tier_bypasses_economy_gate(self):
+        # bw 200 is over the economy cap but its window is 2 MB: forcing wins
+        assert kernels.resolve(400, 200) == "reference"
         with kernels.forced_tier("numpy"):
-            assert kernels.resolve(1000, 10**4) == "numpy"
+            assert kernels.resolve(400, 200) == "numpy"
+            # TC1 n=101 P=2 natural ordering: bw ~ n, an 870 MB dense window;
+            # the memory cap is a safety cap and forcing never overrides it
+            assert kernels.resolve(5311, 5175) == "reference"
 
     def test_env_var_forces_tier(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_TIER", "numpy")
         assert kernels.get_tier() == "numpy"
-        assert kernels.resolve(1000, 10**4) == "numpy"
+        assert kernels.resolve(400, 200) == "numpy"
         monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
         assert kernels.resolve(100, 5) == "reference"
-
-    def test_env_var_garbage_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "turbo")
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "auto")
         assert kernels.get_tier() is None
+
+    @pytest.mark.parametrize("value", ["turbo", "numba"])
+    def test_env_var_unknown_rejected(self, monkeypatch, value):
+        # same error as set_tier: a misspelt (or retired) tier must not
+        # silently mean "auto"
+        monkeypatch.setenv("REPRO_KERNEL_TIER", value)
+        with pytest.raises(ValueError, match="unknown kernel tier .*'numpy'"):
+            kernels.get_tier()
+        with pytest.raises(ValueError, match="unknown kernel tier"):
+            kernels.resolve(100, 5)
 
     def test_set_tier_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel tier"):
@@ -211,6 +193,4 @@ class TestDispatchPolicy:
         assert kernels.get_tier() is None
 
     def test_available_tiers_shape(self):
-        tiers = kernels.available_tiers()
-        assert tiers[:2] == ("reference", "numpy")
-        assert ("numba" in tiers) == numba_tier.available()
+        assert kernels.available_tiers() == ("reference", "numpy")

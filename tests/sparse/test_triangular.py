@@ -3,9 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.sparse.triangular import (
-    LevelSchedule,
     TriangularFactor,
-    build_levels,
     solve_lower_unit,
     solve_upper,
 )
@@ -13,42 +11,6 @@ from repro.sparse.triangular import (
 
 def lower_strict(n, density, seed):
     return sp.tril(sp.random(n, n, density, random_state=seed), -1, format="csr")
-
-
-class TestBuildLevels:
-    def test_diagonal_matrix_is_one_level(self):
-        sched = build_levels(sp.csr_matrix((5, 5)), lower=True)
-        assert sched.num_levels == 1
-        assert sorted(sched.order.tolist()) == list(range(5))
-
-    def test_bidiagonal_chain_is_fully_sequential(self):
-        # L[i, i-1] = 1: every row depends on the previous one
-        n = 6
-        l = sp.diags([np.ones(n - 1)], [-1], format="csr")
-        sched = build_levels(l, lower=True)
-        assert sched.num_levels == n
-
-    def test_levels_respect_dependencies(self):
-        l = lower_strict(40, 0.1, 3)
-        sched = build_levels(l, lower=True)
-        level_of = np.empty(40, dtype=int)
-        for k in range(sched.num_levels):
-            rows = sched.order[sched.level_ptr[k] : sched.level_ptr[k + 1]]
-            level_of[rows] = k
-        for i in range(40):
-            for j in l.indices[l.indptr[i] : l.indptr[i + 1]]:
-                assert level_of[j] < level_of[i]
-
-    def test_upper_levels_respect_dependencies(self):
-        u = sp.triu(sp.random(30, 30, 0.1, random_state=1), 1, format="csr")
-        sched = build_levels(u, lower=False)
-        level_of = np.empty(30, dtype=int)
-        for k in range(sched.num_levels):
-            rows = sched.order[sched.level_ptr[k] : sched.level_ptr[k + 1]]
-            level_of[rows] = k
-        for i in range(30):
-            for j in u.indices[u.indptr[i] : u.indptr[i + 1]]:
-                assert level_of[j] < level_of[i]
 
 
 class TestTriangularSolve:
@@ -99,13 +61,12 @@ class TestTriangularSolve:
         solve_lower_unit(l, b)
         assert np.array_equal(b, b0)
 
-    def test_wide_level_vectorized_path(self, rng):
-        # block-diagonal of independent 2-chains: exactly 2 levels, wide each
+    def test_independent_two_chains(self, rng):
+        # block-diagonal of independent 2-chains
         n = 200
         rows = np.arange(1, n, 2)
         cols = rows - 1
         l = sp.coo_matrix((np.full(len(rows), 0.5), (rows, cols)), shape=(n, n)).tocsr()
         f = TriangularFactor(l, None, lower=True)
-        assert f.num_levels == 2
         x = rng.random(n)
         assert np.allclose(f.solve((sp.eye(n) + l) @ x), x)

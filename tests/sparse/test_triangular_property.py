@@ -1,11 +1,11 @@
-"""Property-based tests for the level-scheduled triangular solves."""
+"""Property-based tests for the triangular solves."""
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse.triangular import TriangularFactor, build_levels
+from repro.sparse.triangular import TriangularFactor
 
 
 @st.composite
@@ -28,17 +28,6 @@ def test_unit_lower_solve_inverts_forward_product(data):
     f = TriangularFactor(l, None, lower=True)
     b = (sp.eye(n) + l) @ x
     assert np.allclose(f.solve(b), x, atol=1e-8 * max(1.0, np.abs(x).max()))
-
-
-@given(lower_triangles())
-@settings(max_examples=60, deadline=None)
-def test_levels_partition_all_rows_exactly_once(data):
-    l, _ = data
-    sched = build_levels(l, lower=True)
-    assert sorted(sched.order.tolist()) == list(range(l.shape[0]))
-    assert sched.level_ptr[0] == 0
-    assert sched.level_ptr[-1] == l.shape[0]
-    assert np.all(np.diff(sched.level_ptr) >= 0)
 
 
 @given(lower_triangles(), st.integers(min_value=1, max_value=10))
