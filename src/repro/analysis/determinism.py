@@ -157,9 +157,13 @@ def _solve_digests(
     must reproduce bitwise."""
     from repro.core.driver import solve_case  # deferred: heavy import
 
+    # partition_graph itself, every run: case.membership() remembers its
+    # result per seed, and a remembered array reproduces vacuously
+    membership = case.partition(nparts, seed=solve_kw.get("seed", 0))
     with _setup_workers(workers), kernels.forced_tier(tier):
         out = solve_case(
-            case, precond=precond, nparts=nparts, backend=backend, **solve_kw
+            case, precond=precond, nparts=nparts, backend=backend,
+            membership=membership, **solve_kw
         )
     return {
         "x": _digest(out.x_global),

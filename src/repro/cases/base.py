@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +12,9 @@ from repro.graph.adjacency import Graph, graph_from_elements, graph_from_matrix
 from repro.graph.geometric import box_partition_2d, box_partition_3d
 from repro.graph.partitioner import partition_graph
 from repro.mesh.mesh import Mesh
+
+#: partitions a case remembers; the oldest goes first
+MEMBERSHIP_MEMO_SIZE = 8
 
 
 @dataclass
@@ -48,6 +52,10 @@ class TestCase:
     dofs_per_node: int = 1
     _node_graph: Graph | None = field(default=None, repr=False)
     _coupling_graph: Graph | None = field(default=None, repr=False)
+    _memberships: dict = field(default_factory=dict, repr=False, compare=False)
+    _memberships_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     @property
     def num_dofs(self) -> int:
@@ -75,7 +83,32 @@ class TestCase:
     def membership(
         self, nparts: int, seed: int = 0, scheme: str = "general"
     ) -> np.ndarray:
-        """Dof-level partition membership.
+        """Dof-level partition membership (read-only), see :meth:`partition`.
+
+        A partition is a per-case precomputation: for an ``int`` seed the
+        last ``MEMBERSHIP_MEMO_SIZE`` distinct ``(nparts, seed, scheme)`` are
+        remembered and the same array is handed out again.  ``seed=None`` or
+        a ``Generator`` draws a new partition per call and is never
+        remembered.
+        """
+        if not isinstance(seed, int):
+            return self.partition(nparts, seed, scheme)
+        key = (nparts, seed, scheme)
+        with self._memberships_lock:  # held while partitioning: once per key
+            if key not in self._memberships:
+                fresh = self.partition(nparts, seed, scheme)
+                if len(self._memberships) >= MEMBERSHIP_MEMO_SIZE:
+                    del self._memberships[next(iter(self._memberships))]
+                self._memberships[key] = fresh
+            return self._memberships[key]
+
+    def partition(
+        self,
+        nparts: int,
+        seed: int | np.random.Generator | None = 0,
+        scheme: str = "general",
+    ) -> np.ndarray:
+        """Compute the dof-level partition membership, read-only.
 
         ``scheme`` selects the partitioner: "general" (the multilevel graph
         partitioner, our Metis substitute), "box" (the simple geometric
@@ -100,9 +133,10 @@ class TestCase:
                 node_mem = box_partition_3d(shape[0], shape[1], shape[2], nparts)
         else:
             raise ValueError(f"unknown partitioning scheme {scheme!r}")
-        if self.dofs_per_node == 1:
-            return node_mem
-        return np.repeat(node_mem, self.dofs_per_node)
+        if self.dofs_per_node > 1:
+            node_mem = np.repeat(node_mem, self.dofs_per_node)
+        node_mem.setflags(write=False)
+        return node_mem
 
     def solution_error(self, x: np.ndarray) -> float | None:
         """Max-norm error against the exact solution, when available."""

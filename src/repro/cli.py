@@ -287,6 +287,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     if args.restore and args.checkpoint_dir is None:
         raise SystemExit("--restore requires --checkpoint-dir")
+    try:
+        # a partition the inputs do not allow (nparts above the vertex count,
+        # box on an unstructured grid) is a usage error, not a traceback;
+        # remembered by the case, so the solve below does not partition again
+        case.membership(args.nparts, seed=args.seed, scheme=args.scheme)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     modes = [m for m in (args.sanitize or "").split(",") if m]
     try:
         with sanitize.sanitizing(*modes):

@@ -50,26 +50,32 @@ class Graph:
     def total_vertex_weight(self) -> float:
         return float(self.vertex_weights.sum())
 
+    def edge_rows(self) -> np.ndarray:
+        """Source vertex of every stored edge (the CSR row index, expanded)."""
+        return np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr))
+
     def subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
-        """Induced subgraph on ``vertices``; returns (subgraph, old index per new vertex)."""
+        """Induced subgraph on ``vertices``; returns (subgraph, old index per new vertex).
+
+        New vertex ``i`` is ``vertices[i]``.  Each row keeps the neighbour
+        order (and weights) it has in this graph, relabelled, so sorted rows
+        and sorted ``vertices`` give sorted rows.
+        """
         vertices = np.asarray(vertices, dtype=np.int64)
-        mask = np.full(self.num_vertices, -1, dtype=np.int64)
-        mask[vertices] = np.arange(len(vertices))
-        rows, cols, w = [], [], []
-        for new_i, old_i in enumerate(vertices):
-            nbrs = self.neighbors(old_i)
-            ews = self.edge_weights_of(old_i)
-            keep = mask[nbrs] >= 0
-            rows.append(np.full(int(keep.sum()), new_i, dtype=np.int64))
-            cols.append(mask[nbrs[keep]])
-            w.append(ews[keep])
         m = len(vertices)
-        a = sp.coo_matrix(
-            (np.concatenate(w) if w else [], (np.concatenate(rows) if rows else [],
-                                              np.concatenate(cols) if cols else [])),
-            shape=(m, m),
-        ).tocsr()
-        g = Graph(a.indptr, a.indices, a.data, self.vertex_weights[vertices].copy())
+        new_id = np.full(self.num_vertices, -1, dtype=np.int64)
+        new_id[vertices] = np.arange(m, dtype=np.int64)
+        # one gather over the indptr[vertices] segments, in row order
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        pos = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+        cols = new_id[self.indices[pos]]
+        keep = cols >= 0
+        rows = np.repeat(np.arange(m, dtype=np.int64), counts)[keep]
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+        g = Graph(indptr, cols[keep], self.edge_weights[pos[keep]], self.vertex_weights[vertices])
         return g, vertices
 
 

@@ -37,20 +37,21 @@ def heavy_edge_matching(graph: Graph, rng: np.random.Generator) -> np.ndarray:
     itself if unmatched).
     """
     n = graph.num_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    for v in order:
+    # an order-dependent greedy sweep: plain lists, so no numpy scalar per edge
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    weights = graph.edge_weights.tolist()
+    match = [-1] * n
+    for v in rng.permutation(n).tolist():
         if match[v] >= 0:
             continue
-        nbrs = graph.neighbors(v)
-        ews = graph.edge_weights_of(v)
         best, best_w = v, -np.inf
-        for u, w in zip(nbrs, ews):
-            if match[u] < 0 and u != v and w > best_w:
-                best, best_w = u, w
+        for k in range(indptr[v], indptr[v + 1]):
+            u = indices[k]
+            if match[u] < 0 and u != v and weights[k] > best_w:
+                best, best_w = u, weights[k]
         match[v] = best
-        match[best] = v if best != v else best
-    return match
+        match[best] = v
+    return np.asarray(match, dtype=np.int64)
 
 
 def coarsen_graph(graph: Graph, rng: np.random.Generator | int | None = None) -> CoarseLevel:
@@ -63,18 +64,13 @@ def coarsen_graph(graph: Graph, rng: np.random.Generator | int | None = None) ->
     n = graph.num_vertices
     match = heavy_edge_matching(graph, rng)
 
-    fine_to_coarse = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(n):
-        if fine_to_coarse[v] >= 0:
-            continue
-        u = match[v]
-        fine_to_coarse[v] = next_id
-        if u != v:
-            fine_to_coarse[u] = next_id
-        next_id += 1
+    # a pair is numbered where its smaller endpoint falls in vertex order
+    vertex = np.arange(n, dtype=np.int64)
+    first = np.minimum(vertex, match)
+    is_first = first == vertex
+    fine_to_coarse = (np.cumsum(is_first) - 1)[first]
+    m = int(np.count_nonzero(is_first))
 
-    m = next_id
     rows = np.repeat(fine_to_coarse, np.diff(graph.indptr))
     cols = fine_to_coarse[graph.indices]
     keep = rows != cols  # drop self-loops created by contraction

@@ -33,37 +33,40 @@ def _greedy_grow_bisection(
 ) -> np.ndarray:
     """Grow side 0 by BFS from a random seed until it reaches its weight target."""
     n = graph.num_vertices
-    part = np.ones(n, dtype=np.int64)
     if n == 0:
-        return part
+        return np.ones(0, dtype=np.int64)
+    # breadth-first in visit order: plain lists, so no numpy scalar per edge
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    vw = graph.vertex_weights.tolist()
+    part = [1] * n
+    visited = [False] * n
     seed = int(rng.integers(n))
     part[seed] = 0
-    w0 = float(graph.vertex_weights[seed])
-    frontier = [seed]
-    visited = np.zeros(n, dtype=bool)
     visited[seed] = True
+    w0 = vw[seed]
+    frontier = [seed]
     while frontier and w0 < target_weight_0:
         nxt = []
         for v in frontier:
-            for u in graph.neighbors(v):
+            for u in indices[indptr[v] : indptr[v + 1]]:
                 if not visited[u]:
                     visited[u] = True
                     if w0 < target_weight_0:
                         part[u] = 0
-                        w0 += float(graph.vertex_weights[u])
+                        w0 += vw[u]
                         nxt.append(u)
         frontier = nxt
         if not frontier and w0 < target_weight_0:
             # disconnected graph: restart growth from an unvisited vertex
-            remaining = np.flatnonzero(~visited)
+            remaining = np.flatnonzero(~np.asarray(visited))
             if remaining.size == 0:
                 break
             seed = int(remaining[rng.integers(remaining.size)])
             visited[seed] = True
             part[seed] = 0
-            w0 += float(graph.vertex_weights[seed])
+            w0 += vw[seed]
             frontier = [seed]
-    return part
+    return np.asarray(part, dtype=np.int64)
 
 
 def _bisect(graph: Graph, frac0: float, rng: np.random.Generator) -> np.ndarray:
@@ -102,10 +105,12 @@ def partition_graph(
     """
     if nparts < 1:
         raise ValueError("nparts must be >= 1")
-    rng = make_rng(seed)
     n = graph.num_vertices
+    if nparts > max(n, 1):
+        raise ValueError(f"nparts={nparts} exceeds the graph's {n} vertices")
+    rng = make_rng(seed)
     membership = np.zeros(n, dtype=np.int64)
-    if nparts == 1 or n == 0:
+    if nparts == 1:
         return membership
 
     def recurse(g: Graph, global_ids: np.ndarray, parts: int, first_id: int) -> None:
@@ -133,8 +138,7 @@ def partition_graph(
 
 def edge_cut(graph: Graph, membership: np.ndarray) -> float:
     """Total weight of edges crossing parts (each undirected edge counted once)."""
-    rows = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
-    cross = membership[rows] != membership[graph.indices]
+    cross = membership[graph.edge_rows()] != membership[graph.indices]
     return float(graph.edge_weights[cross].sum()) / 2.0
 
 

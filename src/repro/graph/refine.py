@@ -15,21 +15,10 @@ from repro.utils.rng import make_rng
 
 
 def boundary_vertices(graph: Graph, part: np.ndarray) -> np.ndarray:
-    """Vertices with at least one neighbor in a different part."""
-    out = []
-    for v in range(graph.num_vertices):
-        nbrs = graph.neighbors(v)
-        if nbrs.size and np.any(part[nbrs] != part[v]):
-            out.append(v)
-    return np.asarray(out, dtype=np.int64)
-
-
-def _move_gain(graph: Graph, part: np.ndarray, v: int) -> float:
-    """Cut reduction if vertex ``v`` switches sides (external - internal weight)."""
-    nbrs = graph.neighbors(v)
-    ews = graph.edge_weights_of(v)
-    same = part[nbrs] == part[v]
-    return float(ews[~same].sum() - ews[same].sum())
+    """Vertices with at least one neighbor in a different part, ascending."""
+    rows = graph.edge_rows()
+    cross = part[rows] != part[graph.indices]
+    return np.flatnonzero(np.bincount(rows[cross], minlength=graph.num_vertices))
 
 
 def refine_bisection(
@@ -48,11 +37,13 @@ def refine_bisection(
     """
     rng = make_rng(rng)
     part = part.copy()
-    vw = graph.vertex_weights
     total = graph.total_vertex_weight()
-    w0 = float(vw[part == 0].sum())
+    w0 = float(graph.vertex_weights[part == 0].sum())
     lo = target_weight_0 - imbalance * total
     hi = target_weight_0 + imbalance * total
+    # the move sweep is order-dependent: it reads plain lists, not numpy scalars
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    weights, vw = graph.edge_weights.tolist(), graph.vertex_weights.tolist()
 
     for _ in range(max_passes):
         improved = False
@@ -60,14 +51,22 @@ def refine_bisection(
         if bverts.size == 0:
             break
         rng.shuffle(bverts)
-        for v in bverts:
-            gain = _move_gain(graph, part, v)
-            if gain <= 0:
+        side = part.tolist()
+        for v in bverts.tolist():
+            # cut reduction if v switches sides: external - internal weight
+            external = internal = 0.0
+            for k in range(indptr[v], indptr[v + 1]):
+                if side[indices[k]] != side[v]:
+                    external += weights[k]
+                else:
+                    internal += weights[k]
+            if external - internal <= 0:
                 continue
-            new_w0 = w0 - vw[v] if part[v] == 0 else w0 + vw[v]
+            new_w0 = w0 - vw[v] if side[v] == 0 else w0 + vw[v]
             if not (lo <= new_w0 <= hi):
                 continue
-            part[v] ^= 1
+            side[v] ^= 1
+            part[v] = side[v]
             w0 = new_w0
             improved = True
         if not improved:

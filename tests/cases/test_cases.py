@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -11,6 +14,7 @@ from repro.cases import (
     poisson3d_case,
     poisson_unstructured_case,
 )
+from repro.cases.base import MEMBERSHIP_MEMO_SIZE
 
 SMALL = {
     "tc1": lambda: poisson2d_case(n=17),
@@ -84,6 +88,81 @@ class TestAllCases:
         off = rows != a.indices
         for i, j in zip(rows[off][:500], a.indices[off][:500]):
             assert int(j) in adj[int(i)]
+
+
+class TestMembershipMemo:
+    def test_membership_is_read_only(self, case):
+        for seed in (0, None):
+            mem = case.membership(3, seed=seed)
+            assert not mem.flags.writeable
+            with pytest.raises(ValueError):
+                mem[0] = 1
+
+    def test_int_seed_returns_the_remembered_array(self, case):
+        first = case.membership(3, seed=5)
+        assert case.membership(3, seed=5) is first
+        assert case.membership(3, seed=6) is not first
+        assert case.membership(3, seed=5, scheme="spectral") is not first
+        assert np.array_equal(first, case.partition(3, seed=5))
+
+    def test_unseeded_and_generator_calls_bypass_the_memo(self):
+        case = SMALL["tc1"]()
+        draws = [case.membership(4, seed=None) for _ in range(4)]
+        # fresh entropy per call, as before the memo
+        assert any(not np.array_equal(draws[0], d) for d in draws[1:])
+        rng = np.random.default_rng(0)
+        a, b = case.membership(4, seed=rng), case.membership(4, seed=rng)
+        assert not np.array_equal(a, b)   # the generator moved on
+        assert np.array_equal(a, case.membership(4, seed=0))
+        assert list(case._memberships) == [(4, 0, "general")]
+
+    def test_memo_is_bounded_and_drops_the_oldest(self):
+        case = SMALL["tc1"]()
+        first = case.membership(2, seed=0)
+        for seed in range(1, MEMBERSHIP_MEMO_SIZE + 3):
+            case.membership(2, seed=seed)
+            assert len(case._memberships) <= MEMBERSHIP_MEMO_SIZE
+        assert (2, 0, "general") not in case._memberships
+        again = case.membership(2, seed=0)
+        assert again is not first and np.array_equal(again, first)
+
+    def test_failed_partition_is_not_remembered(self):
+        case = SMALL["tc1"]()
+        with pytest.raises(ValueError, match="nparts"):
+            case.membership(case.mesh.num_points + 1, seed=0)
+        assert not case._memberships
+
+    def test_concurrent_callers_get_equal_arrays(self):
+        """More threads than cores, a short switch interval, few keys and a
+        memo that keeps evicting: no lost update, no torn eviction."""
+        case = SMALL["tc1"]()
+        expected = {seed: case.partition(4, seed=seed) for seed in range(MEMBERSHIP_MEMO_SIZE + 2)}
+        errors, start = [], threading.Barrier(8)
+
+        def worker(offset):
+            try:
+                start.wait(timeout=10)
+                for i in range(40):
+                    seed = (offset + i) % len(expected)
+                    if not np.array_equal(case.membership(4, seed=seed), expected[seed]):
+                        errors.append(seed)
+                    if len(case._memberships) > MEMBERSHIP_MEMO_SIZE:
+                        errors.append("bound")
+            except Exception as exc:  # surfaced below, with the thread joined
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestCaseSpecifics:

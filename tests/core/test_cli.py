@@ -37,6 +37,10 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["solve", "--case", "tc9"])
 
+    def test_more_parts_than_grid_points_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="nparts=20 .* 9 vertices"):
+            main(["solve", "--case", "tc1", "--size", "3", "--nparts", "20"])
+
     def test_bad_p_list_exits(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--case", "tc1", "--p", "2,x"])

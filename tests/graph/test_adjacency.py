@@ -60,6 +60,13 @@ class TestSubgraph:
         sub, _ = g.subgraph(np.array([1, 2]))
         assert sub.vertex_weights.tolist() == [2.0, 3.0]
 
+    def test_index_arrays_are_int64_like_every_other_graph(self):
+        mesh = structured_rectangle(5, 5)
+        g = graph_from_elements(mesh.num_points, mesh.elements)
+        sub, _ = g.subgraph(np.arange(0, 25, 2))
+        for graph in (g, sub, graph_from_matrix(sp.eye(4, format="csr"))):
+            assert graph.indptr.dtype == graph.indices.dtype == np.int64
+
     def test_total_vertex_weight(self):
         g = graph_from_elements(3, np.array([[0, 1, 2]]))
         assert g.total_vertex_weight() == 3.0

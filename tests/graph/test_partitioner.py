@@ -45,9 +45,19 @@ class TestPartitionGraph:
 
     def test_deterministic_for_fixed_seed(self):
         g = grid_graph(9)
+        # partition_graph itself, twice: TestCase.membership remembers its
+        # result per seed and would compare an array with itself
         a = partition_graph(g, 4, seed=3)
         b = partition_graph(g, 4, seed=3)
         assert np.array_equal(a, b)
+
+    def test_more_parts_than_vertices_is_rejected(self):
+        """Used to return empty parts and non-contiguous ids ([4 5 6 0 1 2]
+        for a 6-vertex path at nparts=8), which PartitionMap then accepted."""
+        path = graph_from_elements(6, np.array([[i, i + 1] for i in range(5)]))
+        with pytest.raises(ValueError, match=r"nparts=8 .* 6 vertices"):
+            partition_graph(path, 8)
+        assert sorted(partition_graph(path, 6).tolist()) == list(range(6))
 
     def test_seed_changes_partition(self):
         """The paper's RNG-sensitivity: different seeds, different partitions."""

@@ -231,6 +231,16 @@ class TestWorkerError:
         assert "RuntimeError: kaboom" in rec.error
         assert rec.updates[-1].detail["reason"] == "internal-error"
 
+    def test_more_parts_than_grid_points_fails_the_job_not_the_worker(self, spool):
+        # only the worker knows the mesh: the partitioner's ValueError ends
+        # the job typed, with both numbers, and the worker keeps serving
+        with make_service(spool, workers=1) as svc:
+            bad = svc.submit(JobSpec(case="tc1", size=3, nparts=20))
+            assert svc.wait(bad.job_id, timeout=30.0).status == "failed"
+            assert "nparts=20" in bad.error and "9 vertices" in bad.error
+            assert bad.updates[-1].detail["reason"] == "internal-error"
+            rec = svc.submit(JobSpec(**SMALL))
+            assert svc.wait(rec.job_id, timeout=60.0).status == "converged"
 
     def test_unknown_case_cannot_wedge_the_only_worker(self, spool):
         # an unknown case used to reach the worker and raise SystemExit
