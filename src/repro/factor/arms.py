@@ -19,14 +19,53 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.factor.dense import DenseLU, dense_lu
 from repro.factor.ilu0 import ilu0
 from repro.graph.adjacency import graph_from_matrix
 from repro.resilience.errors import FactorizationBreakdown
 from repro.graph.independent_sets import find_group_independent_sets
+from repro.kernels.band import counts_to_indptr, csr_row_ids
 from repro.sparse.csr import drop_small
 from repro.sparse.reorder import apply_symmetric_permutation, inverse_permutation
 from repro.utils.validation import check_square, ensure_csr
+
+
+def _invert_group_blocks(
+    d: sp.csr_matrix, group_ptr: np.ndarray, shift: float
+) -> sp.csr_matrix:
+    """D^{-1} for the block-diagonal D whose group k is ``group_ptr[k:k+2]``.
+
+    One pass over D's CSR arrays scatters every entry into its group's dense
+    block (groups are mutually uncoupled, so every entry has one), the
+    blocks are inverted batched by size, and the inverses are assembled
+    directly as CSR, exact zeros not stored.
+    """
+    sizes = np.diff(group_ptr)
+    ng = int(group_ptr[-1])
+    starts = counts_to_indptr(sizes * sizes)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    # entry (r, c) of D lives at base[r] + c in the concatenated blocks
+    base = starts[group] + (np.arange(ng) - group_ptr[group]) * sizes[group] - group_ptr[group]
+    blocks = np.zeros(starts[-1])
+    blocks[base[csr_row_ids(ng, d.indptr)] + d.indices] = d.data
+    inverses = np.empty_like(blocks)
+    try:
+        for s in np.unique(sizes).tolist():
+            pos = starts[:-1][sizes == s][:, None] + np.arange(s * s)
+            inverses[pos] = np.linalg.inv(blocks[pos].reshape(-1, s, s)).reshape(-1, s * s)
+    except np.linalg.LinAlgError:
+        for k, (lo, s) in enumerate(zip(starts.tolist(), sizes.tolist())):
+            try:
+                np.linalg.inv(blocks[lo: lo + s * s].reshape(s, s))
+            except np.linalg.LinAlgError as exc:
+                raise FactorizationBreakdown(
+                    f"ARMS group block {k} is singular", group=k, size=s, shift=shift,
+                ) from exc
+        raise
+    rows = np.repeat(np.arange(ng), sizes[group])
+    keep = np.flatnonzero(inverses)
+    indptr = counts_to_indptr(np.bincount(rows[keep], minlength=ng))
+    cols = keep - base[rows[keep]]
+    return sp.csr_matrix((inverses[keep], cols, indptr), shape=(ng, ng))
 
 
 class ArmsFactorization:
@@ -94,28 +133,9 @@ class ArmsFactorization:
         self.E = ensure_csr(ap[ng:, :ng])
         self.C = ensure_csr(ap[ng:, ng:])
 
-        # exact dense factorization of each (small) group block, plus an
-        # explicit block-diagonal inverse for vectorized application
-        self._group_lus: list[DenseLU] = []
-        blocks = []
-        ptr = gis.group_ptr
-        for k in range(len(gis.groups)):
-            lo, hi = int(ptr[k]), int(ptr[k + 1])
-            dg = self.D[lo:hi, lo:hi].toarray()
-            try:
-                lu = dense_lu(dg)
-                inv = np.linalg.inv(dg)
-            except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
-                raise FactorizationBreakdown(
-                    f"ARMS group block {k} is singular",
-                    group=k, size=hi - lo, shift=shift,
-                ) from exc
-            self._group_lus.append(lu)
-            blocks.append(inv)
-        if blocks:
-            self.d_inv = ensure_csr(sp.block_diag(blocks, format="csr"))
-        else:
-            self.d_inv = sp.csr_matrix((0, 0))
+        # exact inverse of every (small) group block, as one explicit
+        # block-diagonal matrix for vectorized application
+        self.d_inv = _invert_group_blocks(self.D, gis.group_ptr, shift)
 
         # approximate expanded Schur complement with dropping
         if ng:

@@ -1,9 +1,8 @@
 """Dense LU with partial pivoting (Gaussian elimination).
 
-Used where the paper uses direct solves: the coarse-grid system of the
-additive Schwarz comparison ("solved by Gaussian elimination") and the small
-group-diagonal blocks inside ARMS.  Implemented from scratch with vectorized
-column elimination.
+Used where the paper uses a direct solve: the coarse-grid system of the
+additive Schwarz comparison ("solved by Gaussian elimination").  Implemented
+from scratch with vectorized column elimination.
 """
 
 from __future__ import annotations

@@ -7,21 +7,24 @@ ILU(0) per subdomain; Schur 2 uses a distributed ILU(0) on the expanded Schur
 system.
 
 This module is the orchestrator: it validates input, consults the
-content-addressed factor cache (:mod:`repro.factor.cache`), runs the scalar
-kernel in :mod:`repro.factor.reference` (the only ILU(0) kernel: it carries
-MILU's dropped-mass accumulation and the fault-injection pivot hooks), and
-assembles the result.
+content-addressed factor cache (:mod:`repro.factor.cache`), dispatches to a
+kernel (:mod:`repro.kernels`), and assembles the result.  MILU's
+dropped-mass accumulation and the fault-injection pivot hooks exist only in
+the scalar kernel (:mod:`repro.factor.reference`), so those cases are pinned
+to it; otherwise the update-triple sweep (:mod:`repro.kernels.triples`)
+computes the same factors bit for bit.
 """
 
 from __future__ import annotations
 
 import scipy.sparse as sp
 
-from repro import faults
+from repro import faults, kernels
 from repro.analysis.sanitize.fp import kernel_guard
 from repro.factor import cache as factor_cache
 from repro.factor.base import FactorStats, ILUFactorization
 from repro.factor.reference import _check_breakdown, ilu0_reference
+from repro.kernels import triples
 from repro.utils.validation import check_square, ensure_csr
 
 __all__ = ["ilu0", "_check_breakdown"]
@@ -58,8 +61,14 @@ def ilu0(
     n = a.shape[0]
     plan = faults.active()
     # an exhausted or non-pivot fault plan cannot corrupt this factorization,
-    # so only a live pivot spec forces a cache bypass
+    # so only a live pivot spec forces the reference kernel and a cache bypass
     pivot_faults = plan is not None and plan.pivot_faults_possible()
+
+    tier = kernels.resolve(
+        triples.workspace_bytes(n, a.indptr, a.indices),
+        require_reference=modified or pivot_faults,
+    )
+    family = "reference" if tier == "reference" else "triples"
 
     cache = factor_cache.get_cache()
     key = None
@@ -67,7 +76,7 @@ def ilu0(
         if cache.enabled:
             cache.note_bypass("ilu0", reason="fault-plan")
     elif cache.enabled:
-        key = cache.key("ilu0", a, (bool(modified), float(shift)), "reference")
+        key = cache.key("ilu0", a, (bool(modified), float(shift)), family)
         fac = cache.get(key, "ilu0")
         if fac is not None:
             _check_breakdown(
@@ -75,8 +84,13 @@ def ilu0(
             )
             return fac
 
-    with kernel_guard("factor.ilu0.reference"):
-        lu_data, floored = ilu0_reference(a, modified, shift)
+    with kernel_guard(f"factor.ilu0.{tier}"):
+        if tier == "reference":
+            lu_data, floored = ilu0_reference(a, modified, shift)
+        else:
+            lu_data, floored = triples.ilu0_factor(
+                n, a.indptr, a.indices, a.data, shift
+            )
 
     _check_breakdown("ilu0", floored, n, breakdown_frac, shift)
     lu = sp.csr_matrix((lu_data, a.indices.copy(), a.indptr.copy()), shape=a.shape)

@@ -8,11 +8,10 @@ subdomain solves of Schur 1 are built on this factorization.
 
 This module is the orchestrator: it validates input, consults the
 content-addressed factor cache (:mod:`repro.factor.cache`), dispatches to a
-kernel tier (:mod:`repro.kernels`), and assembles the result.  Active fault
-plans are pinned to the reference tier (:mod:`repro.factor.reference`); the
-band sweep matches it bit-for-bit except for |value| ties in the fill-cap
-selection, where it keeps the smallest columns instead of the reference's
-discovery order.
+kernel (:mod:`repro.kernels`), and assembles the result.  Active pivot fault
+plans are pinned to the reference kernel (:mod:`repro.factor.reference`);
+the window sweep (:mod:`repro.kernels.band`) matches it bit for bit, |value|
+ties in the fill-cap selection included: both keep the smaller column.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ def ilut(
     pivot_faults = plan is not None and plan.pivot_faults_possible()
 
     bw = band.bandwidth(n, a.indptr, a.indices)
-    tier = kernels.resolve(n, bw, require_reference=pivot_faults)
+    tier = kernels.resolve(band.window_bytes(n, bw), require_reference=pivot_faults)
     family = "reference" if tier == "reference" else "band"
 
     cache = factor_cache.get_cache()

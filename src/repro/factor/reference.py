@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import faults, obs
-from repro.analysis.sanitize.fp import kernel_guard
+from repro.kernels.band import row_norms2
 from repro.resilience.errors import FactorizationBreakdown
 
 _PIVOT_FLOOR = 1e-12
@@ -120,15 +120,13 @@ def ilut_reference(
     l_cols: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     l_vals: list[np.ndarray] = [None] * n  # type: ignore[list-item]
 
+    norms = row_norms2(n, indptr, adata).tolist()
     floored = 0
     for i in range(n):
         lo, hi = indptr[i], indptr[i + 1]
         cols_i = indices[lo:hi]
         vals_i = adata[lo:hi]
-        with kernel_guard("factor.reference.ilut"):
-            rownorm = float(np.sqrt(np.dot(vals_i, vals_i)))
-        if rownorm <= 0.0:  # norm, so only an exactly-zero row lands here
-            rownorm = 1.0
+        rownorm = norms[i]
         tau = drop_tol * rownorm
 
         w: dict[int, float] = dict(zip(cols_i.tolist(), vals_i.tolist()))

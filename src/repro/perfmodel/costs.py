@@ -67,6 +67,10 @@ class CostLedger:
         if self.per_rank_flops is None:
             self.per_rank_flops = np.zeros(self.num_ranks)
 
+    def _per_rank(self, x: np.ndarray | float) -> np.ndarray:
+        a = np.asarray(x, dtype=np.float64)
+        return a if a.shape == (self.num_ranks,) else np.broadcast_to(a, (self.num_ranks,))
+
     def add_phase(
         self,
         flops_per_rank: np.ndarray | float,
@@ -75,18 +79,22 @@ class CostLedger:
     ) -> None:
         """Record one bulk-synchronous phase.
 
-        Scalar arguments mean "the same on every rank".
+        Scalar arguments mean "the same on every rank".  A scalar zero (the
+        default for messages and bytes) adds exactly nothing and is skipped;
+        the per-rank sums keep NumPy's summation order either way.
         """
-        f = np.broadcast_to(np.asarray(flops_per_rank, dtype=np.float64), (self.num_ranks,))
-        m = np.broadcast_to(np.asarray(msgs_per_rank, dtype=np.float64), (self.num_ranks,))
-        b = np.broadcast_to(np.asarray(bytes_per_rank, dtype=np.float64), (self.num_ranks,))
+        f = self._per_rank(flops_per_rank)
         self.crit_flops += float(f.max())
-        self.crit_msgs += float(m.max())
-        self.crit_bytes += float(b.max())
         self.total_flops += float(f.sum())
-        self.total_msgs += float(m.sum())
-        self.total_bytes += float(b.sum())
         self.per_rank_flops = self.per_rank_flops + f
+        if isinstance(msgs_per_rank, np.ndarray) or msgs_per_rank:
+            m = self._per_rank(msgs_per_rank)
+            self.crit_msgs += float(m.max())
+            self.total_msgs += float(m.sum())
+        if isinstance(bytes_per_rank, np.ndarray) or bytes_per_rank:
+            b = self._per_rank(bytes_per_rank)
+            self.crit_bytes += float(b.max())
+            self.total_bytes += float(b.sum())
         self.phases += 1
 
     def add_allreduce(self, nbytes: int = 8) -> None:
@@ -100,10 +108,7 @@ class CostLedger:
         The bulk-synchronous model waits for the slowest rank, so only the
         per-rank maximum enters the critical path.
         """
-        d = np.broadcast_to(
-            np.asarray(seconds_per_rank, dtype=np.float64), (self.num_ranks,)
-        )
-        self.delay_seconds += float(d.max())
+        self.delay_seconds += float(self._per_rank(seconds_per_rank).max())
 
     def merge(self, other: "CostLedger") -> None:
         """Fold another ledger (e.g. a setup phase) into this one."""

@@ -94,7 +94,7 @@ class Schur2Preconditioner(ParallelPreconditioner):
                 )
             # setup: group dense factorizations + Schur formation + ILU(0)
             setup[r] = (
-                sum(2.0 / 3.0 * lu.n**3 for lu in fac._group_lus)
+                sum(2.0 / 3.0 * s**3 for s in np.diff(fac.gis.group_ptr).tolist())
                 + 4.0 * fac.s_hat.nnz
                 + (0.0 if fac.s_ilu is None else 4.0 * fac.s_ilu.nnz)
             )

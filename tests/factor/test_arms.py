@@ -109,3 +109,61 @@ class TestArmsFactorization:
         a = random_spd_csr(10, 0.3, 1)
         with pytest.raises(ValueError):
             ArmsFactorization(a, 11)
+
+
+class TestGroupBlockInversion:
+    """The one-pass group-block inverse: edge shapes and breakdown reporting."""
+
+    @staticmethod
+    def _three_pairs(singular):
+        # three uncoupled 2x2 internal groups {0,1}, {2,3}, {4,5} hanging off
+        # one interface unknown; ``singular`` names the pair with a rank-1 block
+        import scipy.sparse as sp
+
+        a = sp.lil_matrix((7, 7))
+        for g in range(3):
+            i = 2 * g
+            a[i:i + 2, i:i + 2] = (
+                [[1.0, 2.0], [2.0, 4.0]] if g == singular else [[4.0, 1.0], [1.0, 3.0]]
+            )
+            a[i, 6] = a[6, i] = 0.5
+        a[6, 6] = 5.0
+        return sp.csr_matrix(a)
+
+    def test_zero_groups(self):
+        # no internal unknown may join a group: D is empty, S-hat is A itself
+        a = random_spd_csr(12, 0.3, 1)
+        fac = ArmsFactorization(a, n_internal=0)
+        assert fac.n_grouped == 0 and fac.d_inv.shape == (0, 0)
+        assert np.array_equal(fac.s_hat.toarray(), a.toarray())
+        r = np.arange(1.0, 13.0)
+        assert np.array_equal(fac.solve(r), fac.s_ilu.solve(r))
+
+    def test_one_group(self):
+        a = self._three_pairs(singular=None)[:3, :3].tocsr()  # {0,1} + one interface
+        fac = ArmsFactorization(a, n_internal=2, group_size=4)
+        assert len(fac.gis.groups) == 1 and fac.n_grouped == 2
+        assert np.allclose(fac.d_inv.toarray(), np.linalg.inv(fac.D.toarray()))
+
+    def test_inverse_matches_per_group_inversion_bitwise(self, fe_matrix):
+        fac = arms_factor(fe_matrix, fe_matrix.shape[0], group_size=7, seed=3)
+        ptr = fac.gis.group_ptr
+        assert len(set(np.diff(ptr).tolist())) > 1  # several block sizes
+        d, d_inv = fac.D.toarray(), fac.d_inv.toarray()
+        for lo, hi in zip(ptr[:-1], ptr[1:]):
+            assert np.array_equal(d_inv[lo:hi, lo:hi], np.linalg.inv(d[lo:hi, lo:hi]))
+        assert fac.d_inv.nnz == np.count_nonzero(d_inv)  # exact zeros are not stored
+
+    @pytest.mark.parametrize("singular", [0, 1, 2])
+    def test_singular_group_block_is_named(self, singular):
+        from repro.resilience.errors import FactorizationBreakdown
+
+        a = self._three_pairs(singular)
+        healthy = ArmsFactorization(self._three_pairs(None), n_internal=6, group_size=2)
+        k = next(
+            k for k, g in enumerate(healthy.gis.groups) if 2 * singular in g.tolist()
+        )
+        with pytest.raises(FactorizationBreakdown, match=f"group block {k} is singular") as exc:
+            ArmsFactorization(a, n_internal=6, group_size=2, shift=0.0)
+        assert exc.value.context["group"] == k
+        assert exc.value.context["size"] == 2

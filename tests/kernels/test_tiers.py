@@ -1,11 +1,10 @@
 """Kernel-tier dispatch policy and cross-tier factor equality.
 
 The bit-compatibility contract (ISSUE 4, in the spirit of Dong & Cooperman):
-the NumPy band tier and the scalar rowspec sweep must produce byte-identical
-factors, and must match the reference tier exactly whenever no |value| ties
-occur in the ILUT fill-cap selection (random data breaks all ties, so these
-matrices exercise the exact-match regime).  ILU(0) has one kernel; its
-tier tests pin that a forced tier never changes it.
+the array kernels (the window ILUT sweep, the update-triple ILU(0) sweep)
+must produce factors byte-identical to the reference kernels — same
+patterns, same bits, same floored-pivot count — |value| ties in the ILUT
+fill-cap selection included: every kernel sorts on ``(-|v|, column)``.
 """
 
 import numpy as np
@@ -17,16 +16,8 @@ from repro.factor import cache as factor_cache
 from repro.resilience.errors import FactorizationBreakdown
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
-from repro.kernels import band, rowspec
+from repro.kernels import band, triples
 from tests.conftest import random_nonsymmetric_csr, random_spd_csr
-
-
-@pytest.fixture(autouse=True)
-def _no_cache():
-    """Tier-equality tests must recompute, never reuse a cached factor."""
-    factor_cache.configure(enabled=False)
-    yield
-    factor_cache.configure(enabled=True)
 
 
 def _assert_factors_equal(fa, fb):
@@ -90,6 +81,53 @@ class TestIlutTierEquality:
         f_ref, f_np = _tiers(lambda: ilut(a, 1e-3, 6))
         assert np.array_equal(f_ref.solve(b), f_np.solve(b))
 
+    @pytest.mark.parametrize("bw,fill", [(1, 3), (3, 2), (6, 10)])
+    def test_band_window_layout(self, bw, fill):
+        # 2*bw + 1 < n: the window is the band, not the square
+        n = 80
+        rng = np.random.default_rng(bw)
+        a = sp.diags(
+            [rng.standard_normal(n - abs(d)) for d in range(-bw, bw + 1)],
+            list(range(-bw, bw + 1)), format="csr",
+        ) + sp.diags(np.full(n, 3.0))
+        a = sp.csr_matrix(a)
+        assert band.window_bytes(n, bw) == 8 * n * (2 * bw + 1)
+        _assert_factors_equal(*_tiers(lambda: ilut(a, 1e-3, fill, shift=0.1)))
+
+    def test_floored_pivots_share_one_row_norm(self):
+        # the pivot floor is ±1e-12·‖row‖: a segmented sum and BLAS dot
+        # differ in the norm's last bit on rows of >= 3 general values, which
+        # used to put the two tiers' floored pivots (and U) one ulp apart
+        rng = np.random.default_rng(5)
+        a = sp.random(34, 34, 0.2, random_state=rng, format="lil")
+        a.setdiag(np.where(np.arange(34) % 3 == 0, 0.0, rng.standard_normal(34)))
+        a = sp.csr_matrix(a)
+        f_ref, f_np = _tiers(lambda: ilut(a, 1e-3, 10))
+        assert f_ref.stats.floored_pivots == 7
+        _assert_factors_equal(f_ref, f_np)
+        b = np.arange(1.0, 35.0)
+        assert np.array_equal(f_ref.solve(b), f_np.solve(b))
+
+    def test_row_norm_is_the_reference_expression(self):
+        a = random_nonsymmetric_csr(40, 0.3, 9)
+        norms = band.row_norms2(40, a.indptr, a.data)
+        for i in range(40):
+            v = a.data[a.indptr[i]:a.indptr[i + 1]]
+            assert norms[i] == float(np.sqrt(np.dot(v, v)))
+
+    @pytest.mark.parametrize("fill", [1, 2, 3])
+    def test_magnitude_ties_keep_the_smaller_column(self, fill):
+        # integer values: every row is full of |value| ties and exact
+        # cancellations, and the cap must pick the same survivors
+        rng = np.random.default_rng(3)
+        dense = rng.integers(-2, 3, size=(30, 30)).astype(float)
+        dense[rng.random((30, 30)) < 0.6] = 0.0
+        np.fill_diagonal(dense, 4.0)
+        a = sp.csr_matrix(dense)
+        f_ref, f_np = _tiers(lambda: ilut(a, 0.0, fill))
+        _assert_factors_equal(f_ref, f_np)
+        assert np.diff(f_np.u_upper.indptr).max() == fill + 1
+
 
 class TestBreakdownParityAcrossTiers:
     """breakdown_frac accounting must be preserved by the fast kernels."""
@@ -122,53 +160,70 @@ class TestBreakdownParityAcrossTiers:
         assert f_np.stats.floored_pivots == 4
 
 
-class TestBandVsRowspec:
-    """The scalar rowspec sweeps are the band kernels' specification."""
+class TestCacheKeyedByKernel:
+    """A forced tier must recompute, never be served the other tier's factor."""
 
-    def test_ilut_sweeps_bitwise(self):
-        a = random_nonsymmetric_csr(30, 0.2, 8)
-        n = a.shape[0]
-        norms = band.row_norms2(n, a.indptr, a.data)
-        args = (n, a.indptr, a.indices, a.data, 1e-3, 5, 0.0, norms)
-        vec = band.ilut_factor(*args)
-        scal = band.ilut_factor(*args, sweep=rowspec.ilut_sweep)
-        for x, y in zip(vec, scal):
-            assert np.array_equal(x, y)
+    @pytest.mark.parametrize("factor", [
+        lambda a: ilu0(a),
+        lambda a: ilut(a, 1e-3, 5),
+    ])
+    def test_tiers_do_not_share_cache_entries(self, factor):
+        a = random_nonsymmetric_csr(25, 0.2, 11)
+        cache = factor_cache.configure(enabled=True)
+        cache.clear()
+        cache.reset_stats()
+        f_ref, f_np = _tiers(lambda: factor(a))
+        assert f_np is not f_ref
+        assert (cache.hits, cache.misses) == (0, 2)
+        with kernels.forced_tier("numpy"):
+            assert factor(a) is f_np
 
 
 class TestDispatchPolicy:
     def test_require_reference_wins_over_forced(self):
         with kernels.forced_tier("numpy"):
-            assert kernels.resolve(100, 5, require_reference=True) == "reference"
+            assert kernels.resolve(1000, require_reference=True) == "reference"
 
-    def test_auto_uses_fast_tier_when_economical(self):
-        assert kernels.resolve(100, 5) == "numpy"
+    def test_auto_takes_the_fast_kernel_at_any_bandwidth(self):
+        # no economy gate: bw ~ n (a natural-ordered subdomain block) is fine
+        for n, bw in ((100, 5), (400, 200), (473, 312), (1000, 999)):
+            assert kernels.resolve(band.window_bytes(n, bw)) == "numpy"
 
-    def test_economy_gate_bandwidth_cap(self):
-        assert kernels.band_economical(1000, kernels.BAND_BW_CAP)
-        assert not kernels.band_economical(1000, kernels.BAND_BW_CAP + 1)
-        assert kernels.resolve(1000, kernels.BAND_BW_CAP + 1) == "reference"
+    def test_window_is_the_smaller_of_band_and_square(self):
+        assert band.window_bytes(1000, 10) == 8 * 1000 * 21
+        assert band.window_bytes(400, 300) == 8 * 400 * 400
 
-    def test_economy_gate_memory_cap(self):
-        # workspace 2*(n+bw+1)*(2bw+1)*8 bytes blows the 128 MiB cap
-        assert not kernels.band_economical(10**6, 100)
-        assert kernels.resolve(10**6, 100) == "reference"
-
-    def test_forced_tier_bypasses_economy_gate(self):
-        # bw 200 is over the economy cap but its window is 2 MB: forcing wins
-        assert kernels.resolve(400, 200) == "reference"
+    def test_memory_cap_is_a_safety_cap(self):
+        assert kernels.resolve(kernels.BAND_MEM_CAP) == "numpy"
+        assert kernels.resolve(kernels.BAND_MEM_CAP + 1) == "reference"
+        # TC1 n=101 P=2 natural ordering: bw ~ n, a 225 MB square window;
+        # forcing never overrides the cap
         with kernels.forced_tier("numpy"):
-            assert kernels.resolve(400, 200) == "numpy"
-            # TC1 n=101 P=2 natural ordering: bw ~ n, an 870 MB dense window;
-            # the memory cap is a safety cap and forcing never overrides it
-            assert kernels.resolve(5311, 5175) == "reference"
+            assert kernels.resolve(band.window_bytes(5311, 5175)) == "reference"
+            assert kernels.resolve(band.window_bytes(10**6, 100)) == "reference"
+
+    def test_ilu0_workspace_is_a_chunk_or_the_busiest_pivot(self):
+        # tridiagonal: one candidate triple per pivot, so a chunk's worth
+        a = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(50, 50), format="csr")
+        assert triples.workspace_bytes(50, a.indptr, a.indices) == 40 * triples._CHUNK
+        # an arrow pointing the wrong way: pivot 0 alone has (n-1)^2 candidates
+        n = 4000
+        arrow = sp.lil_matrix((n, n))
+        arrow.setdiag(4.0)
+        arrow[0, :] = 1.0
+        arrow[:, 0] = 1.0
+        arrow = sp.csr_matrix(arrow)
+        nbytes = triples.workspace_bytes(n, arrow.indptr, arrow.indices)
+        assert nbytes == 40 * (n - 1) ** 2
+        assert kernels.resolve(nbytes) == "reference"
+        assert triples.workspace_bytes(0, np.zeros(1, dtype=int), np.zeros(0, dtype=int)) == 40 * triples._CHUNK
 
     def test_env_var_forces_tier(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_TIER", "numpy")
         assert kernels.get_tier() == "numpy"
-        assert kernels.resolve(400, 200) == "numpy"
+        assert kernels.resolve(1000) == "numpy"
         monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
-        assert kernels.resolve(100, 5) == "reference"
+        assert kernels.resolve(1000) == "reference"
         monkeypatch.setenv("REPRO_KERNEL_TIER", "auto")
         assert kernels.get_tier() is None
 
@@ -180,7 +235,7 @@ class TestDispatchPolicy:
         with pytest.raises(ValueError, match="unknown kernel tier .*'numpy'"):
             kernels.get_tier()
         with pytest.raises(ValueError, match="unknown kernel tier"):
-            kernels.resolve(100, 5)
+            kernels.resolve(1000, require_reference=True)
 
     def test_set_tier_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel tier"):
