@@ -8,14 +8,15 @@ contract is at risk and this module checks both, bitwise:
 * **kernel tiers** — the reference / numpy dispatch
   (:mod:`repro.kernels`) must produce identical factors, iterates and
   residual histories for the same case;
-* **setup parallelism** — ``REPRO_SETUP_WORKERS=1`` vs ``N`` must not
-  change a single bit (the thread pool only overlaps wall-clock).
+* **execution backends** — set-up and local solves inside real rank
+  processes (:mod:`repro.precond.local`) must not change a single bit
+  against the simulated ranks on the driver.
 
-``python -m repro check-determinism`` runs each case twice per tier plus a
-serial/parallel setup sweep, compares SHA-256 digests of the solution
-iterate, the residual history, the per-subdomain factors and the apply
-kernels (triangular sweeps + matvec, :mod:`repro.kernels.apply`), and
-writes a ``repro.determinism.v1`` report.
+``python -m repro check-determinism`` runs each case twice per tier and once
+per backend, compares SHA-256 digests of the solution iterate, the residual
+history, the per-subdomain factors and the apply kernels (triangular sweeps
++ matvec, :mod:`repro.kernels.apply`), and writes a
+``repro.determinism.v2`` report.
 The factor cache is disabled for the duration — a cache hit returns the
 same object and would vacuously pass.
 """
@@ -39,13 +40,11 @@ from repro.factor import cache as factor_cache
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
 
-DETERMINISM_SCHEMA = "repro.determinism.v1"
+DETERMINISM_SCHEMA = "repro.determinism.v2"
 
 #: selectable check kinds (``--check``); "backend" compares inprocess vs
 #: multiprocess execution of the same solve, bitwise
-CHECK_KINDS = ("repeat", "cross-tier", "workers", "factors", "apply", "backend")
-
-_WORKERS_ENV = "REPRO_SETUP_WORKERS"
+CHECK_KINDS = ("repeat", "cross-tier", "factors", "apply", "backend")
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -56,22 +55,6 @@ def _digest(*arrays: np.ndarray) -> str:
         h.update(str(a.shape).encode())
         h.update(a.tobytes())
     return h.hexdigest()
-
-
-@contextmanager
-def _setup_workers(n: int | None) -> Iterator[None]:
-    prev = os.environ.get(_WORKERS_ENV)
-    try:
-        if n is None:
-            os.environ.pop(_WORKERS_ENV, None)
-        else:
-            os.environ[_WORKERS_ENV] = str(n)
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(_WORKERS_ENV, None)
-        else:
-            os.environ[_WORKERS_ENV] = prev
 
 
 @contextmanager
@@ -86,7 +69,7 @@ def _cache_disabled() -> Iterator[None]:
 
 @dataclass
 class Check:
-    """One comparison: a repeat, cross-tier, worker-sweep or factor check."""
+    """One comparison: a repeat, cross-tier, backend, factor or apply check."""
 
     kind: str
     case: str
@@ -106,7 +89,6 @@ class Check:
 class DeterminismReport:
     nparts: int
     tiers: tuple[str, ...]
-    workers: tuple[int, ...]
     checks: list[Check] = field(default_factory=list)
 
     @property
@@ -121,7 +103,6 @@ class DeterminismReport:
             "schema": DETERMINISM_SCHEMA,
             "nparts": self.nparts,
             "tiers": list(self.tiers),
-            "workers": list(self.workers),
             "identical": self.identical,
             "checks": [c.to_dict() for c in self.checks],
         }
@@ -137,7 +118,7 @@ class DeterminismReport:
             verdict = "identical" if c.identical else "MISMATCH"
             extra = ", ".join(
                 f"{k}={v}" for k, v in c.detail.items()
-                if k in ("tier", "tiers", "workers")
+                if k in ("tier", "tiers")
             )
             lines.append(f"  [{c.kind}] {c.case}" +
                          (f" ({extra})" if extra else "") + f": {verdict}")
@@ -148,19 +129,18 @@ def _solve_digests(
     case: TestCase,
     tier: str | None,
     nparts: int,
-    workers: int | None,
     precond: str,
     backend: str | None = None,
     **solve_kw: object,
 ) -> dict[str, object]:
-    """Solve once under forced tier/workers/backend; digest everything that
-    must reproduce bitwise."""
+    """Solve once under forced tier/backend; digest everything that must
+    reproduce bitwise."""
     from repro.core.driver import solve_case  # deferred: heavy import
 
     # partition_graph itself, every run: case.membership() remembers its
     # result per seed, and a remembered array reproduces vacuously
     membership = case.partition(nparts, seed=solve_kw.get("seed", 0))
-    with _setup_workers(workers), kernels.forced_tier(tier):
+    with kernels.forced_tier(tier):
         out = solve_case(
             case, precond=precond, nparts=nparts, backend=backend,
             membership=membership, **solve_kw
@@ -227,7 +207,6 @@ def check_determinism(
     cases: Sequence[TestCase],
     nparts: int = 4,
     tiers: Sequence[str] | None = None,
-    workers: Sequence[int] = (1, 4),
     precond: str = "schur1",
     seed: int = 0,
     rtol: float = 1e-6,
@@ -237,17 +216,15 @@ def check_determinism(
     """Run the determinism matrix over ``cases``.
 
     Per case: (1) solve twice per tier and compare bitwise; (2) compare
-    across tiers; (3) solve under serial vs. parallel setup and compare;
-    (4) factor every subdomain block twice per tier and across tiers;
-    (5) run the apply kernels (triangular sweeps, fused ILU solve, matvec)
-    twice per tier and across tiers;
-    (6) solve under every execution backend (inprocess vs multiprocess)
+    across tiers; (3) factor every subdomain block twice per tier and
+    across tiers; (4) run the apply kernels (triangular sweeps, fused ILU
+    solve, matvec) twice per tier and across tiers;
+    (5) solve under every execution backend (inprocess vs multiprocess)
     and compare — real pipe transport must not change a bit.
 
     ``checks`` selects a subset of :data:`CHECK_KINDS` (default: all).
     """
     tiers = tuple(tiers) if tiers is not None else available_tiers()
-    workers = tuple(workers)
     selected = tuple(checks) if checks is not None else CHECK_KINDS
     for kind in selected:
         if kind not in CHECK_KINDS:
@@ -255,7 +232,7 @@ def check_determinism(
                 f"unknown determinism check {kind!r}; pick from {CHECK_KINDS}"
             )
     solve_kw = dict(seed=seed, rtol=rtol, maxiter=maxiter)
-    report = DeterminismReport(nparts=nparts, tiers=tiers, workers=workers)
+    report = DeterminismReport(nparts=nparts, tiers=tiers)
 
     with _cache_disabled():
         for case in cases:
@@ -263,8 +240,7 @@ def check_determinism(
                 per_tier: dict[str, dict[str, object]] = {}
                 for tier in tiers:
                     runs = [
-                        _solve_digests(case, tier, nparts, None, precond,
-                                       **solve_kw)
+                        _solve_digests(case, tier, nparts, precond, **solve_kw)
                         for _ in range(2)
                     ]
                     per_tier[tier] = runs[0]
@@ -283,19 +259,6 @@ def check_determinism(
                         detail={"tiers": list(tiers), "digests": per_tier},
                     ))
 
-            if "workers" in selected:
-                worker_runs = {
-                    w: _solve_digests(case, None, nparts, w, precond, **solve_kw)
-                    for w in workers
-                }
-                w0 = worker_runs[workers[0]]
-                report.checks.append(Check(
-                    kind="workers", case=case.key,
-                    identical=all(worker_runs[w] == w0 for w in workers),
-                    detail={"workers": list(workers), "digests":
-                            {str(w): d for w, d in worker_runs.items()}},
-                ))
-
             if "backend" in selected:
                 from repro.comm.backends import BACKEND_ENV, BACKEND_NAMES
 
@@ -303,8 +266,7 @@ def check_determinism(
                 backend_runs: dict[str, dict[str, object]] = {}
                 for bk in BACKEND_NAMES:
                     run = _solve_digests(
-                        case, None, nparts, None, precond, backend=bk,
-                        **solve_kw,
+                        case, None, nparts, precond, backend=bk, **solve_kw,
                     )
                     # factor every subdomain with the backend globally
                     # selected: the ILU factors must not depend on how

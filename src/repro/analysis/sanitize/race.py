@@ -1,11 +1,12 @@
 """Lightweight race detector for the shared setup-phase state.
 
-PR 4 made the setup phase concurrent: a thread pool factors subdomain
-blocks while sharing the content-addressed factor cache and (when tracing)
-the span tracer.  This module is the Eraser-style guard that keeps those
-shared structures honest: instrumented code reports each access together
-with the locks its thread holds, and the detector maintains the classic
-ownership / lockset state machine per resource:
+Set-ups run concurrently wherever solves do: every solve-service worker
+thread factors its job's subdomain blocks while sharing the
+content-addressed factor cache and (when tracing) the span tracer.  This
+module is the Eraser-style guard that keeps those shared structures honest:
+instrumented code reports each access together with the locks its thread
+holds, and the detector maintains the classic ownership / lockset state
+machine per resource:
 
 * **exclusive** — only the creating thread has touched the resource; any
   single-threaded pattern is silently fine;

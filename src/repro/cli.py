@@ -228,7 +228,7 @@ def make_parser() -> argparse.ArgumentParser:
     det = sub.add_parser(
         "check-determinism",
         help="bitwise-compare solves across kernel tiers, repeats, and "
-        "serial vs parallel setup (repro.determinism.v1)",
+        "execution backends (repro.determinism.v2)",
     )
     det.add_argument("--cases", default="tc1,tc3",
                      help="comma-separated case keys/aliases")
@@ -238,8 +238,6 @@ def make_parser() -> argparse.ArgumentParser:
     det.add_argument("--tiers", default=None,
                      help="comma-separated kernel tiers (default: all "
                      "available in this process)")
-    det.add_argument("--workers", default="1,4",
-                     help="comma-separated REPRO_SETUP_WORKERS values to sweep")
     det.add_argument("--check", default=None,
                      help="comma-separated check kinds to run (default: all); "
                      "e.g. --check backend compares inprocess vs "
@@ -250,7 +248,7 @@ def make_parser() -> argparse.ArgumentParser:
     det.add_argument("--rtol", type=float, default=1e-6)
     det.add_argument("--maxiter", type=int, default=200)
     det.add_argument("--json", default=None, metavar="PATH",
-                     help="write the repro.determinism.v1 report here")
+                     help="write the repro.determinism.v2 report here")
 
     serve = sub.add_parser(
         "serve",
@@ -627,7 +625,6 @@ def cmd_check_determinism(args: argparse.Namespace) -> int:
         cases,
         nparts=args.nparts,
         tiers=tiers,
-        workers=_parse_int_list(args.workers),
         precond=args.precond,
         seed=args.seed,
         rtol=args.rtol,
@@ -635,8 +632,7 @@ def cmd_check_determinism(args: argparse.Namespace) -> int:
         checks=checks,
     )
     print(f"determinism matrix: {len(cases)} case(s), tiers "
-          f"{','.join(report.tiers)}, setup workers "
-          f"{','.join(str(w) for w in report.workers)}, P={report.nparts}")
+          f"{','.join(report.tiers)}, P={report.nparts}")
     print(report.summary())
     n_fail = len(report.failures())
     print("all checks bitwise-identical" if report.identical

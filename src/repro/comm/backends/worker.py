@@ -137,22 +137,13 @@ def _handle_load_matrix(store: SubdomainStore, meta: dict, arrays: list) -> tupl
 
 
 def _handle_load_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
-    from repro.factor.base import FactorStats, ILUFactorization
+    from repro.factor.base import ILUFactorization
 
     key = meta["key"]
     if key in store.factors:
         store.cached += 1
         return {"stored": True, "cached": True, "key": key}, []
-    n = int(meta["n"])
-    l_strict = _csr_from(arrays[:3], n, n)
-    u_upper = _csr_from(arrays[3:6], n, n)
-    perm = np.array(arrays[6]) if meta.get("has_perm") else None
-    stats = FactorStats(
-        n=n,
-        floored_pivots=int(meta.get("floored_pivots", 0)),
-        shift=float(meta.get("shift", 0.0)),
-    )
-    store.factors[key] = (ILUFactorization(l_strict, u_upper, stats), perm)
+    store.factors[key] = ILUFactorization.from_wire(meta, arrays)
     store.loads += 1
     return {"stored": True, "cached": False, "key": key}, []
 
@@ -165,7 +156,6 @@ def _handle_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dic
     to an in-process factorization — the ``backend`` determinism check
     hashes them to prove it.
     """
-    from repro.factor.base import ILUFactorization
     from repro.factor.ilu0 import ilu0
     from repro.factor.ilut import ilut
 
@@ -187,21 +177,11 @@ def _handle_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dic
                 a, float(meta["drop_tol"]), int(meta["fill"]),
                 shift=float(meta.get("shift", 0.0)), breakdown_frac=bf,
             )
-        assert isinstance(fac, ILUFactorization)
         perm = np.array(arrays[0]) if meta.get("has_perm") else None
         store.factors[factor_key] = (fac, perm)
         store.loads += 1
-    out_meta = {
-        "key": factor_key,
-        "n": fac.n,
-        "floored_pivots": fac.stats.floored_pivots,
-        "shift": fac.stats.shift,
-    }
-    out = [
-        fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
-        fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data,
-    ]
-    return out_meta, out
+    # the driver sent the permutation, so the factor travels back without it
+    return fac.to_wire(factor_key)
 
 
 def _handle_matvec(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
@@ -249,17 +229,13 @@ def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict
     permutation round-trip when the factor was built in permuted order.
     The result is parked in the z-register for a following MATVEC_GHOSTS.
     """
+    from repro.factor.base import solve_permuted
+
     entry = store.factors.get(meta["key"])
     if entry is None:
         raise KeyError(f"factor {meta['key'][:12]} not resident")
     fac, perm = entry
-    r = np.array(arrays[0], dtype=np.float64)
-    if perm is None:
-        z = fac.solve(r)
-    else:
-        z_p = fac.solve(r[perm])
-        z = np.empty_like(z_p)
-        z[perm] = z_p
+    z = solve_permuted(fac, perm, np.array(arrays[0], dtype=np.float64))
     store.registers["z"] = z
     return {}, [z]
 

@@ -134,7 +134,6 @@ class WorkerCompute:
         #: the assembled z vector whose per-rank slices sit in the workers'
         #: z-registers (identity-compared: the fused apply→matvec path)
         self._z_last: np.ndarray | None = None
-        self.rounds = 0
 
     def is_shipped(self, rank: int, key: str) -> bool:
         return (rank, key) in self._shipped
@@ -173,7 +172,6 @@ class WorkerCompute:
             {rank: (rank, payloads[rank]) for rank in sorted(payloads)},
             floor=floor, settle=settle, op=op_name,
         )
-        self.rounds += 1
         if obs.enabled():
             ranks = sorted(out)
             obs.event(
@@ -210,7 +208,11 @@ class WorkerCompute:
         return len(out)
 
     def ensure_factors(self, entries: dict[int, tuple[str, dict, list]]) -> int:
-        """Ship already-computed factors (``OP_LOAD_FACTOR``) not yet resident."""
+        """Ship already-computed factors (``OP_LOAD_FACTOR``) not yet resident.
+
+        ``entries[rank] = (key, *fac.to_wire(key, perm))`` — the layout is
+        :meth:`repro.factor.base.ILUFactorization.to_wire`'s alone.
+        """
         payloads = {}
         for rank in sorted(entries):
             key, meta, arrays = entries[rank]
@@ -232,9 +234,10 @@ class WorkerCompute:
         ``payload_meta[rank]`` is the FACTOR meta (alg/params/matrix_key/
         factor_key); ``perms[rank]`` (optional per rank) is the RCM
         permutation the worker must keep with the factor for APPLY.
-        Returns the raw per-rank ``(meta, arrays)`` — L then U in CSR
-        triples — for the caller to rebuild driver-side factorizations
-        that are bitwise identical to a local factorization.
+        Returns the raw per-rank ``(meta, arrays)`` for
+        :meth:`~repro.factor.base.ILUFactorization.from_wire` to rebuild
+        driver-side factorizations that are bitwise identical to a local
+        factorization.
         """
         payloads = {}
         for rank in sorted(payload_meta):

@@ -60,8 +60,23 @@ def make_preconditioner(
     case: TestCase,
     params: dict | None = None,
 ) -> ParallelPreconditioner:
-    """Instantiate one of the paper's preconditioners by short name."""
-    params = dict(params or {})
+    """Instantiate one of the paper's preconditioners by short name.
+
+    Every set-up — ``solve_case``, the resilience retry/fallback chain and
+    the service through it, ``TransientHeatSolver`` — passes here, so this
+    is where its one ``precond.setup`` span opens; ``where`` says whether
+    the factorizations ran on the driver or in the rank processes.
+    """
+    with obs.span("precond.setup", precond=name) as span:
+        preconditioner = _construct(name, dmat, comm, case, dict(params or {}))
+        span.set(where=preconditioner.where)
+    return preconditioner
+
+
+def _construct(
+    name: str, dmat: DistributedMatrix, comm: Communicator, case: TestCase,
+    params: dict,
+) -> ParallelPreconditioner:
     if name == "block1":
         return block1(dmat, comm, **params)
     if name == "block2":
@@ -275,13 +290,12 @@ def _solve_case_with(
             ]
         )
 
-        with obs.span("precond.setup", precond=precond):
-            # scope the fault plan so targeted factorization faults hit this
-            # preconditioner's setup but not a fallback's
-            with faults.scope(precond):
-                preconditioner = make_preconditioner(
-                    precond, dmat, comm, case, precond_params
-                )
+        # scope the fault plan so targeted factorization faults hit this
+        # preconditioner's setup but not a fallback's
+        with faults.scope(precond):
+            preconditioner = make_preconditioner(
+                precond, dmat, comm, case, precond_params
+            )
         setup_ledger = comm.reset_ledger()
         setup_ledger.working_set_bytes = working_set
         comm.ledger.working_set_bytes = working_set

@@ -80,6 +80,46 @@ class ILUFactorization:
         """Flop count of one forward+backward solve (for the perf model)."""
         return float(self.L.flops() + self.U.flops())
 
+    # -- the wire codec: the only definition of a factor's layout on a pipe --
+
+    def to_wire(self, key: str, perm: np.ndarray | None = None) -> tuple[dict, list]:
+        """``(meta, arrays)`` of this factor as ``LOAD_FACTOR`` carries it and
+        ``FACTOR`` returns it: the CSR triples of L then U, then the RCM
+        permutation the factor was built in (``meta["has_perm"]``)."""
+        meta = {
+            "key": key, "n": self.n,
+            "floored_pivots": self.stats.floored_pivots,
+            "shift": self.stats.shift, "has_perm": perm is not None,
+        }
+        arrays = [
+            self.l_strict.indptr, self.l_strict.indices, self.l_strict.data,
+            self.u_upper.indptr, self.u_upper.indices, self.u_upper.data,
+        ]
+        if perm is not None:
+            arrays.append(np.asarray(perm, dtype=np.int64))
+        return meta, arrays
+
+    @classmethod
+    def from_wire(
+        cls, meta: dict, arrays: list
+    ) -> tuple["ILUFactorization", np.ndarray | None]:
+        """Inverse of :meth:`to_wire`: ``(factorization, perm | None)``.
+
+        Every array is copied — wire arrays are read-only views of a frame.
+        """
+        n = int(meta["n"])
+        l_ptr, l_idx, l_val, u_ptr, u_idx, u_val = (np.array(a) for a in arrays[:6])
+        stats = FactorStats(
+            n=n, floored_pivots=int(meta.get("floored_pivots", 0)),
+            shift=float(meta.get("shift", 0.0)),
+        )
+        fac = cls(
+            sp.csr_matrix((l_val, l_idx, l_ptr), shape=(n, n)),
+            sp.csr_matrix((u_val, u_idx, u_ptr), shape=(n, n)),
+            stats,
+        )
+        return fac, np.array(arrays[6]) if meta.get("has_perm") else None
+
     @property
     def nnz(self) -> int:
         return self.l_strict.nnz + self.u_upper.nnz
@@ -100,3 +140,16 @@ class ILUFactorization:
         if self.stats.shift:
             extra += f", shift={self.stats.shift:g}"
         return f"ILUFactorization(n={self.n}, nnz={self.nnz}{extra})"
+
+
+def solve_permuted(
+    fac: ILUFactorization, perm: np.ndarray | None, b: np.ndarray
+) -> np.ndarray:
+    """``fac.solve`` for a factor built in ``perm`` order (``None`` = natural):
+    permute the right-hand side in, solve, scatter the result back."""
+    if perm is None:
+        return fac.solve(b)
+    z_p = fac.solve(b[perm])
+    z = np.empty_like(z_p)
+    z[perm] = z_p
+    return z

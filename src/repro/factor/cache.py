@@ -20,8 +20,8 @@ Design points:
   throughout the library).
 * Any active fault plan bypasses the cache entirely — injected faults are
   non-deterministic with respect to matrix content, and hooks must fire.
-* Bounded LRU (default 32 entries) and thread-safe, so the parallel
-  subdomain setup pool can share it.
+* Bounded LRU (default 32 entries) and thread-safe: the solve service's
+  worker threads run their set-ups concurrently on this one cache.
 * Disable per process with ``REPRO_FACTOR_CACHE=0`` (or ``off``/``false``),
   per call site with :func:`configure`, or per CLI run with
   ``--no-factor-cache``.

@@ -50,7 +50,8 @@ _TIERS = ("reference", "numpy")
 _ENV_VAR = "REPRO_KERNEL_TIER"
 
 # safety cap on one factorization's array workspace: the ILUT window is
-# O(n * min(n, bandwidth)) and every set-up pool thread holds its own
+# O(n * min(n, bandwidth)) and every concurrent set-up (one per solve-service
+# worker thread) holds its own
 BAND_MEM_CAP = 32 * 2**20
 
 _forced: str | None = None

@@ -23,6 +23,9 @@ class ParallelPreconditioner(ABC):
 
     #: short identifier used in result tables ("Block 1", "Schur 2", ...)
     name: str = "preconditioner"
+    #: where set-up ran: "driver", or "worker" when a
+    #: :class:`~repro.precond.local.LocalSolver` factored in the rank processes
+    where: str = "driver"
 
     def __init__(self, dmat: DistributedMatrix, comm: Communicator) -> None:
         if comm.size != dmat.pm.num_ranks:

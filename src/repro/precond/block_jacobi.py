@@ -14,24 +14,21 @@ poor.  Three subdomain solvers are provided:
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro import faults, obs
-from repro.comm import compute as worker_compute
+from repro import obs
 from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
-from repro.factor import cache as factor_cache
-from repro.factor.base import FactorStats, ILUFactorization
-from repro.factor.ilu0 import _check_breakdown, ilu0
-from repro.factor.ilut import ilut
+from repro.factor.base import ILUFactorization
+from repro.graph.adjacency import graph_from_matrix
+from repro.graph.rcm import reverse_cuthill_mckee
 from repro.krylov.fgmres import fgmres
 from repro.krylov.ops import CountingOps
 from repro.precond.base import ParallelPreconditioner
+from repro.precond.local import LocalSolver
 from repro.resilience.errors import InnerSolveDivergence
-from repro.utils.parallel import parallel_map, setup_workers
+from repro.sparse.reorder import apply_symmetric_permutation
 
 
 def estimate_ilu_setup_flops(fac: ILUFactorization) -> float:
@@ -47,7 +44,6 @@ class BlockPreconditioner(ParallelPreconditioner):
         self,
         dmat: DistributedMatrix,
         comm: Communicator,
-        factory: Callable[[np.ndarray], ILUFactorization] | None = None,
         *,
         variant: str = "ilu0",
         drop_tol: float = 1e-3,
@@ -85,155 +81,23 @@ class BlockPreconditioner(ParallelPreconditioner):
             (float(shift),) if alg == "ilu0"
             else (float(drop_tol), int(fill), float(shift))
         )
-
-        def _permute_rank(r: int) -> tuple[np.ndarray | None, sp.csr_matrix]:
-            a_own = dmat.owned_square[r]
+        perms: list[np.ndarray | None] = []
+        blocks: list[sp.csr_matrix] = []
+        for a_own in dmat.owned_square:
             perm = None
             if ordering == "rcm" and a_own.shape[0] > 1:
-                from repro.graph.adjacency import graph_from_matrix
-                from repro.graph.rcm import reverse_cuthill_mckee
-                from repro.sparse.reorder import apply_symmetric_permutation
-
                 perm = reverse_cuthill_mckee(graph_from_matrix(a_own))
                 a_own = apply_symmetric_permutation(a_own, perm)
-            return perm, a_own
+            perms.append(perm)
+            blocks.append(a_own)
 
-        def _ship_key(a_perm: sp.csr_matrix) -> str:
-            # the content digest both the driver cache and the worker
-            # shipping protocol dedupe on — "worker" family, since the
-            # factors it names are transport-independent by the bitwise
-            # contract (same tier code runs on either side)
-            return factor_cache.FactorCache.key(alg, a_perm, params, "worker")
-
-        def _setup_rank(
-            r: int,
-        ) -> tuple[np.ndarray | None, ILUFactorization, str]:
-            perm, a_own = _permute_rank(r)
-            if variant == "ilu0":
-                fac = ilu0(a_own, shift=shift, breakdown_frac=breakdown_frac)
-            else:
-                fac = ilut(
-                    a_own, drop_tol, fill,
-                    shift=shift, breakdown_frac=breakdown_frac,
-                )
-            return perm, fac, _ship_key(a_own)
-
-        def _setup_worker(
-            wc: worker_compute.WorkerCompute,
-        ) -> list[tuple[np.ndarray | None, ILUFactorization, str]]:
-            """Factor every subdomain inside its own rank process.
-
-            One LOAD round ships the (permuted) subdomain matrices that are
-            not already resident, one FACTOR round runs all eliminations
-            concurrently in the rank processes (real parallelism — no GIL),
-            and driver-cached factors skip both: they travel as a
-            LOAD_FACTOR instead of being re-eliminated, the PR 4 cache
-            identity doing the dedup.  The returned factors are rebuilt
-            from the wire bytes and are bitwise identical to a driver-side
-            factorization (same tier, same code, same input bytes).
-            """
-            cache = factor_cache.get_cache()
-            results: dict[int, tuple] = {}
-            perms: dict[int, np.ndarray | None] = {}
-            keys: dict[int, str] = {}
-            load_mat: dict[int, tuple[str, dict, list]] = {}
-            load_fac: dict[int, tuple[str, dict, list]] = {}
-            factor_meta: dict[int, dict] = {}
-            for r in range(comm.size):
-                perm, a_perm = _permute_rank(r)
-                perms[r] = perm
-                fkey = _ship_key(a_perm)
-                keys[r] = fkey
-                cached = cache.get(fkey, alg) if cache.enabled else None
-                if cached is not None:
-                    _check_breakdown(
-                        alg, cached.stats.floored_pivots, cached.n,
-                        breakdown_frac, shift,
-                    )
-                    results[r] = (perm, cached, fkey)
-                    meta = {
-                        "key": fkey, "n": cached.n,
-                        "floored_pivots": cached.stats.floored_pivots,
-                        "shift": cached.stats.shift,
-                        "has_perm": perm is not None,
-                    }
-                    arrays = [
-                        cached.l_strict.indptr, cached.l_strict.indices,
-                        cached.l_strict.data, cached.u_upper.indptr,
-                        cached.u_upper.indices, cached.u_upper.data,
-                    ]
-                    if perm is not None:
-                        arrays.append(np.asarray(perm, dtype=np.int64))
-                    load_fac[r] = (fkey, meta, arrays)
-                    continue
-                n_r = int(a_perm.shape[0])
-                mkey = factor_cache.FactorCache.key(
-                    alg, a_perm, params, "worker-matrix"
-                )
-                load_mat[r] = (
-                    mkey,
-                    {"key": mkey, "nrows": n_r, "ncols": n_r},
-                    [a_perm.indptr, a_perm.indices, a_perm.data],
-                )
-                meta = {
-                    "alg": alg, "matrix_key": mkey, "factor_key": fkey,
-                    "shift": float(shift),
-                }
-                if breakdown_frac is not None:
-                    meta["breakdown_frac"] = float(breakdown_frac)
-                if alg == "ilut":
-                    meta["drop_tol"] = float(drop_tol)
-                    meta["fill"] = int(fill)
-                factor_meta[r] = meta
-            if load_mat:
-                wc.ensure_matrices(load_mat)
-            if factor_meta:
-                out = wc.factor(
-                    factor_meta,
-                    {r: perms[r] for r in factor_meta if perms[r] is not None},
-                )
-                for r in sorted(out):
-                    meta, arrays = out[r]
-                    n_r = int(meta["n"])
-                    l_strict = sp.csr_matrix(
-                        (np.array(arrays[2]), np.array(arrays[1]),
-                         np.array(arrays[0])), shape=(n_r, n_r),
-                    )
-                    u_upper = sp.csr_matrix(
-                        (np.array(arrays[5]), np.array(arrays[4]),
-                         np.array(arrays[3])), shape=(n_r, n_r),
-                    )
-                    fac = ILUFactorization(l_strict, u_upper, stats=FactorStats(
-                        n=n_r,
-                        floored_pivots=int(meta["floored_pivots"]),
-                        shift=float(meta["shift"]),
-                    ))
-                    if cache.enabled:
-                        cache.put(keys[r], fac)
-                    results[r] = (perms[r], fac, keys[r])
-            if load_fac:
-                wc.ensure_factors(load_fac)
-            return [results[r] for r in range(comm.size)]
-
-        # worker-resident setup on real backends: eliminations run inside
-        # the rank processes.  An active fault plan pins setup to the
-        # driver — pivot hooks must fire in the injecting process.
-        wc = None
-        if faults.active() is None:
-            wc = worker_compute.session(comm)
-        workers = setup_workers(comm.size, comm.size)
-        with obs.span("precond.setup", precond=self.name, workers=workers,
-                      where="worker" if wc is not None else "driver"):
-            if wc is not None:
-                results = _setup_worker(wc)
-            else:
-                # one independent factorization per simulated rank: fan out
-                # on a thread pool; the span records the overlapped cost
-                results = parallel_map(_setup_rank, range(comm.size), workers)
-
-        self.factors = [fac for _, fac, _ in results]
-        self._perms = [perm for perm, _, _ in results]
-        self._ship_keys = {r: key for r, (_, _, key) in enumerate(results)}
+        # where the factorizations and the triangular solves run is the
+        # seam's business; what is left here is algebra
+        self.local_solver = LocalSolver(
+            comm, blocks, perms, alg, params, breakdown_frac
+        )
+        self.where = self.local_solver.where
+        self.factors = self.local_solver.factors
         setup = np.zeros(comm.size)
         for r, fac in enumerate(self.factors):
             if fac.stats.floored_pivots:
@@ -245,71 +109,17 @@ class BlockPreconditioner(ParallelPreconditioner):
         self._charge_setup(setup)
         self._apply_flops = np.asarray([f.solve_flops() for f in self.factors])
 
-    def _ensure_worker_factors(self, wc: worker_compute.WorkerCompute) -> int:
-        """Ship any factors the rank processes do not hold (content-keyed).
-
-        A no-op on the steady path — after setup (or the first apply) every
-        ``(rank, key)`` is in the session's shipped set.  After an
-        ``absorb_rank`` recovery the preconditioner is rebuilt on a fresh
-        communicator whose session starts empty, so this is also the
-        re-shipping path the robustness docs describe.
-        """
-        entries: dict[int, tuple[str, dict, list]] = {}
-        for r in range(self.comm.size):
-            key = self._ship_keys[r]
-            if wc.is_shipped(r, key):
-                continue
-            fac, perm = self.factors[r], self._perms[r]
-            meta = {
-                "key": key, "n": fac.n,
-                "floored_pivots": fac.stats.floored_pivots,
-                "shift": fac.stats.shift,
-                "has_perm": perm is not None,
-            }
-            arrays = [
-                fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
-                fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data,
-            ]
-            if perm is not None:
-                arrays.append(np.asarray(perm, dtype=np.int64))
-            entries[r] = (key, meta, arrays)
-        return wc.ensure_factors(entries) if entries else 0
-
-    def _local_solve(self, rank: int, r_loc: np.ndarray) -> np.ndarray:
-        perm = self._perms[rank]
-        if perm is None:
-            return self.factors[rank].solve(r_loc)
-        z_p = self.factors[rank].solve(r_loc[perm])
-        z = np.empty_like(z_p)
-        z[perm] = z_p
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        if self.variant == "krylov":
+            # a few ILUT-preconditioned GMRES iterations per subdomain
+            return self._apply_krylov(r)
+        with obs.span("block.local_solves", variant=self.variant):
+            z = self.local_solver.solve(self.pm.layout, r)
+            self.comm.ledger.add_phase(self._apply_flops)
         return z
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        if self.variant != "krylov":
-            wc = worker_compute.session(self.comm)
-            if wc is not None:
-                # worker-resident sweeps: each rank process runs the exact
-                # ILUFactorization.solve path on its resident factor, so
-                # the assembled z is bitwise equal to the loop below
-                with obs.span("block.local_solves", variant=self.variant,
-                              where="worker"):
-                    self._ensure_worker_factors(wc)
-                    z = wc.apply_factors(self._ship_keys, self.pm.layout, r)
-                    self.comm.ledger.add_phase(self._apply_flops)
-                return z
-            z = np.empty_like(r)
-            with obs.span("block.local_solves", variant=self.variant):
-                for rank in range(self.comm.size):
-                    loc = self.pm.layout.local_slice(rank)
-                    z[loc] = self._local_solve(rank, r[loc])
-                self.comm.ledger.add_phase(self._apply_flops)
-            return z
+    def _apply_krylov(self, r: np.ndarray) -> np.ndarray:
         z = np.empty_like(r)
-
-        # local-Krylov variant: a few ILUT-preconditioned GMRES iterations
-        return self._apply_krylov(r, z)
-
-    def _apply_krylov(self, r: np.ndarray, z: np.ndarray) -> np.ndarray:
         flops = np.zeros(self.comm.size)
         with obs.span("block.local_solves", variant=self.variant):
             for rank in range(self.comm.size):

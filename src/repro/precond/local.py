@@ -1,0 +1,154 @@
+"""The seam where subdomain set-up and local solves run.
+
+Every preconditioner of the paper factors one independent block per
+subdomain and then solves with it.  *Where* is decided here, once per
+preconditioner, from the communicator — never by a caller or a user:
+
+* **driver** — one block after another, in rank order, in the calling
+  thread (simulated ranks, or ``REPRO_WORKER_COMPUTE=0``);
+* **worker** — inside the rank processes of a real backend
+  (:func:`repro.comm.compute.session`): every rank eliminates and sweeps
+  its own block, concurrently, with no shared interpreter.  Set-up under an
+  active fault plan still runs on the driver: pivot hooks must fire in the
+  injecting process.
+
+There is **one ship path**.  Set-up is "factor cache hit, else
+``LOAD_MATRIX`` + ``FACTOR`` in the ranks"; a factor that is not resident in
+the rank that needs it — a cache hit, a driver-side set-up, a fresh
+communicator after ``absorb_rank`` recovery — is shipped by content key at
+the next :meth:`LocalSolver.solve`, and only there.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+import scipy.sparse as sp
+
+from repro import faults
+from repro.comm import compute as worker_compute
+from repro.comm.communicator import Communicator
+from repro.distributed.layout import Layout
+from repro.factor import cache as factor_cache
+from repro.factor.base import ILUFactorization, solve_permuted
+from repro.factor.ilu0 import _check_breakdown, ilu0
+from repro.factor.ilut import ilut
+
+
+def _factor(
+    alg: str, a: sp.csr_matrix, params: tuple, breakdown_frac: float | None
+) -> ILUFactorization:
+    if alg == "ilu0":
+        (shift,) = params
+        return ilu0(a, shift=shift, breakdown_frac=breakdown_frac)
+    drop_tol, fill, shift = params
+    return ilut(a, drop_tol, fill, shift=shift, breakdown_frac=breakdown_frac)
+
+
+class LocalSolver:
+    """"Factor my blocks" and "solve with my factors" for one communicator.
+
+    ``matrices[r]`` is rank r's square block, already in the order it is to
+    be factored in; ``perms[r]`` is that order (``None`` = natural) and is
+    undone by :meth:`solve`.  ``alg``/``params`` are ``"ilu0"``/``(shift,)``
+    or ``"ilut"``/``(drop_tol, fill, shift)``.
+
+    ``factors`` holds the driver's copy of every factorization, ``keys``
+    maps rank to its content digest (what the rank stores it under) and
+    ``where`` says where set-up ran: ``"driver"`` or ``"worker"``.
+    """
+
+    def __init__(
+        self,
+        comm: Communicator,
+        matrices: Sequence[sp.csr_matrix],
+        perms: Sequence[np.ndarray | None],
+        alg: str,
+        params: tuple,
+        breakdown_frac: float | None,
+    ) -> None:
+        self.perms = list(perms)
+        # "worker" family: the factors a key names are transport-independent
+        # by the bitwise contract (the same kernel runs on either side)
+        self.keys = {
+            r: factor_cache.FactorCache.key(alg, a, params, "worker")
+            for r, a in enumerate(matrices)
+        }
+        self._session = worker_compute.session(comm)
+        in_ranks = self._session is not None and faults.active() is None
+        self.where = "worker" if in_ranks else "driver"
+        if in_ranks:
+            self.factors = self._factor_in_ranks(matrices, alg, params, breakdown_frac)
+        else:
+            self.factors = [_factor(alg, a, params, breakdown_frac) for a in matrices]
+
+    def _factor_in_ranks(
+        self, matrices, alg: str, params: tuple, breakdown_frac: float | None
+    ) -> list[ILUFactorization]:
+        """Cache hit, else one LOAD_MATRIX round and one FACTOR round.
+
+        All eliminations of the FACTOR round run concurrently in the rank
+        processes; each result comes back over the pipe and is rebuilt here,
+        bitwise identical to a driver-side factorization (same kernel code
+        on the same input bytes), and cached under its content key.
+        """
+        cache = factor_cache.get_cache()
+        shift = params[-1]
+        factors: dict[int, ILUFactorization] = {}
+        load: dict[int, tuple[str, dict, list]] = {}
+        todo: dict[int, dict] = {}
+        for r, a in enumerate(matrices):
+            cached = cache.get(self.keys[r], alg) if cache.enabled else None
+            if cached is not None:
+                _check_breakdown(
+                    alg, cached.stats.floored_pivots, cached.n, breakdown_frac, shift
+                )
+                factors[r] = cached
+                continue
+            n_r = int(a.shape[0])
+            mkey = factor_cache.FactorCache.key(alg, a, params, "worker-matrix")
+            load[r] = (
+                mkey,
+                {"key": mkey, "nrows": n_r, "ncols": n_r},
+                [a.indptr, a.indices, a.data],
+            )
+            todo[r] = {
+                "alg": alg, "matrix_key": mkey, "factor_key": self.keys[r],
+                "shift": shift, "breakdown_frac": breakdown_frac,
+            }
+            if alg == "ilut":
+                todo[r]["drop_tol"], todo[r]["fill"] = params[:2]
+        if todo:
+            self._session.ensure_matrices(load)
+            out = self._session.factor(
+                todo, {r: self.perms[r] for r in todo if self.perms[r] is not None}
+            )
+            for r in sorted(out):
+                factors[r], _ = ILUFactorization.from_wire(*out[r])
+                if cache.enabled:
+                    cache.put(self.keys[r], factors[r])
+        return [factors[r] for r in range(len(matrices))]
+
+    def solve(self, layout: Layout, r: np.ndarray) -> np.ndarray:
+        """``z_r = (L_r U_r)^{-1} r_r`` on every rank's slice of ``layout``.
+
+        In the ranks the sweeps run the exact
+        :meth:`ILUFactorization.solve` path on the resident factor, so the
+        assembled z is bitwise equal to the driver loop.
+        """
+        session = self._session
+        if session is None:
+            z = np.empty_like(r)
+            for rank, fac in enumerate(self.factors):
+                loc = layout.local_slice(rank)
+                z[loc] = solve_permuted(fac, self.perms[rank], r[loc])
+            return z
+        # a no-op on the steady path: after set-up in the ranks, or after
+        # the first solve, every (rank, key) is in the session's shipped set
+        session.ensure_factors({
+            rank: (key, *self.factors[rank].to_wire(key, self.perms[rank]))
+            for rank, key in sorted(self.keys.items())
+            if not session.is_shipped(rank, key)
+        })
+        return session.apply_factors(self.keys, layout, r)

@@ -25,10 +25,8 @@ from repro import obs
 from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
 from repro.distributed.ops import DistributedOps
-from repro.factor.base import ILUFactorization
 from repro.factor.ilut import ilut
 from repro.factor.schur_extract import SchurBlocks, extract_schur_blocks
-from repro.utils.parallel import parallel_map, setup_workers
 from repro.krylov.fgmres import fgmres
 from repro.krylov.gmres import gmres
 from repro.krylov.ops import CountingOps
@@ -60,21 +58,14 @@ class Schur1Preconditioner(ParallelPreconditioner):
         self.global_iterations = global_iterations
         self.local_iterations = local_iterations
 
-        def _setup_rank(r: int) -> tuple[ILUFactorization, SchurBlocks]:
-            sd = self.pm.subdomains[r]
+        self.schur_blocks: list[SchurBlocks] = []
+        setup = np.zeros(comm.size)
+        for r, sd in enumerate(self.pm.subdomains):
             fac = ilut(
                 dmat.owned_square[r], drop_tol, fill,
                 shift=shift, breakdown_frac=breakdown_frac,
             )
-            return fac, extract_schur_blocks(fac, sd.n_internal)
-
-        workers = setup_workers(comm.size, comm.size)
-        with obs.span("precond.setup", precond=self.name, workers=workers):
-            results = parallel_map(_setup_rank, range(comm.size), workers)
-
-        self.schur_blocks = [sb for _, sb in results]
-        setup = np.zeros(comm.size)
-        for r, (fac, _) in enumerate(results):
+            self.schur_blocks.append(extract_schur_blocks(fac, sd.n_internal))
             if fac.stats.floored_pivots:
                 obs.event(
                     "factor.stats", rank=r, precond="schur1",

@@ -28,7 +28,6 @@ from repro.factor.arms import ArmsFactorization
 from repro.krylov.gmres import gmres
 from repro.precond.base import ParallelPreconditioner
 from repro.resilience.errors import InnerSolveDivergence
-from repro.utils.parallel import parallel_map, setup_workers
 
 
 class Schur2Preconditioner(ParallelPreconditioner):
@@ -70,8 +69,8 @@ class Schur2Preconditioner(ParallelPreconditioner):
         self.global_iterations = global_iterations
         self.global_ilu = global_ilu
 
-        def _setup_rank(r: int) -> ArmsFactorization:
-            return ArmsFactorization(
+        self.arms = [
+            ArmsFactorization(
                 dmat.owned_square[r],
                 self.pm.subdomains[r].n_internal,
                 group_size=group_size,
@@ -81,10 +80,8 @@ class Schur2Preconditioner(ParallelPreconditioner):
                 shift=shift,
                 breakdown_frac=breakdown_frac,
             )
-
-        workers = setup_workers(comm.size, comm.size)
-        with obs.span("precond.setup", precond=self.name, workers=workers):
-            self.arms = parallel_map(_setup_rank, range(comm.size), workers)
+            for r in range(comm.size)
+        ]
 
         setup = np.zeros(comm.size)
         for r, (sd, fac) in enumerate(zip(self.pm.subdomains, self.arms)):

@@ -28,7 +28,6 @@ from repro.mesh.mesh import Mesh
 from repro.precond.base import ParallelPreconditioner
 from repro.precond.coarse import CoarseGridCorrection
 from repro.precond.fft_poisson import FFTPoissonSolver
-from repro.utils.parallel import parallel_map, setup_workers
 from repro.utils.validation import ensure_csr
 
 
@@ -116,7 +115,8 @@ class AdditiveSchwarzPreconditioner(ParallelPreconditioner):
         px, py = factor_processor_count(comm.size, 2)
         xb = np.linspace(0, nx, px + 1).astype(np.int64)
         yb = np.linspace(0, ny, py + 1).astype(np.int64)
-        specs = []
+        # box extraction and FFT-plan setup, one subdomain after another
+        self.boxes: list[_OverlappedBox] = []
         for by in range(py):
             for bx in range(px):
                 ox = max(1, int(round(overlap_frac * (xb[bx + 1] - xb[bx]))))
@@ -125,25 +125,11 @@ class AdditiveSchwarzPreconditioner(ParallelPreconditioner):
                 x1 = min(nx, int(xb[bx + 1]) + ox)
                 y0 = max(0, int(yb[by]) - oy)
                 y1 = min(ny, int(yb[by + 1]) + oy)
-                specs.append(
-                    ((x0, x1), (y0, y1),
-                     (int(xb[bx]), int(xb[bx + 1])),
-                     (int(yb[by]), int(yb[by + 1])))
-                )
-
-        def _setup_box(spec) -> _OverlappedBox:
-            x_range, y_range, core_x, core_y = spec
-            return _OverlappedBox(
-                a_global, nx, ny, x_range, y_range,
-                core_x=core_x, core_y=core_y,
-            )
-
-        # box extraction and FFT-plan setup are independent per subdomain
-        workers = setup_workers(len(specs), comm.size)
-        with obs.span("precond.setup", precond=self.name, workers=workers):
-            self.boxes: list[_OverlappedBox] = parallel_map(
-                _setup_box, specs, workers
-            )
+                self.boxes.append(_OverlappedBox(
+                    a_global, nx, ny, (x0, x1), (y0, y1),
+                    core_x=(int(xb[bx]), int(xb[bx + 1])),
+                    core_y=(int(yb[by]), int(yb[by + 1])),
+                ))
 
         self.coarse = (
             CoarseGridCorrection(a_global, mesh.points, coarse_shape)

@@ -59,8 +59,7 @@ class TestLintCommand:
 
 class TestCheckDeterminismCommand:
     ARGS = ["check-determinism", "--cases", "tc1", "--size", "9",
-            "--nparts", "2", "--tiers", "reference", "--workers", "1",
-            "--maxiter", "50"]
+            "--nparts", "2", "--tiers", "reference", "--maxiter", "50"]
 
     def test_tiny_matrix_passes(self, capsys):
         assert main(self.ARGS) == 0
@@ -70,7 +69,8 @@ class TestCheckDeterminismCommand:
         out = tmp_path / "det.json"
         assert main(self.ARGS + ["--json", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro.determinism.v1"
+        assert doc["schema"] == "repro.determinism.v2"
+        assert "workers" not in doc
         assert doc["identical"] is True
 
     def test_unknown_tier_rejected(self):
@@ -81,6 +81,16 @@ class TestCheckDeterminismCommand:
     def test_no_cases_rejected(self):
         with pytest.raises(SystemExit, match="no cases"):
             main(["check-determinism", "--cases", ","])
+
+    def test_workers_axis_is_gone(self, capsys):
+        # the set-up thread pool was deleted: no kind, no flag, no summary text
+        with pytest.raises(SystemExit, match="unknown check 'workers'.*pick from"):
+            main(self.ARGS + ["--check", "workers"])
+        with pytest.raises(SystemExit):
+            main(self.ARGS + ["--workers", "1"])
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert main(self.ARGS + ["--check", "repeat"]) == 0
+        assert "workers" not in capsys.readouterr().out
 
 
 class TestSolveSanitize:

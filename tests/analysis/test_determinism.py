@@ -1,7 +1,6 @@
-"""Determinism checker: bitwise repeat / cross-tier / worker-sweep gates."""
+"""Determinism checker: bitwise repeat / cross-tier / backend gates."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from repro.analysis.determinism import (
     Check,
     DeterminismReport,
     _digest,
-    _setup_workers,
     available_tiers,
     check_determinism,
 )
@@ -23,8 +21,7 @@ from repro.factor import cache as factor_cache
 def tiny_report():
     case = CASE_BUILDERS["tc1"](n=9)
     return check_determinism(
-        [case], nparts=2, tiers=("reference", "numpy"), workers=(1, 2),
-        maxiter=100,
+        [case], nparts=2, tiers=("reference", "numpy"), maxiter=100,
     )
 
 
@@ -42,20 +39,6 @@ class TestDigest:
         assert _digest(x) != _digest(x.reshape(2, 2))
 
 
-class TestSetupWorkersEnv:
-    def test_sets_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SETUP_WORKERS", "7")
-        with _setup_workers(2):
-            assert os.environ["REPRO_SETUP_WORKERS"] == "2"
-        assert os.environ["REPRO_SETUP_WORKERS"] == "7"
-
-    def test_none_clears_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SETUP_WORKERS", "7")
-        with _setup_workers(None):
-            assert "REPRO_SETUP_WORKERS" not in os.environ
-        assert os.environ["REPRO_SETUP_WORKERS"] == "7"
-
-
 class TestCheckMatrix:
     def test_tc1_is_bitwise_deterministic(self, tiny_report):
         failures = tiny_report.failures()
@@ -63,16 +46,14 @@ class TestCheckMatrix:
 
     def test_all_check_kinds_present(self, tiny_report):
         kinds = {c.kind for c in tiny_report.checks}
-        assert kinds == {"repeat", "cross-tier", "workers", "factors",
-                         "apply", "backend"}
+        assert kinds == {"repeat", "cross-tier", "factors", "apply", "backend"}
         # one repeat check per tier
         assert len([c for c in tiny_report.checks if c.kind == "repeat"]) == 2
 
     def test_cache_left_in_prior_state(self):
         prior = factor_cache.get_cache().enabled
         case = CASE_BUILDERS["tc1"](n=9)
-        check_determinism([case], nparts=2, tiers=("reference",),
-                          workers=(1,), maxiter=50)
+        check_determinism([case], nparts=2, tiers=("reference",), maxiter=50)
         assert factor_cache.get_cache().enabled == prior
 
     def test_report_schema(self, tiny_report, tmp_path):
@@ -91,10 +72,10 @@ class TestCheckMatrix:
 
 class TestReportAggregation:
     def test_single_mismatch_fails_report(self):
-        report = DeterminismReport(nparts=2, tiers=("reference",), workers=(1,))
+        report = DeterminismReport(nparts=2, tiers=("reference",))
         report.checks.append(Check(kind="repeat", case="x", identical=True))
         assert report.identical
-        report.checks.append(Check(kind="workers", case="x", identical=False))
+        report.checks.append(Check(kind="backend", case="x", identical=False))
         assert not report.identical
         assert len(report.failures()) == 1
 

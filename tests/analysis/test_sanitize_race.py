@@ -14,7 +14,6 @@ from repro.analysis import sanitize
 from repro.analysis.sanitize import race
 from repro.analysis.sanitize.race import RaceDetected, RaceDetector, TrackedLock
 from repro.factor.cache import FactorCache
-from repro.utils.parallel import parallel_map
 
 
 @pytest.fixture(autouse=True)
@@ -145,8 +144,8 @@ class TestSeededRaceRegression:
         assert self._race_the_cache() is None
 
     def test_locked_put_path_is_clean_across_threads(self):
-        # parallel_map clamps to the core count, so force two real threads
-        # the way the setup pool would run them on a multicore box
+        # two threads besides the main one, the way two solve-service
+        # workers reach the process-wide cache
         sanitize.enable("race")
         cache = FactorCache(capacity=32)
 
@@ -155,19 +154,19 @@ class TestSeededRaceRegression:
             assert _in_thread(lambda i=i: cache.put(f"k{i}", object())) is None
         assert not race.get_detector().reports
 
-    def test_parallel_map_setup_path_is_clean(self, monkeypatch):
-        # the real PR-4 path: worker count capped by REPRO_SETUP_WORKERS
-        # (and by the core count, so this may degrade to serial — the
-        # explicit-thread test above still covers the concurrent case)
-        monkeypatch.setenv("REPRO_SETUP_WORKERS", "2")
+    def test_locked_get_and_eviction_are_clean_across_threads(self):
+        # lookups reorder the LRU and a full store evicts: both mutate the
+        # store, both from threads that never created it
         sanitize.enable("race")
-        cache = FactorCache(capacity=32)
+        cache = FactorCache(capacity=2)
 
-        def put(i):
+        def put_get(i):
             cache.put(f"k{i}", object())
-            return i
+            assert cache.get(f"k{i}", "ilut") is not None
 
-        assert parallel_map(put, range(4), max_workers=2) == [0, 1, 2, 3]
+        for i in range(4):
+            assert _in_thread(lambda i=i: put_get(i)) is None
+        assert len(cache) == 2
         assert not race.get_detector().reports
 
     def test_tracer_cross_thread_span_detected(self):

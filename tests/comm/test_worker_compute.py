@@ -22,10 +22,7 @@ def _factor_entry(key: str, n: int):
     a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                  [-1, 0, 1], format="csr")
     fac = ilu0(a)
-    meta = {"key": key, "n": n, "shift": fac.stats.shift,
-            "floored_pivots": fac.stats.floored_pivots}
-    arrays = [fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
-              fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data]
+    meta, arrays = fac.to_wire(key)
     return key, meta, arrays, fac
 
 

@@ -173,32 +173,51 @@ class TestWorkerResidentState:
                        if e["attrs"]["op"] in ("load-factor", "load-matrix")]
         assert len(ship_rounds) >= 2
 
-    def test_reshipped_keys_match_content_identity(self, partitioned_poisson):
-        """A fresh session (what recovery creates) re-ships under the *same*
-        content digests — the reloaded subdomain hash matches what the
-        original session shipped."""
+    def test_reshipped_keys_match_content_identity(
+        self, partitioned_poisson, monkeypatch
+    ):
+        """A fresh communicator (what recovery creates) re-ships under the
+        *same* content digests — the reloaded subdomain hash matches what
+        the original session shipped."""
         from repro.comm import compute
         from repro.comm.communicator import Communicator
+        from repro.factor import cache as factor_cache
         from repro.precond.block_jacobi import block2
 
+        # the rebuilt preconditioner finds its factors in the driver's cache
+        monkeypatch.setattr(factor_cache.get_cache(), "enabled", True)
         pm, dmat, rhs, _ = partitioned_poisson
+        r = pm.to_distributed(rhs)
         comm = Communicator(pm.num_ranks, backend="multiprocess")
         try:
             M = block2(dmat, comm)
-            z = M.apply(pm.to_distributed(rhs))
+            z = M.apply(r)
             assert np.isfinite(z).all()
             wc = compute.session(comm)
             assert wc is not None
-            keys = dict(M._ship_keys)
-            assert all(wc.is_shipped(r, keys[r]) for r in keys)
-            # recovery semantics: a brand-new session starts empty and must
-            # re-ship every factor under the identical content key
-            wc2 = compute.WorkerCompute(comm)
-            assert M._ensure_worker_factors(wc2) == pm.num_ranks
-            assert all(wc2.is_shipped(r, keys[r]) for r in keys)
-            assert M._ship_keys == keys
+            keys = dict(M.local_solver.keys)
+            assert all(wc.is_shipped(rank, keys[rank]) for rank in keys)
         finally:
             comm.close()
+        # recovery semantics: the preconditioner is rebuilt on a brand-new
+        # communicator whose session starts empty; the factors come from the
+        # driver's cache and the first solve must re-ship every one of them
+        # under the identical content key
+        comm2 = Communicator(pm.num_ranks, backend="multiprocess")
+        try:
+            with obs.tracing() as tracer:
+                M2 = block2(dmat, comm2)
+                wc2 = compute.session(comm2)
+                assert wc2 is not wc
+                assert not any(wc2.is_shipped(rank, keys[rank]) for rank in keys)
+                z2 = M2.apply(r)
+            assert M2.local_solver.keys == keys
+            assert all(wc2.is_shipped(rank, keys[rank]) for rank in keys)
+            assert z2.tobytes() == z.tobytes()
+            ops = [e["attrs"]["op"] for e in _events(tracer, "comm.worker.round")]
+            assert ops == ["load-factor", "apply"]
+        finally:
+            comm2.close()
 
 
 class TestBackendDeterminismCheck:

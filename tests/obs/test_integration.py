@@ -97,6 +97,44 @@ def test_conservation_other_preconditioners(precond):
     assert sum_exclusive(tracer.spans)["crit_flops"] > 0
 
 
+@pytest.mark.parametrize(
+    "precond", ["block1", "block2", "schur1", "schur2", "as", "blocko"]
+)
+def test_one_setup_span_per_setup(precond):
+    # the span opens in make_preconditioner and nowhere else: the driver
+    # does not wrap it and no preconditioner class opens its own
+    case = poisson2d_case(n=13)
+    with obs.tracing() as tracer:
+        out = solve_case(case, precond=precond, nparts=4, maxiter=300)
+    (setup,) = [s for s in tracer.spans if s.name == "precond.setup"]
+    assert setup.attrs == {"precond": precond, "where": "driver"}
+    assert setup.ledger["crit_flops"] == pytest.approx(out.setup_ledger.crit_flops)
+    assert conservation_error(tracer.spans, _merged_counts(out)) < 1e-12
+
+
+def test_setup_span_says_when_the_ranks_factored():
+    case = poisson2d_case(n=13)
+    with obs.tracing() as tracer:
+        solve_case(case, precond="block1", nparts=2, backend="multiprocess")
+    (setup,) = [s for s in tracer.spans if s.name == "precond.setup"]
+    assert setup.attrs == {"precond": "block1", "where": "worker"}
+
+
+def test_transient_build_opens_the_same_single_span():
+    from repro.core.transient import TransientHeatSolver
+    from repro.mesh.grid2d import structured_rectangle
+
+    mesh = structured_rectangle(9, 9)
+    with obs.tracing() as tracer:
+        ths = TransientHeatSolver(
+            mesh, dt=0.02, dirichlet_nodes=mesh.all_boundary_nodes(),
+            precond="schur1", nparts=2,
+        )
+        ths.close()
+    (setup,) = [s for s in tracer.spans if s.name == "precond.setup"]
+    assert setup.attrs == {"precond": "schur1", "where": "driver"}
+
+
 def test_untraced_solve_records_nothing():
     case = poisson2d_case(n=9)
     solve_case(case, precond="block1", nparts=2)

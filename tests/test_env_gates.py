@@ -2,7 +2,7 @@
 
 Every gate multiplies the configurations the determinism matrix and CI must
 cover, so adding one has to show up as a failing test, not as a grep nobody
-runs.  docs/performance.md's environment table lists the same seven.
+runs.  docs/performance.md's environment table lists the same six.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
 GATES = {
-    "SANITIZE", "KERNEL_TIER", "COMM_BACKEND", "SETUP_WORKERS",
+    "SANITIZE", "KERNEL_TIER", "COMM_BACKEND",
     "FACTOR_CACHE", "WORKER_COMPUTE", "WORKER_DOT",
 }
 
@@ -22,7 +22,7 @@ def _sources() -> dict[Path, str]:
     return {p: p.read_text() for p in sorted(SRC.rglob("*.py"))}
 
 
-def test_env_gates_are_exactly_the_documented_seven():
+def test_env_gates_are_exactly_the_documented_six():
     found = {
         name
         for text in _sources().values()
