@@ -7,12 +7,14 @@ and the distributed CSR matvec — per kernel tier, plus one whole-solve
 comparison so the per-sweep speedup is shown to survive end-to-end.
 
 Both files merge their sections into the schema-versioned
-``results/BENCH_kernels.json`` (``repro.bench.kernels.v4``): this one owns
-the ``apply`` and ``whole_solve`` sections and gates the tentpole's
-acceptance criteria — apply-sweep speedup >= 5x at the gate configuration
-(drop_tol=1e-4, fill=20) and a whole-solve speedup over the reference
-tier.  Tier outputs are asserted bitwise-identical while timing, so the
-speedups cannot come from a semantics change.
+``results/BENCH_kernels.json`` (``repro.bench.kernels.v5``): this one owns
+the ``apply``, ``whole_solve`` and ``whole_apply`` sections and gates the
+tentpole's acceptance criteria — apply-sweep speedup >= 5x at the gate
+configuration (drop_tol=1e-4, fill=20) and a whole-solve speedup over the
+reference tier.  Tier outputs are asserted bitwise-identical while timing,
+so the speedups cannot come from a semantics change.  ``whole_apply`` is
+ungated: what one whole preconditioner application costs, in microseconds
+and in compiled calls, on the tuple the end-to-end ``krylov_march`` runs.
 """
 
 import timeit
@@ -20,10 +22,12 @@ import timeit
 import numpy as np
 
 from bench_kernels_micro import _tc1_subdomain_block
-from common import merge_results_json, scale
+from common import merge_results_json, scale, scaled_n
 
 GATE = {"drop_tol": 1e-4, "fill": 20, "required_speedup": 5.0}
 WHOLE_SOLVE_GATE = {"required_speedup": 1.5}
+#: krylov_march's tuple (benchmarks/e2e/workloads.py) and its two op kinds
+WHOLE_APPLY = {"case": "tc4", "n": 15, "nparts": 8, "preconds": ("block2", "schur1")}
 
 
 def _best(fn, repeat=7):
@@ -172,3 +176,68 @@ def test_whole_solve_speedup():
           f"\n[written to {path}]")
     if scale() >= 1.0:
         assert section["speedup"] >= WHOLE_SOLVE_GATE["required_speedup"]
+
+
+class _Counted:
+    """A compiled scipy module with one entry point counted."""
+
+    def __init__(self, real, name):
+        self.calls = 0
+
+        def counted(*args):
+            self.calls += 1
+            return getattr(real, name)(*args)
+
+        setattr(self, name, counted)
+
+
+def test_whole_apply(monkeypatch):
+    """One whole ``M(r)``: microseconds and compiled calls per application.
+
+    The triangular sweeps above are one layer of an application; the rest
+    is the driver around them.  With the rank-stacked operators a Block 2
+    apply is one sweep and a Schur 1 apply 2·P·local + 2·global + 2 sweeps,
+    whatever P is for step 2 (docs/performance.md §9).  Ungated — the
+    end-to-end benchmark owns the claim — but written down so the trajectory
+    of "calls per apply" is on file.  Emits the ``whole_apply`` section.
+    """
+    from repro.cases import build_case
+    from repro.comm.communicator import Communicator
+    from repro.core import make_preconditioner
+    from repro.distributed.matrix import distribute_matrix
+    from repro.distributed.partition_map import PartitionMap
+    from repro.kernels import apply as apply_kernels
+
+    nparts = WHOLE_APPLY["nparts"]
+    case = build_case(WHOLE_APPLY["case"], scaled_n(WHOLE_APPLY["n"]))
+    pm = PartitionMap(case.coupling_graph, case.membership(nparts, seed=0), num_ranks=nparts)
+    dmat = distribute_matrix(case.matrix, pm)
+    r = np.random.default_rng(6).standard_normal(pm.layout.total)
+
+    rows = []
+    for name in WHOLE_APPLY["preconds"]:
+        m = make_preconditioner(name, dmat, Communicator(nparts), case)
+        m(r)  # probes and prepares every sweep
+        apply_us = _best(lambda: m(r), repeat=15) * 1e3
+        with monkeypatch.context() as patch:
+            sweeps = _Counted(apply_kernels._superlu(), "gstrs")
+            products = _Counted(apply_kernels._sparsetools(), "csr_matvec")
+            patch.setattr(apply_kernels, "_superlu", lambda: sweeps)
+            patch.setattr(apply_kernels, "_sparsetools", lambda: products)
+            m(r)
+        rows.append({
+            "precond": name,
+            "apply_us": apply_us,
+            "compiled_calls": {"gstrs": sweeps.calls, "csr_matvec": products.calls},
+        })
+
+    section = {
+        "case": case.key, "n": scaled_n(WHOLE_APPLY["n"]), "nparts": nparts,
+        "dofs": int(pm.layout.total), "applies": rows,
+    }
+    path = merge_results_json("BENCH_kernels.json", {"whole_apply": section})
+    print("\nwhole apply: " + ", ".join(
+        f"{row['precond']} {row['apply_us']:.0f} us, "
+        f"{row['compiled_calls']['gstrs']} sweeps + "
+        f"{row['compiled_calls']['csr_matvec']} products" for row in rows
+    ) + f"\n[written to {path}]")

@@ -230,7 +230,7 @@ def test_kernel_factor_tier_speedup():
         factor_cache.configure(enabled=True)
 
     doc = {
-        "schema": "repro.bench.kernels.v4",
+        "schema": "repro.bench.kernels.v5",
         "case": case.key,
         "nparts": 8,
         "block_n": n,

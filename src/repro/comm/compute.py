@@ -25,11 +25,12 @@ rounds are delivery opportunities like ghost exchanges) and emits one
 CPU seconds — the raw material for ``repro trace``'s per-rank attribution
 and the scaling bench's critical-path model (``docs/performance.md``).
 
-Env gates: ``REPRO_WORKER_COMPUTE=0`` disables the session entirely
-(multiprocess ranks fall back to validate-and-echo, the PR 7 behavior);
-``REPRO_WORKER_DOT=1`` additionally routes dot partials through the
-workers (off by default — partials are driver-local memory reads, and the
-fixed-order tree contract makes both transports bitwise equal anyway).
+Env gate: ``REPRO_WORKER_COMPUTE=0`` disables the session entirely
+(multiprocess ranks fall back to validate-and-echo, the PR 7 behavior).
+Inner products stay on the driver: their partials are driver-local memory
+reads, a pipe round costs a hundred times the BLAS call, and the
+fixed-order tree makes :meth:`WorkerCompute.dot_partials` bitwise equal
+anyway — it is kept for the rank-resident Krylov of ROADMAP item 3.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ from repro.resilience import errors as _errors
 
 #: disable worker-resident compute (fall back to driver compute)
 COMPUTE_ENV = "REPRO_WORKER_COMPUTE"
-#: opt dot partials into worker-side evaluation
-DOT_ENV = "REPRO_WORKER_DOT"
 
 #: per-attempt timeout floors (seconds): retry policies are tuned for
 #: microsecond echo traffic; a command that *computes* needs a window
@@ -78,10 +77,6 @@ def compute_enabled() -> bool:
     return os.environ.get(COMPUTE_ENV, "1").strip().lower() not in (
         "0", "off", "false", "no",
     )
-
-
-def dot_enabled() -> bool:
-    return os.environ.get(DOT_ENV, "").strip().lower() in ("1", "on", "true", "yes")
 
 
 def session(comm: Communicator) -> "WorkerCompute | None":
@@ -328,7 +323,12 @@ class WorkerCompute:
         return z
 
     def dot_partials(self, layout, x: np.ndarray, y: np.ndarray) -> list[float]:
-        """Per-rank partial inner products, worker-evaluated (opt-in)."""
+        """Per-rank partial inner products, evaluated in the rank processes.
+
+        No solver path calls this (see the module docstring); combined by
+        :func:`~repro.krylov.ops.fixed_tree_sum` the partials reproduce
+        :meth:`~repro.distributed.ops.DistributedOps.dot` bit for bit.
+        """
         payloads = {
             rank: pack_command(
                 OP_DOT_PARTIAL, {},

@@ -10,6 +10,7 @@ while preconditioners still see per-rank blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,20 +34,31 @@ class Layout:
     def total(self) -> int:
         return int(self.rank_ptr[-1])
 
-    @property
+    # a layout never changes, and inner products ask for both of these on
+    # every call: computed once (cached_property stores past the freeze)
+
+    @cached_property
     def sizes(self) -> np.ndarray:
-        return np.diff(self.rank_ptr)
+        sizes = np.diff(self.rank_ptr)
+        sizes.flags.writeable = False
+        return sizes
+
+    @cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """Every rank's block as a slice, in rank order."""
+        ptr = self.rank_ptr.tolist()
+        return tuple(slice(lo, hi) for lo, hi in zip(ptr, ptr[1:]))
 
     def local_slice(self, rank: int) -> slice:
-        return slice(int(self.rank_ptr[rank]), int(self.rank_ptr[rank + 1]))
+        return self.slices[rank]
 
     def local(self, x: np.ndarray, rank: int) -> np.ndarray:
         """Rank ``rank``'s block of distributed array ``x`` (a view)."""
-        return x[self.local_slice(rank)]
+        return x[self.slices[rank]]
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """All per-rank views of ``x``."""
-        return [self.local(x, r) for r in range(self.num_ranks)]
+        return [x[s] for s in self.slices]
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.total)

@@ -7,6 +7,13 @@ separately.  The production matvec is *fused*: one compiled scipy product on
 the permuted global matrix, charged with exactly the per-rank flop and
 message costs the explicit per-rank path incurs (``matvec_explicit`` realizes
 that path and is used by tests to prove equivalence).
+
+That is the one idiom of everything applied per iteration — **fused
+execution, per-rank cost**: what is block-diagonal over ranks (this
+operator's row blocks, the Ē couplings below, the subdomain factors in
+:mod:`repro.precond.local`, the Schur operators) is assembled once into one
+stacked operator that keeps every row's storage order, applied with one
+compiled call, and charged the per-rank flop vector of the loop it replaces.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from repro.comm import compute as worker_compute
 from repro.comm.communicator import Communicator
 from repro.factor.cache import FactorCache
 from repro.kernels import apply as apply_kernels
+from repro.distributed.layout import Layout
 from repro.distributed.partition_map import PartitionMap
 from repro.resilience.errors import NumericalFault
 from repro.sparse.blocksplit import BlockSplit, split_2x2
@@ -85,6 +93,17 @@ class DistributedMatrix:
                     "partition classification is inconsistent with the matrix"
                 )
             self.ghost_coupling.append(ensure_csr(ghost_part[sd.n_internal :]))
+
+        # the Ē blocks stacked, for the Schur operators' Σ_j E_ij y_j: only
+        # ranks that have ghost columns take part — a rank without any (P=1,
+        # a disconnected part) gets no "+ 0" that would turn a -0.0 into +0.0
+        self.coupled_ranks = [
+            r for r, g in enumerate(self.ghost_coupling) if g.shape[1]
+        ]
+        self._ghost_stack = apply_kernels.stack_csr(
+            [self.ghost_coupling[r] for r in self.coupled_ranks]
+        )
+        self._ghost_layout = Layout.from_sizes([len(sd.ghost) for sd in pm.subdomains])
 
         # fused operator: the permuted global matrix in distributed ordering
         self._fused = self._build_fused()
@@ -199,6 +218,29 @@ class DistributedMatrix:
                 n=int(y.size),
             )
         return y
+
+    def coupled_rows(self, layout: Layout) -> np.ndarray:
+        """Where :meth:`interface_coupling` lands in a vector of ``layout``
+        whose rank blocks each end with that rank's interface unknowns."""
+        ends = layout.rank_ptr[1:]
+        return np.concatenate([np.empty(0, dtype=np.int64)] + [
+            np.arange(ends[r] - self.pm.subdomains[r].n_interface, ends[r])
+            for r in self.coupled_ranks
+        ])
+
+    def interface_coupling(
+        self, comm: Communicator, owned: list[np.ndarray]
+    ) -> np.ndarray:
+        """Σ_j E_ij y_j for the interface rows of every coupled rank, stacked
+        in rank order (:attr:`coupled_ranks`): one interface exchange of the
+        ranks' ``owned`` interface values, one product.  The exchange is
+        charged here, the product's flops by the caller.
+        """
+        ghosts = self._ghost_layout.zeros()
+        self.pm.interface_pattern.exchange(
+            comm, owned, self._ghost_layout.split(ghosts)
+        )
+        return apply_kernels.csr_matvec(self._ghost_stack, ghosts)
 
     def matvec_explicit(self, comm: Communicator, x: np.ndarray) -> np.ndarray:
         """Per-rank matvec with an explicit ghost exchange (test/reference path)."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.comm import compute as worker_compute
 from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
 from repro.krylov.ops import fixed_tree_sum
@@ -27,6 +26,9 @@ class DistributedOps:
             raise ValueError("layout and communicator rank counts differ")
         self.comm = comm
         self.layout = layout
+        self._slices = layout.slices
+        # one multiply-add per entry: what a dot and an axpy both cost a rank
+        self._vector_flops = 2.0 * layout.sizes
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         """Global inner product (charges per-rank flops + one allreduce).
@@ -34,33 +36,25 @@ class DistributedOps:
         Evaluated as per-rank partials combined by the fixed-order pairwise
         tree (:func:`~repro.krylov.ops.fixed_tree_sum`) — the reduction
         order is a function of the rank count alone, so the result is
-        bitwise identical whether the partials come from driver-local
-        slices (the default) or from worker processes
-        (``REPRO_WORKER_DOT=1``), on any backend.  One rank short-circuits
-        to the historical whole-vector product.
+        bitwise identical on any backend, and would be wherever the
+        partials were computed
+        (:meth:`~repro.comm.compute.WorkerCompute.dot_partials`).  The
+        partials stay one BLAS ``ddot`` per rank slice: a whole-vector
+        product or ``np.add.reduceat`` would change bits.  One rank
+        short-circuits to the historical whole-vector product.
         """
-        self.comm.ledger.add_phase(2.0 * self.layout.sizes)
-        self.comm.ledger.add_allreduce(nbytes=8)
-        obs.event("comm.allreduce", bytes=8)
-        if self.layout.num_ranks == 1:
+        ledger = self.comm.ledger
+        ledger.add_phase(self._vector_flops)
+        ledger.add_allreduce(nbytes=8)
+        if obs.enabled():
+            obs.event("comm.allreduce", bytes=8)
+        if len(self._slices) == 1:
             return float(np.dot(x, y))
-        wc = (
-            worker_compute.session(self.comm)
-            if worker_compute.dot_enabled() else None
-        )
-        if wc is not None:
-            parts = wc.dot_partials(self.layout, x, y)
-        else:
-            parts = [
-                float(np.dot(x[self.layout.local_slice(r)],
-                             y[self.layout.local_slice(r)]))
-                for r in range(self.layout.num_ranks)
-            ]
-        return fixed_tree_sum(parts)
+        return fixed_tree_sum([np.dot(x[s], y[s]) for s in self._slices])
 
     def norm(self, x: np.ndarray) -> float:
         return float(np.sqrt(max(self.dot(x, x), 0.0)))
 
     def charge_local_axpy(self, count: int = 1) -> None:
         """Charge ``count`` vector updates (2 flops/entry, no communication)."""
-        self.comm.ledger.add_phase(2.0 * count * self.layout.sizes)
+        self.comm.ledger.add_phase(count * self._vector_flops)

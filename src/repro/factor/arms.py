@@ -23,6 +23,7 @@ from repro.factor.ilu0 import ilu0
 from repro.graph.adjacency import graph_from_matrix
 from repro.resilience.errors import FactorizationBreakdown
 from repro.graph.independent_sets import find_group_independent_sets
+from repro.kernels.apply import csr_matvec
 from repro.kernels.band import counts_to_indptr, csr_row_ids
 from repro.sparse.csr import drop_small
 from repro.sparse.reorder import apply_symmetric_permutation, inverse_permutation
@@ -197,19 +198,19 @@ class ArmsFactorization:
 
     def solve_d(self, f: np.ndarray) -> np.ndarray:
         """Exact solve with the block-diagonal grouped block D."""
-        return self.d_inv @ f
+        return csr_matvec(self.d_inv, f)
 
     def forward_eliminate(self, r_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Step 1: ĝ = g − Ẽ D^{-1} f.  Returns (f, ĝ) in ARMS order."""
         f, g = self.split(r_local)
         if self.n_grouped:
-            g = g - self.E @ self.solve_d(f)
+            g = g - csr_matvec(self.E, self.solve_d(f))
         return f, g
 
     def back_substitute(self, f: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Step 3: u = D^{-1}(f − F̃ y); returns the local vector in original order."""
         if self.n_grouped:
-            u = self.solve_d(f - self.F @ y)
+            u = self.solve_d(f - csr_matvec(self.F, y))
         else:
             u = f
         return self.join(u, y)

@@ -55,6 +55,9 @@ _ENV_VAR = "REPRO_KERNEL_TIER"
 BAND_MEM_CAP = 32 * 2**20
 
 _forced: str | None = None
+# the last REPRO_KERNEL_TIER value seen and what it parsed to: every
+# triangular solve asks, so the string is parsed once per distinct value
+_env_seen: tuple[str, str | None] = ("", None)
 
 
 def available_tiers() -> tuple[str, ...]:
@@ -75,9 +78,15 @@ def _checked(name: str | None) -> str | None:
 
 def get_tier() -> str | None:
     """The explicitly forced tier, or ``None`` under auto policy."""
+    global _env_seen
     if _forced is not None:
         return _forced
-    return _checked(os.environ.get(_ENV_VAR, "").strip().lower() or None)
+    raw = os.environ.get(_ENV_VAR)
+    if raw is None:
+        return None
+    if raw != _env_seen[0]:
+        _env_seen = (raw, _checked(raw.strip().lower() or None))
+    return _env_seen[1]
 
 
 def set_tier(name: str | None) -> None:

@@ -22,7 +22,15 @@ names and the same bit-compatibility contract:
 
 Matvec: scipy's compiled CSR product accumulates each row left-to-right
 into a scalar, matching ``applyspec.csr_matvec`` bitwise, so the numpy
-tier uses ``A @ x`` directly.
+tier calls that routine directly (:func:`compiled_matvec`: what ``A @ x``
+ends in, without the operator dispatch in front of it).
+
+Everything that is block-diagonal over ranks — the subdomain factors, the
+Schur blocks — is applied *stacked*: :func:`stack_csr` concatenates the
+per-rank triangles into one operator and one :class:`UnitSweeps` /
+one product serves all ranks.  Stacking keeps every row's storage order
+and every unknown's multiply-subtract sequence, so the bits cannot move;
+the probe runs once per stacked sweep.
 
 All sweeps here solve *unit* triangles.  Non-unit diagonals are handled by
 the factor objects (column-scale the strict triangle by ``invd`` at
@@ -32,30 +40,42 @@ both tiers share one elementwise scaling and the sweeps never divide.
 
 from __future__ import annotations
 
+import importlib
+from typing import Sequence
+
 import numpy as np
 import scipy.sparse as sp
 
-from repro import obs
+from repro import kernels, obs  # kernels: mid-import here, used at call time only
 
 from . import applyspec
+from .band import counts_to_indptr
 
 # SuperLU's index arrays are C ints; fall back rather than overflow
 _INTC_MAX = np.iinfo(np.intc).max
 
-_superlu_state: dict[str, object] = {"loaded": False, "mod": None}
+_compiled: dict[str, object] = {}
+
+
+def _compiled_module(path: str, entry: str):
+    """A private compiled scipy module that still has ``entry``, or ``None``."""
+    if path not in _compiled:
+        try:
+            mod = importlib.import_module(path)
+            _compiled[path] = mod if hasattr(mod, entry) else None
+        except Exception:
+            _compiled[path] = None
+    return _compiled[path]
 
 
 def _superlu():
     """scipy's private compiled SuperLU module, or ``None``."""
-    if not _superlu_state["loaded"]:
-        _superlu_state["loaded"] = True
-        try:
-            from scipy.sparse.linalg._dsolve import _superlu as mod
+    return _compiled_module("scipy.sparse.linalg._dsolve._superlu", "gstrs")
 
-            _superlu_state["mod"] = mod if hasattr(mod, "gstrs") else None
-        except Exception:
-            _superlu_state["mod"] = None
-    return _superlu_state["mod"]
+
+def _sparsetools():
+    """scipy's private compiled sparse-kernel module, or ``None``."""
+    return _compiled_module("scipy.sparse._sparsetools", "csr_matvec")
 
 
 def superlu_available() -> bool:
@@ -70,8 +90,6 @@ def resolve_tier() -> str:
     setting pins the entire solve.  The compiled kernels carry no setup
     cost, so auto policy never picks the interpreted loops.
     """
-    from repro import kernels
-
     return kernels.get_tier() or "numpy"
 
 
@@ -197,7 +215,60 @@ class UnitSweeps:
         return x
 
 
+# -- rank stacking -------------------------------------------------------------
+
+
+def stack_csr(blocks: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
+    """The block-diagonal CSR matrix of ``blocks``, by array concatenation.
+
+    Blocks may be rectangular or empty.  Every row keeps its entries in the
+    storage order it had (column indices are shifted, nothing is sorted or
+    summed), so a product or sweep with the stack runs, row by row, the
+    arithmetic of the per-block loop it replaces.  No COO round trip
+    (``sp.block_diag``): set-up calls this for every stacked operator.
+    """
+    entry_ptr = counts_to_indptr(np.asarray([b.nnz for b in blocks], dtype=np.int64))
+    col_ptr = counts_to_indptr(np.asarray([b.shape[1] for b in blocks], dtype=np.int64))
+    indptr = np.concatenate(
+        [np.zeros(1, dtype=np.int64)]
+        + [b.indptr[1:] + lo for b, lo in zip(blocks, entry_ptr)]
+    )
+    indices = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [b.indices + lo for b, lo in zip(blocks, col_ptr)]
+    )
+    data = np.concatenate([np.empty(0)] + [b.data for b in blocks])
+    return sp.csr_matrix(
+        (data, indices, indptr), shape=(len(indptr) - 1, int(col_ptr[-1]))
+    )
+
+
 # -- matvec -------------------------------------------------------------------
+
+
+def compiled_matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``y = A x`` by scipy's compiled CSR routine, called directly.
+
+    ``A @ x`` ends in exactly this call (``_sparsetools.csr_matvec`` into
+    a zeroed output); what is skipped is the operator dispatch in front of
+    it, which costs more than the product on subdomain-sized blocks.
+    Anything but a float64 CSR matrix times a float64 1-D array of the
+    right length — or a scipy whose private module moved — takes ``A @ x``.
+    """
+    mod = _sparsetools()
+    m, n = a.shape
+    if (
+        mod is None
+        or x.__class__ is not np.ndarray
+        or x.shape != (n,)
+        or x.dtype != np.float64
+        or a.format != "csr"
+        or a.data.dtype != np.float64
+    ):
+        return a @ x
+    y = np.zeros(m)
+    mod.csr_matvec(m, n, a.indptr, a.indices, a.data, x, y)
+    return y
 
 
 def csr_matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -205,10 +276,13 @@ def csr_matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
     scipy's compiled CSR product performs each row's accumulation
     left-to-right into a scalar, exactly the spec's order, so the numpy
-    tier is the library call itself; the reference tier runs the spec loop.
+    tier is the library routine itself; the reference tier runs the spec
+    loop.  Every hot-path product (the distributed matvec, the Schur
+    operators, the inner solves) enters here, so forcing a tier pins all
+    of them.
     """
     if resolve_tier() == "numpy":
-        return a @ x
+        return compiled_matvec(a, x)
     xf = np.ascontiguousarray(x, dtype=np.float64)
     y = np.empty(a.shape[0], dtype=np.float64)
     return applyspec.csr_matvec(a.indptr, a.indices, a.data, xf, y)

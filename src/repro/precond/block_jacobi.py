@@ -20,9 +20,10 @@ import scipy.sparse as sp
 from repro import obs
 from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
-from repro.factor.base import ILUFactorization
+from repro.factor.base import ILUFactorization, solve_permuted
 from repro.graph.adjacency import graph_from_matrix
 from repro.graph.rcm import reverse_cuthill_mckee
+from repro.kernels.apply import csr_matvec
 from repro.krylov.fgmres import fgmres
 from repro.krylov.ops import CountingOps
 from repro.precond.base import ParallelPreconditioner
@@ -125,16 +126,17 @@ class BlockPreconditioner(ParallelPreconditioner):
             for rank in range(self.comm.size):
                 loc = self.pm.layout.local_slice(rank)
                 a_own = self.dmat.owned_square[rank]
-                fac = self.factors[rank]
+                fac, perm = self.factors[rank], self.local_solver.perms[rank]
                 counter = CountingOps(a_own.shape[0])
 
                 def apply_a(v, a=a_own, c=counter):
                     c.add(2.0 * a.nnz)
-                    return a @ v
+                    return csr_matvec(a, v)
 
-                def apply_m(v, f=fac, c=counter):
+                # the operator is in natural order, the factor in ``perm`` order
+                def apply_m(v, f=fac, p=perm, c=counter):
                     c.add(f.solve_flops())
-                    return f.solve(v)
+                    return solve_permuted(f, p, v)
 
                 res = fgmres(
                     apply_a,

@@ -4,8 +4,13 @@ Every preconditioner of the paper factors one independent block per
 subdomain and then solves with it.  *Where* is decided here, once per
 preconditioner, from the communicator — never by a caller or a user:
 
-* **driver** — one block after another, in rank order, in the calling
-  thread (simulated ranks, or ``REPRO_WORKER_COMPUTE=0``);
+* **driver** — in the calling thread (simulated ranks, or
+  ``REPRO_WORKER_COMPUTE=0``): set-up one block after another in rank
+  order; the solves *fused* — the idiom of
+  :class:`~repro.distributed.matrix.DistributedMatrix`, fused execution at
+  full distributed cost.  The ranks' factors are one block-diagonal pair of
+  triangles, so one compiled sweep serves all ranks with the bits of the
+  per-rank loop, and the caller charges the per-rank flops;
 * **worker** — inside the rank processes of a real backend
   (:func:`repro.comm.compute.session`): every rank eliminates and sweeps
   its own block, concurrently, with no shared interpreter.  Set-up under an
@@ -31,9 +36,10 @@ from repro.comm import compute as worker_compute
 from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
 from repro.factor import cache as factor_cache
-from repro.factor.base import ILUFactorization, solve_permuted
+from repro.factor.base import ILUFactorization
 from repro.factor.ilu0 import _check_breakdown, ilu0
 from repro.factor.ilut import ilut
+from repro.sparse.triangular import FusedLU
 
 
 def _factor(
@@ -76,6 +82,9 @@ class LocalSolver:
             for r, a in enumerate(matrices)
         }
         self._session = worker_compute.session(comm)
+        # the driver route's rank-stacked sweep, built at the first solve
+        self._fused: FusedLU | None = None
+        self._perm: np.ndarray | None = None
         in_ranks = self._session is not None and faults.active() is None
         self.where = "worker" if in_ranks else "driver"
         if in_ranks:
@@ -130,19 +139,34 @@ class LocalSolver:
                     cache.put(self.keys[r], factors[r])
         return [factors[r] for r in range(len(matrices))]
 
+    def _stack(self, layout: Layout) -> None:
+        """All ranks' factors as one fused pair, and (RCM) the orders they
+        were built in as one permutation of the distributed vector."""
+        self._fused = FusedLU.stacked(
+            [f.L for f in self.factors], [f.U for f in self.factors]
+        )
+        if any(p is not None for p in self.perms):
+            self._perm = np.concatenate([
+                lo + (np.arange(f.n) if p is None else p)
+                for lo, f, p in zip(layout.rank_ptr, self.factors, self.perms)
+            ])
+
     def solve(self, layout: Layout, r: np.ndarray) -> np.ndarray:
         """``z_r = (L_r U_r)^{-1} r_r`` on every rank's slice of ``layout``.
 
-        In the ranks the sweeps run the exact
-        :meth:`ILUFactorization.solve` path on the resident factor, so the
-        assembled z is bitwise equal to the driver loop.
+        On the driver all ranks solve in one sweep over the stacked
+        triangles; in the ranks each runs
+        :func:`~repro.factor.base.solve_permuted` on its resident factor.
+        Either way the assembled z is bitwise equal to solving rank by rank.
         """
         session = self._session
         if session is None:
+            if self._fused is None:
+                self._stack(layout)
+            if self._perm is None:
+                return self._fused.solve(r)
             z = np.empty_like(r)
-            for rank, fac in enumerate(self.factors):
-                loc = layout.local_slice(rank)
-                z[loc] = solve_permuted(fac, self.perms[rank], r[loc])
+            z[self._perm] = self._fused.solve(r[self._perm])
             return z
         # a no-op on the steady path: after set-up in the ranks, or after
         # the first solve, every (rank, key) is in the session's shipped set

@@ -15,6 +15,15 @@ Algorithm 2.1 with the following realizations:
 
 Inner iteration counts vary the operator, so the outer accelerator must be
 FGMRES.
+
+Execution is fused, cost is per rank (the
+:class:`~repro.distributed.matrix.DistributedMatrix` idiom): the step-2
+operator and its preconditioner are block-diagonal over ranks, so F, E, C, Ē
+and the (L_B, U_B) / (L_S, U_S) pairs are stacked once at set-up and one
+S-matvec is three products, one sweep and one exchange whatever P is — with
+the bits of the per-rank loop, and its per-rank flops charged as a constant.
+Steps 1 and 3 stay one inner FGMRES per rank: their iterations stop rank by
+rank (docs/performance.md §9).
 """
 
 from __future__ import annotations
@@ -27,12 +36,14 @@ from repro.distributed.matrix import DistributedMatrix
 from repro.distributed.ops import DistributedOps
 from repro.factor.ilut import ilut
 from repro.factor.schur_extract import SchurBlocks, extract_schur_blocks
+from repro.kernels.apply import csr_matvec, stack_csr
 from repro.krylov.fgmres import fgmres
 from repro.krylov.gmres import gmres
 from repro.krylov.ops import CountingOps
 from repro.precond.base import ParallelPreconditioner
 from repro.precond.block_jacobi import estimate_ilu_setup_flops
 from repro.resilience.errors import InnerSolveDivergence
+from repro.sparse.triangular import FusedLU
 
 
 class Schur1Preconditioner(ParallelPreconditioner):
@@ -77,6 +88,24 @@ class Schur1Preconditioner(ParallelPreconditioner):
         self._ifc_layout = self.pm.interface_layout
         self._ifc_ops = DistributedOps(comm, self._ifc_layout)
 
+        # the step-2 operators of all ranks, stacked
+        blocks, sbs = dmat.blocks, self.schur_blocks
+        self._F = stack_csr([b.F for b in blocks])
+        self._E = stack_csr([b.E for b in blocks])
+        self._C = stack_csr([b.C for b in blocks])
+        self._solve_b = FusedLU.stacked([s.LB for s in sbs], [s.UB for s in sbs])
+        self._solve_s = FusedLU.stacked([s.LS for s in sbs], [s.US for s in sbs])
+        self._coupled_rows = dmat.coupled_rows(self._ifc_layout)
+        # ... and what the ranks are charged for them, product by product
+        self._b_flops = [2.0 * b.B.nnz for b in blocks]
+        self._e_flops = [2.0 * b.E.nnz for b in blocks]
+        self._f_flops = [2.0 * b.F.nnz for b in blocks]
+        self._matvec_flops = np.asarray([
+            2.0 * (b.F.nnz + b.C.nnz + b.E.nnz + g.nnz) + s.solve_b_flops()
+            for b, g, s in zip(blocks, dmat.ghost_coupling, sbs)
+        ])
+        self._precond_flops = np.asarray([s.solve_s_flops() for s in sbs])
+
     # -- subdomain-local approximate B solve (steps 1 and 3) -----------------
 
     def _solve_b_gmres(self, rank: int, f: np.ndarray, counter: CountingOps) -> np.ndarray:
@@ -87,13 +116,15 @@ class Schur1Preconditioner(ParallelPreconditioner):
         if b_mat.shape[0] == 0:
             return np.empty(0)
 
-        def apply_a(v, a=b_mat, c=counter):
-            c.add(2.0 * a.nnz)
-            return a @ v
+        a_flops, m_flops = self._b_flops[rank], sb.solve_b_flops()
 
-        def apply_m(v, s=sb, c=counter):
-            c.add(s.solve_b_flops())
-            return s.solve_b(v)
+        def apply_a(v):
+            counter.add(a_flops)
+            return csr_matvec(b_mat, v)
+
+        def apply_m(v):
+            counter.add(m_flops)
+            return sb.solve_b(v)
 
         res = fgmres(
             apply_a,
@@ -116,40 +147,18 @@ class Schur1Preconditioner(ParallelPreconditioner):
 
     def _schur_matvec(self, y: np.ndarray) -> np.ndarray:
         """(S y)_i = C_i y_i − E_i B̃_i^{-1} F_i y_i + Σ_j E_ij y_j."""
-        pm = self.pm
-        owned = self._ifc_layout.split(y)
-        ghosts = [np.zeros(len(sd.ghost)) for sd in pm.subdomains]
-        pm.interface_pattern.exchange(self.comm, owned, ghosts)
-
-        out = np.empty_like(y)
-        flops = np.zeros(self.comm.size)
-        for r in range(self.comm.size):
-            blocks = self.dmat.blocks[r]
-            sb = self.schur_blocks[r]
-            yi = owned[r]
-            t = blocks.F @ yi
-            s = sb.solve_b(t)  # one ILU pass approximates B_i^{-1}
-            v = blocks.C @ yi - blocks.E @ s
-            ghost_mat = self.dmat.ghost_coupling[r]
-            if ghost_mat.shape[1]:
-                v = v + ghost_mat @ ghosts[r]
-            self._ifc_layout.local(out, r)[:] = v
-            flops[r] = (
-                2.0 * (blocks.F.nnz + blocks.C.nnz + blocks.E.nnz + ghost_mat.nnz)
-                + sb.solve_b_flops()
-            )
-        self.comm.ledger.add_phase(flops)
+        coupling = self.dmat.interface_coupling(self.comm, self._ifc_layout.split(y))
+        # one ILU pass approximates every B_i^{-1}
+        s = self._solve_b.solve(csr_matvec(self._F, y))
+        out = csr_matvec(self._C, y) - csr_matvec(self._E, s)
+        out[self._coupled_rows] += coupling
+        self.comm.ledger.add_phase(self._matvec_flops)
         return out
 
     def _schur_precond(self, g: np.ndarray) -> np.ndarray:
         """Block Jacobi on S: independent (L_S, U_S) solves per subdomain."""
-        out = np.empty_like(g)
-        flops = np.zeros(self.comm.size)
-        for r in range(self.comm.size):
-            sb = self.schur_blocks[r]
-            self._ifc_layout.local(out, r)[:] = sb.solve_s(self._ifc_layout.local(g, r))
-            flops[r] = sb.solve_s_flops()
-        self.comm.ledger.add_phase(flops)
+        out = self._solve_s.solve(g)
+        self.comm.ledger.add_phase(self._precond_flops)
         return out
 
     def _solve_schur_system(self, ghat: np.ndarray) -> np.ndarray:
@@ -188,9 +197,9 @@ class Schur1Preconditioner(ParallelPreconditioner):
                 f_parts.append(f_i)
                 counter = CountingOps(max(sd.n_internal, 1))
                 w = self._solve_b_gmres(rank, f_i, counter)
-                blocks = self.dmat.blocks[rank]
-                self._ifc_layout.local(ghat, rank)[:] = g_i - blocks.E @ w
-                counter.add(2.0 * blocks.E.nnz)
+                e_mat = self.dmat.blocks[rank].E
+                self._ifc_layout.local(ghat, rank)[:] = g_i - csr_matvec(e_mat, w)
+                counter.add(self._e_flops[rank])
                 flops[rank] = counter.flops
             self.comm.ledger.add_phase(flops)
 
@@ -202,11 +211,10 @@ class Schur1Preconditioner(ParallelPreconditioner):
         flops = np.zeros(self.comm.size)
         with obs.span("schur.back"):
             for rank, sd in enumerate(pm.subdomains):
-                blocks = self.dmat.blocks[rank]
                 y_i = self._ifc_layout.local(y, rank)
                 counter = CountingOps(max(sd.n_internal, 1))
-                rhs = f_parts[rank] - blocks.F @ y_i
-                counter.add(2.0 * blocks.F.nnz)
+                rhs = f_parts[rank] - csr_matvec(self.dmat.blocks[rank].F, y_i)
+                counter.add(self._f_flops[rank])
                 u_i = self._solve_b_gmres(rank, rhs, counter)
                 loc = pm.layout.local(z, rank)
                 loc[: sd.n_internal] = u_i

@@ -13,6 +13,11 @@ unknowns visible to neighbors are the interdomain-interface ones (group and
 local-interface unknowns never couple across subdomains), so the Σ E_ij y_j
 term reuses the interface exchange pattern, scattered into the trailing
 (interdomain) slice of each expanded block.
+
+Step 2 executes fused and is charged per rank, as in Schur 1: the Ŝ_i and
+their ILU(0) pairs are stacked once at set-up, so one expanded matvec is two
+products and one exchange, one ``block`` preconditioning one sweep.  The ARMS
+cascades of steps 1 and 3 stay per rank (docs/performance.md §9).
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ from repro.distributed.layout import Layout
 from repro.distributed.matrix import DistributedMatrix
 from repro.distributed.ops import DistributedOps
 from repro.factor.arms import ArmsFactorization
+from repro.kernels.apply import csr_matvec, stack_csr
 from repro.krylov.gmres import gmres
 from repro.precond.base import ParallelPreconditioner
 from repro.resilience.errors import InnerSolveDivergence
+from repro.sparse.triangular import FusedLU
 
 
 class Schur2Preconditioner(ParallelPreconditioner):
@@ -100,8 +107,26 @@ class Schur2Preconditioner(ParallelPreconditioner):
         self._exp_layout = Layout.from_sizes([f.final_n_expanded for f in self.arms])
         self._exp_ops = DistributedOps(comm, self._exp_layout)
 
+        # the expanded Schur operator of all ranks, stacked, and its cost
+        finals = [f.final for f in self.arms]
+        self._s_hat = stack_csr([f.s_hat for f in finals])
+        self._coupled_rows = dmat.coupled_rows(self._exp_layout)
+        # neighbors only ever see the interdomain-interface slice
+        self._ifc_slices = [
+            slice(s.stop - sd.n_interface, s.stop)
+            for s, sd in zip(self._exp_layout.slices, self.pm.subdomains)
+        ]
+        self._matvec_flops = np.asarray([
+            2.0 * (f.s_hat.nnz + g.nnz) for f, g in zip(finals, dmat.ghost_coupling)
+        ])
+
         self._global_fac = None
-        if global_ilu == "global":
+        if global_ilu == "block":
+            # an empty expanded block has no factor and nothing to solve
+            ilus = [f.s_ilu for f in finals if f.s_ilu is not None]
+            self._solve_s = FusedLU.stacked([f.L for f in ilus], [f.U for f in ilus])
+            self._precond_flops = np.asarray([f.solve_s_flops() for f in finals])
+        else:
             s_global = self._assemble_global_expanded()
             from repro.factor.ilu0 import ilu0 as _ilu0
 
@@ -162,27 +187,12 @@ class Schur2Preconditioner(ParallelPreconditioner):
 
     def _expanded_matvec(self, y: np.ndarray) -> np.ndarray:
         """(Ŝ y)_i = Ŝ_i y_i + Σ_j E_ij y_j (interdomain rows only)."""
-        pm = self.pm
-        # neighbors only ever see the interdomain-interface slice
-        ifc_views = [
-            self._exp_layout.local(y, r)[self.arms[r].final_n_local_interface :]
-            for r in range(self.comm.size)
-        ]
-        ghosts = [np.zeros(len(sd.ghost)) for sd in pm.subdomains]
-        pm.interface_pattern.exchange(self.comm, ifc_views, ghosts)
-
-        out = np.empty_like(y)
-        flops = np.zeros(self.comm.size)
-        for r in range(self.comm.size):
-            fac = self.arms[r]
-            yi = self._exp_layout.local(y, r)
-            v = fac.final_s_hat @ yi
-            ghost_mat = self.dmat.ghost_coupling[r]
-            if ghost_mat.shape[1]:
-                v[fac.final_n_local_interface :] += ghost_mat @ ghosts[r]
-            self._exp_layout.local(out, r)[:] = v
-            flops[r] = 2.0 * (fac.final_s_hat.nnz + ghost_mat.nnz)
-        self.comm.ledger.add_phase(flops)
+        coupling = self.dmat.interface_coupling(
+            self.comm, [y[s] for s in self._ifc_slices]
+        )
+        out = csr_matvec(self._s_hat, y)
+        out[self._coupled_rows] += coupling
+        self.comm.ledger.add_phase(self._matvec_flops)
         return out
 
     def _expanded_precond(self, g: np.ndarray) -> np.ndarray:
@@ -198,15 +208,8 @@ class Schur2Preconditioner(ParallelPreconditioner):
                 bytes_per_rank=2.0 * pat.bytes_per_rank,
             )
             return z
-        out = np.empty_like(g)
-        flops = np.zeros(self.comm.size)
-        for r in range(self.comm.size):
-            fac = self.arms[r]
-            self._exp_layout.local(out, r)[:] = fac.final_solve_s_ilu(
-                self._exp_layout.local(g, r)
-            )
-            flops[r] = fac.final.solve_s_flops()
-        self.comm.ledger.add_phase(flops)
+        out = self._solve_s.solve(g)
+        self.comm.ledger.add_phase(self._precond_flops)
         return out
 
     def _solve_expanded_system(self, ghat: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from repro import obs
 from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
 from repro.graph.geometric import factor_processor_count
+from repro.kernels.apply import csr_matvec
 from repro.krylov.cg import cg
 from repro.krylov.ops import CountingOps
 from repro.mesh.mesh import Mesh
@@ -68,7 +69,7 @@ class _OverlappedBox:
 
         def apply_a(v, a=self.a_loc, c=counter):
             c.add(2.0 * a.nnz)
-            return a @ v
+            return csr_matvec(a, v)
 
         def apply_m(v, f=self.fft, c=counter):
             c.add(f.flops())

@@ -18,10 +18,12 @@ tier.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import scipy.sparse as sp
 
-from repro.kernels.apply import UnitSweeps
+from repro.kernels.apply import UnitSweeps, stack_csr
 from repro.utils.validation import ensure_csr
 
 
@@ -94,6 +96,52 @@ class TriangularFactor:
     def flops(self) -> int:
         """Floating-point operation count of one solve (for the perf model)."""
         return 2 * self.strict.nnz + (0 if self.diag is None else self.n)
+
+    @classmethod
+    def stacked(cls, factors: Sequence["TriangularFactor"], lower: bool) -> "TriangularFactor":
+        """The block-diagonal factor of ``factors`` (one per rank, all of
+        orientation ``lower``, all unit-diagonal or none).
+
+        Blocks do not couple, so a sweep over the stack performs, unknown by
+        unknown, the multiply-subtract sequence of the per-block sweeps: one
+        compiled call instead of one per rank, the same bits.
+        """
+        unit = all(t.diag is None for t in factors)
+        diag = None if unit else np.concatenate([np.empty(0)] + [t.diag for t in factors])
+        return cls(stack_csr([t.strict for t in factors]), diag, lower=lower)
+
+
+class FusedLU:
+    """``(L U)^{-1}`` for a unit-lower / upper pair: one fused sweep, one scaling.
+
+    What :meth:`repro.factor.base.ILUFactorization.solve` does, for any pair
+    of prepared triangles — the Schur blocks of a subdomain ILU, or the
+    rank-stacked triangles of a whole preconditioner
+    (:meth:`stacked`).  Bit-compatible with ``upper.solve(lower.solve(b))``.
+    """
+
+    def __init__(self, lower: TriangularFactor, upper: TriangularFactor) -> None:
+        if lower.diag is not None:
+            raise ValueError("the lower factor of a fused sweep must be unit-diagonal")
+        self.n = lower.n
+        self.sweeps = UnitSweeps(lower.n, lower.scaled, upper.scaled)
+        self.invd = upper.invd
+
+    @classmethod
+    def stacked(
+        cls, lowers: Sequence[TriangularFactor], uppers: Sequence[TriangularFactor]
+    ) -> "FusedLU":
+        """All ranks' pairs as one block-diagonal pair."""
+        return cls(
+            TriangularFactor.stacked(lowers, lower=True),
+            TriangularFactor.stacked(uppers, lower=False),
+        )
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = self.sweeps.solve(b)
+        if self.invd is not None:
+            x = x * self.invd
+        return x
 
 
 def _split_strict(a: sp.csr_matrix, lower: bool) -> tuple[sp.csr_matrix, np.ndarray]:

@@ -14,6 +14,7 @@ from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
 from repro.distributed.ops import DistributedOps
 from repro.factor.ilu0 import ilu0
+from repro.krylov.ops import fixed_tree_sum
 
 
 def _factor_entry(key: str, n: int):
@@ -51,12 +52,6 @@ class TestSessionGating:
         assert wc is not None
         assert compute.session(mp_comm) is wc
         assert wc.backend is mp_comm.backend
-
-    def test_dot_partials_are_opt_in(self, monkeypatch):
-        monkeypatch.delenv(compute.DOT_ENV, raising=False)
-        assert not compute.dot_enabled()
-        monkeypatch.setenv(compute.DOT_ENV, "1")
-        assert compute.dot_enabled()
 
 
 class TestShipOnce:
@@ -113,17 +108,23 @@ class TestBitwiseParity:
                              y[layout.local_slice(r)])) for r in range(2)]
         assert parts == want
 
-    def test_distributed_dot_identical_either_transport(self, mp_comm,
-                                                        monkeypatch):
+    def test_distributed_dot_identical_either_transport(self, mp_comm):
         layout = Layout.from_sizes([5, 8])
         ops = DistributedOps(mp_comm, layout)
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal(13), rng.standard_normal(13)
-        monkeypatch.delenv(compute.DOT_ENV, raising=False)
         local = ops.dot(x, y)
-        monkeypatch.setenv(compute.DOT_ENV, "1")
-        shipped = ops.dot(x, y)
+        shipped = fixed_tree_sum(compute.session(mp_comm).dot_partials(layout, x, y))
         assert local == shipped  # bitwise: same partials, same tree
+
+    def test_distributed_dot_never_leaves_the_driver(self, mp_comm, monkeypatch):
+        """No gate routes an 8 µs reduction through a pipe round."""
+        monkeypatch.setenv("REPRO_WORKER_DOT", "1")
+        wc = compute.session(mp_comm)
+        monkeypatch.setattr(wc, "dot_partials", None)
+        ops = DistributedOps(mp_comm, Layout.from_sizes([5, 8]))
+        x = np.arange(13.0)
+        assert ops.dot(x, x) == float(np.dot(x[:5], x[:5])) + float(np.dot(x[5:], x[5:]))
 
 
 class TestRequestMany:

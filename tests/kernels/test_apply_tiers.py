@@ -17,6 +17,7 @@ from repro.factor.ilut import ilut
 from repro.kernels import apply as apply_kernels
 from repro.kernels import applyspec
 from repro.sparse.triangular import TriangularFactor
+from repro.utils.validation import ensure_csr
 
 
 def _test_matrix(n=300, seed=7):
@@ -89,6 +90,104 @@ class TestMatvecTiers:
         y = np.empty(4)
         applyspec.csr_matvec(a.indptr, a.indices, a.data, np.ones(4), y)
         assert np.array_equal(y, np.zeros(4))
+
+
+class TestCompiledMatvec:
+    """The raw routine is ``A @ x`` minus the dispatch, or it is ``A @ x``."""
+
+    def test_is_the_routine_scipy_ends_in(self, rng, monkeypatch):
+        a = _test_matrix(seed=41)
+        x = rng.standard_normal(a.shape[0])
+        calls = []
+        real = apply_kernels._sparsetools()
+
+        class Spy:
+            def csr_matvec(self, *args):
+                calls.append(args[:2])
+                return real.csr_matvec(*args)
+
+        monkeypatch.setattr(apply_kernels, "_sparsetools", lambda: Spy())
+        assert np.array_equal(apply_kernels.compiled_matvec(a, x), a @ x)
+        assert calls == [a.shape]
+
+    @pytest.mark.parametrize("make_x", [
+        pytest.param(lambda n: np.ones(n, dtype=np.float32), id="float32"),
+        pytest.param(lambda n: np.ones((n, 2)), id="2-D"),
+        pytest.param(lambda n: np.ones(n, dtype=np.int64), id="integers"),
+        pytest.param(lambda n: [1.0] * n, id="list"),
+    ])
+    def test_anything_else_takes_the_operator(self, monkeypatch, make_x):
+        class Untouchable:
+            def csr_matvec(self, *args):
+                raise AssertionError("raw routine called on input it cannot take")
+
+        monkeypatch.setattr(apply_kernels, "_sparsetools", lambda: Untouchable())
+        a = _test_matrix(n=20, seed=43)
+        x = make_x(20)
+        got = apply_kernels.compiled_matvec(a, x)
+        assert got.dtype == (a @ x).dtype and np.array_equal(got, a @ x)
+
+    def test_other_formats_and_a_moved_module_take_the_operator(self, rng, monkeypatch):
+        a = _test_matrix(n=20, seed=47)
+        x = rng.standard_normal(20)
+        assert np.array_equal(apply_kernels.compiled_matvec(a.tocsc(), x), a @ x)
+        monkeypatch.setattr(apply_kernels, "_sparsetools", lambda: None)
+        assert np.array_equal(apply_kernels.compiled_matvec(a, x), a @ x)
+
+    def test_wrong_length_is_scipys_error_not_an_overrun(self):
+        a = _test_matrix(n=20, seed=53)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_kernels.compiled_matvec(a, np.ones(19))
+
+    def test_empty_shapes(self):
+        for shape in [(0, 0), (3, 0), (0, 3)]:
+            y = apply_kernels.compiled_matvec(sp.csr_matrix(shape), np.ones(shape[1]))
+            assert y.shape == (shape[0],) and not y.any()
+
+
+def _canonical_blocks(rng, shapes):
+    return [
+        ensure_csr(sp.random(m, n, 0.4, random_state=int(rng.integers(2**31)), format="csr"))
+        for m, n in shapes
+    ]
+
+
+class TestStackCsr:
+    @pytest.mark.parametrize("shapes", [
+        pytest.param([(4, 4), (6, 6), (1, 1)], id="square"),
+        pytest.param([(3, 5), (4, 2)], id="rectangular"),
+        pytest.param([(3, 3), (0, 0), (2, 2)], id="empty block"),
+        pytest.param([(0, 4), (3, 0), (2, 2)], id="no rows, no columns"),
+        pytest.param([(5, 5)], id="one block"),
+    ])
+    def test_equals_block_diag(self, rng, shapes):
+        blocks = _canonical_blocks(rng, shapes)
+        got = apply_kernels.stack_csr(blocks)
+        want = ensure_csr(sp.block_diag(blocks).tocsr())
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+    def test_no_blocks(self):
+        got = apply_kernels.stack_csr([])
+        assert got.shape == (0, 0) and got.nnz == 0
+
+    def test_rows_keep_their_storage_order_and_explicit_zeros(self):
+        # unsorted columns and a stored zero: a canonicalising stack would
+        # change the order a product accumulates a row in
+        a = sp.csr_matrix(
+            (np.array([1.0, 0.0, -2.0]), np.array([2, 0, 1]), np.array([0, 3])), shape=(1, 3)
+        )
+        got = apply_kernels.stack_csr([a, a])
+        assert got.indices.tolist() == [2, 0, 1, 5, 3, 4]
+        assert got.data.tolist() == [1.0, 0.0, -2.0, 1.0, 0.0, -2.0]
+
+    def test_product_is_the_per_block_products(self, rng):
+        blocks = _canonical_blocks(rng, [(4, 3), (0, 2), (5, 5)])
+        xs = [rng.standard_normal(b.shape[1]) for b in blocks]
+        got = apply_kernels.csr_matvec(apply_kernels.stack_csr(blocks), np.concatenate(xs))
+        assert np.array_equal(got, np.concatenate([b @ x for b, x in zip(blocks, xs)]))
 
 
 class _FlippedGstrs:

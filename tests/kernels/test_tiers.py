@@ -237,6 +237,39 @@ class TestDispatchPolicy:
         with pytest.raises(ValueError, match="unknown kernel tier"):
             kernels.resolve(1000, require_reference=True)
 
+    def test_unset_env_var_costs_a_lookup_not_an_import_or_a_parse(self, monkeypatch):
+        """Every triangular solve asks for the tier."""
+        import builtins
+
+        from repro.kernels import apply as apply_kernels
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the tier check imported or parsed")
+
+        monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
+        monkeypatch.setattr(kernels, "_checked", boom)
+        monkeypatch.setattr(builtins, "__import__", boom)
+        assert apply_kernels.resolve_tier() == "numpy"
+
+    def test_env_var_is_parsed_once_per_value_and_changes_are_honoured(self, monkeypatch):
+        from repro.kernels import apply as apply_kernels
+
+        parsed = []
+        checked = kernels._checked
+        monkeypatch.setattr(
+            kernels, "_checked", lambda name: parsed.append(name) or checked(name)
+        )
+        monkeypatch.setenv("REPRO_KERNEL_TIER", " Reference ")
+        assert [apply_kernels.resolve_tier() for _ in range(3)] == ["reference"] * 3
+        assert parsed == ["reference"]
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "numpy")
+        assert apply_kernels.resolve_tier() == "numpy"
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
+        assert apply_kernels.resolve_tier() == "reference"
+        assert parsed == ["reference", "numpy", "reference"]
+        monkeypatch.delenv("REPRO_KERNEL_TIER")
+        assert kernels.get_tier() is None
+
     def test_set_tier_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel tier"):
             kernels.set_tier("gpu")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro import CASE_BUILDERS, solve_case
 from repro.comm.communicator import Communicator
 from repro.krylov.fgmres import fgmres
 from repro.precond.block_jacobi import BlockPreconditioner, block1, block2, block_krylov
@@ -65,6 +66,39 @@ class TestBlockPreconditioners:
         bd = pm.to_distributed(rhs)
         res = fgmres(lambda v: dmat.matvec(comm, v), bd, apply_m=M.apply, rtol=1e-6, maxiter=300)
         assert res.converged
+
+    def test_block_krylov_rcm_preconditions_in_the_operators_order(
+        self, partitioned_poisson, rng
+    ):
+        """The inner GMRES multiplies by the natural-order block, so the RCM
+        factor has to be applied as Pᵀ(LU)⁻¹P: against a dense reference."""
+        pm, dmat, _, _, comm, M = make(
+            partitioned_poisson, lambda d, c: block_krylov(d, c, ordering="rcm")
+        )
+        r = rng.standard_normal(pm.layout.total)
+        z = M.apply(r)
+        for rank, (fac, perm) in enumerate(zip(M.factors, M.local_solver.perms)):
+            assert perm is not None
+            a = dmat.owned_square[rank].toarray()
+            m_inv = np.zeros_like(a)
+            m_inv[np.ix_(perm, perm)] = np.linalg.inv(fac.as_product().toarray())
+            ref = fgmres(
+                lambda v: a @ v, pm.layout.local(r, rank), apply_m=lambda v: m_inv @ v,
+                restart=3, rtol=1e-12, maxiter=3,
+            )
+            assert np.allclose(pm.layout.local(z, rank), ref.x, rtol=1e-9, atol=1e-12)
+
+    def test_block_krylov_rcm_iteration_count(self):
+        """31 outer iterations while the factor was applied unpermuted."""
+        case = CASE_BUILDERS["tc1"](17)
+        counts = {
+            ordering: solve_case(
+                case, "blockk", nparts=4, seed=0, precond_params={"ordering": ordering}
+            ).iterations
+            for ordering in ("natural", "rcm")
+        }
+        assert counts == {"natural": 21, "rcm": 21}
+        assert solve_case(case, "block2", nparts=4, seed=0).iterations == 21
 
     def test_setup_charged_to_ledger(self, partitioned_poisson):
         pm, dmat = partitioned_poisson[0], partitioned_poisson[1]
