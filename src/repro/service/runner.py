@@ -25,16 +25,15 @@ Robustness composition per chunk:
 Non-FGMRES solvers cannot checkpoint mid-solve (see ``solve_case``), so
 they run as one chunk with the deadline clamped up front.
 
-With ``backend="multiprocess"`` a job's subdomain arithmetic executes in
-the supervised rank processes (worker-resident compute,
-``docs/algorithms.md`` §8) — the service's worker threads drive the
-protocol rounds while the rank processes do the flops, so one service
-worker no longer serializes its job's per-rank compute on the GIL.
+Worker threads overlap I/O and waits on rank processes; in-process
+arithmetic runs one chunk at a time, in the compute lane (:mod:`.lane`).  A
+``backend="multiprocess"`` job computes in its rank processes
+(``docs/algorithms.md`` §8) and never takes it.
 """
 
 from __future__ import annotations
 
-import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -44,6 +43,7 @@ from repro import obs
 from repro.cases import build_case
 from repro.cases.base import TestCase
 from repro.checkpoint import CheckpointManager
+from repro.comm.backends import BACKEND_ENV
 from repro.comm.communicator import RetryPolicy
 from repro.resilience import FALLBACK_CHAIN, ResilientSolver
 from repro.resilience.resilient import _FAILURE_STATUSES
@@ -55,6 +55,7 @@ from repro.service.deadline import (
     scaled_retry_policy,
 )
 from repro.service.job import JobRecord
+from repro.service.lane import PROCESS_LANE, ComputeLane
 
 #: FGMRES restart length (mirrors the solve_case default; chunk sizes are
 #: whole multiples so every chunk ends on a checkpointable cycle boundary)
@@ -66,15 +67,16 @@ class CaseCache:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._cases: dict[tuple, TestCase] = {}
+        self._cases: dict[tuple, list] = {}  # key -> [its build lock, case]
 
     def get(self, case_key: str, size: int | None) -> TestCase:
-        key = (case_key, size)
         with self._lock:
-            case = self._cases.get(key, None)
-            if case is None:
-                case = self._cases[key] = build_case(case_key, size)
-            return case
+            slot = self._cases.setdefault(
+                (case_key, size), [threading.Lock(), None])
+        with slot[0]:  # one build per cold key; no other key waits for it
+            if slot[1] is None:
+                slot[1] = build_case(case_key, size)
+            return slot[1]
 
 
 @dataclass
@@ -91,6 +93,8 @@ class RunnerContext:
     retry_backoff_s: float = 0.05
     checkpoint: bool = True
     solver_factory: object = field(default=ResilientSolver)
+    lane: ComputeLane = PROCESS_LANE
+    poll_s: float = 0.05
 
 
 def _base_retry_policy(backend: str | None) -> RetryPolicy:
@@ -161,6 +165,9 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
     if chunked:
         manager = CheckpointManager(record.checkpoint_dir, prefix="solve")
 
+    # where the arithmetic runs decides who takes the lane, and nothing else
+    backend = spec.backend or os.environ.get(BACKEND_ENV) or "inprocess"
+    lane = ctx.lane if backend == "inprocess" else None
     iters_done = 0
     retries_left = ctx.job_retries
     resume = record.resumed
@@ -179,8 +186,7 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
             detail = {"reason": "drained", "resumable": record.resumable,
                       "after_iters": iters_done}
             break
-        remaining = deadline.remaining()
-        if remaining <= 0:
+        if deadline.expired:
             record.error = (f"deadline of {spec.deadline_s}s exceeded after "
                             f"{iters_done} iteration(s)")
             status, detail = "failed", {"reason": "deadline"}
@@ -191,46 +197,55 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
             status, detail = "failed", {"reason": "maxiter"}
             break
 
-        # -- deadline -> iteration budget -> comm retry policy --------------
-        sec_per_iter = ctx.rates.estimate(rate_key)
-        if chunked:
-            chunk = iteration_budget(
-                remaining, sec_per_iter, RESTART,
-                min(ctx.chunk_iters, budget_left),
+        # -- the compute lane: its wait spends the deadline as queue wait does
+        held, waited = lane.acquire(ctx.poll_s, lambda: (
+            record.cancel_requested or ctx.draining.is_set()
+            or deadline.expired)) if lane else (True, 0.0)
+        record.lane_wait_s += waited
+        if waited > ctx.poll_s:
+            obs.event("service.lane.wait", job=record.job_id, wait_s=waited)
+        if not held:
+            continue  # a signal fired in the wait: the checks above type it
+        try:
+            # -- deadline -> iteration budget -> comm retry policy ----------
+            remaining = deadline.remaining()  # taken with the lane in hand
+            sec_per_iter = ctx.rates.estimate(rate_key)
+            if chunked:
+                chunk = iteration_budget(
+                    remaining, sec_per_iter, RESTART,
+                    min(ctx.chunk_iters, budget_left),
+                )
+                chunk = min(chunk, budget_left)
+            else:  # one chunk: all of the budget the deadline affords
+                chunk = iteration_budget(remaining, sec_per_iter, 1, budget_left)
+            policy = scaled_retry_policy(base_policy, remaining)
+            if policy is not base_policy:
+                obs.event("service.deadline.clamp", job=record.job_id,
+                          remaining_s=remaining, timeout=policy.timeout)
+
+            eff_precond, degraded = _route_precond(spec.precond, ctx.breakers)
+            if degraded:
+                obs.event("service.degraded", job=record.job_id,
+                          from_=spec.precond, to=eff_precond,
+                          breaker=ctx.breakers.state(spec.precond))
+
+            kwargs = dict(
+                nparts=spec.nparts, seed=spec.seed, scheme=spec.scheme,
+                rtol=spec.rtol, maxiter=chunk, solver=spec.solver,
+                backend=spec.backend, retry_policy=policy,
             )
-            chunk = min(chunk, budget_left)
-        else:
-            chunk = budget_left
-            if math.isfinite(remaining):
-                chunk = min(chunk, iteration_budget(
-                    remaining, sec_per_iter, 1, budget_left,
-                ))
-        policy = scaled_retry_policy(base_policy, remaining)
-        if policy is not base_policy:
-            obs.event("service.deadline.clamp", job=record.job_id,
-                      remaining_s=remaining, timeout=policy.timeout)
+            if chunked:
+                kwargs.update(
+                    checkpoint_dir=record.checkpoint_dir,
+                    checkpoint_every=1, restore=resume,
+                )
 
-        eff_precond, degraded = _route_precond(spec.precond, ctx.breakers)
-        if degraded:
-            obs.event("service.degraded", job=record.job_id,
-                      from_=spec.precond, to=eff_precond,
-                      breaker=ctx.breakers.state(spec.precond))
-
-        kwargs = dict(
-            nparts=spec.nparts, seed=spec.seed, scheme=spec.scheme,
-            rtol=spec.rtol, maxiter=chunk, solver=spec.solver,
-            backend=spec.backend, retry_policy=policy,
-        )
-        if chunked:
-            kwargs.update(
-                checkpoint_dir=record.checkpoint_dir,
-                checkpoint_every=1, restore=resume,
-            )
-
-        t0 = ctx.clock()
-        res = ctx.solver_factory().solve(case, precond=eff_precond, **kwargs)
-        wall = ctx.clock() - t0
-
+            t0 = ctx.clock()
+            res = ctx.solver_factory().solve(case, precond=eff_precond, **kwargs)
+            wall = ctx.clock() - t0
+        finally:
+            if lane:
+                lane.release()
         consumed = sum(a.iterations for a in res.attempts)
         iters_done += consumed
         record.iterations = iters_done
@@ -244,7 +259,8 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
         if res.outcome is not None:
             record.residuals.extend(float(r) for r in res.outcome.residuals)
         record.progress(iterations=iters_done, chunk_status=res.status,
-                        precond=eff_precond, wall_s=wall)
+                        precond=eff_precond, wall_s=wall,
+                        lane_wait_s=record.lane_wait_s)
 
         if res.converged:
             out = res.outcome

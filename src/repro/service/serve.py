@@ -190,13 +190,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for line in lines:
             print(line)
 
-    by_status: dict[str, int] = {}
-    for r in records:
-        by_status[r.status] = by_status.get(r.status, 0) + 1
+    stats = service.stats()
+    print("lane: {acquisitions} chunk(s), {waited} waited {wait_s:.3f}s, "
+          "held {held_s:.3f}s".format(**stats["lane"]), file=sys.stderr)
     resumable = sum(1 for j in manifest["jobs"] if j["resumable"])
     print(
         f"served {submitted} job(s), {overloaded} shed at admission; "
-        + ", ".join(f"{k}={v}" for k, v in sorted(by_status.items()))
+        + ", ".join(f"{k}={v}" for k, v in sorted(stats["by_status"].items()))
         + (f"; drained with {resumable} resumable "
            f"(manifest {service.spool_dir / 'drain.json'})"
            if interrupted.is_set() else ""),

@@ -19,8 +19,9 @@ writes a ``repro.service.drain.v1`` manifest so a successor process can
 
 Threading: worker threads only touch thread-safe structures (the
 admission queues, the breaker board, per-record condition variables, the
-rate estimator).  Span *tracing* is single-owner, so traced runs must use
-``workers=1``; untraced runs (the default ``NULL_TRACER``) scale out.
+rate estimator).  They overlap I/O and rank-process waits; in-process chunks
+run one at a time (:mod:`repro.service.lane`: threads only trade the GIL).
+Span *tracing* is single-owner, so traced runs must use ``workers=1``.
 All blocking calls carry explicit timeouts (lint rule RPR009).
 """
 
@@ -107,6 +108,7 @@ class SolveService:
             job_retries=self.config.job_retries,
             retry_backoff_s=self.config.retry_backoff_s,
             checkpoint=self.config.checkpoint,
+            poll_s=self.config.poll_s,
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -251,6 +253,7 @@ class SolveService:
             "by_status": by_status,
             "admission": self.admission.stats(),
             "breakers": self.breakers.stats(),
+            "lane": self._ctx.lane.stats(),
             "draining": self._draining.is_set(),
         }
 

@@ -40,6 +40,17 @@ class TestSrcTree:
         assert any("factor/cache.py:FactorCache._lock" in k for k in locks)
         assert summary["functions_scanned"] > 100
 
+    def test_compute_lane_is_the_ninth_lock_and_a_leaf(self):
+        _, summary = check_locks(SRC)
+        lane = "service/lane.py:ComputeLane._cond"
+        assert lane in summary["locks"] and len(summary["locks"]) == 9
+        # nothing is held when the lane is asked for, so no edge ends at it;
+        # whatever leaves it (lane -> factor cache happens at run time, under
+        # a hold RPR012 cannot follow: tests/service/test_lane.py) is acyclic
+        assert [e for e in summary["order_edges"] if e[1] == lane] == []
+        assert not any(lane in cycle for cycle in summary["cycles"])
+        assert summary["cycle_search_truncated"] is False
+
     def test_blocking_call_in_with_context_expr_seen(self, tmp_path):
         # the context-manager expression of a non-lock `with` runs under
         # any locks already held — calls inside it must not be invisible
