@@ -1,9 +1,8 @@
 """Worker-resident subdomain compute: the command set rank processes serve.
 
-PR 7 made the ranks real OS processes but left every flop in the driver —
-workers validated and echoed envelope frames, which is what kept the
-backends bitwise equal.  This module moves the per-rank hot path into the
-rank processes themselves: a **command protocol** layered on the framed
+On a real backend every rank process computes its own subdomain's share:
+it factors its blocks and runs the per-rank hot path.  This module is the
+**command protocol** the rank processes serve, layered on the framed
 seq + CRC transport (:mod:`~repro.comm.backends.framing`, frame kinds
 ``CMD``/``RESULT``).
 
@@ -13,8 +12,12 @@ little-endian array blocks (:func:`framing.encode_array` — no pickle on the
 hot path).  The result payload uses the same encoding; every result meta
 carries ``seconds``, the worker-measured compute time of the command, which
 is what lets the driver attribute time to ranks (``comm.worker.round``
-events, ``repro trace``) and the scaling bench compute measured
-critical-path speedups.
+events, the worker table of ``repro trace``).
+
+Five commands: ``LOAD_MATRIX`` and ``LOAD_FACTOR`` make state resident,
+``FACTOR`` eliminates a resident matrix, and the two per-iteration ops are
+``MATVEC`` (a row block times the compacted input slice the driver ships)
+and ``APPLY`` (the triangular sweeps).  Every stored matrix is a plain CSR.
 
 Determinism contract (docs/algorithms.md, "Worker-resident compute"):
 every handler runs the **same kernel code** the in-process path runs —
@@ -22,7 +25,7 @@ every handler runs the **same kernel code** the in-process path runs —
 :meth:`repro.factor.base.ILUFactorization.solve` for the triangular
 sweeps, :func:`repro.factor.ilu0.ilu0` / :func:`repro.factor.ilut.ilut`
 for factorization — on bitwise-identical inputs, so worker results are
-bitwise equal to driver results and the PR 5/7 determinism gates hold
+bitwise equal to driver results and the backend determinism gate holds
 unchanged.
 
 State is **content-addressed**: ``LOAD``/``FACTOR`` store objects under the
@@ -45,19 +48,19 @@ from repro.comm.backends import framing
 OP_LOAD_MATRIX = 1    #: store a CSR matrix under a content key
 OP_LOAD_FACTOR = 2    #: store an ILU factorization (L, U[, perm]) under a key
 OP_FACTOR = 3         #: factor a loaded matrix worker-side; returns L/U
-OP_MATVEC = 4         #: y = A_r @ x_sub (full compacted input vector shipped)
-OP_MATVEC_GHOSTS = 5  #: y = A_r @ [z-register; ghosts] (only ghosts shipped)
-OP_APPLY = 6          #: z = (LU)^{-1} r; z kept in the worker's z-register
-OP_DOT_PARTIAL = 7    #: scalar partial <x_r, y_r> for the tree reduction
+OP_MATVEC = 4         #: y = A_r @ x_sub (the compacted input slice shipped)
+OP_APPLY = 6          #: z = (LU)^{-1} r via a resident factor
+
+#: the opcode byte of the reply to a command that did not parse: it names
+#: no op, and the driver reports every failure under the op it sent
+NO_OP = 0
 
 OP_NAMES = {
     OP_LOAD_MATRIX: "load-matrix",
     OP_LOAD_FACTOR: "load-factor",
     OP_FACTOR: "factor",
     OP_MATVEC: "matvec",
-    OP_MATVEC_GHOSTS: "matvec-ghosts",
     OP_APPLY: "apply",
-    OP_DOT_PARTIAL: "dot-partial",
 }
 
 
@@ -66,8 +69,9 @@ def pack_command(op: int, meta: dict, arrays=()) -> bytes:
 
     ``meta`` must be JSON-serializable scalars/strings — numerical data
     travels in ``arrays`` as raw buffers, never through JSON or pickle.
+    ``NO_OP`` is accepted for the error reply to an unparseable command.
     """
-    if op not in OP_NAMES:
+    if op not in OP_NAMES and op != NO_OP:
         raise ValueError(f"unknown worker opcode {op!r}")
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     head = bytes([op]) + len(blob).to_bytes(4, "little") + blob
@@ -84,7 +88,7 @@ def unpack_command(payload: bytes) -> tuple[int, dict, list]:
     if len(payload) < 5:
         raise ValueError(f"command payload truncated: {len(payload)} bytes")
     op = payload[0]
-    if op not in OP_NAMES:
+    if op not in OP_NAMES and op != NO_OP:
         raise ValueError(f"unknown worker opcode {op}")
     mlen = int.from_bytes(payload[1:5], "little")
     if len(payload) < 5 + mlen:
@@ -97,19 +101,15 @@ def unpack_command(payload: bytes) -> tuple[int, dict, list]:
 class SubdomainStore:
     """One rank process's resident subdomain state, keyed by content hash.
 
-    ``matrices`` maps key -> ``(csr, own_pos, own_sel, ghost_pos)`` for
-    matvec blocks (column-compacted row blocks of the fused operator) or
-    ``(csr, None, None, None)`` for plain square matrices (factorization
-    inputs).  ``factors`` maps key -> ``(ILUFactorization, perm | None)``.
-    ``registers`` holds the last APPLY result so a following
-    ``MATVEC_GHOSTS`` ships only interface values.  ``loads`` / ``cached``
-    count arrivals vs. key hits — the re-ship tests read these back.
+    ``matrices`` maps key -> CSR matrix (matvec row blocks and
+    factorization inputs alike); ``factors`` maps key ->
+    ``(ILUFactorization, perm | None)``.  ``loads`` / ``cached`` count
+    arrivals vs. key hits — the re-ship tests read these back.
     """
 
     def __init__(self) -> None:
         self.matrices: dict = {}
         self.factors: dict = {}
-        self.registers: dict = {}
         self.loads = 0
         self.cached = 0
 
@@ -126,12 +126,7 @@ def _handle_load_matrix(store: SubdomainStore, meta: dict, arrays: list) -> tupl
     if key in store.matrices:
         store.cached += 1
         return {"stored": True, "cached": True, "key": key}, []
-    a = _csr_from(arrays[:3], int(meta["nrows"]), int(meta["ncols"]))
-    if meta.get("block"):
-        own_pos, own_sel, ghost_pos = (np.array(x) for x in arrays[3:6])
-        store.matrices[key] = (a, own_pos, own_sel, ghost_pos)
-    else:
-        store.matrices[key] = (a, None, None, None)
+    store.matrices[key] = _csr_from(arrays, int(meta["nrows"]), int(meta["ncols"]))
     store.loads += 1
     return {"stored": True, "cached": False, "key": key}, []
 
@@ -165,10 +160,9 @@ def _handle_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dic
         store.cached += 1
         fac, _ = store.factors[factor_key]
     else:
-        entry = store.matrices.get(matrix_key)
-        if entry is None:
+        a = store.matrices.get(matrix_key)
+        if a is None:
             raise KeyError(f"matrix {matrix_key[:12]} not resident")
-        a = entry[0]
         bf = meta.get("breakdown_frac")
         if meta["alg"] == "ilu0":
             fac = ilu0(a, shift=float(meta.get("shift", 0.0)), breakdown_frac=bf)
@@ -187,37 +181,10 @@ def _handle_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dic
 def _handle_matvec(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
     from repro.kernels import apply as apply_kernels
 
-    entry = store.matrices.get(meta["key"])
-    if entry is None:
+    a = store.matrices.get(meta["key"])
+    if a is None:
         raise KeyError(f"matrix {meta['key'][:12]} not resident")
-    y = apply_kernels.csr_matvec(entry[0], np.asarray(arrays[0]))
-    return {}, [y]
-
-
-def _handle_matvec_ghosts(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
-    """Matvec over ``[z-register; shipped ghosts]`` — interface data only.
-
-    The input vector is assembled in the compacted column order the block
-    was built with (ascending distributed-global index), so the per-row
-    accumulation order — hence every bit of the product — matches the
-    driver's fused matvec.
-    """
-    from repro.kernels import apply as apply_kernels
-
-    entry = store.matrices.get(meta["key"])
-    if entry is None:
-        raise KeyError(f"matrix {meta['key'][:12]} not resident")
-    a, own_pos, own_sel, ghost_pos = entry
-    if own_pos is None:
-        raise ValueError(f"matrix {meta['key'][:12]} is not a matvec block")
-    z = store.registers.get("z")
-    if z is None:
-        raise ValueError("no z-register: MATVEC_GHOSTS must follow APPLY")
-    xsub = np.empty(a.shape[1], dtype=np.float64)
-    xsub[own_pos] = z[own_sel]
-    xsub[ghost_pos] = np.asarray(arrays[0])
-    y = apply_kernels.csr_matvec(a, xsub)
-    return {}, [y]
+    return {}, [apply_kernels.csr_matvec(a, np.asarray(arrays[0]))]
 
 
 def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
@@ -227,7 +194,6 @@ def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict
     :meth:`~repro.factor.base.ILUFactorization.solve` (fused SuperLU fast
     path with probe, level-scheduled fallback), including the RCM
     permutation round-trip when the factor was built in permuted order.
-    The result is parked in the z-register for a following MATVEC_GHOSTS.
     """
     from repro.factor.base import solve_permuted
 
@@ -235,14 +201,7 @@ def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict
     if entry is None:
         raise KeyError(f"factor {meta['key'][:12]} not resident")
     fac, perm = entry
-    z = solve_permuted(fac, perm, np.array(arrays[0], dtype=np.float64))
-    store.registers["z"] = z
-    return {}, [z]
-
-
-def _handle_dot_partial(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
-    partial = float(np.dot(np.asarray(arrays[0]), np.asarray(arrays[1])))
-    return {}, [np.asarray([partial], dtype=np.float64)]
+    return {}, [solve_permuted(fac, perm, np.array(arrays[0], dtype=np.float64))]
 
 
 _HANDLERS = {
@@ -250,9 +209,7 @@ _HANDLERS = {
     OP_LOAD_FACTOR: _handle_load_factor,
     OP_FACTOR: _handle_factor,
     OP_MATVEC: _handle_matvec,
-    OP_MATVEC_GHOSTS: _handle_matvec_ghosts,
     OP_APPLY: _handle_apply,
-    OP_DOT_PARTIAL: _handle_dot_partial,
 }
 
 
@@ -264,11 +221,12 @@ def execute(store: SubdomainStore, payload: bytes) -> bytes:
     the driver side (:mod:`repro.comm.compute`).  ``seconds`` is the
     worker-measured wall time of the command — decode, compute, and result
     packing of the *handler*, not pipe time — which the driver's
-    ``comm.worker.round`` events and the scaling bench aggregate per rank.
+    ``comm.worker.round`` events aggregate per rank.  A command that does
+    not parse is answered under ``NO_OP``.
     """
     t0 = perf_counter()
     c0 = process_time()
-    op = payload[0] if payload and payload[0] in OP_NAMES else OP_DOT_PARTIAL
+    op = NO_OP
     try:
         op, meta, arrays = unpack_command(payload)
         out_meta, out_arrays = _HANDLERS[op](store, meta, arrays)

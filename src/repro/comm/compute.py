@@ -3,9 +3,10 @@
 :mod:`repro.comm.backends.worker` defines what a rank process can execute;
 this module is the driver's half: a :class:`WorkerCompute` session bound to
 one communicator + real backend that ships each rank its subdomain state
-**once** (content-hash keyed, the PR 4 factor-cache identity) and then
-drives the per-iteration hot path — triangular-sweep APPLY, ghost-only
-MATVEC, dot partials — through batched ``CMD`` rounds.
+**once** (content-hash keyed, the factor cache's identity) and then drives
+the per-iteration hot path — the row-block MATVEC and the triangular-sweep
+APPLY — through batched ``CMD`` rounds.  Every real backend gets a session:
+its ranks always compute.
 
 A **round** is one delivery round (:func:`repro.comm.delivery.deliver_round`,
 ``docs/robustness.md`` "The delivery round") with a ``CMD`` edge per
@@ -22,20 +23,14 @@ their re-partitioned subdomains.
 Every round fires the active fault plan's ``exchange_begin`` hook (worker
 rounds are delivery opportunities like ghost exchanges) and emits one
 ``comm.worker.round`` event carrying each rank's *worker-measured* wall and
-CPU seconds — the raw material for ``repro trace``'s per-rank attribution
-and the scaling bench's critical-path model (``docs/performance.md``).
+CPU seconds — the raw material for ``repro trace``'s per-rank attribution.
 
-Env gate: ``REPRO_WORKER_COMPUTE=0`` disables the session entirely
-(multiprocess ranks fall back to validate-and-echo, the PR 7 behavior).
 Inner products stay on the driver: their partials are driver-local memory
-reads, a pipe round costs a hundred times the BLAS call, and the
-fixed-order tree makes :meth:`WorkerCompute.dot_partials` bitwise equal
-anyway — it is kept for the rank-resident Krylov of ROADMAP item 3.
+reads and a pipe round costs a hundred times the BLAS call.
 """
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 
 import numpy as np
@@ -44,12 +39,10 @@ from repro import faults, obs
 from repro.comm.backends import framing
 from repro.comm.backends.worker import (
     OP_APPLY,
-    OP_DOT_PARTIAL,
     OP_FACTOR,
     OP_LOAD_FACTOR,
     OP_LOAD_MATRIX,
     OP_MATVEC,
-    OP_MATVEC_GHOSTS,
     OP_NAMES,
     pack_command,
     unpack_command,
@@ -58,14 +51,11 @@ from repro.comm.communicator import Communicator
 from repro.comm.delivery import Delivery, deliver_round
 from repro.resilience import errors as _errors
 
-#: disable worker-resident compute (fall back to driver compute)
-COMPUTE_ENV = "REPRO_WORKER_COMPUTE"
-
 #: per-attempt timeout floors (seconds): retry policies are tuned for
 #: microsecond echo traffic; a command that *computes* needs a window
 #: matched to the work, or slow-but-healthy ranks would be fenced
 HEAVY_FLOOR = 120.0   #: LOAD / FACTOR — ships state or factors a subdomain
-LIGHT_FLOOR = 2.0     #: MATVEC / APPLY / DOT — per-iteration ops
+LIGHT_FLOOR = 2.0     #: MATVEC / APPLY — per-iteration ops
 
 
 class WorkerComputeError(RuntimeError):
@@ -73,22 +63,16 @@ class WorkerComputeError(RuntimeError):
     map onto the typed resilience taxonomy."""
 
 
-def compute_enabled() -> bool:
-    return os.environ.get(COMPUTE_ENV, "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
-
-
 def session(comm: Communicator) -> "WorkerCompute | None":
-    """The communicator's worker-compute session, or None (driver compute).
+    """The communicator's worker-compute session, or None (simulated ranks).
 
-    Sessions exist only on real backends with the gate open; they are
-    cached on the communicator, so every caller in a solve shares one
-    shipped-key set.  A communicator born from ``absorb_rank`` recovery is
-    a *new* object with a *new* backend — its session starts empty and
-    re-ships state on first use, which is the whole recovery story.
+    Sessions exist exactly on real backends; they are cached on the
+    communicator, so every caller in a solve shares one shipped-key set.
+    A communicator born from ``absorb_rank`` recovery is a *new* object
+    with a *new* backend — its session starts empty and re-ships state on
+    first use, which is the whole recovery story.
     """
-    if not comm.backend.is_real or not compute_enabled():
+    if not comm.backend.is_real:
         return None
     wc = getattr(comm, "_worker_compute", None)
     if wc is None or wc.backend is not comm.backend:
@@ -97,16 +81,17 @@ def session(comm: Communicator) -> "WorkerCompute | None":
     return wc
 
 
-def _raise_worker_error(rank: int, op: int, meta: dict):
+def _raise_worker_error(rank: int, op_name: str, meta: dict):
     """Re-raise a worker-reported failure as its typed counterpart.
 
-    The wire carries the exception *name*; anything in the resilience
-    taxonomy (``FactorizationBreakdown`` from a worker-side ILU, say)
-    comes back as that class so retry/fallback logic upstream is blind to
-    where the computation ran.
+    The failure is named after the op the driver *sent*, never after the
+    reply's opcode byte.  The wire carries the exception *name*; anything
+    in the resilience taxonomy (``FactorizationBreakdown`` from a
+    worker-side ILU, say) comes back as that class so retry/fallback logic
+    upstream is blind to where the computation ran.
     """
     msg = (
-        f"worker rank {rank} failed {OP_NAMES.get(op, op)}: "
+        f"worker rank {rank} failed {op_name}: "
         f"{meta.get('error', 'unknown error')}"
     )
     cls = getattr(_errors, str(meta.get("etype", "")), None)
@@ -118,6 +103,20 @@ def _raise_worker_error(rank: int, op: int, meta: dict):
     raise WorkerComputeError(msg)
 
 
+def load_matrix(key: str, a) -> tuple[str, bytes]:
+    """A CSR matrix as the ``(key, payload)`` entry :meth:`WorkerCompute.ensure`
+    ships: one ``LOAD_MATRIX`` command storing ``a`` under ``key``."""
+    meta = {"key": key, "nrows": int(a.shape[0]), "ncols": int(a.shape[1])}
+    return key, pack_command(OP_LOAD_MATRIX, meta, [a.indptr, a.indices, a.data])
+
+
+def load_factor(key: str, fac, perm: np.ndarray | None) -> tuple[str, bytes]:
+    """A factorization, with the order it was built in, as the ``(key,
+    payload)`` entry :meth:`WorkerCompute.ensure` ships: one ``LOAD_FACTOR``
+    command in :meth:`~repro.factor.base.ILUFactorization.to_wire`'s layout."""
+    return key, pack_command(OP_LOAD_FACTOR, *fac.to_wire(key, perm))
+
+
 class WorkerCompute:
     """One communicator's worker-resident compute session."""
 
@@ -126,9 +125,6 @@ class WorkerCompute:
         self.backend = comm.backend
         #: (rank, content-key) pairs confirmed resident in the workers
         self._shipped: set[tuple[int, str]] = set()
-        #: the assembled z vector whose per-rank slices sit in the workers'
-        #: z-registers (identity-compared: the fused apply→matvec path)
-        self._z_last: np.ndarray | None = None
 
     def is_shipped(self, rank: int, key: str) -> bool:
         return (rank, key) in self._shipped
@@ -157,9 +153,9 @@ class WorkerCompute:
             if edge.frame is None:
                 return
             # a worker's typed error leaves the round at once
-            r_op, meta, arrays = unpack_command(edge.frame.payload)
+            _, meta, arrays = unpack_command(edge.frame.payload)
             if "error" in meta:
-                _raise_worker_error(edge.dst, r_op, meta)
+                _raise_worker_error(edge.dst, op_name, meta)
             out[edge.dst] = (meta, arrays)
 
         deliver_round(
@@ -183,42 +179,22 @@ class WorkerCompute:
 
     # -- state shipping ----------------------------------------------------
 
-    def ensure_matrices(self, entries: dict[int, tuple[str, dict, list]]) -> int:
-        """Ship matrices not yet resident; returns how many actually moved.
+    def ensure(self, entries: dict[int, tuple[str, bytes]]) -> int:
+        """Ship what is not yet resident, in one round; returns how many moved.
 
-        ``entries[rank] = (key, meta, arrays)`` with meta/arrays as
-        ``OP_LOAD_MATRIX`` expects (``meta['key']`` must equal ``key``).
+        ``entries[rank] = (key, payload)`` as :func:`load_matrix` or
+        :func:`load_factor` encode it — one kind per call, since a round
+        carries one op.
         """
-        payloads = {}
-        for rank in sorted(entries):
-            key, meta, arrays = entries[rank]
-            if (rank, key) in self._shipped:
-                continue
-            payloads[rank] = pack_command(OP_LOAD_MATRIX, meta, arrays)
+        payloads = {
+            rank: payload
+            for rank, (key, payload) in sorted(entries.items())
+            if (rank, key) not in self._shipped
+        }
         if not payloads:
             return 0
-        out = self._round(OP_LOAD_MATRIX, payloads, HEAVY_FLOOR)
-        for rank in out:
-            self._shipped.add((rank, entries[rank][0]))
-        return len(out)
-
-    def ensure_factors(self, entries: dict[int, tuple[str, dict, list]]) -> int:
-        """Ship already-computed factors (``OP_LOAD_FACTOR``) not yet resident.
-
-        ``entries[rank] = (key, *fac.to_wire(key, perm))`` — the layout is
-        :meth:`repro.factor.base.ILUFactorization.to_wire`'s alone.
-        """
-        payloads = {}
-        for rank in sorted(entries):
-            key, meta, arrays = entries[rank]
-            if (rank, key) in self._shipped:
-                continue
-            payloads[rank] = pack_command(OP_LOAD_FACTOR, meta, arrays)
-        if not payloads:
-            return 0
-        out = self._round(OP_LOAD_FACTOR, payloads, HEAVY_FLOOR)
-        for rank in out:
-            self._shipped.add((rank, entries[rank][0]))
+        out = self._round(payloads[min(payloads)][0], payloads, HEAVY_FLOOR)
+        self._shipped.update((rank, entries[rank][0]) for rank in out)
         return len(out)
 
     def factor(
@@ -255,60 +231,30 @@ class WorkerCompute:
 
         Each rank holds a column-compacted row block of the fused operator
         (per-row storage order preserved, so per-row accumulation order —
-        and every result bit — matches the driver's single fused product).
-        When ``x`` *is* the vector the workers just produced via APPLY
-        (the fused ``apply_matvec`` path), only interface ghost values
-        travel; otherwise each rank receives its compacted input slice.
+        and every result bit — matches the driver's single fused product)
+        and receives its compacted input slice ``x[cols]``.
         """
-        size = self.comm.size
-        load_entries = {}
-        for rank in range(size):
-            blk = dmat.rank_block(rank)
-            if (rank, blk.key) not in self._shipped:
-                load_entries[rank] = (
-                    blk.key,
-                    {
-                        "key": blk.key, "block": True,
-                        "nrows": int(blk.a.shape[0]),
-                        "ncols": int(blk.a.shape[1]),
-                    },
-                    [
-                        blk.a.indptr, blk.a.indices, blk.a.data,
-                        blk.own_pos, blk.own_sel, blk.ghost_pos,
-                    ],
-                )
-        if load_entries:
-            self.ensure_matrices(load_entries)
-        registered = self._z_last is x
-        payloads = {}
-        for rank in range(size):
-            blk = dmat.rank_block(rank)
-            if registered:
-                payloads[rank] = pack_command(
-                    OP_MATVEC_GHOSTS, {"key": blk.key}, [x[blk.ghost_cols]]
-                )
-            else:
-                payloads[rank] = pack_command(
-                    OP_MATVEC, {"key": blk.key}, [x[blk.cols]]
-                )
-        out = self._round(
-            OP_MATVEC_GHOSTS if registered else OP_MATVEC, payloads, LIGHT_FLOOR
-        )
+        blocks = [dmat.rank_block(rank) for rank in range(self.comm.size)]
+        # encode only what is missing: this runs every iteration
+        self.ensure({
+            rank: load_matrix(blk.key, blk.a)
+            for rank, blk in enumerate(blocks)
+            if not self.is_shipped(rank, blk.key)
+        })
+        out = self._round(OP_MATVEC, {
+            rank: pack_command(OP_MATVEC, {"key": blk.key}, [x[blk.cols]])
+            for rank, blk in enumerate(blocks)
+        }, LIGHT_FLOOR)
         y = np.empty(dmat.pm.layout.total, dtype=np.float64)
         rank_ptr = dmat.pm.layout.rank_ptr
-        for rank in range(size):
+        for rank in range(self.comm.size):
             y[rank_ptr[rank] : rank_ptr[rank + 1]] = out[rank][1][0]
         return y
 
     def apply_factors(
         self, keys: dict[int, str], layout, r: np.ndarray
     ) -> np.ndarray:
-        """Per-rank triangular sweeps ``z_r = (L_r U_r)^{-1} r_r`` in one round.
-
-        The workers keep their ``z_r`` in the z-register; the assembled z
-        is remembered so an immediately following :meth:`matvec` on the
-        same object ships ghosts only.
-        """
+        """Per-rank triangular sweeps ``z_r = (L_r U_r)^{-1} r_r`` in one round."""
         payloads = {
             rank: pack_command(
                 OP_APPLY, {"key": keys[rank]}, [r[layout.local_slice(rank)]]
@@ -319,22 +265,4 @@ class WorkerCompute:
         z = np.empty_like(r)
         for rank in sorted(keys):
             z[layout.local_slice(rank)] = out[rank][1][0]
-        self._z_last = z
         return z
-
-    def dot_partials(self, layout, x: np.ndarray, y: np.ndarray) -> list[float]:
-        """Per-rank partial inner products, evaluated in the rank processes.
-
-        No solver path calls this (see the module docstring); combined by
-        :func:`~repro.krylov.ops.fixed_tree_sum` the partials reproduce
-        :meth:`~repro.distributed.ops.DistributedOps.dot` bit for bit.
-        """
-        payloads = {
-            rank: pack_command(
-                OP_DOT_PARTIAL, {},
-                [x[layout.local_slice(rank)], y[layout.local_slice(rank)]],
-            )
-            for rank in range(self.comm.size)
-        }
-        out = self._round(OP_DOT_PARTIAL, payloads, LIGHT_FLOOR)
-        return [float(out[r][1][0][0]) for r in sorted(out)]

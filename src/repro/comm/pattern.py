@@ -16,12 +16,12 @@ this module charges each burned timeout window and retransmission to the
 cost ledger.  Without an active fault plan nothing can be lost or corrupted
 in a simulated exchange, so the envelope is elided from the clean hot path.
 
-With worker-resident compute active (multiprocess backend,
-:mod:`repro.comm.compute`), the values an exchange delivers are exactly
-what the next ``MATVEC_GHOSTS`` worker round ships back out: the driver
-gathers interface ghosts here, then forwards only those ghosts — never
-whole vectors — to the rank processes.  Worker command rounds are CMD edges
-of the same delivery round (``docs/algorithms.md`` §8).
+On a real backend the distributed matvec itself runs in the rank
+processes (:mod:`repro.comm.compute`): each ``MATVEC`` worker round ships a
+rank its compacted input slice, owned values and ghosts together, so this
+module's exchanges carry the Schur and Schwarz interface traffic that still
+runs on the driver.  Worker command rounds are CMD edges of the same
+delivery round (``docs/algorithms.md`` §8).
 """
 
 from __future__ import annotations

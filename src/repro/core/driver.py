@@ -209,8 +209,7 @@ def solve_case(
         simulated ranks) or ``"multiprocess"`` (ranks as supervised OS
         processes; ghost exchanges travel over real pipes, and the
         per-rank hot path — matvecs, ILU sweeps — executes inside the
-        rank processes unless ``REPRO_WORKER_COMPUTE=0``; see
-        ``docs/algorithms.md`` §8).  ``None`` consults the
+        rank processes; see ``docs/algorithms.md`` §8).  ``None`` consults the
         ``REPRO_COMM_BACKEND`` environment variable.  The numerical
         results are bitwise identical across backends
         (``docs/robustness.md``).

@@ -43,20 +43,14 @@ class RankBlock:
     fused matrix (the compaction map is monotone), so ``a @ xsub`` runs
     each row's accumulation in the identical order — the worker-side
     product is bitwise equal to the matching slice of the fused product.
-    ``cols`` are the distributed-global indices backing ``xsub``;
-    ``own_pos``/``own_sel`` scatter the rank's own values (the worker's
-    z-register) into ``xsub``, ``ghost_pos``/``ghost_cols`` place the
-    shipped interface values.  ``key`` is the content digest the shipping
+    ``cols`` are the distributed-global indices backing ``xsub``, so a
+    MATVEC ships ``x[cols]``.  ``key`` is the content digest the shipping
     protocol dedupes on.
     """
 
     key: str
     a: sp.csr_matrix
     cols: np.ndarray
-    own_pos: np.ndarray
-    own_sel: np.ndarray
-    ghost_pos: np.ndarray
-    ghost_cols: np.ndarray
 
 
 class DistributedMatrix:
@@ -154,17 +148,10 @@ class DistributedMatrix:
             (rows.data, np.searchsorted(cols, rows.indices), rows.indptr),
             shape=(hi - lo, len(cols)),
         )
-        own = (cols >= lo) & (cols < hi)
-        own_pos = np.nonzero(own)[0]
-        ghost_pos = np.nonzero(~own)[0]
         blk = RankBlock(
             key=FactorCache.key("matvec-block", a, (lo, hi), family="worker-ship"),
             a=a,
             cols=cols,
-            own_pos=own_pos,
-            own_sel=cols[own_pos] - lo,
-            ghost_pos=ghost_pos,
-            ghost_cols=cols[ghost_pos],
         )
         self._rank_blocks[r] = blk
         return blk

@@ -36,10 +36,8 @@ class DistributedOps:
         Evaluated as per-rank partials combined by the fixed-order pairwise
         tree (:func:`~repro.krylov.ops.fixed_tree_sum`) — the reduction
         order is a function of the rank count alone, so the result is
-        bitwise identical on any backend, and would be wherever the
-        partials were computed
-        (:meth:`~repro.comm.compute.WorkerCompute.dot_partials`).  The
-        partials stay one BLAS ``ddot`` per rank slice: a whole-vector
+        bitwise identical on any backend.  The partials are computed on
+        the driver, one BLAS ``ddot`` per rank slice: a whole-vector
         product or ``np.add.reduceat`` would change bits.  One rank
         short-circuits to the historical whole-vector product.
         """

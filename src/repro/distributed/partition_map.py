@@ -132,11 +132,11 @@ class PartitionMap:
         self.owner_local = owner_local
 
         # ghosts: off-processor neighbors of owned interface points
-        ghost_rows = rows[cross]
-        ghost_cols = graph.indices[cross]
+        cross_rows = rows[cross]
+        cross_cols = graph.indices[cross]
         for r, sd in enumerate(self.subdomains):
-            mask = membership[ghost_rows] == r
-            sd.ghost = np.unique(ghost_cols[mask])
+            mask = membership[cross_rows] == r
+            sd.ghost = np.unique(cross_cols[mask])
 
         # distributed ordering and layouts
         self.layout = Layout.from_sizes([sd.n_owned for sd in self.subdomains])

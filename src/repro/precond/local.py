@@ -4,9 +4,8 @@ Every preconditioner of the paper factors one independent block per
 subdomain and then solves with it.  *Where* is decided here, once per
 preconditioner, from the communicator — never by a caller or a user:
 
-* **driver** — in the calling thread (simulated ranks, or
-  ``REPRO_WORKER_COMPUTE=0``): set-up one block after another in rank
-  order; the solves *fused* — the idiom of
+* **driver** — in the calling thread (simulated ranks): set-up one
+  block after another in rank order; the solves *fused* — the idiom of
   :class:`~repro.distributed.matrix.DistributedMatrix`, fused execution at
   full distributed cost.  The ranks' factors are one block-diagonal pair of
   triangles, so one compiled sweep serves all ranks with the bits of the
@@ -105,7 +104,7 @@ class LocalSolver:
         cache = factor_cache.get_cache()
         shift = params[-1]
         factors: dict[int, ILUFactorization] = {}
-        load: dict[int, tuple[str, dict, list]] = {}
+        load: dict[int, tuple[str, bytes]] = {}
         todo: dict[int, dict] = {}
         for r, a in enumerate(matrices):
             cached = cache.get(self.keys[r], alg) if cache.enabled else None
@@ -115,13 +114,8 @@ class LocalSolver:
                 )
                 factors[r] = cached
                 continue
-            n_r = int(a.shape[0])
             mkey = factor_cache.FactorCache.key(alg, a, params, "worker-matrix")
-            load[r] = (
-                mkey,
-                {"key": mkey, "nrows": n_r, "ncols": n_r},
-                [a.indptr, a.indices, a.data],
-            )
+            load[r] = worker_compute.load_matrix(mkey, a)
             todo[r] = {
                 "alg": alg, "matrix_key": mkey, "factor_key": self.keys[r],
                 "shift": shift, "breakdown_frac": breakdown_frac,
@@ -129,7 +123,7 @@ class LocalSolver:
             if alg == "ilut":
                 todo[r]["drop_tol"], todo[r]["fill"] = params[:2]
         if todo:
-            self._session.ensure_matrices(load)
+            self._session.ensure(load)
             out = self._session.factor(
                 todo, {r: self.perms[r] for r in todo if self.perms[r] is not None}
             )
@@ -170,8 +164,8 @@ class LocalSolver:
             return z
         # a no-op on the steady path: after set-up in the ranks, or after
         # the first solve, every (rank, key) is in the session's shipped set
-        session.ensure_factors({
-            rank: (key, *self.factors[rank].to_wire(key, self.perms[rank]))
+        session.ensure({
+            rank: worker_compute.load_factor(key, self.factors[rank], self.perms[rank])
             for rank, key in sorted(self.keys.items())
             if not session.is_shipped(rank, key)
         })

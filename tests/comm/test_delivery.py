@@ -3,7 +3,7 @@
 Each scenario runs through the comm layer's real call sites — a DATA edge
 via ``CommunicationPattern.exchange`` on the ``inprocess`` backend (failures
 come from the fault plan) and on a scripted real backend, and a CMD edge
-via ``WorkerCompute.dot_partials`` on the scripted backend — and must leave
+via ``WorkerCompute.apply_factors`` on the scripted backend — and must leave
 identical ``CommStats``, retry reasons and fault class behind.
 """
 
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import faults, obs
 from repro.comm import compute
@@ -21,6 +22,7 @@ from repro.comm.backends.supervisor import HeartbeatPolicy, RankSupervisor
 from repro.comm.communicator import Communicator, RetryPolicy
 from repro.comm.pattern import CommunicationPattern, ExchangeSpec
 from repro.distributed.layout import Layout
+from repro.factor.ilu0 import ilu0
 from repro.resilience.errors import (
     MessageCorruption,
     MessageTimeout,
@@ -31,13 +33,25 @@ COMM_SRC = Path(__file__).resolve().parents[2] / "src" / "repro" / "comm"
 POLICY = RetryPolicy(max_retries=2, timeout=1e-3)
 ATTEMPTS = POLICY.max_retries + 1
 
+#: the factor each rank's APPLY edge sweeps with, resident in the scripted
+#: ranks from the start: rank -> (key, factorization)
+RESIDENT = {
+    rank: (f"resident-{rank}", ilu0(sp.diags(
+        [-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+        format="csr",
+    )))
+    for rank, n in ((0, 2), (1, 3))
+}
+
 
 class ScriptedBackend(ExecutionBackend):
     """Real-looking ranks whose next replies are scripted per rank.
 
     ``script[rank]`` is consumed one step per request: ``timeout`` / ``nak``
-    / ``garbled`` / ``broken``; once exhausted the rank answers like a rank
-    process (ACK echo, or the executed command's RESULT).  Supervision is
+    / ``garbled`` / ``broken`` / ``mislabelled`` (an error RESULT whose
+    opcode byte names another op than the command's); once exhausted the
+    rank answers like a rank process (ACK echo, or the executed command's
+    RESULT).  Supervision is
     the real :class:`RankSupervisor`, fenced like ``MultiprocessBackend``.
     """
 
@@ -51,6 +65,7 @@ class ScriptedBackend(ExecutionBackend):
         for rank in range(size):
             self.supervisor.record_ready(rank)
         self.store = worker.SubdomainStore()
+        self.store.factors.update({key: (fac, None) for key, fac in RESIDENT.values()})
 
     def request_many(self, messages, timeout):
         return {r: self._reply(r, messages[r], timeout) for r in sorted(messages)}
@@ -68,6 +83,11 @@ class ScriptedBackend(ExecutionBackend):
             return MessageCorruption("scripted garbled response", reason="checksum")
         if step == "nak":
             return framing.Frame(framing.NAK, frame.src, frame.dst, frame.seq, b"checksum")
+        if step == "mislabelled":
+            payload = worker.pack_command(
+                worker.OP_LOAD_MATRIX, {"error": "scripted", "etype": "ValueError"}
+            )
+            return framing.Frame(framing.RESULT, frame.src, frame.dst, frame.seq, payload)
         if frame.kind == framing.DATA:
             return framing.Frame(framing.ACK, frame.src, frame.dst, frame.seq, frame.payload)
         return framing.Frame(
@@ -152,11 +172,13 @@ def _data_edge(comm):
 
 
 def _cmd_edge(comm):
-    """A two-rank DOT_PARTIAL round; both ranks' results must come back."""
+    """A two-rank APPLY round; both ranks' sweeps must come back."""
     layout = Layout.from_sizes([2, 3])
-    x, y = np.arange(5.0), np.arange(5.0) + 1.0
-    parts = compute.WorkerCompute(comm).dot_partials(layout, x, y)
-    assert parts == [float(np.dot(x[:2], y[:2])), float(np.dot(x[2:], y[2:]))]
+    r = np.arange(5.0) + 1.0
+    keys = {rank: key for rank, (key, _) in RESIDENT.items()}
+    z = compute.WorkerCompute(comm).apply_factors(keys, layout, r)
+    want = [fac.solve(r[layout.local_slice(rank)]) for rank, (_, fac) in RESIDENT.items()]
+    assert z.tobytes() == np.concatenate(want).tobytes()
 
 
 EDGES = {
@@ -194,8 +216,8 @@ def test_delivery_contract(scenario, edge):
             # what the attempts cost goes to the ledger, not into the context
             assert not {"retransmits", "delay"} & set(exc.value.context)
             if edge == "cmd-real":
-                assert exc.value.context["op"] == "dot-partial"
-                assert "dot-partial" in str(exc.value)
+                assert exc.value.context["op"] == "apply"
+                assert "apply" in str(exc.value)
             if fault_cls is RankDeadError:
                 assert exc.value.rank == 1
                 assert exc.value.status == "breakdown"
@@ -215,7 +237,7 @@ def test_delivery_contract(scenario, edge):
     else:
         assert [e["attrs"]["reason"] for e in ends] == [reasons[-1]]
     if edge == "cmd-real":
-        assert all(e["attrs"]["op"] == "dot-partial" for e in retries + ends)
+        assert all(e["attrs"]["op"] == "apply" for e in retries + ends)
 
 
 @pytest.mark.parametrize("run", [_data_edge, _cmd_edge])
@@ -237,11 +259,11 @@ def test_successful_delivery_resets_the_miss_count(run):
 def test_give_up_keeps_the_supervisors_view_of_the_rank():
     backend = ScriptedBackend(2, {1: ["timeout"] * ATTEMPTS})
     comm = Communicator(2, retry_policy=POLICY, backend=backend)
-    with pytest.raises(MessageTimeout, match="dot-partial transfer 1->1") as exc:
+    with pytest.raises(MessageTimeout, match="apply transfer 1->1") as exc:
         _cmd_edge(comm)
     assert exc.value.context == {
         "rank": 1, "misses": ATTEMPTS, "src": 1, "dst": 1, "seq": 0,
-        "op": "dot-partial", "attempts": ATTEMPTS,
+        "op": "apply", "attempts": ATTEMPTS,
     }
 
 
@@ -255,6 +277,17 @@ def test_worker_error_leaves_the_round_at_once():
         compute.WorkerCompute(comm).factor({0: meta, 1: meta}, {})
     assert comm.comm_stats.as_dict() == _stats(timeouts=1)
     assert backend.supervisor.records[1].misses == 0
+
+
+def test_worker_error_is_named_after_the_op_sent():
+    """A reply's opcode byte never names the failure: rank 1 answers the
+    APPLY with an error labelled ``load-matrix``, and the driver reports
+    the op it sent."""
+    backend = ScriptedBackend(2, {1: ["mislabelled"]})
+    comm = Communicator(2, retry_policy=POLICY, backend=backend)
+    with pytest.raises(compute.WorkerComputeError) as exc:
+        _cmd_edge(comm)
+    assert str(exc.value) == "worker rank 1 failed apply: scripted"
 
 
 def test_consecutive_misses_still_fence():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.comm import compute
 from repro.comm.backends import framing, worker
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
@@ -81,7 +82,7 @@ class TestSubdomainStore:
         meta, _ = _result(worker.execute(store, _load_matrix_payload("k1", a)))
         assert meta["stored"] and not meta["cached"]
         assert store.loads == 1 and store.cached == 0
-        assert (store.matrices["k1"][0] != a).nnz == 0
+        assert (store.matrices["k1"] != a).nnz == 0
 
     def test_repeat_load_hits_key_and_skips_storage(self):
         store = worker.SubdomainStore()
@@ -102,6 +103,22 @@ class TestSubdomainStore:
         assert len(store.matrices) == 1
         meta, _ = _result(first)
         assert meta["key"] == "k1"
+
+    def test_driver_encoders_load_what_the_handlers_store(self):
+        store = worker.SubdomainStore()
+        a = sp.random(7, 5, density=0.5, random_state=2, format="csr")
+        fac = ilu0(_laplacian(6))
+        perm = np.arange(6)[::-1].copy()
+        for key, payload in (
+            compute.load_matrix("m", a), compute.load_factor("f", fac, perm),
+        ):
+            meta, _ = _result(worker.execute(store, payload))
+            assert meta["stored"] and meta["key"] == key
+        stored = store.matrices["m"]
+        assert stored.shape == a.shape and (stored != a).nnz == 0
+        got, got_perm = store.factors["f"]
+        assert got.u_upper.data.tobytes() == fac.u_upper.data.tobytes()
+        assert got_perm.tobytes() == perm.tobytes()
 
 
 class TestHandlerParity:
@@ -187,48 +204,25 @@ class TestHandlerParity:
         want[perm] = z_p
         assert np.asarray(arrays[0]).tobytes() == want.tobytes()
 
-    def test_apply_parks_z_then_ghost_matvec_reuses_it(self):
+    def test_apply_then_matvec_on_the_same_vector(self):
+        """APPLY's output shipped back as a MATVEC input gives the driver's
+        product bit for bit — the store keeps no vector between the two."""
         store = worker.SubdomainStore()
         n = 8
-        fac = ilu0(_laplacian(n))
-        worker.execute(store, worker.pack_command(
-            worker.OP_LOAD_FACTOR,
-            {"key": "f", "n": n, "shift": 0.0, "floored_pivots": 0},
-            [fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
-             fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data],
+        a = _laplacian(n)
+        fac = ilu0(a)
+        for _, payload in (compute.load_factor("f", fac, None), compute.load_matrix("a", a)):
+            worker.execute(store, payload)
+        r = np.linspace(-1.0, 2.0, n)
+        _, (z,) = _result(worker.execute(
+            store, worker.pack_command(worker.OP_APPLY, {"key": "f"}, [r])
         ))
-        r = np.ones(n)
-        worker.execute(store, worker.pack_command(
-            worker.OP_APPLY, {"key": "f"}, [r]
+        _, (y,) = _result(worker.execute(
+            store, worker.pack_command(worker.OP_MATVEC, {"key": "a"}, [z])
         ))
-        z = store.registers["z"]
-        # a 4-row block whose columns are [2 own rows; 2 ghosts]
-        block = sp.random(4, 4, density=0.9, random_state=1, format="csr")
-        ghosts = np.array([3.0, -2.0])
-        worker.execute(store, worker.pack_command(
-            worker.OP_LOAD_MATRIX,
-            {"key": "b", "nrows": 4, "ncols": 4, "block": True},
-            [block.indptr, block.indices, block.data,
-             np.array([0, 1]), np.array([2, 5]), np.array([2, 3])],
-        ))
-        _, arrays = _result(worker.execute(
-            store,
-            worker.pack_command(worker.OP_MATVEC_GHOSTS, {"key": "b"}, [ghosts]),
-        ))
-        xsub = np.empty(4)
-        xsub[[0, 1]] = z[[2, 5]]
-        xsub[[2, 3]] = ghosts
-        want = apply_kernels.csr_matvec(block, xsub)
-        assert np.asarray(arrays[0]).tobytes() == want.tobytes()
-
-    def test_dot_partial_matches_numpy(self):
-        store = worker.SubdomainStore()
-        rng = np.random.default_rng(11)
-        x, y = rng.standard_normal(31), rng.standard_normal(31)
-        _, arrays = _result(worker.execute(
-            store, worker.pack_command(worker.OP_DOT_PARTIAL, {}, [x, y])
-        ))
-        assert float(np.asarray(arrays[0])[0]) == float(np.dot(x, y))
+        want_z = fac.solve(r)
+        assert np.asarray(z).tobytes() == want_z.tobytes()
+        assert np.asarray(y).tobytes() == apply_kernels.csr_matvec(a, want_z).tobytes()
 
 
 class TestErrorBoundary:
@@ -244,30 +238,24 @@ class TestErrorBoundary:
         assert "not resident" in meta["error"]
         assert meta["seconds"] >= 0.0
 
-    def test_ghost_matvec_without_z_register_reports_valueerror(self):
+    def test_missing_factor_reports_keyerror(self):
         store = worker.SubdomainStore()
-        block = sp.identity(3, format="csr")
-        worker.execute(store, worker.pack_command(
-            worker.OP_LOAD_MATRIX,
-            {"key": "b", "nrows": 3, "ncols": 3, "block": True},
-            [block.indptr, block.indices, block.data,
-             np.array([0, 1, 2]), np.array([0, 1, 2]),
-             np.empty(0, dtype=np.int64)],
-        ))
-        meta, _ = _result(worker.execute(
+        op, meta, _ = worker.unpack_command(worker.execute(
             store,
-            worker.pack_command(
-                worker.OP_MATVEC_GHOSTS, {"key": "b"},
-                [np.empty(0, dtype=np.float64)],
-            ),
+            worker.pack_command(worker.OP_APPLY, {"key": "nope"}, [np.ones(2)]),
         ))
-        assert meta["etype"] == "ValueError"
-        assert "z-register" in meta["error"]
+        assert op == worker.OP_APPLY
+        assert meta["etype"] == "KeyError"
+        assert "not resident" in meta["error"]
 
     def test_garbage_payload_still_yields_a_result_frame(self):
         store = worker.SubdomainStore()
-        meta, _ = _result(worker.execute(store, b"\xff\x00garbage"))
-        assert meta["etype"] == "ValueError"
+        truncated_apply = worker.pack_command(worker.OP_APPLY, {"key": "f"})[:-2]
+        for payload in (b"\xff\x00garbage", truncated_apply):
+            op, meta, _ = worker.unpack_command(worker.execute(store, payload))
+            assert meta["etype"] == "ValueError"
+            # an unparseable command's reply names no live op
+            assert op == worker.NO_OP and op not in worker.OP_NAMES
 
     def test_factorization_breakdown_travels_as_typed_meta(self):
         from repro.resilience.errors import FactorizationBreakdown

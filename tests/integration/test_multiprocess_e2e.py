@@ -124,13 +124,16 @@ class TestWorkerResidentState:
             out = solve_case(case, precond="block2", nparts=2,
                              backend="multiprocess")
         assert out.status == "converged"
-        rounds = _events(tracer, "comm.worker.round")
-        ops = {e["attrs"]["op"] for e in rounds}
-        # sweeps and ghost-only matvecs run worker-side every iteration;
-        # state ships via load/factor rounds
-        assert "apply" in ops
-        assert "matvec-ghosts" in ops
-        assert ops & {"load-factor", "factor"}
+        rounds = sorted(_events(tracer, "comm.worker.round"), key=lambda e: e["t"])
+        seq = [e["attrs"]["op"] for e in rounds]
+        # sweeps and matvecs run worker-side every iteration; state ships
+        # via load/factor rounds, and nothing else goes on the wire
+        assert set(seq) <= {"load-matrix", "load-factor", "factor", "apply", "matvec"}
+        assert "apply" in seq and "matvec" in seq
+        assert set(seq) & {"load-factor", "factor"}
+        # every preconditioned vector goes straight into the next matvec
+        preconditioned = sum(pair == ("apply", "matvec") for pair in zip(seq, seq[1:]))
+        assert seq.count("apply") == preconditioned
         # per-rank attribution present on every round
         for e in rounds:
             assert len(e["attrs"]["seconds"]) == len(e["attrs"]["ranks"])

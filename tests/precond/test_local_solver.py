@@ -175,7 +175,7 @@ class TestOneSeam:
 
     #: the factor codec and the session's shipping surface, as attributes
     WIRE_CALLS = {
-        "to_wire", "from_wire", "ensure_factors", "ensure_matrices",
+        "to_wire", "from_wire", "ensure", "load_matrix", "load_factor",
         "apply_factors", "is_shipped", "session",
     }
     #: the wire meta keys, as string literals

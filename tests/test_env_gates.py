@@ -2,7 +2,7 @@
 
 Every gate multiplies the configurations the determinism matrix and CI must
 cover, so adding one has to show up as a failing test, not as a grep nobody
-runs.  docs/performance.md's environment table lists the same five.
+runs.  docs/performance.md's environment table lists the same four.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
-GATES = {"SANITIZE", "KERNEL_TIER", "COMM_BACKEND", "FACTOR_CACHE", "WORKER_COMPUTE"}
+GATES = {"SANITIZE", "KERNEL_TIER", "COMM_BACKEND", "FACTOR_CACHE"}
 
 
 def _sources() -> dict[Path, str]:
     return {p: p.read_text() for p in sorted(SRC.rglob("*.py"))}
 
 
-def test_env_gates_are_exactly_the_documented_five():
+def test_env_gates_are_exactly_the_documented_four():
     found = {
         name
         for text in _sources().values()
