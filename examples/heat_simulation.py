@@ -14,13 +14,7 @@ Run:  python examples/heat_simulation.py
 import numpy as np
 
 from repro.cases.heat3d import heat3d_case
-from repro.comm.communicator import Communicator
-from repro.core.driver import make_preconditioner
-from repro.distributed.matrix import distribute_matrix
-from repro.distributed.ops import DistributedOps
-from repro.distributed.partition_map import PartitionMap
-from repro.fem.boundary import apply_dirichlet
-from repro.krylov.fgmres import fgmres
+from repro.core import TransientHeatSolver
 from repro.perfmodel.machine import LINUX_CLUSTER
 
 
@@ -30,43 +24,24 @@ def main() -> None:
     mesh = case.mesh
     print(f"{case.title}: {case.num_dofs} unknowns, P = {nparts}, {steps} steps")
 
-    membership = case.membership(nparts, seed=0)
-    pm = PartitionMap(case.coupling_graph, membership, num_ranks=nparts)
-    dmat = distribute_matrix(case.matrix, pm)
-    comm = Communicator(nparts)
-    precond = make_preconditioner("schur1", dmat, comm, case)
-    ops = DistributedOps(comm, pm.layout)
-
-    # rebuild the RHS every step: (M + dt K) u^{l} = M u^{l-1} with u=0 at x=1
-    from repro.fem.timestepping import ImplicitEulerOperator
-
-    op = ImplicitEulerOperator(mesh, dt=0.05)
-    dirichlet = mesh.boundary_set("right")
+    # (M + dt K) u^{l} = M u^{l-1} with u = 0 at x = 1
+    ths = TransientHeatSolver(
+        mesh, dt=0.05, dirichlet_nodes=mesh.boundary_set("right"),
+        precond="schur1", nparts=nparts, seed=0, rtol=1e-8, maxiter=200,
+    )
     u = case.x0.copy()
-    total_iters = 0
     print(f"{'step':>5} {'FGMRES iters':>13} {'max|u|':>9} {'energy':>10}")
-    for step in range(1, steps + 1):
-        _, rhs = apply_dirichlet(op.matrix, op.rhs(u), dirichlet, 0.0)
-        res = fgmres(
-            lambda v: dmat.matvec(comm, v),
-            pm.to_distributed(rhs),
-            apply_m=precond.apply,
-            x0=pm.to_distributed(u),
-            restart=20,
-            rtol=1e-8,
-            maxiter=200,
-            ops=ops,
-        )
-        assert res.converged
-        u_new = pm.to_global(res.x)
-        energy = float(u_new @ (op.mass @ u_new))
-        print(f"{step:>5} {res.iterations:>13} {np.abs(u_new).max():>9.5f} {energy:>10.3e}")
-        assert np.abs(u_new).max() <= np.abs(u).max() + 1e-12, "heat must decay"
+    for _ in range(steps):
+        u_new = ths.advance(u, 1)
+        rec = ths.history[-1]
+        energy = float(u_new @ (ths.op.mass @ u_new))
+        print(f"{rec.step:>5} {rec.iterations:>13} {rec.max_abs:>9.5f} {energy:>10.3e}")
+        assert rec.max_abs <= np.abs(u).max() + 1e-12, "heat must decay"
         u = u_new
-        total_iters += res.iterations
+    ths.close()
 
-    t = LINUX_CLUSTER.time(comm.ledger)
-    print(f"\ntotal FGMRES iterations: {total_iters}")
+    t = LINUX_CLUSTER.time(ths.setup_ledger) + LINUX_CLUSTER.time(ths.comm.ledger)
+    print(f"\ntotal FGMRES iterations: {ths.total_iterations}")
     print(f"simulated wall-clock on the Linux-cluster model: {t:.2f}s "
           f"(one preconditioner setup amortized over {steps} steps)")
 

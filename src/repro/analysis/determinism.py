@@ -154,12 +154,9 @@ def _solve_digests(
 
 
 def _subdomain_blocks(case: TestCase, nparts: int, seed: int) -> list[sp.csr_matrix]:
-    from repro.distributed.matrix import distribute_matrix
-    from repro.distributed.partition_map import PartitionMap
+    from repro.core import stages  # deferred: heavy import
 
-    membership = case.membership(nparts, seed=seed)
-    pm = PartitionMap(case.coupling_graph, membership, num_ranks=nparts)
-    dmat = distribute_matrix(case.matrix, pm)
+    dmat = stages.distribute(case, nparts, seed=seed)
     # square owned-diagonal block (local rows are owned x [owned; ghost])
     return [
         sp.csr_matrix(dmat.local[r][:, : dmat.local[r].shape[0]])

@@ -446,7 +446,6 @@ ENTRY_POINTS = {
     "core/driver.py": ("solve_case",),
     "core/experiment.py": ("run_sweep",),
     "krylov/fgmres.py": ("fgmres",),
-    "krylov/gmres.py": ("gmres",),
     "krylov/cg.py": ("cg",),
     "krylov/bicgstab.py": ("bicgstab",),
 }
@@ -459,7 +458,7 @@ _MONITOR_CALLS = ("start", "check")
 
 def _is_delegating_wrapper(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     """A body of nothing but ``return other(...)`` inherits the callee's
-    instrumentation (e.g. ``gmres`` delegating to the FGMRES kernel)."""
+    instrumentation (e.g. a solver alias delegating to the FGMRES kernel)."""
     body = [
         stmt for stmt in fn.body
         if not (isinstance(stmt, ast.Expr)

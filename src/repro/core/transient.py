@@ -1,11 +1,12 @@
 """Transient (multi-step) parallel solves.
 
 The paper's Test Case 4 runs a single implicit Euler step; production heat
-simulations run many.  :class:`TransientHeatSolver` packages the pattern the
-``examples/heat_simulation.py`` script demonstrates: partition and factor
-once, then advance any number of steps, reusing the distributed operator and
-the parallel preconditioner, with all per-step costs accumulated on one
-ledger so the amortized parallel cost is measurable.
+simulations run many.  :class:`TransientHeatSolver` (used by
+``examples/heat_simulation.py``) runs the distribute and set-up stages of
+:mod:`repro.core.stages` once, then one Krylov stage per step, reusing the
+distributed operator and the parallel preconditioner.  Set-up cost goes to
+``setup_ledger`` and every step's cost to one ledger (``comm.ledger``), so
+the amortized parallel cost is measurable.
 
 Long marches are fault-tolerant (docs/robustness.md):
 
@@ -29,16 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import faults, obs
+from repro import obs
+from repro.cases.base import TestCase
 from repro.comm.communicator import Communicator
-from repro.core.driver import make_preconditioner
-from repro.distributed.matrix import distribute_matrix
-from repro.distributed.ops import DistributedOps
-from repro.distributed.partition_map import PartitionMap, absorb_rank
+from repro.core import stages
 from repro.fem.boundary import apply_dirichlet
 from repro.fem.timestepping import ImplicitEulerOperator
-from repro.krylov.fgmres import fgmres
 from repro.mesh.mesh import Mesh
+from repro.perfmodel.costs import CostLedger
 from repro.resilience.errors import RankDeadError, TransientStepFailure
 
 
@@ -90,14 +89,17 @@ class TransientHeatSolver:
         checkpoint_every: int = 1,
         backend: str | None = None,
     ) -> None:
-        from repro.graph.adjacency import graph_from_elements
-        from repro.graph.geometric import box_partition_2d, box_partition_3d
-        from repro.graph.partitioner import partition_graph
-
         self.op = ImplicitEulerOperator(mesh, dt=dt, conductivity=conductivity)
         self.dirichlet = np.asarray(dirichlet_nodes, dtype=np.int64)
-        self.matrix, _ = apply_dirichlet(
+        self.matrix, rhs = apply_dirichlet(
             self.op.matrix, np.zeros(mesh.num_points), self.dirichlet, 0.0
+        )
+        # the system every step solves; only its right-hand side and initial
+        # guess change from step to step
+        self.case = TestCase(
+            key="transient", title="Implicit Euler heat step", mesh=mesh,
+            matrix=self.matrix, rhs=rhs, raw_matrix=self.op.matrix,
+            x0=np.zeros(mesh.num_points),
         )
         self.rtol = rtol
         self.maxiter = maxiter
@@ -110,67 +112,54 @@ class TransientHeatSolver:
 
             self.checkpoints = CheckpointManager(checkpoint_dir, prefix="transient")
 
-        self.graph = graph_from_elements(mesh.num_points, mesh.elements)
-        if scheme == "general":
-            membership = partition_graph(self.graph, nparts, seed=seed)
-        elif scheme == "box":
-            shape = mesh.structured_shape
-            if shape is None:
-                raise ValueError("box partitioning requires a structured grid")
-            membership = (
-                box_partition_2d(*shape, nparts)
-                if len(shape) == 2
-                else box_partition_3d(*shape, nparts)
-            )
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
         self.precond_name = precond
         self.precond_params = precond_params
         self.nparts = nparts
+        self.seed, self.scheme = seed, scheme
         self.backend_name = backend
         self.comm: Communicator | None = None
-
-        # a minimal stand-in TestCase is not needed: only the Schwarz
-        # preconditioners read case.mesh/case.matrix, and they are valid here
-        class _CaseShim:
-            pass
-
-        self._shim = _CaseShim()
-        self._shim.mesh = mesh
-        self._shim.matrix = self.matrix
-        self._build(np.asarray(membership, dtype=np.int64))
-        self.setup_ledger = self.comm.reset_ledger()
+        self.setup_ledger: CostLedger | None = None
+        self._build()
         self.history: list[StepRecord] = []
         self.step = 0
 
     # -- layout (re)construction -------------------------------------------
 
     def _build(
-        self, membership: np.ndarray, absorbed_rank: int | None = None
+        self, membership: np.ndarray | None = None,
+        absorbed_rank: int | None = None,
     ) -> None:
-        """(Re)build the distributed operator stack for ``membership``.
+        """(Re)build the operator stack on ``membership`` (default: partition).
 
-        ``absorbed_rank`` is set on the rank-failure recovery path: the old
-        communicator's envelope sequence state is carried over for the
-        surviving edges (stale seq counters for edges that touched the dead
-        rank are dropped — see :meth:`Communicator.adopt_seq`) and the old
-        communicator's backend is shut down so dead-world processes do not
-        outlive the world they belonged to.
+        Set-up cost always lands on ``setup_ledger``: merged into it on the
+        same number of ranks, replacing it on a shrunk world (whose old
+        per-rank vectors describe nothing that exists).  ``absorbed_rank``
+        is set on the recovery path: the old communicator's envelope seq
+        state carries over for the surviving edges
+        (:meth:`Communicator.adopt_seq`) and its backend is shut down, so
+        dead-world processes do not outlive their world.
         """
         prev = self.comm
-        self.membership = membership
-        self.nparts = int(membership.max()) + 1
-        self.pm = PartitionMap(self.graph, membership, num_ranks=self.nparts)
-        self.dmat = distribute_matrix(self.matrix, self.pm)
+        if membership is not None:
+            self.nparts = int(membership.max()) + 1
+        self.dmat = stages.distribute(
+            self.case, self.nparts, seed=self.seed, scheme=self.scheme,
+            membership=membership,
+        )
+        self.membership = self.dmat.pm.membership
         self.comm = Communicator(self.nparts, backend=self.backend_name)
         if prev is not None and absorbed_rank is not None:
             self.comm.adopt_seq(prev, absorbed_rank)
         if prev is not None:
             prev.close()
-        self.precond = make_preconditioner(
-            self.precond_name, self.dmat, self.comm, self._shim, self.precond_params
+        self.precond, rebuild = stages.set_up(
+            self.precond_name, self.dmat, self.comm, self.case, self.precond_params
         )
-        self._ops = DistributedOps(self.comm, self.pm.layout)
+        old = self.setup_ledger
+        if old is not None and old.num_ranks == rebuild.num_ranks:
+            old.merge(rebuild)
+        else:
+            self.setup_ledger = rebuild
 
     def close(self) -> None:
         """Release the communicator's execution backend (idempotent)."""
@@ -188,16 +177,9 @@ class TransientHeatSolver:
             raise exc
         dead = exc.rank
         obs.event("resilience.comm.rank_dead", rank=dead, step=self.step + 1)
-        with obs.span(
-            "resilience.comm.recover", rank=dead, survivors=self.nparts - 1
-        ):
-            self._build(
-                absorb_rank(self.graph, self.membership, dead),
-                absorbed_rank=dead,
-            )
-            plan = faults.active()
-            if plan is not None:
-                plan.mark_recovered(dead)
+        graph = self.case.coupling_graph
+        with stages.absorb(graph, self.membership, dead, self.nparts) as survivors:
+            self._build(survivors, absorbed_rank=dead)
             if self.checkpoints is not None:
                 ckpt = self.checkpoints.load_latest()
                 if ckpt is not None and int(ckpt.meta.get("step", 0)) <= self.step:
@@ -225,14 +207,6 @@ class TransientHeatSolver:
             membership = np.asarray(membership, dtype=np.int64)
             if not np.array_equal(membership, self.membership):
                 self._build(membership)
-                rebuild = self.comm.reset_ledger()
-                if rebuild.num_ranks == self.setup_ledger.num_ranks:
-                    self.setup_ledger.merge(rebuild)
-                else:
-                    # the snapshot came from a shrunk (post-recovery) world;
-                    # per-rank setup vectors for the old layout no longer
-                    # describe anything that exists, so start fresh
-                    self.setup_ledger = rebuild
         self.step = int(ckpt.meta.get("step", 0))
         del self.history[self.step :]
         return np.asarray(ckpt["u"], dtype=np.float64), self.step
@@ -256,22 +230,18 @@ class TransientHeatSolver:
             rhs[self.dirichlet] = 0.0
             # symmetric elimination: subtract prescribed couplings (all zero
             # values here, so only the row replacement matters)
+            pm = self.dmat.pm
             try:
-                res = fgmres(
-                    lambda v: self.dmat.matvec(self.comm, v),
-                    self.pm.to_distributed(rhs),
-                    apply_m=self.precond,
-                    x0=self.pm.to_distributed(u),
-                    restart=20,
-                    rtol=self.rtol,
-                    maxiter=self.maxiter,
-                    ops=self._ops,
+                res = stages.krylov(
+                    "fgmres", self.precond_name, self.precond,
+                    pm.to_distributed(rhs), pm.to_distributed(u),
+                    rtol=self.rtol, maxiter=self.maxiter,
                 )
             except RankDeadError as exc:
                 u = self._recover(exc, u)
                 continue
             step = self.step + 1
-            u_next = self.pm.to_global(res.x)
+            u_next = pm.to_global(res.x)
             self.history.append(
                 StepRecord(
                     step=step,

@@ -1,4 +1,4 @@
-"""Krylov subspace solvers: GMRES(m), FGMRES(m), CG.
+"""Krylov subspace solvers: FGMRES(m), CG, BiCGStab.
 
 Solvers are written once against an injectable :class:`KernelOps` (inner
 product, norm, update accounting); serial code uses the default numpy
@@ -8,7 +8,6 @@ so every inner product is charged as an allreduce.
 
 from repro.krylov.ops import CountingOps, KernelOps, SerialOps
 from repro.krylov.monitors import STATUSES, ConvergenceMonitor, KrylovResult
-from repro.krylov.gmres import gmres
 from repro.krylov.fgmres import fgmres
 from repro.krylov.cg import cg
 from repro.krylov.bicgstab import bicgstab
@@ -26,7 +25,6 @@ __all__ = [
     "ConvergenceMonitor",
     "KrylovResult",
     "STATUSES",
-    "gmres",
     "fgmres",
     "cg",
     "bicgstab",

@@ -38,7 +38,6 @@ from repro.factor.ilut import ilut
 from repro.factor.schur_extract import SchurBlocks, extract_schur_blocks
 from repro.kernels.apply import csr_matvec, stack_csr
 from repro.krylov.fgmres import fgmres
-from repro.krylov.gmres import gmres
 from repro.krylov.ops import CountingOps
 from repro.precond.base import ParallelPreconditioner
 from repro.precond.block_jacobi import estimate_ilu_setup_flops
@@ -163,7 +162,7 @@ class Schur1Preconditioner(ParallelPreconditioner):
 
     def _solve_schur_system(self, ghat: np.ndarray) -> np.ndarray:
         with obs.span("schur.solve", iterations=self.global_iterations):
-            res = gmres(
+            res = fgmres(
                 self._schur_matvec,
                 ghat,
                 apply_m=self._schur_precond,

@@ -31,7 +31,7 @@ from repro.distributed.matrix import DistributedMatrix
 from repro.distributed.ops import DistributedOps
 from repro.factor.arms import ArmsFactorization
 from repro.kernels.apply import csr_matvec, stack_csr
-from repro.krylov.gmres import gmres
+from repro.krylov.fgmres import fgmres
 from repro.precond.base import ParallelPreconditioner
 from repro.resilience.errors import InnerSolveDivergence
 from repro.sparse.triangular import FusedLU
@@ -214,7 +214,7 @@ class Schur2Preconditioner(ParallelPreconditioner):
 
     def _solve_expanded_system(self, ghat: np.ndarray) -> np.ndarray:
         with obs.span("schur.solve", iterations=self.global_iterations):
-            res = gmres(
+            res = fgmres(
                 self._expanded_matvec,
                 ghat,
                 apply_m=self._expanded_precond,

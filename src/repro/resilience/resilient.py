@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import faults, obs
+from repro import obs
 from repro.cases.base import TestCase
+from repro.core import stages
 from repro.core.driver import PRECONDITIONER_NAMES, SolveOutcome, solve_case
-from repro.distributed.partition_map import absorb_rank
 from repro.resilience.errors import RankDeadError, SolverFault
 
 #: default fallback order: strongest first, the unbreakable Jacobi last
@@ -175,18 +175,12 @@ class ResilientSolver:
                     seed=kwargs.get("seed", 0),
                     scheme=kwargs.get("scheme", "general"),
                 )
-            with obs.span(
-                "resilience.comm.recover", rank=dead, survivors=nparts - 1
-            ):
-                kwargs["membership"] = absorb_rank(
-                    case.coupling_graph, membership, dead
-                )
+            graph = case.coupling_graph
+            with stages.absorb(graph, membership, dead, nparts) as survivors:
+                kwargs["membership"] = survivors
                 kwargs["nparts"] = nparts - 1
                 if kwargs.get("checkpoint_dir") is not None:
                     kwargs["restore"] = True
-                plan = faults.active()
-                if plan is not None:
-                    plan.mark_recovered(dead)
                 out = self._attempt(
                     case, precond, "rank-recovery", params, kwargs, attempts
                 )

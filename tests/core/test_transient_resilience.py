@@ -7,7 +7,7 @@ import pytest
 from repro import faults, obs
 from repro.core.transient import TransientHeatSolver
 from repro.mesh.grid2d import structured_rectangle
-from repro.resilience.errors import TransientStepFailure
+from repro.resilience.errors import NumericalFault, TransientStepFailure
 
 
 def _mesh():
@@ -47,6 +47,31 @@ class TestStepStatus:
         assert len(ths.history) == 1
         assert ths.history[0].status == "maxiter"
         assert not ths.history[0].converged
+
+
+class TestStagedLikeSolveCase:
+    """A march runs the stages ``solve_case`` runs, with their ledgers and
+    fault scopes."""
+
+    def test_ledgers_carry_the_working_set(self):
+        ths = _solver(_mesh())
+        ws = ths.setup_ledger.working_set_bytes
+        assert ws is not None and ws.shape == (ths.nparts,) and ws.min() > 0
+        assert ths.comm.ledger.working_set_bytes is ws
+
+    def test_targeted_faults_reach_set_up_and_steps(self):
+        mesh = _mesh()
+        plan = faults.FaultPlan([
+            faults.FaultSpec("bad-pivot", target="block2"),
+            faults.FaultSpec("nan-kernel", target="block2"),
+        ])
+        with faults.inject(plan):
+            ths = _solver(mesh, precond="block2")
+            with pytest.raises(NumericalFault):
+                ths.advance(_u0(mesh), steps=1)
+        assert [(r["kind"], r["scope"]) for r in plan.injected] == [
+            ("bad-pivot", "block2"), ("nan-kernel", "block2"),
+        ]
 
 
 class TestCheckpointResume:
@@ -120,6 +145,29 @@ class TestRankFailureMidMarch:
         assert plan.injected
         assert ths.nparts == 2
         np.testing.assert_allclose(u, u_ref, atol=1e-8)
+
+    def test_recovery_rebuild_is_charged_to_set_up(self, tmp_path):
+        # the survivors' rebuild is a set-up: it replaces the dead world's
+        # set-up ledger, and the step ledger keeps only steps — what a solver
+        # built on the survivor layout (restored from the post-recovery
+        # snapshot) charges for the same march from the same state.  Rank 1
+        # dies in step 1, before any snapshot, so step 1 is retried from u0.
+        mesh = _mesh()
+        u0 = _u0(mesh)
+        plan = faults.FaultPlan(faults.FaultSpec("rank-dead", rank=1, start=3))
+        ths = _solver(mesh, checkpoint_dir=str(tmp_path))
+        with faults.inject(plan):
+            ths.advance(u0, steps=3)
+        assert plan.injected
+        assert ths.nparts == 2
+        assert ths.setup_ledger.num_ranks == ths.nparts
+
+        twin = _solver(mesh, checkpoint_dir=str(tmp_path))
+        twin.restore()
+        assert twin.nparts == 2
+        twin.advance(u0, steps=3)
+        assert ths.setup_ledger.counts() == twin.setup_ledger.counts()
+        assert ths.comm.ledger.counts() == twin.comm.ledger.counts()
 
     def test_survivor_layout_persists_across_restore(self, tmp_path):
         # a post-recovery snapshot stores the shrunk membership; a fresh

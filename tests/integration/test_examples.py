@@ -31,6 +31,13 @@ class TestExamples:
         assert "edge cut" in out
         assert "box partitioning" in out
 
+    def test_heat_simulation(self):
+        out = run_example("heat_simulation.py")
+        rows = [line.split() for line in out.splitlines()]
+        steps = [int(r[0]) for r in rows if len(r) == 4 and r[0].isdigit()]
+        assert steps == list(range(1, 21))
+        assert "total FGMRES iterations: 144" in out
+
     def test_vtk_export(self, tmp_path):
         target = tmp_path / "o.vtk"
         out = run_example("vtk_export.py", str(target))
