@@ -8,11 +8,10 @@ made in simulated time, not raw counts.
 
 from repro.cases.convection2d import convection2d_case
 from repro.comm.communicator import Communicator
+from repro.core import stages
 from repro.core.driver import make_preconditioner
 from repro.core.reporting import format_paper_table
-from repro.distributed.matrix import distribute_matrix
 from repro.distributed.ops import DistributedOps
-from repro.distributed.partition_map import PartitionMap
 from repro.krylov.bicgstab import bicgstab
 from repro.krylov.fgmres import fgmres
 from repro.perfmodel.machine import LINUX_CLUSTER
@@ -23,9 +22,8 @@ P_VALUES = [2, 4, 8]
 
 
 def _run(case, accel, p):
-    membership = case.membership(p, seed=0)
-    pm = PartitionMap(case.coupling_graph, membership, num_ranks=p)
-    dmat = distribute_matrix(case.matrix, pm)
+    dmat = stages.distribute(case, p)
+    pm = dmat.pm
     comm = Communicator(p)
     M = make_preconditioner("block2", dmat, comm, case)
     comm.reset_ledger()

@@ -203,15 +203,13 @@ def test_whole_apply(monkeypatch):
     """
     from repro.cases import build_case
     from repro.comm.communicator import Communicator
-    from repro.core import make_preconditioner
-    from repro.distributed.matrix import distribute_matrix
-    from repro.distributed.partition_map import PartitionMap
+    from repro.core import make_preconditioner, stages
     from repro.kernels import apply as apply_kernels
 
     nparts = WHOLE_APPLY["nparts"]
     case = build_case(WHOLE_APPLY["case"], scaled_n(WHOLE_APPLY["n"]))
-    pm = PartitionMap(case.coupling_graph, case.membership(nparts, seed=0), num_ranks=nparts)
-    dmat = distribute_matrix(case.matrix, pm)
+    dmat = stages.distribute(case, nparts)
+    pm = dmat.pm
     r = np.random.default_rng(6).standard_normal(pm.layout.total)
 
     rows = []

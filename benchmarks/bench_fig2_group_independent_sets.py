@@ -7,8 +7,7 @@ invariant asserted.
 """
 
 from repro.cases.poisson2d import poisson2d_case
-from repro.distributed.matrix import distribute_matrix
-from repro.distributed.partition_map import PartitionMap
+from repro.core import stages
 from repro.factor.arms import ArmsFactorization
 from repro.graph.adjacency import graph_from_matrix
 from repro.graph.independent_sets import verify_group_independence
@@ -18,9 +17,8 @@ from common import emit, scaled_n
 
 def test_fig2_group_independent_sets(benchmark):
     case = poisson2d_case(n=scaled_n(33))
-    mem = case.membership(2, seed=0)
-    pm = PartitionMap(case.coupling_graph, mem, num_ranks=2)
-    dmat = distribute_matrix(case.matrix, pm)
+    dmat = stages.distribute(case, 2)
+    pm = dmat.pm
 
     def run():
         return [

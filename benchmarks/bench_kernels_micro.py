@@ -13,8 +13,7 @@ import pytest
 
 from repro.cases.poisson2d import poisson2d_case
 from repro.comm.communicator import Communicator
-from repro.distributed.matrix import distribute_matrix
-from repro.distributed.partition_map import PartitionMap
+from repro.core import stages
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
 
@@ -24,10 +23,8 @@ from common import scaled_n
 @pytest.fixture(scope="module")
 def system():
     case = poisson2d_case(n=scaled_n(81))
-    mem = case.membership(4, seed=0)
-    pm = PartitionMap(case.coupling_graph, mem, num_ranks=4)
-    dmat = distribute_matrix(case.matrix, pm)
-    return case, pm, dmat
+    dmat = stages.distribute(case, 4)
+    return case, dmat.pm, dmat
 
 
 def test_kernel_triangular_solve(benchmark, system):
@@ -118,9 +115,7 @@ def _tc1_subdomain_block():
     from repro.sparse.reorder import apply_symmetric_permutation
 
     case = poisson2d_case(n=scaled_n(101))
-    mem = case.membership(4, seed=0)
-    pm = PartitionMap(case.coupling_graph, mem, num_ranks=4)
-    a = distribute_matrix(case.matrix, pm).owned_square[0]
+    a = stages.distribute(case, 4).owned_square[0]
     perm = reverse_cuthill_mckee(graph_from_matrix(a))
     return apply_symmetric_permutation(a, perm), case
 
@@ -135,8 +130,7 @@ def _tc2_owned_block():
     from repro import CASE_BUILDERS
 
     case = CASE_BUILDERS["tc2"](scaled_n(15))
-    pm = PartitionMap(case.coupling_graph, case.membership(8, seed=0), num_ranks=8)
-    return distribute_matrix(case.matrix, pm).owned_square[0], case
+    return stages.distribute(case, 8).owned_square[0], case
 
 
 ILUT_GATE = {"drop_tol": 1e-3, "fill": 10, "required_speedup": 2.0}

@@ -18,8 +18,8 @@ the system grows:
   factors, and emit a ``repro.determinism.v1`` report;
 * :mod:`repro.analysis.proto` — protocol/concurrency analysis (``python -m
   repro verify-protocol``): wire-contract coverage over the comm backends
-  (RPR010), state-machine model checking of the supervisor/job/breaker
-  lifecycles (RPR011), and interprocedural lock-order / blocking-under-lock
+  (RPR010), model checking of the supervisor/job/breaker transition
+  tables (RPR011), and interprocedural lock-order / blocking-under-lock
   detection (RPR012), reported as ``repro.proto.v1``.
 
 Each rule, trap and check is documented in ``docs/static-analysis.md``.
@@ -40,8 +40,6 @@ __all__ = [
     "lint_source",
     "DeterminismReport",
     "check_determinism",
-    "MachineSpec",
-    "MACHINE_SPECS",
     "ProtoReport",
     "verify_protocol",
 ]
@@ -53,8 +51,6 @@ _LAZY = {
     "lint_source": ("repro.analysis.lint", "lint_source"),
     "DeterminismReport": ("repro.analysis.determinism", "DeterminismReport"),
     "check_determinism": ("repro.analysis.determinism", "check_determinism"),
-    "MachineSpec": ("repro.analysis.proto", "MachineSpec"),
-    "MACHINE_SPECS": ("repro.analysis.proto", "MACHINE_SPECS"),
     "ProtoReport": ("repro.analysis.proto", "ProtoReport"),
     "verify_protocol": ("repro.analysis.proto", "verify_protocol"),
 }

@@ -19,7 +19,7 @@ on the offending line).  The full rationale per rule lives in
 | RPR008 | bare ``time.sleep`` / raw ``multiprocessing`` primitives outside ``repro.comm.backends`` |
 | RPR009 | blocking ``get``/``wait``/``join``/``recv`` without an explicit ``timeout`` in ``repro.service`` |
 | RPR010 | wire-contract violation: opcode/frame-kind/dtype outside the closed tables |
-| RPR011 | state-machine divergence from the declared supervisor/job/breaker specs |
+| RPR011 | unsound supervisor/job/breaker transition table, or a state write that bypasses it |
 | RPR012 | lock-order cycle or blocking call reachable while a lock is held |
 
 RPR001–009 run per file under ``python -m repro lint``.  RPR010–012 are

@@ -4,9 +4,9 @@ Three cooperating AST analyses over the parallel layer that PRs 7–9 built:
 
 * :mod:`.wire` — RPR010, closed-world wire-contract checker for the opcode
   table, frame kinds, and ``ARRAY_DTYPES`` in ``repro.comm.backends``;
-* :mod:`.machines` — RPR011, explicit transition specs for the rank
-  supervisor, job record, and breaker, model-checked exhaustively and
-  cross-checked against the implementing code;
+* :mod:`.machines` — RPR011, reads the transition tables the rank
+  supervisor, job record, and breaker enforce, model-checks them
+  exhaustively, and checks every state write goes through them;
 * :mod:`.locks` — RPR012, interprocedural lock-order cycles and
   blocking-calls-under-lock over ``repro.service`` / ``repro.comm`` /
   the factor cache / checkpointing.
@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import Any
 
 __all__ = [
-    "MACHINE_SPECS",
-    "MachineSpec",
+    "MACHINES",
     "ProtoReport",
     "check_locks",
     "check_machines",
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 _LAZY = {
-    "MACHINE_SPECS": ("repro.analysis.proto.machines", "MACHINE_SPECS"),
-    "MachineSpec": ("repro.analysis.proto.machines", "MachineSpec"),
+    "MACHINES": ("repro.analysis.proto.machines", "MACHINES"),
     "ProtoReport": ("repro.analysis.proto.report", "ProtoReport"),
     "check_locks": ("repro.analysis.proto.locks", "check_locks"),
     "check_machines": ("repro.analysis.proto.machines", "check_machines"),

@@ -1,169 +1,83 @@
-"""RPR011 — state-machine specs, exhaustive model checking, AST cross-check.
+"""RPR011 — the lifecycle tables, model-checked where they are written.
 
-PRs 7–9 grew three hand-rolled concurrent state machines; this module pins
-each one down as an explicit :class:`MachineSpec` and then proves two
-different things about it:
+Each lifecycle machine keeps its transition table in its own module, as a
+module-level ``_TRANSITIONS`` dict, and that module's one state-writing
+method consults it: ``JobRecord.transition`` (``service/job.py``),
+``RankSupervisor._enter`` (``comm/backends/supervisor.py``) and
+``_Circuit.move`` (``service/breaker.py``).  This checker reads each table
+and its states tuple out of the source — it never imports the checked
+modules — and proves, by exhaustive search over the table:
 
-1. **The spec itself is sound** (:func:`model_check`): exhaustive
-   enumeration of the state space — every state reaches a terminal, no
-   transition leaves a terminal, fencing is only enabled from SUSPECT,
-   drain can shed every non-terminal job, and (via product-space
-   enumeration over the *semantic* step functions that mirror the
-   implementations) the breaker's half-open state admits exactly one probe
-   and the supervisor's fence trigger never fires outside SUSPECT.
+* every declared state is reachable from the initial one (the first entry
+  of the module's states tuple);
+* terminals are absorbing — no edge leaves a declared terminal;
+* every state reaches a terminal or, for a terminal-free machine (the
+  breaker), recovers to its initial state;
+* drain can shed every non-terminal job.
 
-2. **The implementation matches the spec** (:func:`check_machines`): the
-   implementing module's AST is cross-checked against the spec — the state
-   constants, the ``_TRANSITIONS`` table, every ``<x>.state = <STATE>``
-   assignment, and the terminal guards (``if rec.state == DEAD: return``)
-   that make terminals absorbing.  A drifted table or an unguarded mutator
-   is an RPR011 violation anchored at the offending line.
-
-The split matters: the model checker proves the *declared* protocol safe;
-the cross-check proves the code still *implements* the declared protocol.
-Extending a machine means editing the spec here first — the cross-check
-then fails until the implementation and docs catch up.
+It also checks one structural rule: every ``.state`` / ``.status`` write in
+the module sits inside a function that consults ``_TRANSITIONS``, or writes
+the initial state from ``__init__`` or a declared reset.  What depends on
+more than the table — fencing only from SUSPECT, one half-open probe — is
+proved by tier-1 tests that explore the real classes
+(``tests/service/test_transition_edges.py``).
 """
 
 from __future__ import annotations
 
 import ast
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.analysis.lint.rules import FileContext, Violation
-from repro.analysis.proto.astutil import (
-    literal_dict,
-    load_context,
-    module_assign,
-    name_tuple,
-    str_constants,
-    tail_name,
-)
+from repro.analysis.proto.astutil import load_context, module_assign, str_constants
 
 CODE = "RPR011"
+TABLE = "_TRANSITIONS"
+STATE_ATTRS = ("state", "status")
+
+Table = dict[str, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
-class MachineSpec:
-    """One lifecycle state machine, declared as data.
+class Machine:
+    """Where one lifecycle lives, and what of it the checker reads.
 
-    ``transitions`` are ``(src, event, dst)`` triples; ``state_constants``
-    maps the implementation's constant names to state values (used by the
-    AST cross-check); ``reset_functions`` name mutators that *re-initialize*
-    the machine (a respawned rank starts a new lifecycle) and are therefore
-    exempt from the terminal-guard check; ``table_name`` points at a
-    module-level transition-dict literal that must equal the spec exactly.
+    ``states`` names the module's states tuple (its first entry is the
+    initial state); ``terminals`` names a declared terminal tuple, without
+    which the table's sinks are the terminals; ``recovers`` marks a
+    terminal-free machine; ``resets`` may write the initial state outside
+    the table (a respawned rank starts a new lifecycle); ``drain`` is the
+    state every live job must be able to reach directly.
     """
 
     name: str
     module: str
-    states: tuple[str, ...]
-    initial: str
-    terminals: tuple[str, ...]
-    transitions: tuple[tuple[str, str, str], ...]
-    state_constants: dict[str, str] = field(default_factory=dict)
-    state_attr: str | None = None
-    reset_functions: tuple[str, ...] = ()
-    table_name: str | None = None
-    states_name: str | None = None
-    terminals_name: str | None = None
-
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        """``src -> (dst, ...)`` in declaration order, duplicates dropped."""
-        out: dict[str, list[str]] = {}
-        for src, _event, dst in self.transitions:
-            dsts = out.setdefault(src, [])
-            if dst not in dsts:
-                dsts.append(dst)
-        return {src: tuple(dsts) for src, dsts in out.items()}
+    states: str
+    terminals: str | None = None
+    recovers: bool = False
+    resets: tuple[str, ...] = ()
+    drain: str | None = None
 
 
-SUPERVISOR_SPEC = MachineSpec(
-    name="rank-supervisor",
-    module="comm/backends/supervisor.py",
-    states=("spawned", "ready", "suspect", "dead"),
-    initial="spawned",
-    terminals=("dead",),
-    transitions=(
-        ("spawned", "ready", "ready"),
-        ("spawned", "miss", "suspect"),
-        ("spawned", "exit", "dead"),
-        ("ready", "ready", "ready"),
-        ("ready", "miss", "suspect"),
-        ("ready", "exit", "dead"),
-        ("suspect", "ready", "ready"),
-        ("suspect", "miss", "suspect"),
-        ("suspect", "exit", "dead"),
-        ("suspect", "fence", "dead"),
-    ),
-    state_constants={
-        "SPAWNED": "spawned", "READY": "ready",
-        "SUSPECT": "suspect", "DEAD": "dead",
-    },
-    state_attr="state",
-    reset_functions=("record_spawn",),
-    states_name="RANK_STATES",
+MACHINES = (
+    Machine("rank-supervisor", "comm/backends/supervisor.py", "RANK_STATES",
+            resets=("record_spawn",)),
+    Machine("job-record", "service/job.py", "JOB_STATUSES",
+            terminals="TERMINAL_STATUSES", drain="shed"),
+    Machine("breaker", "service/breaker.py", "BREAKER_STATES", recovers=True),
 )
 
-JOB_SPEC = MachineSpec(
-    name="job-record",
-    module="service/job.py",
-    states=("queued", "running", "converged", "failed", "shed", "cancelled"),
-    initial="queued",
-    terminals=("converged", "failed", "shed", "cancelled"),
-    transitions=(
-        ("queued", "running", "running"),
-        ("queued", "shed", "shed"),
-        ("queued", "cancelled", "cancelled"),
-        ("running", "converged", "converged"),
-        ("running", "failed", "failed"),
-        ("running", "shed", "shed"),
-        ("running", "cancelled", "cancelled"),
-    ),
-    table_name="_TRANSITIONS",
-    states_name="JOB_STATUSES",
-    terminals_name="TERMINAL_STATUSES",
-)
-
-BREAKER_SPEC = MachineSpec(
-    name="breaker",
-    module="service/breaker.py",
-    states=("closed", "open", "half-open"),
-    initial="closed",
-    terminals=(),
-    transitions=(
-        ("closed", "failure-threshold", "open"),
-        ("open", "cooldown-probe", "half-open"),
-        ("half-open", "probe-success", "closed"),
-        ("half-open", "probe-failure", "open"),
-        ("closed", "success", "closed"),
-    ),
-    state_constants={
-        "CLOSED": "closed", "OPEN": "open", "HALF_OPEN": "half-open",
-    },
-    state_attr="state",
-)
-
-MACHINE_SPECS: tuple[MachineSpec, ...] = (
-    SUPERVISOR_SPEC, JOB_SPEC, BREAKER_SPEC,
-)
-
-
-# ---------------------------------------------------------------------------
-# spec-level model checking
-# ---------------------------------------------------------------------------
 
 @dataclass
 class MachineCheck:
-    """Result of exhaustively checking one machine spec."""
+    """Result of exhaustively checking one machine's table."""
 
     machine: str
     states_explored: int
     transitions_checked: int
-    product_states_explored: int
     invariants: list[str]
     violations: list[str]
 
@@ -176,484 +90,191 @@ class MachineCheck:
             "machine": self.machine,
             "states_explored": self.states_explored,
             "transitions_checked": self.transitions_checked,
-            "product_states_explored": self.product_states_explored,
             "invariants_proven": list(self.invariants),
             "violations": list(self.violations),
         }
 
 
-def _reachable(
-    start: Iterable[str], edges: dict[str, tuple[str, ...]]
-) -> set[str]:
+def _reachable(start: Iterable[str], edges: Table) -> set[str]:
     seen = set(start)
     queue = deque(seen)
     while queue:
-        cur = queue.popleft()
-        for nxt in edges.get(cur, ()):
+        for nxt in edges.get(queue.popleft(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
 
 
-def _graph_invariants(spec: MachineSpec, check: MachineCheck) -> None:
-    """The generic safety/liveness facts every lifecycle graph must satisfy."""
-    adjacency = spec.adjacency()
-    for src, _event, dst in spec.transitions:
-        if src not in spec.states or dst not in spec.states:
-            check.violations.append(
-                f"{spec.name}: transition {src!r} -> {dst!r} uses an "
-                f"undeclared state"
-            )
-    if spec.initial not in spec.states:
-        check.violations.append(
-            f"{spec.name}: initial state {spec.initial!r} is undeclared"
-        )
-
-    reachable = _reachable([spec.initial], adjacency)
-    for state in spec.states:
-        if state not in reachable:
-            check.violations.append(
-                f"{spec.name}: state {state!r} is unreachable from "
-                f"{spec.initial!r}"
-            )
-    check.states_explored = len(reachable)
-    check.transitions_checked = len(spec.transitions)
-
-    for term in spec.terminals:
-        if adjacency.get(term):
-            check.violations.append(
-                f"{spec.name}: terminal state {term!r} has outgoing "
-                f"transitions {adjacency[term]}"
-            )
-    check.invariants.append("terminals-absorbing")
-
-    if spec.terminals:
-        # reverse reachability: every state must reach some terminal
-        reverse: dict[str, tuple[str, ...]] = {}
-        for src, _event, dst in spec.transitions:
-            reverse[dst] = reverse.get(dst, ()) + (src,)
-        reaches_terminal = _reachable(spec.terminals, reverse)
-        for state in spec.states:
-            if state not in reaches_terminal:
-                check.violations.append(
-                    f"{spec.name}: state {state!r} cannot reach any "
-                    f"terminal {spec.terminals}"
-                )
-        check.invariants.append("every-state-reaches-a-terminal")
-    else:
-        # a terminal-free machine (the breaker) must instead always be able
-        # to recover to its initial state — no absorbing degraded mode
-        for state in spec.states:
-            if spec.initial not in _reachable([state], adjacency):
-                check.violations.append(
-                    f"{spec.name}: state {state!r} cannot recover to "
-                    f"{spec.initial!r}"
-                )
-        check.invariants.append("every-state-recovers-to-initial")
-
-
-def _supervisor_product(spec: MachineSpec, check: MachineCheck) -> None:
-    """Enumerate (state, misses) against the implementation semantics.
-
-    The step function mirrors ``RankSupervisor.record_*``/``should_fence``:
-    misses accumulate only while SUSPECT, a probe reply resets them, and
-    the fence trigger requires both SUSPECT and an exhausted miss budget.
-    """
-    fence_after = 3  # HeartbeatPolicy default; any >=1 enumerates the same shape
-    cap = fence_after + 1
-    initial = (spec.initial, 0)
-    events = ("ready", "miss", "exit", "fence")
-
-    def step(state: tuple[str, int], event: str) -> tuple[str, int] | None:
-        s, misses = state
-        if s == "dead":
-            return None  # terminal: every observation is a guarded no-op
-        if event == "ready":
-            return ("ready", 0)
-        if event == "miss":
-            return ("suspect", min(misses + 1, cap))
-        if event == "exit":
-            return ("dead", misses)
-        if event == "fence":
-            # should_fence: SUSPECT with the miss budget exhausted
-            if s == "suspect" and misses >= fence_after:
-                return ("dead", misses)
-            return None
-        raise AssertionError(event)
-
-    seen: set[tuple[str, int]] = {initial}
-    queue = deque([initial])
-    fence_sources: set[str] = set()
-    while queue:
-        cur = queue.popleft()
-        for event in events:
-            nxt = step(cur, event)
-            if nxt is None:
-                continue
-            if event == "fence":
-                fence_sources.add(cur[0])
-            if cur[0] == "dead":
-                check.violations.append(
-                    f"{spec.name}: event {event!r} transitions out of "
-                    f"terminal DEAD in the product space"
-                )
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    check.product_states_explored = len(seen)
-    if fence_sources - {"suspect"}:
-        check.violations.append(
-            f"{spec.name}: fencing is enabled from "
-            f"{sorted(fence_sources - {'suspect'})} (spec: SUSPECT only)"
-        )
-    else:
-        check.invariants.append("fence-only-from-suspect")
-    # every reachable product state can still reach a dead state
-    for s, misses in seen:
-        if s == "dead":
-            continue
-        if step((s, misses), "exit") is None:
-            check.violations.append(
-                f"{spec.name}: product state ({s}, {misses}) cannot die"
-            )
-    check.invariants.append("product-space-reaches-terminal")
-
-
-def _job_drain(spec: MachineSpec, check: MachineCheck) -> None:
-    """Drain safety: every non-terminal state can be shed immediately."""
-    adjacency = spec.adjacency()
-    for state in spec.states:
-        if state in spec.terminals:
-            continue
-        if "shed" not in adjacency.get(state, ()):
-            check.violations.append(
-                f"{spec.name}: drain strands state {state!r} — no "
-                f"transition to 'shed'"
-            )
-    check.invariants.append("drain-never-strands-a-job")
-
-
-def _breaker_product(spec: MachineSpec, check: MachineCheck) -> None:
-    """Enumerate (state, failures, probes-in-flight) against the semantics.
-
-    The step function mirrors ``BreakerBoard.allow``/``record_success``/
-    ``record_failure``; ``allow-warm`` is an ``allow()`` call after the
-    cooldown elapsed, ``allow-cool`` one before it.  The single-probe
-    invariant is that ``probes`` never exceeds 1 in any reachable state.
-    """
-    threshold = 3  # BreakerPolicy default; the shape is threshold-independent
-    initial = (spec.initial, 0, 0)
-    events = ("allow-cool", "allow-warm", "success", "failure")
-
-    def step(
-        state: tuple[str, int, int], event: str
-    ) -> tuple[str, int, int] | None:
-        s, failures, probes = state
-        if event in ("allow-cool", "allow-warm"):
-            if s == "closed":
-                return None  # granted, no state change
-            if s == "open":
-                if event == "allow-cool":
-                    return None  # denied inside the cooldown window
-                return ("half-open", failures, probes + 1)  # the one probe
-            return None  # half-open: further allow() calls are denied
-        if event == "success":
-            return ("closed", 0, 0)
-        if event == "failure":
-            failures = min(failures + 1, threshold)
-            if s == "half-open" or failures >= threshold:
-                return ("open", failures, 0)
-            return (s, failures, probes)
-        raise AssertionError(event)
-
-    seen: set[tuple[str, int, int]] = {initial}
-    queue = deque([initial])
-    while queue:
-        cur = queue.popleft()
-        for event in events:
-            nxt = step(cur, event)
-            if nxt is None:
-                continue
-            if nxt[2] > 1:
-                check.violations.append(
-                    f"{spec.name}: product state {cur} + {event!r} admits "
-                    f"a second half-open probe"
-                )
-                continue
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    check.product_states_explored = len(seen)
-    if not any(v.endswith("second half-open probe") for v in check.violations):
-        check.invariants.append("half-open-admits-exactly-one-probe")
-    for s, failures, probes in seen:
-        if s == "half-open" and probes != 1:
-            check.violations.append(
-                f"{spec.name}: reachable half-open state without exactly "
-                f"one probe in flight: {(s, failures, probes)}"
-            )
-
-
-_PRODUCT_CHECKS: dict[str, Callable[[MachineSpec, MachineCheck], None]] = {
-    "rank-supervisor": _supervisor_product,
-    "job-record": _job_drain,
-    "breaker": _breaker_product,
-}
-
-
-def model_check(spec: MachineSpec) -> MachineCheck:
-    """Exhaustively check one spec; never touches the implementation."""
+def model_check(
+    name: str, states: tuple[str, ...], table: Table,
+    terminals: tuple[str, ...] | None = None, recovers: bool = False,
+    drain: str | None = None,
+) -> MachineCheck:
+    """Exhaustively check one transition table over its declared states."""
+    initial = states[0]
     check = MachineCheck(
-        machine=spec.name, states_explored=0, transitions_checked=0,
-        product_states_explored=0, invariants=[], violations=[],
+        machine=name, states_explored=0,
+        transitions_checked=sum(len(dsts) for dsts in table.values()),
+        invariants=[], violations=[],
     )
-    _graph_invariants(spec, check)
-    extra = _PRODUCT_CHECKS.get(spec.name)
-    if extra is not None:
-        extra(spec, check)
+
+    def prove(invariant: str, failures: list[str]) -> None:
+        check.violations.extend(f"{name}: {f}" for f in failures)
+        if not failures:
+            check.invariants.append(invariant)
+
+    used = set(table) | {dst for dsts in table.values() for dst in dsts}
+    prove("declared-states-only", [
+        f"table uses undeclared state {s!r}" for s in sorted(used - set(states))
+    ])
+    reachable = _reachable([initial], table)
+    check.states_explored = len(reachable & set(states))
+    prove("reachable-from-initial", [
+        f"state {s!r} is unreachable from {initial!r}"
+        for s in states if s not in reachable
+    ])
+    if terminals is None:
+        terminals = () if recovers else tuple(s for s in states if not table.get(s))
+    prove("terminals-absorbing", [
+        f"terminal state {t!r} has outgoing edges {table[t]}"
+        for t in terminals if table.get(t)
+    ])
+    if recovers:
+        prove("every-state-recovers-to-initial", [
+            f"state {s!r} cannot recover to {initial!r}"
+            for s in states if initial not in _reachable([s], table)
+        ])
+    else:
+        reverse: dict[str, tuple[str, ...]] = {}
+        for src, dsts in table.items():
+            for dst in dsts:
+                reverse[dst] = reverse.get(dst, ()) + (src,)
+        reaches = _reachable(terminals, reverse)
+        prove("every-state-reaches-a-terminal", [
+            f"state {s!r} cannot reach any terminal {terminals}"
+            for s in states if s not in reaches
+        ])
+    if drain is not None:
+        prove("drain-never-strands-a-job", [
+            f"drain strands state {s!r} — no edge to {drain!r}"
+            for s in states
+            if s not in terminals and drain not in table.get(s, ())
+        ])
     return check
 
 
 # ---------------------------------------------------------------------------
-# implementation cross-check (AST)
+# reading the tables out of the source
 # ---------------------------------------------------------------------------
 
-def _state_assignments(
-    ctx: FileContext, attr: str
-) -> list[tuple[str, ast.Assign, str]]:
-    """Every ``<x>.<attr> = <STATE>`` assignment as (state-name, node, fn)."""
-    out: list[tuple[str, ast.Assign, str]] = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not (isinstance(target, ast.Attribute) and target.attr == attr):
-            continue
-        value = node.value
-        if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            state = value.value
-        else:
-            name = tail_name(value)
-            if name is None:
-                continue
-            state = name
-        fn = ctx.enclosing_function(node)
-        out.append((state, node, fn.name if fn is not None else "<module>"))
-    return out
+def _state(node: ast.AST | None, consts: dict[str, str]) -> str | None:
+    """A state written as a string literal or a module string constant."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.Name):
+        return consts.get(node.id)
+    return None
 
 
-def _check_constants(
-    spec: MachineSpec, ctx: FileContext, violations: list[Violation]
-) -> dict[str, str]:
-    """Verify the module's state constants; returns const-name -> value."""
-    consts = {
-        name: value for name, (value, _node) in str_constants(ctx.tree).items()
+def _states(node: ast.AST | None, consts: dict[str, str]) -> tuple[str, ...] | None:
+    if not isinstance(node, (ast.Tuple, ast.List)):
+        return None
+    found = [_state(elt, consts) for elt in node.elts]
+    names = tuple(s for s in found if s is not None)
+    return names if len(names) == len(found) else None
+
+
+def _table(node: ast.AST | None, consts: dict[str, str]) -> Table | None:
+    if not isinstance(node, ast.Dict):
+        return None
+    table: Table = {}
+    for key, value in zip(node.keys, node.values):
+        src, dsts = _state(key, consts), _states(value, consts)
+        if src is None or dsts is None:
+            return None
+        table[src] = dsts
+    return table
+
+
+def _stray_writes(
+    machine: Machine, ctx: FileContext, consts: dict[str, str], initial: str,
+) -> list[tuple[ast.AST, str]]:
+    """State writes outside a table-consulting function or a reset."""
+    checked = {
+        fn.name for fn in ast.walk(ctx.tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(n, ast.Name) and n.id == TABLE for n in ast.walk(fn))
     }
-    anchor = ctx.tree.body[0] if ctx.tree.body else ctx.tree
-    for const, want in spec.state_constants.items():
-        got = consts.get(const)
-        if got is None:
-            violations.append(ctx.violation(
-                anchor, CODE,
-                f"{spec.name}: state constant {const} = {want!r} is missing",
-            ))
-        elif got != want:
-            violations.append(ctx.violation(
-                anchor, CODE,
-                f"{spec.name}: state constant {const} is {got!r}, "
-                f"spec says {want!r}",
-            ))
-    return consts
-
-
-def _check_states_tuple(
-    spec: MachineSpec, ctx: FileContext, consts: dict[str, str],
-    violations: list[Violation],
-) -> None:
-    """The module's declared state tuple must equal the spec's states."""
-    anchor = ctx.tree.body[0] if ctx.tree.body else ctx.tree
-    for attr_name, want in (
-        (spec.states_name, spec.states),
-        (spec.terminals_name, spec.terminals),
-    ):
-        if attr_name is None:
-            continue
-        node = module_assign(ctx.tree, attr_name)
-        if node is None:
-            violations.append(ctx.violation(
-                anchor, CODE,
-                f"{spec.name}: {attr_name} tuple not found in {spec.module}",
-            ))
-            continue
-        names = name_tuple(node)
-        if names is not None:
-            got = tuple(consts.get(n, n) for n in names)
-        else:
-            try:
-                literal = ast.literal_eval(node)
-            except (ValueError, SyntaxError):
-                violations.append(ctx.violation(
-                    node, CODE,
-                    f"{spec.name}: {attr_name} is not a literal tuple",
-                ))
-                continue
-            got = tuple(str(x) for x in literal)
-        if got != want:
-            violations.append(ctx.violation(
-                node, CODE,
-                f"{spec.name}: {attr_name} is {got}, spec says {want}",
-            ))
-
-
-def _check_table(
-    spec: MachineSpec, ctx: FileContext, violations: list[Violation]
-) -> None:
-    """A ``_TRANSITIONS``-style dict literal must equal the spec adjacency."""
-    assert spec.table_name is not None
-    node = module_assign(ctx.tree, spec.table_name)
-    anchor = ctx.tree.body[0] if ctx.tree.body else ctx.tree
-    if node is None:
-        violations.append(ctx.violation(
-            anchor, CODE,
-            f"{spec.name}: transition table {spec.table_name} not found "
-            f"in {spec.module}",
-        ))
-        return
-    table = literal_dict(node)
-    if table is None:
-        violations.append(ctx.violation(
-            node, CODE,
-            f"{spec.name}: {spec.table_name} is not a pure dict literal",
-        ))
-        return
-    got = {str(k): tuple(str(x) for x in v) for k, v in table.items()
-           if isinstance(v, (tuple, list))}
-    want = spec.adjacency()
-    for src in sorted(set(want) | set(got)):
-        if src not in got:
-            violations.append(ctx.violation(
-                node, CODE,
-                f"{spec.name}: {spec.table_name} is missing source state "
-                f"{src!r} (spec allows {want[src]})",
-            ))
-        elif src not in want:
-            violations.append(ctx.violation(
-                node, CODE,
-                f"{spec.name}: {spec.table_name} has undeclared source "
-                f"state {src!r}",
-            ))
-        elif set(got[src]) != set(want[src]):
-            missing = sorted(set(want[src]) - set(got[src]))
-            extra = sorted(set(got[src]) - set(want[src]))
-            detail = []
-            if missing:
-                detail.append(f"missing {missing}")
-            if extra:
-                detail.append(f"undeclared {extra}")
-            violations.append(ctx.violation(
-                node, CODE,
-                f"{spec.name}: {spec.table_name}[{src!r}] diverges from "
-                f"the spec: {'; '.join(detail)}",
-            ))
-
-
-def _check_assignments(
-    spec: MachineSpec, ctx: FileContext, consts: dict[str, str],
-    violations: list[Violation],
-) -> None:
-    """Cross-check every ``.state = X`` mutator against the spec."""
-    assert spec.state_attr is not None
-    assigns = _state_assignments(ctx, spec.state_attr)
-    assigned: set[str] = set()
-    for raw, node, fn in assigns:
-        state = consts.get(raw, raw)
-        if state not in spec.states:
-            violations.append(ctx.violation(
-                node, CODE,
-                f"{spec.name}: assigns undeclared state {state!r} "
-                f"(in {fn})",
-            ))
-            continue
-        assigned.add(state)
-        if (
-            spec.terminals
-            and state not in spec.terminals
-            and state != spec.initial
-            and fn not in spec.reset_functions
-        ):
-            # entering a non-terminal, non-initial state: the mutator must
-            # guard against resurrecting a terminal machine
-            if not _function_guards_terminal(ctx, fn, spec, consts):
-                violations.append(ctx.violation(
-                    node, CODE,
-                    f"{spec.name}: {fn} assigns state {state!r} without "
-                    f"guarding against terminal "
-                    f"state(s) {spec.terminals} — a dead machine could "
-                    f"be resurrected",
-                ))
-    for state in spec.states:
-        if state == spec.initial and not spec.terminals:
-            continue
-        if state not in assigned and state != spec.initial:
-            violations.append(ctx.violation(
-                ctx.tree.body[0] if ctx.tree.body else ctx.tree, CODE,
-                f"{spec.name}: spec state {state!r} is never entered by "
-                f"any {spec.state_attr!r} assignment in {spec.module}",
-            ))
-
-
-def _function_guards_terminal(
-    ctx: FileContext, fn_name: str, spec: MachineSpec, consts: dict[str, str]
-) -> bool:
-    """Does function ``fn_name`` compare the state attr to a terminal?"""
-    terminal_consts = {
-        const for const, value in consts.items() if value in spec.terminals
-    } | set(spec.terminals)
+    resets = ("__init__", *machine.resets)
+    out: list[tuple[ast.AST, str]] = []
     for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.FunctionDef) or node.name != fn_name:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
             continue
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Compare):
-                continue
-            for side in [sub.left, *sub.comparators]:
-                name = tail_name(side)
-                if name is not None and name in terminal_consts:
-                    return True
-                if (
-                    isinstance(side, ast.Constant)
-                    and side.value in spec.terminals
-                ):
-                    return True
-    return False
+        if not any(isinstance(t, ast.Attribute) and t.attr in STATE_ATTRS
+                   for t in targets):
+            continue
+        fn = ctx.enclosing_function(node)
+        where = fn.name if fn is not None else "<module>"
+        if where in checked:
+            continue
+        if where in resets and _state(value, consts) == initial:
+            continue
+        out.append((node, (
+            f"{machine.name}: {where} writes state outside the "
+            f"{TABLE}-checked method ({', '.join(sorted(checked)) or 'none'})"
+        )))
+    return out
 
 
 def check_machines(
     root: Path,
 ) -> tuple[list[Violation], list[MachineCheck]]:
-    """Model-check every spec and cross-check it against the tree at ``root``.
+    """Read and model-check every machine's table in the tree at ``root``.
 
-    Machines whose implementing module is absent under ``root`` are
-    model-checked only (fixture trees exercise one machine at a time).
+    Machines whose module is absent under ``root`` are skipped (fixture
+    trees exercise one machine at a time).
     """
     violations: list[Violation] = []
     checks: list[MachineCheck] = []
-    for spec in MACHINE_SPECS:
-        check = model_check(spec)
-        checks.append(check)
-        path = root / spec.module
+    for machine in MACHINES:
+        path = root / machine.module
         if not path.is_file():
             continue
-        ctx = load_context(path, spec.module)
-        anchor = ctx.tree.body[0] if ctx.tree.body else ctx.tree
-        for message in check.violations:
+        ctx = load_context(path, machine.module)
+        consts = {k: v for k, (v, _node) in str_constants(ctx.tree).items()}
+        table_node = module_assign(ctx.tree, TABLE)
+        table = _table(table_node, consts)
+        states = _states(module_assign(ctx.tree, machine.states), consts)
+        terminals = None
+        if machine.terminals is not None:
+            terminals = _states(module_assign(ctx.tree, machine.terminals), consts)
+        if table_node is None or table is None or not states \
+                or (machine.terminals is not None and terminals is None):
             violations.append(ctx.violation(
-                anchor, CODE, f"spec model-check failed: {message}",
+                ctx.tree.body[0] if ctx.tree.body else ctx.tree, CODE,
+                f"{machine.name}: {machine.module} must declare "
+                f"{machine.states} and {TABLE} as literals of state names",
             ))
-        consts = _check_constants(spec, ctx, violations)
-        _check_states_tuple(spec, ctx, consts, violations)
-        if spec.table_name is not None:
-            _check_table(spec, ctx, violations)
-        if spec.state_attr is not None:
-            _check_assignments(spec, ctx, consts, violations)
+            continue
+        check = model_check(
+            machine.name, states, table, terminals=terminals,
+            recovers=machine.recovers, drain=machine.drain,
+        )
+        found: list[tuple[ast.AST, str]] = [
+            (table_node, message) for message in check.violations
+        ]
+        writes = _stray_writes(machine, ctx, consts, states[0])
+        check.violations.extend(message for _node, message in writes)
+        if not writes:
+            check.invariants.append("writes-only-through-the-table")
+        checks.append(check)
+        violations.extend(
+            ctx.violation(node, CODE, message)
+            for node, message in found + writes
+        )
     return violations, checks

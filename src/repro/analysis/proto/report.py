@@ -14,8 +14,8 @@ tree, then applies the same ergonomics as the linter:
 
 ``clean`` — the CLI's exit-0 condition — requires zero unsuppressed,
 unbaselined violations, zero stale noqas, and zero parse errors.  The
-coverage summaries (opcodes / frame kinds / dtypes, per-machine state
-counts, lock graph size) ship in the report so CI logs show *what* was
+coverage summaries (opcodes / frame kinds / dtypes, per-machine states,
+edges and invariants, lock graph size) ship in the report so CI logs show *what* was
 proven, not just that nothing failed.
 """
 
@@ -33,7 +33,7 @@ from repro.analysis.lint.baseline import (
 from repro.analysis.lint.engine import noqa_map, stale_noqa_entries
 from repro.analysis.lint.rules import Violation
 from repro.analysis.proto.locks import SCAN_ROOTS, check_locks
-from repro.analysis.proto.machines import MACHINE_SPECS, check_machines
+from repro.analysis.proto.machines import MACHINES, check_machines
 from repro.analysis.proto.wire import check_wire
 
 PROTO_SCHEMA = "repro.proto.v1"
@@ -111,8 +111,8 @@ def _scanned_files(root: Path) -> list[Path]:
         base = root / sub
         if base.is_dir():
             seen.update(base.rglob("*.py"))
-    for spec in MACHINE_SPECS:
-        path = root / spec.module
+    for machine in MACHINES:
+        path = root / machine.module
         if path.is_file():
             seen.add(path)
     return sorted(seen)

@@ -16,6 +16,9 @@ from repro.mesh.mesh import Mesh
 #: partitions a case remembers; the oldest goes first
 MEMBERSHIP_MEMO_SIZE = 8
 
+#: the ``scheme`` names :meth:`TestCase.partition` accepts
+PARTITION_SCHEMES = ("general", "box", "spectral")
+
 
 @dataclass
 class TestCase:
@@ -132,7 +135,10 @@ class TestCase:
             else:
                 node_mem = box_partition_3d(shape[0], shape[1], shape[2], nparts)
         else:
-            raise ValueError(f"unknown partitioning scheme {scheme!r}")
+            raise ValueError(
+                f"unknown partitioning scheme {scheme!r}; "
+                f"pick from {PARTITION_SCHEMES}"
+            )
         if self.dofs_per_node > 1:
             node_mem = np.repeat(node_mem, self.dofs_per_node)
         node_mem.setflags(write=False)

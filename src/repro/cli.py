@@ -30,6 +30,7 @@ import sys
 from repro import faults, obs
 from repro.analysis import sanitize
 from repro.cases import CASE_BUILDERS, build_case
+from repro.cases.base import PARTITION_SCHEMES
 from repro.comm.backends import BACKEND_NAMES
 from repro.resilience.errors import SolverFault
 from repro.factor import cache as factor_cache
@@ -84,7 +85,7 @@ def make_parser() -> argparse.ArgumentParser:
     solve.add_argument("--nparts", type=int, default=4)
     solve.add_argument("--size", type=int, default=None, help="resolution override")
     solve.add_argument("--seed", type=int, default=0, help="partitioning seed")
-    solve.add_argument("--scheme", choices=("general", "box", "spectral"), default="general")
+    solve.add_argument("--scheme", choices=PARTITION_SCHEMES, default="general")
     solve.add_argument("--machine", default="linux-cluster")
     solve.add_argument("--rtol", type=float, default=1e-6)
     solve.add_argument("--maxiter", type=int, default=500)
@@ -116,7 +117,7 @@ def make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p", default="2,4,8,16", help="comma-separated P values")
     sweep.add_argument("--size", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--scheme", choices=("general", "box", "spectral"), default="general")
+    sweep.add_argument("--scheme", choices=PARTITION_SCHEMES, default="general")
     sweep.add_argument("--machine", default="linux-cluster")
     sweep.add_argument("--maxiter", type=int, default=500)
 
@@ -132,7 +133,7 @@ def make_parser() -> argparse.ArgumentParser:
     trace.add_argument("--nparts", type=int, default=4)
     trace.add_argument("--size", type=int, default=None, help="resolution override")
     trace.add_argument("--seed", type=int, default=0, help="partitioning seed")
-    trace.add_argument("--scheme", choices=("general", "box", "spectral"),
+    trace.add_argument("--scheme", choices=PARTITION_SCHEMES,
                        default="general")
     trace.add_argument("--machine", default="linux-cluster")
     trace.add_argument("--rtol", type=float, default=1e-6)
@@ -180,7 +181,7 @@ def make_parser() -> argparse.ArgumentParser:
     fault.add_argument("--nparts", type=int, default=4)
     fault.add_argument("--size", type=int, default=None, help="resolution override")
     fault.add_argument("--seed", type=int, default=0, help="partitioning seed")
-    fault.add_argument("--scheme", choices=("general", "box", "spectral"),
+    fault.add_argument("--scheme", choices=PARTITION_SCHEMES,
                        default="general")
     fault.add_argument("--rtol", type=float, default=1e-6)
     fault.add_argument("--maxiter", type=int, default=500)
@@ -572,7 +573,7 @@ def cmd_verify_protocol(args: argparse.Namespace) -> int:
         status = "ok" if not m["violations"] else \
             f"{len(m['violations'])} invariant violation(s)"
         print(f"machine {m['machine']}: {m['states_explored']} state(s), "
-              f"{m['product_states_explored']} product state(s), "
+              f"{m['transitions_checked']} edge(s), "
               f"{len(m['invariants_proven'])} invariant(s) proven — {status}")
     locks = report.locks
     print(f"locks: {len(locks.get('locks', []))} lock(s), "

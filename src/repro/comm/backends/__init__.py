@@ -1,8 +1,9 @@
 """Execution backends: how ranks run and how envelope bytes move.
 
-``resolve_backend`` is the single construction point: explicit request
-beats the ``REPRO_COMM_BACKEND`` environment override beats the
-``inprocess`` default.  See ``docs/robustness.md`` ("Execution backends
+``resolve_backend`` is the single construction point, and
+``resolve_backend_name`` its one selection rule: explicit request beats the
+``REPRO_COMM_BACKEND`` environment override beats the ``inprocess``
+default.  See ``docs/robustness.md`` ("Execution backends
 and the rank lifecycle") for the full story.
 """
 
@@ -50,6 +51,7 @@ __all__ = [
     "encode_frame",
     "make_backend",
     "resolve_backend",
+    "resolve_backend_name",
 ]
 
 
@@ -64,6 +66,15 @@ def make_backend(name: str, size: int) -> ExecutionBackend:
     )
 
 
+def resolve_backend_name(name: str | None) -> str:
+    """The backend a request selects: ``name``, else the
+    :data:`~repro.comm.backends.base.BACKEND_ENV` environment variable, else
+    ``inprocess``."""
+    if name is None:
+        return os.environ.get(BACKEND_ENV) or "inprocess"
+    return name
+
+
 def resolve_backend(
     spec: str | ExecutionBackend | None, size: int
 ) -> tuple[ExecutionBackend, bool]:
@@ -71,9 +82,7 @@ def resolve_backend(
 
     ``spec`` may be a name, a ready-made instance (must match ``size``;
     the caller keeps ownership, so ``owned`` is False and the communicator
-    will not shut it down), or None — in which case the
-    :data:`~repro.comm.backends.base.BACKEND_ENV` environment variable is
-    consulted before falling back to ``inprocess``.
+    will not shut it down), or None (see :func:`resolve_backend_name`).
     """
     if isinstance(spec, ExecutionBackend):
         if spec.size != size:
@@ -81,6 +90,4 @@ def resolve_backend(
                 f"backend sized for {spec.size} ranks cannot serve {size}"
             )
         return spec, False
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV) or "inprocess"
-    return make_backend(spec, size), True
+    return make_backend(resolve_backend_name(spec), size), True

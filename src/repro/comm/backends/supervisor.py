@@ -1,16 +1,20 @@
 """Rank-lifecycle supervision for real-process backends.
 
 The supervisor is the bookkeeping half of the robustness story: for every
-rank it tracks a small state machine
+rank it tracks a small state machine, whose edges are the module's
+``_TRANSITIONS`` table
 
 ::
 
-    SPAWNED ──hello──▶ READY ──missed probe──▶ SUSPECT ──▶ DEAD
-       │                 ▲          │(probe answered)        ▲
-       │                 └──────────┘                        │
-       └────────────────────── process exit ─────────────────┘
+    SPAWNED ──hello──▶ READY ──missed probe──▶ SUSPECT ──fence──▶ DEAD
+       │                 ▲                      │   ▲               ▲
+       │                 └──── probe answered ──┘   │               │
+       ├──────────────────── missed probe ──────────┘               │
+       └────── process exit (from any live state) ──────────────────┘
 
-and classifies the terminal states into the existing
+Every observation of a DEAD rank is a no-op; ``record_spawn`` is the one
+reset, starting a respawned rank over at SPAWNED.  The supervisor
+classifies the terminal states into the existing
 :class:`~repro.resilience.errors.CommFault` taxonomy:
 
 * a rank whose OS process **exited** (clean exit, SIGKILL, crash) is DEAD
@@ -48,6 +52,13 @@ SUSPECT = "suspect"
 DEAD = "dead"
 
 RANK_STATES = (SPAWNED, READY, SUSPECT, DEAD)
+
+#: legal lifecycle edges; DEAD has none, so it absorbs every observation
+_TRANSITIONS = {
+    SPAWNED: (READY, SUSPECT, DEAD),
+    READY: (READY, SUSPECT, DEAD),
+    SUSPECT: (READY, SUSPECT, DEAD),
+}
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,20 @@ class RankSupervisor:
 
     # -- observations ------------------------------------------------------
 
+    @staticmethod
+    def _enter(rec: RankRecord, state: str) -> bool:
+        """Take the ``_TRANSITIONS`` edge to ``state``; False once DEAD."""
+        if rec.state not in _TRANSITIONS:
+            return False  # death is terminal; late observations are noise
+        if state not in _TRANSITIONS[rec.state]:
+            raise ValueError(
+                f"illegal rank transition {rec.state!r} -> {state!r}"
+            )
+        rec.state = state
+        return True
+
     def record_spawn(self, rank: int, pid: int | None) -> None:
+        """The reset, outside the table: a respawned rank starts over."""
         rec = self.records[rank]
         rec.pid = pid
         rec.state = SPAWNED
@@ -124,20 +148,19 @@ class RankSupervisor:
     def record_ready(self, rank: int) -> None:
         """A HELLO (startup) or probe reply arrived: the rank is healthy."""
         rec = self.records[rank]
-        if rec.state == DEAD:
-            return  # death is terminal; late replies from fenced ranks are noise
-        if rec.state == SUSPECT:
+        was = rec.state
+        if not self._enter(rec, READY):
+            return
+        if was == SUSPECT:
             obs.event("comm.backend.recovered", rank=rank, misses=rec.misses)
-        rec.state = READY
         rec.misses = 0
 
     def record_miss(self, rank: int) -> str:
         """A probe went unanswered; returns the rank's new state."""
         rec = self.records[rank]
-        if rec.state == DEAD:
-            return DEAD
+        if not self._enter(rec, SUSPECT):
+            return rec.state
         rec.misses += 1
-        rec.state = SUSPECT
         obs.event(
             "comm.backend.heartbeat_miss", rank=rank, misses=rec.misses,
             fence_after=self.policy.fence_after,
@@ -147,9 +170,8 @@ class RankSupervisor:
     def record_exit(self, rank: int, exitcode: int | None) -> None:
         """The rank's OS process is gone (exit, signal, or fencing)."""
         rec = self.records[rank]
-        if rec.state == DEAD:
+        if not self._enter(rec, DEAD):
             return
-        rec.state = DEAD
         rec.exitcode = exitcode
         obs.event(
             "comm.backend.rank_exit", rank=rank, exitcode=exitcode,

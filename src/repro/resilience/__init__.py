@@ -40,9 +40,11 @@ __all__ = [
     "ResilientOutcome",
     "AttemptRecord",
     "FALLBACK_CHAIN",
+    "FAILURE_STATUSES",
 ]
 
-_LAZY = ("ResilientSolver", "ResilientOutcome", "AttemptRecord", "FALLBACK_CHAIN")
+_LAZY = ("ResilientSolver", "ResilientOutcome", "AttemptRecord", "FALLBACK_CHAIN",
+         "FAILURE_STATUSES")
 
 
 def __getattr__(name: str):

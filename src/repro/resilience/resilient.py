@@ -39,7 +39,7 @@ FALLBACK_CHAIN = ("schur2", "schur1", "block2", "block1", "jacobi")
 _SHIFT_CAPABLE = frozenset({"schur1", "schur2", "block1", "block2", "blockk"})
 
 #: statuses that trigger recovery (vs. being returned as the final answer)
-_FAILURE_STATUSES = frozenset({"diverged", "stagnated", "breakdown"})
+FAILURE_STATUSES = frozenset({"diverged", "stagnated", "breakdown"})
 
 
 @dataclass
@@ -184,7 +184,7 @@ class ResilientSolver:
                 out = self._attempt(
                     case, precond, "rank-recovery", params, kwargs, attempts
                 )
-            if out is not None and out.status not in _FAILURE_STATUSES:
+            if out is not None and out.status not in FAILURE_STATUSES:
                 return out
         return out
 
@@ -212,13 +212,13 @@ class ResilientSolver:
 
         with obs.span("resilience.solve", precond=precond):
             out = self._attempt(case, precond, "primary", params, kwargs, attempts)
-            if out is not None and out.status not in _FAILURE_STATUSES:
+            if out is not None and out.status not in FAILURE_STATUSES:
                 return ResilientOutcome(outcome=out, attempts=attempts)
 
             # confirmed rank failure: shrink the world before anything else —
             # retrying on a layout with a dead rank would just time out again
             out = self._recover_ranks(case, precond, params, kwargs, attempts, out)
-            if out is not None and out.status not in _FAILURE_STATUSES:
+            if out is not None and out.status not in FAILURE_STATUSES:
                 return ResilientOutcome(outcome=out, attempts=attempts)
 
             # bounded retry on the same preconditioner, remedies applied
@@ -234,7 +234,7 @@ class ResilientSolver:
                     out = self._attempt(
                         case, precond, "retry", retry_params, kwargs, attempts
                     )
-                    if out is not None and out.status not in _FAILURE_STATUSES:
+                    if out is not None and out.status not in FAILURE_STATUSES:
                         return ResilientOutcome(outcome=out, attempts=attempts)
 
             # walk the fallback chain; fallbacks run with default parameters
@@ -248,7 +248,7 @@ class ResilientSolver:
                     reason=attempts[-1].fault or attempts[-1].status,
                 )
                 out = self._attempt(case, name, "fallback", {}, kwargs, attempts)
-                if out is not None and out.status not in _FAILURE_STATUSES:
+                if out is not None and out.status not in FAILURE_STATUSES:
                     return ResilientOutcome(outcome=out, attempts=attempts)
 
         # chain exhausted: return the last completed outcome (if any) with the

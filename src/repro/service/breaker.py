@@ -10,9 +10,18 @@ instead of attempting it.  After ``cooldown_s`` the circuit goes
 **half-open** and admits one probe job; a success closes it, a failure
 re-opens it for another cooldown.
 
-States: ``closed`` (healthy) → ``open`` (tripped) → ``half-open`` (probe)
-→ ``closed`` / ``open``.  ``jacobi`` — the unbreakable last rung of the
-fallback chain — is never tracked, so there is always a route to *some*
+::
+
+    closed ──fail_threshold failures──▶ open ──cooldown, allow()──▶ half-open
+      ▲  ▲                              │  ▲                           │
+      │  └──── late success ────────────┘  └────── probe failure ──────┤
+      └──────────────────────── probe success ─────────────────────────┘
+
+The edges are the module's ``_TRANSITIONS`` table, and ``_Circuit.move`` is
+the one place a circuit changes state.  A *late success* is a job admitted
+while the circuit was still closed finishing after other failures tripped
+it: it closes the circuit again.  ``jacobi`` — the unbreakable last rung of
+the fallback chain — is never tracked, so there is always a route to *some*
 preconditioner.  Transitions emit ``service.breaker.*`` events
 (``docs/observability.md``).
 """
@@ -30,6 +39,13 @@ OPEN = "open"
 HALF_OPEN = "half-open"
 
 BREAKER_STATES = (CLOSED, OPEN, HALF_OPEN)
+
+#: legal circuit edges; open -> closed is a late success
+_TRANSITIONS = {
+    CLOSED: (OPEN,),
+    OPEN: (HALF_OPEN, CLOSED),
+    HALF_OPEN: (CLOSED, OPEN),
+}
 
 #: never tripped: the chain's terminal rung must always stay routable
 UNBREAKABLE = frozenset({"jacobi", "none"})
@@ -57,6 +73,14 @@ class _Circuit:
         self.consecutive_failures = 0
         self.opened_at: float | None = None
         self.trips = 0
+
+    def move(self, state: str) -> None:
+        """Take the ``_TRANSITIONS`` edge to ``state``."""
+        if state not in _TRANSITIONS[self.state]:
+            raise ValueError(
+                f"illegal breaker transition {self.state!r} -> {state!r}"
+            )
+        self.state = state
 
 
 class BreakerBoard:
@@ -88,7 +112,7 @@ class BreakerBoard:
                 elapsed = self.clock() - (circuit.opened_at or 0.0)
                 if elapsed < self.policy.cooldown_s:
                     return False
-                circuit.state = HALF_OPEN
+                circuit.move(HALF_OPEN)
                 obs.event("service.breaker.half_open", precond=name)
                 return True
             # HALF_OPEN: one probe is already in flight; hold the rest back
@@ -101,8 +125,9 @@ class BreakerBoard:
             circuit = self._circuit(name)
             was = circuit.state
             circuit.consecutive_failures = 0
-            circuit.state = CLOSED
-            circuit.opened_at = None
+            if was != CLOSED:
+                circuit.move(CLOSED)
+                circuit.opened_at = None
         if was != CLOSED:
             obs.event("service.breaker.close", precond=name, was=was)
 
@@ -117,7 +142,7 @@ class BreakerBoard:
                 or circuit.consecutive_failures >= self.policy.fail_threshold
             )
             if tripped and circuit.state != OPEN:
-                circuit.state = OPEN
+                circuit.move(OPEN)
                 circuit.opened_at = self.clock()
                 circuit.trips += 1
                 failures = circuit.consecutive_failures

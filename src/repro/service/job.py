@@ -32,6 +32,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.cases import resolve_case_key
+from repro.cases.base import PARTITION_SCHEMES
+from repro.comm.backends.base import BACKEND_NAMES
 from repro.service.errors import UnknownJob
 
 #: every status a job can report; the last four are terminal
@@ -82,6 +84,16 @@ class JobSpec:
         if self.solver not in SOLVER_NAMES:
             raise ValueError(
                 f"unknown solver {self.solver!r}; pick from {SOLVER_NAMES}"
+            )
+        if self.scheme not in PARTITION_SCHEMES:
+            raise ValueError(
+                f"unknown partitioning scheme {self.scheme!r}; "
+                f"pick from {PARTITION_SCHEMES}"
+            )
+        if self.backend is not None and self.backend not in BACKEND_NAMES:
+            raise ValueError(
+                f"unknown execution backend {self.backend!r}; "
+                f"pick from {BACKEND_NAMES}"
             )
         if self.nparts < 1:
             raise ValueError("nparts must be >= 1")

@@ -33,7 +33,6 @@ arithmetic runs one chunk at a time, in the compute lane (:mod:`.lane`).  A
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -43,10 +42,9 @@ from repro import obs
 from repro.cases import build_case
 from repro.cases.base import TestCase
 from repro.checkpoint import CheckpointManager
-from repro.comm.backends import BACKEND_ENV
+from repro.comm.backends import resolve_backend_name
 from repro.comm.communicator import RetryPolicy
-from repro.resilience import FALLBACK_CHAIN, ResilientSolver
-from repro.resilience.resilient import _FAILURE_STATUSES
+from repro.resilience import FAILURE_STATUSES, FALLBACK_CHAIN, ResilientSolver
 from repro.service.breaker import BreakerBoard
 from repro.service.deadline import (
     Deadline,
@@ -115,7 +113,7 @@ def _route_precond(primary: str, breakers: BreakerBoard) -> tuple[str, bool]:
 
 def _feed_breakers(breakers: BreakerBoard, attempts: list) -> None:
     for a in attempts:
-        if a.fault is not None or a.status in _FAILURE_STATUSES:
+        if a.fault is not None or a.status in FAILURE_STATUSES:
             breakers.record_failure(a.precond)
         elif a.status in ("converged", "maxiter"):
             breakers.record_success(a.precond)
@@ -166,8 +164,8 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
         manager = CheckpointManager(record.checkpoint_dir, prefix="solve")
 
     # where the arithmetic runs decides who takes the lane, and nothing else
-    backend = spec.backend or os.environ.get(BACKEND_ENV) or "inprocess"
-    lane = ctx.lane if backend == "inprocess" else None
+    lane = ctx.lane if resolve_backend_name(spec.backend) == "inprocess" \
+        else None
     iters_done = 0
     retries_left = ctx.job_retries
     resume = record.resumed

@@ -1,36 +1,40 @@
-"""Rank supervisor seeded with RPR011 spec divergences (fixture).
+"""Rank supervisor seeded with RPR011 findings (fixture).
 
-``record_ready`` drops the terminal guard (a DEAD rank can be
-resurrected), ``record_zombie`` assigns a state the spec never declared,
-and no mutator ever enters SUSPECT.
+No edge enters SUSPECT (unreachable), and SUSPECT has no way to DEAD
+(stranded away from every terminal); ``record_ready`` writes the state
+without consulting the table.  ``__init__`` and the declared reset
+``record_spawn`` write the initial state, which is allowed.
 """
 
 SPAWNED = "spawned"
 READY = "ready"
 SUSPECT = "suspect"
 DEAD = "dead"
-ZOMBIE = "zombie"
 
 RANK_STATES = (SPAWNED, READY, SUSPECT, DEAD)
+
+_TRANSITIONS = {
+    SPAWNED: (READY, DEAD),
+    READY: (READY, DEAD),
+    SUSPECT: (SUSPECT,),
+}
 
 
 class RankSupervisor:
     def __init__(self):
         self.state = SPAWNED
-        self.misses = 0
+
+    def _enter(self, state):
+        if self.state not in _TRANSITIONS:
+            return False
+        self.state = state
+        return True
 
     def record_spawn(self):
         self.state = SPAWNED
-        self.misses = 0
 
     def record_ready(self):
         self.state = READY
-        self.misses = 0
-
-    def record_zombie(self):
-        self.state = ZOMBIE
 
     def record_exit(self):
-        if self.state == DEAD:
-            return
-        self.state = DEAD
+        self._enter(DEAD)

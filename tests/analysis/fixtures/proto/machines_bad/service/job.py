@@ -1,7 +1,7 @@
-"""Job lifecycle table seeded with RPR011 spec divergences (fixture).
+"""Job lifecycle table seeded with RPR011 findings (fixture).
 
-``queued`` can no longer be shed (drain would strand it) and ``running``
-grows an undeclared back-edge to ``queued``.
+``queued`` can no longer be shed (drain would strand it) and the terminal
+``cancelled`` grows an edge back to ``queued``.
 """
 
 JOB_STATUSES = (
@@ -11,7 +11,8 @@ TERMINAL_STATUSES = ("converged", "failed", "shed", "cancelled")
 
 _TRANSITIONS = {
     "queued": ("running", "cancelled"),
-    "running": ("converged", "failed", "shed", "cancelled", "queued"),
+    "running": ("converged", "failed", "shed", "cancelled"),
+    "cancelled": ("queued",),
 }
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 STAGE_CALLS = {"PartitionMap", "distribute_matrix", "make_preconditioner"}
 
 
@@ -28,3 +29,10 @@ def test_only_the_stage_module_runs_the_stages():
         if _called_names(ast.parse(path.read_text())) & STAGE_CALLS
     }
     assert callers == {"core/stages.py"}
+
+
+def test_benchmark_scripts_distribute_through_the_stage():
+    # benchmarks/e2e is the benchmark's own copy of the pipeline
+    scripts = sorted(BENCHMARKS.glob("*.py"))
+    assert scripts
+    assert [p.name for p in scripts if "distribute_matrix(" in p.read_text()] == []

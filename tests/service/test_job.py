@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cases.base import PARTITION_SCHEMES
+from repro.comm.backends import BACKEND_NAMES
 from repro.service.errors import UnknownJob
 from repro.service.job import (
     JOB_STATUSES,
@@ -32,6 +34,8 @@ class TestJobSpec:
         ({"case": "nope"}, "unknown case"),
         ({"precond": "nope"}, "unknown preconditioner"),
         ({"solver": "bicg"}, "unknown solver"),
+        ({"backend": "mpi"}, "unknown execution backend"),
+        ({"scheme": "nonsense"}, "unknown partitioning scheme"),
         ({"nparts": 0}, "nparts"),
         ({"maxiter": 0}, "maxiter"),
         ({"deadline_s": 0.0}, "deadline_s"),
@@ -43,6 +47,12 @@ class TestJobSpec:
 
     def test_case_aliases_are_valid(self):
         assert JobSpec(case="poisson2d").case == "poisson2d"
+
+    @pytest.mark.parametrize("scheme", PARTITION_SCHEMES)
+    @pytest.mark.parametrize("backend", (None, *BACKEND_NAMES))
+    def test_every_scheme_and_backend_is_valid(self, scheme, backend):
+        spec = JobSpec(scheme=scheme, backend=backend)
+        assert (spec.scheme, spec.backend) == (scheme, backend)
 
     def test_round_trips_through_dict(self):
         spec = JobSpec(tenant="t", case="tc3", size=9, precond="block2",

@@ -10,7 +10,6 @@ import threading
 
 import pytest
 
-from repro.analysis.proto.machines import JOB_SPEC
 from repro.factor.cache import FactorCache
 from repro.resilience import ResilientSolver
 from repro.service import JobSpec, ServiceConfig, SolveService
@@ -327,7 +326,9 @@ class TestClocks:
 # -- the job-record machine is the parent's ---------------------------------------
 
 def test_job_record_machine_is_unchanged():
-    assert JOB_STATUSES == JOB_SPEC.states
-    assert {(s, d) for s, ds in _TRANSITIONS.items() for d in ds} \
-        == {(s, d) for s, d, _ in JOB_SPEC.transitions}
-    assert len(JOB_SPEC.transitions) == 7   # no "waiting" state was added
+    assert JOB_STATUSES == (
+        "queued", "running", "converged", "failed", "shed", "cancelled")
+    assert _TRANSITIONS == {   # no "waiting" state was added
+        "queued": ("running", "shed", "cancelled"),
+        "running": ("converged", "failed", "shed", "cancelled"),
+    }
