@@ -196,8 +196,8 @@ def test_whole_apply(monkeypatch):
 
     The triangular sweeps above are one layer of an application; the rest
     is the driver around them.  With the rank-stacked operators a Block 2
-    apply is one sweep and a Schur 1 apply 2·P·local + 2·global + 2 sweeps,
-    whatever P is for step 2 (docs/performance.md §9).  Ungated — the
+    apply is one sweep and a Schur 1 apply 2·local + 2·global + 2 sweeps,
+    whatever P is (docs/performance.md §9).  Ungated — the
     end-to-end benchmark owns the claim — but written down so the trajectory
     of "calls per apply" is on file.  Emits the ``whole_apply`` section.
     """

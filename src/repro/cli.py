@@ -416,7 +416,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
         cstats = factor_cache.stats()
         print(f"factor cache: {cstats['hits']} hits, {cstats['misses']} "
-              f"misses, {cstats['bypasses']} bypasses"
+              f"misses, {cstats['bypasses']} bypasses; stacks: "
+              f"{cstats['stack_hits']} hits, {cstats['stack_misses']} misses"
               + ("" if cstats["enabled"] else " (disabled)"))
 
     diag = sys.stderr if args.format == "json" else sys.stdout

@@ -26,9 +26,18 @@ Design points:
   per call site with :func:`configure`, or per CLI run with
   ``--no-factor-cache``.
 
-Hit/miss/bypass counts are kept as module counters (:func:`stats`) and also
-emitted as ``factor.cache`` events through :mod:`repro.obs` when tracing is
-enabled.
+What is built *from* cached factors — Schur blocks, rank stacks — is
+remembered beside them (:meth:`FactorCache.remember`), so a warm set-up
+reuses the stack and the probe verdict its sweeps already earned.  The memo
+lives and dies with its factors: keyed by their content keys plus whatever
+else determines the build (split points), dropped with any one of them
+(eviction, :meth:`~FactorCache.clear`, ``configure(enabled=False)``), and
+never consulted for a factor the cache does not hold.
+
+Hit/miss/bypass counts (and ``stack_hits``/``stack_misses`` for the memo)
+are kept as module counters (:func:`stats`) and also emitted as
+``factor.cache`` events through :mod:`repro.obs` when tracing is enabled
+(``alg="stack"`` for the memo).
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +55,8 @@ from repro.analysis.sanitize.race import TrackedLock, race_access
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (base -> triangular)
     from repro.factor.base import ILUFactorization
+
+T = TypeVar("T")
 
 _DEFAULT_CAPACITY = 32
 _ENV_VAR = "REPRO_FACTOR_CACHE"
@@ -61,11 +72,17 @@ class FactorCache:
     def __init__(self, capacity: int = _DEFAULT_CAPACITY, enabled: bool | None = None):
         self._lock = TrackedLock(f"factor.cache.{id(self)}.lock")
         self._store: OrderedDict[str, "ILUFactorization"] = OrderedDict()
+        # the content key of each stored factor object, and what is built
+        # from stored factors: (tag, their keys) -> the build
+        self._key_of: dict[int, str] = {}
+        self._derived: dict[tuple[tuple, tuple[str, ...]], Any] = {}
         self.capacity = capacity
         self.enabled = (not _env_disabled()) if enabled is None else enabled
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
+        self.stack_hits = 0
+        self.stack_misses = 0
 
     # -- keying ----------------------------------------------------------
     @staticmethod
@@ -105,10 +122,74 @@ class FactorCache:
         the store must share the cache's lock in its lockset.
         """
         race_access(f"factor.cache.{id(self)}.store", "write")
+        old = self._store.get(key)
+        if old is not None:
+            # same content, new object: what was built from the old one stays
+            del self._key_of[id(old)]
         self._store[key] = fac
         self._store.move_to_end(key)
+        self._key_of[id(fac)] = key
+        self._trim_locked()
+
+    def _trim_locked(self) -> None:
+        """Evict down to capacity, and with each factor what was built from it."""
         while len(self._store) > self.capacity:
-            self._store.popitem(last=False)
+            key, fac = self._store.popitem(last=False)
+            del self._key_of[id(fac)]
+            for dk in [dk for dk in self._derived if key in dk[1]]:
+                race_access(f"factor.cache.{id(self)}.memo", "write")
+                del self._derived[dk]
+
+    def _resident_keys(self, factors: Sequence["ILUFactorization"]) -> tuple[str, ...] | None:
+        """The content keys of ``factors`` if the cache holds every one of
+        these very objects, else ``None``; callers hold ``self._lock``.
+        (``_key_of`` has an entry exactly while its object is stored.)"""
+        keys = []
+        for fac in factors:
+            key = self._key_of.get(id(fac))
+            if key is None:
+                return None
+            keys.append(key)
+        return tuple(keys)
+
+    def remember(
+        self, factors: Sequence["ILUFactorization"], tag: tuple, build: Callable[[], T]
+    ) -> T:
+        """``build()``, remembered beside the cached ``factors`` it is built from.
+
+        ``tag`` names what ``build`` makes from the factors and whatever
+        else it depends on (split points).  While the cache holds every one
+        of these factor objects, the first build is kept and returned to
+        every later caller — with whatever state it has since earned, such
+        as a stack's probe verdict.  Two threads that build at once both
+        get the one that was stored first.  A factor the cache does not hold
+        (cache disabled, fault-plan bypass, evicted, replaced) gets a fresh,
+        unremembered build.
+        """
+        value: Any = None
+        with self._lock:
+            keys = self._resident_keys(factors)
+            if keys is not None:
+                value = self._derived.get((tag, keys))
+                race_access(f"factor.cache.{id(self)}.memo", "write")
+                if value is None:
+                    self.stack_misses += 1
+                else:
+                    self.stack_hits += 1
+        if keys is None:
+            return build()
+        obs.event(
+            "factor.cache", alg="stack", what=tag[0],
+            outcome="hit" if value is not None else "miss", key=keys[0][:12],
+        )
+        if value is not None:
+            return value
+        value = build()
+        with self._lock:
+            if self._resident_keys(factors) == keys:
+                race_access(f"factor.cache.{id(self)}.memo", "write")
+                value = self._derived.setdefault((tag, keys), value)
+        return value
 
     def note_bypass(self, alg: str, reason: str) -> None:
         with self._lock:
@@ -118,11 +199,15 @@ class FactorCache:
     # -- management ------------------------------------------------------
     def clear(self) -> None:
         with self._lock:
+            race_access(f"factor.cache.{id(self)}.memo", "write")
             self._store.clear()
+            self._key_of.clear()
+            self._derived.clear()
 
     def reset_stats(self) -> None:
         with self._lock:
             self.hits = self.misses = self.bypasses = 0
+            self.stack_hits = self.stack_misses = 0
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
@@ -133,6 +218,9 @@ class FactorCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "bypasses": self.bypasses,
+                "stacks": len(self._derived),
+                "stack_hits": self.stack_hits,
+                "stack_misses": self.stack_misses,
             }
 
     def __len__(self) -> int:
@@ -157,13 +245,13 @@ def configure(enabled: bool | None = None, capacity: int | None = None) -> Facto
     if capacity is not None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        _cache.capacity = capacity
         with _cache._lock:
-            while len(_cache._store) > capacity:
-                _cache._store.popitem(last=False)
+            _cache.capacity = capacity
+            _cache._trim_locked()
     return _cache
 
 
 def stats() -> dict[str, Any]:
-    """Counters of the process-wide cache (hits/misses/bypasses/size)."""
+    """Counters of the process-wide cache (hits/misses/bypasses/size, and
+    stacks/stack_hits/stack_misses of the memo beside the factors)."""
     return _cache.stats()

@@ -9,16 +9,25 @@ then L_S U_S ≈ S_i = C_i − E_i B_i^{-1} F_i: the trailing blocks of a single
 ILU of A_i provide, for free, both an approximate solver for B_i (the leading
 blocks) and an approximate solver for the local Schur complement S_i (the
 trailing blocks).  Schur 1 is built exactly this way.
+
+:func:`schur_blocks` and :func:`stacked_schur_solves` are what Schur 1 sets
+up from: the blocks of one factor, and all ranks' pairs as two rank-stacked
+sweeps.  Both are remembered beside the cached factors they come from
+(:meth:`repro.factor.cache.FactorCache.remember`), so a warm set-up reuses
+them and the probe verdict of their sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.factor.base import ILUFactorization
+from repro.factor.cache import get_cache
 from repro.sparse.triangular import FusedLU, TriangularFactor
 from repro.utils.validation import ensure_csr
 
@@ -82,4 +91,29 @@ def extract_schur_blocks(ilu: ILUFactorization, n_internal: int) -> SchurBlocks:
         UB=_triangular_block(u_strict, u_diag, 0, n_internal, lower=False),
         LS=_triangular_block(ilu.l_strict, None, n_internal, n, lower=True),
         US=_triangular_block(u_strict, u_diag, n_internal, n, lower=False),
+    )
+
+
+def schur_blocks(ilu: ILUFactorization, n_internal: int) -> SchurBlocks:
+    """:func:`extract_schur_blocks`, remembered beside ``ilu`` while the
+    factor cache holds it."""
+    return get_cache().remember(
+        [ilu], ("schur_blocks", n_internal),
+        partial(extract_schur_blocks, ilu, n_internal),
+    )
+
+
+def stacked_schur_solves(
+    factors: Sequence[ILUFactorization], blocks: Sequence[SchurBlocks]
+) -> tuple[FusedLU, FusedLU]:
+    """All ranks' (L_B, U_B) and (L_S, U_S) pairs as two rank-stacked sweeps;
+    ``blocks[r]`` are the Schur blocks of ``factors[r]``.  Remembered beside
+    the factors while the cache holds every one, probe verdicts included."""
+    splits = tuple(b.n_internal for b in blocks)
+    return get_cache().remember(
+        factors, ("schur_stacks", splits),
+        lambda: (
+            FusedLU.stacked([b.LB for b in blocks], [b.UB for b in blocks]),
+            FusedLU.stacked([b.LS for b in blocks], [b.US for b in blocks]),
+        ),
     )

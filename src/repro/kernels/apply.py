@@ -41,6 +41,7 @@ both tiers share one elementwise scaling and the sweeps never divide.
 from __future__ import annotations
 
 import importlib
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -161,7 +162,8 @@ class UnitSweeps:
     backward sweep and the fused ILU apply are the same object.  On the
     numpy tier the first solve prepares the gstrs slots and probes them
     against the spec loops; this factor then stays on whichever path the
-    probe chose.
+    probe chose.  The probe runs once however many threads share the
+    object (a stack remembered by the factor cache is shared).
     """
 
     def __init__(
@@ -170,9 +172,10 @@ class UnitSweeps:
         self.n = n
         self.lower = lower
         self.upper = upper
-        self._slots: tuple | None = None
+        self._slots: tuple = ()  # set before superlu_ok turns True
         # None = gstrs not tried yet; False = this factor runs the spec loops
         self.superlu_ok: bool | None = None
+        self._probe_lock = threading.Lock()
 
     def spec(self, b: np.ndarray) -> np.ndarray:
         """Both sweeps through the interpreted scalar spec."""
@@ -187,10 +190,14 @@ class UnitSweeps:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Tier-dispatched solve; ``b`` is not mutated."""
-        if self.superlu_ok is False or resolve_tier() == "reference":
+        ok = self.superlu_ok
+        if ok is False or resolve_tier() == "reference":
             return self.spec(b)
-        if self._slots is None:
-            return self._probe(b)
+        if ok is None:
+            with self._probe_lock:
+                if self.superlu_ok is None:
+                    return self._probe(b)
+            return self.solve(b)  # another thread's probe decided meanwhile
         return gstrs_sweeps(self.n, self._slots[0], self._slots[1], b)
 
     def _probe(self, b: np.ndarray) -> np.ndarray:
@@ -201,8 +208,8 @@ class UnitSweeps:
         if slots is None:
             self.superlu_ok = False
             return x
-        self._slots = slots
         y = gstrs_sweeps(self.n, slots[0], slots[1], b)
+        self._slots = slots
         self.superlu_ok = bool(np.array_equal(y, x))
         if not self.superlu_ok:
             if self.lower is not None and self.upper is not None:

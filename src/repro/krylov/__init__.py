@@ -1,4 +1,5 @@
-"""Krylov subspace solvers: FGMRES(m), CG, BiCGStab.
+"""Krylov subspace solvers: FGMRES(m) (also in lockstep over independent
+systems), CG, BiCGStab.
 
 Solvers are written once against an injectable :class:`KernelOps` (inner
 product, norm, update accounting); serial code uses the default numpy
@@ -8,7 +9,7 @@ so every inner product is charged as an allreduce.
 
 from repro.krylov.ops import CountingOps, KernelOps, SerialOps
 from repro.krylov.monitors import STATUSES, ConvergenceMonitor, KrylovResult
-from repro.krylov.fgmres import fgmres
+from repro.krylov.fgmres import fgmres, fgmres_lockstep
 from repro.krylov.cg import cg
 from repro.krylov.bicgstab import bicgstab
 from repro.krylov.spectra import (
@@ -26,6 +27,7 @@ __all__ = [
     "KrylovResult",
     "STATUSES",
     "fgmres",
+    "fgmres_lockstep",
     "cg",
     "bicgstab",
     "power_method",

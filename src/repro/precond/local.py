@@ -134,10 +134,12 @@ class LocalSolver:
         return [factors[r] for r in range(len(matrices))]
 
     def _stack(self, layout: Layout) -> None:
-        """All ranks' factors as one fused pair, and (RCM) the orders they
-        were built in as one permutation of the distributed vector."""
-        self._fused = FusedLU.stacked(
-            [f.L for f in self.factors], [f.U for f in self.factors]
+        """All ranks' factors as one fused pair — remembered beside cached
+        factors, probe verdict included — and (RCM) the orders they were
+        built in as one permutation of the distributed vector."""
+        self._fused = factor_cache.get_cache().remember(
+            self.factors, ("local.fused",),
+            lambda: FusedLU.stacked([f.L for f in self.factors], [f.U for f in self.factors]),
         )
         if any(p is not None for p in self.perms):
             self._perm = np.concatenate([

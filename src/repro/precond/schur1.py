@@ -17,13 +17,17 @@ Inner iteration counts vary the operator, so the outer accelerator must be
 FGMRES.
 
 Execution is fused, cost is per rank (the
-:class:`~repro.distributed.matrix.DistributedMatrix` idiom): the step-2
-operator and its preconditioner are block-diagonal over ranks, so F, E, C, Ē
-and the (L_B, U_B) / (L_S, U_S) pairs are stacked once at set-up and one
-S-matvec is three products, one sweep and one exchange whatever P is — with
-the bits of the per-rank loop, and its per-rank flops charged as a constant.
-Steps 1 and 3 stay one inner FGMRES per rank: their iterations stop rank by
-rank (docs/performance.md §9).
+:class:`~repro.distributed.matrix.DistributedMatrix` idiom): everything here
+is block-diagonal over ranks, so B, F, E, C, Ē and the (L_B, U_B) /
+(L_S, U_S) pairs are stacked once at set-up and one S-matvec is three
+products, one sweep and one exchange whatever P is — with the bits of the
+per-rank loop, and its per-rank flops charged as a constant.  The inner
+solves of steps 1 and 3 run in lockstep (:func:`~repro.krylov.fgmres_lockstep`):
+one stacked B product and one stacked (L_B, U_B) sweep per inner iteration
+for all ranks, each rank with its own Hessenberg, its own dots on its own
+slice and its own early exit.  The Schur blocks and both sweep stacks are
+remembered beside the cached factors they come from
+(:meth:`~repro.factor.cache.FactorCache.remember`), probe verdict included.
 """
 
 from __future__ import annotations
@@ -35,14 +39,13 @@ from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
 from repro.distributed.ops import DistributedOps
 from repro.factor.ilut import ilut
-from repro.factor.schur_extract import SchurBlocks, extract_schur_blocks
+from repro.factor.schur_extract import SchurBlocks, schur_blocks, stacked_schur_solves
 from repro.kernels.apply import csr_matvec, stack_csr
-from repro.krylov.fgmres import fgmres
+from repro.krylov.fgmres import fgmres, fgmres_lockstep
 from repro.krylov.ops import CountingOps
 from repro.precond.base import ParallelPreconditioner
 from repro.precond.block_jacobi import estimate_ilu_setup_flops
 from repro.resilience.errors import InnerSolveDivergence
-from repro.sparse.triangular import FusedLU
 
 
 class Schur1Preconditioner(ParallelPreconditioner):
@@ -68,6 +71,7 @@ class Schur1Preconditioner(ParallelPreconditioner):
         self.global_iterations = global_iterations
         self.local_iterations = local_iterations
 
+        factors = []
         self.schur_blocks: list[SchurBlocks] = []
         setup = np.zeros(comm.size)
         for r, sd in enumerate(self.pm.subdomains):
@@ -75,7 +79,8 @@ class Schur1Preconditioner(ParallelPreconditioner):
                 dmat.owned_square[r], drop_tol, fill,
                 shift=shift, breakdown_frac=breakdown_frac,
             )
-            self.schur_blocks.append(extract_schur_blocks(fac, sd.n_internal))
+            factors.append(fac)
+            self.schur_blocks.append(schur_blocks(fac, sd.n_internal))
             if fac.stats.floored_pivots:
                 obs.event(
                     "factor.stats", rank=r, precond="schur1",
@@ -87,16 +92,28 @@ class Schur1Preconditioner(ParallelPreconditioner):
         self._ifc_layout = self.pm.interface_layout
         self._ifc_ops = DistributedOps(comm, self._ifc_layout)
 
-        # the step-2 operators of all ranks, stacked
+        # the operators of all ranks, stacked
         blocks, sbs = dmat.blocks, self.schur_blocks
+        self._B = stack_csr([b.B for b in blocks])
         self._F = stack_csr([b.F for b in blocks])
         self._E = stack_csr([b.E for b in blocks])
         self._C = stack_csr([b.C for b in blocks])
-        self._solve_b = FusedLU.stacked([s.LB for s in sbs], [s.UB for s in sbs])
-        self._solve_s = FusedLU.stacked([s.LS for s in sbs], [s.US for s in sbs])
+        self._solve_b, self._solve_s = stacked_schur_solves(factors, sbs)
         self._coupled_rows = dmat.coupled_rows(self._ifc_layout)
+        # where each rank's internal / interface unknowns sit in a distributed
+        # vector, and where its internal ones sit in the stacked B system
+        splits = [sd.n_internal for sd in self.pm.subdomains]
+        ptr = self.pm.layout.rank_ptr
+        self._internal = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            np.arange(lo, lo + n) for lo, n in zip(ptr, splits)
+        ])
+        self._interface = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            np.arange(lo + n, hi) for lo, n, hi in zip(ptr, splits, ptr[1:])
+        ])
+        self._b_ptr = np.concatenate(([0], np.cumsum(splits))).tolist()
         # ... and what the ranks are charged for them, product by product
         self._b_flops = [2.0 * b.B.nnz for b in blocks]
+        self._lu_b_flops = [s.solve_b_flops() for s in sbs]
         self._e_flops = [2.0 * b.E.nnz for b in blocks]
         self._f_flops = [2.0 * b.F.nnz for b in blocks]
         self._matvec_flops = np.asarray([
@@ -105,42 +122,34 @@ class Schur1Preconditioner(ParallelPreconditioner):
         ])
         self._precond_flops = np.asarray([s.solve_s_flops() for s in sbs])
 
-    # -- subdomain-local approximate B solve (steps 1 and 3) -----------------
+    # -- subdomain-local approximate B solves (steps 1 and 3) ----------------
 
-    def _solve_b_gmres(self, rank: int, f: np.ndarray, counter: CountingOps) -> np.ndarray:
-        """A few local GMRES iterations on B_i, ILUT-block preconditioned."""
-        blocks = self.dmat.blocks[rank]
-        sb = self.schur_blocks[rank]
-        b_mat = blocks.B
-        if b_mat.shape[0] == 0:
-            return np.empty(0)
+    def _solve_local(self, f: np.ndarray, counters: list[CountingOps]) -> np.ndarray:
+        """B̃_i⁻¹ f_i on every rank: a few local GMRES iterations on B_i,
+        (L_B, U_B)-preconditioned, all ranks in lockstep on the stacks."""
 
-        a_flops, m_flops = self._b_flops[rank], sb.solve_b_flops()
+        def apply_a(v: np.ndarray, live: list[int]) -> np.ndarray:
+            for r in live:
+                counters[r].add(self._b_flops[r])
+            return csr_matvec(self._B, v)
 
-        def apply_a(v):
-            counter.add(a_flops)
-            return csr_matvec(b_mat, v)
+        def apply_m(v: np.ndarray, live: list[int]) -> np.ndarray:
+            for r in live:
+                counters[r].add(self._lu_b_flops[r])
+            return self._solve_b.solve(v)
 
-        def apply_m(v):
-            counter.add(m_flops)
-            return sb.solve_b(v)
-
-        res = fgmres(
-            apply_a,
-            f,
-            apply_m=apply_m,
-            restart=self.local_iterations,
-            rtol=1e-12,
-            maxiter=self.local_iterations,
-            ops=counter,
+        u, results = fgmres_lockstep(
+            apply_a, f, self._b_ptr, apply_m, counters,
+            restart=self.local_iterations, rtol=1e-12, maxiter=self.local_iterations,
         )
-        if res.status == "diverged":
-            raise InnerSolveDivergence(
-                "Schur 1 local B-block solve diverged",
-                rank=rank, where="schur1.local",
-                residual=float(res.final_residual),
-            )
-        return res.x
+        for rank, res in enumerate(results):
+            if res.status == "diverged":
+                raise InnerSolveDivergence(
+                    "Schur 1 local B-block solve diverged",
+                    rank=rank, where="schur1.local",
+                    residual=float(res.final_residual),
+                )
+        return u
 
     # -- the distributed global Schur solve (step 2) --------------------------
 
@@ -182,42 +191,28 @@ class Schur1Preconditioner(ParallelPreconditioner):
     # -- Algorithm 2.1 ---------------------------------------------------------
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        pm = self.pm
-        n_ifc = self._ifc_layout.total
-        ghat = np.empty(n_ifc)
-        f_parts: list[np.ndarray] = []
-        flops = np.zeros(self.comm.size)
+        f = r[self._internal]
 
         # Step 1: ĝ_i = g_i − E_i B̃_i^{-1} f_i
         with obs.span("schur.forward"):
-            for rank, sd in enumerate(pm.subdomains):
-                loc = pm.layout.local(r, rank)
-                f_i, g_i = loc[: sd.n_internal], loc[sd.n_internal :]
-                f_parts.append(f_i)
-                counter = CountingOps(max(sd.n_internal, 1))
-                w = self._solve_b_gmres(rank, f_i, counter)
-                e_mat = self.dmat.blocks[rank].E
-                self._ifc_layout.local(ghat, rank)[:] = g_i - csr_matvec(e_mat, w)
-                counter.add(self._e_flops[rank])
-                flops[rank] = counter.flops
-            self.comm.ledger.add_phase(flops)
+            counters = [CountingOps(max(sd.n_internal, 1)) for sd in self.pm.subdomains]
+            w = self._solve_local(f, counters)
+            ghat = r[self._interface] - csr_matvec(self._E, w)
+            for counter, e_flops in zip(counters, self._e_flops):
+                counter.add(e_flops)
+            self.comm.ledger.add_phase(np.asarray([c.flops for c in counters]))
 
         # Step 2: solve S y = ĝ approximately (distributed GMRES)
         y = self._solve_schur_system(ghat)
 
         # Step 3: u_i = B̃_i^{-1} (f_i − F_i y_i)
         z = np.empty_like(r)
-        flops = np.zeros(self.comm.size)
         with obs.span("schur.back"):
-            for rank, sd in enumerate(pm.subdomains):
-                y_i = self._ifc_layout.local(y, rank)
-                counter = CountingOps(max(sd.n_internal, 1))
-                rhs = f_parts[rank] - csr_matvec(self.dmat.blocks[rank].F, y_i)
-                counter.add(self._f_flops[rank])
-                u_i = self._solve_b_gmres(rank, rhs, counter)
-                loc = pm.layout.local(z, rank)
-                loc[: sd.n_internal] = u_i
-                loc[sd.n_internal :] = y_i
-                flops[rank] = counter.flops
-            self.comm.ledger.add_phase(flops)
+            counters = [CountingOps(max(sd.n_internal, 1)) for sd in self.pm.subdomains]
+            rhs = f - csr_matvec(self._F, y)
+            for counter, f_flops in zip(counters, self._f_flops):
+                counter.add(f_flops)
+            z[self._internal] = self._solve_local(rhs, counters)
+            z[self._interface] = y
+            self.comm.ledger.add_phase(np.asarray([c.flops for c in counters]))
         return z

@@ -236,3 +236,94 @@ class TestKeying:
         a = random_spd_csr(15, 0.3, 15)
         assert FactorCache.key("ilut", a, (1e-3, 10, 0.0), "band") != \
             FactorCache.key("ilut", a, (1e-3, 10, 0.0), "reference")
+
+
+class TestRemember:
+    """What is built from cached factors lives and dies with them."""
+
+    @staticmethod
+    def _builds():
+        made = []
+
+        def build():
+            made.append(object())
+            return made[-1]
+
+        return made, build
+
+    def test_warm_factors_get_the_first_build(self, fresh_cache):
+        a, b = random_spd_csr(12, 0.3, 20), random_spd_csr(12, 0.3, 21)
+        facs = [ilu0(a), ilu0(b)]
+        made, build = self._builds()
+        first = fresh_cache.remember(facs, ("stack",), build)
+        assert fresh_cache.remember([ilu0(a), ilu0(b)], ("stack",), build) is first
+        assert len(made) == 1
+        stats = fresh_cache.stats()
+        assert (stats["stack_hits"], stats["stack_misses"], stats["stacks"]) == (1, 1, 1)
+
+    def test_tag_and_order_are_part_of_the_key(self, fresh_cache):
+        facs = [ilu0(random_spd_csr(12, 0.3, s)) for s in (22, 23)]
+        made, build = self._builds()
+        fresh_cache.remember(facs, ("stack", (3, 4)), build)
+        fresh_cache.remember(facs, ("stack", (4, 3)), build)
+        fresh_cache.remember(facs[::-1], ("stack", (3, 4)), build)
+        assert len(made) == 3
+
+    @pytest.mark.parametrize("drop", ["clear", "disable"])
+    def test_clear_and_disable_drop_the_memo(self, fresh_cache, drop):
+        a = random_spd_csr(12, 0.3, 24)
+        made, build = self._builds()
+        fresh_cache.remember([ilu0(a)], ("stack",), build)
+        if drop == "clear":
+            fresh_cache.clear()
+        else:
+            factor_cache.configure(enabled=False)
+            factor_cache.configure(enabled=True)
+        assert fresh_cache.stats()["stacks"] == 0
+        fresh_cache.remember([ilu0(a)], ("stack",), build)
+        assert len(made) == 2
+
+    def test_evicting_any_factor_drops_what_was_built_from_it(self, fresh_cache):
+        mats = [random_spd_csr(10, 0.4, s) for s in range(25, 28)]
+        made, build = self._builds()
+        factor_cache.configure(capacity=3)
+        try:
+            facs = [ilu0(m) for m in mats]
+            fresh_cache.remember(facs[:2], ("pair",), build)
+            fresh_cache.remember(facs[2:], ("one",), build)
+            ilu0(random_spd_csr(10, 0.4, 28))  # evicts facs[0], the oldest
+            assert fresh_cache.stats()["stacks"] == 1
+            assert fresh_cache.remember(facs[2:], ("one",), build) is made[1]
+        finally:
+            factor_cache.configure(capacity=32)
+
+    def test_factors_the_cache_does_not_hold_get_fresh_builds(self, fresh_cache):
+        a = random_spd_csr(12, 0.3, 29)
+        made, build = self._builds()
+        stray = ilu0(a)
+        fresh_cache.clear()                 # stray is no longer resident
+        fresh_cache.remember([stray], ("stack",), build)
+        fresh_cache.remember([stray], ("stack",), build)
+        factor_cache.configure(enabled=False)
+        try:
+            off = ilu0(a)
+            fresh_cache.remember([off], ("stack",), build)
+        finally:
+            factor_cache.configure(enabled=True)
+        assert len(made) == 3
+        stats = fresh_cache.stats()
+        assert (stats["stack_hits"], stats["stack_misses"], stats["stacks"]) == (0, 0, 0)
+
+    def test_hits_and_misses_are_traced(self, fresh_cache):
+        from repro import obs
+
+        facs = [ilu0(random_spd_csr(12, 0.3, 30))]
+        _, build = self._builds()
+        with obs.tracing() as tracer:
+            fresh_cache.remember(facs, ("stack",), build)
+            fresh_cache.remember(facs, ("stack",), build)
+        outcomes = [
+            (e["attrs"]["what"], e["attrs"]["outcome"]) for e in tracer.orphan_events
+            if e["name"] == "factor.cache" and e["attrs"]["alg"] == "stack"
+        ]
+        assert outcomes == [("stack", "miss"), ("stack", "hit")]

@@ -1,7 +1,9 @@
 """The concurrency that remains after the set-up thread pool: two
 ``SolveService`` workers run two set-ups at once on one process-wide factor
 cache.  The factor kernels and the cache must be safe under concurrent
-callers — same factors bit for bit, no race report.
+callers — same factors bit for bit, no race report — and so must the stacks
+the cache remembers beside warm factors: every thread gets the one stack,
+and each stack is probed once.
 """
 
 import sys
@@ -14,6 +16,7 @@ from repro.analysis.determinism import _digest
 from repro.analysis.sanitize import race
 from repro.comm.communicator import Communicator
 from repro.factor import cache as factor_cache
+from repro.kernels import applyspec
 from repro.precond.block_jacobi import block2
 from repro.precond.schur1 import Schur1Preconditioner
 from repro.precond.schur2 import Schur2Preconditioner
@@ -73,25 +76,20 @@ def armed(monkeypatch):
     sanitize.disable("race")
 
 
-def test_concurrent_setups_share_one_cache_safely(partitioned_poisson, armed):
-    pm, dmat, rhs, _ = partitioned_poisson
-    r = pm.to_distributed(rhs)
-    want = _build_all(dmat, r)
-    armed.clear()
-    armed.reset_stats()
-
+def _run_threads(fn) -> list:
+    """``fn(i)`` on NTHREADS threads released together, switching often: a
+    lost update in the cache or a kernel sharing scratch would show in the
+    digests.  Returns each thread's result (or what it raised)."""
     results: list = [None] * NTHREADS
     gate = threading.Barrier(NTHREADS)
 
     def worker(i: int) -> None:
         try:
             gate.wait(timeout=60)
-            results[i] = _build_all(dmat, r)
-        except BaseException as exc:  # noqa: BLE001 - reported below
+            results[i] = fn(i)
+        except BaseException as exc:  # noqa: BLE001 - reported by the caller
             results[i] = exc
 
-    # more threads than the host has cores, switching often: a lost update
-    # in the cache or a kernel sharing scratch would show in the digests
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(NTHREADS)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -103,9 +101,63 @@ def test_concurrent_setups_share_one_cache_safely(partitioned_poisson, armed):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    return results
 
+
+def test_concurrent_setups_share_one_cache_safely(partitioned_poisson, armed):
+    pm, dmat, rhs, _ = partitioned_poisson
+    r = pm.to_distributed(rhs)
+    want = _build_all(dmat, r)
+    armed.clear()
+    armed.reset_stats()
+
+    results = _run_threads(lambda i: _build_all(dmat, r))
     assert results == [want] * NTHREADS
     assert not race.get_detector().reports
     stats = armed.stats()
     # the threads really met on the cache: every block was asked for by all
     assert stats["hits"] + stats["misses"] >= NTHREADS * 3 * pm.num_ranks
+
+
+def test_warm_stacks_are_shared_and_probed_once(partitioned_poisson, armed, monkeypatch):
+    """Four threads build Schur 1 and Block 2 on factors a previous set-up
+    left warm, then apply them.  Schur 1's stacks were remembered (unprobed)
+    by that set-up; Block 2's stack is first built by the racing threads.
+    Every thread ends up with the same stack objects, each stack's probe —
+    one interpreted pass — runs exactly once between them, and the applies
+    are bitwise those of a single-threaded build on a cold cache."""
+    pm, dmat, rhs, _ = partitioned_poisson
+    r = pm.to_distributed(rhs)
+    nranks = pm.num_ranks
+
+    def build(i: int):
+        s1 = Schur1Preconditioner(dmat, Communicator(nranks))
+        b2 = block2(dmat, Communicator(nranks))
+        digests = {m.name: _digest(m.apply(r)) for m in (s1, b2)}
+        return (s1._solve_b, s1._solve_s, b2.local_solver._fused), digests
+
+    _, want = build(-1)
+    armed.clear()
+    Schur1Preconditioner(dmat, Communicator(nranks))
+    block2(dmat, Communicator(nranks))
+    armed.reset_stats()
+
+    passes: list[int] = []  # list.append is atomic; a += from four threads is not
+    forward_unit = applyspec.forward_unit
+
+    def counted(*args):
+        passes.append(1)
+        return forward_unit(*args)
+
+    monkeypatch.setattr(applyspec, "forward_unit", counted)
+    results = _run_threads(build)
+
+    assert not [x for x in results if isinstance(x, BaseException)], results
+    assert [digests for _, digests in results] == [want] * NTHREADS
+    stacks = {tuple(id(s) for s in stacks) for stacks, _ in results}
+    assert len(stacks) == 1
+    assert len(passes) == 3  # Schur 1's two stacks and Block 2's one
+    assert not race.get_detector().reports
+    stats = armed.stats()
+    assert stats["misses"] == 0
+    assert stats["stack_hits"] >= NTHREADS * (nranks + 1)

@@ -7,6 +7,9 @@ became ``+0.0`` fails), per-rank flops compared exactly — over random
 partitioned systems that include what the stacks could get wrong: one rank,
 ranks with no internal or no interface unknowns, a rank without ghost
 columns, RCM orders next to natural ones, signed zeros, both kernel tiers.
+Schur 1's inner solves, which now run in lockstep over all ranks, have the
+whole per-rank apply as their oracle, exactly-zero right-hand-side slices,
+lucky breakdowns and unequal early exits included.
 """
 
 import numpy as np
@@ -22,10 +25,14 @@ from repro.distributed.ops import DistributedOps
 from repro.distributed.partition_map import PartitionMap
 from repro.factor.base import solve_permuted
 from repro.graph.adjacency import graph_from_matrix
-from repro.krylov.ops import fixed_tree_sum
+from repro.kernels.apply import csr_matvec
+from repro.krylov.fgmres import fgmres
+from repro.krylov.ops import CountingOps, fixed_tree_sum
+from repro.precond import schur1 as schur1_module
 from repro.precond.block_jacobi import block2
 from repro.precond.schur1 import Schur1Preconditioner
 from repro.precond.schur2 import Schur2Preconditioner
+from repro.resilience.errors import InnerSolveDivergence
 
 TIERS = ("reference", None)  # None: auto, i.e. the compiled kernels
 
@@ -33,16 +40,12 @@ TIERS = ("reference", None)  # None: auto, i.e. the compiled kernels
 # -- random partitioned systems -------------------------------------------------
 
 
-@st.composite
-def coupled_systems(draw):
-    """``(matrix, membership, P, seed)``: rank r owns a contiguous run of rows;
-    each rank is *isolated* (couples to no other rank: no interface unknowns,
-    no ghost columns), *exposed* (every row couples outward: no internal
-    unknowns) or *mixed*."""
-    nranks = draw(st.sampled_from([1, 2, 5]))
-    sizes = [draw(st.integers(min_value=1, max_value=7)) for _ in range(nranks)]
-    modes = [draw(st.sampled_from(["isolated", "exposed", "mixed"])) for _ in range(nranks)]
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+def coupled_system(sizes, modes, seed):
+    """``(matrix, membership, P, seed)``: rank r owns a contiguous run of
+    ``sizes[r]`` rows and is *isolated* (couples to no other rank: no
+    interface unknowns, no ghost columns), *exposed* (every row couples
+    outward: no internal unknowns) or *mixed*."""
+    nranks = len(sizes)
     rng = np.random.default_rng(seed)
     ptr = np.concatenate(([0], np.cumsum(sizes)))
     n = int(ptr[-1])
@@ -64,6 +67,15 @@ def coupled_systems(draw):
     dense[np.arange(n), np.arange(n)] = 4.0 + np.abs(dense).sum(axis=1)
     membership = np.repeat(np.arange(nranks), sizes).astype(np.int64)
     return sp.csr_matrix(dense), membership, nranks, seed
+
+
+@st.composite
+def coupled_systems(draw):
+    nranks = draw(st.sampled_from([1, 2, 5]))
+    sizes = [draw(st.integers(min_value=1, max_value=7)) for _ in range(nranks)]
+    modes = [draw(st.sampled_from(["isolated", "exposed", "mixed"])) for _ in range(nranks)]
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return coupled_system(sizes, modes, seed)
 
 
 def _distribute(system):
@@ -143,6 +155,83 @@ def loop_schur_precond(m: Schur1Preconditioner, g):
     return out, flops
 
 
+def loop_solve_b_gmres(m: Schur1Preconditioner, rank, f, counter):
+    """A few local GMRES iterations on B_i, ILUT-block preconditioned."""
+    blocks = m.dmat.blocks[rank]
+    sb = m.schur_blocks[rank]
+    b_mat = blocks.B
+    if b_mat.shape[0] == 0:
+        return np.empty(0)
+
+    a_flops, m_flops = 2.0 * b_mat.nnz, sb.solve_b_flops()
+
+    def apply_a(v):
+        counter.add(a_flops)
+        return csr_matvec(b_mat, v)
+
+    def apply_m(v):
+        counter.add(m_flops)
+        return sb.solve_b(v)
+
+    res = fgmres(
+        apply_a,
+        f,
+        apply_m=apply_m,
+        restart=m.local_iterations,
+        rtol=1e-12,
+        maxiter=m.local_iterations,
+        ops=counter,
+    )
+    if res.status == "diverged":
+        raise InnerSolveDivergence(
+            "Schur 1 local B-block solve diverged",
+            rank=rank, where="schur1.local",
+            residual=float(res.final_residual),
+        )
+    return res.x
+
+
+def loop_schur1_apply(m: Schur1Preconditioner, r):
+    pm = m.pm
+    n_ifc = m._ifc_layout.total
+    ghat = np.empty(n_ifc)
+    f_parts = []
+    flops = np.zeros(m.comm.size)
+
+    # Step 1: ĝ_i = g_i − E_i B̃_i^{-1} f_i
+    for rank, sd in enumerate(pm.subdomains):
+        loc = pm.layout.local(r, rank)
+        f_i, g_i = loc[: sd.n_internal], loc[sd.n_internal :]
+        f_parts.append(f_i)
+        counter = CountingOps(max(sd.n_internal, 1))
+        w = loop_solve_b_gmres(m, rank, f_i, counter)
+        e_mat = m.dmat.blocks[rank].E
+        m._ifc_layout.local(ghat, rank)[:] = g_i - csr_matvec(e_mat, w)
+        counter.add(2.0 * e_mat.nnz)
+        flops[rank] = counter.flops
+    m.comm.ledger.add_phase(flops)
+
+    # Step 2: solve S y = ĝ approximately (distributed GMRES)
+    y = m._solve_schur_system(ghat)
+
+    # Step 3: u_i = B̃_i^{-1} (f_i − F_i y_i)
+    z = np.empty_like(r)
+    flops = np.zeros(m.comm.size)
+    for rank, sd in enumerate(pm.subdomains):
+        y_i = m._ifc_layout.local(y, rank)
+        counter = CountingOps(max(sd.n_internal, 1))
+        f_mat = m.dmat.blocks[rank].F
+        rhs = f_parts[rank] - csr_matvec(f_mat, y_i)
+        counter.add(2.0 * f_mat.nnz)
+        u_i = loop_solve_b_gmres(m, rank, rhs, counter)
+        loc = pm.layout.local(z, rank)
+        loc[: sd.n_internal] = u_i
+        loc[sd.n_internal :] = y_i
+        flops[rank] = counter.flops
+    m.comm.ledger.add_phase(flops)
+    return z
+
+
 def loop_expanded_matvec(m: Schur2Preconditioner, y):
     pm, layout = m.pm, m._exp_layout
     ifc_views = [
@@ -202,6 +291,65 @@ def test_stacked_schur1_operators_are_the_per_rank_loops(system):
     y = _vector(m._ifc_layout.total, system[3])
     _assert_fused_matches(comm, m._schur_matvec, lambda v: loop_schur_matvec(m, v), y)
     _assert_fused_matches(comm, m._schur_precond, lambda v: loop_schur_precond(m, v), y)
+
+
+def _zero_internal_slice(pm, r, rank):
+    """``r`` with rank ``rank``'s internal unknowns set to exactly zero."""
+    r = r.copy()
+    pm.layout.local(r, rank)[: pm.subdomains[rank].n_internal] = 0.0
+    return r
+
+
+#: ILUT settings: the default is exact on these small blocks (every inner
+#: solve converges at j = 0); the coarse one leaves them several steps
+ILUT = st.sampled_from([{}, {"drop_tol": 0.5, "fill": 1}])
+
+
+@given(coupled_systems(), st.integers(min_value=-1, max_value=4), ILUT)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_schur1_apply_is_the_per_rank_loop(system, zero_rank, ilut):
+    pm, dmat = _distribute(system)
+    comm = Communicator(pm.num_ranks)
+    m = Schur1Preconditioner(dmat, comm, **ilut)
+    r = _vector(pm.layout.total, system[3])
+    if 0 <= zero_rank < pm.num_ranks:
+        r = _zero_internal_slice(pm, r, zero_rank)
+    _assert_fused_matches(
+        comm, m.apply, lambda v: _charged(comm, loop_schur1_apply, m, v), r
+    )
+
+
+def test_lockstep_schur1_covers_every_exit(monkeypatch):
+    """P = 5, each rank leaving the inner solves its own way: rank 0 has no
+    internal unknowns, rank 1 one (its basis vector is ±1, so MGS breaks
+    down exactly at j = 0), rank 2 an exactly-zero right-hand side (isolated,
+    so step 3's is zero too) and rank 4 runs all ``local_iterations`` after
+    the others left (a coarse ILUT, so B̃_i is not B_i's exact LU)."""
+    system = coupled_system(
+        [3, 1, 4, 7, 6], ["exposed", "isolated", "isolated", "mixed", "mixed"], seed=0
+    )
+    pm, dmat = _distribute(system)
+    assert [sd.n_internal for sd in pm.subdomains] == [0, 1, 4, 3, 5]
+    comm = Communicator(pm.num_ranks)
+    m = Schur1Preconditioner(dmat, comm, drop_tol=0.5, fill=1)
+    r = _zero_internal_slice(pm, _vector(pm.layout.total, 11), 2)
+
+    runs = []
+    lockstep = schur1_module.fgmres_lockstep
+
+    def spy(*args, **kwargs):
+        x, results = lockstep(*args, **kwargs)
+        runs.append([(res.iterations, res.status) for res in results])
+        return x, results
+
+    monkeypatch.setattr(schur1_module, "fgmres_lockstep", spy)
+    _assert_fused_matches(
+        comm, m.apply, lambda v: _charged(comm, loop_schur1_apply, m, v), r
+    )
+    assert len(runs) == 2 * 2 * len(TIERS)  # steps 1 and 3 of two applies per tier
+    for steps in runs:
+        assert steps[:3] == [(0, "converged"), (1, "converged"), (0, "converged")]
+        assert steps[4] == (m.local_iterations, "maxiter"), steps
 
 
 @given(coupled_systems())

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from repro.comm.communicator import Communicator
+from repro.distributed.matrix import distribute_matrix
 from repro.krylov.fgmres import fgmres
 from repro.precond.schur1 import Schur1Preconditioner
+from repro.resilience.errors import InnerSolveDivergence
 
 
 @pytest.fixture()
@@ -97,3 +99,25 @@ class TestSchur1:
 
     def test_name(self, setup):
         assert setup[5].name == "Schur 1"
+
+
+def test_local_divergence_names_the_lowest_rank(partitioned_poisson, poisson_system):
+    """Two ranks' inner B-solves go non-finite at different points — rank 2
+    at its first residual (a NaN in B_2), rank 1 only in the Hessenberg
+    update (B_1 scaled by 1e300 overflows the first norm).  The apply raises for rank 1, the
+    lower one, whichever diverged first, and charges nothing: the ledger
+    reads as it did before the apply."""
+    pm, _, rhs, _ = partitioned_poisson
+    dmat = distribute_matrix(poisson_system[0], pm)  # a copy whose blocks may be spoiled
+    dmat.blocks[1].B.data[:] *= 1e300
+    dmat.blocks[2].B.data[0] = np.nan
+    comm = Communicator(pm.num_ranks)
+    M = Schur1Preconditioner(dmat, comm)
+    before = (comm.ledger.counts(), comm.ledger.per_rank_flops.copy())
+    with np.errstate(all="ignore"), pytest.raises(InnerSolveDivergence) as info:
+        M.apply(pm.to_distributed(rhs))
+    assert info.value.context["where"] == "schur1.local"
+    assert info.value.context["rank"] == 1
+    assert (comm.ledger.counts(), comm.ledger.per_rank_flops.tobytes()) == (
+        before[0], before[1].tobytes()
+    )
