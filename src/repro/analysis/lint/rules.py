@@ -457,19 +457,21 @@ _MONITOR_CALLS = ("start", "check")
 
 
 def _is_delegating_wrapper(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """A body of nothing but ``return other(...)`` inherits the callee's
-    instrumentation (e.g. a solver alias delegating to the FGMRES kernel)."""
+    """A body of nothing but ``return other(...)`` — or an item of what it
+    returns, ``return other(...)[i]`` — inherits the callee's
+    instrumentation (e.g. ``fgmres``, the one-system case of the cycle)."""
     body = [
         stmt for stmt in fn.body
         if not (isinstance(stmt, ast.Expr)
                 and isinstance(stmt.value, ast.Constant)
                 and isinstance(stmt.value.value, str))
     ]
-    return (
-        len(body) == 1
-        and isinstance(body[0], ast.Return)
-        and isinstance(body[0].value, ast.Call)
-    )
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    value = body[0].value
+    while isinstance(value, ast.Subscript):
+        value = value.value
+    return isinstance(value, ast.Call)
 
 
 def _is_instrumented(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -485,7 +487,7 @@ def _is_instrumented(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
                 and func.value.id == "obs":
             return True
         if func.attr in _MONITOR_CALLS and isinstance(func.value, ast.Name) \
-                and func.value.id in ("mon", "monitor"):
+                and func.value.id == "mon":
             return True
     return False
 

@@ -34,7 +34,6 @@ def bicgstab(
     atol: float = 0.0,
     maxiter: int = 1000,
     ops: KernelOps | None = None,
-    monitor: ConvergenceMonitor | None = None,
     apply_ma: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> KrylovResult:
     """Solve ``A x = b`` with right-preconditioned BiCGStab.
@@ -46,7 +45,7 @@ def bicgstab(
     ``apply_m``/``apply_a`` composed.
     """
     ops = ops or SerialOps()
-    mon = monitor or ConvergenceMonitor(rtol=rtol, atol=atol)
+    mon = ConvergenceMonitor(rtol=rtol, atol=atol)
     b = np.asarray(b, dtype=np.float64)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
     precond = apply_m if apply_m is not None else (lambda r: r)
@@ -115,9 +114,8 @@ def bicgstab(
         if mon.check(ops.norm(r)):
             converged = True
             break
-        verdict = mon.verdict()
-        if verdict is not None:
-            status = verdict
+        if mon.diverged():
+            status = "diverged"
             break
         rho_old = rho
 

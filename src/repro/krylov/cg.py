@@ -24,11 +24,10 @@ def cg(
     atol: float = 0.0,
     maxiter: int = 1000,
     ops: KernelOps | None = None,
-    monitor: ConvergenceMonitor | None = None,
 ) -> KrylovResult:
     """Solve SPD ``A x = b`` with (preconditioned) conjugate gradients."""
     ops = ops or SerialOps()
-    mon = monitor or ConvergenceMonitor(rtol=rtol, atol=atol)
+    mon = ConvergenceMonitor(rtol=rtol, atol=atol)
     b = np.asarray(b, dtype=np.float64)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
     precond = apply_m if apply_m is not None else (lambda r: r)
@@ -61,9 +60,8 @@ def cg(
         if mon.check(ops.norm(r)):
             status = "converged"
             break
-        verdict = mon.verdict()
-        if verdict is not None:
-            status = verdict
+        if mon.diverged():
+            status = "diverged"
             break
         z = precond(r)
         rz_new = ops.dot(r, z)

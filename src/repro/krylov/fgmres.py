@@ -8,7 +8,9 @@ solution from them (Saad, Alg. 9.6).
 
 Right preconditioning means the monitored quantity is the *true* system
 residual ‖b − A x‖ (estimated by the least-squares residual during a cycle
-and recomputed exactly at each restart).
+and recomputed exactly at each restart).  The restarted cycle is written
+once, :func:`_cycle`: :func:`fgmres` is its one-system case and
+:func:`fgmres_lockstep` runs it on independent diagonal blocks.
 """
 
 from __future__ import annotations
@@ -89,170 +91,14 @@ def _back_substitute(H: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     return y
 
 
-def fgmres(
-    apply_a: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    apply_m: Callable[[np.ndarray], np.ndarray] | None = None,
-    x0: np.ndarray | None = None,
-    restart: int = 20,
-    rtol: float = 1e-6,
-    atol: float = 0.0,
-    maxiter: int = 1000,
-    ops: KernelOps | None = None,
-    monitor: ConvergenceMonitor | None = None,
-    on_restart: Callable[[int, np.ndarray], None] | None = None,
-    apply_ma: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
-) -> KrylovResult:
-    """Solve ``A x = b`` with restarted flexible GMRES.
-
-    Parameters
-    ----------
-    apply_a:
-        The operator x → A x.
-    apply_m:
-        The (possibly iteration-varying) right preconditioner r → M^{-1} r;
-        identity when omitted.
-    apply_ma:
-        Optional fused step v → (M^{-1} v, A M^{-1} v) used for the inner
-        Arnoldi expansion (e.g. ``ParallelPreconditioner.apply_matvec``);
-        must agree with ``apply_m``/``apply_a`` composed.  ``apply_a`` is
-        still required for the initial and restart residuals.
-    restart:
-        Krylov cycle length m (paper default 20).
-    rtol:
-        Relative residual reduction target (paper: 1e-6).
-    on_restart:
-        Called as ``on_restart(iterations, x)`` after the true-residual
-        recompute at the end of each cycle, once the iterate is known to be
-        finite.  The checkpoint hook: callers snapshot ``x`` here so a later
-        fault can resume from the last completed cycle.
-    """
-    if restart < 1:
-        raise ValueError("restart must be >= 1")
-    ops = ops or SerialOps()
-    mon = monitor or ConvergenceMonitor(rtol=rtol, atol=atol)
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
-    precond = apply_m if apply_m is not None else (lambda r: r)
-
-    r = b - apply_a(x)
-    ops.charge_local_axpy()
-    beta = ops.norm(r)
-    if not math.isfinite(beta):
-        # the operator (or x0) is already producing non-finite values
-        obs.event("resilience.detected", kind="diverged", where="fgmres.r0")
-        mon.start(beta)
-        return KrylovResult(x=x, iterations=0, status="diverged", residuals=mon.residuals)
-    if mon.start(beta) or beta <= mon.threshold:
-        return KrylovResult(x=x, iterations=0, status="converged", residuals=mon.residuals)
-
-    iters = 0
-    status = "maxiter"
-    converged = False
-    while iters < maxiter and not converged:
-        m = restart
-        V = np.zeros((m + 1, n))
-        Z = np.zeros((m, n))
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        V[0] = r / beta
-        g[0] = beta
-        j_used = 0
-        breakdown = False
-
-        for j in range(m):
-            if apply_ma is not None:
-                Z[j], w = apply_ma(V[j])
-            else:
-                Z[j] = precond(V[j])
-                w = apply_a(Z[j])
-            # copy: apply_a may return its argument (e.g. identity operators),
-            # and the MGS updates modify w in place
-            w = np.array(w, dtype=np.float64, copy=True)
-            h_next, breakdown = _arnoldi_column(w, V, H, cs, sn, g, j, ops)
-            if not math.isfinite(h_next):
-                # the Hessenberg update went non-finite (NaN operator output,
-                # overflow in the orthogonalization): propagating it through
-                # the Givens rotations would poison x — return the last
-                # finite iterate with an honest classification instead
-                obs.event(
-                    "resilience.detected", kind="diverged",
-                    where="fgmres.hessenberg", iteration=iters,
-                )
-                mon.residuals.append(float(h_next))
-                return KrylovResult(
-                    x=x, iterations=iters, status="diverged",
-                    residuals=mon.residuals,
-                )
-
-            iters += 1
-            j_used = j + 1
-            if mon.check(abs(g[j + 1])):
-                converged = True
-                break
-            if breakdown or iters >= maxiter:
-                break
-
-        # solve the small triangular system and update x from the Z basis
-        k = j_used
-        y = _back_substitute(H, g, k)
-        x_prev = x.copy()
-        x += Z[:k].T @ y
-        ops.charge_local_axpy(k)
-
-        # the in-cycle estimate can be wrong under breakdown with a singular
-        # projected system, so convergence is always re-validated against the
-        # true residual at the end of a cycle
-        beta_prev = beta
-        r = b - apply_a(x)
-        ops.charge_local_axpy()
-        beta = ops.norm(r)
-        mon.residuals[-1] = beta  # replace the estimate with the true norm
-        obs.event("krylov.restart", iterations=iters, residual=float(beta))
-        if mon.diverged():
-            # non-finite or exploded true residual: the cycle update is
-            # untrustworthy — hand back the previous (finite) iterate
-            obs.event(
-                "resilience.detected", kind="diverged",
-                where="fgmres.restart", iteration=iters,
-            )
-            return KrylovResult(
-                x=x_prev, iterations=iters, status="diverged",
-                residuals=mon.residuals,
-            )
-        if on_restart is not None:
-            on_restart(iters, x)
-        converged = beta <= mon.threshold
-        if not converged:
-            if breakdown and beta >= beta_prev * (1.0 - 1e-12):
-                status = "stagnated"  # Krylov space exhausted with no progress
-                break
-            if mon.stagnated():
-                obs.event(
-                    "resilience.detected", kind="stagnated",
-                    where="fgmres.restart", iteration=iters,
-                )
-                status = "stagnated"
-                break
-
-    if converged:
-        status = "converged"
-    return KrylovResult(x=x, iterations=iters, status=status, residuals=mon.residuals)
-
-
 class _Run:
-    """One system of :func:`fgmres_lockstep`: what ``fgmres`` keeps in locals."""
+    """One system of :func:`_cycle`: its rows, monitor, Hessenberg, Givens."""
 
-    def __init__(self, sl: slice, ops: KernelOps, rtol: float) -> None:
+    def __init__(self, sl: slice, ops: KernelOps, rtol: float, atol: float) -> None:
         self.sl = sl
         self.ops = ops
-        self.mon = ConvergenceMonitor(rtol=rtol)
-        self.iters = 0
-        self.beta = 0.0
-        self.breakdown = False
+        self.mon = ConvergenceMonitor(rtol=rtol, atol=atol)
+        self.iters, self.beta, self.breakdown = 0, 0.0, False
         self.result: KrylovResult | None = None
 
     def residual_norm(self, r: np.ndarray) -> float:
@@ -261,80 +107,67 @@ class _Run:
 
     def begin_cycle(self, V: np.ndarray, r: np.ndarray, m: int) -> None:
         self.H = np.zeros((m + 1, m))
-        self.cs = np.zeros(m)
-        self.sn = np.zeros(m)
+        self.cs, self.sn = np.zeros(m), np.zeros(m)
         self.g = np.zeros(m + 1)
         V[0, self.sl] = r[self.sl] / self.beta
         self.g[0] = self.beta
         self.j_used = 0
 
     def finish(self, x: np.ndarray, status: str) -> None:
-        self.result = KrylovResult(
-            x=x[self.sl], iterations=self.iters, status=status,
-            residuals=self.mon.residuals,
-        )
+        self.result = KrylovResult(x[self.sl], self.iters, status, self.mon.residuals)
 
 
-def fgmres_lockstep(
-    apply_a: Callable[[np.ndarray, list[int]], np.ndarray],
-    b: np.ndarray,
-    bounds: Sequence[int],
-    apply_m: Callable[[np.ndarray, list[int]], np.ndarray],
-    ops: Sequence[KernelOps],
-    restart: int,
-    rtol: float,
-    maxiter: int,
+Step = Callable[[np.ndarray, list[int]], np.ndarray]
+FusedStep = Callable[[np.ndarray, list[int]], tuple[np.ndarray, np.ndarray]]
+
+
+def _cycle(
+    apply_a: Step, b: np.ndarray, bounds: Sequence[int], apply_m: Step | None,
+    ops: Sequence[KernelOps], restart: int, rtol: float, maxiter: int, *,
+    x0: np.ndarray | None = None, atol: float = 0.0,
+    on_restart: Callable[[int, np.ndarray], None] | None = None,
+    apply_ma: FusedStep | None = None,
 ) -> tuple[np.ndarray, list[KrylovResult]]:
-    """:func:`fgmres` on independent systems at once, one operator call per step.
+    """Restarted FGMRES on the systems ``bounds`` cuts ``b`` into, one
+    operator call per step for all of them — the package's one cycle.
 
     System s is rows ``bounds[s]:bounds[s+1]`` of a block-diagonal operator
-    and preconditioner.  ``apply_a(v, live)`` and ``apply_m(v, live)`` act on
-    the whole stacked vector in one call; ``live`` lists, ascending, the
-    systems whose own ``fgmres`` would have made that call, so the callee
-    charges them and only them.  Everything else is per system and is
-    ``fgmres``'s: its Hessenberg, Givens pairs, default
-    :class:`ConvergenceMonitor` and ``ops[s]``, whose dots and norms see only
-    the system's contiguous slice (the same BLAS call on the same bytes); its
-    update ``Z[:k]ᵀ y`` is the same gemv on a contiguous copy of its slice.
-    Result s is therefore bitwise ``fgmres(A_s, b_s, M_s, restart=restart,
-    rtol=rtol, maxiter=maxiter, ops=ops[s])`` — x, iterations, status,
-    residual history, charges and events; the events interleave across
-    systems and keep their order within each.
-
-    A system leaves the stepping by masking — it converged, broke down,
-    reached ``maxiter``, diverged or started at an exactly-zero right-hand
-    side — and its slices of the basis are zeroed, so nothing stale flows
-    through the calls that follow.  A system with no rows is not solved: no
-    call, no charge, no event (status ``converged``, empty history).
-    Returns the stacked x and the per-system results, whose ``x`` are views
-    of it.
+    and preconditioner.  Every callback acts on the whole stacked vector and
+    is passed ``live``, the ascending systems that need the call, so it
+    charges them and only them; ``apply_m=None`` is the identity and
+    ``apply_ma`` fuses ``z = M⁻¹ v`` with ``A z``.  The rest is per system:
+    its monitor, Hessenberg, Givens pairs and ``ops[s]``, whose dots and
+    norms see only its contiguous slice; its update ``Z[:k]ᵀ y`` is one gemv
+    on a contiguous copy of that slice.  A system leaves the stepping by
+    masking — converged, broke down, reached ``maxiter`` or diverged — and
+    its slices of the basis are zeroed.  ``maxiter < 1`` takes no step.
     """
     if restart < 1:
         raise ValueError("restart must be >= 1")
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    x = np.zeros(n)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
     runs = [
-        _Run(slice(lo, hi), o, rtol)
+        _Run(slice(lo, hi), o, rtol, atol)
         for lo, hi, o in zip(bounds[:-1], bounds[1:], ops)
     ]
-    for run in runs:
-        if run.sl.stop == run.sl.start:
-            run.finish(x, "converged")
-    live = [s for s, run in enumerate(runs) if run.result is None]
+    live = list(range(len(runs)))
     if not live:
-        return x, [run.result for run in runs]
+        return x, []
 
     r = b - apply_a(x, live)
     for s in live:
         run = runs[s]
         run.beta = run.residual_norm(r)
         if not math.isfinite(run.beta):
+            # the operator (or x0) is already producing non-finite values
             obs.event("resilience.detected", kind="diverged", where="fgmres.r0")
             run.mon.start(run.beta)
             run.finish(x, "diverged")
         elif run.mon.start(run.beta) or run.beta <= run.mon.threshold:
             run.finish(x, "converged")
+        elif maxiter < 1:
+            run.finish(x, "maxiter")
     live = [s for s in live if runs[s].result is None]
 
     m = restart
@@ -345,9 +178,14 @@ def fgmres_lockstep(
             runs[s].begin_cycle(V, r, m)
         stepping = live
         for j in range(m):
-            Z[j] = apply_m(V[j], stepping)
-            # copy: the MGS updates modify each slice in place
-            w = np.array(apply_a(Z[j], stepping), dtype=np.float64, copy=True)
+            if apply_ma is not None:
+                Z[j], w = apply_ma(V[j], stepping)
+            else:
+                Z[j] = V[j] if apply_m is None else apply_m(V[j], stepping)
+                w = apply_a(Z[j], stepping)
+            # copy: apply_a may return its argument (e.g. identity operators),
+            # and the MGS updates modify each slice in place
+            w = np.array(w, dtype=np.float64, copy=True)
             still = []
             for s in stepping:
                 run = runs[s]
@@ -355,10 +193,10 @@ def fgmres_lockstep(
                     w[run.sl], V[:, run.sl], run.H, run.cs, run.sn, run.g, j, run.ops,
                 )
                 if not math.isfinite(h_next):
-                    obs.event(
-                        "resilience.detected", kind="diverged",
-                        where="fgmres.hessenberg", iteration=run.iters,
-                    )
+                    # NaN operator output or overflow in the MGS would poison x
+                    # through the rotations: keep the last finite iterate
+                    obs.event("resilience.detected", kind="diverged",
+                              where="fgmres.hessenberg", iteration=run.iters)
                     run.mon.residuals.append(float(h_next))
                     run.finish(x, "diverged")
                     continue
@@ -384,6 +222,8 @@ def fgmres_lockstep(
             x_prev[s] = x[run.sl].copy()
             x[run.sl] += np.ascontiguousarray(Z[:k, run.sl]).T @ y
             run.ops.charge_local_axpy(k)
+        # the in-cycle estimate can be wrong under breakdown with a singular
+        # projected system, so convergence is re-validated on the true residual
         r = b - apply_a(x, live)
         for s in live:
             run = runs[s]
@@ -392,18 +232,88 @@ def fgmres_lockstep(
             run.mon.residuals[-1] = run.beta
             obs.event("krylov.restart", iterations=run.iters, residual=float(run.beta))
             if run.mon.diverged():
-                obs.event(
-                    "resilience.detected", kind="diverged",
-                    where="fgmres.restart", iteration=run.iters,
-                )
+                # a non-finite or exploded true residual: the update is
+                # untrustworthy, the previous iterate is handed back
+                obs.event("resilience.detected", kind="diverged",
+                          where="fgmres.restart", iteration=run.iters)
                 x[run.sl] = x_prev[s]
                 run.finish(x, "diverged")
-            elif run.beta <= run.mon.threshold:
+                continue
+            if on_restart is not None:
+                on_restart(run.iters, x[run.sl])
+            if run.beta <= run.mon.threshold:
                 run.finish(x, "converged")
             elif run.breakdown and run.beta >= beta_prev * (1.0 - 1e-12):
-                run.finish(x, "stagnated")
+                run.finish(x, "stagnated")  # Krylov space exhausted, no progress
             elif run.iters >= maxiter:
                 run.finish(x, "maxiter")
         live = [s for s in live if runs[s].result is None]
 
     return x, [run.result for run in runs]
+
+
+def fgmres(
+    apply_a: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    apply_m: Callable[[np.ndarray], np.ndarray] | None = None,
+    x0: np.ndarray | None = None,
+    restart: int = 20,
+    rtol: float = 1e-6,
+    atol: float = 0.0,
+    maxiter: int = 1000,
+    ops: KernelOps | None = None,
+    on_restart: Callable[[int, np.ndarray], None] | None = None,
+    apply_ma: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+) -> KrylovResult:
+    """Solve ``A x = b`` with restarted flexible GMRES: the cycle on one
+    system spanning the whole vector.
+
+    ``apply_m`` is the (possibly iteration-varying) right preconditioner,
+    identity when omitted; ``apply_ma`` an optional fused step
+    v → (M⁻¹ v, A M⁻¹ v) for the Arnoldi expansion (e.g.
+    ``ParallelPreconditioner.apply_matvec``), which must agree with the two
+    composed — ``apply_a`` still gives the initial and restart residuals.
+    ``restart`` is the cycle length m (paper: 20); convergence is
+    ‖r‖ ≤ max(rtol ‖r_0‖, atol) (paper: rtol = 1e-6); ``maxiter < 1`` takes
+    no step.  ``on_restart(iterations, x)`` is the checkpoint hook: called
+    after the true-residual recompute at the end of each cycle, once the
+    iterate is known to be finite, so a later fault can resume from it.
+    """
+    return _cycle(
+        lambda v, live: apply_a(v), b, [0, len(b)],
+        None if apply_m is None else lambda v, live: apply_m(v),
+        [ops or SerialOps()], restart, rtol, maxiter, x0=x0, atol=atol,
+        on_restart=on_restart,
+        apply_ma=None if apply_ma is None else lambda v, live: apply_ma(v),
+    )[1][0]
+
+
+def fgmres_lockstep(
+    apply_a: Step, b: np.ndarray, bounds: Sequence[int], apply_m: Step,
+    ops: Sequence[KernelOps], restart: int, rtol: float, maxiter: int,
+) -> tuple[np.ndarray, list[KrylovResult]]:
+    """:func:`fgmres` on independent systems at once, one operator call per step.
+
+    ``apply_a(v, live)`` and ``apply_m(v, live)`` act on the whole stacked
+    vector; ``live`` lists, ascending, the systems whose own ``fgmres`` would
+    have made the call, so the callee charges them and only them.  Result s
+    is bitwise ``fgmres(A_s, b_s, M_s, restart=restart, rtol=rtol,
+    maxiter=maxiter, ops=ops[s])`` — x, iterations, status, residuals,
+    charges and events (interleaved across systems, in order within each).
+    A system with no rows is not solved: no call, no charge, no event
+    (``converged``, empty history).  Returns the stacked x and the results,
+    whose ``x`` are views of it.
+    """
+    solved = [s for s in range(len(bounds) - 1) if bounds[s + 1] > bounds[s]]
+
+    def named(step: Step) -> Step:
+        return lambda v, live: step(v, [solved[i] for i in live])
+
+    x, done = _cycle(
+        named(apply_a), b, [bounds[s] for s in solved] + [bounds[-1]],
+        named(apply_m), [ops[s] for s in solved], restart, rtol, maxiter,
+    )
+    results = [KrylovResult(x[lo:lo], 0, "converged", []) for lo in bounds[:-1]]
+    for s, res in zip(solved, done):
+        results[s] = res
+    return x, results

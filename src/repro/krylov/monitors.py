@@ -2,7 +2,7 @@
 
 The paper's criterion: the 2-norm of the residual reduced by 1e-6 relative to
 its initial value.  :class:`ConvergenceMonitor` owns that test, the residual
-history, and the divergence/stagnation detectors of the resilience layer;
+history, and the divergence detector of the resilience layer;
 :class:`KrylovResult` is what every solver returns.  A solve no longer ends
 in a bare converged/not-converged bool: ``KrylovResult.status`` is one of
 :data:`STATUSES`, so callers (and the resilient driver) can tell an honest
@@ -78,22 +78,14 @@ class ConvergenceMonitor:
     """Relative-reduction convergence test with history recording.
 
     Besides the convergence test, the monitor carries the resilience layer's
-    two failure detectors:
-
-    * **divergence** — the residual became non-finite, or grew past
-      ``divtol`` times the initial residual (``divtol=None`` disables the
-      growth test; non-finite always counts as divergence);
-    * **stagnation** — over the last ``stall_window`` recorded residuals the
-      best value improved by less than a relative factor ``stall_rtol``
-      (``stall_window=0`` disables the detector; it is opt-in because short
-      plateaus are normal for restarted GMRES).
+    divergence detector: the residual became non-finite, or grew past
+    ``divtol`` times the initial residual (``divtol=None`` disables the
+    growth test; non-finite always counts as divergence).
     """
 
     rtol: float = 1e-6
     atol: float = 0.0
     divtol: float | None = 1e10
-    stall_window: int = 0
-    stall_rtol: float = 1e-3
     residuals: list[float] = field(default_factory=list)
     _threshold: float | None = None
 
@@ -127,8 +119,6 @@ class ConvergenceMonitor:
         )
         return r_norm <= self._threshold
 
-    # -- failure detectors ---------------------------------------------------
-
     def diverged(self) -> bool:
         """True when the last recorded residual is non-finite or exploded."""
         if not self.residuals:
@@ -140,22 +130,3 @@ class ConvergenceMonitor:
             return False
         r0 = self.residuals[0]
         return math.isfinite(r0) and last > self.divtol * max(r0, 1e-300)
-
-    def stagnated(self) -> bool:
-        """True when the best residual stopped improving over the window."""
-        w = self.stall_window
-        if w <= 0 or len(self.residuals) <= w:
-            return False
-        recent = min(self.residuals[-w:])
-        past = min(self.residuals[:-w])
-        if not (math.isfinite(recent) and math.isfinite(past)):
-            return False  # non-finite is divergence, not stagnation
-        return recent > (1.0 - self.stall_rtol) * past
-
-    def verdict(self) -> str | None:
-        """The detector classification of the current history, if any."""
-        if self.diverged():
-            return "diverged"
-        if self.stagnated():
-            return "stagnated"
-        return None

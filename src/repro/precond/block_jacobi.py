@@ -9,7 +9,15 @@ poor.  Three subdomain solvers are provided:
 * ILU(0) backward-forward substitution → **Block 1**
 * ILUT(τ,p) backward-forward substitution → **Block 2**
 * a few ILUT-preconditioned local GMRES iterations → the "local
-  (preconditioned) Krylov solver" variant the paper mentions.
+  (preconditioned) Krylov solver" variant the paper mentions (**Block K**).
+
+Execution is fused, cost is per rank: on the driver the ranks' factors are
+one stacked sweep (:class:`~repro.precond.local.LocalSolver`), and Block K's
+inner GMRES runs on all ranks in lockstep
+(:func:`~repro.krylov.fgmres_lockstep`) — one product with the stacked A_i
+and one driver-side sweep per inner iteration, whatever the backend, each
+rank with its own Hessenberg, its own dots on its own slice and its own
+early exit.
 """
 
 from __future__ import annotations
@@ -20,11 +28,11 @@ import scipy.sparse as sp
 from repro import obs
 from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
-from repro.factor.base import ILUFactorization, solve_permuted
+from repro.factor.base import ILUFactorization
 from repro.graph.adjacency import graph_from_matrix
 from repro.graph.rcm import reverse_cuthill_mckee
-from repro.kernels.apply import csr_matvec
-from repro.krylov.fgmres import fgmres
+from repro.kernels.apply import csr_matvec, stack_csr
+from repro.krylov.fgmres import fgmres_lockstep
 from repro.krylov.ops import CountingOps
 from repro.precond.base import ParallelPreconditioner
 from repro.precond.local import LocalSolver
@@ -70,6 +78,8 @@ class BlockPreconditioner(ParallelPreconditioner):
             raise ValueError(f"unknown variant {variant!r}")
         if ordering not in ("natural", "rcm"):
             raise ValueError(f"unknown ordering {ordering!r}")
+        if inner_iterations < 1:
+            raise ValueError("iteration counts must be >= 1")
         self.variant = variant
         self.ordering = ordering
         self.inner_iterations = inner_iterations
@@ -109,6 +119,10 @@ class BlockPreconditioner(ParallelPreconditioner):
             setup[r] = estimate_ilu_setup_flops(fac)
         self._charge_setup(setup)
         self._apply_flops = np.asarray([f.solve_flops() for f in self.factors])
+        if variant == "krylov":
+            # the inner operator, in natural order, of all ranks stacked
+            self._a_hat = stack_csr(dmat.owned_square)
+            self._a_flops = [2.0 * a.nnz for a in dmat.owned_square]
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         if self.variant == "krylov":
@@ -120,42 +134,35 @@ class BlockPreconditioner(ParallelPreconditioner):
         return z
 
     def _apply_krylov(self, r: np.ndarray) -> np.ndarray:
-        z = np.empty_like(r)
-        flops = np.zeros(self.comm.size)
+        """A few ILUT-preconditioned GMRES iterations on every subdomain, all
+        ranks in lockstep on the stacked A_i and one sweep of their factors
+        (in ``perm`` order; the operator is in natural order)."""
+        counters = [CountingOps(a.shape[0]) for a in self.dmat.owned_square]
+
+        def apply_a(v: np.ndarray, live: list[int]) -> np.ndarray:
+            for rank in live:
+                counters[rank].add(self._a_flops[rank])
+            return csr_matvec(self._a_hat, v)
+
+        def apply_m(v: np.ndarray, live: list[int]) -> np.ndarray:
+            for rank in live:
+                counters[rank].add(self._apply_flops[rank])
+            return self.local_solver.sweep(self.pm.layout, v)
+
         with obs.span("block.local_solves", variant=self.variant):
-            for rank in range(self.comm.size):
-                loc = self.pm.layout.local_slice(rank)
-                a_own = self.dmat.owned_square[rank]
-                fac, perm = self.factors[rank], self.local_solver.perms[rank]
-                counter = CountingOps(a_own.shape[0])
-
-                def apply_a(v, a=a_own, c=counter):
-                    c.add(2.0 * a.nnz)
-                    return csr_matvec(a, v)
-
-                # the operator is in natural order, the factor in ``perm`` order
-                def apply_m(v, f=fac, p=perm, c=counter):
-                    c.add(f.solve_flops())
-                    return solve_permuted(f, p, v)
-
-                res = fgmres(
-                    apply_a,
-                    r[loc],
-                    apply_m=apply_m,
-                    restart=max(self.inner_iterations, 1),
-                    rtol=1e-12,
-                    maxiter=self.inner_iterations,
-                    ops=counter,
-                )
+            z, results = fgmres_lockstep(
+                apply_a, r, self.pm.layout.rank_ptr.tolist(), apply_m, counters,
+                restart=self.inner_iterations, rtol=1e-12,
+                maxiter=self.inner_iterations,
+            )
+            for rank, res in enumerate(results):
                 if res.status == "diverged":
                     raise InnerSolveDivergence(
                         "Block K local Krylov solve diverged",
                         rank=rank, where="blockk.local",
                         residual=float(res.final_residual),
                     )
-                z[loc] = res.x
-                flops[rank] = counter.flops
-            self.comm.ledger.add_phase(flops)
+            self.comm.ledger.add_phase(np.asarray([c.flops for c in counters]))
         return z
 
 

@@ -147,6 +147,18 @@ class LocalSolver:
                 for lo, f, p in zip(layout.rank_ptr, self.factors, self.perms)
             ])
 
+    def sweep(self, layout: Layout, r: np.ndarray) -> np.ndarray:
+        """The driver route of :meth:`solve`: one sweep over the stacked
+        triangles, whatever the backend (Block K's inner GMRES sweeps here,
+        so it ships no factor)."""
+        if self._fused is None:
+            self._stack(layout)
+        if self._perm is None:
+            return self._fused.solve(r)
+        z = np.empty_like(r)
+        z[self._perm] = self._fused.solve(r[self._perm])
+        return z
+
     def solve(self, layout: Layout, r: np.ndarray) -> np.ndarray:
         """``z_r = (L_r U_r)^{-1} r_r`` on every rank's slice of ``layout``.
 
@@ -157,13 +169,7 @@ class LocalSolver:
         """
         session = self._session
         if session is None:
-            if self._fused is None:
-                self._stack(layout)
-            if self._perm is None:
-                return self._fused.solve(r)
-            z = np.empty_like(r)
-            z[self._perm] = self._fused.solve(r[self._perm])
-            return z
+            return self.sweep(layout, r)
         # a no-op on the steady path: after set-up in the ranks, or after
         # the first solve, every (rank, key) is in the session's shipped set
         session.ensure({

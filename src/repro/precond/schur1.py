@@ -22,7 +22,8 @@ is block-diagonal over ranks, so B, F, E, C, Ē and the (L_B, U_B) /
 (L_S, U_S) pairs are stacked once at set-up and one S-matvec is three
 products, one sweep and one exchange whatever P is — with the bits of the
 per-rank loop, and its per-rank flops charged as a constant.  The inner
-solves of steps 1 and 3 run in lockstep (:func:`~repro.krylov.fgmres_lockstep`):
+solves of steps 1 and 3 run in lockstep (:func:`~repro.krylov.fgmres_lockstep`,
+the FGMRES cycle Block K's inner solves and the step-2 ``fgmres`` run too):
 one stacked B product and one stacked (L_B, U_B) sweep per inner iteration
 for all ranks, each rank with its own Hessenberg, its own dots on its own
 slice and its own early exit.  The Schur blocks and both sweep stacks are

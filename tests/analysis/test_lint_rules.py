@@ -93,6 +93,14 @@ class TestScoping:
         violations, _ = lint_source(source, "krylov/helpers.py")
         assert not [v for v in violations if v.code == "RPR006"]
 
+    def test_rpr006_accepts_an_item_of_a_delegated_result(self):
+        # fgmres returns its one system's result from the FGMRES cycle
+        ok = "def fgmres(a, b):\n    return _cycle(a, b)[1][0]\n"
+        bad = "def fgmres(a, b):\n    out = _cycle(a, b)\n    return out[1][0]\n"
+        for source, flagged in ((ok, False), (bad, True)):
+            violations, _ = lint_source(source, "krylov/fgmres.py")
+            assert bool([v for v in violations if v.code == "RPR006"]) is flagged
+
     def test_rpr009_silent_outside_the_service_layer(self):
         # the same unbounded q.get() is legal in, say, a test helper or the
         # backend layer — only repro.service carries the bounded-wait contract

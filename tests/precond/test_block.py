@@ -5,6 +5,7 @@ from repro import CASE_BUILDERS, solve_case
 from repro.comm.communicator import Communicator
 from repro.krylov.fgmres import fgmres
 from repro.precond.block_jacobi import BlockPreconditioner, block1, block2, block_krylov
+from repro.resilience.errors import InnerSolveDivergence
 
 
 def make(partitioned_poisson, factory):
@@ -111,8 +112,37 @@ class TestBlockPreconditioners:
         with pytest.raises(ValueError):
             BlockPreconditioner(dmat, Communicator(pm.num_ranks), variant="nope")
 
+    def test_block_krylov_refuses_fewer_than_one_inner_iteration(self):
+        """Zero inner iterations made the preconditioner return zero: the
+        outer solve 'stagnated' on [10.10, 10.10] instead of being refused,
+        as Schur 1 refuses it."""
+        case = CASE_BUILDERS["tc1"](17)
+        with pytest.raises(ValueError, match="iteration counts must be >= 1"):
+            solve_case(case, "blockk", nparts=4, precond_params={"inner_iterations": 0})
+
     def test_names_match_paper(self, partitioned_poisson):
         pm, dmat = partitioned_poisson[0], partitioned_poisson[1]
         comm = Communicator(pm.num_ranks)
         assert block1(dmat, comm).name == "Block 1"
         assert block2(dmat, comm).name == "Block 2"
+
+
+def test_block_krylov_divergence_names_the_lowest_rank(partitioned_poisson):
+    """Two ranks' inner solves go non-finite at different points — rank 2 at
+    its first residual (a NaN in A_2), rank 1 only in the Hessenberg update
+    (A_1 scaled by 1e300 overflows the first norm).  The apply raises for
+    rank 1, the lower one, whichever diverged first, and charges nothing."""
+    pm, dmat, rhs, _ = partitioned_poisson
+    comm = Communicator(pm.num_ranks)
+    M = block_krylov(dmat, comm)
+    a, ptr = M._a_hat, pm.layout.rank_ptr
+    a.data[a.indptr[ptr[1]] : a.indptr[ptr[2]]] *= 1e300
+    a.data[a.indptr[ptr[2]]] = np.nan
+    before = (comm.ledger.counts(), comm.ledger.per_rank_flops.copy())
+    with np.errstate(all="ignore"), pytest.raises(InnerSolveDivergence) as info:
+        M.apply(pm.to_distributed(rhs))
+    assert info.value.context["where"] == "blockk.local"
+    assert info.value.context["rank"] == 1
+    assert (comm.ledger.counts(), comm.ledger.per_rank_flops.tobytes()) == (
+        before[0], before[1].tobytes()
+    )

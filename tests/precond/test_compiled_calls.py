@@ -82,6 +82,19 @@ def test_schur1_apply(dmat, monkeypatch):
     assert products == 2 * (local + 3) + 4 * (glob + 2) == 40
 
 
+@pytest.mark.parametrize("params", [None, {"ordering": "rcm"}])
+def test_blockk_apply(dmat, monkeypatch, params):
+    """The ranks' inner GMRES runs in lockstep: one stacked sweep per inner
+    iteration (RCM's one permutation in and out around it) and one stacked
+    A product per inner iteration plus the initial and the final residual —
+    whatever P is.  24 sweeps + 40 products at P = 8 before the lockstep
+    (23 + 39 with RCM, where one rank left early)."""
+    m, sweeps, products = _calls_per_apply(dmat, monkeypatch, "blockk", params)
+    inner = m.inner_iterations
+    assert inner == 3
+    assert (sweeps, products) == (inner, inner + 2) == (3, 5)
+
+
 def test_schur2_apply(dmat, monkeypatch):
     """Step 2: one stacked Ŝ and one stacked Ē product per matvec, one sweep
     per preconditioning; the ARMS cascades are per-rank products, no sweeps."""

@@ -7,12 +7,13 @@ became ``+0.0`` fails), per-rank flops compared exactly — over random
 partitioned systems that include what the stacks could get wrong: one rank,
 ranks with no internal or no interface unknowns, a rank without ghost
 columns, RCM orders next to natural ones, signed zeros, both kernel tiers.
-Schur 1's inner solves, which now run in lockstep over all ranks, have the
-whole per-rank apply as their oracle, exactly-zero right-hand-side slices,
-lucky breakdowns and unequal early exits included.
+Schur 1's inner solves and Block K's, which now run in lockstep over all
+ranks, have the whole per-rank apply as their oracle, exactly-zero
+right-hand-side slices, lucky breakdowns and unequal early exits included.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,11 +29,13 @@ from repro.graph.adjacency import graph_from_matrix
 from repro.kernels.apply import csr_matvec
 from repro.krylov.fgmres import fgmres
 from repro.krylov.ops import CountingOps, fixed_tree_sum
+from repro.precond import block_jacobi as block_module
 from repro.precond import schur1 as schur1_module
-from repro.precond.block_jacobi import block2
+from repro.precond.block_jacobi import BlockPreconditioner, block2, block_krylov
 from repro.precond.schur1 import Schur1Preconditioner
 from repro.precond.schur2 import Schur2Preconditioner
 from repro.resilience.errors import InnerSolveDivergence
+from tests.krylov.reference_fgmres import reference_fgmres
 
 TIERS = ("reference", None)  # None: auto, i.e. the compiled kernels
 
@@ -232,6 +235,46 @@ def loop_schur1_apply(m: Schur1Preconditioner, r):
     return z
 
 
+def loop_blockk_apply(m: BlockPreconditioner, r):
+    """Block K: a few ILUT-preconditioned GMRES iterations per subdomain."""
+    z = np.empty_like(r)
+    flops = np.zeros(m.comm.size)
+    for rank in range(m.comm.size):
+        loc = m.pm.layout.local_slice(rank)
+        a_own = m.dmat.owned_square[rank]
+        fac, perm = m.factors[rank], m.local_solver.perms[rank]
+        counter = CountingOps(a_own.shape[0])
+
+        def apply_a(v, a=a_own, c=counter):
+            c.add(2.0 * a.nnz)
+            return csr_matvec(a, v)
+
+        # the operator is in natural order, the factor in ``perm`` order
+        def apply_m(v, f=fac, p=perm, c=counter):
+            c.add(f.solve_flops())
+            return solve_permuted(f, p, v)
+
+        res = reference_fgmres(
+            apply_a,
+            r[loc],
+            apply_m=apply_m,
+            restart=m.inner_iterations,
+            rtol=1e-12,
+            maxiter=m.inner_iterations,
+            ops=counter,
+        )
+        if res.status == "diverged":
+            raise InnerSolveDivergence(
+                "Block K local Krylov solve diverged",
+                rank=rank, where="blockk.local",
+                residual=float(res.final_residual),
+            )
+        z[loc] = res.x
+        flops[rank] = counter.flops
+    m.comm.ledger.add_phase(flops)
+    return z
+
+
 def loop_expanded_matvec(m: Schur2Preconditioner, y):
     pm, layout = m.pm, m._exp_layout
     ifc_views = [
@@ -350,6 +393,57 @@ def test_lockstep_schur1_covers_every_exit(monkeypatch):
     for steps in runs:
         assert steps[:3] == [(0, "converged"), (1, "converged"), (0, "converged")]
         assert steps[4] == (m.local_iterations, "maxiter"), steps
+
+
+@given(coupled_systems(), st.sampled_from(["natural", "rcm"]),
+       st.integers(min_value=-1, max_value=4), ILUT)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_blockk_apply_is_the_per_rank_loop(system, ordering, zero_rank, ilut):
+    pm, dmat = _distribute(system)
+    comm = Communicator(pm.num_ranks)
+    m = block_krylov(dmat, comm, ordering=ordering, **ilut)
+    r = _vector(pm.layout.total, system[3])
+    if 0 <= zero_rank < pm.num_ranks:
+        pm.layout.local(r, zero_rank)[:] = 0.0
+    _assert_fused_matches(
+        comm, m.apply, lambda v: _charged(comm, loop_blockk_apply, m, v), r
+    )
+
+
+@pytest.mark.parametrize("ordering", ["natural", "rcm"])
+def test_lockstep_blockk_covers_every_exit(monkeypatch, ordering):
+    """P = 5, the ranks leaving the inner solve their own ways: rank 1 has
+    one unknown (MGS breaks down exactly at j = 0), rank 2 an exactly-zero
+    right-hand side, rank 0 converges at its third step (three unknowns) and
+    ranks 3 and 4 run out of ``inner_iterations`` (a coarse ILUT, so Ã_i⁻¹
+    is not A_i's exact inverse)."""
+    system = coupled_system(
+        [3, 1, 4, 7, 6], ["exposed", "isolated", "isolated", "mixed", "mixed"], seed=0
+    )
+    pm, dmat = _distribute(system)
+    comm = Communicator(pm.num_ranks)
+    m = block_krylov(dmat, comm, drop_tol=0.5, fill=1, ordering=ordering)
+    r = _vector(pm.layout.total, 11)
+    pm.layout.local(r, 2)[:] = 0.0
+
+    runs = []
+    lockstep = block_module.fgmres_lockstep
+
+    def spy(*args, **kwargs):
+        x, results = lockstep(*args, **kwargs)
+        runs.append([(res.iterations, res.status) for res in results])
+        return x, results
+
+    monkeypatch.setattr(block_module, "fgmres_lockstep", spy)
+    _assert_fused_matches(
+        comm, m.apply, lambda v: _charged(comm, loop_blockk_apply, m, v), r
+    )
+    assert len(runs) == 2 * len(TIERS)
+    assert m.inner_iterations == 3
+    for steps in runs:
+        assert steps == [
+            (3, "converged"), (1, "converged"), (0, "converged"), (3, "maxiter"), (3, "maxiter"),
+        ]
 
 
 @given(coupled_systems())

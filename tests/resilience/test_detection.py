@@ -1,4 +1,4 @@
-"""Detection: NaN/Inf guards, divergence/stagnation detectors, statuses."""
+"""Detection: NaN/Inf guards, the divergence detector, statuses."""
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ class TestMonitorDetectors:
 
     def test_nonfinite_residual_is_divergence(self):
         mon = self._monitor([1.0, 0.5, float("nan")])
-        assert mon.diverged() and mon.verdict() == "diverged"
+        assert mon.diverged()
 
     def test_residual_explosion_is_divergence(self):
         mon = self._monitor([1.0, 1e11], divtol=1e10)
@@ -45,16 +45,6 @@ class TestMonitorDetectors:
     def test_divtol_none_disables_growth_test(self):
         mon = self._monitor([1.0, 1e30], divtol=None)
         assert not mon.diverged()
-
-    def test_stagnation_needs_window(self):
-        flat = [1.0] + [0.9] * 10
-        assert not self._monitor(flat).stagnated()  # disabled by default
-        mon = self._monitor(flat, stall_window=4)
-        assert mon.stagnated() and mon.verdict() == "stagnated"
-
-    def test_progress_is_not_stagnation(self):
-        halving = [1.0 * 0.5**k for k in range(10)]
-        assert not self._monitor(halving, stall_window=4).stagnated()
 
 
 class TestFgmresDivergenceDetection:
