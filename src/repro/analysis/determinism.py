@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -257,27 +256,16 @@ def check_determinism(
                     ))
 
             if "backend" in selected:
-                from repro.comm.backends import BACKEND_ENV, BACKEND_NAMES
+                from repro.comm.backends import BACKEND_NAMES
 
-                blocks = _subdomain_blocks(case, nparts, seed)
-                backend_runs: dict[str, dict[str, object]] = {}
-                for bk in BACKEND_NAMES:
-                    run = _solve_digests(
+                # rank-built factors are pinned byte-equal to driver-built
+                # ones by tests/precond/test_local_solver.py::TestContract
+                backend_runs = {
+                    bk: _solve_digests(
                         case, None, nparts, precond, backend=bk, **solve_kw,
                     )
-                    # factor every subdomain with the backend globally
-                    # selected: the ILU factors must not depend on how
-                    # bytes move between ranks
-                    prev_bk = os.environ.get(BACKEND_ENV)
-                    os.environ[BACKEND_ENV] = bk
-                    try:
-                        run["factors"] = _factor_digest(blocks, tiers[0])
-                    finally:
-                        if prev_bk is None:
-                            os.environ.pop(BACKEND_ENV, None)
-                        else:
-                            os.environ[BACKEND_ENV] = prev_bk
-                    backend_runs[bk] = run
+                    for bk in BACKEND_NAMES
+                }
                 b0 = backend_runs[BACKEND_NAMES[0]]
                 report.checks.append(Check(
                     kind="backend", case=case.key,

@@ -92,21 +92,28 @@ class CheckpointManager:
         ``resilience.ckpt.corrupt`` trace event, so recovery falls back to
         the most recent *intact* restore point.  A snapshot that vanishes
         between the directory listing and the read (a concurrent writer's
-        retention pruning) is skipped silently — saves are atomic
-        write-then-rename, so whatever file the reader does open is either
-        a complete CRC-valid snapshot or detectably corrupt, never torn.
+        retention pruning) is skipped silently, and when every snapshot of
+        a listing vanished the directory is listed again: pruning means the
+        writer saved newer ones.  Saves are atomic write-then-rename, so
+        whatever file the reader does open is either a complete CRC-valid
+        snapshot or detectably corrupt, never torn.
         """
-        for step in reversed(self.steps()):
-            try:
-                ckpt = read_checkpoint(self.path_for(step))
-            except FileNotFoundError:
-                continue  # pruned while we were walking; older ones remain
-            except CheckpointCorruption as exc:
-                obs.event(
-                    "resilience.ckpt.corrupt", step=step,
-                    path=str(self.path_for(step)), error=str(exc),
-                )
-                continue
-            obs.event("resilience.ckpt.restore", step=step, path=str(ckpt.path))
-            return ckpt
+        vanished = True
+        while vanished:
+            vanished = False
+            for step in reversed(self.steps()):
+                try:
+                    ckpt = read_checkpoint(self.path_for(step))
+                except FileNotFoundError:
+                    vanished = True  # pruned while we were walking
+                    continue
+                except CheckpointCorruption as exc:
+                    obs.event(
+                        "resilience.ckpt.corrupt", step=step,
+                        path=str(self.path_for(step)), error=str(exc),
+                    )
+                    continue
+                obs.event("resilience.ckpt.restore", step=step,
+                          path=str(ckpt.path))
+                return ckpt
         return None

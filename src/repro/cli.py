@@ -34,7 +34,7 @@ from repro.cases.base import PARTITION_SCHEMES
 from repro.comm.backends import BACKEND_NAMES
 from repro.resilience.errors import SolverFault
 from repro.factor import cache as factor_cache
-from repro.core.driver import PRECONDITIONER_NAMES, SOLVER_NAMES, solve_case
+from repro.core.driver import PRECONDITIONER_NAMES, solve_case
 from repro.core.experiment import run_sweep
 from repro.perfmodel.machine import machine_by_name
 from repro.resilience import ResilientSolver
@@ -89,8 +89,6 @@ def make_parser() -> argparse.ArgumentParser:
     solve.add_argument("--machine", default="linux-cluster")
     solve.add_argument("--rtol", type=float, default=1e-6)
     solve.add_argument("--maxiter", type=int, default=500)
-    solve.add_argument("--solver", choices=SOLVER_NAMES, default="fgmres",
-                       help="outer Krylov method")
     solve.add_argument("--resilient", action="store_true",
                        help="wrap the solve in the retry/fallback chain "
                        "(docs/robustness.md)")
@@ -278,7 +276,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         scheme=args.scheme,
         rtol=args.rtol,
         maxiter=args.maxiter,
-        solver=args.solver,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         restore=args.restore,
@@ -318,7 +315,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # guarded: a zero initial residual (x0 already exact) must not divide
     reduction = (f"{out.residuals[-1] / out.residuals[0]:.2e}"
                  if out.residuals and out.residuals[0] > 0 else "n/a")
-    print(f"  {_status_text(out.status)} in {out.iterations} {args.solver} "
+    print(f"  {_status_text(out.status)} in {out.iterations} fgmres "
           f"iterations (reduction {reduction})")
     print(f"  simulated time on {machine.name}: {out.sim_time(machine):.3f}s "
           f"(setup {machine.time(out.setup_ledger):.3f}s)")

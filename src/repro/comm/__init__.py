@@ -5,13 +5,12 @@ process: each "processor" owns a slice of every distributed object, ghost
 exchanges copy real data between slices, and every message and collective is
 recorded in the :class:`~repro.perfmodel.CostLedger` so the machine models can
 price the run.  The API mirrors the MPI idioms of the mpi4py guide
-(point-to-point exchanges derived from a communication pattern, plus
-allreduce/allgather collectives).
+(point-to-point exchanges derived from a communication pattern; inner
+products reduce through :class:`~repro.distributed.ops.DistributedOps`).
 """
 
 from repro.comm.communicator import Communicator, CommStats, RetryPolicy
 from repro.comm.pattern import CommunicationPattern, ExchangeSpec
-from repro.comm.collectives import allgather_concat, allreduce_sum
 from repro.comm.backends import (
     BACKEND_ENV,
     BACKEND_NAMES,
@@ -32,7 +31,5 @@ __all__ = [
     "RetryPolicy",
     "CommunicationPattern",
     "ExchangeSpec",
-    "allreduce_sum",
-    "allgather_concat",
     "resolve_backend",
 ]

@@ -21,7 +21,7 @@ from repro.cases.base import TestCase
 from repro.comm.communicator import Communicator
 from repro.core import stages
 # PRECONDITIONER_NAMES and make_preconditioner stay importable from here
-from repro.core.stages import PRECONDITIONER_NAMES, SOLVER_NAMES, make_preconditioner
+from repro.core.stages import PRECONDITIONER_NAMES, make_preconditioner
 from repro.krylov.monitors import STATUSES
 from repro.perfmodel.costs import CostLedger
 from repro.perfmodel.machine import Machine
@@ -82,7 +82,6 @@ def solve_case(
     maxiter: int = 500,
     precond_params: dict | None = None,
     keep_solution: bool = True,
-    solver: str = "fgmres",
     x0: np.ndarray | None = None,
     membership: np.ndarray | None = None,
     checkpoint_dir: str | None = None,
@@ -93,22 +92,23 @@ def solve_case(
 ) -> SolveOutcome:
     """Run the full pipeline on ``case`` and return the measurements.
 
-    Parameters beyond the paper's measurement procedure:
+    The outer solver is always FGMRES(``restart``) (paper Sec. 4.3): the
+    Schur, Block K and Schwarz applies are nonlinear, so a flexible method
+    is the only valid one.  Parameters beyond the paper's measurement
+    procedure:
 
-    solver:
-        Outer Krylov method — ``"fgmres"`` (paper default), ``"cg"`` or
-        ``"bicgstab"``.
     x0 / membership:
         Global-numbering initial guess and explicit partition override.
         The recovery paths use these to resume a solve on a *remapped*
         layout after a rank failure (see ``repro.resilience``).
     checkpoint_dir / checkpoint_every / restore:
-        FGMRES-only checkpoint/restart: snapshot the global-numbered
-        iterate every ``checkpoint_every`` restart cycles into
-        ``checkpoint_dir`` (``repro.ckpt.v1`` files, prefix ``solve``);
-        with ``restore=True`` the newest intact snapshot seeds ``x0``.
-        Checkpoints store global numbering, so a restore survives a
-        partition remap.
+        Checkpoint/restart: snapshot the global-numbered iterate every
+        ``checkpoint_every`` restart cycles into ``checkpoint_dir``
+        (``repro.ckpt.v1`` files, prefix ``solve``); with ``restore=True``
+        the newest intact snapshot seeds ``x0``, and the run's snapshots
+        are numbered on from that snapshot's step, so retention keeps the
+        newest state.  Checkpoints store global numbering, so a restore
+        survives a partition remap.
     backend:
         Execution backend for the communicator — ``"inprocess"`` (default:
         simulated ranks) or ``"multiprocess"`` (ranks as supervised OS
@@ -125,8 +125,6 @@ def solve_case(
         bounds the comm retry waits too (``docs/service.md``); ``None``
         keeps the backend's default.
     """
-    if solver not in SOLVER_NAMES:
-        raise ValueError(f"unknown solver {solver!r}; pick from {SOLVER_NAMES}")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
     manager = None
@@ -165,11 +163,15 @@ def solve_case(
                 # converged) restart point
                 r0 = b_dist - dmat.matvec(comm, pm.to_distributed(x0_global))
                 target = rtol * float(np.linalg.norm(r0))
+                # snapshot steps count the whole job's iterations, so a
+                # restored run's snapshots are newer than the one it read
+                base = 0
                 if restore:
                     ckpt = manager.load_latest()
                     if ckpt is not None:
                         x0_global = ckpt["x"]
                         atol = float(ckpt.meta.get("target", 0.0))
+                        base = int(ckpt.meta["step"])
                 cycle = 0
 
                 def on_restart(iters: int, x_dist: np.ndarray) -> None:
@@ -177,14 +179,14 @@ def solve_case(
                     cycle += 1
                     if cycle % checkpoint_every == 0:
                         manager.save(
-                            iters,
+                            base + iters,
                             {"x": pm.to_global(x_dist), "b": np.asarray(case.rhs)},
                             meta={
                                 "kind": "solve",
                                 "case": case.key,
                                 "precond": precond,
                                 "nparts": nparts,
-                                "iterations": int(iters),
+                                "iterations": base + int(iters),
                                 "target": target,
                             },
                         )
@@ -192,7 +194,7 @@ def solve_case(
             x0_dist = pm.to_distributed(x0_global)
             t0 = time.perf_counter()
             result = stages.krylov(
-                solver, precond, preconditioner, b_dist, x0_dist, rtol=rtol,
+                precond, preconditioner, b_dist, x0_dist, rtol=rtol,
                 maxiter=maxiter, restart=restart, atol=atol, on_restart=on_restart,
             )
             wall = time.perf_counter() - t0

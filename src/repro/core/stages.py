@@ -11,7 +11,7 @@ a preconditioner.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from repro.distributed.matrix import DistributedMatrix, distribute_matrix
 from repro.distributed.ops import DistributedOps
 from repro.distributed.partition_map import PartitionMap, absorb_rank
 from repro.graph.adjacency import Graph
-from repro.krylov.bicgstab import bicgstab
-from repro.krylov.cg import cg
 from repro.krylov.fgmres import fgmres
 from repro.krylov.monitors import KrylovResult
 from repro.perfmodel.costs import CostLedger
@@ -52,11 +50,6 @@ PRECONDITIONER_NAMES = (
     "jacobi",
     "none",
 )
-
-SOLVERS: dict[str, Callable[..., KrylovResult]] = {
-    "fgmres": fgmres, "cg": cg, "bicgstab": bicgstab,
-}
-SOLVER_NAMES = tuple(SOLVERS)
 
 
 def distribute(
@@ -163,29 +156,25 @@ def set_up(
 
 
 def krylov(
-    solver: str, precond: str, preconditioner: ParallelPreconditioner,
+    precond: str, preconditioner: ParallelPreconditioner,
     b: np.ndarray, x0: np.ndarray, *, rtol: float, maxiter: int,
     restart: int = 20, atol: float = 0.0,
     on_restart: Callable[[int, np.ndarray], None] | None = None,
 ) -> KrylovResult:
-    """Run ``solver`` under the fault scope ``precond`` on the system
-    ``preconditioner`` was set up for (``b``, ``x0`` distributed).
+    """Run FGMRES(``restart``) under the fault scope ``precond`` on the
+    system ``preconditioner`` was set up for (``b``, ``x0`` distributed).
 
-    Only FGMRES takes ``restart`` and ``on_restart``; CG takes no fused
-    apply-then-matvec step.
+    FGMRES is the only outer solver: the Schur, Block K and Schwarz applies
+    are nonlinear, and a flexible method is the one that stays valid.
     """
     dmat, comm = preconditioner.dmat, preconditioner.comm
-    extras: dict[str, Any] = {}
-    if solver == "fgmres":
-        extras.update(restart=restart, on_restart=on_restart)
-    if solver != "cg":
-        extras["apply_ma"] = preconditioner.apply_matvec
-    with obs.span("krylov.solve", solver=f"{solver}({restart})", rtol=rtol), \
+    with obs.span("krylov.solve", solver=f"fgmres({restart})", rtol=rtol), \
             faults.scope(precond):
-        return SOLVERS[solver](
+        return fgmres(
             lambda v: dmat.matvec(comm, v), b, apply_m=preconditioner, x0=x0,
-            rtol=rtol, atol=atol, maxiter=maxiter,
-            ops=DistributedOps(comm, dmat.pm.layout), **extras,
+            rtol=rtol, atol=atol, maxiter=maxiter, restart=restart,
+            ops=DistributedOps(comm, dmat.pm.layout),
+            apply_ma=preconditioner.apply_matvec, on_restart=on_restart,
         )
 
 

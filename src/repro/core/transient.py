@@ -233,7 +233,7 @@ class TransientHeatSolver:
             pm = self.dmat.pm
             try:
                 res = stages.krylov(
-                    "fgmres", self.precond_name, self.precond,
+                    self.precond_name, self.precond,
                     pm.to_distributed(rhs), pm.to_distributed(u),
                     rtol=self.rtol, maxiter=self.maxiter,
                 )

@@ -11,7 +11,6 @@ Eq. (4)-(5).
 from repro.distributed.layout import Layout
 from repro.distributed.partition_map import PartitionMap, Subdomain, absorb_rank
 from repro.distributed.matrix import DistributedMatrix, distribute_matrix
-from repro.distributed.vector import DistributedVector
 from repro.distributed.ops import DistributedOps
 from repro.distributed.assembly import assemble_distributed_stiffness
 
@@ -22,7 +21,6 @@ __all__ = [
     "absorb_rank",
     "DistributedMatrix",
     "distribute_matrix",
-    "DistributedVector",
     "DistributedOps",
     "assemble_distributed_stiffness",
 ]

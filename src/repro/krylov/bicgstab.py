@@ -34,15 +34,11 @@ def bicgstab(
     atol: float = 0.0,
     maxiter: int = 1000,
     ops: KernelOps | None = None,
-    apply_ma: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> KrylovResult:
     """Solve ``A x = b`` with right-preconditioned BiCGStab.
 
     One "iteration" performs both half-steps (two matvecs, two
     preconditioner applications), matching the usual reporting convention.
-    ``apply_ma`` optionally fuses each precondition+matvec pair (see
-    :func:`repro.krylov.fgmres.fgmres`); it must agree with
-    ``apply_m``/``apply_a`` composed.
     """
     ops = ops or SerialOps()
     mon = ConvergenceMonitor(rtol=rtol, atol=atol)
@@ -75,11 +71,8 @@ def bicgstab(
         beta = (rho / rho_old) * (alpha / omega)
         p = r + beta * (p - omega * v)
         ops.charge_local_axpy(2)
-        if apply_ma is not None:
-            phat, v = apply_ma(p)
-        else:
-            phat = precond(p)
-            v = apply_a(phat)
+        phat = precond(p)
+        v = apply_a(phat)
         denom = ops.dot(r_shadow, v)
         if abs(denom) < _BREAKDOWN:
             status = "breakdown"
@@ -96,11 +89,8 @@ def bicgstab(
         if mon.diverged():
             status = "diverged"
             break
-        if apply_ma is not None:
-            shat, t = apply_ma(s)
-        else:
-            shat = precond(s)
-            t = apply_a(shat)
+        shat = precond(s)
+        t = apply_a(shat)
         tt = ops.dot(t, t)
         if tt < _BREAKDOWN:
             x += alpha * phat

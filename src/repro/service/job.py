@@ -55,7 +55,8 @@ class JobSpec:
     retries, and every solver chunk all spend from it.  ``key`` makes the
     submission idempotent — re-submitting an identical key returns the
     existing record instead of a duplicate job.  ``maxiter`` stays the
-    honest iteration budget; the deadline can only shrink it.
+    honest iteration budget; the deadline can only shrink it.  Every job
+    runs FGMRES(20), so a spec names no outer solver.
     """
 
     tenant: str = "default"
@@ -63,7 +64,6 @@ class JobSpec:
     size: int | None = 17
     precond: str = "schur1"
     nparts: int = 2
-    solver: str = "fgmres"
     rtol: float = 1e-6
     maxiter: int = 400
     seed: int = 0
@@ -73,17 +73,13 @@ class JobSpec:
     key: str | None = None
 
     def __post_init__(self) -> None:
-        from repro.core.driver import PRECONDITIONER_NAMES, SOLVER_NAMES
+        from repro.core.driver import PRECONDITIONER_NAMES
 
         resolve_case_key(self.case)
         if self.precond not in PRECONDITIONER_NAMES:
             raise ValueError(
                 f"unknown preconditioner {self.precond!r}; "
                 f"pick from {PRECONDITIONER_NAMES}"
-            )
-        if self.solver not in SOLVER_NAMES:
-            raise ValueError(
-                f"unknown solver {self.solver!r}; pick from {SOLVER_NAMES}"
             )
         if self.scheme not in PARTITION_SCHEMES:
             raise ValueError(
@@ -109,6 +105,13 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
+        data = dict(data)
+        # specs written when the outer solver was a field carry "fgmres"
+        solver = data.pop("solver", "fgmres")
+        if solver != "fgmres":
+            raise ValueError(
+                f"JobSpec field 'solver' must be 'fgmres', got {solver!r}"
+            )
         known = set(cls.__dataclass_fields__)
         unknown = sorted(set(data) - known)
         if unknown:

@@ -1,13 +1,14 @@
 """Worker-side execution of one admitted job.
 
 The runner turns a queued :class:`~repro.service.job.JobRecord` into a
-terminal typed status.  Its loop is *chunked*: each pass runs
+terminal typed status.  Every job runs *chunked*: each pass runs
 :class:`~repro.resilience.ResilientSolver` for a bounded slice of the
-iteration budget (whole FGMRES restart cycles) with checkpointing on, then
-re-checks the control signals — cancel, drain, deadline — before the next
-slice restores from the newest snapshot and continues.  That is what makes
-a long solve *interruptible*: drain and cancel latency is one chunk, never
-one whole solve, and a drained job leaves a resumable checkpoint behind.
+iteration budget (at most :data:`CHUNK_ITERS`, whole FGMRES restart
+cycles) checkpointing into the record's spool directory, then re-checks the
+control signals — cancel, drain, deadline — before the next slice restores
+from the newest snapshot and continues.  That is what makes a long solve
+*interruptible*: drain and cancel latency is one chunk, never one whole
+solve, and a drained job leaves a resumable checkpoint behind.
 
 Robustness composition per chunk:
 
@@ -20,10 +21,7 @@ Robustness composition per chunk:
   (:func:`~repro.service.deadline.scaled_retry_policy`);
 * **retry-with-backoff**: a chunk in which every attempt *raised* (e.g.
   comm faults exhausted the whole fallback chain) is retried after a
-  bounded, drain-interruptible backoff wait, ``job_retries`` times.
-
-Non-FGMRES solvers cannot checkpoint mid-solve (see ``solve_case``), so
-they run as one chunk with the deadline clamped up front.
+  bounded, drain-interruptible backoff wait, :data:`JOB_RETRIES` times.
 
 Worker threads overlap I/O and waits on rank processes; in-process
 arithmetic runs one chunk at a time, in the compute lane (:mod:`.lane`).  A
@@ -58,6 +56,12 @@ from repro.service.lane import PROCESS_LANE, ComputeLane
 #: FGMRES restart length (mirrors the solve_case default; chunk sizes are
 #: whole multiples so every chunk ends on a checkpointable cycle boundary)
 RESTART = 20
+#: the largest chunk, in iterations (five restart cycles)
+CHUNK_ITERS = 5 * RESTART
+#: job-level retries of a chunk whose every attempt raised, and the first
+#: backoff before one (doubling per retry)
+JOB_RETRIES = 1
+RETRY_BACKOFF_S = 0.05
 
 
 class CaseCache:
@@ -86,10 +90,6 @@ class RunnerContext:
     cases: CaseCache
     draining: threading.Event
     clock: object
-    chunk_iters: int = 5 * RESTART
-    job_retries: int = 1
-    retry_backoff_s: float = 0.05
-    checkpoint: bool = True
     solver_factory: object = field(default=ResilientSolver)
     lane: ComputeLane = PROCESS_LANE
     poll_s: float = 0.05
@@ -156,18 +156,13 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
     rate_key = (spec.case, spec.size, spec.precond, spec.nparts)
     base_policy = _base_retry_policy(spec.backend)
 
-    # chunked execution only pays off where mid-solve checkpoints exist
-    chunked = spec.solver == "fgmres" and ctx.checkpoint \
-        and record.checkpoint_dir is not None
-    manager = None
-    if chunked:
-        manager = CheckpointManager(record.checkpoint_dir, prefix="solve")
+    manager = CheckpointManager(record.checkpoint_dir, prefix="solve")
 
     # where the arithmetic runs decides who takes the lane, and nothing else
     lane = ctx.lane if resolve_backend_name(spec.backend) == "inprocess" \
         else None
     iters_done = 0
-    retries_left = ctx.job_retries
+    retries_left = JOB_RETRIES
     resume = record.resumed
     status = "failed"
     detail: dict = {}
@@ -178,7 +173,7 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
             status, detail = "cancelled", {"after_iters": iters_done}
             break
         if ctx.draining.is_set():
-            record.resumable = manager is not None and bool(manager.steps())
+            record.resumable = bool(manager.steps())
             record.shed_reason = "drained"
             status = "shed"
             detail = {"reason": "drained", "resumable": record.resumable,
@@ -207,15 +202,10 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
         try:
             # -- deadline -> iteration budget -> comm retry policy ----------
             remaining = deadline.remaining()  # taken with the lane in hand
-            sec_per_iter = ctx.rates.estimate(rate_key)
-            if chunked:
-                chunk = iteration_budget(
-                    remaining, sec_per_iter, RESTART,
-                    min(ctx.chunk_iters, budget_left),
-                )
-                chunk = min(chunk, budget_left)
-            else:  # one chunk: all of the budget the deadline affords
-                chunk = iteration_budget(remaining, sec_per_iter, 1, budget_left)
+            chunk = min(budget_left, iteration_budget(
+                remaining, ctx.rates.estimate(rate_key), RESTART,
+                min(CHUNK_ITERS, budget_left),
+            ))
             policy = scaled_retry_policy(base_policy, remaining)
             if policy is not base_policy:
                 obs.event("service.deadline.clamp", job=record.job_id,
@@ -227,19 +217,14 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
                           from_=spec.precond, to=eff_precond,
                           breaker=ctx.breakers.state(spec.precond))
 
-            kwargs = dict(
-                nparts=spec.nparts, seed=spec.seed, scheme=spec.scheme,
-                rtol=spec.rtol, maxiter=chunk, solver=spec.solver,
-                backend=spec.backend, retry_policy=policy,
-            )
-            if chunked:
-                kwargs.update(
-                    checkpoint_dir=record.checkpoint_dir,
-                    checkpoint_every=1, restore=resume,
-                )
-
             t0 = ctx.clock()
-            res = ctx.solver_factory().solve(case, precond=eff_precond, **kwargs)
+            res = ctx.solver_factory().solve(
+                case, precond=eff_precond, nparts=spec.nparts, seed=spec.seed,
+                scheme=spec.scheme, rtol=spec.rtol, maxiter=chunk,
+                backend=spec.backend, retry_policy=policy,
+                checkpoint_dir=record.checkpoint_dir, checkpoint_every=1,
+                restore=resume,
+            )
             wall = ctx.clock() - t0
         finally:
             if lane:
@@ -274,9 +259,7 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
             if retries_left > 0 and not deadline.expired \
                     and not ctx.draining.is_set():
                 retries_left -= 1
-                backoff = ctx.retry_backoff_s * 2 ** (
-                    ctx.job_retries - retries_left - 1
-                )
+                backoff = RETRY_BACKOFF_S * 2 ** (JOB_RETRIES - retries_left - 1)
                 backoff = min(backoff, max(deadline.remaining(), 0.0))
                 obs.event("service.retry", job=record.job_id,
                           backoff_s=backoff, retries_left=retries_left,
@@ -285,15 +268,14 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
                 if backoff > 0:
                     # drain-interruptible wait; wakes early on shutdown
                     ctx.draining.wait(timeout=backoff)
-                resume = chunked and manager is not None \
-                    and bool(manager.steps())
+                resume = bool(manager.steps())
                 continue
             record.error = (res.attempts[-1].fault if res.attempts
                             else "all attempts faulted")
             status, detail = "failed", {"reason": res.status}
             break
 
-        if res.status == "maxiter" and chunked:
+        if res.status == "maxiter":
             # honest budget exhaustion of *this chunk*: checkpointed, so the
             # next pass restores and continues the same solve
             resume = True

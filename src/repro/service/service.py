@@ -53,19 +53,13 @@ class ServiceConfig:
     max_total_queue: int = 64
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    chunk_iters: int = 100          # whole restart cycles per solver chunk
-    job_retries: int = 1
-    retry_backoff_s: float = 0.05
     poll_s: float = 0.05            # worker dequeue wait granularity
     drain_timeout_s: float = 30.0
-    checkpoint: bool = True
     spool_dir: str | None = None    # None = private temp dir
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.chunk_iters < 1:
-            raise ValueError("chunk_iters must be >= 1")
         if self.poll_s <= 0 or self.drain_timeout_s <= 0:
             raise ValueError("poll_s and drain_timeout_s must be > 0")
 
@@ -104,10 +98,6 @@ class SolveService:
             cases=CaseCache(),
             draining=self._draining,
             clock=clock,
-            chunk_iters=self.config.chunk_iters,
-            job_retries=self.config.job_retries,
-            retry_backoff_s=self.config.retry_backoff_s,
-            checkpoint=self.config.checkpoint,
             poll_s=self.config.poll_s,
         )
 
@@ -170,12 +160,11 @@ class SolveService:
             if existing is not None:
                 obs.event("service.dedup", job=existing.job_id, key=spec.key)
                 return existing
+        job_id = self.jobs.new_id()
         record = JobRecord(
-            self.jobs.new_id(), spec, clock=self.clock,
-            checkpoint_dir=None,
+            job_id, spec, clock=self.clock,
+            checkpoint_dir=str(self.spool_dir / job_id),
         )
-        if self.config.checkpoint and spec.solver == "fgmres":
-            record.checkpoint_dir = str(self.spool_dir / record.job_id)
         if _resume_from is not None and _resume_from.get("resumable") \
                 and _resume_from.get("checkpoint_dir"):
             # set before admission: a worker may dispatch the instant the

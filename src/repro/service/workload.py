@@ -18,7 +18,6 @@ def synthetic_jobs(
     size: int = 13,
     nparts: int = 2,
     precond: str = "schur1",
-    solver: str = "fgmres",
     rtol: float = 1e-6,
     maxiter: int = 400,
     deadline_s: float | None = None,
@@ -44,7 +43,6 @@ def synthetic_jobs(
             size=size,
             precond=precond,
             nparts=nparts,
-            solver=solver,
             rtol=rtol,
             maxiter=maxiter,
             seed=i % 4,

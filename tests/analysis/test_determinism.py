@@ -84,3 +84,11 @@ class TestAvailableTiers:
     def test_reference_and_numpy_always_present(self):
         tiers = available_tiers()
         assert tiers[:2] == ("reference", "numpy")
+
+
+def test_backend_check_digests_the_solve_only(tiny_report):
+    # factors are driver-built under either backend; rank-built ones are
+    # pinned by tests/precond/test_local_solver.py::TestContract
+    (check,) = [c for c in tiny_report.checks if c.kind == "backend"]
+    for digests in check.detail["digests"].values():
+        assert set(digests) == {"x", "residuals", "iterations", "status"}

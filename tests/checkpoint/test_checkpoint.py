@@ -218,3 +218,24 @@ class TestConcurrentWriterRace:
         monkeypatch.setattr(manager_mod, "read_checkpoint", read_with_prune)
         ckpt = mgr.load_latest()
         assert ckpt is not None and ckpt.meta["step"] == 1
+
+    def test_listing_pruned_whole_mid_walk_lists_again(self, tmp_path, monkeypatch):
+        from repro.checkpoint import manager as manager_mod
+
+        mgr = CheckpointManager(tmp_path, keep=2)
+        mgr.save(1, {"u": np.full(1, 1.0)})
+        mgr.save(2, {"u": np.full(1, 2.0)})
+        real_read = manager_mod.read_checkpoint
+        writer = CheckpointManager(tmp_path, keep=2)
+
+        def read_after_two_saves(path):
+            # a writer saves twice between the listing and the first read:
+            # retention prunes every snapshot the reader listed
+            if not writer.steps() or writer.steps()[-1] < 4:
+                writer.save(3, {"u": np.full(1, 3.0)})
+                writer.save(4, {"u": np.full(1, 4.0)})
+            return real_read(path)
+
+        monkeypatch.setattr(manager_mod, "read_checkpoint", read_after_two_saves)
+        ckpt = mgr.load_latest()
+        assert ckpt is not None and ckpt.meta["step"] == 4

@@ -27,25 +27,17 @@ SOLVES = {
     "block2": ("block2", {}),
     "schur1": ("schur1", {}),
     "schur2": ("schur2", {}),
-    "cg-block1": ("block1", {"solver": "cg"}),
-    "bicgstab-schur1": ("schur1", {"solver": "bicgstab"}),
     "checkpointed-block2": ("block2", {"restart": 5, "checkpoint_every": 2}),
 }
 MARCHES = ("block2", "schur1")
 
 # row -> [sha256 of x, sha256 of the residual history, iterations]
-SOLVE_GOLDEN = {'bicgstab-schur1': ['50db3ef86a36de57a57d69b57b97cfba870904b6c47504c259dd2e14d655591d',
-                     'e4657f0b669beacf6281df5d36f77b11c789191b02501e767db7117128439073',
-                     3],
- 'block1': ['766a2a821bfcd4cfcaa45bf17877e79b44cd0ee472f5b979a43aaa7dd2a81923',
+SOLVE_GOLDEN = {'block1': ['766a2a821bfcd4cfcaa45bf17877e79b44cd0ee472f5b979a43aaa7dd2a81923',
             '9c3749b0478e75c31118f1a527e693a8a6d7cc75ce57262f298bde9ac510aa69',
             25],
  'block2': ['0f856551726c8720c62b2322bc8dfb4e24187d39004098711ff7a8b00d510670',
             '39a7ad700c578104df67c257988dff6df689306c82445336a3644ba8909c3acc',
             21],
- 'cg-block1': ['3618131cff8ae73e1a993aef4e492dd6494a7a79c7e881e55719f0a3615cb91e',
-               '4041e5965378b414584895e6910d35f5fb5b638ffa6073699337838a1faca0b6',
-               24],
  'checkpointed-block2': ['94a0cdc3fbdf456dcfdf18f8851b9390f5eaa2dff728c25eda9235e67a36d995',
                          'b1787668ae1cb2d589e76f29f6a19e364f72fef4e0393803f85f18076aab38fa',
                          32],

@@ -4,6 +4,7 @@ import pytest
 from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
 from repro.distributed.ops import DistributedOps
+from repro.krylov.ops import fixed_tree_sum
 
 
 class TestDistributedOps:
@@ -12,6 +13,16 @@ class TestDistributedOps:
         ops = DistributedOps(Communicator(3), lay)
         x, y = rng.random(10), rng.random(10)
         assert ops.dot(x, y) == pytest.approx(float(x @ y))
+
+    @pytest.mark.parametrize("sizes", [[3, 4, 3], [2, 2, 2, 2], [1, 5, 2, 3, 4]])
+    def test_dot_is_the_fixed_tree_sum_of_rank_partials(self, rng, sizes):
+        # bit for bit: per-rank partials combined by the fixed pairwise tree,
+        # not a left-to-right sum of the partials
+        lay = Layout.from_sizes(sizes)
+        ops = DistributedOps(Communicator(len(sizes)), lay)
+        x, y = rng.random(sum(sizes)), rng.random(sum(sizes))
+        parts = [np.dot(x[s], y[s]) for s in lay.slices]
+        assert ops.dot(x, y) == fixed_tree_sum(parts)
 
     def test_dot_charges_allreduce_and_flops(self, rng):
         lay = Layout.from_sizes([5, 5])

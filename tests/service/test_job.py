@@ -33,7 +33,6 @@ class TestJobSpec:
     @pytest.mark.parametrize("kwargs,match", [
         ({"case": "nope"}, "unknown case"),
         ({"precond": "nope"}, "unknown preconditioner"),
-        ({"solver": "bicg"}, "unknown solver"),
         ({"backend": "mpi"}, "unknown execution backend"),
         ({"scheme": "nonsense"}, "unknown partitioning scheme"),
         ({"nparts": 0}, "nparts"),
@@ -58,6 +57,24 @@ class TestJobSpec:
         spec = JobSpec(tenant="t", case="tc3", size=9, precond="block2",
                        deadline_s=2.5, key="k-1")
         assert JobSpec.from_dict(spec.to_dict()) == spec
+
+    def test_spec_written_with_a_solver_field_still_loads(self):
+        # jobs files and drain manifests from when the outer solver was a
+        # field carry "solver": "fgmres"
+        old = {"tenant": "t", "case": "tc3", "size": 9, "precond": "block2",
+               "nparts": 2, "solver": "fgmres", "rtol": 1e-6, "maxiter": 400,
+               "seed": 0, "scheme": "general", "backend": None,
+               "deadline_s": 2.5, "key": "k-1"}
+        spec = JobSpec.from_dict(old)
+        assert spec == JobSpec(tenant="t", case="tc3", size=9,
+                               precond="block2", deadline_s=2.5, key="k-1")
+        assert JobSpec.from_dict(spec.to_dict()) == spec
+        assert "solver" not in spec.to_dict() and "solver" in old
+
+    @pytest.mark.parametrize("solver", ["cg", "bicgstab", None])
+    def test_other_solver_values_refused_on_load(self, solver):
+        with pytest.raises(ValueError, match="field 'solver'"):
+            JobSpec.from_dict({"tenant": "t", "solver": solver})
 
     def test_unknown_field_rejected_on_load(self):
         with pytest.raises(ValueError, match="unknown JobSpec field"):

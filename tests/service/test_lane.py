@@ -279,7 +279,7 @@ class TestSignalsWhileWaiting:
 # -- what the clocks are told ----------------------------------------------------
 
 class TestClocks:
-    def test_rate_estimator_learns_the_compute_wall_only(self):
+    def test_rate_estimator_learns_the_compute_wall_only(self, tmp_path):
         clock = FakeClock()
 
         class SlowLane(ComputeLane):
@@ -295,10 +295,11 @@ class TestClocks:
         ctx = RunnerContext(
             breakers=BreakerBoard(), rates=IterationRateEstimator(),
             cases=CaseCache(), draining=threading.Event(), clock=clock,
-            checkpoint=False, solver_factory=scripted_factory(fn),
+            solver_factory=scripted_factory(fn),
             lane=SlowLane(),
         )
-        record = JobRecord("job-0", JobSpec(**SMALL), clock=clock)
+        record = JobRecord("job-0", JobSpec(**SMALL), clock=clock,
+                           checkpoint_dir=str(tmp_path / "job-0"))
         run_job(record, ctx)
         assert record.status == "converged"
         spec = record.spec

@@ -138,6 +138,19 @@ class TestSubmission:
             # terminal jobs dedup too: the key still owns its record
             assert svc.submit(JobSpec(**SMALL, key="job-key")) is a
 
+    def test_every_job_gets_its_own_spool_directory(self, spool):
+        gate = threading.Event()
+        calls = []
+        with make_service(spool, gate=gate, calls=calls) as svc:
+            gate.set()
+            recs = [svc.submit(JobSpec(**SMALL, seed=i)) for i in range(2)]
+            assert svc.wait_all(timeout=30.0)
+        assert [r.checkpoint_dir for r in recs] == [
+            str(svc.spool_dir / r.job_id) for r in recs]
+        assert [c["checkpoint_dir"] for c in calls] == [
+            r.checkpoint_dir for r in recs]
+        assert all(c["maxiter"] == 100 for c in calls)  # one chunk's worth
+
     def test_dict_specs_accepted(self, spool):
         gate = threading.Event()
         gate.set()
@@ -309,6 +322,70 @@ class TestDeadline:
         assert rec.iterations > 0  # it did make progress first
 
 
+# -- chunks and job-level retries ---------------------------------------------
+
+class FaultedResult(FakeResult):
+    """Every attempt raised: no outcome, the last attempt names the fault."""
+
+    def __init__(self, fault="message-timeout"):
+        super().__init__(status="breakdown", outcome=None, iterations=0)
+        self.attempts[0].fault = fault
+
+
+class TestChunks:
+    def test_chunks_split_the_budget_and_restore_after_the_first(self, spool):
+        calls = []
+
+        def chunk(case, kwargs):
+            calls.append(kwargs)
+            return FakeResult(status="maxiter", iterations=kwargs["maxiter"])
+
+        with make_service(spool, workers=1) as svc:
+            svc._ctx.solver_factory = scripted_factory(chunk)
+            rec = svc.submit(JobSpec(**SMALL, maxiter=250))
+            svc.wait(rec.job_id, timeout=30.0)
+        assert [c["maxiter"] for c in calls] == [100, 100, 50]
+        assert [c["restore"] for c in calls] == [False, True, True]
+        assert {c["checkpoint_dir"] for c in calls} == {rec.checkpoint_dir}
+        assert rec.status == "failed" and rec.iterations == 250
+        assert rec.updates[-1].detail == {"reason": "maxiter"}
+
+    def test_all_attempts_raising_retries_once_then_fails_typed(self, spool):
+        calls = []
+
+        def faulted(case, kwargs):
+            calls.append(kwargs)
+            return FaultedResult()
+
+        with make_service(spool, workers=1) as svc:
+            svc._ctx.solver_factory = scripted_factory(faulted)
+            rec = svc.submit(JobSpec(**SMALL))
+            svc.wait(rec.job_id, timeout=30.0)
+        assert len(calls) == 2  # the chunk, then one job-level retry
+        assert [c["restore"] for c in calls] == [False, False]  # no snapshot
+        assert rec.status == "failed" and rec.error == "message-timeout"
+
+    def test_retry_after_a_checkpointed_chunk_restores(self, spool):
+        calls = []
+
+        def script(case, kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                CheckpointManager(kwargs["checkpoint_dir"], prefix="solve") \
+                    .save(20, {"x": np.zeros(3)})
+                return FakeResult(status="maxiter", iterations=20)
+            if len(calls) == 2:
+                return FaultedResult()
+            return FakeResult()
+
+        with make_service(spool, workers=1) as svc:
+            svc._ctx.solver_factory = scripted_factory(script)
+            rec = svc.submit(JobSpec(**SMALL))
+            svc.wait(rec.job_id, timeout=30.0)
+        assert [c["restore"] for c in calls] == [False, True, True]
+        assert rec.status == "converged"
+
+
 # -- drain / resume -----------------------------------------------------------
 
 def drain_in_background(svc):
@@ -324,10 +401,12 @@ def drain_in_background(svc):
 
 class TestDrain:
     def test_queued_jobs_shed_running_job_finishes(self, spool):
-        gate = threading.Event()
-        svc = make_service(spool, workers=1, gate=gate).start()
+        gate, calls = threading.Event(), []
+        svc = make_service(spool, workers=1, gate=gate, calls=calls).start()
         running = svc.submit(JobSpec(**SMALL))
-        assert wait_until(lambda: running.status == "running")
+        # in its chunk, not just "running": a drain that lands while the
+        # job still waits for the compute lane sheds it before any work
+        assert wait_until(lambda: calls)
         queued = [svc.submit(JobSpec(**SMALL)) for _ in range(2)]
 
         t, out = drain_in_background(svc)
@@ -350,9 +429,10 @@ class TestDrain:
             svc.submit(JobSpec(**SMALL))
 
     def test_running_job_checkpoints_and_resumes_elsewhere(self, spool, tmp_path):
-        gate = threading.Event()
+        gate, entered = threading.Event(), threading.Event()
 
         def chunk_with_checkpoint(case, kwargs):
+            entered.set()
             assert gate.wait(timeout=30.0), "test gate never opened"
             mgr = CheckpointManager(kwargs["checkpoint_dir"], prefix="solve")
             mgr.save(1, {"x": np.zeros(3)})
@@ -362,7 +442,7 @@ class TestDrain:
         svc._ctx.solver_factory = scripted_factory(chunk_with_checkpoint)
         svc.start()
         rec = svc.submit(JobSpec(**SMALL, deadline_s=None))
-        assert wait_until(lambda: rec.status == "running")
+        assert entered.wait(timeout=30.0)  # in its chunk, past the lane
 
         t, out = drain_in_background(svc)
         assert wait_until(lambda: svc._draining.is_set())
@@ -391,6 +471,31 @@ class TestDrain:
             svc2.wait(resumed.job_id, timeout=30.0)
         assert resumed.status == "converged"
         assert seen[0]["restore"] is True  # first chunk restored the snapshot
+
+    def test_manifest_written_with_solver_fields_resumes_to_terminal(
+            self, spool, tmp_path):
+        # a drain manifest from when JobSpec had a ``solver`` field: one job
+        # shed mid-solve with a checkpoint, one shed from the queue
+        from repro import CASE_BUILDERS, solve_case
+
+        ckpt_dir = tmp_path / "old-spool" / "job-00000"
+        part = solve_case(CASE_BUILDERS["tc1"](13), "schur1", nparts=2,
+                          maxiter=2, restart=1, checkpoint_dir=str(ckpt_dir))
+        assert part.status == "maxiter"
+        spec = {**JobSpec(**SMALL).to_dict(), "solver": "fgmres"}
+        manifest = {"schema": DRAIN_SCHEMA, "jobs": [
+            {"job_id": "job-00000", "spec": spec, "status": "shed",
+             "shed_reason": "drained", "resumable": True,
+             "checkpoint_dir": str(ckpt_dir), "iterations_done": 2},
+            {"job_id": "job-00001", "spec": dict(spec, seed=1),
+             "status": "shed", "shed_reason": "drained", "resumable": False,
+             "checkpoint_dir": None, "iterations_done": 0},
+        ]}
+        with make_service(spool, workers=2) as svc:
+            records = svc.resume(manifest)
+            assert svc.wait_all(timeout=60.0)
+        assert [r.resumed for r in records] == [True, False]
+        assert all(r.status == "converged" for r in records)
 
     def test_resume_rejects_foreign_manifests(self, spool):
         with make_service(spool) as svc:
