@@ -149,18 +149,7 @@ class MultiprocessBackend(ExecutionBackend):
         with obs.span("comm.backend.start", backend=self.name,
                       ranks=self.size) as span:
             for rank in range(self.size):
-                parent, child = self._ctx.Pipe(duplex=True)
-                proc = self._ctx.Process(
-                    target=_worker_main,
-                    args=(rank, self.size, child, self.heartbeat.poll_interval),
-                    name=f"repro-rank-{rank}",
-                    daemon=True,
-                )
-                proc.start()
-                child.close()
-                self._procs[rank] = proc
-                self._conns[rank] = parent
-                self.supervisor.record_spawn(rank, proc.pid)
+                self._spawn(rank)
             pids = []
             for rank in range(self.size):
                 self._await_hello(rank)
@@ -168,6 +157,36 @@ class MultiprocessBackend(ExecutionBackend):
             span.set(pids=pids)
         self._started = True
         obs.event("comm.backend.ready", backend=self.name, ranks=self.size)
+
+    def _spawn(self, rank: int) -> None:
+        parent, child = self._ctx.Pipe(duplex=True)
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(rank, self.size, child, self.heartbeat.poll_interval),
+            name=f"repro-rank-{rank}",
+            daemon=True,
+        )
+        proc.start()
+        child.close()
+        self._procs[rank] = proc
+        self._conns[rank] = parent
+        self.supervisor.record_spawn(rank, proc.pid)
+
+    def respawn(self, rank: int) -> None:
+        """Put a fresh process in ``rank``'s place, through the same spawn
+        path: whatever was there is killed and reaped first, and the
+        supervisor's record starts over at SPAWNED."""
+        self._check_rank(rank)
+        proc, conn = self._procs[rank], self._conns[rank]
+        if proc is not None:
+            proc.kill()
+            proc.join(timeout=self.heartbeat.startup_timeout)
+        if conn is not None:
+            conn.close()
+        self._spawn(rank)
+        self._await_hello(rank)
+        obs.event("comm.backend.respawn", backend=self.name, rank=rank,
+                  pid=self.rank_pid(rank))
 
     def _await_hello(self, rank: int) -> None:
         conn = self._conns[rank]
@@ -350,11 +369,11 @@ class MultiprocessBackend(ExecutionBackend):
             return self.supervisor.state(rank)
         state = self.supervisor.record_miss(rank)
         if self.supervisor.should_fence(rank):
-            self._fence(rank)
+            self.fence(rank)
             state = self.supervisor.state(rank)
         return state
 
-    def _fence(self, rank: int) -> None:
+    def fence(self, rank: int) -> None:
         """SIGKILL an unresponsive rank so it cannot resurface later.
 
         Idempotent: fencing a rank that is already DEAD (a prior fence, a

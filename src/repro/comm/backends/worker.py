@@ -14,10 +14,13 @@ carries ``seconds``, the worker-measured compute time of the command, which
 is what lets the driver attribute time to ranks (``comm.worker.round``
 events, the worker table of ``repro trace``).
 
-Five commands: ``LOAD_MATRIX`` and ``LOAD_FACTOR`` make state resident,
+Six commands: ``LOAD_MATRIX`` and ``LOAD_FACTOR`` make state resident,
 ``FACTOR`` eliminates a resident matrix, and the two per-iteration ops are
 ``MATVEC`` (a row block times the compacted input slice the driver ships)
 and ``APPLY`` (the triangular sweeps).  Every stored matrix is a plain CSR.
+``RUN_CHUNK`` is the coarse one: a solve service's worker process runs one
+whole chunk of a job (:func:`repro.service.runner.serve_chunk`) and returns
+its attempts and residual history.
 
 Determinism contract (docs/algorithms.md, "Worker-resident compute"):
 every handler runs the **same kernel code** the in-process path runs —
@@ -50,6 +53,7 @@ OP_LOAD_FACTOR = 2    #: store an ILU factorization (L, U[, perm]) under a key
 OP_FACTOR = 3         #: factor a loaded matrix worker-side; returns L/U
 OP_MATVEC = 4         #: y = A_r @ x_sub (the compacted input slice shipped)
 OP_APPLY = 6          #: z = (LU)^{-1} r via a resident factor
+OP_RUN_CHUNK = 7      #: one chunk of a service job, solved in this process
 
 #: the opcode byte of the reply to a command that did not parse: it names
 #: no op, and the driver reports every failure under the op it sent
@@ -61,6 +65,7 @@ OP_NAMES = {
     OP_FACTOR: "factor",
     OP_MATVEC: "matvec",
     OP_APPLY: "apply",
+    OP_RUN_CHUNK: "run-chunk",
 }
 
 
@@ -204,12 +209,21 @@ def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict
     return {}, [solve_permuted(fac, perm, np.array(arrays[0], dtype=np.float64))]
 
 
+def _handle_run_chunk(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
+    """One chunk of a service job, run here: this process is a service
+    worker, not a rank, and the chunk needs none of the resident state."""
+    from repro.service.runner import serve_chunk
+
+    return serve_chunk(meta)
+
+
 _HANDLERS = {
     OP_LOAD_MATRIX: _handle_load_matrix,
     OP_LOAD_FACTOR: _handle_load_factor,
     OP_FACTOR: _handle_factor,
     OP_MATVEC: _handle_matvec,
     OP_APPLY: _handle_apply,
+    OP_RUN_CHUNK: _handle_run_chunk,
 }
 
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro import faults, obs
 from repro.comm.backends import framing
+from repro.comm.backends.base import TransportTimeout
 from repro.comm.backends.worker import (
     OP_APPLY,
     OP_FACTOR,
@@ -44,6 +45,7 @@ from repro.comm.backends.worker import (
     OP_LOAD_MATRIX,
     OP_MATVEC,
     OP_NAMES,
+    OP_RUN_CHUNK,
     pack_command,
     unpack_command,
 )
@@ -115,6 +117,36 @@ def load_factor(key: str, fac, perm: np.ndarray | None) -> tuple[str, bytes]:
     payload)`` entry :meth:`WorkerCompute.ensure` ships: one ``LOAD_FACTOR``
     command in :meth:`~repro.factor.base.ILUFactorization.to_wire`'s layout."""
     return key, pack_command(OP_LOAD_FACTOR, *fac.to_wire(key, perm))
+
+
+def run_chunk(backend, rank: int, seq: int, meta: dict,
+              timeout: float) -> tuple[dict, list]:
+    """One ``RUN_CHUNK`` round: a chunk of a service job, solved in the
+    process behind ``rank``; returns the result's ``(meta, arrays)``.
+
+    Not a delivery round: it is sent once and never probed, since a worker
+    in the middle of a chunk cannot answer a PING and must not be fenced
+    for computing.  It waits for the reply, the process's exit or
+    ``timeout``, and a timeout fences the process, so a killed or hung
+    worker both raise the supervisor's :class:`RankDeadError`.
+    """
+    raw = framing.encode_frame(
+        framing.CMD, rank, rank, seq, pack_command(OP_RUN_CHUNK, meta))
+    res = backend.request_many({rank: raw}, timeout)[rank]
+    if isinstance(res, TransportTimeout):
+        backend.fence(rank)
+    if isinstance(res, _errors.MessageCorruption):
+        raise res
+    if isinstance(res, Exception):
+        raise backend.classify(rank, op=OP_NAMES[OP_RUN_CHUNK])
+    if res.kind == framing.NAK:
+        raise _errors.MessageCorruption(
+            f"worker rank {rank} refused a run-chunk frame: "
+            f"{res.payload.decode(errors='replace')}", rank=rank)
+    _, out, arrays = unpack_command(res.payload)
+    if "error" in out:
+        _raise_worker_error(rank, OP_NAMES[OP_RUN_CHUNK], out)
+    return out, arrays
 
 
 class WorkerCompute:

@@ -136,6 +136,8 @@ class FaultSpec:
             raise ValueError("delay must be >= 0")
         if isinstance(self.target, str):
             self.target = tuple(t for t in self.target.split(",") if t)
+        elif self.target is not None:
+            self.target = tuple(self.target)  # a list, back from the wire
 
     def matches_scope(self, scope: str | None) -> bool:
         return self.target is None or (scope is not None and scope in self.target)
@@ -169,12 +171,20 @@ class FaultPlan:
     of dicts, one per fired fault) afterwards to see exactly what happened.
 
     Thread-safety: one active plan may be consulted by several solver
-    threads at once (the solve service runs a chaos plan against a whole
-    worker pool).  Scope nesting is therefore *per thread* —
-    ``scope_stack`` is thread-local, so one worker's ``faults.scope(...)``
+    threads at once.  Scope nesting is therefore *per thread* —
+    ``scope_stack`` is thread-local, so one thread's ``faults.scope(...)``
     never relabels another's opportunities — while the firing counters,
     the ``injected`` log, and the RNG are shared under a single lock, so a
     bounded spec (``count=1``) fires exactly once across all threads.
+
+    Processes: the solve service computes each chunk in a worker process,
+    and an active plan is *lent* to one in-flight chunk at a time
+    (:meth:`lend`, :meth:`borrowed`, :meth:`loan_back`, :meth:`settle`).
+    The loan carries the specs, seed, counters, RNG state and dead ranks;
+    what comes back replaces them and appends the borrower's injections,
+    so the contract above holds across the worker pool too.  Chunks that
+    start while the plan is out run without it, and a loan whose borrower
+    died comes back as nothing: its firings die with the process.
     """
 
     def __init__(self, specs: list[FaultSpec] | FaultSpec, seed: int = 0) -> None:
@@ -191,6 +201,7 @@ class FaultPlan:
         #: persistent until a recovery layer absorbs the subdomain and calls
         #: :meth:`mark_recovered`
         self.dead_ranks: set[int] = set()
+        self._lent = False
 
     @property
     def scope_stack(self) -> list[str]:
@@ -364,6 +375,53 @@ class FaultPlan:
         once per absorbed rank.
         """
         self.dead_ranks.discard(int(rank))
+
+    # -- lending to a worker process -------------------------------------------
+
+    def lend(self) -> dict | None:
+        """This plan as a JSON-able loan for one chunk, or None while it is
+        already out; every loan must be :meth:`settle`-d."""
+        with self._lock:
+            if self._lent:
+                return None
+            self._lent = True
+            return {"specs": [dict(vars(s)) for s in self.specs],
+                    "seed": self.seed, **self._state()}
+
+    def _state(self) -> dict:
+        return {"counters": [[st.opportunities, st.fired] for st in self._states],
+                "rng": self.rng.bit_generator.state,
+                "dead_ranks": sorted(self.dead_ranks)}
+
+    def _restore(self, state: dict) -> None:
+        for st, (opportunities, fired) in zip(self._states, state["counters"]):
+            st.opportunities, st.fired = opportunities, fired
+        self.rng.bit_generator.state = state["rng"]
+        self.dead_ranks = set(state["dead_ranks"])
+
+    @classmethod
+    def borrowed(cls, loan: dict) -> "FaultPlan":
+        """The plan a worker process runs its chunk under."""
+        plan = cls([FaultSpec(**spec) for spec in loan["specs"]], seed=loan["seed"])
+        plan._restore(loan)
+        return plan
+
+    def loan_back(self) -> dict:
+        """What a borrowed plan returns: its counters, RNG, dead ranks and
+        the faults it fired."""
+        return {**self._state(), "injected": self.injected}
+
+    def settle(self, back: dict | None) -> None:
+        """End a loan; ``back`` is the borrower's :meth:`loan_back`, or None
+        when the borrower died with it."""
+        with self._lock:
+            self._lent = False
+            if back is None:
+                return
+            self._restore(back)
+            self.injected.extend(back["injected"])
+        for record in back["injected"]:
+            obs.event("faults.injected", **record)
 
     def summary(self) -> dict[str, int]:
         """Fired-fault counts by kind."""

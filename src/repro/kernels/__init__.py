@@ -50,8 +50,8 @@ _TIERS = ("reference", "numpy")
 _ENV_VAR = "REPRO_KERNEL_TIER"
 
 # safety cap on one factorization's array workspace: the ILUT window is
-# O(n * min(n, bandwidth)) and every concurrent set-up (one per solve-service
-# worker thread) holds its own
+# O(n * min(n, bandwidth)), and each solve-service worker process factors
+# one block at a time, so a service holds one window per worker process
 BAND_MEM_CAP = 32 * 2**20
 
 _forced: str | None = None

@@ -155,7 +155,6 @@ class JobRecord:
         self.started_t: float | None = None
         self.finished_t: float | None = None
         self.iterations = 0
-        self.lane_wait_s = 0.0  # summed over chunks; counted inside running
         self.residuals: list[float] = []
         self.final_relres: float | None = None
         self.attempts: list[dict] = []
@@ -268,7 +267,6 @@ class JobRecord:
                 "iterations": self.iterations,
                 "final_relres": self.final_relres,
                 "latency_s": self.latency_s,
-                "lane_wait_s": self.lane_wait_s,
                 "error": self.error,
                 "shed_reason": self.shed_reason,
                 "resumable": self.resumable,

@@ -21,27 +21,35 @@ Robustness composition per chunk:
   (:func:`~repro.service.deadline.scaled_retry_policy`);
 * **retry-with-backoff**: a chunk in which every attempt *raised* (e.g.
   comm faults exhausted the whole fallback chain) is retried after a
-  bounded, drain-interruptible backoff wait, :data:`JOB_RETRIES` times.
+  bounded, drain-interruptible backoff wait, :data:`JOB_RETRIES` times;
+* a **dead worker**: a chunk whose worker process was killed, or hung past
+  its timeout and was fenced, comes back as one faulted attempt; the process
+  is respawned (:mod:`.workers`) and the retry rung restores the job from
+  its last checkpoint.
 
-Worker threads overlap I/O and waits on rank processes; in-process
-arithmetic runs one chunk at a time, in the compute lane (:mod:`.lane`).  A
-``backend="multiprocess"`` job computes in its rank processes
-(``docs/algorithms.md`` §8) and never takes it.
+Where a chunk computes is :meth:`RunnerContext.run_chunk`'s choice, the one
+seam tests script.  An in-process job's chunk is one ``RUN_CHUNK`` round to
+the calling thread's own worker process, so two threads compute on two
+cores; a ``backend="multiprocess"`` job computes in its rank processes
+(``docs/algorithms.md`` §8) and is driven from the thread itself.
 """
 
 from __future__ import annotations
 
+import contextlib
+import resource
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
+from repro import faults, obs
 from repro.cases import build_case
 from repro.cases.base import TestCase
 from repro.checkpoint import CheckpointManager
 from repro.comm.backends import resolve_backend_name
 from repro.comm.communicator import RetryPolicy
+from repro.comm.compute import HEAVY_FLOOR
 from repro.resilience import FAILURE_STATUSES, FALLBACK_CHAIN, ResilientSolver
 from repro.service.breaker import BreakerBoard
 from repro.service.deadline import (
@@ -51,7 +59,6 @@ from repro.service.deadline import (
     scaled_retry_policy,
 )
 from repro.service.job import JobRecord
-from repro.service.lane import PROCESS_LANE, ComputeLane
 
 #: FGMRES restart length (mirrors the solve_case default; chunk sizes are
 #: whole multiples so every chunk ends on a checkpointable cycle boundary)
@@ -62,6 +69,9 @@ CHUNK_ITERS = 5 * RESTART
 #: backoff before one (doubling per retry)
 JOB_RETRIES = 1
 RETRY_BACKOFF_S = 0.05
+#: how long a worker round waits for a chunk of a job without a deadline
+#: (one with a deadline waits at most what is left of it)
+CHUNK_TIMEOUT_S = HEAVY_FLOOR
 
 
 class CaseCache:
@@ -82,6 +92,64 @@ class CaseCache:
 
 
 @dataclass
+class Chunk:
+    """What one chunk reports back, wherever it ran."""
+
+    status: str
+    attempts: list[dict]  # precond, kind, status, iterations, fault
+    residuals: list[float] = field(default_factory=list)
+    precond: str | None = None  # the outcome's; None when every attempt raised
+    relres: float | None = None  # |b - A x| / |b - A x0|, once converged
+
+    @property
+    def converged(self) -> bool:
+        return self.precond is not None and self.status == "converged"
+
+    @classmethod
+    def of(cls, res, case: TestCase | None = None) -> "Chunk":
+        """A :class:`ResilientSolver` result as a chunk; ``case`` gives the
+        relative residual of a converged one."""
+        out = res.outcome
+        chunk = cls(res.status, [
+            {"precond": a.precond, "kind": a.kind, "status": a.status,
+             "iterations": a.iterations, "fault": a.fault}
+            for a in res.attempts
+        ])
+        if out is not None:
+            chunk.precond = out.precond
+            chunk.residuals = [float(r) for r in out.residuals]
+            if res.converged and case is not None and out.x_global is not None:
+                chunk.relres = _relative_residual(case, out.x_global)
+        return chunk
+
+
+def solve_chunk(case: TestCase, kwargs: dict) -> Chunk:
+    """One chunk, solved in this process."""
+    return Chunk.of(ResilientSolver().solve(case, **kwargs), case)
+
+
+#: a worker process's cases (its factor cache and partition memo key on them)
+_WORKER_CASES = CaseCache()
+
+
+def serve_chunk(meta: dict) -> tuple[dict, list]:
+    """The ``RUN_CHUNK`` handler, in a worker process: one chunk of the job
+    ``meta`` names, solved here under the fault plan it lends, if any."""
+    kwargs = dict(meta["kwargs"])
+    kwargs["retry_policy"] = RetryPolicy(**kwargs["retry_policy"])
+    case = _WORKER_CASES.get(meta["case"], meta["size"])
+    plan = faults.FaultPlan.borrowed(meta["faults"]) if meta["faults"] else None
+    with faults.inject(plan) if plan else contextlib.nullcontext():
+        chunk = solve_chunk(case, kwargs)
+    return {
+        "status": chunk.status, "attempts": chunk.attempts,
+        "precond": chunk.precond, "relres": chunk.relres,
+        "faults": plan.loan_back() if plan else None,
+        "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    }, [np.asarray(chunk.residuals, dtype=np.float64)]
+
+
+@dataclass
 class RunnerContext:
     """Everything a worker needs besides the record itself."""
 
@@ -90,9 +158,17 @@ class RunnerContext:
     cases: CaseCache
     draining: threading.Event
     clock: object
-    solver_factory: object = field(default=ResilientSolver)
-    lane: ComputeLane = PROCESS_LANE
-    poll_s: float = 0.05
+    workers: object = None  # the service's WorkerPool
+
+    def run_chunk(self, record: JobRecord, kwargs: dict,
+                  timeout: float) -> Chunk:
+        """Run one chunk of ``record``'s job: ``ResilientSolver().solve``
+        with ``kwargs``.  Tests script a service by assigning an attribute
+        of this name."""
+        spec = record.spec
+        if resolve_backend_name(spec.backend) == "inprocess":
+            return self.workers.run_chunk(record.worker, spec, kwargs, timeout)
+        return solve_chunk(self.cases.get(spec.case, spec.size), kwargs)
 
 
 def _base_retry_policy(backend: str | None) -> RetryPolicy:
@@ -111,12 +187,12 @@ def _route_precond(primary: str, breakers: BreakerBoard) -> tuple[str, bool]:
     return "jacobi", True  # unreachable: jacobi is unbreakable
 
 
-def _feed_breakers(breakers: BreakerBoard, attempts: list) -> None:
+def _feed_breakers(breakers: BreakerBoard, attempts: list[dict]) -> None:
     for a in attempts:
-        if a.fault is not None or a.status in FAILURE_STATUSES:
-            breakers.record_failure(a.precond)
-        elif a.status in ("converged", "maxiter"):
-            breakers.record_success(a.precond)
+        if a["fault"] is not None or a["status"] in FAILURE_STATUSES:
+            breakers.record_failure(a["precond"])
+        elif a["status"] in ("converged", "maxiter"):
+            breakers.record_success(a["precond"])
 
 
 def _relative_residual(case: TestCase, x: np.ndarray) -> float:
@@ -152,15 +228,11 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
     obs.event("service.dispatch", job=record.job_id, tenant=spec.tenant,
               worker=record.worker, precond=spec.precond)
 
-    case = ctx.cases.get(spec.case, spec.size)
     rate_key = (spec.case, spec.size, spec.precond, spec.nparts)
     base_policy = _base_retry_policy(spec.backend)
 
     manager = CheckpointManager(record.checkpoint_dir, prefix="solve")
 
-    # where the arithmetic runs decides who takes the lane, and nothing else
-    lane = ctx.lane if resolve_backend_name(spec.backend) == "inprocess" \
-        else None
     iters_done = 0
     retries_left = JOB_RETRIES
     resume = record.resumed
@@ -190,87 +262,69 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
             status, detail = "failed", {"reason": "maxiter"}
             break
 
-        # -- the compute lane: its wait spends the deadline as queue wait does
-        held, waited = lane.acquire(ctx.poll_s, lambda: (
-            record.cancel_requested or ctx.draining.is_set()
-            or deadline.expired)) if lane else (True, 0.0)
-        record.lane_wait_s += waited
-        if waited > ctx.poll_s:
-            obs.event("service.lane.wait", job=record.job_id, wait_s=waited)
-        if not held:
-            continue  # a signal fired in the wait: the checks above type it
-        try:
-            # -- deadline -> iteration budget -> comm retry policy ----------
-            remaining = deadline.remaining()  # taken with the lane in hand
-            chunk = min(budget_left, iteration_budget(
-                remaining, ctx.rates.estimate(rate_key), RESTART,
-                min(CHUNK_ITERS, budget_left),
-            ))
-            policy = scaled_retry_policy(base_policy, remaining)
-            if policy is not base_policy:
-                obs.event("service.deadline.clamp", job=record.job_id,
-                          remaining_s=remaining, timeout=policy.timeout)
+        # -- deadline -> iteration budget -> comm retry policy --------------
+        remaining = deadline.remaining()
+        chunk = min(budget_left, iteration_budget(
+            remaining, ctx.rates.estimate(rate_key), RESTART,
+            min(CHUNK_ITERS, budget_left),
+        ))
+        policy = scaled_retry_policy(base_policy, remaining)
+        if policy is not base_policy:
+            obs.event("service.deadline.clamp", job=record.job_id,
+                      remaining_s=remaining, timeout=policy.timeout)
 
-            eff_precond, degraded = _route_precond(spec.precond, ctx.breakers)
-            if degraded:
-                obs.event("service.degraded", job=record.job_id,
-                          from_=spec.precond, to=eff_precond,
-                          breaker=ctx.breakers.state(spec.precond))
+        eff_precond, degraded = _route_precond(spec.precond, ctx.breakers)
+        if degraded:
+            obs.event("service.degraded", job=record.job_id,
+                      from_=spec.precond, to=eff_precond,
+                      breaker=ctx.breakers.state(spec.precond))
 
-            t0 = ctx.clock()
-            res = ctx.solver_factory().solve(
-                case, precond=eff_precond, nparts=spec.nparts, seed=spec.seed,
-                scheme=spec.scheme, rtol=spec.rtol, maxiter=chunk,
-                backend=spec.backend, retry_policy=policy,
-                checkpoint_dir=record.checkpoint_dir, checkpoint_every=1,
-                restore=resume,
-            )
-            wall = ctx.clock() - t0
-        finally:
-            if lane:
-                lane.release()
-        consumed = sum(a.iterations for a in res.attempts)
+        t0 = ctx.clock()
+        res = ctx.run_chunk(record, dict(
+            precond=eff_precond, nparts=spec.nparts, seed=spec.seed,
+            scheme=spec.scheme, rtol=spec.rtol, maxiter=chunk,
+            backend=spec.backend, retry_policy=policy,
+            checkpoint_dir=record.checkpoint_dir, checkpoint_every=1,
+            restore=resume,
+        ), min(remaining, CHUNK_TIMEOUT_S))
+        wall = ctx.clock() - t0
+        consumed = sum(a["iterations"] for a in res.attempts)
         iters_done += consumed
         record.iterations = iters_done
         ctx.rates.observe(rate_key, wall, max(consumed, 1))
         _feed_breakers(ctx.breakers, res.attempts)
-        record.attempts.extend(
-            {"precond": a.precond, "kind": a.kind, "status": a.status,
-             "iterations": a.iterations, "fault": a.fault}
-            for a in res.attempts
-        )
-        if res.outcome is not None:
-            record.residuals.extend(float(r) for r in res.outcome.residuals)
+        record.attempts.extend(res.attempts)
+        record.residuals.extend(res.residuals)
         record.progress(iterations=iters_done, chunk_status=res.status,
-                        precond=eff_precond, wall_s=wall,
-                        lane_wait_s=record.lane_wait_s)
+                        precond=eff_precond, wall_s=wall)
 
         if res.converged:
-            out = res.outcome
-            if out.x_global is not None:
-                record.final_relres = _relative_residual(case, out.x_global)
+            record.final_relres = res.relres
             status = "converged"
-            detail = {"iterations": iters_done, "precond": out.precond,
+            detail = {"iterations": iters_done, "precond": res.precond,
                       "relres": record.final_relres}
             break
 
-        if res.outcome is None:
-            # every attempt raised a typed fault: the job-level retry rung
-            if retries_left > 0 and not deadline.expired \
-                    and not ctx.draining.is_set():
+        if res.precond is None:
+            # every attempt raised a typed fault (or its worker died): the
+            # job-level retry rung, unless a drain or the deadline is due,
+            # which the boundary checks type (a drained job stays resumable)
+            if ctx.draining.is_set() or deadline.expired:
+                continue
+            if retries_left > 0:
                 retries_left -= 1
                 backoff = RETRY_BACKOFF_S * 2 ** (JOB_RETRIES - retries_left - 1)
                 backoff = min(backoff, max(deadline.remaining(), 0.0))
                 obs.event("service.retry", job=record.job_id,
                           backoff_s=backoff, retries_left=retries_left,
-                          reason=res.attempts[-1].fault if res.attempts
+                          reason=res.attempts[-1]["fault"] if res.attempts
                           else res.status)
                 if backoff > 0:
                     # drain-interruptible wait; wakes early on shutdown
                     ctx.draining.wait(timeout=backoff)
                 resume = bool(manager.steps())
                 continue
-            record.error = (res.attempts[-1].fault if res.attempts
+            record.error = (res.attempts[-1]["fault"] if res.attempts
                             else "all attempts faulted")
             status, detail = "failed", {"reason": res.status}
             break

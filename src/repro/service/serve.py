@@ -191,8 +191,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(line)
 
     stats = service.stats()
-    print("lane: {acquisitions} chunk(s), {waited} waited {wait_s:.3f}s, "
-          "held {held_s:.3f}s".format(**stats["lane"]), file=sys.stderr)
+    print("workers: " + ", ".join(
+        "{worker} pid {pid} {state}, {chunks} chunk(s), {respawns} respawn(s), "
+        "maxrss {maxrss_kb} KiB".format(**w) for w in stats["workers"]),
+        file=sys.stderr)
     resumable = sum(1 for j in manifest["jobs"] if j["resumable"])
     print(
         f"served {submitted} job(s), {overloaded} shed at admission; "

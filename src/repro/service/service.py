@@ -17,12 +17,16 @@ chunk boundary — where they checkpoint and shed as *resumable* — then
 writes a ``repro.service.drain.v1`` manifest so a successor process can
 :meth:`resume` every interrupted job from its snapshot.
 
-Threading: worker threads only touch thread-safe structures (the
-admission queues, the breaker board, per-record condition variables, the
-rate estimator).  They overlap I/O and rank-process waits; in-process chunks
-run one at a time (:mod:`repro.service.lane`: threads only trade the GIL).
-Span *tracing* is single-owner, so traced runs must use ``workers=1``.
-All blocking calls carry explicit timeouts (lint rule RPR009).
+Processes: each worker thread owns one worker process
+(:mod:`repro.service.workers`), forked by :meth:`start` before any thread
+runs, and computes every in-process chunk there; the threads themselves
+only coordinate.  Admission, breakers, deadlines, drain/resume, cancel and
+idempotent submits all stay in this process.  Worker threads only touch
+thread-safe structures (the admission queues, the breaker board,
+per-record condition variables, the rate estimator) and their own worker
+slot.  A traced run sees the service's events; the solves' spans stay in
+the worker processes, whose tracer is off.  All blocking calls carry
+explicit timeouts (lint rule RPR009).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from repro.service.deadline import IterationRateEstimator
 from repro.service.errors import ServiceOverload, ServiceShutdown
 from repro.service.job import JobRecord, JobSpec, JobTable
 from repro.service.runner import CaseCache, RunnerContext, run_job
+from repro.service.workers import WorkerPool
 
 DRAIN_SCHEMA = "repro.service.drain.v1"
 
@@ -98,7 +103,7 @@ class SolveService:
             cases=CaseCache(),
             draining=self._draining,
             clock=clock,
-            poll_s=self.config.poll_s,
+            workers=WorkerPool(self.config.workers),
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -107,9 +112,11 @@ class SolveService:
         if self._started:
             return self
         self.spool_dir.mkdir(parents=True, exist_ok=True)
-        for i in range(self.config.workers):
+        pool = self._ctx.workers
+        pool.start()  # fork first: no thread of ours is running yet
+        for i, name in enumerate(pool.names):
             t = threading.Thread(
-                target=self._worker_loop, args=(f"worker-{i}",),
+                target=self._worker_loop, args=(name,),
                 name=f"repro-service-worker-{i}", daemon=True,
             )
             t.start()
@@ -242,7 +249,7 @@ class SolveService:
             "by_status": by_status,
             "admission": self.admission.stats(),
             "breakers": self.breakers.stats(),
-            "lane": self._ctx.lane.stats(),
+            "workers": self._ctx.workers.stats(),
             "draining": self._draining.is_set(),
         }
 
@@ -271,6 +278,7 @@ class SolveService:
         for t in self._threads:
             t.join(timeout=max(1.0, self.config.poll_s * 4))
         self._threads = []
+        self._ctx.workers.shutdown()
 
         manifest = self._drain_manifest()
         path = self.spool_dir / "drain.json"
@@ -314,6 +322,7 @@ class SolveService:
         for t in self._threads:
             t.join(timeout=timeout)
         self._threads = []
+        self._ctx.workers.shutdown()
         self._started = False
         obs.event("service.shutdown")
 

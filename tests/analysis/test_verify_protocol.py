@@ -89,7 +89,7 @@ class TestCli:
     def test_exit_zero_on_clean_tree(self, capsys):
         assert main(["verify-protocol", str(SRC)]) == 0
         out = capsys.readouterr().out
-        assert "wire: 5 opcode(s), 9 frame kind(s), 4 dtype(s)" in out
+        assert "wire: 6 opcode(s), 9 frame kind(s), 4 dtype(s)" in out
         assert "machine rank-supervisor" in out
         assert "0 finding(s)" in out
 

@@ -269,9 +269,57 @@ class TestMultiprocessLifecycle:
             mp_backend.handle_timeout(2)  # exhausts the miss budget, fences
         assert mp_backend.supervisor.records[2].fenced
         exitcode = mp_backend.supervisor.records[2].exitcode
-        mp_backend._fence(2)  # concurrent path losing the race: no-op
+        mp_backend.fence(2)  # concurrent path losing the race: no-op
         assert mp_backend.supervisor.records[2].exitcode == exitcode
         assert isinstance(mp_backend.classify(2), RankDeadError)
+
+    def test_respawn_puts_a_fresh_process_in_a_dead_rank(self, mp_backend):
+        mp_backend.ensure_started()
+        old = mp_backend.rank_pid(1)
+        mp_backend.kill_rank(1)
+        assert mp_backend.supervisor.is_dead(1)
+        mp_backend.respawn(1)
+        assert mp_backend.rank_pid(1) not in (None, old)
+        assert mp_backend.supervisor.state(1) == "ready"
+        assert mp_backend.probe(1)
+
+
+class TestRunChunkRound:
+    """``compute.run_chunk``: one send, a long wait, death typed."""
+
+    @staticmethod
+    def _meta(**over):
+        kwargs = dict(precond="block1", nparts=2, seed=0, scheme="general",
+                      rtol=1e-6, maxiter=100, backend=None,
+                      retry_policy=vars(RetryPolicy()), checkpoint_dir=None,
+                      checkpoint_every=1, restore=False)
+        return {"case": "tc1", "size": 9, "faults": None,
+                "kwargs": {**kwargs, **over}}
+
+    def test_a_chunk_solves_in_the_worker(self, mp_backend):
+        from repro.comm.compute import run_chunk
+
+        out, (residuals,) = run_chunk(mp_backend, 0, 1, self._meta(), 30.0)
+        assert out["status"] == "converged" and out["precond"] == "Block 1"
+        assert len(residuals) == out["attempts"][0]["iterations"] + 1
+        assert out["relres"] < 1e-5 and out["maxrss_kb"] > 0
+
+    def test_a_failing_chunk_is_a_worker_error_naming_the_op(self, mp_backend):
+        from repro.comm.compute import WorkerComputeError, run_chunk
+
+        meta = dict(self._meta(nparts=20), size=3)
+        with pytest.raises(WorkerComputeError, match="failed run-chunk: .*nparts=20"):
+            run_chunk(mp_backend, 0, 1, meta, 30.0)
+        assert mp_backend.probe(0)   # the worker lives on
+
+    def test_a_hung_worker_is_fenced_at_the_timeout(self, mp_backend):
+        from repro.comm.compute import run_chunk
+
+        mp_backend.ensure_started()
+        mp_backend.hang_rank(2)
+        with pytest.raises(RankDeadError, match="fenced"):
+            run_chunk(mp_backend, 2, 1, self._meta(), 0.3)
+        assert mp_backend.supervisor.records[2].fenced
 
 
 class TestExchangeOverBackend:

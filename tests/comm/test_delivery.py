@@ -322,6 +322,7 @@ class TestOneLoop:
         assert sites == {
             ("delivery.py", "deliver_round", "request_many"),
             ("backends/multiprocess.py", "probe", "request_many"),  # heartbeat
+            ("compute.py", "run_chunk", "request_many"),  # one send, no retry
         }
 
     def test_exactly_one_retry_loop(self):

@@ -48,6 +48,9 @@ class TestServeBatch:
             assert r["status"] in TERMINAL_STATUSES
         assert all(r["status"] == "converged" for r in results)
         assert "served 3 job(s)" in proc.stderr
+        (workers,) = [line for line in proc.stderr.splitlines()
+                      if line.startswith("workers: ")]
+        assert workers.count(" pid ") == 2 and " pid None" not in workers
 
     def test_jobs_file_and_out_file(self, tmp_path):
         jobs = tmp_path / "jobs.jsonl"

@@ -1,6 +1,6 @@
 """SolveService end to end: admission, breakers, deadlines, drain, resume.
 
-Deterministic tests inject a scripted solver via ``svc._ctx.solver_factory``
+Deterministic tests script the chunks through the ``svc._ctx.run_chunk`` seam
 (a gate-blocked fake makes queue states observable); a couple of real-solve
 tests keep the service honest against the actual FGMRES stack.
 """
@@ -21,6 +21,7 @@ from repro.service import (
     SolveService,
     TenantPolicy,
 )
+from repro.service.runner import Chunk
 
 SMALL = dict(case="tc1", size=13, nparts=2)
 
@@ -55,24 +56,23 @@ class FakeResult:
                         else outcome)
 
 
-def scripted_factory(fn):
-    """solver_factory whose solve() delegates to ``fn(case, kwargs)``."""
-    class _Solver:
-        def solve(self, case, **kwargs):
-            return fn(case, kwargs)
+def scripted(fn):
+    """A ``run_chunk`` seam whose chunk is ``fn(kwargs)``'s solver result."""
+    def run_chunk(record, kwargs, timeout):
+        return Chunk.of(fn(kwargs))
 
-    return _Solver
+    return run_chunk
 
 
-def gate_factory(gate, calls=None):
-    """Blocks every solve on ``gate``; converges once it opens."""
-    def fn(case, kwargs):
+def gated(gate, calls=None):
+    """Blocks every chunk on ``gate``; converges once it opens."""
+    def fn(kwargs):
         if calls is not None:
             calls.append(kwargs)
         assert gate.wait(timeout=30.0), "test gate never opened"
         return FakeResult(precond=kwargs["precond"])
 
-    return scripted_factory(fn)
+    return scripted(fn)
 
 
 def wait_until(pred, timeout=5.0):
@@ -92,7 +92,7 @@ def spool(tmp_path):
 def make_service(spool, *, workers=1, gate=None, calls=None, **cfg):
     svc = SolveService(ServiceConfig(workers=workers, spool_dir=spool, **cfg))
     if gate is not None:
-        svc._ctx.solver_factory = gate_factory(gate, calls)
+        svc._ctx.run_chunk = gated(gate, calls)
     return svc
 
 
@@ -233,11 +233,11 @@ class TestCancel:
 
 class TestWorkerError:
     def test_raising_solver_yields_terminal_failed(self, spool):
-        def explode(case, kwargs):
+        def explode(kwargs):
             raise RuntimeError("kaboom")
 
         with make_service(spool, workers=1) as svc:
-            svc._ctx.solver_factory = scripted_factory(explode)
+            svc._ctx.run_chunk = scripted(explode)
             rec = svc.submit(JobSpec(**SMALL))
             svc.wait(rec.job_id, timeout=30.0)
         assert rec.status == "failed"
@@ -275,12 +275,12 @@ class TestBreakerRouting:
     def test_tripped_primary_degrades_down_the_chain(self, spool):
         calls = []
 
-        def fn(case, kwargs):
+        def fn(kwargs):
             calls.append(kwargs["precond"])
             return FakeResult(precond=kwargs["precond"])
 
         with make_service(spool, workers=1) as svc:
-            svc._ctx.solver_factory = scripted_factory(fn)
+            svc._ctx.run_chunk = scripted(fn)
             for _ in range(3):
                 svc.breakers.record_failure("schur1")
             rec = svc.submit(JobSpec(**SMALL, precond="schur1"))
@@ -308,12 +308,12 @@ class TestDeadline:
             svc.shutdown()
 
     def test_expiring_mid_solve_fails_at_a_chunk_boundary(self, spool):
-        def slow_chunk(case, kwargs):
+        def slow_chunk(kwargs):
             time.sleep(0.08)
             return FakeResult(status="maxiter", iterations=kwargs["maxiter"])
 
         with make_service(spool, workers=1) as svc:
-            svc._ctx.solver_factory = scripted_factory(slow_chunk)
+            svc._ctx.run_chunk = scripted(slow_chunk)
             rec = svc.submit(JobSpec(**SMALL, deadline_s=0.2))
             svc.wait(rec.job_id, timeout=30.0)
         assert rec.status == "failed"
@@ -336,12 +336,12 @@ class TestChunks:
     def test_chunks_split_the_budget_and_restore_after_the_first(self, spool):
         calls = []
 
-        def chunk(case, kwargs):
+        def chunk(kwargs):
             calls.append(kwargs)
             return FakeResult(status="maxiter", iterations=kwargs["maxiter"])
 
         with make_service(spool, workers=1) as svc:
-            svc._ctx.solver_factory = scripted_factory(chunk)
+            svc._ctx.run_chunk = scripted(chunk)
             rec = svc.submit(JobSpec(**SMALL, maxiter=250))
             svc.wait(rec.job_id, timeout=30.0)
         assert [c["maxiter"] for c in calls] == [100, 100, 50]
@@ -353,12 +353,12 @@ class TestChunks:
     def test_all_attempts_raising_retries_once_then_fails_typed(self, spool):
         calls = []
 
-        def faulted(case, kwargs):
+        def faulted(kwargs):
             calls.append(kwargs)
             return FaultedResult()
 
         with make_service(spool, workers=1) as svc:
-            svc._ctx.solver_factory = scripted_factory(faulted)
+            svc._ctx.run_chunk = scripted(faulted)
             rec = svc.submit(JobSpec(**SMALL))
             svc.wait(rec.job_id, timeout=30.0)
         assert len(calls) == 2  # the chunk, then one job-level retry
@@ -368,7 +368,7 @@ class TestChunks:
     def test_retry_after_a_checkpointed_chunk_restores(self, spool):
         calls = []
 
-        def script(case, kwargs):
+        def script(kwargs):
             calls.append(kwargs)
             if len(calls) == 1:
                 CheckpointManager(kwargs["checkpoint_dir"], prefix="solve") \
@@ -379,7 +379,7 @@ class TestChunks:
             return FakeResult()
 
         with make_service(spool, workers=1) as svc:
-            svc._ctx.solver_factory = scripted_factory(script)
+            svc._ctx.run_chunk = scripted(script)
             rec = svc.submit(JobSpec(**SMALL))
             svc.wait(rec.job_id, timeout=30.0)
         assert [c["restore"] for c in calls] == [False, True, True]
@@ -404,8 +404,8 @@ class TestDrain:
         gate, calls = threading.Event(), []
         svc = make_service(spool, workers=1, gate=gate, calls=calls).start()
         running = svc.submit(JobSpec(**SMALL))
-        # in its chunk, not just "running": a drain that lands while the
-        # job still waits for the compute lane sheds it before any work
+        # in its chunk, not just "running": a drain that lands before the
+        # first chunk sheds the job before any work
         assert wait_until(lambda: calls)
         queued = [svc.submit(JobSpec(**SMALL)) for _ in range(2)]
 
@@ -431,7 +431,7 @@ class TestDrain:
     def test_running_job_checkpoints_and_resumes_elsewhere(self, spool, tmp_path):
         gate, entered = threading.Event(), threading.Event()
 
-        def chunk_with_checkpoint(case, kwargs):
+        def chunk_with_checkpoint(kwargs):
             entered.set()
             assert gate.wait(timeout=30.0), "test gate never opened"
             mgr = CheckpointManager(kwargs["checkpoint_dir"], prefix="solve")
@@ -439,10 +439,10 @@ class TestDrain:
             return FakeResult(status="maxiter", iterations=kwargs["maxiter"])
 
         svc = make_service(spool, workers=1)
-        svc._ctx.solver_factory = scripted_factory(chunk_with_checkpoint)
+        svc._ctx.run_chunk = scripted(chunk_with_checkpoint)
         svc.start()
         rec = svc.submit(JobSpec(**SMALL, deadline_s=None))
-        assert entered.wait(timeout=30.0)  # in its chunk, past the lane
+        assert entered.wait(timeout=30.0)  # in its chunk
 
         t, out = drain_in_background(svc)
         assert wait_until(lambda: svc._draining.is_set())
@@ -457,13 +457,13 @@ class TestDrain:
         # a successor process picks the manifest up and restores
         seen = []
 
-        def record_restore(case, kwargs):
+        def record_restore(kwargs):
             seen.append(kwargs)
             return FakeResult()
 
         svc2 = SolveService(ServiceConfig(
             workers=1, spool_dir=str(tmp_path / "spool2")))
-        svc2._ctx.solver_factory = scripted_factory(record_restore)
+        svc2._ctx.run_chunk = scripted(record_restore)
         with svc2:
             (resumed,) = svc2.resume(out["manifest"])
             assert resumed.resumed
