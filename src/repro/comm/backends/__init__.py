@@ -20,6 +20,7 @@ from repro.comm.backends.base import (
 )
 from repro.comm.backends.framing import Frame, decode_frame, encode_frame
 from repro.comm.backends.inprocess import InProcessBackend
+from repro.comm.backends import pool
 from repro.comm.backends.multiprocess import MultiprocessBackend
 from repro.comm.backends.supervisor import (
     DEAD,
@@ -50,6 +51,7 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "make_backend",
+    "release_backend",
     "resolve_backend",
     "resolve_backend_name",
 ]
@@ -81,8 +83,12 @@ def resolve_backend(
     """Resolve a backend request into ``(backend, owned)``.
 
     ``spec`` may be a name, a ready-made instance (must match ``size``;
-    the caller keeps ownership, so ``owned`` is False and the communicator
-    will not shut it down), or None (see :func:`resolve_backend_name`).
+    the caller keeps it, so ``owned`` is False and the communicator leaves
+    it alone), or None (see :func:`resolve_backend_name`).  A name gives an
+    owned backend, which the communicator hands to :func:`release_backend`
+    on close: ``multiprocess`` leases a world from
+    :mod:`~repro.comm.backends.pool`, idle ranks and resident state
+    included, and ``inprocess`` builds a new loopback.
     """
     if isinstance(spec, ExecutionBackend):
         if spec.size != size:
@@ -90,4 +96,16 @@ def resolve_backend(
                 f"backend sized for {spec.size} ranks cannot serve {size}"
             )
         return spec, False
-    return make_backend(resolve_backend_name(spec), size), True
+    name = resolve_backend_name(spec)
+    if name == "multiprocess":
+        return pool.lease(size), True
+    return make_backend(name, size), True
+
+
+def release_backend(backend: ExecutionBackend) -> None:
+    """Give back a backend :func:`resolve_backend` made: a multiprocess
+    world goes back to the pool (or down, if it may not be reused)."""
+    if isinstance(backend, MultiprocessBackend):
+        pool.release(backend)
+    else:
+        backend.shutdown()

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+from repro import obs
+from repro.comm.backends.arena import Arena
 from repro.comm.communicator import RetryPolicy
 from repro.resilience.errors import CommFault
 
@@ -64,7 +66,10 @@ class ExecutionBackend(ABC):
     """How ``size`` ranks execute and exchange envelope-framed bytes.
 
     Lifecycle: backends start lazily (:meth:`ensure_started`) on first
-    transfer and are shut down by the owning communicator's ``close()``.
+    transfer.  A backend is a *world*: besides its ranks it keeps the
+    envelope seq counters, the keys shipped to each rank and each rank's
+    shared-memory arena, so a communicator that leases a pooled world
+    (``repro.comm.backends.pool``) carries on where the last one stopped.
     ``is_real`` distinguishes backends whose ranks can *actually* die from
     the simulated default — the ghost exchange routes every transfer
     through the wire when it is True.
@@ -79,6 +84,59 @@ class ExecutionBackend(ABC):
         if size < 1:
             raise ValueError("backend size must be >= 1")
         self.size = size
+        # world state: it outlives any one communicator on this backend
+        #: per-(src, dst) envelope sequence counters (:meth:`next_seq`)
+        self.seq: dict[tuple[int, int], int] = {}
+        #: (rank, content-key) pairs confirmed resident in the ranks
+        self.shipped: set[tuple[int, str]] = set()
+        #: a round gave up, or a fault plan was active: never reuse this world
+        self.damaged = False
+        self._arenas: dict[int, Arena] = {}
+        self._arena_gen = 0
+
+    def next_seq(self, src: int, dst: int) -> int:
+        """Monotone per-(src, dst) envelope sequence number (starts at 0).
+
+        Kept by the world, not by a communicator, so a communicator that
+        leases a world after another never reuses a seq whose reply may
+        still sit in a pipe.
+        """
+        key = (src, dst)
+        seq = self.seq.get(key, 0)
+        self.seq[key] = seq + 1
+        return seq
+
+    # -- shared-memory arenas ----------------------------------------------
+
+    def arena(self, rank: int, nfloats: int) -> Arena:
+        """``rank``'s arena, with slots of at least ``nfloats`` doubles;
+        created at the first vector op and replaced by a larger one when a
+        later op outgrows it."""
+        have = self._arenas.get(rank)
+        if have is not None and have.nfloats >= nfloats:
+            return have
+        if have is not None:
+            have.close()
+        self._arena_gen += 1
+        made = Arena.create(max(nfloats, 1, 2 * (have.nfloats if have else 0)),
+                            self._arena_gen)
+        self._arenas[rank] = made
+        obs.event("comm.backend.arena", backend=self.name, rank=rank,
+                  nbytes=made.nbytes, gen=made.gen)
+        return made
+
+    def forget_rank(self, rank: int) -> None:
+        """Drop what the world knew of ``rank``'s process: its arena and
+        its shipped keys (a new process holds neither)."""
+        arena = self._arenas.pop(rank, None)
+        if arena is not None:
+            arena.close()
+        self.shipped = {(r, k) for r, k in self.shipped if r != rank}
+
+    def close_arenas(self) -> None:
+        for rank in sorted(self._arenas):
+            self._arenas[rank].close()
+        self._arenas.clear()
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -3,10 +3,17 @@
 Each rank runs :func:`_worker_main` — a small event loop on the child end of
 a duplex pipe that validates incoming :mod:`~repro.comm.backends.framing`
 frames (seq + CRC-32, the PR 3 integrity envelope now framing real bytes),
-echoes DATA payloads back as ACKs, answers PING probes, and exits on
-SHUTDOWN.  The parent side implements :meth:`MultiprocessBackend.request_many`
-with deadline-based response matching (stale replies from earlier timed-out
-attempts are drained and discarded by ``(kind, src, dst, seq)``).
+echoes DATA payloads back as ACKs, executes CMDs (NAKing one whose arena
+slot fails its CRC), answers PING probes, and exits on SHUTDOWN.  The
+parent side implements :meth:`MultiprocessBackend.request_many` with
+deadline-based response matching (stale replies from earlier timed-out
+attempts are drained and discarded by ``(kind, src, dst, seq)``; the world
+keeps the seq counters, so no later communicator reuses a seq).
+
+A started world outlives the communicator that started it: ``close()``
+hands it back to :mod:`~repro.comm.backends.pool`, which keeps it for the
+next communicator of the same size while :meth:`MultiprocessBackend.reusable`
+holds.
 
 Failure detection is the point of this backend:
 
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import select
 import signal
 from multiprocessing.connection import Connection
 from time import monotonic
@@ -43,7 +51,7 @@ from repro.comm.backends.base import (
     TransportBroken,
     TransportTimeout,
 )
-from repro.comm.backends.supervisor import HeartbeatPolicy, RankSupervisor
+from repro.comm.backends.supervisor import READY, HeartbeatPolicy, RankSupervisor
 from repro.comm.communicator import RetryPolicy
 from repro.resilience.errors import CommFault, MessageCorruption
 
@@ -62,11 +70,16 @@ def _worker_main(rank: int, size: int, conn: Connection,
     from repro import faults as _faults
     _faults._ACTIVE = None
     store = worker.SubdomainStore()
+    # one poll object for the process's life: Connection.poll builds a
+    # selector per call, which a per-iteration command would pay each time
+    poller = select.poll()
+    poller.register(conn.fileno(), select.POLLIN)
+    poll_ms = max(1, int(poll_interval * 1000))
     try:
         conn.send_bytes(framing.encode_frame(framing.HELLO, rank, rank, 0))
         last_seq: dict[tuple[int, int], int] = {}
         while True:
-            if not conn.poll(poll_interval):
+            if not poller.poll(poll_ms):
                 continue
             raw = conn.recv_bytes()
             try:
@@ -102,9 +115,13 @@ def _worker_main(rank: int, size: int, conn: Connection,
                 # worker-resident compute; every op is idempotent, so a
                 # retransmitted CMD (same seq) simply re-executes and
                 # returns a bitwise-identical result
+                try:
+                    result = worker.execute(store, frame.payload)
+                except MessageCorruption as exc:  # an arena slot failed its CRC
+                    conn.send_bytes(framing.nak_reply(raw, exc, rank))
+                    continue
                 conn.send_bytes(framing.encode_frame(
-                    framing.RESULT, frame.src, frame.dst, frame.seq,
-                    worker.execute(store, frame.payload),
+                    framing.RESULT, frame.src, frame.dst, frame.seq, result,
                 ))
                 continue
             conn.send_bytes(framing.encode_frame(
@@ -138,14 +155,43 @@ class MultiprocessBackend(ExecutionBackend):
         self._ctx = multiprocessing.get_context(start_method)
         self._procs: list[multiprocessing.Process | None] = [None] * size
         self._conns: list[Connection | None] = [None] * size
+        self._pollers: list = [None] * size  # one select.poll per live pipe
         self._ping_seq = 0
         self._started = False
+        #: the process whose children the ranks are: only it may talk to them
+        self._owner = os.getpid()
 
     # -- lifecycle ---------------------------------------------------------
+
+    def reusable(self) -> bool:
+        """Whether a later communicator may lease this world as it is: it
+        is up, in the process that started it, undamaged, and every rank
+        is READY (none dead, suspect or fenced) with its process alive."""
+        if not self._started or self.damaged or os.getpid() != self._owner:
+            return False
+        return all(
+            rec.state == READY and not rec.fenced and self.check_alive(rec.rank)
+            for rec in self.supervisor.records
+        )
+
+    def abandon(self) -> None:
+        """Let go of a world this process inherited by fork, touching
+        nothing the parent's ranks can see: close this process's copies of
+        the pipe ends and arenas, and never signal, write to or reap a
+        rank."""
+        for conn in self._conns:
+            if conn is not None:
+                conn.close()
+        self.close_arenas()
+        self._procs = [None] * self.size
+        self._conns = [None] * self.size
+        self._pollers = [None] * self.size
+        self._started = False
 
     def ensure_started(self) -> None:
         if self._started:
             return
+        self._owner = os.getpid()
         with obs.span("comm.backend.start", backend=self.name,
                       ranks=self.size) as span:
             for rank in range(self.size):
@@ -170,13 +216,17 @@ class MultiprocessBackend(ExecutionBackend):
         child.close()
         self._procs[rank] = proc
         self._conns[rank] = parent
+        self._pollers[rank] = select.poll()
+        self._pollers[rank].register(parent.fileno(), select.POLLIN)
         self.supervisor.record_spawn(rank, proc.pid)
 
     def respawn(self, rank: int) -> None:
         """Put a fresh process in ``rank``'s place, through the same spawn
-        path: whatever was there is killed and reaped first, and the
-        supervisor's record starts over at SPAWNED."""
+        path: whatever was there is killed and reaped first, the
+        supervisor's record starts over at SPAWNED, and the world forgets
+        the rank's arena and shipped keys."""
         self._check_rank(rank)
+        self.forget_rank(rank)
         proc, conn = self._procs[rank], self._conns[rank]
         if proc is not None:
             proc.kill()
@@ -208,6 +258,11 @@ class MultiprocessBackend(ExecutionBackend):
         raise self.supervisor.classify(rank, phase="startup")
 
     def shutdown(self) -> None:
+        if os.getpid() != self._owner:
+            self.abandon()  # a forked copy: the ranks are not ours to stop
+            return
+        self.close_arenas()
+        self.shipped.clear()
         if not any(p is not None for p in self._procs):
             return
         clean = 0
@@ -232,6 +287,7 @@ class MultiprocessBackend(ExecutionBackend):
                 conn.close()
             self._procs[rank] = None
             self._conns[rank] = None
+            self._pollers[rank] = None
         self._started = False
         obs.event("comm.backend.shutdown", backend=self.name,
                   ranks=self.size, clean_exits=clean)
@@ -296,7 +352,7 @@ class MultiprocessBackend(ExecutionBackend):
             raise TransportBroken(rank, "transport closed")
         while True:
             remaining = deadline - monotonic()
-            if remaining <= 0 or not conn.poll(remaining):
+            if remaining <= 0 or not self._pollers[rank].poll(1000.0 * remaining):
                 if self._record_exit_if_dead(rank):
                     raise TransportBroken(rank, "process exited mid-request")
                 raise TransportTimeout(rank, timeout)

@@ -16,8 +16,10 @@ events, the worker table of ``repro trace``).
 
 Six commands: ``LOAD_MATRIX`` and ``LOAD_FACTOR`` make state resident,
 ``FACTOR`` eliminates a resident matrix, and the two per-iteration ops are
-``MATVEC`` (a row block times the compacted input slice the driver ships)
-and ``APPLY`` (the triangular sweeps).  Every stored matrix is a plain CSR.
+``MATVEC`` (a row block times the compacted input slice) and ``APPLY`` (the
+triangular sweeps).  Those two carry no arrays: their vectors cross in the
+rank's shared-memory arena (:mod:`~repro.comm.backends.arena`), and the
+frames carry the slot lengths and CRCs.  Every stored matrix is a plain CSR.
 ``RUN_CHUNK`` is the coarse one: a solve service's worker process runs one
 whole chunk of a job (:func:`repro.service.runner.serve_chunk`) and returns
 its attempts and residual history.
@@ -33,27 +35,34 @@ unchanged.
 
 State is **content-addressed**: ``LOAD``/``FACTOR`` store objects under the
 driver-computed SHA-256 content key, so repeated solves over the same
-operator skip the transfer (the driver tracks shipped keys per backend
-generation) and a re-ship after ``absorb_rank`` recovery reproduces the
+operator skip the transfer (the world keeps the shipped keys for as long as
+its ranks live) and a re-ship after ``absorb_rank`` recovery reproduces the
 exact factors the digest names.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from time import perf_counter, process_time
 
 import numpy as np
 
 from repro.comm.backends import framing
+from repro.comm.backends.arena import Arena
+from repro.comm.backends.arena import crc as slot_crc
+from repro.resilience.errors import MessageCorruption, NotResident
 
 #: command opcodes (first payload byte)
 OP_LOAD_MATRIX = 1    #: store a CSR matrix under a content key
 OP_LOAD_FACTOR = 2    #: store an ILU factorization (L, U[, perm]) under a key
 OP_FACTOR = 3         #: factor a loaded matrix worker-side; returns L/U
-OP_MATVEC = 4         #: y = A_r @ x_sub (the compacted input slice shipped)
+OP_MATVEC = 4         #: y = A_r @ x_sub (the compacted input slice, in the arena)
 OP_APPLY = 6          #: z = (LU)^{-1} r via a resident factor
 OP_RUN_CHUNK = 7      #: one chunk of a service job, solved in this process
+
+#: canonical meta encoding: identical dicts encode to identical bytes
+_META_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 #: the opcode byte of the reply to a command that did not parse: it names
 #: no op, and the driver reports every failure under the op it sent
@@ -78,7 +87,7 @@ def pack_command(op: int, meta: dict, arrays=()) -> bytes:
     """
     if op not in OP_NAMES and op != NO_OP:
         raise ValueError(f"unknown worker opcode {op!r}")
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    blob = _META_JSON.encode(meta).encode()
     head = bytes([op]) + len(blob).to_bytes(4, "little") + blob
     return head + framing.encode_arrays(arrays)
 
@@ -108,15 +117,44 @@ class SubdomainStore:
 
     ``matrices`` maps key -> CSR matrix (matvec row blocks and
     factorization inputs alike); ``factors`` maps key ->
-    ``(ILUFactorization, perm | None)``.  ``loads`` / ``cached`` count
-    arrivals vs. key hits — the re-ship tests read these back.
+    ``(ILUFactorization, perm | None)``.  Each is an LRU of at most the
+    factor cache's ``capacity`` entries, since the store lives as long as
+    its world; a command naming an evicted key raises
+    :class:`NotResident`, and the driver re-ships.  ``loads`` / ``cached``
+    count arrivals vs. key hits — the re-ship tests read these back.
+    ``arena`` is the rank's mapping of its shared-memory arena, once a
+    vector op has named one.
     """
 
     def __init__(self) -> None:
-        self.matrices: dict = {}
-        self.factors: dict = {}
+        from repro.factor.cache import get_cache
+
+        self.capacity = get_cache().capacity
+        self.matrices: OrderedDict = OrderedDict()
+        self.factors: OrderedDict = OrderedDict()
         self.loads = 0
         self.cached = 0
+        self.arena: Arena | None = None
+
+    def put(self, table: OrderedDict, key: str, value) -> None:
+        table[key] = value
+        while len(table) > self.capacity:
+            table.popitem(last=False)
+
+    def get(self, table: OrderedDict, key: str, what: str):
+        """The resident entry under ``key``, freshly used; else NotResident."""
+        if key not in table:
+            raise NotResident(f"{what} {key[:12]} not resident", key=key)
+        table.move_to_end(key)
+        return table[key]
+
+    def attach(self, spec) -> Arena:
+        """The arena ``spec`` names, mapped here on first sight."""
+        if self.arena is None or self.arena.gen != int(spec[3]):
+            if self.arena is not None:
+                self.arena.close()
+            self.arena = Arena.attach(spec)
+        return self.arena
 
 
 def _csr_from(arrays, nrows: int, ncols: int):
@@ -129,9 +167,11 @@ def _csr_from(arrays, nrows: int, ncols: int):
 def _handle_load_matrix(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
     key = meta["key"]
     if key in store.matrices:
+        store.matrices.move_to_end(key)
         store.cached += 1
         return {"stored": True, "cached": True, "key": key}, []
-    store.matrices[key] = _csr_from(arrays, int(meta["nrows"]), int(meta["ncols"]))
+    store.put(store.matrices, key,
+              _csr_from(arrays, int(meta["nrows"]), int(meta["ncols"])))
     store.loads += 1
     return {"stored": True, "cached": False, "key": key}, []
 
@@ -141,9 +181,10 @@ def _handle_load_factor(store: SubdomainStore, meta: dict, arrays: list) -> tupl
 
     key = meta["key"]
     if key in store.factors:
+        store.factors.move_to_end(key)
         store.cached += 1
         return {"stored": True, "cached": True, "key": key}, []
-    store.factors[key] = ILUFactorization.from_wire(meta, arrays)
+    store.put(store.factors, key, ILUFactorization.from_wire(meta, arrays))
     store.loads += 1
     return {"stored": True, "cached": False, "key": key}, []
 
@@ -163,11 +204,9 @@ def _handle_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dic
     factor_key = meta["factor_key"]
     if factor_key in store.factors:
         store.cached += 1
-        fac, _ = store.factors[factor_key]
+        fac, _ = store.get(store.factors, factor_key, "factor")
     else:
-        a = store.matrices.get(matrix_key)
-        if a is None:
-            raise KeyError(f"matrix {matrix_key[:12]} not resident")
+        a = store.get(store.matrices, matrix_key, "matrix")
         bf = meta.get("breakdown_frac")
         if meta["alg"] == "ilu0":
             fac = ilu0(a, shift=float(meta.get("shift", 0.0)), breakdown_frac=bf)
@@ -177,19 +216,32 @@ def _handle_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dic
                 shift=float(meta.get("shift", 0.0)), breakdown_frac=bf,
             )
         perm = np.array(arrays[0]) if meta.get("has_perm") else None
-        store.factors[factor_key] = (fac, perm)
+        store.put(store.factors, factor_key, (fac, perm))
         store.loads += 1
     # the driver sent the permutation, so the factor travels back without it
     return fac.to_wire(factor_key)
 
 
+def _slot_op(store: SubdomainStore, meta: dict, compute) -> tuple[dict, list]:
+    """Run ``compute`` on the input slot; the result goes to the output slot.
+
+    The input is checked against the frame's CRC first (a mismatch raises
+    :class:`MessageCorruption`, which the rank NAKs); the result meta
+    carries the output's length and CRC for the driver to check.
+    """
+    arena = store.attach(meta["arena"])
+    x = arena.take(arena.inp, int(meta["n"]), int(meta["crc"]), "input")
+    y = compute(x)
+    arena.out[: y.size] = y
+    return {"n": int(y.size), "crc": slot_crc(arena.out[: y.size])}, []
+
+
 def _handle_matvec(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
+    """``y = A_r @ x_sub``: the compacted input slice is in the arena."""
     from repro.kernels import apply as apply_kernels
 
-    a = store.matrices.get(meta["key"])
-    if a is None:
-        raise KeyError(f"matrix {meta['key'][:12]} not resident")
-    return {}, [apply_kernels.csr_matvec(a, np.asarray(arrays[0]))]
+    a = store.get(store.matrices, meta["key"], "matrix")
+    return _slot_op(store, meta, lambda x: apply_kernels.csr_matvec(a, x))
 
 
 def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
@@ -202,11 +254,8 @@ def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict
     """
     from repro.factor.base import solve_permuted
 
-    entry = store.factors.get(meta["key"])
-    if entry is None:
-        raise KeyError(f"factor {meta['key'][:12]} not resident")
-    fac, perm = entry
-    return {}, [solve_permuted(fac, perm, np.array(arrays[0], dtype=np.float64))]
+    fac, perm = store.get(store.factors, meta["key"], "factor")
+    return _slot_op(store, meta, lambda r: solve_permuted(fac, perm, np.array(r)))
 
 
 def _handle_run_chunk(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
@@ -249,6 +298,8 @@ def execute(store: SubdomainStore, payload: bytes) -> bytes:
         out_meta["seconds"] = perf_counter() - t0
         out_meta["cpu_seconds"] = process_time() - c0
         return pack_command(op, out_meta, out_arrays)
+    except MessageCorruption:
+        raise  # bytes that failed a check: the rank NAKs, the driver retries
     except Exception as exc:  # noqa: BLE001 - the wire is the error boundary
         return pack_command(op, {
             "error": str(exc),

@@ -78,17 +78,20 @@ class Communicator:
     :meth:`cumulative_counts` is monotone across resets — this is what the
     observability layer diffs to attribute costs to spans.
 
-    The communicator also owns the integrity-envelope state: a per-directed-
-    pair sequence counter (:meth:`next_seq`), the :class:`RetryPolicy` the
-    ghost exchange enforces, and :class:`CommStats` message counters.
+    The communicator also holds the :class:`RetryPolicy` the ghost exchange
+    enforces and its own :class:`CommStats` message counters; the
+    per-directed-pair envelope sequence counters (:meth:`next_seq`) belong
+    to the backend's world, which may outlive the communicator.
 
     *How* the ranks execute is delegated to an
     :class:`~repro.comm.backends.ExecutionBackend` — ``inprocess`` (the
     default: simulated ranks, bit-identical to the historical behavior) or
     ``multiprocess`` (ranks as supervised OS processes).  ``backend`` may
     be a name, an instance, or None (which consults the
-    ``REPRO_COMM_BACKEND`` environment variable).  Communicators that
-    construct their own backend own it and shut it down in :meth:`close`.
+    ``REPRO_COMM_BACKEND`` environment variable).  A backend resolved from
+    a name is given back in :meth:`close`: a multiprocess world returns to
+    the per-process pool for the next communicator of its size, an
+    in-process one is shut down.  An instance stays the caller's.
     """
 
     def __init__(
@@ -108,16 +111,18 @@ class Communicator:
         self.backend, self._owns_backend = resolve_backend(backend, size)
         self.retry_policy = retry_policy or self.backend.default_retry_policy()
         self.comm_stats = CommStats()
-        self._seq: dict[tuple[int, int], int] = {}
         self._closed = False
         self._close_lock = threading.Lock()
 
+    @property
+    def _seq(self) -> dict[tuple[int, int], int]:
+        """The world's envelope sequence counters."""
+        return self.backend.seq
+
     def next_seq(self, src: int, dst: int) -> int:
-        """Monotone per-(src, dst) envelope sequence number (starts at 0)."""
-        key = (src, dst)
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        return seq
+        """Monotone per-(src, dst) envelope sequence number of the world
+        (starts at 0 on a new one)."""
+        return self.backend.next_seq(src, dst)
 
     def adopt_seq(self, prev: "Communicator", dead_rank: int) -> None:
         """Carry envelope sequence state across an ``absorb_rank`` recovery.
@@ -127,7 +132,8 @@ class Communicator:
         counters must NOT survive — a stale seq on a reused edge would make
         the receiver reject fresh envelopes as replays), and surviving
         ranks above ``dead_rank`` shift down by one, exactly mirroring the
-        rank remap of :func:`~repro.distributed.recovery.absorb_rank`.
+        rank remap of :func:`~repro.distributed.recovery.absorb_rank`.  A
+        counter the new world already holds never moves back.
         """
         if self.size != prev.size - 1:
             raise ValueError(
@@ -141,21 +147,26 @@ class Communicator:
         for (src, dst), seq in sorted(prev._seq.items()):
             if src == dead_rank or dst == dead_rank:
                 continue
-            self._seq[(remap(src), remap(dst))] = seq
+            key = (remap(src), remap(dst))
+            self._seq[key] = max(seq, self._seq.get(key, 0))
 
     def close(self) -> None:
-        """Shut down the execution backend (idempotent, owner-only).
+        """Give back the execution backend (idempotent, owner-only):
+        :func:`~repro.comm.backends.release_backend` pools a reusable
+        multiprocess world and shuts down anything else.
 
         Safe under concurrent callers: exactly one close wins the flag and
-        performs the backend shutdown; every other call — same thread or
-        racing threads (a drain path and a finalizer, say) — is a no-op.
+        gives the backend back; every other call — same thread or racing
+        threads (a drain path and a finalizer, say) — is a no-op.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
         if self._owns_backend:
-            self.backend.shutdown()
+            from repro.comm.backends import release_backend
+
+            release_backend(self.backend)
 
     def reset_ledger(self) -> CostLedger:
         """Replace the ledger with a fresh one; returns the old ledger."""

@@ -3,10 +3,12 @@
 :mod:`repro.comm.backends.worker` defines what a rank process can execute;
 this module is the driver's half: a :class:`WorkerCompute` session bound to
 one communicator + real backend that ships each rank its subdomain state
-**once** (content-hash keyed, the factor cache's identity) and then drives
-the per-iteration hot path — the row-block MATVEC and the triangular-sweep
-APPLY — through batched ``CMD`` rounds.  Every real backend gets a session:
-its ranks always compute.
+**once per world** (content-hash keyed, the factor cache's identity; the
+world keeps the shipped keys, so a later communicator leasing the same
+pooled world ships nothing) and then drives the per-iteration hot path —
+the row-block MATVEC and the triangular-sweep APPLY — through batched
+``CMD`` rounds whose vectors cross in each rank's shared-memory arena.
+Every real backend gets a session: its ranks always compute.
 
 A **round** is one delivery round (:func:`repro.comm.delivery.deliver_round`,
 ``docs/robustness.md`` "The delivery round") with a ``CMD`` edge per
@@ -16,9 +18,11 @@ are retried and classified exactly like a ghost-exchange transfer (every
 worker op is idempotent, so a duplicate command re-executes bitwise
 identically).  The typed :class:`~repro.resilience.errors.CommFault` an
 exhausted budget raises is what lets ``absorb_rank`` +
-:class:`ResilientSolver` recover from a rank killed mid-MATVEC; the fresh
-communicator's fresh session (:func:`session`) then re-ships the survivors
-their re-partitioned subdomains.
+:class:`ResilientSolver` recover from a rank killed mid-MATVEC; the
+recovered communicator's new world then re-ships the survivors their
+re-partitioned subdomains.  A rank whose bounded store evicted a key
+answers :class:`~repro.resilience.errors.NotResident`; the session
+re-ships that rank's state and repeats the round once.
 
 Every round fires the active fault plan's ``exchange_begin`` hook (worker
 rounds are delivery opportunities like ghost exchanges) and emits one
@@ -37,6 +41,7 @@ import numpy as np
 
 from repro import faults, obs
 from repro.comm.backends import framing
+from repro.comm.backends.arena import crc as slot_crc
 from repro.comm.backends.base import TransportTimeout
 from repro.comm.backends.worker import (
     OP_APPLY,
@@ -69,10 +74,10 @@ def session(comm: Communicator) -> "WorkerCompute | None":
     """The communicator's worker-compute session, or None (simulated ranks).
 
     Sessions exist exactly on real backends; they are cached on the
-    communicator, so every caller in a solve shares one shipped-key set.
-    A communicator born from ``absorb_rank`` recovery is a *new* object
-    with a *new* backend — its session starts empty and re-ships state on
-    first use, which is the whole recovery story.
+    communicator, and the shipped-key set they consult is the world's.  A
+    communicator born from ``absorb_rank`` recovery has a *new* world (a
+    damaged one is never reused) whose set starts empty, so state is
+    re-shipped on first use, which is the whole recovery story.
     """
     if not comm.backend.is_real:
         return None
@@ -89,19 +94,17 @@ def _raise_worker_error(rank: int, op_name: str, meta: dict):
     The failure is named after the op the driver *sent*, never after the
     reply's opcode byte.  The wire carries the exception *name*; anything
     in the resilience taxonomy (``FactorizationBreakdown`` from a
-    worker-side ILU, say) comes back as that class so retry/fallback logic
-    upstream is blind to where the computation ran.
+    worker-side ILU, say) comes back as that class, with the ``rank`` in
+    its context, so retry/fallback logic upstream is blind to where the
+    computation ran.
     """
     msg = (
         f"worker rank {rank} failed {op_name}: "
         f"{meta.get('error', 'unknown error')}"
     )
     cls = getattr(_errors, str(meta.get("etype", "")), None)
-    if isinstance(cls, type) and issubclass(cls, Exception):
-        try:
-            raise cls(msg)
-        except TypeError:  # taxonomy class with required kwargs
-            pass
+    if isinstance(cls, type) and issubclass(cls, _errors.SolverFault):
+        raise cls(msg, rank=rank)
     raise WorkerComputeError(msg)
 
 
@@ -155,18 +158,23 @@ class WorkerCompute:
     def __init__(self, comm: Communicator) -> None:
         self.comm = comm
         self.backend = comm.backend
-        #: (rank, content-key) pairs confirmed resident in the workers
-        self._shipped: set[tuple[int, str]] = set()
 
     def is_shipped(self, rank: int, key: str) -> bool:
-        return (rank, key) in self._shipped
+        """Whether ``key`` is resident in ``rank`` as far as the world knows."""
+        return (rank, key) in self.backend.shipped
 
     # -- the round primitive ----------------------------------------------
 
     def _round(
-        self, op: int, payloads: dict[int, bytes], floor: float
+        self, op: int, payloads: dict[int, bytes], floor: float,
+        stage=None, take=None,
     ) -> dict[int, tuple[dict, list]]:
-        """One batched command round: a CMD edge per participating rank."""
+        """One batched command round: a CMD edge per participating rank.
+
+        ``stage`` is handed to the delivery round (it writes an edge's input
+        slot before each send); ``take(rank, meta)`` reads a delivered
+        result's output slot, which becomes the rank's one array.
+        """
         comm = self.comm
         op_name = OP_NAMES[op]
         plan = faults.active()
@@ -188,12 +196,14 @@ class WorkerCompute:
             _, meta, arrays = unpack_command(edge.frame.payload)
             if "error" in meta:
                 _raise_worker_error(edge.dst, op_name, meta)
+            if take is not None:
+                arrays = [take(edge.dst, meta)]  # a bad CRC retries the edge
             out[edge.dst] = (meta, arrays)
 
         deliver_round(
             comm, framing.CMD,
             {rank: (rank, payloads[rank]) for rank in sorted(payloads)},
-            floor=floor, settle=settle, op=op_name,
+            floor=floor, settle=settle, stage=stage, op=op_name,
         )
         if obs.enabled():
             ranks = sorted(out)
@@ -209,6 +219,52 @@ class WorkerCompute:
             )
         return out
 
+    def _resident_round(self, op: int, keys: dict[int, str], ship, payloads,
+                        floor: float, **hooks) -> dict[int, tuple[dict, list]]:
+        """A round over the state ``keys`` names: what the world has not
+        shipped goes first (``ship(rank)`` is the rank's ``(key, payload)``
+        entry), and a rank that answers :class:`NotResident` gets its entry
+        again before the round is repeated, once."""
+        def attempt() -> dict[int, tuple[dict, list]]:
+            if ship is not None:
+                self.ensure({rank: ship(rank) for rank in sorted(keys)
+                             if not self.is_shipped(rank, keys[rank])})
+            return self._round(op, payloads, floor, **hooks)
+
+        try:
+            return attempt()
+        except _errors.NotResident as exc:
+            if ship is None:
+                raise
+            rank = exc.context["rank"]
+            self.backend.shipped.discard((rank, keys[rank]))
+        return attempt()
+
+    def _vector_round(self, pack, keys: dict[int, str], ship,
+                      src: dict[int, np.ndarray], nout: dict[int, int]
+                      ) -> dict[int, np.ndarray]:
+        """MATVEC / APPLY: rank r's input ``src[r]`` goes through its arena,
+        and so does its ``nout[r]``-long result (a view of the output slot,
+        valid until the rank's next vector op).  ``pack(meta)`` encodes the
+        command that names them."""
+        arenas = {rank: self.backend.arena(rank, max(src[rank].size, nout[rank]))
+                  for rank in sorted(keys)}
+        payloads = {
+            rank: pack({
+                "key": keys[rank], "arena": arenas[rank].spec,
+                "n": int(src[rank].size), "crc": slot_crc(src[rank]),
+            })
+            for rank in sorted(keys)
+        }
+        op = payloads[min(payloads)][0]
+        out = self._resident_round(
+            op, keys, ship, payloads, LIGHT_FLOOR,
+            stage=lambda edge: arenas[edge.dst].put(src[edge.dst]),
+            take=lambda rank, meta: arenas[rank].take(
+                arenas[rank].out, int(meta["n"]), int(meta["crc"]), "output"),
+        )
+        return {rank: out[rank][1][0] for rank in out}
+
     # -- state shipping ----------------------------------------------------
 
     def ensure(self, entries: dict[int, tuple[str, bytes]]) -> int:
@@ -221,22 +277,25 @@ class WorkerCompute:
         payloads = {
             rank: payload
             for rank, (key, payload) in sorted(entries.items())
-            if (rank, key) not in self._shipped
+            if not self.is_shipped(rank, key)
         }
         if not payloads:
             return 0
         out = self._round(payloads[min(payloads)][0], payloads, HEAVY_FLOOR)
-        self._shipped.update((rank, entries[rank][0]) for rank in out)
+        self.backend.shipped.update((rank, entries[rank][0]) for rank in out)
         return len(out)
 
     def factor(
-        self, payload_meta: dict[int, dict], perms: dict[int, np.ndarray]
+        self, payload_meta: dict[int, dict], perms: dict[int, np.ndarray],
+        load: dict[int, tuple[str, bytes]] | None = None,
     ) -> dict[int, tuple[dict, list]]:
         """Run ``OP_FACTOR`` on every rank's resident matrix, in one round.
 
         ``payload_meta[rank]`` is the FACTOR meta (alg/params/matrix_key/
         factor_key); ``perms[rank]`` (optional per rank) is the RCM
-        permutation the worker must keep with the factor for APPLY.
+        permutation the worker must keep with the factor for APPLY;
+        ``load[rank]``, if given, is the :func:`load_matrix` entry of the
+        matrix to factor, shipped first unless the world has it.
         Returns the raw per-rank ``(meta, arrays)`` for
         :meth:`~repro.factor.base.ILUFactorization.from_wire` to rebuild
         driver-side factorizations that are bitwise identical to a local
@@ -251,9 +310,11 @@ class WorkerCompute:
                 meta["has_perm"] = True
                 arrays = [np.asarray(perm, dtype=np.int64)]
             payloads[rank] = pack_command(OP_FACTOR, meta, arrays)
-        out = self._round(OP_FACTOR, payloads, HEAVY_FLOOR)
+        keys = {rank: payload_meta[rank]["matrix_key"] for rank in sorted(payload_meta)}
+        ship = None if load is None else load.__getitem__
+        out = self._resident_round(OP_FACTOR, keys, ship, payloads, HEAVY_FLOOR)
         for rank in out:
-            self._shipped.add((rank, payload_meta[rank]["factor_key"]))
+            self.backend.shipped.add((rank, payload_meta[rank]["factor_key"]))
         return out
 
     # -- per-iteration ops -------------------------------------------------
@@ -264,37 +325,35 @@ class WorkerCompute:
         Each rank holds a column-compacted row block of the fused operator
         (per-row storage order preserved, so per-row accumulation order —
         and every result bit — matches the driver's single fused product)
-        and receives its compacted input slice ``x[cols]``.
+        and reads its compacted input slice ``x[cols]`` from its arena.
         """
         blocks = [dmat.rank_block(rank) for rank in range(self.comm.size)]
-        # encode only what is missing: this runs every iteration
-        self.ensure({
-            rank: load_matrix(blk.key, blk.a)
-            for rank, blk in enumerate(blocks)
-            if not self.is_shipped(rank, blk.key)
-        })
-        out = self._round(OP_MATVEC, {
-            rank: pack_command(OP_MATVEC, {"key": blk.key}, [x[blk.cols]])
-            for rank, blk in enumerate(blocks)
-        }, LIGHT_FLOOR)
+        got = self._vector_round(
+            lambda meta: pack_command(OP_MATVEC, meta),
+            {rank: blk.key for rank, blk in enumerate(blocks)},
+            lambda rank: load_matrix(blocks[rank].key, blocks[rank].a),
+            {rank: np.take(x, blk.cols) for rank, blk in enumerate(blocks)},
+            {rank: blk.a.shape[0] for rank, blk in enumerate(blocks)},
+        )
         y = np.empty(dmat.pm.layout.total, dtype=np.float64)
         rank_ptr = dmat.pm.layout.rank_ptr
         for rank in range(self.comm.size):
-            y[rank_ptr[rank] : rank_ptr[rank + 1]] = out[rank][1][0]
+            y[rank_ptr[rank] : rank_ptr[rank + 1]] = got[rank]
         return y
 
     def apply_factors(
-        self, keys: dict[int, str], layout, r: np.ndarray
+        self, keys: dict[int, str], layout, r: np.ndarray, ship=None,
     ) -> np.ndarray:
-        """Per-rank triangular sweeps ``z_r = (L_r U_r)^{-1} r_r`` in one round."""
-        payloads = {
-            rank: pack_command(
-                OP_APPLY, {"key": keys[rank]}, [r[layout.local_slice(rank)]]
-            )
-            for rank in sorted(keys)
-        }
-        out = self._round(OP_APPLY, payloads, LIGHT_FLOOR)
+        """Per-rank triangular sweeps ``z_r = (L_r U_r)^{-1} r_r`` in one round.
+
+        ``ship(rank)`` is the :func:`load_factor` entry of rank's factor,
+        shipped first unless the world has it (None: it must be resident).
+        """
+        src = {rank: r[layout.local_slice(rank)] for rank in sorted(keys)}
+        got = self._vector_round(
+            lambda meta: pack_command(OP_APPLY, meta), keys, ship, src,
+            {rank: src[rank].size for rank in sorted(src)})
         z = np.empty_like(r)
         for rank in sorted(keys):
-            z[layout.local_slice(rank)] = out[rank][1][0]
+            z[layout.local_slice(rank)] = got[rank]
         return z

@@ -49,6 +49,7 @@ def deliver_round(
     sends: dict[int, tuple[int, bytes]],
     *,
     settle: Callable[[Delivery], None],
+    stage: Callable[[Delivery], None] | None = None,
     floor: float = 0.0,
     **event_attrs,
 ) -> None:
@@ -56,16 +57,23 @@ def deliver_round(
 
     ``settle(edge)`` is called as each edge leaves the round: the moment its
     validated response arrives (``edge.frame`` set; raising abandons the
-    round), or — ``frame`` still None — when the budget is spent and the
-    edge's ``CommFault`` is about to be raised.  Either way the edge carries
-    what the attempts cost.  ``floor`` floors the per-attempt timeout
-    (commands that compute need a window matched to the work);
-    ``event_attrs`` ride on every event and in the fault's context.  ``DATA``
-    edges are open to the plan's per-attempt delivery faults, ``CMD`` edges
-    are not.
+    round, except that a :class:`MessageCorruption` — the result's arena
+    slot failed its CRC — counts as a checksum miss and retransmits), or —
+    ``frame`` still None — when the budget is spent and the edge's
+    ``CommFault`` is about to be raised.  Either way the edge carries what
+    the attempts cost.  ``stage(edge)``, if given, runs before every send
+    of the edge (a command round writes its input slot there, so a
+    retransmit also repairs a corrupted slot).  ``floor`` floors the
+    per-attempt timeout (commands that compute need a window matched to
+    the work); ``event_attrs`` ride on every event and in the fault's
+    context.  ``DATA`` edges are open to the plan's per-attempt delivery
+    faults, ``CMD`` edges are not.  A round under a fault plan, or one that
+    gives up, marks the world damaged, so it is never reused.
     """
     backend, policy, stats = comm.backend, comm.retry_policy, comm.comm_stats
     plan = faults.active()
+    if plan is not None:
+        backend.damaged = True
     dead_ranks = plan.dead_ranks if plan is not None else frozenset()
     inject = plan is not None and kind == framing.DATA
     edges: dict[int, Delivery] = {}
@@ -107,7 +115,10 @@ def deliver_round(
                 fate = plan.delivery_action(edge.src, dst, attempt)
             if fate == "drop":
                 missed(edge, "timeout")  # nothing sent: the window burns
-            elif fate == "corrupt":
+                continue
+            if stage is not None:
+                stage(edge)
+            if fate == "corrupt":
                 # flip one bit of the real frame: the receiver's own check NAKs
                 wires[dst] = edge.raw[:-1] + bytes([edge.raw[-1] ^ 0xFF])
             else:
@@ -135,14 +146,20 @@ def deliver_round(
                     edge.delay += lateness
                 edge.frame = res
                 backend.record_ready(dst)
+                try:
+                    settle(edge)
+                except MessageCorruption as exc:
+                    edge.frame = None
+                    missed(edge, "checksum", nak=str(exc.context.get("reason")))
+                    continue
                 del pending[dst]
-                settle(edge)
 
     attempts = policy.max_retries + 1
     for dst in sorted(edges):
         edge = edges[dst]
         if edge.frame is not None:
             continue
+        backend.damaged = True
         context = {"src": edge.src, "dst": dst, "seq": edge.seq, **event_attrs}
         attrs = {"backend": backend.name, **context}
         what = f"transfer {edge.src}->{dst}"

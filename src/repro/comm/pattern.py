@@ -17,8 +17,9 @@ cost ledger.  Without an active fault plan nothing can be lost or corrupted
 in a simulated exchange, so the envelope is elided from the clean hot path.
 
 On a real backend the distributed matvec itself runs in the rank
-processes (:mod:`repro.comm.compute`): each ``MATVEC`` worker round ships a
-rank its compacted input slice, owned values and ghosts together, so this
+processes (:mod:`repro.comm.compute`): each ``MATVEC`` worker round hands
+a rank its compacted input slice, owned values and ghosts together, in its
+shared-memory arena, so this
 module's exchanges carry the Schur and Schwarz interface traffic that still
 runs on the driver.  Worker command rounds are CMD edges of the same
 delivery round (``docs/algorithms.md`` §8).

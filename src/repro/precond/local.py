@@ -123,9 +123,9 @@ class LocalSolver:
             if alg == "ilut":
                 todo[r]["drop_tol"], todo[r]["fill"] = params[:2]
         if todo:
-            self._session.ensure(load)
             out = self._session.factor(
-                todo, {r: self.perms[r] for r in todo if self.perms[r] is not None}
+                todo, {r: self.perms[r] for r in todo if self.perms[r] is not None},
+                load,
             )
             for r in sorted(out):
                 factors[r], _ = ILUFactorization.from_wire(*out[r])
@@ -170,11 +170,11 @@ class LocalSolver:
         session = self._session
         if session is None:
             return self.sweep(layout, r)
-        # a no-op on the steady path: after set-up in the ranks, or after
-        # the first solve, every (rank, key) is in the session's shipped set
-        session.ensure({
-            rank: worker_compute.load_factor(key, self.factors[rank], self.perms[rank])
-            for rank, key in sorted(self.keys.items())
-            if not session.is_shipped(rank, key)
-        })
-        return session.apply_factors(self.keys, layout, r)
+        # shipping is a no-op on the steady path: after set-up in the
+        # ranks, after the first solve, or on a world an earlier solve left
+        # them in, every (rank, key) is in the world's shipped set
+        return session.apply_factors(
+            self.keys, layout, r,
+            lambda rank: worker_compute.load_factor(
+                self.keys[rank], self.factors[rank], self.perms[rank]),
+        )

@@ -11,6 +11,7 @@ and decide a remedy (see ``docs/robustness.md``).  The mapping onto
     MessageTimeout         -> "diverged"
     MessageCorruption      -> "diverged"
     RankDeadError          -> "breakdown"
+    NotResident            -> "breakdown"
     TransientStepFailure   -> carries the failed step's status
 
 The ``CommFault`` branch covers the *distributed* layer: a fault is raised
@@ -133,6 +134,17 @@ class RankDeadError(CommFault):
     @property
     def rank(self) -> int:
         return int(self.context["rank"])
+
+
+class NotResident(SolverFault):
+    """A rank no longer holds state the driver shipped to it.
+
+    A rank's store is a bounded LRU, so a key the world's shipped set still
+    lists may have been evicted; the driver re-ships it and repeats the
+    command once.
+    """
+
+    status = "breakdown"
 
 
 class TransientStepFailure(SolverFault):

@@ -14,6 +14,7 @@ from repro.comm.backends import (
     make_backend,
     resolve_backend,
 )
+from repro.comm.backends import pool
 from repro.comm.backends.base import TransportBroken, TransportTimeout
 from repro.comm.backends.supervisor import HeartbeatPolicy
 from repro.comm.communicator import Communicator, RetryPolicy
@@ -72,12 +73,20 @@ class TestResolution:
 
 
 class TestCommunicatorOwnership:
-    def test_owned_backend_shut_down_on_close(self):
+    def test_owned_world_is_pooled_on_close(self):
+        """A world resolved from a name outlives its communicator: close
+        pools it, ranks alive, and the next communicator leases it."""
         comm = Communicator(2, backend="multiprocess")
         comm.backend.ensure_started()
         pid = comm.backend.rank_pid(0)
         assert pid is not None and os.kill(pid, 0) is None  # alive
         comm.close()
+        assert pool.idle_sizes() == [2]
+        assert comm.backend.rank_pid(0) == pid and os.kill(pid, 0) is None
+        again = Communicator(2, backend="multiprocess")
+        assert again.backend is comm.backend and pool.idle_sizes() == []
+        again.close()
+        pool.drain()
         assert comm.backend.rank_pid(0) is None
 
     def test_close_is_idempotent(self):

@@ -26,6 +26,7 @@ from repro.factor.ilu0 import ilu0
 from repro.resilience.errors import (
     MessageCorruption,
     MessageTimeout,
+    NotResident,
     RankDeadError,
 )
 
@@ -273,7 +274,7 @@ def test_worker_error_leaves_the_round_at_once():
     backend = ScriptedBackend(2, {0: ["timeout"] * ATTEMPTS})
     comm = Communicator(2, retry_policy=POLICY, backend=backend)
     meta = {"alg": "ilu0", "params": {}, "matrix_key": "absent", "factor_key": "f"}
-    with pytest.raises(compute.WorkerComputeError, match="worker rank 1 failed"):
+    with pytest.raises(NotResident, match="worker rank 1 failed factor"):
         compute.WorkerCompute(comm).factor({0: meta, 1: meta}, {})
     assert comm.comm_stats.as_dict() == _stats(timeouts=1)
     assert backend.supervisor.records[1].misses == 0

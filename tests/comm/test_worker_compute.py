@@ -83,14 +83,22 @@ class TestShipOnce:
         assert wc.ensure({}) == 0
         assert mp_comm.comm_stats.messages == before
 
-    def test_new_session_reships(self, mp_comm):
-        """An ``absorb_rank`` recovery builds a fresh session with an empty
-        shipped set — state must move again (the workers' own key check
-        makes the arrival idempotent)."""
-        wc = compute.WorkerCompute(mp_comm)
-        entry, _ = _factor_entry("ship-once-0", 6)
-        assert not wc.is_shipped(0, "ship-once-0")
-        assert wc.ensure({0: entry}) == 1
+    def test_new_world_reships(self, mp_comm):
+        """Shipped state belongs to the world: a new session on the same
+        world ships nothing, and a communicator on another world — what an
+        ``absorb_rank`` recovery gets, since a damaged world is never
+        reused — starts with an empty shipped set, so state moves again."""
+        entry, _ = _factor_entry("new-world-0", 6)
+        assert compute.session(mp_comm).ensure({0: entry}) == 1
+        assert compute.WorkerCompute(mp_comm).ensure({0: entry}) == 0
+        other = Communicator(2, backend="multiprocess")
+        try:
+            assert other.backend is not mp_comm.backend  # mp_comm holds its lease
+            wc = compute.session(other)
+            assert not wc.is_shipped(0, "new-world-0")
+            assert wc.ensure({0: entry}) == 1
+        finally:
+            other.close()
 
     def test_matvec_blocks_ship_once(self, mp_comm, system, tiny_case):
         pm, dmat = system

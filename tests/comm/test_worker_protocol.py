@@ -12,6 +12,8 @@ import scipy.sparse as sp
 
 from repro.comm import compute
 from repro.comm.backends import framing, worker
+from repro.comm.backends.arena import Arena
+from repro.comm.backends.arena import crc as slot_crc
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
 from repro.kernels import apply as apply_kernels
@@ -34,6 +36,25 @@ def _load_matrix_payload(key: str, a: sp.csr_matrix) -> bytes:
 def _result(payload: bytes) -> tuple[dict, list]:
     _, meta, arrays = worker.unpack_command(payload)
     return meta, arrays
+
+
+@pytest.fixture()
+def arena():
+    """A driver-side arena; the store under test maps it by its spec."""
+    made = Arena.create(64, gen=1)
+    yield made
+    made.close()
+
+
+def _vector_op(store, arena, op: int, key: str, x: np.ndarray):
+    """Run a MATVEC / APPLY through ``arena`` the way a round does: the
+    input in the slot, its CRC in the frame; returns (meta, output copy)."""
+    arena.put(x)
+    meta, arrays = _result(worker.execute(store, worker.pack_command(op, {
+        "key": key, "arena": arena.spec, "n": x.size, "crc": slot_crc(x),
+    })))
+    assert arrays == []  # no array rides the frame either way
+    return meta, arena.take(arena.out, meta["n"], meta["crc"], "output").copy()
 
 
 class TestPayloadCodec:
@@ -124,17 +145,15 @@ class TestSubdomainStore:
 class TestHandlerParity:
     """Worker results must be bitwise equal to the driver-side kernels."""
 
-    def test_matvec_matches_driver_kernel_bitwise(self):
+    def test_matvec_matches_driver_kernel_bitwise(self, arena):
         store = worker.SubdomainStore()
         rng = np.random.default_rng(7)
         a = sp.random(9, 9, density=0.4, random_state=3, format="csr")
         x = rng.standard_normal(9)
         worker.execute(store, _load_matrix_payload("m", a))
-        meta, arrays = _result(worker.execute(
-            store, worker.pack_command(worker.OP_MATVEC, {"key": "m"}, [x])
-        ))
+        meta, y = _vector_op(store, arena, worker.OP_MATVEC, "m", x)
         want = apply_kernels.csr_matvec(a, x)
-        assert np.asarray(arrays[0]).tobytes() == want.tobytes()
+        assert y.tobytes() == want.tobytes()
         assert meta["seconds"] >= 0.0 and meta["cpu_seconds"] >= 0.0
 
     @pytest.mark.parametrize("alg", ["ilu0", "ilut"])
@@ -161,7 +180,7 @@ class TestHandlerParity:
             assert got.tobytes() == want_a.tobytes()
         assert out_meta["floored_pivots"] == want.stats.floored_pivots
 
-    def test_apply_matches_driver_solve_bitwise(self):
+    def test_apply_matches_driver_solve_bitwise(self, arena):
         store = worker.SubdomainStore()
         a = _laplacian(10)
         fac = ilu0(a)
@@ -174,12 +193,10 @@ class TestHandlerParity:
         )
         worker.execute(store, load)
         r = np.linspace(-1.0, 1.0, 10)
-        _, arrays = _result(worker.execute(
-            store, worker.pack_command(worker.OP_APPLY, {"key": "f"}, [r])
-        ))
-        assert np.asarray(arrays[0]).tobytes() == fac.solve(r).tobytes()
+        _, z = _vector_op(store, arena, worker.OP_APPLY, "f", r)
+        assert z.tobytes() == fac.solve(r).tobytes()
 
-    def test_apply_round_trips_the_permutation(self):
+    def test_apply_round_trips_the_permutation(self, arena):
         store = worker.SubdomainStore()
         n = 10
         rng = np.random.default_rng(0)
@@ -196,16 +213,14 @@ class TestHandlerParity:
         )
         worker.execute(store, load)
         r = np.linspace(0.5, 2.0, n)
-        _, arrays = _result(worker.execute(
-            store, worker.pack_command(worker.OP_APPLY, {"key": "f"}, [r])
-        ))
+        _, z = _vector_op(store, arena, worker.OP_APPLY, "f", r)
         z_p = fac.solve(r[perm])
         want = np.empty_like(z_p)
         want[perm] = z_p
-        assert np.asarray(arrays[0]).tobytes() == want.tobytes()
+        assert z.tobytes() == want.tobytes()
 
-    def test_apply_then_matvec_on_the_same_vector(self):
-        """APPLY's output shipped back as a MATVEC input gives the driver's
+    def test_apply_then_matvec_on_the_same_vector(self, arena):
+        """APPLY's output fed back as a MATVEC input gives the driver's
         product bit for bit — the store keeps no vector between the two."""
         store = worker.SubdomainStore()
         n = 8
@@ -214,38 +229,32 @@ class TestHandlerParity:
         for _, payload in (compute.load_factor("f", fac, None), compute.load_matrix("a", a)):
             worker.execute(store, payload)
         r = np.linspace(-1.0, 2.0, n)
-        _, (z,) = _result(worker.execute(
-            store, worker.pack_command(worker.OP_APPLY, {"key": "f"}, [r])
-        ))
-        _, (y,) = _result(worker.execute(
-            store, worker.pack_command(worker.OP_MATVEC, {"key": "a"}, [z])
-        ))
+        _, z = _vector_op(store, arena, worker.OP_APPLY, "f", r)
+        _, y = _vector_op(store, arena, worker.OP_MATVEC, "a", z)
         want_z = fac.solve(r)
-        assert np.asarray(z).tobytes() == want_z.tobytes()
-        assert np.asarray(y).tobytes() == apply_kernels.csr_matvec(a, want_z).tobytes()
+        assert z.tobytes() == want_z.tobytes()
+        assert y.tobytes() == apply_kernels.csr_matvec(a, want_z).tobytes()
 
 
 class TestErrorBoundary:
     """Exceptions serialize as typed meta; the worker loop never dies."""
 
-    def test_missing_matrix_reports_keyerror(self):
+    def test_missing_matrix_reports_not_resident(self):
         store = worker.SubdomainStore()
         meta, _ = _result(worker.execute(
-            store,
-            worker.pack_command(worker.OP_MATVEC, {"key": "nope"}, [np.ones(2)]),
+            store, worker.pack_command(worker.OP_MATVEC, {"key": "nope"}),
         ))
-        assert meta["etype"] == "KeyError"
+        assert meta["etype"] == "NotResident"
         assert "not resident" in meta["error"]
         assert meta["seconds"] >= 0.0
 
-    def test_missing_factor_reports_keyerror(self):
+    def test_missing_factor_reports_not_resident(self):
         store = worker.SubdomainStore()
         op, meta, _ = worker.unpack_command(worker.execute(
-            store,
-            worker.pack_command(worker.OP_APPLY, {"key": "nope"}, [np.ones(2)]),
+            store, worker.pack_command(worker.OP_APPLY, {"key": "nope"}),
         ))
         assert op == worker.OP_APPLY
-        assert meta["etype"] == "KeyError"
+        assert meta["etype"] == "NotResident"
         assert "not resident" in meta["error"]
 
     def test_garbage_payload_still_yields_a_result_frame(self):

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.cases.poisson2d import poisson2d_case
+from repro.comm.backends import pool
 from repro.distributed.matrix import distribute_matrix
 from repro.distributed.partition_map import PartitionMap
 from repro.fem.assembly import assemble_load, assemble_stiffness
@@ -14,6 +15,15 @@ from repro.fem.boundary import apply_dirichlet
 from repro.graph.adjacency import graph_from_elements
 from repro.graph.partitioner import partition_graph
 from repro.mesh.grid2d import structured_rectangle
+
+
+@pytest.fixture(autouse=True)
+def _no_idle_worlds():
+    """Every test starts and ends without idle rank worlds: a world one
+    test leaves in the pool must not carry state into the next."""
+    pool.drain()
+    yield
+    pool.drain()
 
 
 @pytest.fixture(scope="session")

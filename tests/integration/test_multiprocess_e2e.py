@@ -183,6 +183,7 @@ class TestWorkerResidentState:
         *same* content digests — the reloaded subdomain hash matches what
         the original session shipped."""
         from repro.comm import compute
+        from repro.comm.backends import pool
         from repro.comm.communicator import Communicator
         from repro.factor import cache as factor_cache
         from repro.precond.block_jacobi import block2
@@ -203,9 +204,11 @@ class TestWorkerResidentState:
         finally:
             comm.close()
         # recovery semantics: the preconditioner is rebuilt on a brand-new
-        # communicator whose session starts empty; the factors come from the
-        # driver's cache and the first solve must re-ship every one of them
-        # under the identical content key
+        # world (recovery never reuses the damaged one; draining the pool
+        # plays that here) whose shipped set starts empty; the factors come
+        # from the driver's cache and the first solve must re-ship every one
+        # of them under the identical content key
+        pool.drain()
         comm2 = Communicator(pm.num_ranks, backend="multiprocess")
         try:
             with obs.tracing() as tracer:

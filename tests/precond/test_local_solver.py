@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro import faults, obs
+from repro.comm.backends import pool
 from repro.comm.communicator import Communicator
 from repro.distributed.matrix import distribute_matrix
 from repro.distributed.partition_map import PartitionMap
@@ -117,6 +118,7 @@ class TestContract:
             self._build(system, warmer, variant, ordering)
         finally:
             warmer.close()
+        pool.drain()  # a new world: the factors are in the cache, not the ranks
         comm = Communicator(NRANKS, backend="multiprocess")
         try:
             with _rounds() as setup:
