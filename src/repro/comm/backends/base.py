@@ -66,10 +66,11 @@ class ExecutionBackend(ABC):
     """How ``size`` ranks execute and exchange envelope-framed bytes.
 
     Lifecycle: backends start lazily (:meth:`ensure_started`) on first
-    transfer.  A backend is a *world*: besides its ranks it keeps the
-    envelope seq counters, the keys shipped to each rank and each rank's
-    shared-memory arena, so a communicator that leases a pooled world
-    (``repro.comm.backends.pool``) carries on where the last one stopped.
+    transfer.  A backend is a *world*: besides its ranks (and the state
+    resident in them, which only the ranks record) it keeps the envelope
+    seq counters and each rank's shared-memory arena, so a communicator
+    that leases a pooled world (``repro.comm.backends.pool``) carries on
+    where the last one stopped.
     ``is_real`` distinguishes backends whose ranks can *actually* die from
     the simulated default — the ghost exchange routes every transfer
     through the wire when it is True.
@@ -87,8 +88,6 @@ class ExecutionBackend(ABC):
         # world state: it outlives any one communicator on this backend
         #: per-(src, dst) envelope sequence counters (:meth:`next_seq`)
         self.seq: dict[tuple[int, int], int] = {}
-        #: (rank, content-key) pairs confirmed resident in the ranks
-        self.shipped: set[tuple[int, str]] = set()
         #: a round gave up, or a fault plan was active: never reuse this world
         self.damaged = False
         self._arenas: dict[int, Arena] = {}
@@ -126,12 +125,10 @@ class ExecutionBackend(ABC):
         return made
 
     def forget_rank(self, rank: int) -> None:
-        """Drop what the world knew of ``rank``'s process: its arena and
-        its shipped keys (a new process holds neither)."""
+        """Drop ``rank``'s arena: a new process in its place maps none."""
         arena = self._arenas.pop(rank, None)
         if arena is not None:
             arena.close()
-        self.shipped = {(r, k) for r, k in self.shipped if r != rank}
 
     def close_arenas(self) -> None:
         for rank in sorted(self._arenas):

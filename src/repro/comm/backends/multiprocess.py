@@ -224,7 +224,8 @@ class MultiprocessBackend(ExecutionBackend):
         """Put a fresh process in ``rank``'s place, through the same spawn
         path: whatever was there is killed and reaped first, the
         supervisor's record starts over at SPAWNED, and the world forgets
-        the rank's arena and shipped keys."""
+        the rank's arena (the new process holds nothing: its first command
+        is refused and the driver re-ships)."""
         self._check_rank(rank)
         self.forget_rank(rank)
         proc, conn = self._procs[rank], self._conns[rank]
@@ -262,7 +263,6 @@ class MultiprocessBackend(ExecutionBackend):
             self.abandon()  # a forked copy: the ranks are not ours to stop
             return
         self.close_arenas()
-        self.shipped.clear()
         if not any(p is not None for p in self._procs):
             return
         clean = 0

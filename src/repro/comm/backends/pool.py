@@ -69,12 +69,6 @@ def release(world: MultiprocessBackend) -> None:
     world.shutdown()
 
 
-def idle_sizes() -> list[int]:
-    """The rank counts that have an idle world (diagnostics and tests)."""
-    with _lock:
-        return sorted(_idle)
-
-
 def drain() -> None:
     """Shut down every idle world."""
     global _idle

@@ -35,9 +35,10 @@ unchanged.
 
 State is **content-addressed**: ``LOAD``/``FACTOR`` store objects under the
 driver-computed SHA-256 content key, so repeated solves over the same
-operator skip the transfer (the world keeps the shipped keys for as long as
-its ranks live) and a re-ship after ``absorb_rank`` recovery reproduces the
-exact factors the digest names.
+operator skip the transfer and a re-ship after ``absorb_rank`` recovery
+reproduces the exact factors the digest names.  The store is the only
+record of what a rank holds: a command naming a key it lacks raises
+:class:`NotResident`, and the driver ships the key and repeats the command.
 """
 
 from __future__ import annotations

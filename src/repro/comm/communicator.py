@@ -114,11 +114,6 @@ class Communicator:
         self._closed = False
         self._close_lock = threading.Lock()
 
-    @property
-    def _seq(self) -> dict[tuple[int, int], int]:
-        """The world's envelope sequence counters."""
-        return self.backend.seq
-
     def next_seq(self, src: int, dst: int) -> int:
         """Monotone per-(src, dst) envelope sequence number of the world
         (starts at 0 on a new one)."""
@@ -144,11 +139,12 @@ class Communicator:
         def remap(rank: int) -> int:
             return rank - 1 if rank > dead_rank else rank
 
-        for (src, dst), seq in sorted(prev._seq.items()):
+        have = self.backend.seq
+        for (src, dst), seq in sorted(prev.backend.seq.items()):
             if src == dead_rank or dst == dead_rank:
                 continue
             key = (remap(src), remap(dst))
-            self._seq[key] = max(seq, self._seq.get(key, 0))
+            have[key] = max(seq, have.get(key, 0))
 
     def close(self) -> None:
         """Give back the execution backend (idempotent, owner-only):

@@ -185,9 +185,8 @@ class DistributedMatrix:
         # real backend the product runs *in the rank processes* over
         # column-compacted row blocks (bitwise equal by construction); the
         # guard and fault hooks below see the assembled result either way.
-        wc = worker_compute.session(comm)
-        if wc is not None:
-            y = wc.matvec(self, x)
+        if comm.backend.is_real:
+            y = worker_compute.matvec(comm, self, x)
         else:
             y = apply_kernels.csr_matvec(self._fused, x)
         plan = faults.active()

@@ -11,16 +11,16 @@ preconditioner, from the communicator — never by a caller or a user:
   triangles, so one compiled sweep serves all ranks with the bits of the
   per-rank loop, and the caller charges the per-rank flops;
 * **worker** — inside the rank processes of a real backend
-  (:func:`repro.comm.compute.session`): every rank eliminates and sweeps
-  its own block, concurrently, with no shared interpreter.  Set-up under an
-  active fault plan still runs on the driver: pivot hooks must fire in the
-  injecting process.
+  (``comm.backend.is_real``, through :mod:`repro.comm.compute`): every rank
+  eliminates and sweeps its own block, concurrently, with no shared
+  interpreter.  Set-up under an active fault plan still runs on the driver:
+  pivot hooks must fire in the injecting process.
 
-There is **one ship path**.  Set-up is "factor cache hit, else
-``LOAD_MATRIX`` + ``FACTOR`` in the ranks"; a factor that is not resident in
-the rank that needs it — a cache hit, a driver-side set-up, a fresh
-communicator after ``absorb_rank`` recovery — is shipped by content key at
-the next :meth:`LocalSolver.solve`, and only there.
+There is **one ship path**.  Set-up is "factor cache hit, else ``FACTOR``
+in the ranks"; a rank that lacks what a round names — the matrix to factor,
+or at a :meth:`LocalSolver.solve` the factor (a cache hit, a driver-side
+set-up, a new world after ``absorb_rank`` recovery) — refuses, and the
+round ships it by content key and repeats, and only then.
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ class LocalSolver:
             r: factor_cache.FactorCache.key(alg, a, params, "worker")
             for r, a in enumerate(matrices)
         }
-        self._session = worker_compute.session(comm)
+        self._comm = comm
         # the driver route's rank-stacked sweep, built at the first solve
         self._fused: FusedLU | None = None
         self._perm: np.ndarray | None = None
-        in_ranks = self._session is not None and faults.active() is None
+        in_ranks = comm.backend.is_real and faults.active() is None
         self.where = "worker" if in_ranks else "driver"
         if in_ranks:
             self.factors = self._factor_in_ranks(matrices, alg, params, breakdown_frac)
@@ -94,7 +94,8 @@ class LocalSolver:
     def _factor_in_ranks(
         self, matrices, alg: str, params: tuple, breakdown_frac: float | None
     ) -> list[ILUFactorization]:
-        """Cache hit, else one LOAD_MATRIX round and one FACTOR round.
+        """Cache hit, else one FACTOR round (a rank that lacks its matrix
+        refuses and is shipped it first).
 
         All eliminations of the FACTOR round run concurrently in the rank
         processes; each result comes back over the pipe and is rebuilt here,
@@ -104,7 +105,7 @@ class LocalSolver:
         cache = factor_cache.get_cache()
         shift = params[-1]
         factors: dict[int, ILUFactorization] = {}
-        load: dict[int, tuple[str, bytes]] = {}
+        load: dict[int, bytes] = {}
         todo: dict[int, dict] = {}
         for r, a in enumerate(matrices):
             cached = cache.get(self.keys[r], alg) if cache.enabled else None
@@ -123,9 +124,9 @@ class LocalSolver:
             if alg == "ilut":
                 todo[r]["drop_tol"], todo[r]["fill"] = params[:2]
         if todo:
-            out = self._session.factor(
-                todo, {r: self.perms[r] for r in todo if self.perms[r] is not None},
-                load,
+            out = worker_compute.factor(
+                self._comm, todo,
+                {r: self.perms[r] for r in todo if self.perms[r] is not None}, load,
             )
             for r in sorted(out):
                 factors[r], _ = ILUFactorization.from_wire(*out[r])
@@ -167,14 +168,13 @@ class LocalSolver:
         :func:`~repro.factor.base.solve_permuted` on its resident factor.
         Either way the assembled z is bitwise equal to solving rank by rank.
         """
-        session = self._session
-        if session is None:
+        if not self._comm.backend.is_real:
             return self.sweep(layout, r)
-        # shipping is a no-op on the steady path: after set-up in the
-        # ranks, after the first solve, or on a world an earlier solve left
-        # them in, every (rank, key) is in the world's shipped set
-        return session.apply_factors(
-            self.keys, layout, r,
+        # a rank without its factor refuses the round and is shipped it: on
+        # the steady path (after set-up in the ranks, after the first solve,
+        # or on a world an earlier solve left them in) none refuses
+        return worker_compute.apply_factors(
+            self._comm, self.keys, layout, r,
             lambda rank: worker_compute.load_factor(
                 self.keys[rank], self.factors[rank], self.perms[rank]),
         )

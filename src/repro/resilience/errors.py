@@ -137,11 +137,12 @@ class RankDeadError(CommFault):
 
 
 class NotResident(SolverFault):
-    """A rank no longer holds state the driver shipped to it.
+    """A rank does not hold the state a command names.
 
-    A rank's store is a bounded LRU, so a key the world's shipped set still
-    lists may have been evicted; the driver re-ships it and repeats the
-    command once.
+    The rank never got it, its bounded LRU store evicted it, or the rank is
+    a new process.  A round records every rank that refuses, ships them the
+    state and repeats the command for them once; a second refusal is this
+    fault.
     """
 
     status = "breakdown"

@@ -33,8 +33,9 @@ class WorkerPool:
     def __init__(self, size: int) -> None:
         self.backend = MultiprocessBackend(size)
         self.names = [f"worker-{i}" for i in range(size)]
-        # slot i belongs to thread i alone: no lock guards these
-        self._slots = [dict(pid=None, seq=0, chunks=0, respawns=0, maxrss_kb=0)
+        # slot i (and the world's (i, i) seq counter) belongs to thread i
+        # alone: no lock guards these
+        self._slots = [dict(pid=None, chunks=0, respawns=0, maxrss_kb=0)
                        for _ in range(size)]
         self._closed = False
 
@@ -53,15 +54,13 @@ class WorkerPool:
         """One chunk of ``spec``'s job in ``worker``'s own process."""
         rank = self.names.index(worker)
         slot = self._slots[rank]
-        slot["seq"] += 1
         plan = faults.active()
         loan = plan.lend() if plan is not None else None
         meta = {"case": spec.case, "size": spec.size, "faults": loan,
                 "kwargs": dict(kwargs, retry_policy=vars(kwargs["retry_policy"]))}
         back = None
         try:
-            out, arrays = compute.run_chunk(
-                self.backend, rank, slot["seq"], meta, timeout)
+            out, arrays = compute.run_chunk(self.backend, rank, meta, timeout)
             back = out["faults"]
         except CommFault as exc:
             if not self._closed:

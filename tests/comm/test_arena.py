@@ -48,15 +48,15 @@ def mp_comm():
 
 def _apply_round(comm):
     """One two-rank APPLY round on resident factors: ``(z, the driver's z)``."""
-    wc = compute.session(comm)
     layout = Layout.from_sizes([6, 7])
     facs = {rank: ilu0(sp.diags(
         [-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
         format="csr")) for rank, n in ((0, 6), (1, 7))}
     keys = {rank: f"arena-{rank}" for rank in facs}
-    wc.ensure({rank: compute.load_factor(keys[rank], facs[rank], None) for rank in keys})
+    compute.ship(comm, {rank: compute.load_factor(keys[rank], facs[rank], None)
+                        for rank in keys})
     r = np.linspace(-1.0, 2.0, 13)
-    z = wc.apply_factors(keys, layout, r)
+    z = compute.apply_factors(comm, keys, layout, r, lambda rank: pytest.fail("refused"))
     want = np.concatenate([facs[rank].solve(r[layout.local_slice(rank)]) for rank in keys])
     return z, want
 
@@ -125,7 +125,8 @@ class TestRankDeath:
         # the three-rank world mapped arenas, then the absorbed two-rank one
         assert {a["rank"] for a in arenas} == {0, 1, 2}
         assert [a["rank"] for a in arenas].count(0) >= 2
-        assert pool.idle_sizes() == []  # neither world was used without the plan
+        # neither world was used without the plan, so neither is pooled
+        assert all(pool.lease(size).rank_pid(0) is None for size in (2, 3))
         assert set(os.listdir("/dev/shm")) == shm
 
 

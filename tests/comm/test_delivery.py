@@ -3,7 +3,7 @@
 Each scenario runs through the comm layer's real call sites — a DATA edge
 via ``CommunicationPattern.exchange`` on the ``inprocess`` backend (failures
 come from the fault plan) and on a scripted real backend, and a CMD edge
-via ``WorkerCompute.apply_factors`` on the scripted backend — and must leave
+via ``compute.apply_factors`` on the scripted backend — and must leave
 identical ``CommStats``, retry reasons and fault class behind.
 """
 
@@ -24,9 +24,9 @@ from repro.comm.pattern import CommunicationPattern, ExchangeSpec
 from repro.distributed.layout import Layout
 from repro.factor.ilu0 import ilu0
 from repro.resilience.errors import (
+    FactorizationBreakdown,
     MessageCorruption,
     MessageTimeout,
-    NotResident,
     RankDeadError,
 )
 
@@ -43,6 +43,8 @@ RESIDENT = {
     )))
     for rank, n in ((0, 2), (1, 3))
 }
+#: a matrix resident beside them whose ILU(0) floors every pivot
+SINGULAR = sp.csr_matrix((np.zeros(2), ([0, 1], [0, 1])), shape=(2, 2))
 
 
 class ScriptedBackend(ExecutionBackend):
@@ -67,6 +69,7 @@ class ScriptedBackend(ExecutionBackend):
             self.supervisor.record_ready(rank)
         self.store = worker.SubdomainStore()
         self.store.factors.update({key: (fac, None) for key, fac in RESIDENT.values()})
+        self.store.matrices["singular"] = SINGULAR
 
     def request_many(self, messages, timeout):
         return {r: self._reply(r, messages[r], timeout) for r in sorted(messages)}
@@ -177,7 +180,9 @@ def _cmd_edge(comm):
     layout = Layout.from_sizes([2, 3])
     r = np.arange(5.0) + 1.0
     keys = {rank: key for rank, (key, _) in RESIDENT.items()}
-    z = compute.WorkerCompute(comm).apply_factors(keys, layout, r)
+    z = compute.apply_factors(
+        comm, keys, layout, r,
+        lambda rank: compute.load_factor(*RESIDENT[rank], None))
     want = [fac.solve(r[layout.local_slice(rank)]) for rank, (_, fac) in RESIDENT.items()]
     assert z.tobytes() == np.concatenate(want).tobytes()
 
@@ -273,9 +278,10 @@ def test_worker_error_leaves_the_round_at_once():
     the retry budget."""
     backend = ScriptedBackend(2, {0: ["timeout"] * ATTEMPTS})
     comm = Communicator(2, retry_policy=POLICY, backend=backend)
-    meta = {"alg": "ilu0", "params": {}, "matrix_key": "absent", "factor_key": "f"}
-    with pytest.raises(NotResident, match="worker rank 1 failed factor"):
-        compute.WorkerCompute(comm).factor({0: meta, 1: meta}, {})
+    meta = {"alg": "ilu0", "matrix_key": "singular", "factor_key": "f",
+            "breakdown_frac": 0.0}
+    with pytest.raises(FactorizationBreakdown, match="worker rank 1 failed factor"):
+        compute.factor(comm, {0: meta, 1: meta}, {}, {})
     assert comm.comm_stats.as_dict() == _stats(timeouts=1)
     assert backend.supervisor.records[1].misses == 0
 

@@ -4,8 +4,9 @@
 :mod:`repro.comm.backends.pool`, and the next communicator of the same size
 leases it with its ranks, resident state, arenas and seq counters.  One test
 per rule that makes the reuse safe: seq continuity, no damaged world reused,
-exclusive leases, fork safety and the bounded store; and the point of it
-all, a second solve that ships and probes nothing.
+exclusive leases, fork safety and the bounded store, whose evictions any
+number of ranks refuse and get re-shipped; and the point of it all, a
+second solve that ships and probes nothing.
 """
 
 import os
@@ -53,12 +54,21 @@ def _started(size=2, **kwargs):
     return comm
 
 
+def _pooled(world):
+    """Whether ``world`` is the pool's idle world of its size: the next
+    lease gets it (and is handed back; a new world it got instead is shut
+    down unstarted)."""
+    got = pool.lease(world.size)
+    pool.release(got)
+    return got is world
+
+
 def _idle_world(size=2):
     """The pool's idle world of ``size`` ranks (leased and handed back)."""
     comm = _started(size)
     world = comm.backend
     comm.close()
-    assert pool.idle_sizes() == [size]
+    assert _pooled(world)
     return world
 
 
@@ -134,13 +144,13 @@ class TestDamagedWorldsAreShutDown:
     def _closes_unpooled(comm):
         world = comm.backend
         comm.close()
-        assert pool.idle_sizes() == []
+        assert not _pooled(world)
         assert all(world.rank_pid(rank) is None for rank in range(world.size))
 
     def test_healthy_world_is_pooled(self):
         comm = _started()
         comm.close()
-        assert pool.idle_sizes() == [2]
+        assert _pooled(comm.backend)
 
     def test_dead_rank(self):
         comm = _started()
@@ -187,7 +197,7 @@ class TestDamagedWorldsAreShutDown:
             comm = Communicator(2, backend="multiprocess")
             assert comm.backend is not idle
             comm.close()
-        assert pool.idle_sizes() == [2]
+        assert _pooled(idle)
 
 
 class TestExclusiveLeases:
@@ -217,13 +227,13 @@ class TestExclusiveLeases:
         assert len(held) == 2 and held[0] is not held[1]
         assert idle in held
         # at most one idle world per rank count: the other went down
-        assert pool.idle_sizes() == [2]
+        assert sum(_pooled(w) for w in held) == 1
         down = [w for w in held if w.rank_pid(0) is None]
         assert len(down) == 1
 
 
-def _report_inherited_pool(conn):
-    conn.send(pool.idle_sizes())
+def _report_inherited_pool(conn, world):
+    conn.send(pool.lease(world.size) is world)
     pool.drain()  # must not reach the parent's ranks, whatever the child holds
     conn.close()
 
@@ -235,9 +245,9 @@ class TestForkSafety:
         world = _idle_world()
         ctx = multiprocessing.get_context("fork")
         mine, theirs = ctx.Pipe()
-        child = ctx.Process(target=_report_inherited_pool, args=(theirs,))
+        child = ctx.Process(target=_report_inherited_pool, args=(theirs, world))
         child.start()
-        assert mine.poll(30.0) and mine.recv() == []
+        assert mine.poll(30.0) and mine.recv() is False
         child.join(30.0)
         assert child.exitcode == 0
         assert all(world.probe(rank) for rank in range(2))
@@ -260,35 +270,81 @@ class TestForkSafety:
 
 
 class TestBoundedStore:
-    def test_an_evicted_key_is_reshipped(self):
-        """A rank's store holds ``FactorCache.capacity`` keys per table; a
-        command naming an evicted one gets a typed NotResident, and the
-        driver re-ships the key and repeats the round."""
-        cache = factor_cache.get_cache()
-        prior = cache.capacity
+    """A rank's store holds ``FactorCache.capacity`` keys per table, and the
+    ranks are the only record of what they hold: a rank that lacks a key
+    refuses the round, and the driver ships it and repeats, at any P."""
+
+    @staticmethod
+    def _small_world(size):
+        """A started world whose ranks were forked with one-key tables."""
+        prior = factor_cache.get_cache().capacity
         factor_cache.configure(capacity=1)
         try:
-            comm = _started(1)  # the rank is forked with the small capacity
+            return _started(size)
         finally:
             factor_cache.configure(capacity=prior)
+
+    @staticmethod
+    def _evicted(comm):
+        """Ship every rank a factor, then a second key that evicts it from
+        the rank's one-key table; returns the evicted ``(keys, factors)``."""
+        facs = {rank: ilu0((rank + 1.0) * _laplacian(6)) for rank in range(comm.size)}
+        keys = {rank: f"evict-a-{rank}" for rank in facs}
+        compute.ship(comm, {rank: compute.load_factor(keys[rank], facs[rank], None)
+                            for rank in facs})
+        other = ilu0(_laplacian(7))
+        compute.ship(comm, {rank: compute.load_factor(f"evict-b-{rank}", other, None)
+                            for rank in facs})
+        return keys, facs
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_an_evicted_key_is_reshipped(self, size):
+        comm = self._small_world(size)
         try:
-            wc = compute.session(comm)
-            facs = {key: ilu0(_laplacian(6 + i)) for i, key in enumerate(("evict-a", "evict-b"))}
-            for key, fac in facs.items():
-                assert wc.ensure({0: compute.load_factor(key, fac, None)}) == 1
-            assert wc.is_shipped(0, "evict-a")  # as far as the driver knows
-            layout = Layout.from_sizes([6])
-            r = np.linspace(-1.0, 1.0, 6)
-            with pytest.raises(NotResident, match="not resident"):
-                wc.apply_factors({0: "evict-a"}, layout, r)
+            keys, facs = self._evicted(comm)
+            layout = Layout.from_sizes([6] * size)
+            r = np.linspace(-1.0, 1.0, 6 * size)
             sent = comm.comm_stats.messages
             with obs.tracing() as tracer:
-                z = wc.apply_factors(
-                    {0: "evict-a"}, layout, r,
-                    lambda rank: compute.load_factor("evict-a", facs["evict-a"], None))
-            # the refused APPLY leaves its round at once (no round event)
-            assert comm.comm_stats.messages - sent == 3
+                z = compute.apply_factors(
+                    comm, keys, layout, r,
+                    lambda rank: compute.load_factor(keys[rank], facs[rank], None))
+            # every rank refused the first APPLY, which left no round event
+            assert comm.comm_stats.messages - sent == 3 * size
             assert _round_ops(tracer) == ["load-factor", "apply"]
-            assert z.tobytes() == facs["evict-a"].solve(r).tobytes()
+            want = np.concatenate([facs[rank].solve(r[layout.local_slice(rank)])
+                                   for rank in range(size)])
+            assert z.tobytes() == want.tobytes()
         finally:
             comm.close()
+
+    def test_a_second_refusal_is_the_typed_fault(self):
+        comm = self._small_world(2)
+        try:
+            keys, facs = self._evicted(comm)
+            layout = Layout.from_sizes([6, 6])
+            with pytest.raises(NotResident, match="worker rank 0 failed apply"):
+                compute.apply_factors(
+                    comm, keys, layout, np.ones(12),
+                    lambda rank: compute.load_factor("wrong", facs[rank], None))
+        finally:
+            comm.close()
+
+    def test_solves_alternating_two_operators_on_one_world(self):
+        """At capacity 1, ``solve_case`` over two operators in turn on one
+        P = 2 world refuses and re-ships at every switch, and never fails
+        (``solve_case`` has no fallback to hide a fault): every solution is
+        bitwise its in-process twin."""
+        comm = self._small_world(2)
+        world = comm.backend
+        comm.close()
+        cases = [poisson2d_case(9), poisson2d_case(12)]
+        want = [solve_case(c, "block1", nparts=2) for c in cases]
+        for i in range(4):
+            with obs.tracing() as tracer:
+                got = solve_case(cases[i % 2], "block1", nparts=2, backend="multiprocess")
+            assert got.status == "converged"
+            assert got.x_global.tobytes() == want[i % 2].x_global.tobytes()
+            # the other operator's matvec blocks evicted this one's
+            assert "load-matrix" in _round_ops(tracer)
+        assert _pooled(world)  # one world served every solve

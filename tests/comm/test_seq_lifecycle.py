@@ -20,7 +20,7 @@ class TestAdoptSeq:
         comm = Communicator(3)
         comm.adopt_seq(prev, dead_rank=2)
         # ranks 3 -> 2; rank 0/1 unchanged
-        assert comm._seq == {(0, 1): 3, (1, 2): 1, (2, 1): 1}
+        assert comm.backend.seq == {(0, 1): 3, (1, 2): 1, (2, 1): 1}
         # the adopted counter keeps climbing monotonically
         assert comm.next_seq(0, 1) == 3
         assert comm.next_seq(0, 1) == 4
@@ -33,7 +33,7 @@ class TestAdoptSeq:
 
         comm = Communicator(2)
         comm.adopt_seq(prev, dead_rank=2)
-        assert comm._seq == {(0, 1): 1}
+        assert comm.backend.seq == {(0, 1): 1}
         # the dropped edge restarts from zero in the shrunken world
         assert comm.next_seq(0, 1) == 1
 
@@ -43,7 +43,7 @@ class TestAdoptSeq:
         prev.next_seq(2, 1)
         comm = Communicator(2)
         comm.adopt_seq(prev, dead_rank=0)
-        assert comm._seq == {(0, 1): 1, (1, 0): 1}
+        assert comm.backend.seq == {(0, 1): 1, (1, 0): 1}
 
     def test_size_mismatch_rejected(self):
         prev = Communicator(4)

@@ -1,9 +1,11 @@
-"""Driver-side worker-compute session: real backends only, ship-once,
+"""Driver-side worker compute: real backends only, ship on refusal,
 bitwise parity.
 
-These tests drive :class:`repro.comm.compute.WorkerCompute` against a real
+These tests drive :mod:`repro.comm.compute`'s ops against a real
 multiprocess backend (2 rank processes) without a full solve, plus the
-``request_many`` batch contract of both transports.
+``request_many`` batch contract of both transports.  What a rank holds is
+read back from the traced rounds: a round a rank refuses leaves no event,
+so a LOAD round in the trace is a key that rank lacked.
 """
 
 import numpy as np
@@ -22,13 +24,11 @@ from repro.kernels import apply as apply_kernels
 from repro.krylov.ops import fixed_tree_sum
 
 
-def _factor_entry(key: str, n: int):
+def _factor(n: int, scale: float = 1.0):
     import scipy.sparse as sp
 
-    a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
-                 [-1, 0, 1], format="csr")
-    fac = ilu0(a)
-    return compute.load_factor(key, fac, None), fac
+    return ilu0(scale * sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                                 [-1, 0, 1], format="csr"))
 
 
 def _round_ops(tracer) -> list[str]:
@@ -37,6 +37,19 @@ def _round_ops(tracer) -> list[str]:
     for span in tracer.spans:
         events.extend(span.events)
     return [e["attrs"]["op"] for e in events if e["name"] == "comm.worker.round"]
+
+
+def _apply(comm, tag: str, r: np.ndarray):
+    """``apply_factors`` on two 6-row factors keyed by ``tag``: ``(z, the
+    driver's z)``."""
+    layout = Layout.from_sizes([6, 6])
+    facs = {rank: _factor(6, rank + 1.0) for rank in range(2)}
+    keys = {rank: f"{tag}-{rank}" for rank in facs}
+    z = compute.apply_factors(
+        comm, keys, layout, r,
+        lambda rank: compute.load_factor(keys[rank], facs[rank], None))
+    want = np.concatenate([facs[rank].solve(r[layout.local_slice(rank)]) for rank in facs])
+    return z, want
 
 
 @pytest.fixture(scope="module")
@@ -55,96 +68,98 @@ def system(tiny_case):
     return pm, distribute_matrix(tiny_case.matrix, pm)
 
 
-class TestSessionGating:
-    def test_inprocess_backend_gets_no_session(self):
+class TestGating:
+    def test_simulated_ranks_send_no_round(self, system, tiny_case):
+        pm, dmat = system
         comm = Communicator(2)
         try:
-            assert compute.session(comm) is None
+            with obs.tracing() as tracer:
+                dmat.matvec(comm, pm.to_distributed(tiny_case.rhs))
+            assert _round_ops(tracer) == []
         finally:
             comm.close()
 
-    def test_session_is_cached_per_backend(self, mp_comm):
-        wc = compute.session(mp_comm)
-        assert wc is not None
-        assert compute.session(mp_comm) is wc
-        assert wc.backend is mp_comm.backend
 
-
-class TestShipOnce:
+class TestShipOnRefusal:
     def test_factors_ship_exactly_once(self, mp_comm):
-        wc = compute.session(mp_comm)
-        entries = {rank: _factor_entry(f"ship-once-{rank}", 6)[0] for rank in range(2)}
-        assert wc.ensure(entries) == 2
-        assert wc.is_shipped(0, "ship-once-0")
-        assert wc.is_shipped(1, "ship-once-1")
-        # same content key: nothing moves the second time, not even a round
-        before = mp_comm.comm_stats.messages
-        assert wc.ensure(entries) == 0
-        assert wc.ensure({}) == 0
-        assert mp_comm.comm_stats.messages == before
+        r = np.linspace(-1.0, 1.0, 12)
+        with obs.tracing() as tracer:
+            _apply(mp_comm, "ship-once", r)
+            before = mp_comm.comm_stats.messages
+            z, want = _apply(mp_comm, "ship-once", r)
+        # both ranks refused the first APPLY; the second finds the keys held
+        assert _round_ops(tracer) == ["load-factor", "apply", "apply"]
+        assert mp_comm.comm_stats.messages - before == 2
+        assert z.tobytes() == want.tobytes()
+
+    def test_only_the_ranks_that_refuse_are_shipped(self, mp_comm):
+        """Rank 1 holds its key, rank 0 does not: the LOAD round and the
+        repeated op go to rank 0 alone."""
+        fac = _factor(6)
+        compute.ship(mp_comm, {1: compute.load_factor("half-1", fac, None)})
+        keys = {0: "half-0", 1: "half-1"}
+        shipped = []
+
+        def load(rank):
+            shipped.append(rank)
+            return compute.load_factor(keys[rank], fac, None)
+
+        with obs.tracing() as tracer:
+            compute.apply_factors(mp_comm, keys, Layout.from_sizes([6, 6]),
+                                  np.ones(12), load)
+        assert shipped == [0]
+        rounds = [e["attrs"] for e in tracer.orphan_events
+                  if e["name"] == "comm.worker.round"]
+        assert [(a["op"], a["ranks"]) for a in rounds] == [
+            ("apply", [1]), ("load-factor", [0]), ("apply", [0])]
 
     def test_new_world_reships(self, mp_comm):
-        """Shipped state belongs to the world: a new session on the same
-        world ships nothing, and a communicator on another world — what an
-        ``absorb_rank`` recovery gets, since a damaged world is never
-        reused — starts with an empty shipped set, so state moves again."""
-        entry, _ = _factor_entry("new-world-0", 6)
-        assert compute.session(mp_comm).ensure({0: entry}) == 1
-        assert compute.WorkerCompute(mp_comm).ensure({0: entry}) == 0
+        """What a rank holds belongs to its world: a communicator on
+        another world — what an ``absorb_rank`` recovery gets, since a
+        damaged world is never reused — has ranks that hold nothing, so
+        state moves again."""
+        r = np.ones(12)
+        _apply(mp_comm, "new-world", r)
         other = Communicator(2, backend="multiprocess")
         try:
             assert other.backend is not mp_comm.backend  # mp_comm holds its lease
-            wc = compute.session(other)
-            assert not wc.is_shipped(0, "new-world-0")
-            assert wc.ensure({0: entry}) == 1
+            with obs.tracing() as tracer:
+                z, want = _apply(other, "new-world", r)
+            assert _round_ops(tracer) == ["load-factor", "apply"]
+            assert z.tobytes() == want.tobytes()
         finally:
             other.close()
 
     def test_matvec_blocks_ship_once(self, mp_comm, system, tiny_case):
         pm, dmat = system
-        wc = compute.WorkerCompute(mp_comm)
         x = pm.to_distributed(tiny_case.rhs)
         with obs.tracing() as tracer:
-            wc.matvec(dmat, x)
-            wc.matvec(dmat, x)
+            compute.matvec(mp_comm, dmat, x)
+            compute.matvec(mp_comm, dmat, x)
         assert _round_ops(tracer) == ["load-matrix", "matvec", "matvec"]
 
 
 class TestBitwiseParity:
     def test_apply_factors_matches_driver_sweeps(self, mp_comm):
-        wc = compute.session(mp_comm)
-        layout = Layout.from_sizes([6, 6])
-        keys, facs, entries = {}, {}, {}
-        for rank in range(2):
-            keys[rank] = f"parity-{rank}"
-            entries[rank], facs[rank] = _factor_entry(keys[rank], 6)
-        wc.ensure(entries)
         rng = np.random.default_rng(5)
-        r = rng.standard_normal(12)
-        z = wc.apply_factors(keys, layout, r)
-        want = np.empty_like(r)
-        for rank in range(2):
-            sl = layout.local_slice(rank)
-            want[sl] = facs[rank].solve(r[sl])
+        z, want = _apply(mp_comm, "parity", rng.standard_normal(12))
         assert z.tobytes() == want.tobytes()
 
     def test_apply_then_matvec_on_the_same_vector(self, mp_comm, system, tiny_case):
         """The sweeps' output fed straight back to a MATVEC round gives the
         driver's fused product bit for bit: nothing is kept between ops."""
         pm, dmat = system
-        wc = compute.session(mp_comm)
         facs = [ilu0(a) for a in dmat.owned_square]
         keys = {rank: f"apply-matvec-{rank}" for rank in range(2)}
-        wc.ensure({
-            rank: compute.load_factor(keys[rank], facs[rank], None) for rank in keys
-        })
         r = pm.to_distributed(tiny_case.rhs)
-        z = wc.apply_factors(keys, pm.layout, r)
+        z = compute.apply_factors(
+            mp_comm, keys, pm.layout, r,
+            lambda rank: compute.load_factor(keys[rank], facs[rank], None))
         want_z = np.concatenate([
             facs[rank].solve(r[pm.layout.local_slice(rank)]) for rank in keys
         ])
         assert z.tobytes() == want_z.tobytes()
-        y = wc.matvec(dmat, z)
+        y = compute.matvec(mp_comm, dmat, z)
         assert y.tobytes() == apply_kernels.csr_matvec(dmat._fused, z).tobytes()
 
     def test_distributed_dot_identical_either_transport(self, mp_comm):
@@ -165,7 +180,6 @@ class TestBitwiseParity:
 
     def test_distributed_dot_never_leaves_the_driver(self, mp_comm):
         """A reduction on a real backend sends no command round."""
-        assert compute.session(mp_comm) is not None
         ops = DistributedOps(mp_comm, Layout.from_sizes([5, 8]))
         x = np.arange(13.0)
         with obs.tracing() as tracer:

@@ -131,7 +131,7 @@ class TestSubdomainStore:
         fac = ilu0(_laplacian(6))
         perm = np.arange(6)[::-1].copy()
         for key, payload in (
-            compute.load_matrix("m", a), compute.load_factor("f", fac, perm),
+            ("m", compute.load_matrix("m", a)), ("f", compute.load_factor("f", fac, perm)),
         ):
             meta, _ = _result(worker.execute(store, payload))
             assert meta["stored"] and meta["key"] == key
@@ -226,7 +226,7 @@ class TestHandlerParity:
         n = 8
         a = _laplacian(n)
         fac = ilu0(a)
-        for _, payload in (compute.load_factor("f", fac, None), compute.load_matrix("a", a)):
+        for payload in (compute.load_factor("f", fac, None), compute.load_matrix("a", a)):
             worker.execute(store, payload)
         r = np.linspace(-1.0, 2.0, n)
         _, z = _vector_op(store, arena, worker.OP_APPLY, "f", r)

@@ -175,10 +175,10 @@ class TestBlockKrylov:
 class TestOneSeam:
     """Hygiene: the wire is known to one module under ``repro/precond``."""
 
-    #: the factor codec and the session's shipping surface, as attributes
+    #: the factor codec and the compute module's shipping surface, as attributes
     WIRE_CALLS = {
-        "to_wire", "from_wire", "ensure", "load_matrix", "load_factor",
-        "apply_factors", "is_shipped", "session",
+        "to_wire", "from_wire", "ship", "load_matrix", "load_factor",
+        "apply_factors",
     }
     #: the wire meta keys, as string literals
     WIRE_KEYS = {
@@ -217,13 +217,11 @@ class TestOneSeam:
                     sites.add((name, node.value))
         assert {name for name, _ in sites} == {"local.py"}
 
-    def test_the_session_is_consulted_once(self):
-        calls = [
+    def test_only_the_seam_asks_where_ranks_run(self):
+        askers = {
             name
             for name, tree in self._trees()
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "session"
-        ]
-        assert calls == ["local.py"]
+            if isinstance(node, ast.Attribute) and node.attr == "is_real"
+        }
+        assert askers == {"local.py"}
