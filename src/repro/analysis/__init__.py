@@ -7,7 +7,7 @@ the system grows:
 
 * :mod:`repro.analysis.lint` — a repo-specific AST linter (``python -m repro
   lint``) with stable ``RPRxxx`` rule codes, ``# repro: noqa(RPRxxx)``
-  suppression, a ``repro.lint.v1`` JSON report and a burn-down baseline;
+  suppression and a ``repro.lint.v1`` JSON report;
 * :mod:`repro.analysis.sanitize` — runtime sanitizers: an FP sanitizer that
   arms ``np.errstate`` NaN/Inf traps around the kernel tiers and raises the
   typed fault taxonomy, and a lightweight Eraser-style race detector for the

@@ -5,14 +5,6 @@
 suppression syntax are documented in ``docs/static-analysis.md``.
 """
 
-from repro.analysis.lint.baseline import (
-    BASELINE_SCHEMA,
-    DEFAULT_BASELINE,
-    BaselineMatch,
-    load_baseline,
-    match_baseline,
-    write_baseline,
-)
 from repro.analysis.lint.engine import (
     LINT_SCHEMA,
     LintReport,
@@ -40,10 +32,4 @@ __all__ = [
     "stale_noqa_entries",
     "write_json_report",
     "LINT_SCHEMA",
-    "BASELINE_SCHEMA",
-    "DEFAULT_BASELINE",
-    "BaselineMatch",
-    "load_baseline",
-    "match_baseline",
-    "write_baseline",
 ]

@@ -2,8 +2,8 @@
 
 The engine is what ``python -m repro lint`` drives: it walks the given
 paths, parses each ``*.py`` once, runs every rule whose scope covers the
-file, filters ``# repro: noqa(...)`` suppressions, and reconciles the
-survivors against the committed baseline (:mod:`.baseline`).
+file and filters ``# repro: noqa(...)`` suppressions.  There is no
+baseline: every violation that survives its noqa fails the run.
 
 Suppression syntax, on the offending line::
 
@@ -12,7 +12,7 @@ Suppression syntax, on the offending line::
     y == 1.0  # repro: noqa(RPR001,RPR005) multiple codes
 
 A trailing free-text rationale is encouraged — the lint-clean test keeps
-``src/repro`` at zero unsuppressed, unbaselined violations, so every noqa
+``src/repro`` at zero unsuppressed violations, so every noqa
 is a reviewed, documented decision.
 
 Noqa comments are found by tokenizing, not by regex over raw lines, so a
@@ -34,11 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.analysis.lint.baseline import (
-    BaselineMatch,
-    load_baseline,
-    match_baseline,
-)
 from repro.analysis.lint.rules import RULES, FileContext, Rule, Violation
 
 LINT_SCHEMA = "repro.lint.v1"
@@ -53,26 +48,19 @@ _PKG_MARKER = ("src", "repro")
 
 @dataclass
 class LintReport:
-    """Everything one lint run produced (pre/post baseline)."""
+    """Everything one lint run produced."""
 
     files_checked: int
     violations: list[Violation]
     suppressed: list[Violation]
     parse_errors: list[str] = field(default_factory=list)
-    baseline: BaselineMatch | None = None
     #: noqa comments naming an active code that no longer fires on their line
     stale_noqas: list[dict] = field(default_factory=list)
 
     @property
-    def new_violations(self) -> list[Violation]:
-        if self.baseline is None:
-            return self.violations
-        return self.baseline.new
-
-    @property
     def clean(self) -> bool:
         return (
-            not self.new_violations
+            not self.violations
             and not self.parse_errors
             and not self.stale_noqas
         )
@@ -84,26 +72,15 @@ class LintReport:
         return dict(sorted(out.items()))
 
     def to_dict(self) -> dict:
-        doc: dict = {
+        return {
             "schema": LINT_SCHEMA,
             "files_checked": self.files_checked,
             "counts": self.counts(),
-            "violations": [
-                {**v.to_dict(), "baselined": self.baseline is not None
-                 and v in self.baseline.baselined}
-                for v in self.violations
-            ],
+            "violations": [v.to_dict() for v in self.violations],
             "suppressed": [v.to_dict() for v in self.suppressed],
             "stale_noqas": list(self.stale_noqas),
             "parse_errors": list(self.parse_errors),
         }
-        if self.baseline is not None:
-            doc["baseline"] = {
-                "new": len(self.baseline.new),
-                "matched": len(self.baseline.baselined),
-                "stale_entries": self.baseline.stale,
-            }
-        return doc
 
 
 def noqa_map(source: str) -> dict[int, set[str]]:
@@ -236,10 +213,9 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterable[Path]:
 
 def lint_paths(
     paths: Iterable[str | Path],
-    baseline_path: str | Path | None = None,
     rules: Iterable[Rule] = RULES,
 ) -> LintReport:
-    """Lint every ``*.py`` under ``paths``; reconcile against the baseline."""
+    """Lint every ``*.py`` under ``paths``."""
     rules = tuple(rules)
     violations: list[Violation] = []
     suppressed: list[Violation] = []
@@ -260,15 +236,11 @@ def lint_paths(
         suppressed.extend(supp)
         stale_noqas.extend(stale)
 
-    match = None
-    if baseline_path is not None and Path(baseline_path).exists():
-        match = match_baseline(violations, load_baseline(baseline_path))
     return LintReport(
         files_checked=n_files,
         violations=violations,
         suppressed=suppressed,
         parse_errors=errors,
-        baseline=match,
         stale_noqas=stale_noqas,
     )
 

@@ -25,7 +25,7 @@ on the offending line).  The full rationale per rule lives in
 RPR001–009 run per file under ``python -m repro lint``.  RPR010–012 are
 whole-program analyses implemented by :mod:`repro.analysis.proto` and run
 under ``python -m repro verify-protocol``; they share this violation type
-and the noqa/baseline ergonomics but are not in :data:`RULES`.
+and the noqa ergonomics but are not in :data:`RULES`.
 """
 
 from __future__ import annotations
@@ -35,29 +35,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 
-def canonical_path(path: str) -> str:
-    """Path from the ``src/`` package root when present, else as given.
-
-    Baselines must match no matter whether the linter was handed an
-    absolute or a repo-relative path.
-    """
-    norm = path.replace("\\", "/")
-    marker = "/src/repro/"
-    idx = norm.find(marker)
-    if idx >= 0:
-        return norm[idx + 1:]
-    if norm.startswith("src/repro/"):
-        return norm
-    return norm
-
-
 @dataclass(frozen=True)
 class Violation:
-    """One lint finding.
-
-    ``snippet`` is the stripped source line; the baseline matches on
-    ``(path, code, snippet)`` so recorded violations survive line drift.
-    """
+    """One lint finding; ``snippet`` is the stripped source line."""
 
     path: str
     line: int
@@ -65,9 +45,6 @@ class Violation:
     code: str
     message: str
     snippet: str
-
-    def key(self) -> tuple[str, str, str]:
-        return (canonical_path(self.path), self.code, self.snippet)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"

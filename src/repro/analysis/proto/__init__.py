@@ -12,7 +12,7 @@ Three cooperating AST analyses over the parallel layer that PRs 7–9 built:
   the factor cache / checkpointing.
 
 Findings ship in a ``repro.proto.v1`` report (:mod:`.report`) with the same
-noqa + baseline ergonomics as the linter.  See docs/static-analysis.md.
+noqa ergonomics as the linter.  See docs/static-analysis.md.
 """
 
 from __future__ import annotations

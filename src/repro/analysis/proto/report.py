@@ -8,12 +8,10 @@ tree, then applies the same ergonomics as the linter:
 * ``# repro: noqa(RPR01x) <rationale>`` on the offending line suppresses a
   finding (comment tokens only — a noqa inside a docstring is inert);
 * a noqa naming a proto code that no longer fires on its line is **stale**
-  and fails the run (same policy as the linter after this PR);
-* a committed ``proto-baseline.json`` (``repro.lint.baseline.v1`` schema,
-  separate file from the lint baseline) grandfathers known findings.
+  and fails the run (same policy as the linter).
 
-``clean`` — the CLI's exit-0 condition — requires zero unsuppressed,
-unbaselined violations, zero stale noqas, and zero parse errors.  The
+There is no baseline.  ``clean`` — the CLI's exit-0 condition — requires
+zero unsuppressed violations, zero stale noqas, and zero parse errors.  The
 coverage summaries (opcodes / frame kinds / dtypes, per-machine states,
 edges and invariants, lock graph size) ship in the report so CI logs show *what* was
 proven, not just that nothing failed.
@@ -25,11 +23,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.lint.baseline import (
-    BaselineMatch,
-    load_baseline,
-    match_baseline,
-)
 from repro.analysis.lint.engine import noqa_map, stale_noqa_entries
 from repro.analysis.lint.rules import Violation
 from repro.analysis.proto.locks import SCAN_ROOTS, check_locks
@@ -37,7 +30,6 @@ from repro.analysis.proto.machines import MACHINES, check_machines
 from repro.analysis.proto.wire import check_wire
 
 PROTO_SCHEMA = "repro.proto.v1"
-DEFAULT_PROTO_BASELINE = "proto-baseline.json"
 
 #: the rule codes this pass owns; noqas for these codes are audited for
 #: staleness on every verify-protocol run
@@ -46,7 +38,7 @@ PROTO_CODES = frozenset({"RPR010", "RPR011", "RPR012"})
 
 @dataclass
 class ProtoReport:
-    """Everything one verify-protocol run produced (pre/post baseline)."""
+    """Everything one verify-protocol run produced."""
 
     root: str
     violations: list[Violation]
@@ -56,18 +48,11 @@ class ProtoReport:
     machines: list[dict[str, object]]
     locks: dict[str, object]
     parse_errors: list[str] = field(default_factory=list)
-    baseline: BaselineMatch | None = None
-
-    @property
-    def new_violations(self) -> list[Violation]:
-        if self.baseline is None:
-            return self.violations
-        return self.baseline.new
 
     @property
     def clean(self) -> bool:
         return (
-            not self.new_violations
+            not self.violations
             and not self.stale_noqas
             and not self.parse_errors
         )
@@ -79,15 +64,11 @@ class ProtoReport:
         return dict(sorted(out.items()))
 
     def to_dict(self) -> dict[str, object]:
-        doc: dict[str, object] = {
+        return {
             "schema": PROTO_SCHEMA,
             "root": self.root,
             "counts": self.counts(),
-            "violations": [
-                {**v.to_dict(), "baselined": self.baseline is not None
-                 and v in self.baseline.baselined}
-                for v in self.violations
-            ],
+            "violations": [v.to_dict() for v in self.violations],
             "suppressed": [v.to_dict() for v in self.suppressed],
             "stale_noqas": list(self.stale_noqas),
             "wire": self.wire,
@@ -95,13 +76,6 @@ class ProtoReport:
             "locks": self.locks,
             "parse_errors": list(self.parse_errors),
         }
-        if self.baseline is not None:
-            doc["baseline"] = {
-                "new": len(self.baseline.new),
-                "matched": len(self.baseline.baselined),
-                "stale_entries": self.baseline.stale,
-            }
-        return doc
 
 
 def _scanned_files(root: Path) -> list[Path]:
@@ -155,10 +129,7 @@ def _apply_noqa(
     return kept, suppressed, stale
 
 
-def verify_protocol(
-    root: str | Path | None = None,
-    baseline_path: str | Path | None = None,
-) -> ProtoReport:
+def verify_protocol(root: str | Path | None = None) -> ProtoReport:
     """Run all three protocol analyses over the tree rooted at ``root``.
 
     ``root`` is the *package* root (the directory holding ``comm/``,
@@ -194,10 +165,6 @@ def verify_protocol(
 
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     kept, suppressed, stale = _apply_noqa(root, violations)
-
-    match = None
-    if baseline_path is not None and Path(baseline_path).exists():
-        match = match_baseline(kept, load_baseline(baseline_path))
     return ProtoReport(
         root=root.as_posix(),
         violations=kept,
@@ -207,7 +174,6 @@ def verify_protocol(
         machines=machine_dicts,
         locks=lock_summary,
         parse_errors=errors,
-        baseline=match,
     )
 
 

@@ -192,14 +192,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       help="files or directories to lint (default src/repro)")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline JSON of grandfathered violations "
-                      "(default: lint-baseline.json when it exists)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="report every violation, baselined or not")
-    lint.add_argument("--write-baseline", default=None, metavar="PATH",
-                      help="write the current violations as the new baseline "
-                      "and exit 0")
     lint.add_argument("--json", default=None, metavar="PATH",
                       help="write a repro.lint.v1 JSON report")
 
@@ -213,14 +205,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="package root to analyse (the directory holding "
                        "comm/, service/, ...; default: the installed "
                        "repro package)")
-    proto.add_argument("--baseline", default=None,
-                       help="baseline JSON of grandfathered findings "
-                       "(default: proto-baseline.json when it exists)")
-    proto.add_argument("--no-baseline", action="store_true",
-                       help="report every finding, baselined or not")
-    proto.add_argument("--write-baseline", default=None, metavar="PATH",
-                       help="write the current findings as the new baseline "
-                       "and exit 0")
     proto.add_argument("--json", default=None, metavar="PATH",
                        help="write a repro.proto.v1 JSON report")
 
@@ -483,77 +467,32 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    import os
-
     from repro.analysis.lint import lint_paths, write_json_report
-    from repro.analysis.lint.baseline import DEFAULT_BASELINE, write_baseline
 
-    if args.write_baseline is not None:
-        report = lint_paths(args.paths)
-        path = write_baseline(args.write_baseline, report.violations)
-        print(f"baseline with {len(report.violations)} violation(s) "
-              f"written to {path}")
-        return 0
-
-    baseline = args.baseline
-    if baseline is None and not args.no_baseline \
-            and os.path.exists(DEFAULT_BASELINE):
-        baseline = DEFAULT_BASELINE
-    if args.no_baseline:
-        baseline = None
-    report = lint_paths(args.paths, baseline_path=baseline)
-
-    shown = report.violations if baseline is None else report.new_violations
-    for v in shown:
+    report = lint_paths(args.paths)
+    for v in report.violations:
         print(v.format())
     for err in report.parse_errors:
         print(f"parse error: {err}")
     counts = report.counts()
     summary = ", ".join(f"{code} x{n}" for code, n in sorted(counts.items()))
-    print(f"{report.files_checked} file(s): {len(shown)} violation(s)"
-          + (f" ({summary})" if shown and summary else "")
-          + (f", {len(report.violations) - len(report.new_violations)} "
-             "baselined" if baseline is not None else "")
+    print(f"{report.files_checked} file(s): {len(report.violations)} violation(s)"
+          + (f" ({summary})" if summary else "")
           + (f", {len(report.suppressed)} suppressed by noqa"
              if report.suppressed else ""))
     for entry in report.stale_noqas:
         print(f"stale noqa: {entry['path']}:{entry['line']}: "
               f"{entry['code']} no longer fires on this line — delete it")
-    if report.baseline is not None and report.baseline.stale:
-        print(f"note: {len(report.baseline.stale)} stale baseline "
-              "entr(ies) no longer match — shrink the baseline")
     if args.json:
         print(f"report written to {write_json_report(args.json, report)}")
     return 0 if report.clean and not report.parse_errors else 1
 
 
 def cmd_verify_protocol(args: argparse.Namespace) -> int:
-    import os
+    from repro.analysis.proto.report import verify_protocol, write_proto_report
 
-    from repro.analysis.lint.baseline import write_baseline
-    from repro.analysis.proto.report import (
-        DEFAULT_PROTO_BASELINE,
-        verify_protocol,
-        write_proto_report,
-    )
-
-    if args.write_baseline is not None:
-        report = verify_protocol(root=args.root)
-        path = write_baseline(args.write_baseline, report.violations)
-        print(f"proto baseline with {len(report.violations)} finding(s) "
-              f"written to {path}")
-        return 0
-
-    baseline = args.baseline
-    if baseline is None and not args.no_baseline \
-            and os.path.exists(DEFAULT_PROTO_BASELINE):
-        baseline = DEFAULT_PROTO_BASELINE
-    if args.no_baseline:
-        baseline = None
-    report = verify_protocol(root=args.root, baseline_path=baseline)
-
-    shown = report.violations if baseline is None else report.new_violations
-    for v in shown:
+    report = verify_protocol(root=args.root)
+    for v in report.violations:
         print(v.format())
     for err in report.parse_errors:
         print(f"parse error: {err}")
@@ -578,14 +517,9 @@ def cmd_verify_protocol(args: argparse.Namespace) -> int:
           f"{locks.get('functions_scanned', 0)} function(s), "
           f"{len(locks.get('order_edges', []))} order edge(s), "
           f"{len(locks.get('cycles', []))} cycle(s)")
-    print(f"{len(shown)} finding(s)"
-          + (f", {len(report.violations) - len(report.new_violations)} "
-             "baselined" if baseline is not None else "")
+    print(f"{len(report.violations)} finding(s)"
           + (f", {len(report.suppressed)} suppressed by noqa"
              if report.suppressed else ""))
-    if report.baseline is not None and report.baseline.stale:
-        print(f"note: {len(report.baseline.stale)} stale baseline "
-              "entr(ies) no longer match — shrink the baseline")
     if args.json:
         print(f"report written to {write_proto_report(args.json, report)}")
     return 0 if report.clean else 1

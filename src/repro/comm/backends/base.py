@@ -4,13 +4,14 @@ A :class:`~repro.comm.communicator.Communicator` delegates *how ranks
 execute and how bytes move between them* to an :class:`ExecutionBackend`:
 
 * ``inprocess`` — the historical simulation: every rank is a slice of the
-  driver process, a transfer is an array copy, and nothing can be lost
-  outside fault injection.  This is the default and is bit-identical to the
-  pre-backend behavior.
-* ``multiprocess`` — every rank is a real OS process; transfers travel as
-  :mod:`~repro.comm.backends.framing` frames over pipes, and a
+  driver process, and nothing can be lost outside fault injection.  This
+  is the default and is bit-identical to the pre-backend behavior.
+* ``multiprocess`` — every rank is a real OS process; worker commands
+  travel as :mod:`~repro.comm.backends.framing` frames over pipes, and a
   :class:`~repro.comm.backends.supervisor.RankSupervisor` tracks the rank
   lifecycle (heartbeats, real death, hangs, fencing).
+
+On both, a ghost exchange is a copy between arrays the driver holds.
 
 The transport speaks two *internal* exceptions — :class:`TransportTimeout`
 and :class:`TransportBroken` — that never escape the delivery round
@@ -21,8 +22,6 @@ it converts them into retries and finally the typed
 """
 
 from __future__ import annotations
-
-from abc import ABC, abstractmethod
 
 from repro import obs
 from repro.comm.backends.arena import Arena
@@ -62,7 +61,7 @@ class TransportBroken(Exception):
         self.rank = rank
 
 
-class ExecutionBackend(ABC):
+class ExecutionBackend:
     """How ``size`` ranks execute and exchange envelope-framed bytes.
 
     Lifecycle: backends start lazily (:meth:`ensure_started`) on first
@@ -71,14 +70,14 @@ class ExecutionBackend(ABC):
     seq counters and each rank's shared-memory arena, so a communicator
     that leases a pooled world (``repro.comm.backends.pool``) carries on
     where the last one stopped.
-    ``is_real`` distinguishes backends whose ranks can *actually* die from
-    the simulated default — the ghost exchange routes every transfer
-    through the wire when it is True.
+    ``is_real`` distinguishes backends whose ranks are real processes,
+    which can *actually* die, from the simulated default: only they carry
+    frames and run worker commands.
     """
 
     #: short selectable name (one of :data:`BACKEND_NAMES`)
     name: str = "abstract"
-    #: True when ranks are real OS processes (transfers must use the wire)
+    #: True when ranks are real OS processes (commands cross the wire)
     is_real: bool = False
 
     def __init__(self, size: int) -> None:
@@ -145,7 +144,6 @@ class ExecutionBackend(ABC):
 
     # -- transport ---------------------------------------------------------
 
-    @abstractmethod
     def request_many(self, messages, timeout: float):
         """Round-trip a batch ``{rank: raw frame}``; per-rank results or errors.
 
@@ -156,6 +154,9 @@ class ExecutionBackend(ABC):
         bad rank cannot mask the others.  Real transports send everything
         before collecting anything, so rank processes overlap their work.
         """
+        raise NotImplementedError(
+            f"backend {self.name!r} has no transport: its ranks are the driver"
+        )
 
     # -- liveness / supervision -------------------------------------------
 

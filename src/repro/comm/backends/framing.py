@@ -29,8 +29,8 @@ from repro.resilience.errors import MessageCorruption
 MAGIC = b"RPRB"
 
 #: frame kinds (the ``kind`` header field)
-DATA = 1       #: a ghost-exchange payload, driver -> rank process
-ACK = 2        #: validated echo of a DATA payload, rank process -> driver
+DATA = 1       #: a ghost-exchange payload under a fault plan (never piped)
+ACK = 2        #: the delivery round loopback's validated echo of a DATA
 NAK = 3        #: validation failure; payload is an ASCII reason
 PING = 4       #: liveness probe, driver -> rank process
 PONG = 5       #: liveness reply, rank process -> driver

@@ -3,8 +3,9 @@
 Each rank runs :func:`_worker_main` — a small event loop on the child end of
 a duplex pipe that validates incoming :mod:`~repro.comm.backends.framing`
 frames (seq + CRC-32, the PR 3 integrity envelope now framing real bytes),
-echoes DATA payloads back as ACKs, executes CMDs (NAKing one whose arena
-slot fails its CRC), answers PING probes, and exits on SHUTDOWN.  The
+executes CMDs (NAKing one whose arena slot fails its CRC), answers PING
+probes, exits on SHUTDOWN and NAKs any other kind.  No ghost values cross
+the pipes: the driver holds both ends of every ghost exchange.  The
 parent side implements :meth:`MultiprocessBackend.request_many` with
 deadline-based response matching (stale replies from earlier timed-out
 attempts are drained and discarded by ``(kind, src, dst, seq)``; the world
@@ -58,7 +59,7 @@ from repro.resilience.errors import CommFault, MessageCorruption
 
 def _worker_main(rank: int, size: int, conn: Connection,
                  poll_interval: float) -> None:
-    """The rank process: validate, ack, compute, heartbeat until shutdown."""
+    """The rank process: validate, compute, heartbeat until shutdown."""
     # the driver owns interrupt handling; workers die by SHUTDOWN frame,
     # pipe EOF, or the supervisor's fencing SIGKILL
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -77,7 +78,6 @@ def _worker_main(rank: int, size: int, conn: Connection,
     poll_ms = max(1, int(poll_interval * 1000))
     try:
         conn.send_bytes(framing.encode_frame(framing.HELLO, rank, rank, 0))
-        last_seq: dict[tuple[int, int], int] = {}
         while True:
             if not poller.poll(poll_ms):
                 continue
@@ -92,23 +92,6 @@ def _worker_main(rank: int, size: int, conn: Connection,
             if frame.kind == framing.PING:
                 conn.send_bytes(framing.encode_frame(
                     framing.PONG, frame.src, frame.dst, frame.seq
-                ))
-                continue
-            if frame.kind == framing.DATA:
-                key = (frame.src, frame.dst)
-                seen = last_seq.get(key, -1)
-                if frame.seq < seen:
-                    # an old envelope arriving after the edge moved on —
-                    # e.g. stale state surviving a recovery remap
-                    conn.send_bytes(framing.encode_frame(
-                        framing.NAK, frame.src, frame.dst, frame.seq,
-                        b"stale-seq",
-                    ))
-                    continue
-                last_seq[key] = frame.seq
-                conn.send_bytes(framing.encode_frame(
-                    framing.ACK, frame.src, frame.dst, frame.seq,
-                    frame.payload,
                 ))
                 continue
             if frame.kind == framing.CMD:
@@ -366,10 +349,6 @@ class MultiprocessBackend(ExecutionBackend):
             if (resp.src, resp.dst, resp.seq) != (want_src, want_dst, want_seq):
                 continue  # stale reply from an earlier timed-out attempt
             if want_kind == framing.PING and resp.kind != framing.PONG:
-                continue
-            if want_kind == framing.DATA and resp.kind not in (
-                framing.ACK, framing.NAK
-            ):
                 continue
             if want_kind == framing.CMD and resp.kind not in (
                 framing.RESULT, framing.NAK

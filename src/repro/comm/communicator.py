@@ -119,33 +119,6 @@ class Communicator:
         (starts at 0 on a new one)."""
         return self.backend.next_seq(src, dst)
 
-    def adopt_seq(self, prev: "Communicator", dead_rank: int) -> None:
-        """Carry envelope sequence state across an ``absorb_rank`` recovery.
-
-        ``prev`` is the pre-recovery communicator and ``dead_rank`` the
-        absorbed rank.  Edges touching the dead rank are dropped (their
-        counters must NOT survive — a stale seq on a reused edge would make
-        the receiver reject fresh envelopes as replays), and surviving
-        ranks above ``dead_rank`` shift down by one, exactly mirroring the
-        rank remap of :func:`~repro.distributed.recovery.absorb_rank`.  A
-        counter the new world already holds never moves back.
-        """
-        if self.size != prev.size - 1:
-            raise ValueError(
-                f"cannot adopt seq state from a size-{prev.size} communicator "
-                f"into a size-{self.size} one (expected {self.size + 1})"
-            )
-
-        def remap(rank: int) -> int:
-            return rank - 1 if rank > dead_rank else rank
-
-        have = self.backend.seq
-        for (src, dst), seq in sorted(prev.backend.seq.items()):
-            if src == dead_rank or dst == dead_rank:
-                continue
-            key = (remap(src), remap(dst))
-            have[key] = max(seq, have.get(key, 0))
-
     def close(self) -> None:
         """Give back the execution backend (idempotent, owner-only):
         :func:`~repro.comm.backends.release_backend` pools a reusable

@@ -22,7 +22,7 @@ A **round** is one delivery round (:func:`repro.comm.delivery.deliver_round`,
 ``docs/robustness.md`` "The delivery round") with a ``CMD`` edge per
 participating rank: all frames hit the pipes before the driver blocks on
 the first response, so rank processes overlap their compute, and failures
-are retried and classified exactly like a ghost-exchange transfer (every
+are retried and classified by the loop a ghost-exchange transfer uses (every
 worker op is idempotent, so a duplicate command re-executes bitwise
 identically).  The typed :class:`~repro.resilience.errors.CommFault` an
 exhausted budget raises is what lets ``absorb_rank`` +

@@ -1,9 +1,11 @@
 """The delivery round: the comm layer's one send → retry → classify loop.
 
-Whatever crosses a rank boundary — a ghost-exchange transfer (``DATA``), a
-worker command (``CMD``) — goes through :func:`deliver_round`, on simulated
-ranks (the in-process loopback) and real ones alike.  What a round is, how
-each per-rank result is classified, where the fault plan attaches and what
+Whatever crosses a rank boundary under the envelope — a ghost-exchange
+transfer under a fault plan (``DATA``), a worker command (``CMD``) — goes
+through :func:`deliver_round`, on every backend.  A CMD edge goes to the
+backend's ranks; a DATA edge is answered by :func:`_loopback`, because the
+driver holds both ends of every ghost exchange.  What a round is, how each
+per-rank result is classified, where the fault plan attaches and what
 resets a rank's miss count are described once, in ``docs/robustness.md``
 ("The delivery round").
 """
@@ -43,6 +45,24 @@ def _sent_crcs(wire: bytes) -> dict:
     return {}
 
 
+def _loopback(dst: int, raw: bytes) -> framing.Frame:
+    """Answer a DATA frame as rank ``dst`` would: validate it, then ACK its
+    payload back, or NAK why it failed."""
+    try:
+        frame = framing.decode_frame(raw)
+    except MessageCorruption as exc:
+        reply = framing.nak_reply(raw, exc, dst)
+    else:
+        if frame.kind == framing.DATA:
+            reply = framing.encode_frame(
+                framing.ACK, frame.src, frame.dst, frame.seq, frame.payload)
+        else:
+            reply = framing.encode_frame(
+                framing.NAK, frame.src, frame.dst, frame.seq,
+                f"unexpected {frame.kind_name}".encode())
+    return framing.decode_frame(reply)
+
+
 def deliver_round(
     comm: Communicator,
     kind: int,
@@ -66,16 +86,21 @@ def deliver_round(
     retransmit also repairs a corrupted slot).  ``floor`` floors the
     per-attempt timeout (commands that compute need a window matched to
     the work); ``event_attrs`` ride on every event and in the fault's
-    context.  ``DATA`` edges are open to the plan's per-attempt delivery
-    faults, ``CMD`` edges are not.  A round under a fault plan, or one that
-    gives up, marks the world damaged, so it is never reused.
+    context.  ``DATA`` edges are answered by :func:`_loopback` and are open
+    to the plan's per-attempt delivery faults; ``CMD`` edges go to the
+    backend and are not.  Only a reply from the backend is news of a rank:
+    a loopback ACK never counts as a heartbeat, and a DATA edge that gives
+    up is typed from what its attempts saw, never by the supervisor.  A
+    round under a fault plan, or one that gives up, marks the world
+    damaged, so it is never reused.
     """
     backend, policy, stats = comm.backend, comm.retry_policy, comm.comm_stats
     plan = faults.active()
     if plan is not None:
         backend.damaged = True
     dead_ranks = plan.dead_ranks if plan is not None else frozenset()
-    inject = plan is not None and kind == framing.DATA
+    loopback = kind == framing.DATA
+    inject = plan is not None and loopback
     edges: dict[int, Delivery] = {}
     for dst in sorted(sends):
         src, payload = sends[dst]
@@ -123,7 +148,10 @@ def deliver_round(
                 wires[dst] = edge.raw[:-1] + bytes([edge.raw[-1] ^ 0xFF])
             else:
                 wires[dst] = edge.raw
-        results = backend.request_many(wires, timeout) if wires else {}
+        if loopback:
+            results = {dst: _loopback(dst, wires[dst]) for dst in sorted(wires)}
+        else:
+            results = backend.request_many(wires, timeout) if wires else {}
         for dst in sorted(results):
             edge, res = pending[dst], results[dst]
             if isinstance(res, TransportTimeout):
@@ -145,7 +173,8 @@ def deliver_round(
                     stats.straggler_waits += 1
                     edge.delay += lateness
                 edge.frame = res
-                backend.record_ready(dst)
+                if res.kind != framing.ACK:  # a loopback ACK is no heartbeat
+                    backend.record_ready(dst)
                 try:
                     settle(edge)
                 except MessageCorruption as exc:
@@ -166,7 +195,8 @@ def deliver_round(
         what = " ".join([*map(str, event_attrs.values()), what])
         # a real backend's supervisor may know the process is dead; otherwise
         # the fault is what the attempts themselves observed
-        fault = backend.classify(dst, **context) if backend.is_real else None
+        real = backend.is_real and not loopback
+        fault = backend.classify(dst, **context) if real else None
         dead = dead_ranks.intersection((edge.src, dst))
         if not isinstance(fault, RankDeadError) and dead:
             fault = RankDeadError(

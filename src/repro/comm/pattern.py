@@ -6,23 +6,22 @@ interface values land in its ghost buffer (receives).  Diffpack's parallel
 toolbox calls this "communication pattern recognition"; here the pattern is a
 static object built once from the partition and reused by every exchange.
 
-Every transfer travels inside an **integrity envelope**: a per-(src, dst)
-sequence number plus a CRC-32 payload checksum.  On a real backend, or under
-fault injection, each transfer is one DATA edge of a delivery round
-(:func:`repro.comm.delivery.deliver_round`, ``docs/robustness.md``): a
-failed delivery (drop, corruption, dead peer) is retransmitted under the
-communicator's bounded :class:`~repro.comm.communicator.RetryPolicy`, and
-this module charges each burned timeout window and retransmission to the
-cost ledger.  Without an active fault plan nothing can be lost or corrupted
-in a simulated exchange, so the envelope is elided from the clean hot path.
+The exchange runs on the driver on every backend: the driver holds every
+rank's ``owned`` and ``ghost`` arrays, so a clean exchange is a direct copy.
+Under a fault plan each transfer travels inside an **integrity envelope** (a
+per-(src, dst) sequence number plus a CRC-32 payload checksum) as one DATA
+edge of a delivery round (:func:`repro.comm.delivery.deliver_round`,
+``docs/robustness.md``), answered by the round's loopback: a failed delivery
+(drop, corruption, dead peer) is retransmitted under the communicator's
+bounded :class:`~repro.comm.communicator.RetryPolicy`, and this module
+charges each burned timeout window and retransmission to the cost ledger.
 
 On a real backend the distributed matvec itself runs in the rank
 processes (:mod:`repro.comm.compute`): each ``MATVEC`` worker round hands
 a rank its compacted input slice, owned values and ghosts together, in its
-shared-memory arena, so this
-module's exchanges carry the Schur and Schwarz interface traffic that still
-runs on the driver.  Worker command rounds are CMD edges of the same
-delivery round (``docs/algorithms.md`` §8).
+shared-memory arena, so this module's exchanges carry the Schur and
+Schwarz interface traffic that runs on the driver.  Worker command rounds
+are the CMD edges of the same delivery round (``docs/algorithms.md`` §8).
 """
 
 from __future__ import annotations
@@ -145,9 +144,8 @@ class CommunicationPattern:
         ghost: list[np.ndarray],
     ) -> None:
         plan = faults.active()
-        backend = comm.backend
         if plan is not None:
-            plan.exchange_begin(backend=backend)
+            plan.exchange_begin(backend=comm.backend)
         comm.comm_stats.messages += len(self.transfers)
         for t in self.transfers:
             if len(ghost[t.dst]) <= t.max_recv or len(owned[t.src]) <= t.max_send:
@@ -173,9 +171,6 @@ class CommunicationPattern:
                     continue
                 self._deliver(comm, t, owned, ghost)
                 continue
-            if backend.is_real:
-                self._deliver(comm, t, owned, ghost)
-                continue
             ghost[t.dst][t.recv_ghost] = owned[t.src][t.send_local]
         comm.ledger.add_phase(
             0.0, msgs_per_rank=self._msgs_per_rank, bytes_per_rank=self._bytes_per_rank
@@ -190,9 +185,10 @@ class CommunicationPattern:
     ) -> None:
         """Deliver one transfer as a DATA edge of a delivery round.
 
-        The ghost slots are written from the receiver's ACK echo, so the
-        bytes provably survived the round trip; retransmissions and waits
-        are charged whether the delivery succeeded or gave up.
+        The ghost slots are written from the loopback's ACK, so the bytes
+        survived whatever the fault plan did to the attempts;
+        retransmissions and waits are charged whether the delivery
+        succeeded or gave up.
         """
         payload = owned[t.src][t.send_local]
 

@@ -125,19 +125,14 @@ class TransientHeatSolver:
 
     # -- layout (re)construction -------------------------------------------
 
-    def _build(
-        self, membership: np.ndarray | None = None,
-        absorbed_rank: int | None = None,
-    ) -> None:
+    def _build(self, membership: np.ndarray | None = None) -> None:
         """(Re)build the operator stack on ``membership`` (default: partition).
 
         Set-up cost always lands on ``setup_ledger``: merged into it on the
         same number of ranks, replacing it on a shrunk world (whose old
-        per-rank vectors describe nothing that exists).  ``absorbed_rank``
-        is set on the recovery path: the old communicator's envelope seq
-        state carries over for the surviving edges
-        (:meth:`Communicator.adopt_seq`) and its backend is shut down, so
-        dead-world processes do not outlive their world.
+        per-rank vectors describe nothing that exists).  The old
+        communicator is closed, so a world with a dead rank is shut down
+        rather than outliving the layout it served.
         """
         prev = self.comm
         if membership is not None:
@@ -148,8 +143,6 @@ class TransientHeatSolver:
         )
         self.membership = self.dmat.pm.membership
         self.comm = Communicator(self.nparts, backend=self.backend_name)
-        if prev is not None and absorbed_rank is not None:
-            self.comm.adopt_seq(prev, absorbed_rank)
         if prev is not None:
             prev.close()
         self.precond, rebuild = stages.set_up(
@@ -179,7 +172,7 @@ class TransientHeatSolver:
         obs.event("resilience.comm.rank_dead", rank=dead, step=self.step + 1)
         graph = self.case.coupling_graph
         with stages.absorb(graph, self.membership, dead, self.nparts) as survivors:
-            self._build(survivors, absorbed_rank=dead)
+            self._build(survivors)
             if self.checkpoints is not None:
                 ckpt = self.checkpoints.load_latest()
                 if ckpt is not None and int(ckpt.meta.get("step", 0)) <= self.step:

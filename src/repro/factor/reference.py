@@ -56,17 +56,16 @@ def ilu0_reference(
     plan = faults.active()
 
     # position of each column within each row, and of the diagonal
-    colpos: list[dict[int, int]] = []
-    diag_pos = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        d = {int(indices[p]): int(p) for p in range(lo, hi)}
-        colpos.append(d)
-        if i not in d:
-            raise ValueError(f"row {i} has no stored diagonal entry")
-        diag_pos[i] = d[i]
-        if shift:
-            data[diag_pos[i]] += shift
+    colpos = [
+        {int(indices[p]): int(p) for p in range(indptr[i], indptr[i + 1])}
+        for i in range(n)
+    ]
+    missing = [i for i in range(n) if i not in colpos[i]]
+    if missing:
+        raise ValueError(f"row {missing[0]} has no stored diagonal entry")
+    diag_pos = np.array([colpos[i][i] for i in range(n)], dtype=np.int64)
+    if shift:
+        data[diag_pos] += shift
 
     floored = 0
     for i in range(n):

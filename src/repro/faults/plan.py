@@ -49,14 +49,15 @@ Fault kinds and their hook points (see ``docs/robustness.md``):
     the :class:`~repro.perfmodel.costs.CostLedger` delay counter — slow
     ranks cost simulated time, they do not corrupt data.
 ``proc-kill`` / ``proc-hang``
-    Fired once per ghost exchange, like ``rank-dead``, but against the
-    *real* OS process behind the targeted rank: on the multiprocess
+    Fired once per delivery opportunity, like ``rank-dead``, but against
+    the *real* OS process behind the targeted rank: on the multiprocess
     backend the process is SIGKILLed (``proc-kill``) or SIGSTOPped
     (``proc-hang``), and detection runs through the genuine machinery —
     exit-code checks for kills, missed heartbeats plus fencing for hangs
-    (``docs/robustness.md``).  On backends without real processes both
-    degrade to the simulated ``rank-dead`` behavior so fault plans stay
-    portable across backends.
+    (``docs/robustness.md``) — at the next command round, since a ghost
+    exchange sends nothing to the ranks.  On backends without real
+    processes both degrade to the simulated ``rank-dead`` behavior so
+    fault plans stay portable across backends.
 
 Kind names accept ``_`` as a separator alias (``rank_dead`` == ``rank-dead``).
 """

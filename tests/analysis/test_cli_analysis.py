@@ -10,14 +10,13 @@ from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "lint-baseline.json"
 
 BAD_SOURCE = "def f(x):\n    return x == 0.5\n"
 
 
 class TestLintCommand:
-    def test_src_tree_exits_clean_with_baseline(self, capsys):
-        rc = main(["lint", str(SRC), "--baseline", str(BASELINE)])
+    def test_src_tree_exits_clean(self, capsys):
+        rc = main(["lint", str(SRC)])
         assert rc == 0
         assert "0 violation(s)" in capsys.readouterr().out
 
@@ -29,23 +28,14 @@ class TestLintCommand:
         out = capsys.readouterr().out
         assert "RPR001" in out and "mod.py:2" in out
 
-    def test_write_baseline_then_lint_clean(self, tmp_path, capsys):
-        mod = tmp_path / "mod.py"
-        mod.write_text(BAD_SOURCE)
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", str(mod), "--write-baseline", str(baseline)]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(["lint", str(mod), "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_no_baseline_reports_everything(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(BAD_SOURCE)
-        baseline = tmp_path / "baseline.json"
-        main(["lint", str(mod), "--write-baseline", str(baseline)])
-        assert main(["lint", str(mod), "--baseline", str(baseline),
-                     "--no-baseline"]) == 1
+    @pytest.mark.parametrize("command", ["lint", "verify-protocol"])
+    @pytest.mark.parametrize("flag", ["--baseline=b.json", "--no-baseline",
+                                      "--write-baseline=b.json"])
+    def test_nothing_is_grandfathered(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_json_report_written(self, tmp_path):
         mod = tmp_path / "mod.py"

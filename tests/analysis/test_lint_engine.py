@@ -1,4 +1,4 @@
-"""Engine behavior: noqa, baselines, JSON reports, and the clean-tree gate."""
+"""Engine behavior: noqa, JSON reports, and the clean-tree gate."""
 
 import json
 from pathlib import Path
@@ -9,16 +9,10 @@ from repro.analysis.lint import (
     lint_source,
     write_json_report,
 )
-from repro.analysis.lint.baseline import (
-    BASELINE_SCHEMA,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.lint.engine import LINT_SCHEMA, module_of, noqa_map
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
 class TestNoqa:
@@ -57,60 +51,6 @@ class TestNoqa:
 
     def test_noqa_map_tolerates_indentation_error(self):
         assert noqa_map("def f():\npass\n  extra\n") == {}
-
-
-class TestBaseline:
-    SOURCE = "def f(x):\n    return x == 0.5\n"
-
-    def test_roundtrip_and_match(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(self.SOURCE)
-        report = lint_paths([mod])
-        assert [v.code for v in report.violations] == ["RPR001"]
-
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, report.violations)
-        doc = json.loads(baseline.read_text())
-        assert doc["schema"] == BASELINE_SCHEMA
-        assert load_baseline(baseline)
-
-        again = lint_paths([mod], baseline_path=baseline)
-        assert again.clean
-        assert not again.new_violations
-        assert len(again.violations) == 1  # still reported, just baselined
-
-    def test_baseline_matches_on_snippet_not_line(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(self.SOURCE)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, lint_paths([mod]).violations)
-
-        # shift the offending line down: the baseline must still absorb it
-        mod.write_text("import math\n\n\n" + self.SOURCE)
-        report = lint_paths([mod], baseline_path=baseline)
-        assert report.clean
-
-    def test_new_violation_not_absorbed(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(self.SOURCE)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, lint_paths([mod]).violations)
-
-        mod.write_text(self.SOURCE + "\ndef g(y):\n    return y != 2.5\n")
-        report = lint_paths([mod], baseline_path=baseline)
-        assert not report.clean
-        assert len(report.new_violations) == 1
-
-    def test_stale_entries_surface(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(self.SOURCE)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, lint_paths([mod]).violations)
-
-        mod.write_text("def f(x):\n    return x <= 0.5\n")  # fixed
-        report = lint_paths([mod], baseline_path=baseline)
-        assert report.clean
-        assert report.baseline is not None and report.baseline.stale
 
 
 class TestJsonReport:
@@ -201,30 +141,18 @@ class TestStaleNoqa:
 
 
 class TestTreeIsClean:
-    """The PR gate: src/repro lints clean modulo the committed baseline."""
+    """The PR gate: src/repro lints clean, with nothing grandfathered."""
 
-    def test_src_clean_modulo_baseline(self):
-        report = lint_paths([SRC], baseline_path=BASELINE)
+    def test_src_clean(self):
+        report = lint_paths([SRC])
         assert isinstance(report, LintReport)
         assert not report.parse_errors
-        offenders = "\n".join(v.format() for v in report.new_violations)
-        assert report.clean, f"new lint violations:\n{offenders}"
+        offenders = "\n".join(v.format() for v in report.violations)
+        assert report.clean, f"lint violations:\n{offenders}"
 
     def test_src_has_no_stale_noqas(self):
-        report = lint_paths([SRC], baseline_path=BASELINE)
+        report = lint_paths([SRC])
         assert not report.stale_noqas, (
             "noqa comments whose code no longer fires — delete them: "
             f"{report.stale_noqas}"
         )
-
-    def test_baseline_has_no_stale_entries(self):
-        report = lint_paths([SRC], baseline_path=BASELINE)
-        assert report.baseline is not None
-        assert not report.baseline.stale, (
-            "baseline entries no longer match any violation — shrink "
-            f"lint-baseline.json: {report.baseline.stale}"
-        )
-
-    def test_baseline_stays_small(self):
-        # the baseline is a burn-down list, not a dumping ground
-        assert len(load_baseline(BASELINE)) <= 5

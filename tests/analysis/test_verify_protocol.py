@@ -1,9 +1,8 @@
-"""verify_protocol report assembly, noqa/baseline ergonomics, and the CLI."""
+"""verify_protocol report assembly, noqa ergonomics, and the CLI."""
 
 import json
 from pathlib import Path
 
-from repro.analysis.lint.baseline import write_baseline
 from repro.analysis.lint.rules import Violation
 from repro.analysis.proto.report import (
     PROTO_SCHEMA,
@@ -74,16 +73,6 @@ class TestReport:
         assert suppressed == [v]
         assert stale == []
 
-    def test_baseline_grandfathers_findings(self, tmp_path):
-        dirty = verify_protocol(root=FIXTURES / "wire_bad")
-        assert dirty.violations
-        baseline = tmp_path / "proto-baseline.json"
-        write_baseline(baseline, dirty.violations)
-        rebased = verify_protocol(
-            root=FIXTURES / "wire_bad", baseline_path=baseline
-        )
-        assert rebased.new_violations == [] and rebased.clean
-
 
 class TestCli:
     def test_exit_zero_on_clean_tree(self, capsys):
@@ -104,12 +93,3 @@ class TestCli:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["schema"] == PROTO_SCHEMA
-
-    def test_write_baseline_roundtrip(self, tmp_path, capsys):
-        baseline = tmp_path / "pb.json"
-        root = str(FIXTURES / "wire_bad")
-        assert main(["verify-protocol", root,
-                     "--write-baseline", str(baseline)]) == 0
-        assert main(["verify-protocol", root,
-                     "--baseline", str(baseline)]) == 0
-        assert main(["verify-protocol", root, "--no-baseline"]) == 1

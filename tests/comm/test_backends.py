@@ -4,7 +4,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from repro.comm import compute
 from repro.comm.backends import (
     BACKEND_ENV,
     BACKEND_NAMES,
@@ -18,6 +20,7 @@ from repro.comm.backends import pool
 from repro.comm.backends.base import TransportBroken, TransportTimeout
 from repro.comm.backends.supervisor import HeartbeatPolicy
 from repro.comm.communicator import Communicator, RetryPolicy
+from repro.comm.delivery import deliver_round
 from repro.resilience.errors import MessageTimeout, RankDeadError
 
 
@@ -140,19 +143,24 @@ class TestCommunicatorOwnership:
 
 class TestInProcessLoopback:
     def test_data_acked_with_payload_echo(self):
-        b = InProcessBackend(2)
+        """A DATA edge is answered by the delivery round's loopback, on the
+        in-process backend as on any other."""
+        comm = Communicator(2)
+        for _ in range(9):
+            comm.next_seq(0, 1)
         payload = np.arange(5.0).tobytes()
-        resp = _request(
-            b, 1, framing.encode_frame(framing.DATA, 0, 1, 9, payload), 1.0
-        )
+        got = []
+        deliver_round(comm, framing.DATA, {1: (0, payload)}, settle=got.append)
+        (resp,) = [edge.frame for edge in got]
         assert resp.kind == framing.ACK
         assert (resp.src, resp.dst, resp.seq) == (0, 1, 9)
         assert resp.payload == payload
 
-    def test_ping_ponged(self):
+    def test_no_transport(self):
         b = InProcessBackend(1)
-        resp = _request(b, 0, framing.encode_frame(framing.PING, 0, 0, 1), 1.0)
-        assert resp.kind == framing.PONG
+        ping = framing.encode_frame(framing.PING, 0, 0, 1)
+        with pytest.raises(NotImplementedError, match="no transport"):
+            _request(b, 0, ping, 1.0)
 
     def test_no_real_processes(self):
         b = InProcessBackend(2)
@@ -166,7 +174,7 @@ class TestInProcessLoopback:
     def test_rank_bounds_checked(self):
         b = InProcessBackend(2)
         with pytest.raises(ValueError, match="rank 2"):
-            _request(b, 2, framing.encode_frame(framing.PING, 0, 2, 0), 1.0)
+            b.check_alive(2)
 
 
 class TestMultiprocessLifecycle:
@@ -176,28 +184,22 @@ class TestMultiprocessLifecycle:
         assert all(p is not None and p != os.getpid() for p in pids)
         assert len(set(pids)) == 3
 
-    def test_data_round_trip_bitwise(self, mp_backend):
-        payload = np.linspace(0.0, 1.0, 17)
-        raw = framing.encode_frame(framing.DATA, 0, 2, 0, payload.tobytes())
-        resp = _request(mp_backend, 2, raw, 1.0)
-        assert resp.kind == framing.ACK
-        echoed = np.frombuffer(resp.payload, dtype=np.float64)
-        assert echoed.tobytes() == payload.tobytes()
-
-    def test_stale_seq_nakked(self, mp_backend):
-        new = framing.encode_frame(framing.DATA, 0, 1, 5, b"new")
-        old = framing.encode_frame(framing.DATA, 0, 1, 4, b"old")
-        assert _request(mp_backend, 1, new, 1.0).kind == framing.ACK
-        resp = _request(mp_backend, 1, old, 1.0)
-        assert resp.kind == framing.NAK
-        assert resp.payload == b"stale-seq"
-
     def test_corrupt_frame_nakked_with_reason(self, mp_backend):
-        raw = bytearray(framing.encode_frame(framing.DATA, 0, 1, 6, b"xyzw"))
+        payload = compute.load_matrix("k", sp.identity(2, format="csr"))
+        raw = bytearray(framing.encode_frame(framing.CMD, 1, 1, 6, payload))
         raw[-1] ^= 0xFF
         resp = _request(mp_backend, 1, bytes(raw), 1.0)
         assert resp.kind == framing.NAK
         assert b"checksum" in resp.payload
+
+    def test_stray_data_frame_nakked(self, mp_backend):
+        """No rank serves DATA: the driver holds both ends of every ghost
+        exchange, so a DATA frame on a pipe is an unexpected kind."""
+        raw = framing.encode_frame(framing.DATA, 0, 1, 0, b"ghosts")
+        resp = _request(mp_backend, 1, raw, 1.0)
+        assert resp.kind == framing.NAK
+        assert resp.payload == b"unexpected data"
+        assert mp_backend.probe(1)
 
     def test_probe_healthy_rank(self, mp_backend):
         assert mp_backend.probe(0)
@@ -356,11 +358,38 @@ class TestExchangeOverBackend:
         for got, want in zip(results["multiprocess"], results["inprocess"]):
             assert got.tobytes() == want.tobytes()
 
-    def test_startup_death_during_first_exchange_is_typed(self, monkeypatch):
-        """The backend starts lazily, inside the first delivery round: a rank
-        that never says HELLO must reach recovery as ``RankDeadError``."""
+    def test_a_kill_at_an_exchange_is_detected_at_the_next_command_round(self):
+        """A ``proc-kill`` that fires at a ghost exchange kills the rank for
+        real, but the exchange sends that rank nothing and completes; the
+        next command round finds the rank dead."""
+        from repro import faults
         from repro.comm.pattern import CommunicationPattern, ExchangeSpec
 
+        pattern = CommunicationPattern(
+            num_ranks=2, transfers=[ExchangeSpec(0, 1, np.array([0]), np.array([0]))]
+        )
+        comm = Communicator(2, backend="multiprocess")
+        comm.backend.ensure_started()
+        plan = faults.FaultPlan(faults.FaultSpec("proc-kill", rank=1))
+        load = compute.load_matrix("k", sp.identity(2, format="csr"))
+        try:
+            with faults.inject(plan):
+                ghost = [np.zeros(1), np.zeros(1)]
+                pattern.exchange(comm, [np.full(1, 7.0), np.ones(1)], ghost)
+                assert ghost[1][0] == 7.0
+                (rec,) = plan.injected
+                assert rec["kind"] == "proc-kill" and rec["degraded"] is False
+                with pytest.raises(RankDeadError) as exc:
+                    deliver_round(comm, framing.CMD, {1: (1, load)},
+                                  settle=lambda edge: None)
+            assert exc.value.rank == 1
+        finally:
+            comm.close()
+
+    def test_startup_death_during_first_command_round_is_typed(self, monkeypatch):
+        """The backend starts lazily, inside the first command round (a
+        ghost exchange sends the ranks nothing): a rank that never says
+        HELLO must reach recovery as ``RankDeadError``."""
         hello = MultiprocessBackend._await_hello
 
         def no_hello_from_rank_1(self, rank):
@@ -370,13 +399,12 @@ class TestExchangeOverBackend:
             raise self.supervisor.classify(rank, phase="startup")
 
         monkeypatch.setattr(MultiprocessBackend, "_await_hello", no_hello_from_rank_1)
-        pattern = CommunicationPattern(
-            num_ranks=2, transfers=[ExchangeSpec(0, 1, np.array([0]), np.array([0]))]
-        )
         comm = Communicator(2, backend="multiprocess")
+        load = compute.load_matrix("k", sp.identity(2, format="csr"))
         try:
             with pytest.raises(RankDeadError) as exc:
-                pattern.exchange(comm, [np.ones(1), np.ones(1)], [np.zeros(1)] * 2)
+                deliver_round(comm, framing.CMD, {1: (1, load)},
+                              settle=lambda edge: None)
             assert exc.value.rank == 1
             assert exc.value.context["phase"] == "startup"
         finally:

@@ -1,10 +1,12 @@
 """The delivery round's contract, one table for every edge kind and backend.
 
 Each scenario runs through the comm layer's real call sites — a DATA edge
-via ``CommunicationPattern.exchange`` on the ``inprocess`` backend (failures
-come from the fault plan) and on a scripted real backend, and a CMD edge
-via ``compute.apply_factors`` on the scripted backend — and must leave
-identical ``CommStats``, retry reasons and fault class behind.
+via ``CommunicationPattern.exchange`` on the ``inprocess`` backend and on a
+scripted real backend, and a CMD edge via ``compute.apply_factors`` on the
+scripted backend — and must leave identical ``CommStats``, retry reasons and
+fault class behind.  A DATA edge never reaches a backend: the round's
+loopback answers it on either backend and its failures come from the fault
+plan, so a script plays only the CMD edge.
 """
 
 import ast
@@ -20,6 +22,7 @@ from repro.comm.backends import ExecutionBackend, framing, worker
 from repro.comm.backends.base import TransportBroken, TransportTimeout
 from repro.comm.backends.supervisor import HeartbeatPolicy, RankSupervisor
 from repro.comm.communicator import Communicator, RetryPolicy
+from repro.comm.delivery import _loopback, deliver_round
 from repro.comm.pattern import CommunicationPattern, ExchangeSpec
 from repro.distributed.layout import Layout
 from repro.factor.ilu0 import ilu0
@@ -53,9 +56,9 @@ class ScriptedBackend(ExecutionBackend):
     ``script[rank]`` is consumed one step per request: ``timeout`` / ``nak``
     / ``garbled`` / ``broken`` / ``mislabelled`` (an error RESULT whose
     opcode byte names another op than the command's); once exhausted the
-    rank answers like a rank process (ACK echo, or the executed command's
-    RESULT).  Supervision is
-    the real :class:`RankSupervisor`, fenced like ``MultiprocessBackend``.
+    rank answers like a rank process, with the executed command's RESULT.
+    Supervision is the real :class:`RankSupervisor`, fenced like
+    ``MultiprocessBackend``.
     """
 
     name = "scripted"
@@ -92,8 +95,6 @@ class ScriptedBackend(ExecutionBackend):
                 worker.OP_LOAD_MATRIX, {"error": "scripted", "etype": "ValueError"}
             )
             return framing.Frame(framing.RESULT, frame.src, frame.dst, frame.seq, payload)
-        if frame.kind == framing.DATA:
-            return framing.Frame(framing.ACK, frame.src, frame.dst, frame.seq, frame.payload)
         return framing.Frame(
             framing.RESULT, frame.src, frame.dst, frame.seq,
             worker.execute(self.store, frame.payload),
@@ -198,17 +199,18 @@ EDGES = {
     (scenario, edge)
     for scenario in sorted(SCENARIOS) for edge in sorted(EDGES)
     # the loopback cannot garble a response or exit
-    if not (edge == "data-inprocess" and SCENARIOS[scenario][1] is None)
+    if not (edge.startswith("data-") and SCENARIOS[scenario][1] is None)
 ])
 def test_delivery_contract(scenario, edge):
     script, spec, stats, reasons, fault_cls = SCENARIOS[scenario]
     backend_name, run = EDGES[edge]
     simulated = scenario == "simulated-dead-rank"
     backend = backend_name
+    data = edge.startswith("data-")
     if backend_name == "scripted":
-        backend = ScriptedBackend(2, {} if simulated else {1: script})
+        backend = ScriptedBackend(2, {} if simulated or data else {1: script})
     specs = []
-    if spec and (simulated or backend_name == "inprocess"):
+    if spec and (simulated or data):
         specs = [faults.FaultSpec(spec[0], **spec[1])]
     comm = Communicator(2, retry_policy=POLICY, backend=backend)
     with obs.tracing() as tracer, faults.inject(faults.FaultPlan(specs)):
@@ -249,14 +251,20 @@ def test_delivery_contract(scenario, edge):
 @pytest.mark.parametrize("run", [_data_edge, _cmd_edge])
 def test_successful_delivery_resets_the_miss_count(run):
     """Drift 1: ``fence_after`` budgets *consecutive* misses.  A rank that
-    times out once and then answers, exchange after exchange, stays READY;
-    before, only CMD rounds fed ``record_ready`` and the fourth such ghost
-    exchange SIGKILLed a healthy rank."""
+    times out once and then answers, round after round, stays READY; a
+    dropped ghost transfer is answered by the loopback and never counts
+    against the rank at all (before, the fourth such exchange SIGKILLed a
+    healthy rank)."""
     backend = ScriptedBackend(2, fence_after=3)
     comm = Communicator(2, retry_policy=POLICY, backend=backend)
     for _ in range(4):
-        backend.script[1] = ["timeout"]
-        run(comm)
+        if run is _cmd_edge:
+            backend.script[1] = ["timeout"]
+            run(comm)
+        else:
+            with faults.inject(faults.FaultPlan(
+                    [faults.FaultSpec("message-drop", count=1)])):
+                run(comm)
         record = backend.supervisor.records[1]
         assert (record.state, record.misses, record.fenced) == ("ready", 0, False)
     assert comm.comm_stats.timeouts == 4 and comm.comm_stats.rank_dead == 0
@@ -301,8 +309,68 @@ def test_consecutive_misses_still_fence():
     backend = ScriptedBackend(2, {1: ["timeout"] * ATTEMPTS}, fence_after=ATTEMPTS)
     comm = Communicator(2, retry_policy=POLICY, backend=backend)
     with pytest.raises(RankDeadError, match="fenced"):
-        _data_edge(comm)
+        _cmd_edge(comm)
     assert backend.supervisor.records[1].fenced
+
+
+class TestLoopback:
+    """DATA edges are answered by the delivery round itself."""
+
+    def test_loopback_answers_every_rank(self):
+        comm = Communicator(3)
+        sends = {r: ((r + 1) % 3, bytes([r]) * (r + 1)) for r in range(3)}
+        got = {}
+        deliver_round(comm, framing.DATA, sends,
+                      settle=lambda edge: got.update({edge.dst: edge.frame}))
+        assert sorted(got) == [0, 1, 2]
+        for r, frame in got.items():
+            assert frame.kind == framing.ACK
+            assert (frame.src, frame.dst, frame.seq) == (sends[r][0], r, 0)
+            assert frame.payload == sends[r][1]
+
+    @pytest.mark.parametrize("garble,envelope,reason", [
+        (lambda raw: raw[:-1] + bytes([raw[-1] ^ 0xFF]), (0, 1, 5), b"checksum"),
+        (lambda raw: raw + b"x", (0, 1, 5), b"length-mismatch"),
+        (lambda raw: raw[:4] + bytes([99]) + raw[5:], (0, 1, 5), b"bad-kind"),
+        # an unreadable header is NAKed on the receiver's self-edge
+        (lambda raw: raw[:framing.HEADER_SIZE - 1], (1, 1, 0), b"truncated"),
+        (lambda raw: b"XXXX" + raw[4:], (1, 1, 0), b"bad-magic"),
+        (lambda raw: framing.encode_frame(framing.PING, 0, 1, 5),
+         (0, 1, 5), b"unexpected ping"),
+        (lambda raw: framing.encode_frame(framing.CMD, 0, 1, 5, b"op"),
+         (0, 1, 5), b"unexpected cmd"),
+    ], ids=["checksum", "length-mismatch", "bad-kind", "truncated",
+            "bad-magic", "ping", "cmd"])
+    def test_loopback_naks_what_a_rank_would(self, garble, envelope, reason):
+        """A garbled DATA frame is NAKed with the check that failed, and a
+        frame of another kind as unexpected."""
+        raw = framing.encode_frame(framing.DATA, 0, 1, 5, b"ghosts")
+        nak = _loopback(1, garble(raw))
+        assert (nak.kind, nak.src, nak.dst, nak.seq) == (framing.NAK, *envelope)
+        assert nak.payload == reason
+
+    @pytest.mark.parametrize("spec,fault_cls", [
+        (None, None),
+        (("message-drop", {"count": -1}), MessageTimeout),
+        (("message-corrupt", {"count": -1}), MessageCorruption),
+        (("rank-dead", {"rank": 1}), RankDeadError),
+    ], ids=["clean", "dropped", "corrupted", "dead-rank"])
+    def test_a_data_edge_never_reaches_the_backend(self, spec, fault_cls):
+        """On a real backend a DATA edge calls none of ``request_many``,
+        ``record_ready``, ``handle_timeout`` or ``classify``: a loopback
+        ACK is no heartbeat, and a give-up is typed from the attempts."""
+        backend = ScriptedBackend(2)
+        for name in ("request_many", "record_ready", "handle_timeout", "classify"):
+            setattr(backend, name, pytest.fail)
+        comm = Communicator(2, retry_policy=POLICY, backend=backend)
+        specs = [faults.FaultSpec(spec[0], **spec[1])] if spec else []
+        with faults.inject(faults.FaultPlan(specs)):
+            if fault_cls is None:
+                _data_edge(comm)
+            else:
+                with pytest.raises(fault_cls):
+                    _data_edge(comm)
+        assert comm.comm_stats.messages == 2
 
 
 class TestOneLoop:

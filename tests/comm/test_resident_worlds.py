@@ -115,25 +115,31 @@ class TestReuse:
         assert second.iterations == first.iterations
 
 
+def _load(key):
+    """A LOAD_MATRIX command whose RESULT names ``key``."""
+    return compute.load_matrix(key, _laplacian(2))
+
+
 class TestSeqContinuity:
     def test_a_new_communicator_never_matches_a_stale_reply(self):
         """A timed-out attempt on communicator A leaves its reply in the
-        pipe; B, on the same world, continues A's seq, so it neither
-        matches that reply nor trips the rank's stale-seq NAK."""
+        pipe; B, on the same world, continues A's seq, so it never takes
+        that reply (seq 0, had B started over) for the answer to its own
+        command."""
         a = _started(1)
-        for _ in range(4):
-            deliver_round(a, framing.DATA, {0: (0, b"a")}, settle=lambda e: None)
-        stale = framing.encode_frame(framing.DATA, 0, 0, a.next_seq(0, 0), b"stale")
+        stale = framing.encode_frame(framing.CMD, 0, 0, a.next_seq(0, 0), _load("stale"))
         res = a.backend.request_many({0: stale}, timeout=0.0)[0]
-        assert isinstance(res, TransportTimeout)  # its ACK is still on the way
+        assert isinstance(res, TransportTimeout)  # its RESULT is still on the way
         a.close()
         b = Communicator(1, backend="multiprocess")
         try:
             assert b.backend is a.backend
             got = []
-            deliver_round(b, framing.DATA, {0: (0, b"fresh")},
-                          settle=lambda e: got.append(e.frame.payload))
-            assert got == [b"fresh"]
+            deliver_round(b, framing.CMD, {0: (0, _load("fresh"))},
+                          settle=lambda e: got.append(e.frame))
+            (frame,) = got
+            assert frame.seq == 1
+            assert worker.unpack_command(frame.payload)[1]["key"] == "fresh"
             assert b.comm_stats.checksum_failures == 0
         finally:
             b.close()
@@ -173,7 +179,8 @@ class TestDamagedWorldsAreShutDown:
         world.hang_rank(1)
         try:
             with pytest.raises(MessageTimeout):
-                deliver_round(comm, framing.DATA, {1: (0, b"x")}, settle=lambda e: None)
+                deliver_round(comm, framing.CMD, {1: (1, _load("x"))},
+                              settle=lambda e: None)
         finally:
             world.resume_rank(1)
         # the rank answers again, so only the round's verdict keeps it out

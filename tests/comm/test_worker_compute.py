@@ -3,7 +3,7 @@ bitwise parity.
 
 These tests drive :mod:`repro.comm.compute`'s ops against a real
 multiprocess backend (2 rank processes) without a full solve, plus the
-``request_many`` batch contract of both transports.  What a rank holds is
+``request_many`` batch contract of the real transport.  What a rank holds is
 read back from the traced rounds: a round a rank refuses leaves no event,
 so a LOAD round in the trace is a key that rank lacked.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.comm import compute
-from repro.comm.backends import InProcessBackend, framing
+from repro.comm.backends import framing
 from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
 from repro.distributed.matrix import distribute_matrix
@@ -189,20 +189,6 @@ class TestBitwiseParity:
 
 
 class TestRequestMany:
-    def test_loopback_answers_every_rank(self):
-        backend = InProcessBackend(3)
-        try:
-            messages = {
-                r: framing.encode_frame(framing.PING, r, r, 10 + r)
-                for r in range(3)
-            }
-            out = backend.request_many(messages, timeout=1.0)
-            assert sorted(out) == [0, 1, 2]
-            for r, frame in out.items():
-                assert frame.kind == framing.PONG and frame.seq == 10 + r
-        finally:
-            backend.shutdown()
-
     def test_failures_are_values_not_raises(self, mp_comm):
         # an undeliverable message must come back as an exception *value*
         # so one bad rank cannot mask the other ranks' results

@@ -8,12 +8,17 @@ detected, classified, and absorbed — with the recovered solution still
 meeting the original convergence target.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro import faults, obs
-from repro.cases import poisson2d_case
+from repro.cases import build_case, poisson2d_case
+from repro.comm.backends import MultiprocessBackend, framing, pool, worker
 from repro.core.driver import solve_case
+from repro.core.transient import TransientHeatSolver
+from repro.mesh.grid2d import structured_rectangle
 from repro.resilience import ResilientSolver
 from repro.resilience.errors import RankDeadError
 
@@ -103,6 +108,62 @@ class TestKillAndRecover:
         assert _events(tracer, "comm.backend.heartbeat_miss")
         fenced = _events(tracer, "comm.backend.fenced")
         assert fenced and fenced[0]["attrs"]["rank"] == 1
+
+    def test_transient_march_recovers_a_killed_rank(self, tmp_path):
+        """A real SIGKILL mid-march of a multiprocess ``TransientHeatSolver``
+        (Schur 1, P = 3): the survivors' world of 2 ranks keeps its own seq
+        counters, and the march ends where the fault-free one does."""
+        mesh = structured_rectangle(11, 11)
+        u0 = np.sin(np.pi * mesh.points[:, 0]) * np.sin(np.pi * mesh.points[:, 1])
+
+        def march(**kw):
+            ths = TransientHeatSolver(
+                mesh, dt=0.02, dirichlet_nodes=mesh.all_boundary_nodes(),
+                precond="schur1", nparts=3, rtol=1e-10,
+                backend="multiprocess", **kw,
+            )
+            try:
+                return ths, ths.advance(u0, steps=6)
+            finally:
+                ths.close()
+
+        _, u_ref = march()
+        plan = faults.FaultPlan(faults.FaultSpec("proc-kill", rank=2, start=40))
+        with obs.tracing() as tracer, faults.inject(plan):
+            ths, u = march(checkpoint_dir=str(tmp_path))
+
+        (rec,) = plan.injected
+        assert rec["kind"] == "proc-kill" and rec["degraded"] is False
+        assert ths.nparts == 2 and ths.step == 6
+        assert any(s.name == "resilience.comm.recover" for s in tracer.spans)
+        np.testing.assert_allclose(u, u_ref, atol=1e-8)
+
+
+class TestGhostExchangeStaysOnTheDriver:
+    @pytest.mark.parametrize("precond", ["schur1", "schur2"])
+    def test_schur_writes_no_data_frame_to_a_rank(self, precond, monkeypatch):
+        """Schur 1/2's interface exchanges are copies on the driver under
+        every backend: a multiprocess solve pipes only its matvec command
+        rounds (and, on a fresh world, one round shipping the row blocks),
+        and its answer is the in-process one, bit for bit."""
+        sent = Counter()
+        send = MultiprocessBackend._send
+
+        def counting(self, rank, raw):
+            frame = framing.decode_frame(raw)
+            op = worker.OP_NAMES[frame.payload[0]] if frame.kind == framing.CMD else None
+            sent[frame.kind_name, op] += 1
+            return send(self, rank, raw)
+
+        monkeypatch.setattr(MultiprocessBackend, "_send", counting)
+        case = build_case("tc1", 17)
+        ref = solve_case(case, precond=precond, nparts=2)
+        pool.drain()
+        with obs.tracing():
+            out = solve_case(case, precond=precond, nparts=2, backend="multiprocess")
+        assert dict(sent) == {("cmd", "load-matrix"): 2, ("cmd", "matvec"): 16}
+        assert out.iterations == ref.iterations
+        assert out.x_global.tobytes() == ref.x_global.tobytes()
 
 
 class TestWorkerResidentState:
