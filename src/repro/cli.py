@@ -74,7 +74,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKEND_NAMES, default=None,
         help="execution backend: inprocess (simulated ranks, default) or "
         "multiprocess (ranks as supervised OS processes — "
-        "docs/robustness.md); default consults REPRO_COMM_BACKEND",
+        "docs/robustness.md)",
     )
 
     solve = sub.add_parser("solve", parents=[cache_opts, backend_opts],

@@ -12,7 +12,6 @@ products reduce through :class:`~repro.distributed.ops.DistributedOps`).
 from repro.comm.communicator import Communicator, CommStats, RetryPolicy
 from repro.comm.pattern import CommunicationPattern, ExchangeSpec
 from repro.comm.backends import (
-    BACKEND_ENV,
     BACKEND_NAMES,
     ExecutionBackend,
     InProcessBackend,
@@ -21,7 +20,6 @@ from repro.comm.backends import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKEND_NAMES",
     "Communicator",
     "CommStats",

@@ -1,18 +1,13 @@
 """Execution backends: how ranks run and how envelope bytes move.
 
-``resolve_backend`` is the single construction point, and
-``resolve_backend_name`` its one selection rule: explicit request beats the
-``REPRO_COMM_BACKEND`` environment override beats the ``inprocess``
-default.  See ``docs/robustness.md`` ("Execution backends
-and the rank lifecycle") for the full story.
+``resolve_backend`` is the single construction point: a name selects a
+backend, and no name means ``inprocess``.  See ``docs/robustness.md``
+("Execution backends and the rank lifecycle") for the full story.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.comm.backends.base import (
-    BACKEND_ENV,
     BACKEND_NAMES,
     ExecutionBackend,
     TransportBroken,
@@ -21,7 +16,10 @@ from repro.comm.backends.base import (
 from repro.comm.backends.framing import Frame, decode_frame, encode_frame
 from repro.comm.backends.inprocess import InProcessBackend
 from repro.comm.backends import pool
-from repro.comm.backends.multiprocess import MultiprocessBackend
+from repro.comm.backends.multiprocess import (
+    REAL_RETRY_POLICY,
+    MultiprocessBackend,
+)
 from repro.comm.backends.supervisor import (
     DEAD,
     READY,
@@ -33,10 +31,10 @@ from repro.comm.backends.supervisor import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKEND_NAMES",
     "DEAD",
     "READY",
+    "REAL_RETRY_POLICY",
     "SPAWNED",
     "SUSPECT",
     "ExecutionBackend",
@@ -53,7 +51,6 @@ __all__ = [
     "make_backend",
     "release_backend",
     "resolve_backend",
-    "resolve_backend_name",
 ]
 
 
@@ -68,15 +65,6 @@ def make_backend(name: str, size: int) -> ExecutionBackend:
     )
 
 
-def resolve_backend_name(name: str | None) -> str:
-    """The backend a request selects: ``name``, else the
-    :data:`~repro.comm.backends.base.BACKEND_ENV` environment variable, else
-    ``inprocess``."""
-    if name is None:
-        return os.environ.get(BACKEND_ENV) or "inprocess"
-    return name
-
-
 def resolve_backend(
     spec: str | ExecutionBackend | None, size: int
 ) -> tuple[ExecutionBackend, bool]:
@@ -84,7 +72,7 @@ def resolve_backend(
 
     ``spec`` may be a name, a ready-made instance (must match ``size``;
     the caller keeps it, so ``owned`` is False and the communicator leaves
-    it alone), or None (see :func:`resolve_backend_name`).  A name gives an
+    it alone), or None, which means ``inprocess``.  A name gives an
     owned backend, which the communicator hands to :func:`release_backend`
     on close: ``multiprocess`` leases a world from
     :mod:`~repro.comm.backends.pool`, idle ranks and resident state
@@ -96,10 +84,9 @@ def resolve_backend(
                 f"backend sized for {spec.size} ranks cannot serve {size}"
             )
         return spec, False
-    name = resolve_backend_name(spec)
-    if name == "multiprocess":
+    if spec == "multiprocess":
         return pool.lease(size), True
-    return make_backend(name, size), True
+    return make_backend(spec or "inprocess", size), True
 
 
 def release_backend(backend: ExecutionBackend) -> None:

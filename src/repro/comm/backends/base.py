@@ -9,7 +9,7 @@ execute and how bytes move between them* to an :class:`ExecutionBackend`:
 * ``multiprocess`` — every rank is a real OS process; worker commands
   travel as :mod:`~repro.comm.backends.framing` frames over pipes, and a
   :class:`~repro.comm.backends.supervisor.RankSupervisor` tracks the rank
-  lifecycle (heartbeats, real death, hangs, fencing).
+  lifecycle (handshake, real death, hangs, fencing).
 
 On both, a ghost exchange is a copy between arrays the driver holds.
 
@@ -30,9 +30,6 @@ from repro.resilience.errors import CommFault
 
 #: selectable backend names, in documentation order
 BACKEND_NAMES = ("inprocess", "multiprocess")
-
-#: environment override consulted when no explicit backend is requested
-BACKEND_ENV = "REPRO_COMM_BACKEND"
 
 
 class TransportTimeout(Exception):
@@ -171,10 +168,11 @@ class ExecutionBackend:
         return None
 
     def record_ready(self, rank: int) -> None:
-        """``rank`` answered correctly: a free heartbeat, its misses reset."""
+        """``rank`` answered a command round: its misses reset."""
 
     def handle_timeout(self, rank: int) -> str:
-        """``rank`` let a window pass: count the miss, maybe fence; returns its state."""
+        """``rank`` let a round's window pass: count the miss, maybe fence;
+        returns its state."""
         raise NotImplementedError(f"backend {self.name!r} cannot time out")
 
     def classify(self, rank: int, **context) -> CommFault:
@@ -197,12 +195,6 @@ class ExecutionBackend:
         raise ValueError(
             f"backend {self.name!r} has no real processes to stop — "
             "proc faults need the multiprocess backend"
-        )
-
-    def resume_rank(self, rank: int) -> None:
-        """SIGCONT a previously hung rank (test cleanup aid)."""
-        raise ValueError(
-            f"backend {self.name!r} has no real processes to resume"
         )
 
     # -- policy ------------------------------------------------------------

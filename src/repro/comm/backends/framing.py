@@ -28,25 +28,22 @@ from repro.resilience.errors import MessageCorruption
 #: first four bytes of every frame
 MAGIC = b"RPRB"
 
-#: frame kinds (the ``kind`` header field)
+#: frame kinds (the ``kind`` header field); 4 and 5 are unassigned, so a
+#: frame of either kind fails ``decode_frame`` like any unknown kind
 DATA = 1       #: a ghost-exchange payload under a fault plan (never piped)
 ACK = 2        #: the delivery round loopback's validated echo of a DATA
 NAK = 3        #: validation failure; payload is an ASCII reason
-PING = 4       #: liveness probe, driver -> rank process
-PONG = 5       #: liveness reply, rank process -> driver
 HELLO = 6      #: startup handshake, rank process -> driver
 SHUTDOWN = 7   #: graceful stop request, driver -> rank process
 CMD = 8        #: worker-compute command, driver -> rank process
 RESULT = 9     #: worker-compute result, rank process -> driver
 
-FRAME_KINDS = (DATA, ACK, NAK, PING, PONG, HELLO, SHUTDOWN, CMD, RESULT)
+FRAME_KINDS = (DATA, ACK, NAK, HELLO, SHUTDOWN, CMD, RESULT)
 
 KIND_NAMES = {
     DATA: "data",
     ACK: "ack",
     NAK: "nak",
-    PING: "ping",
-    PONG: "pong",
     HELLO: "hello",
     SHUTDOWN: "shutdown",
     CMD: "cmd",

@@ -1,15 +1,16 @@
 """The multiprocess backend: every rank is a real OS process.
 
-Each rank runs :func:`_worker_main` — a small event loop on the child end of
-a duplex pipe that validates incoming :mod:`~repro.comm.backends.framing`
-frames (seq + CRC-32, the PR 3 integrity envelope now framing real bytes),
-executes CMDs (NAKing one whose arena slot fails its CRC), answers PING
-probes, exits on SHUTDOWN and NAKs any other kind.  No ghost values cross
-the pipes: the driver holds both ends of every ghost exchange.  The
-parent side implements :meth:`MultiprocessBackend.request_many` with
-deadline-based response matching (stale replies from earlier timed-out
-attempts are drained and discarded by ``(kind, src, dst, seq)``; the world
-keeps the seq counters, so no later communicator reuses a seq).
+Each rank runs :func:`_worker_main` — a loop on the child end of a duplex
+pipe that sleeps until a frame arrives, validates it
+(:mod:`~repro.comm.backends.framing`: seq + CRC-32, the PR 3 integrity
+envelope now framing real bytes), executes CMDs (NAKing one whose arena
+slot fails its CRC), exits on SHUTDOWN or pipe EOF and NAKs any other
+kind.  No ghost values cross the pipes: the driver holds both ends of
+every ghost exchange.  The parent side implements
+:meth:`MultiprocessBackend.request_many` with deadline-based response
+matching (stale replies from earlier timed-out attempts are drained and
+discarded by ``(kind, src, dst, seq)``; the world keeps the seq counters,
+so no later communicator reuses a seq).
 
 A started world outlives the communicator that started it: ``close()``
 hands it back to :mod:`~repro.comm.backends.pool`, which keeps it for the
@@ -21,8 +22,8 @@ Failure detection is the point of this backend:
 * a worker that **exited** (clean exit, crash, SIGKILL — including the
   ``proc-kill`` injector) is noticed by ``Process.is_alive()`` /
   ``exitcode`` without burning a timeout window;
-* a worker that is **hung** (SIGSTOP via ``proc-hang``, livelock) misses
-  probe deadlines; the :class:`~repro.comm.backends.supervisor
+* a worker that is **hung** (SIGSTOP via ``proc-hang``, livelock) lets
+  command rounds time out; the :class:`~repro.comm.backends.supervisor
   .RankSupervisor` counts the misses and, once the budget is exhausted,
   the backend *fences* it (SIGKILL) so it cannot wake up later and write
   into a world that has moved on.
@@ -56,10 +57,18 @@ from repro.comm.backends.supervisor import READY, HeartbeatPolicy, RankSuperviso
 from repro.comm.communicator import RetryPolicy
 from repro.resilience.errors import CommFault, MessageCorruption
 
+#: the retry policy of every real rank round: transports wait real
+#: milliseconds, so a wider window than the simulated default, still bounded
+#: well under a second per transfer
+REAL_RETRY_POLICY = RetryPolicy(max_retries=3, timeout=0.1, backoff=2.0)
 
-def _worker_main(rank: int, size: int, conn: Connection,
-                 poll_interval: float) -> None:
-    """The rank process: validate, compute, heartbeat until shutdown."""
+#: how long :meth:`MultiprocessBackend.shutdown` waits for a rank to exit on
+#: its SHUTDOWN frame before it kills the process
+SHUTDOWN_GRACE = 0.25
+
+
+def _worker_main(rank: int, size: int, conn: Connection) -> None:
+    """The rank process: validate and compute until shutdown."""
     # the driver owns interrupt handling; workers die by SHUTDOWN frame,
     # pipe EOF, or the supervisor's fencing SIGKILL
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -71,16 +80,16 @@ def _worker_main(rank: int, size: int, conn: Connection,
     from repro import faults as _faults
     _faults._ACTIVE = None
     store = worker.SubdomainStore()
-    # one poll object for the process's life: Connection.poll builds a
-    # selector per call, which a per-iteration command would pay each time
+    # an idle rank sleeps in poll() with no timeout: only a frame or the
+    # driver's EOF wakes it.  Blocking in recv_bytes() instead made rounds
+    # whose ranks compute at once 15-20 % slower (2-core Linux VM,
+    # tc1 n=101, P=2 block1 solves).
     poller = select.poll()
     poller.register(conn.fileno(), select.POLLIN)
-    poll_ms = max(1, int(poll_interval * 1000))
     try:
         conn.send_bytes(framing.encode_frame(framing.HELLO, rank, rank, 0))
         while True:
-            if not poller.poll(poll_ms):
-                continue
+            poller.poll()
             raw = conn.recv_bytes()
             try:
                 frame = framing.decode_frame(raw)
@@ -89,11 +98,6 @@ def _worker_main(rank: int, size: int, conn: Connection,
                 continue
             if frame.kind == framing.SHUTDOWN:
                 return
-            if frame.kind == framing.PING:
-                conn.send_bytes(framing.encode_frame(
-                    framing.PONG, frame.src, frame.dst, frame.seq
-                ))
-                continue
             if frame.kind == framing.CMD:
                 # worker-resident compute; every op is idempotent, so a
                 # retransmitted CMD (same seq) simply re-executes and
@@ -121,25 +125,17 @@ class MultiprocessBackend(ExecutionBackend):
     name = "multiprocess"
     is_real = True
 
-    def __init__(
-        self,
-        size: int,
-        heartbeat: HeartbeatPolicy | None = None,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, size: int, heartbeat: HeartbeatPolicy | None = None) -> None:
         super().__init__(size)
         self.heartbeat = heartbeat or HeartbeatPolicy()
         self.supervisor = RankSupervisor(size, self.heartbeat)
-        if start_method is None:
-            # fork keeps spawn cost in the low milliseconds; fall back to
-            # the platform default (spawn) where fork does not exist
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else None
-        self._ctx = multiprocessing.get_context(start_method)
+        # fork keeps spawn cost in the low milliseconds; fall back to the
+        # platform default (spawn) where fork does not exist
+        self._ctx = multiprocessing.get_context(
+            "fork" if hasattr(os, "fork") else None)
         self._procs: list[multiprocessing.Process | None] = [None] * size
         self._conns: list[Connection | None] = [None] * size
         self._pollers: list = [None] * size  # one select.poll per live pipe
-        self._ping_seq = 0
         self._started = False
         #: the process whose children the ranks are: only it may talk to them
         self._owner = os.getpid()
@@ -191,7 +187,7 @@ class MultiprocessBackend(ExecutionBackend):
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(rank, self.size, child, self.heartbeat.poll_interval),
+            args=(rank, self.size, child),
             name=f"repro-rank-{rank}",
             daemon=True,
         )
@@ -260,7 +256,7 @@ class MultiprocessBackend(ExecutionBackend):
                     ))
                 except (BrokenPipeError, OSError):
                     pass
-            proc.join(timeout=self.heartbeat.probe_timeout)
+            proc.join(timeout=SHUTDOWN_GRACE)
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=self.heartbeat.startup_timeout)
@@ -348,32 +344,11 @@ class MultiprocessBackend(ExecutionBackend):
             # delivery round counts a checksum failure and retransmits
             if (resp.src, resp.dst, resp.seq) != (want_src, want_dst, want_seq):
                 continue  # stale reply from an earlier timed-out attempt
-            if want_kind == framing.PING and resp.kind != framing.PONG:
-                continue
             if want_kind == framing.CMD and resp.kind not in (
                 framing.RESULT, framing.NAK
             ):
                 continue
             return resp
-
-    def probe(self, rank: int, timeout: float | None = None) -> bool:
-        """PING ``rank``; True on a PONG within the window, False on a miss.
-
-        Misses are recorded with the supervisor (this is the heartbeat);
-        a miss that exhausts the budget triggers fencing.
-        """
-        timeout = self.heartbeat.probe_timeout if timeout is None else timeout
-        self._ping_seq += 1
-        ping = framing.encode_frame(
-            framing.PING, rank, rank, self._ping_seq
-        )
-        res = self.request_many({rank: ping}, timeout)[rank]
-        if isinstance(res, TransportTimeout):
-            self.handle_timeout(rank)
-        if isinstance(res, Exception):  # timed out, broken, or a garbled PONG
-            return False
-        self.record_ready(rank)
-        return True
 
     # -- liveness / supervision -------------------------------------------
 
@@ -399,7 +374,7 @@ class MultiprocessBackend(ExecutionBackend):
         self.supervisor.record_ready(rank)
 
     def handle_timeout(self, rank: int) -> str:
-        """A transfer/probe to ``rank`` timed out: record, maybe fence."""
+        """A command round to ``rank`` timed out: record, maybe fence."""
         if self._record_exit_if_dead(rank):
             return self.supervisor.state(rank)
         state = self.supervisor.record_miss(rank)
@@ -462,19 +437,10 @@ class MultiprocessBackend(ExecutionBackend):
         if pid is not None and self.check_alive(rank):
             os.kill(pid, signal.SIGSTOP)
 
-    def resume_rank(self, rank: int) -> None:
-        """SIGCONT a hung rank (test cleanup; real recovery fences instead)."""
-        self._check_rank(rank)
-        pid = self.rank_pid(rank)
-        if pid is not None and self.check_alive(rank):
-            os.kill(pid, signal.SIGCONT)
-
     # -- policy ------------------------------------------------------------
 
     def default_retry_policy(self) -> RetryPolicy:
-        """Real transports wait real milliseconds: a wider window than the
-        simulated default, still bounded well under a second per transfer."""
-        return RetryPolicy(max_retries=3, timeout=0.1, backoff=2.0)
+        return REAL_RETRY_POLICY
 
     def __del__(self) -> None:  # pragma: no cover - belt and braces
         try:

@@ -6,11 +6,11 @@ rank it tracks a small state machine, whose edges are the module's
 
 ::
 
-    SPAWNED ──hello──▶ READY ──missed probe──▶ SUSPECT ──fence──▶ DEAD
-       │                 ▲                      │   ▲               ▲
-       │                 └──── probe answered ──┘   │               │
-       ├──────────────────── missed probe ──────────┘               │
-       └────── process exit (from any live state) ──────────────────┘
+    SPAWNED ──hello──▶ READY ──round timed out──▶ SUSPECT ──fence──▶ DEAD
+       │                 ▲                         │   ▲               ▲
+       │                 └──── round answered ─────┘   │               │
+       ├──────────────────── round timed out ──────────┘               │
+       └────── process exit (from any live state) ─────────────────────┘
 
 Every observation of a DEAD rank is a no-op; ``record_spawn`` is the one
 reset, starting a respawned rank over at SPAWNED.  The supervisor
@@ -19,23 +19,23 @@ classifies the terminal states into the existing
 
 * a rank whose OS process **exited** (clean exit, SIGKILL, crash) is DEAD
   and classifies as :class:`RankDeadError`;
-* a rank that is alive but **unresponsive** (SIGSTOP, livelock) accumulates
-  missed heartbeat probes as SUSPECT; once ``fence_after`` consecutive
-  probes are missed the supervisor *fences* it — SIGKILLs the stuck process
-  so it cannot wake up mid-recovery and corrupt the rebuilt world — and the
-  rank is DEAD;
+* a rank that is alive but **unresponsive** (SIGSTOP, livelock) lets
+  command rounds time out and is SUSPECT; once ``fence_after`` consecutive
+  rounds have timed out the supervisor *fences* it — SIGKILLs the stuck
+  process so it cannot wake up mid-recovery and corrupt the rebuilt world —
+  and the rank is DEAD;
 * a SUSPECT rank that has not yet exhausted its miss budget classifies as
   :class:`MessageTimeout`, so bounded stalls stay retryable.
 
-Probing is pull-based: liveness is checked on demand (at startup, and
-whenever a delivery times out), never from a background thread, so runs
-stay deterministic.  The delivery round (``docs/robustness.md``, "The
-delivery round") feeds the accounting without extra probes: every validated
-response — a ghost-exchange ACK or a worker command RESULT alike — calls
-:meth:`RankSupervisor.record_ready` (a free heartbeat, which is what makes
-``fence_after`` a budget of *consecutive* misses), and an edge that times
-out classifies through the supervisor.  Every transition emits a
-``comm.backend.*`` trace event (``docs/observability.md``).
+Nothing probes a rank.  Liveness is what the driver already observes: the
+HELLO handshake at spawn, the OS exit status, and the command rounds
+(``docs/robustness.md``, "The delivery round").  Every reply a rank sends
+to a round calls :meth:`RankSupervisor.record_ready`, which is what makes
+``fence_after`` a budget of *consecutive* misses; every window a round
+lets pass calls :meth:`RankSupervisor.record_miss`.  A loopback ACK of a
+ghost exchange is not news of a rank and counts for neither.  Every
+transition emits a ``comm.backend.*`` trace event
+(``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -63,24 +63,17 @@ _TRANSITIONS = {
 
 @dataclass(frozen=True)
 class HeartbeatPolicy:
-    """Supervision timing knobs (the table in ``docs/robustness.md``).
+    """Supervision knobs (the table in ``docs/robustness.md``).
 
-    ``poll_interval`` is the worker's event-loop granularity — the upper
-    bound on how late a healthy worker answers a probe.  ``probe_timeout``
-    is how long the supervisor waits for a liveness reply before recording
-    a miss.  ``fence_after`` consecutive misses escalate SUSPECT → DEAD by
+    ``fence_after`` consecutive timed-out rounds escalate SUSPECT → DEAD by
     fencing (SIGKILL) the unresponsive process; ``startup_timeout`` bounds
     the spawn → HELLO handshake.
     """
 
-    poll_interval: float = 0.05
-    probe_timeout: float = 0.25
     fence_after: int = 3
     startup_timeout: float = 15.0
 
     def __post_init__(self) -> None:
-        if self.poll_interval <= 0 or self.probe_timeout <= 0:
-            raise ValueError("heartbeat intervals must be > 0")
         if self.fence_after < 1:
             raise ValueError("fence_after must be >= 1")
         if self.startup_timeout <= 0:
@@ -146,7 +139,7 @@ class RankSupervisor:
         rec.state = SPAWNED
 
     def record_ready(self, rank: int) -> None:
-        """A HELLO (startup) or probe reply arrived: the rank is healthy."""
+        """A HELLO (startup) or a round's reply arrived: the rank is healthy."""
         rec = self.records[rank]
         was = rec.state
         if not self._enter(rec, READY):
@@ -156,7 +149,7 @@ class RankSupervisor:
         rec.misses = 0
 
     def record_miss(self, rank: int) -> str:
-        """A probe went unanswered; returns the rank's new state."""
+        """A round's window passed unanswered; returns the rank's new state."""
         rec = self.records[rank]
         if not self._enter(rec, SUSPECT):
             return rec.state
@@ -222,15 +215,15 @@ class RankSupervisor:
         if rec.state == DEAD:
             fault: CommFault = RankDeadError(
                 f"rank {rank} process is dead"
-                + (" (fenced after missed heartbeats)" if rec.fenced else
+                + (" (fenced after timed-out rounds)" if rec.fenced else
                    f" (exitcode {rec.exitcode})"),
                 rank=rank, exitcode=rec.exitcode, fenced=rec.fenced,
                 **context,
             )
         else:
             fault = MessageTimeout(
-                f"rank {rank} is unresponsive ({rec.misses} missed "
-                f"heartbeat(s), state {rec.state})",
+                f"rank {rank} is unresponsive ({rec.misses} timed-out "
+                f"round(s), state {rec.state})",
                 rank=rank, misses=rec.misses, **context,
             )
         obs.event(

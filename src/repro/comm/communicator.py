@@ -87,10 +87,9 @@ class Communicator:
     :class:`~repro.comm.backends.ExecutionBackend` — ``inprocess`` (the
     default: simulated ranks, bit-identical to the historical behavior) or
     ``multiprocess`` (ranks as supervised OS processes).  ``backend`` may
-    be a name, an instance, or None (which consults the
-    ``REPRO_COMM_BACKEND`` environment variable).  A backend resolved from
-    a name is given back in :meth:`close`: a multiprocess world returns to
-    the per-process pool for the next communicator of its size, an
+    be a name, an instance, or None (``inprocess``).  A backend resolved
+    from a name is given back in :meth:`close`: a multiprocess world returns
+    to the per-process pool for the next communicator of its size, an
     in-process one is shut down.  An instance stays the caller's.
     """
 

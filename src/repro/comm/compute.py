@@ -113,9 +113,9 @@ def run_chunk(backend, rank: int, meta: dict, timeout: float) -> tuple[dict, lis
     """One ``RUN_CHUNK`` round: a chunk of a service job, solved in the
     process behind ``rank``; returns the result's ``(meta, arrays)``.
 
-    Not a delivery round: it is sent once and never probed, since a worker
-    in the middle of a chunk cannot answer a PING and must not be fenced
-    for computing.  It waits for the reply, the process's exit or
+    Not a delivery round: it is sent once and never retried, since a
+    worker in the middle of a chunk answers nothing until the chunk is done
+    and must not be fenced for computing.  It waits for the reply, the process's exit or
     ``timeout``, and a timeout fences the process, so a killed or hung
     worker both raise the supervisor's :class:`RankDeadError`.
     """

@@ -112,12 +112,10 @@ def solve_case(
     backend:
         Execution backend for the communicator — ``"inprocess"`` (default:
         simulated ranks) or ``"multiprocess"`` (ranks as supervised OS
-        processes; ghost exchanges travel over real pipes, and the
-        per-rank hot path — matvecs, ILU sweeps — executes inside the
-        rank processes; see ``docs/algorithms.md`` §8).  ``None`` consults the
-        ``REPRO_COMM_BACKEND`` environment variable.  The numerical
-        results are bitwise identical across backends
-        (``docs/robustness.md``).
+        processes; the per-rank hot path — matvecs, ILU sweeps — executes
+        inside the rank processes; see ``docs/algorithms.md`` §8).
+        ``None`` means ``"inprocess"``.  The numerical results are bitwise
+        identical across backends (``docs/robustness.md``).
     retry_policy:
         Override of the communicator's transfer
         :class:`~repro.comm.communicator.RetryPolicy`.  The serving layer

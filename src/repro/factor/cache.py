@@ -22,8 +22,7 @@ Design points:
   non-deterministic with respect to matrix content, and hooks must fire.
 * Bounded LRU (default 32 entries) and thread-safe: the solve service's
   worker threads run their set-ups concurrently on this one cache.
-* Disable per process with ``REPRO_FACTOR_CACHE=0`` (or ``off``/``false``),
-  per call site with :func:`configure`, or per CLI run with
+* Disable per call site with :func:`configure`, or per CLI run with
   ``--no-factor-cache``.
 
 What is built *from* cached factors — Schur blocks, rank stacks — is
@@ -43,7 +42,6 @@ are kept as module counters (:func:`stats`) and also emitted as
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
@@ -59,17 +57,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (base -> triangular)
 T = TypeVar("T")
 
 _DEFAULT_CAPACITY = 32
-_ENV_VAR = "REPRO_FACTOR_CACHE"
-
-
-def _env_disabled() -> bool:
-    return os.environ.get(_ENV_VAR, "").strip().lower() in ("0", "off", "false", "no")
 
 
 class FactorCache:
     """Thread-safe bounded LRU of content-addressed factorizations."""
 
-    def __init__(self, capacity: int = _DEFAULT_CAPACITY, enabled: bool | None = None):
+    def __init__(self, capacity: int = _DEFAULT_CAPACITY, enabled: bool = True):
         self._lock = TrackedLock(f"factor.cache.{id(self)}.lock")
         self._store: OrderedDict[str, "ILUFactorization"] = OrderedDict()
         # the content key of each stored factor object, and what is built
@@ -77,7 +70,7 @@ class FactorCache:
         self._key_of: dict[int, str] = {}
         self._derived: dict[tuple[tuple, tuple[str, ...]], Any] = {}
         self.capacity = capacity
-        self.enabled = (not _env_disabled()) if enabled is None else enabled
+        self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self.bypasses = 0

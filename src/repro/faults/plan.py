@@ -53,7 +53,7 @@ Fault kinds and their hook points (see ``docs/robustness.md``):
     the *real* OS process behind the targeted rank: on the multiprocess
     backend the process is SIGKILLed (``proc-kill``) or SIGSTOPped
     (``proc-hang``), and detection runs through the genuine machinery —
-    exit-code checks for kills, missed heartbeats plus fencing for hangs
+    exit-code checks for kills, timed-out rounds plus fencing for hangs
     (``docs/robustness.md``) — at the next command round, since a ghost
     exchange sends nothing to the ranks.  On backends without real
     processes both degrade to the simulated ``rank-dead`` behavior so

@@ -47,7 +47,7 @@ from repro import faults, obs
 from repro.cases import build_case
 from repro.cases.base import TestCase
 from repro.checkpoint import CheckpointManager
-from repro.comm.backends import resolve_backend_name
+from repro.comm.backends import REAL_RETRY_POLICY
 from repro.comm.communicator import RetryPolicy
 from repro.comm.compute import HEAVY_FLOOR
 from repro.resilience import FAILURE_STATUSES, FALLBACK_CHAIN, ResilientSolver
@@ -166,16 +166,9 @@ class RunnerContext:
         with ``kwargs``.  Tests script a service by assigning an attribute
         of this name."""
         spec = record.spec
-        if resolve_backend_name(spec.backend) == "inprocess":
+        if spec.backend != "multiprocess":
             return self.workers.run_chunk(record.worker, spec, kwargs, timeout)
         return solve_chunk(self.cases.get(spec.case, spec.size), kwargs)
-
-
-def _base_retry_policy(backend: str | None) -> RetryPolicy:
-    """The per-transfer policy the deadline scales down from."""
-    if backend == "multiprocess":
-        return RetryPolicy(max_retries=3, timeout=0.1, backoff=2.0)
-    return RetryPolicy()
 
 
 def _route_precond(primary: str, breakers: BreakerBoard) -> tuple[str, bool]:
@@ -229,7 +222,9 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
               worker=record.worker, precond=spec.precond)
 
     rate_key = (spec.case, spec.size, spec.precond, spec.nparts)
-    base_policy = _base_retry_policy(spec.backend)
+    # the per-transfer policy the deadline scales down from
+    base_policy = (REAL_RETRY_POLICY if spec.backend == "multiprocess"
+                   else RetryPolicy())
 
     manager = CheckpointManager(record.checkpoint_dir, prefix="solve")
 

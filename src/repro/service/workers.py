@@ -35,15 +35,13 @@ class WorkerPool:
         self.names = [f"worker-{i}" for i in range(size)]
         # slot i (and the world's (i, i) seq counter) belongs to thread i
         # alone: no lock guards these
-        self._slots = [dict(pid=None, chunks=0, respawns=0, maxrss_kb=0)
+        self._slots = [dict(chunks=0, respawns=0, maxrss_kb=0)
                        for _ in range(size)]
         self._closed = False
 
     def start(self) -> None:
         self._closed = False
         self.backend.ensure_started()
-        for rank, slot in enumerate(self._slots):
-            slot["pid"] = self.backend.rank_pid(rank)
 
     def shutdown(self) -> None:
         self._closed = True
@@ -65,7 +63,6 @@ class WorkerPool:
         except CommFault as exc:
             if not self._closed:
                 self.backend.respawn(rank)
-                slot["pid"] = self.backend.rank_pid(rank)
                 slot["respawns"] += 1
             return Chunk("breakdown", [{
                 "precond": kwargs["precond"], "kind": "worker",
@@ -83,10 +80,8 @@ class WorkerPool:
     def stats(self) -> list[dict]:
         """Per worker: its (latest) pid, supervisor state, chunks run,
         respawns, and the peak RSS its last chunk reported (KiB)."""
-        sup = self.backend.supervisor
+        records = self.backend.supervisor.records
         return [
-            {"worker": name, "pid": slot["pid"], "state": sup.state(rank),
-             "chunks": slot["chunks"], "respawns": slot["respawns"],
-             "maxrss_kb": slot["maxrss_kb"]}
-            for rank, (name, slot) in enumerate(zip(self.names, self._slots))
+            {"worker": name, "pid": rec.pid, "state": rec.state, **slot}
+            for name, rec, slot in zip(self.names, records, self._slots)
         ]

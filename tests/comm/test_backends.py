@@ -1,6 +1,8 @@
 """Execution backends: resolution, loopback, and real process lifecycle."""
 
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ import scipy.sparse as sp
 
 from repro.comm import compute
 from repro.comm.backends import (
-    BACKEND_ENV,
     BACKEND_NAMES,
     InProcessBackend,
     MultiprocessBackend,
@@ -22,6 +23,7 @@ from repro.comm.backends.supervisor import HeartbeatPolicy
 from repro.comm.communicator import Communicator, RetryPolicy
 from repro.comm.delivery import deliver_round
 from repro.resilience.errors import MessageTimeout, RankDeadError
+from tests.conftest import command_round
 
 
 def _request(backend, rank, raw, timeout):
@@ -29,31 +31,32 @@ def _request(backend, rank, raw, timeout):
     return backend.request_many({rank: raw}, timeout)[rank]
 
 
+def _cmd(rank, seq=1):
+    """A LOAD_MATRIX CMD frame on ``rank``'s self-edge."""
+    payload = compute.load_matrix("k", sp.identity(2, format="csr"))
+    return framing.encode_frame(framing.CMD, rank, rank, seq, payload)
+
+
+def _voluntary_switches(pid):
+    """How often ``pid`` has given up the CPU of its own accord."""
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("voluntary_ctxt_switches:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no voluntary_ctxt_switches for pid {pid}")
+
+
 @pytest.fixture()
 def mp_backend():
-    b = MultiprocessBackend(
-        3, heartbeat=HeartbeatPolicy(probe_timeout=0.2, fence_after=2)
-    )
+    b = MultiprocessBackend(3, heartbeat=HeartbeatPolicy(fence_after=2))
     yield b
     b.shutdown()
 
 
 class TestResolution:
-    def test_default_is_inprocess(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_default_is_inprocess(self):
         backend, owned = resolve_backend(None, 4)
         assert isinstance(backend, InProcessBackend) and owned
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "multiprocess")
-        backend, owned = resolve_backend(None, 2)
-        assert isinstance(backend, MultiprocessBackend) and owned
-        backend.shutdown()
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "multiprocess")
-        backend, _ = resolve_backend("inprocess", 2)
-        assert isinstance(backend, InProcessBackend)
 
     def test_instance_passthrough_not_owned(self):
         mine = InProcessBackend(3)
@@ -158,9 +161,8 @@ class TestInProcessLoopback:
 
     def test_no_transport(self):
         b = InProcessBackend(1)
-        ping = framing.encode_frame(framing.PING, 0, 0, 1)
         with pytest.raises(NotImplementedError, match="no transport"):
-            _request(b, 0, ping, 1.0)
+            _request(b, 0, _cmd(0), 1.0)
 
     def test_no_real_processes(self):
         b = InProcessBackend(2)
@@ -184,9 +186,25 @@ class TestMultiprocessLifecycle:
         assert all(p is not None and p != os.getpid() for p in pids)
         assert len(set(pids)) == 3
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads /proc/<pid>/status")
+    def test_an_idle_rank_sleeps_until_a_frame_arrives(self):
+        """No timer wakes an idle rank, so a second of idleness costs it at
+        most a couple of context switches."""
+        b = MultiprocessBackend(1)
+        try:
+            b.ensure_started()
+            pid = b.rank_pid(0)
+            time.sleep(0.2)  # let the HELLO send settle
+            before = _voluntary_switches(pid)
+            time.sleep(1.0)
+            assert _voluntary_switches(pid) - before <= 2
+            assert command_round(b, [0]) is None
+        finally:
+            b.shutdown()
+
     def test_corrupt_frame_nakked_with_reason(self, mp_backend):
-        payload = compute.load_matrix("k", sp.identity(2, format="csr"))
-        raw = bytearray(framing.encode_frame(framing.CMD, 1, 1, 6, payload))
+        raw = bytearray(_cmd(1, seq=6))
         raw[-1] ^= 0xFF
         resp = _request(mp_backend, 1, bytes(raw), 1.0)
         assert resp.kind == framing.NAK
@@ -199,26 +217,34 @@ class TestMultiprocessLifecycle:
         resp = _request(mp_backend, 1, raw, 1.0)
         assert resp.kind == framing.NAK
         assert resp.payload == b"unexpected data"
-        assert mp_backend.probe(1)
+        assert command_round(mp_backend, [1]) is None
 
-    def test_probe_healthy_rank(self, mp_backend):
-        assert mp_backend.probe(0)
+    @pytest.mark.parametrize("kind", [4, 5])
+    def test_retired_probe_kinds_nakked(self, mp_backend, kind):
+        """Kinds 4 and 5 are unassigned: a frame of either is NAKed as an
+        unknown kind, and the rank serves on."""
+        raw = bytearray(framing.encode_frame(framing.HELLO, 1, 1, 3))
+        raw[4] = kind
+        resp = _request(mp_backend, 1, bytes(raw), 1.0)
+        assert resp.kind == framing.NAK and resp.payload == b"bad-kind"
+        assert command_round(mp_backend, [1]) is None
+
+    def test_a_command_round_readies_a_rank(self, mp_backend):
+        assert command_round(mp_backend, [0]) is None
         assert mp_backend.supervisor.state(0) == "ready"
 
     def test_kill_detected_without_timeout(self, mp_backend):
         mp_backend.ensure_started()
         mp_backend.kill_rank(1)
         assert not mp_backend.check_alive(1)
-        ping = framing.encode_frame(framing.PING, 1, 1, 1)
-        assert isinstance(_request(mp_backend, 1, ping, 5.0), TransportBroken)
+        assert isinstance(_request(mp_backend, 1, _cmd(1), 5.0), TransportBroken)
         fault = mp_backend.classify(1)
         assert isinstance(fault, RankDeadError) and fault.rank == 1
 
     def test_hang_times_out_then_fences(self, mp_backend):
         mp_backend.ensure_started()
         mp_backend.hang_rank(2)
-        ping = framing.encode_frame(framing.PING, 2, 2, 1)
-        assert isinstance(_request(mp_backend, 2, ping, 0.1), TransportTimeout)
+        assert isinstance(_request(mp_backend, 2, _cmd(2), 0.1), TransportTimeout)
         # escalate through the miss budget: SUSPECT, then fenced DEAD
         assert mp_backend.handle_timeout(2) == "suspect"
         assert isinstance(mp_backend.classify(2), MessageTimeout)
@@ -226,11 +252,26 @@ class TestMultiprocessLifecycle:
         assert mp_backend.supervisor.records[2].fenced
         assert isinstance(mp_backend.classify(2), RankDeadError)
 
+    def test_a_command_round_fences_a_hung_rank(self, mp_backend):
+        """A SIGSTOPped rank misses one window per attempt; the round that
+        exhausts ``fence_after`` fences it and raises the dead rank."""
+        mp_backend.ensure_started()
+        mp_backend.hang_rank(2)
+        fault = command_round(mp_backend, [2], RetryPolicy(3, 0.05))
+        assert isinstance(fault, RankDeadError) and fault.rank == 2
+        rec = mp_backend.supervisor.records[2]
+        assert rec.fenced and rec.misses == 2 and rec.exitcode == -9
+        assert command_round(mp_backend, [0, 1]) is None
+
     def test_hung_rank_can_resume_before_fencing(self, mp_backend):
         mp_backend.ensure_started()
         mp_backend.hang_rank(0)
-        mp_backend.resume_rank(0)
-        assert mp_backend.probe(0, timeout=2.0)
+        fault = command_round(mp_backend, [0], RetryPolicy(0, 0.05))
+        assert isinstance(fault, MessageTimeout)
+        assert mp_backend.supervisor.state(0) == "suspect"
+        os.kill(mp_backend.rank_pid(0), signal.SIGCONT)
+        assert command_round(mp_backend, [0]) is None
+        assert mp_backend.supervisor.state(0) == "ready"
 
     def test_shutdown_reaps_every_worker(self, mp_backend):
         mp_backend.ensure_started()
@@ -292,7 +333,7 @@ class TestMultiprocessLifecycle:
         mp_backend.respawn(1)
         assert mp_backend.rank_pid(1) not in (None, old)
         assert mp_backend.supervisor.state(1) == "ready"
-        assert mp_backend.probe(1)
+        assert command_round(mp_backend, [1]) is None
 
 
 class TestRunChunkRound:
@@ -321,7 +362,7 @@ class TestRunChunkRound:
         meta = dict(self._meta(nparts=20), size=3)
         with pytest.raises(WorkerComputeError, match="failed run-chunk: .*nparts=20"):
             run_chunk(mp_backend, 0, meta, 30.0)
-        assert mp_backend.probe(0)   # the worker lives on
+        assert command_round(mp_backend, [0]) is None   # the worker lives on
 
     def test_a_hung_worker_is_fenced_at_the_timeout(self, mp_backend):
         from repro.comm.compute import run_chunk

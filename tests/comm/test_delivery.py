@@ -335,12 +335,12 @@ class TestLoopback:
         # an unreadable header is NAKed on the receiver's self-edge
         (lambda raw: raw[:framing.HEADER_SIZE - 1], (1, 1, 0), b"truncated"),
         (lambda raw: b"XXXX" + raw[4:], (1, 1, 0), b"bad-magic"),
-        (lambda raw: framing.encode_frame(framing.PING, 0, 1, 5),
-         (0, 1, 5), b"unexpected ping"),
+        (lambda raw: framing.encode_frame(framing.HELLO, 0, 1, 5),
+         (0, 1, 5), b"unexpected hello"),
         (lambda raw: framing.encode_frame(framing.CMD, 0, 1, 5, b"op"),
          (0, 1, 5), b"unexpected cmd"),
     ], ids=["checksum", "length-mismatch", "bad-kind", "truncated",
-            "bad-magic", "ping", "cmd"])
+            "bad-magic", "hello", "cmd"])
     def test_loopback_naks_what_a_rank_would(self, garble, envelope, reason):
         """A garbled DATA frame is NAKed with the check that failed, and a
         frame of another kind as unexpected."""
@@ -396,7 +396,6 @@ class TestOneLoop:
                         sites.add((rel, fn.name, node.func.attr))
         assert sites == {
             ("delivery.py", "deliver_round", "request_many"),
-            ("backends/multiprocess.py", "probe", "request_many"),  # heartbeat
             ("compute.py", "run_chunk", "request_many"),  # one send, no retry
         }
 

@@ -126,8 +126,8 @@ class TestPeekHeaderTruncation:
             framing.peek_header(junk)
 
     def test_full_header_still_peeks(self):
-        raw = framing.encode_frame(framing.PING, 2, 2, 17)
-        assert framing.peek_header(raw) == (framing.PING, 2, 2, 17)
+        raw = framing.encode_frame(framing.HELLO, 2, 2, 17)
+        assert framing.peek_header(raw) == (framing.HELLO, 2, 2, 17)
 
 
 ARRAY_DTYPES = st.sampled_from(sorted(framing.ARRAY_DTYPES.values()))

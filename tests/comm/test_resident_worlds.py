@@ -10,6 +10,7 @@ second solve that ships and probes nothing.
 """
 
 import os
+import signal
 import threading
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.factor import cache as factor_cache
 from repro.factor.ilu0 import ilu0
 from repro.kernels import apply as apply_kernels
 from repro.resilience.errors import MessageTimeout, NotResident
+from tests.conftest import command_round
 
 
 def _events(tracer, name):
@@ -182,9 +184,10 @@ class TestDamagedWorldsAreShutDown:
                 deliver_round(comm, framing.CMD, {1: (1, _load("x"))},
                               settle=lambda e: None)
         finally:
-            world.resume_rank(1)
+            os.kill(world.rank_pid(1), signal.SIGCONT)
         # the rank answers again, so only the round's verdict keeps it out
-        assert world.probe(1) and world.supervisor.state(1) == READY
+        assert command_round(world, [1]) is None
+        assert world.supervisor.state(1) == READY
         self._closes_unpooled(comm)
 
     def test_fault_plan_active_at_close(self):
@@ -257,7 +260,7 @@ class TestForkSafety:
         assert mine.poll(30.0) and mine.recv() is False
         child.join(30.0)
         assert child.exitcode == 0
-        assert all(world.probe(rank) for rank in range(2))
+        assert command_round(world, range(2)) is None
         again = Communicator(2, backend="multiprocess")
         assert again.backend is world
         again.close()
@@ -270,7 +273,7 @@ class TestForkSafety:
         with SolveService(ServiceConfig(workers=1, spool_dir=str(tmp_path))) as svc:
             rec = svc.submit(JobSpec(case="tc1", size=9, nparts=2, precond="block1"))
             assert rec.wait(timeout=60.0) and rec.status == "converged"
-        assert all(world.probe(rank) for rank in range(2))
+        assert command_round(world, range(2)) is None
         again = Communicator(2, backend="multiprocess")
         assert again.backend is world
         again.close()

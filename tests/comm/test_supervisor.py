@@ -24,12 +24,9 @@ def _events(tracer, name):
 class TestHeartbeatPolicy:
     def test_defaults_are_sane(self):
         p = HeartbeatPolicy()
-        assert p.poll_interval < p.probe_timeout
-        assert p.fence_after >= 1
+        assert p.fence_after >= 1 and p.startup_timeout > 0
 
     @pytest.mark.parametrize("kwargs", [
-        {"poll_interval": 0.0},
-        {"probe_timeout": -1.0},
         {"fence_after": 0},
         {"startup_timeout": 0.0},
     ])

@@ -10,6 +10,7 @@ so a LOAD round in the trace is a key that rank lacked.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import obs
 from repro.comm import compute
@@ -25,8 +26,6 @@ from repro.krylov.ops import fixed_tree_sum
 
 
 def _factor(n: int, scale: float = 1.0):
-    import scipy.sparse as sp
-
     return ilu0(scale * sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                                  [-1, 0, 1], format="csr"))
 
@@ -193,6 +192,8 @@ class TestRequestMany:
         # an undeliverable message must come back as an exception *value*
         # so one bad rank cannot mask the other ranks' results
         backend = mp_comm.backend
-        good = framing.encode_frame(framing.PING, 0, 0, 999)
+        good = framing.encode_frame(
+            framing.CMD, 0, 0, 999,
+            compute.load_matrix("k", sp.identity(2, format="csr")))
         out = backend.request_many({0: good}, timeout=2.0)
-        assert out[0].kind == framing.PONG
+        assert out[0].kind == framing.RESULT

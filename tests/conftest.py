@@ -7,7 +7,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.cases.poisson2d import poisson2d_case
-from repro.comm.backends import pool
+from repro.comm import compute
+from repro.comm.backends import framing, pool
+from repro.comm.communicator import Communicator, RetryPolicy
+from repro.comm.delivery import deliver_round
 from repro.distributed.matrix import distribute_matrix
 from repro.distributed.partition_map import PartitionMap
 from repro.fem.assembly import assemble_load, assemble_stiffness
@@ -15,6 +18,7 @@ from repro.fem.boundary import apply_dirichlet
 from repro.graph.adjacency import graph_from_elements
 from repro.graph.partitioner import partition_graph
 from repro.mesh.grid2d import structured_rectangle
+from repro.resilience.errors import CommFault
 
 
 @pytest.fixture(autouse=True)
@@ -81,3 +85,23 @@ def random_nonsymmetric_csr(n: int, density: float, seed: int) -> sp.csr_matrix:
     a = sp.random(n, n, density, random_state=rng.integers(2**31), format="csr")
     a = a + sp.diags(np.asarray(np.abs(a).sum(axis=1)).ravel() + 1.0)
     return a.tocsr()
+
+
+def command_round(backend, ranks, retry_policy=None):
+    """One tiny LOAD_MATRIX command round to ``ranks`` of a real backend
+    (an instance, which stays the caller's): a rank's liveness as the
+    driver sees it, since nothing else asks.  Returns the typed fault the
+    round raised, or None when every rank answered.  The default policy
+    waits 2 s per attempt, so a busy host does not make a healthy rank
+    miss."""
+    comm = Communicator(backend.size, backend=backend,
+                        retry_policy=retry_policy or RetryPolicy(1, 2.0))
+    load = compute.load_matrix("liveness", sp.identity(2, format="csr"))
+    try:
+        deliver_round(comm, framing.CMD, {r: (r, load) for r in ranks},
+                      settle=lambda edge: None)
+    except CommFault as exc:
+        return exc
+    finally:
+        comm.close()
+    return None

@@ -184,14 +184,6 @@ class TestConfiguration:
         assert len(fresh_cache) == 0
         factor_cache.configure(enabled=True)
 
-    def test_env_var_disables_fresh_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FACTOR_CACHE", "0")
-        assert not FactorCache().enabled
-        monkeypatch.setenv("REPRO_FACTOR_CACHE", "off")
-        assert not FactorCache().enabled
-        monkeypatch.delenv("REPRO_FACTOR_CACHE")
-        assert FactorCache().enabled
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
             factor_cache.configure(capacity=0)

@@ -2,6 +2,7 @@
 degradation to simulated rank-death everywhere else."""
 
 import os
+import signal
 
 import pytest
 
@@ -9,8 +10,11 @@ from repro import faults
 from repro.cases import poisson2d_case
 from repro.comm.backends import InProcessBackend, MultiprocessBackend
 from repro.comm.backends.supervisor import HeartbeatPolicy
+from repro.comm.communicator import RetryPolicy
 from repro.faults import FaultPlan, FaultSpec
 from repro.resilience import ResilientSolver
+from repro.resilience.errors import MessageTimeout
+from tests.conftest import command_round
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +62,7 @@ class TestDegradedInProcess:
 
 class TestRealBackend:
     def _backend(self):
-        return MultiprocessBackend(
-            3, heartbeat=HeartbeatPolicy(probe_timeout=0.2, fence_after=2)
-        )
+        return MultiprocessBackend(3, heartbeat=HeartbeatPolicy(fence_after=2))
 
     def test_proc_kill_sends_a_real_sigkill(self):
         backend = self._backend()
@@ -85,10 +87,12 @@ class TestRealBackend:
             backend.ensure_started()
             plan = FaultPlan(FaultSpec("proc-hang", rank=2))
             plan.exchange_begin(backend=backend)
-            assert not backend.probe(2, timeout=0.15)   # stopped: no PONG
+            # stopped: the round times out, one miss...
+            fault = command_round(backend, [2], RetryPolicy(0, 0.15))
+            assert isinstance(fault, MessageTimeout)
             assert backend.check_alive(2)               # ...but not dead
-            backend.resume_rank(2)
-            assert backend.probe(2, timeout=2.0)
+            os.kill(backend.rank_pid(2), signal.SIGCONT)
+            assert command_round(backend, [2]) is None
         finally:
             backend.shutdown()
 

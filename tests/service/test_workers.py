@@ -18,6 +18,7 @@ import pytest
 
 from repro import faults
 from repro.cases import build_case
+from repro.comm.backends import make_backend
 from repro.comm.communicator import RetryPolicy
 from repro.resilience import ResilientSolver
 from repro.service import JobSpec, ServiceConfig, SolveService
@@ -82,12 +83,8 @@ class TestWorkerProcesses:
         assert stats["chunks"] == 1 and stats["maxrss_kb"] > 0
         assert rec.final_relres <= rec.spec.rtol * 10
 
-    @pytest.mark.parametrize("how", ["spec", "env"])
-    def test_multiprocess_jobs_stay_in_the_thread(
-        self, tmp_path, monkeypatch, how
-    ):
+    def test_multiprocess_jobs_stay_in_the_thread(self, tmp_path, monkeypatch):
         # their rank processes compute: the thread drives them itself
-        fields = dict(SMALL, backend="multiprocess") if how == "spec" else SMALL
         seen = []
 
         def here(case, kwargs):
@@ -95,14 +92,29 @@ class TestWorkerProcesses:
             return Chunk.of(FakeResult(precond=kwargs["precond"]))
 
         with service(tmp_path) as svc:
-            if how == "env":
-                monkeypatch.setenv("REPRO_COMM_BACKEND", "multiprocess")
             monkeypatch.setattr(runner, "solve_chunk", here)
-            rec = svc.submit(JobSpec(**fields))
+            rec = svc.submit(JobSpec(**SMALL, backend="multiprocess"))
             assert svc.wait(rec.job_id, timeout=30.0).status == "converged"
             workers = svc.stats()["workers"]
         assert len(seen) == 1 and seen[0].startswith("repro-service-worker-")
         assert [w["chunks"] for w in workers] == [0, 0]
+
+    @pytest.mark.parametrize("backend", ["inprocess", "multiprocess"])
+    def test_a_job_starts_from_its_backends_retry_policy(self, tmp_path, backend):
+        # without a deadline nothing scales it: the chunk gets the policy a
+        # communicator on that backend adopts
+        calls = []
+
+        def record(kwargs):
+            calls.append(kwargs)
+            return FakeResult(precond=kwargs["precond"])
+
+        with service(tmp_path) as svc:
+            svc._ctx.run_chunk = scripted(record)
+            rec = svc.submit(JobSpec(**SMALL, backend=backend))
+            assert svc.wait(rec.job_id, timeout=30.0).status == "converged"
+        want = make_backend(backend, 1).default_retry_policy()
+        assert [c["retry_policy"] for c in calls] == [want]
 
     def test_two_chunks_compute_at_once(self, tmp_path):
         gate, calls = threading.Event(), []
