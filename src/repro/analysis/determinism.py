@@ -136,9 +136,11 @@ def _solve_digests(
     reproduce bitwise."""
     from repro.core.driver import solve_case  # deferred: heavy import
 
-    # partition_graph itself, every run: case.membership() remembers its
-    # result per seed, and a remembered array reproduces vacuously
+    # partition_graph and distribute_matrix themselves, every run: the case
+    # remembers its memberships and distributions, and a remembered one
+    # reproduces vacuously
     membership = case.partition(nparts, seed=solve_kw.get("seed", 0))
+    case._distributions.clear()
     with kernels.forced_tier(tier):
         out = solve_case(
             case, precond=precond, nparts=nparts, backend=backend,

@@ -13,7 +13,7 @@ from repro.graph.geometric import box_partition_2d, box_partition_3d
 from repro.graph.partitioner import partition_graph
 from repro.mesh.mesh import Mesh
 
-#: partitions a case remembers; the oldest goes first
+#: partitions (and distributions) a case remembers; the oldest goes first
 MEMBERSHIP_MEMO_SIZE = 8
 
 #: the ``scheme`` names :meth:`TestCase.partition` accepts
@@ -56,8 +56,11 @@ class TestCase:
     _node_graph: Graph | None = field(default=None, repr=False)
     _coupling_graph: Graph | None = field(default=None, repr=False)
     _memberships: dict = field(default_factory=dict, repr=False, compare=False)
-    _memberships_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+    #: filled by :func:`repro.core.stages.distribute`
+    _distributions: dict = field(default_factory=dict, repr=False, compare=False)
+    #: held while a memo entry is built, so each key is built once
+    _memo_lock: threading.RLock = field(
+        default_factory=threading.RLock, repr=False, compare=False
     )
 
     @property
@@ -97,13 +100,18 @@ class TestCase:
         if not isinstance(seed, int):
             return self.partition(nparts, seed, scheme)
         key = (nparts, seed, scheme)
-        with self._memberships_lock:  # held while partitioning: once per key
+        with self._memo_lock:  # held while partitioning: once per key
             if key not in self._memberships:
-                fresh = self.partition(nparts, seed, scheme)
-                if len(self._memberships) >= MEMBERSHIP_MEMO_SIZE:
-                    del self._memberships[next(iter(self._memberships))]
-                self._memberships[key] = fresh
+                self._remember(self._memberships, key, self.partition(nparts, seed, scheme))
             return self._memberships[key]
+
+    @staticmethod
+    def _remember(memo: dict, key: tuple, value: object) -> None:
+        """Put ``value`` in a memo (lock held); the oldest entry goes first."""
+        memo.pop(key, None)
+        if len(memo) >= MEMBERSHIP_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = value
 
     def partition(
         self,

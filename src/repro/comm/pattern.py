@@ -26,7 +26,7 @@ are the CMD edges of the same delivery round (``docs/algorithms.md`` §8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +35,7 @@ from repro import faults, obs
 from repro.comm.backends import framing
 from repro.comm.communicator import Communicator
 from repro.comm.delivery import Delivery, deliver_round
+from repro.perfmodel.costs import Charge
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,6 @@ class CommunicationPattern:
 
     num_ranks: int
     transfers: list[ExchangeSpec]
-    _msgs_per_rank: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _bytes_per_rank: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         msgs = np.zeros(self.num_ranks)
@@ -85,16 +84,9 @@ class CommunicationPattern:
             msgs[t.dst] += 1
             nbytes[t.src] += 8 * t.count
             nbytes[t.dst] += 8 * t.count
-        self._msgs_per_rank = msgs
-        self._bytes_per_rank = nbytes
-
-    @property
-    def msgs_per_rank(self) -> np.ndarray:
-        return self._msgs_per_rank
-
-    @property
-    def bytes_per_rank(self) -> np.ndarray:
-        return self._bytes_per_rank
+        self.msgs_per_rank = msgs
+        self.bytes_per_rank = nbytes
+        self._charge = Charge(self.num_ranks, 0.0, msgs, nbytes)
 
     def neighbors_of(self, rank: int) -> list[int]:
         """Ranks that ``rank`` exchanges data with."""
@@ -172,9 +164,7 @@ class CommunicationPattern:
                 self._deliver(comm, t, owned, ghost)
                 continue
             ghost[t.dst][t.recv_ghost] = owned[t.src][t.send_local]
-        comm.ledger.add_phase(
-            0.0, msgs_per_rank=self._msgs_per_rank, bytes_per_rank=self._bytes_per_rank
-        )
+        comm.ledger.add_phase(self._charge)
 
     def _deliver(
         self,

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro import faults, obs
 from repro.cases.base import TestCase
@@ -57,13 +58,44 @@ def distribute(
     membership: np.ndarray | None = None,
 ) -> DistributedMatrix:
     """Partition ``case`` over ``nparts`` ranks (unless ``membership`` is
-    given) and distribute its matrix; the layout is the result's ``pm``."""
-    with obs.span("partition", scheme=scheme):
-        if membership is None:
-            membership = case.membership(nparts, seed=seed, scheme=scheme)
-        pm = PartitionMap(case.coupling_graph, membership, num_ranks=nparts)
-    with obs.span("distribute"):
-        return distribute_matrix(case.matrix, pm)
+    given) and distribute its matrix; the layout is the result's ``pm``.
+
+    Like its membership, a distribution is a per-case precomputation: the
+    case remembers its last ``MEMBERSHIP_MEMO_SIZE`` by ``nparts`` and the
+    membership's bytes (explicit memberships arrive as fresh arrays) and
+    hands the same read-only object out again while ``case.matrix`` is the
+    matrix it was built from.  Both spans say ``memo="hit"``/``"miss"``.
+    """
+    with case._memo_lock:  # held while building: one build per key
+        with obs.span("partition", scheme=scheme) as span:
+            if membership is None:
+                membership = case.membership(nparts, seed=seed, scheme=scheme)
+            key = (nparts, membership.dtype.str, membership.tobytes())
+            entry = case._distributions.get(key)
+            memo = "hit" if entry is not None and entry[0] is case.matrix else "miss"
+            span.set(memo=memo)
+            if memo == "miss":
+                pm = PartitionMap(case.coupling_graph, membership.copy(), num_ranks=nparts)
+        with obs.span("distribute", memo=memo):
+            if memo == "miss":
+                entry = (case.matrix, _read_only(distribute_matrix(case.matrix, pm)))
+                case._remember(case._distributions, key, entry)
+        return entry[1]
+
+
+def _read_only(obj: object, seen: set[int] | None = None) -> object:
+    """Make every array ``obj`` holds, sparse matrices' too, read-only."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif sp.issparse(obj):
+        for a in (obj.data, obj.indices, obj.indptr):
+            a.flags.writeable = False
+    elif id(obj) not in seen and (isinstance(obj, list) or hasattr(obj, "__dict__")):
+        seen.add(id(obj))
+        for item in obj if isinstance(obj, list) else vars(obj).values():
+            _read_only(item, seen)
+    return obj
 
 
 def make_preconditioner(

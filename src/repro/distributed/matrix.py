@@ -30,6 +30,7 @@ from repro.factor.cache import FactorCache
 from repro.kernels import apply as apply_kernels
 from repro.distributed.layout import Layout
 from repro.distributed.partition_map import PartitionMap
+from repro.perfmodel.costs import Charge
 from repro.resilience.errors import NumericalFault
 from repro.sparse.blocksplit import BlockSplit, split_2x2
 from repro.utils.validation import ensure_csr
@@ -101,8 +102,13 @@ class DistributedMatrix:
 
         # fused operator: the permuted global matrix in distributed ordering
         self._fused = self._build_fused()
-        # static per-rank matvec flop counts (2 flops per stored entry)
+        # static per-rank matvec flop counts (2 flops per stored entry), and
+        # the whole charge of one matvec with its ghost exchange
         self.matvec_flops = np.asarray([2.0 * a.nnz for a in self.local])
+        self._matvec_charge = Charge(
+            pm.num_ranks, self.matvec_flops,
+            pm.pattern.msgs_per_rank, pm.pattern.bytes_per_rank,
+        )
         # lazily built worker-shipping blocks (rank -> RankBlock)
         self._rank_blocks: dict[int, RankBlock] = {}
 
@@ -173,12 +179,7 @@ class DistributedMatrix:
         return self._matvec_charged(comm, x)
 
     def _matvec_charged(self, comm: Communicator, x: np.ndarray) -> np.ndarray:
-        pat = self.pm.pattern
-        comm.ledger.add_phase(
-            self.matvec_flops,
-            msgs_per_rank=pat.msgs_per_rank,
-            bytes_per_rank=pat.bytes_per_rank,
-        )
+        comm.ledger.add_phase(self._matvec_charge)
         # tier-dispatched product (repro.kernels.apply): scipy's compiled CSR
         # matvec on the numpy tier, the scalar spec loop on reference —
         # both bit-compatible, so forcing a tier pins the whole solve.  On a

@@ -2,8 +2,8 @@
 
 One tier policy covers both phases: the setup-phase eliminations
 dispatched below and the apply-phase triangular sweeps/matvec dispatched
-by :mod:`repro.kernels.apply` (which consults the same forced/env state,
-so a single ``REPRO_KERNEL_TIER`` pins the whole solve).
+by :mod:`repro.kernels.apply` (which consults the same forced tier, so
+one :func:`forced_tier` pins the whole solve).
 
 Every operation has the reference path plus one fast path:
 
@@ -21,14 +21,13 @@ Every operation has the reference path plus one fast path:
 Under ``"auto"`` policy every operation takes its fast path; the one
 exception is a factorization whose array workspace would exceed
 ``BAND_MEM_CAP``, which stays on the reference kernel whatever is forced.
-Override with :func:`set_tier`/:func:`forced_tier` or the
-``REPRO_KERNEL_TIER`` environment variable (``auto`` | ``reference`` |
-``numpy``).
+Override with :func:`set_tier`/:func:`forced_tier` (``"auto"`` |
+``"reference"`` | ``"numpy"``); ``check-determinism --tiers`` forces each
+tier in turn.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -47,7 +46,6 @@ __all__ = [
 ]
 
 _TIERS = ("reference", "numpy")
-_ENV_VAR = "REPRO_KERNEL_TIER"
 
 # safety cap on one factorization's array workspace: the ILUT window is
 # O(n * min(n, bandwidth)), and each solve-service worker process factors
@@ -55,9 +53,6 @@ _ENV_VAR = "REPRO_KERNEL_TIER"
 BAND_MEM_CAP = 32 * 2**20
 
 _forced: str | None = None
-# the last REPRO_KERNEL_TIER value seen and what it parsed to: every
-# triangular solve asks, so the string is parsed once per distinct value
-_env_seen: tuple[str, str | None] = ("", None)
 
 
 def available_tiers() -> tuple[str, ...]:
@@ -78,15 +73,7 @@ def _checked(name: str | None) -> str | None:
 
 def get_tier() -> str | None:
     """The explicitly forced tier, or ``None`` under auto policy."""
-    global _env_seen
-    if _forced is not None:
-        return _forced
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return None
-    if raw != _env_seen[0]:
-        _env_seen = (raw, _checked(raw.strip().lower() or None))
-    return _env_seen[1]
+    return _forced
 
 
 def set_tier(name: str | None) -> None:

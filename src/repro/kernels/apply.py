@@ -1,8 +1,8 @@
 """Tier dispatch for the apply-phase kernels (triangular sweeps, matvec).
 
 The apply hot path reuses the factor-kernel tier policy
-(:func:`repro.kernels.get_tier` / ``REPRO_KERNEL_TIER``) with the same
-names and the same bit-compatibility contract:
+(:func:`repro.kernels.get_tier` / :func:`~repro.kernels.forced_tier`) with
+the same names and the same bit-compatibility contract:
 
 * ``"reference"`` — the interpreted scalar loops in
   :mod:`repro.kernels.applyspec`.
@@ -85,11 +85,11 @@ def superlu_available() -> bool:
 
 
 def resolve_tier() -> str:
-    """The apply-phase tier: the forced/env kernel tier, else ``"numpy"``.
+    """The apply-phase tier: the forced kernel tier, else ``"numpy"``.
 
-    One ``REPRO_KERNEL_TIER`` (or :func:`repro.kernels.forced_tier`)
-    setting pins the entire solve.  The compiled kernels carry no setup
-    cost, so auto policy never picks the interpreted loops.
+    One :func:`repro.kernels.forced_tier` pins the entire solve.  The
+    compiled kernels carry no setup cost, so auto policy never picks the
+    interpreted loops.
     """
     return kernels.get_tier() or "numpy"
 

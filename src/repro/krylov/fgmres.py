@@ -31,47 +31,49 @@ def _givens(a: float, b: float) -> tuple[float, float]:
         return 1.0, 0.0
     if abs(b) > abs(a):
         t = a / b
-        s = 1.0 / np.sqrt(1.0 + t * t)
+        s = 1.0 / math.sqrt(1.0 + t * t)
         return t * s, s
     t = b / a
-    c = 1.0 / np.sqrt(1.0 + t * t)
+    c = 1.0 / math.sqrt(1.0 + t * t)
     return c, t * c
 
 
 def _arnoldi_column(
-    w: np.ndarray, V: np.ndarray, H: np.ndarray, cs: np.ndarray, sn: np.ndarray,
-    g: np.ndarray, j: int, ops: KernelOps,
+    w: np.ndarray, V: np.ndarray, H: np.ndarray, cs, sn, g: np.ndarray,
+    j: int, ops: KernelOps,
 ) -> tuple[float, bool]:
     """Step j of one Arnoldi cycle, after ``w = A M⁻¹ V[j]``.
 
     Orthogonalises ``w`` (in place) against ``V[:j+1]`` by modified
     Gram-Schmidt into column j of ``H``, stores ``V[j+1]``, applies the
-    stored rotations and a new Givens pair to that column and to ``g``.
-    Returns ``(h_next, breakdown)``; a non-finite ``h_next`` returns at once,
-    with ``H``, ``V`` and ``g`` past the dots left as they were.
+    stored rotations ``cs``/``sn`` and a new Givens pair to that column and
+    to ``g``.  The column is rotated as Python floats (the same IEEE
+    operations as on NumPy scalars) and written to ``H`` once.  Returns
+    ``(h_next, breakdown)``; a non-finite ``h_next`` returns at once, with
+    only the dots written to ``H`` and ``V``, ``g`` left as they were.
     """
+    h = [0.0] * (j + 2)
     for i in range(j + 1):
-        H[i, j] = ops.dot(w, V[i])
-        w -= H[i, j] * V[i]
+        h[i] = ops.dot(w, V[i])
+        w -= h[i] * V[i]
     ops.charge_local_axpy(j + 1)
     h_next = ops.norm(w)
     if not math.isfinite(h_next):
+        H[: j + 1, j] = h[: j + 1]
         return h_next, False
-    H[j + 1, j] = h_next
     breakdown = h_next == 0.0  # repro: noqa(RPR001) — lucky breakdown is exactly zero
     if not breakdown:
         V[j + 1] = w / h_next
 
     # apply stored rotations, then the new one
     for i in range(j):
-        hi = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-        H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-        H[i, j] = hi
-    cs[j], sn[j] = _givens(H[j, j], H[j + 1, j])
-    H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
-    H[j + 1, j] = 0.0
-    g[j + 1] = -sn[j] * g[j]
-    g[j] = cs[j] * g[j]
+        h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
+                          -sn[i] * h[i] + cs[i] * h[i + 1])
+    cs[j], sn[j] = c, s = _givens(h[j], h_next)
+    h[j] = c * h[j] + s * h_next
+    H[: j + 2, j] = h
+    g[j + 1] = -s * g[j]
+    g[j] = c * g[j]
     return h_next, breakdown
 
 
@@ -107,7 +109,7 @@ class _Run:
 
     def begin_cycle(self, V: np.ndarray, r: np.ndarray, m: int) -> None:
         self.H = np.zeros((m + 1, m))
-        self.cs, self.sn = np.zeros(m), np.zeros(m)
+        self.cs, self.sn = [0.0] * m, [0.0] * m
         self.g = np.zeros(m + 1)
         V[0, self.sl] = r[self.sl] / self.beta
         self.g[0] = self.beta

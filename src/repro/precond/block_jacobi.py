@@ -34,6 +34,7 @@ from repro.graph.rcm import reverse_cuthill_mckee
 from repro.kernels.apply import csr_matvec, stack_csr
 from repro.krylov.fgmres import fgmres_lockstep
 from repro.krylov.ops import CountingOps
+from repro.perfmodel.costs import Charge
 from repro.precond.base import ParallelPreconditioner
 from repro.precond.local import LocalSolver
 from repro.resilience.errors import InnerSolveDivergence
@@ -119,6 +120,7 @@ class BlockPreconditioner(ParallelPreconditioner):
             setup[r] = estimate_ilu_setup_flops(fac)
         self._charge_setup(setup)
         self._apply_flops = np.asarray([f.solve_flops() for f in self.factors])
+        self._apply_charge = Charge(comm.size, self._apply_flops)
         if variant == "krylov":
             # the inner operator, in natural order, of all ranks stacked
             self._a_hat = stack_csr(dmat.owned_square)
@@ -130,7 +132,7 @@ class BlockPreconditioner(ParallelPreconditioner):
             return self._apply_krylov(r)
         with obs.span("block.local_solves", variant=self.variant):
             z = self.local_solver.solve(self.pm.layout, r)
-            self.comm.ledger.add_phase(self._apply_flops)
+            self.comm.ledger.add_phase(self._apply_charge)
         return z
 
     def _apply_krylov(self, r: np.ndarray) -> np.ndarray:

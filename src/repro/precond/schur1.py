@@ -44,6 +44,7 @@ from repro.factor.schur_extract import SchurBlocks, schur_blocks, stacked_schur_
 from repro.kernels.apply import csr_matvec, stack_csr
 from repro.krylov.fgmres import fgmres, fgmres_lockstep
 from repro.krylov.ops import CountingOps
+from repro.perfmodel.costs import Charge
 from repro.precond.base import ParallelPreconditioner
 from repro.precond.block_jacobi import estimate_ilu_setup_flops
 from repro.resilience.errors import InnerSolveDivergence
@@ -117,11 +118,11 @@ class Schur1Preconditioner(ParallelPreconditioner):
         self._lu_b_flops = [s.solve_b_flops() for s in sbs]
         self._e_flops = [2.0 * b.E.nnz for b in blocks]
         self._f_flops = [2.0 * b.F.nnz for b in blocks]
-        self._matvec_flops = np.asarray([
+        self._matvec_charge = Charge(comm.size, [
             2.0 * (b.F.nnz + b.C.nnz + b.E.nnz + g.nnz) + s.solve_b_flops()
             for b, g, s in zip(blocks, dmat.ghost_coupling, sbs)
         ])
-        self._precond_flops = np.asarray([s.solve_s_flops() for s in sbs])
+        self._precond_charge = Charge(comm.size, [s.solve_s_flops() for s in sbs])
 
     # -- subdomain-local approximate B solves (steps 1 and 3) ----------------
 
@@ -161,13 +162,13 @@ class Schur1Preconditioner(ParallelPreconditioner):
         s = self._solve_b.solve(csr_matvec(self._F, y))
         out = csr_matvec(self._C, y) - csr_matvec(self._E, s)
         out[self._coupled_rows] += coupling
-        self.comm.ledger.add_phase(self._matvec_flops)
+        self.comm.ledger.add_phase(self._matvec_charge)
         return out
 
     def _schur_precond(self, g: np.ndarray) -> np.ndarray:
         """Block Jacobi on S: independent (L_S, U_S) solves per subdomain."""
         out = self._solve_s.solve(g)
-        self.comm.ledger.add_phase(self._precond_flops)
+        self.comm.ledger.add_phase(self._precond_charge)
         return out
 
     def _solve_schur_system(self, ghat: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from repro.distributed.ops import DistributedOps
 from repro.factor.arms import ArmsFactorization
 from repro.kernels.apply import csr_matvec, stack_csr
 from repro.krylov.fgmres import fgmres
+from repro.perfmodel.costs import Charge
 from repro.precond.base import ParallelPreconditioner
 from repro.resilience.errors import InnerSolveDivergence
 from repro.sparse.triangular import FusedLU
@@ -116,7 +117,7 @@ class Schur2Preconditioner(ParallelPreconditioner):
             slice(s.stop - sd.n_interface, s.stop)
             for s, sd in zip(self._exp_layout.slices, self.pm.subdomains)
         ]
-        self._matvec_flops = np.asarray([
+        self._matvec_charge = Charge(comm.size, [
             2.0 * (f.s_hat.nnz + g.nnz) for f, g in zip(finals, dmat.ghost_coupling)
         ])
 
@@ -125,7 +126,9 @@ class Schur2Preconditioner(ParallelPreconditioner):
             # an empty expanded block has no factor and nothing to solve
             ilus = [f.s_ilu for f in finals if f.s_ilu is not None]
             self._solve_s = FusedLU.stacked([f.L for f in ilus], [f.U for f in ilus])
-            self._precond_flops = np.asarray([f.solve_s_flops() for f in finals])
+            self._precond_charge = Charge(
+                comm.size, [f.solve_s_flops() for f in finals]
+            )
         else:
             s_global = self._assemble_global_expanded()
             from repro.factor.ilu0 import ilu0 as _ilu0
@@ -137,10 +140,11 @@ class Schur2Preconditioner(ParallelPreconditioner):
                 msgs_per_rank=2.0 * self.pm.interface_pattern.msgs_per_rank,
                 bytes_per_rank=self.pm.interface_pattern.bytes_per_rank,
             )
-            rows_per_rank = self._exp_layout.sizes
-            total_nnz = self._global_fac.nnz
-            self._global_solve_flops = (
-                2.0 * total_nnz * rows_per_rank / max(self._exp_layout.total, 1)
+            pat = self.pm.interface_pattern
+            self._precond_charge = Charge(
+                comm.size, 2.0 * self._global_fac.nnz * self._exp_layout.sizes
+                / max(self._exp_layout.total, 1),
+                2.0 * pat.msgs_per_rank, 2.0 * pat.bytes_per_rank,
             )
 
     def _assemble_global_expanded(self):
@@ -192,7 +196,7 @@ class Schur2Preconditioner(ParallelPreconditioner):
         )
         out = csr_matvec(self._s_hat, y)
         out[self._coupled_rows] += coupling
-        self.comm.ledger.add_phase(self._matvec_flops)
+        self.comm.ledger.add_phase(self._matvec_charge)
         return out
 
     def _expanded_precond(self, g: np.ndarray) -> np.ndarray:
@@ -200,16 +204,10 @@ class Schur2Preconditioner(ParallelPreconditioner):
         if self._global_fac is not None:
             # true global ILU(0): level-scheduled sweeps pipeline across
             # subdomains — one neighbor exchange per triangular sweep
-            z = self._global_fac.solve(g)
-            pat = self.pm.interface_pattern
-            self.comm.ledger.add_phase(
-                self._global_solve_flops,
-                msgs_per_rank=2.0 * pat.msgs_per_rank,
-                bytes_per_rank=2.0 * pat.bytes_per_rank,
-            )
-            return z
-        out = self._solve_s.solve(g)
-        self.comm.ledger.add_phase(self._precond_flops)
+            out = self._global_fac.solve(g)
+        else:
+            out = self._solve_s.solve(g)
+        self.comm.ledger.add_phase(self._precond_charge)
         return out
 
     def _solve_expanded_system(self, ghat: np.ndarray) -> np.ndarray:

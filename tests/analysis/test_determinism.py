@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.determinism import (
     DETERMINISM_SCHEMA,
     Check,
@@ -92,3 +93,16 @@ def test_backend_check_digests_the_solve_only(tiny_report):
     (check,) = [c for c in tiny_report.checks if c.kind == "backend"]
     for digests in check.detail["digests"].values():
         assert set(digests) == {"x", "residuals", "iterations", "status"}
+
+
+def test_every_repeat_distributes_afresh():
+    # a distribution remembered from the first run would make the second
+    # reproduce vacuously: each solve must build its own
+    case = CASE_BUILDERS["tc1"](n=9)
+    with obs.tracing() as tracer:
+        report = check_determinism(
+            [case], nparts=2, tiers=("numpy",), maxiter=50, checks=("repeat",),
+        )
+    assert report.identical
+    memo = [s.attrs["memo"] for s in tracer.spans if s.name == "distribute"]
+    assert memo == ["miss", "miss"]

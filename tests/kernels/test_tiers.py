@@ -218,26 +218,25 @@ class TestDispatchPolicy:
         assert kernels.resolve(nbytes) == "reference"
         assert triples.workspace_bytes(0, np.zeros(1, dtype=int), np.zeros(0, dtype=int)) == 40 * triples._CHUNK
 
-    def test_env_var_forces_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "numpy")
-        assert kernels.get_tier() == "numpy"
-        assert kernels.resolve(1000) == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
-        assert kernels.resolve(1000) == "reference"
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "auto")
-        assert kernels.get_tier() is None
+    def test_forced_tier_reaches_resolve(self):
+        with kernels.forced_tier("numpy"):
+            assert kernels.get_tier() == "numpy"
+            assert kernels.resolve(1000) == "numpy"
+        with kernels.forced_tier("reference"):
+            assert kernels.resolve(1000) == "reference"
+        with kernels.forced_tier("auto"):
+            assert kernels.get_tier() is None
 
     @pytest.mark.parametrize("value", ["turbo", "numba"])
-    def test_env_var_unknown_rejected(self, monkeypatch, value):
-        # same error as set_tier: a misspelt (or retired) tier must not
-        # silently mean "auto"
-        monkeypatch.setenv("REPRO_KERNEL_TIER", value)
-        with pytest.raises(ValueError, match="unknown kernel tier .*'numpy'"):
-            kernels.get_tier()
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            kernels.resolve(1000, require_reference=True)
+    def test_unknown_tier_rejected_and_policy_kept(self, value):
+        # a misspelt (or retired) tier must not silently mean "auto"
+        with kernels.forced_tier("reference"):
+            with pytest.raises(ValueError, match="unknown kernel tier .*'numpy'"):
+                with kernels.forced_tier(value):
+                    pass
+            assert kernels.get_tier() == "reference"
 
-    def test_unset_env_var_costs_a_lookup_not_an_import_or_a_parse(self, monkeypatch):
+    def test_tier_check_costs_no_import_and_no_parse(self, monkeypatch):
         """Every triangular solve asks for the tier."""
         import builtins
 
@@ -246,12 +245,11 @@ class TestDispatchPolicy:
         def boom(*args, **kwargs):
             raise AssertionError("the tier check imported or parsed")
 
-        monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
         monkeypatch.setattr(kernels, "_checked", boom)
         monkeypatch.setattr(builtins, "__import__", boom)
         assert apply_kernels.resolve_tier() == "numpy"
 
-    def test_env_var_is_parsed_once_per_value_and_changes_are_honoured(self, monkeypatch):
+    def test_forced_tier_is_parsed_once_not_per_solve(self, monkeypatch):
         from repro.kernels import apply as apply_kernels
 
         parsed = []
@@ -259,16 +257,10 @@ class TestDispatchPolicy:
         monkeypatch.setattr(
             kernels, "_checked", lambda name: parsed.append(name) or checked(name)
         )
-        monkeypatch.setenv("REPRO_KERNEL_TIER", " Reference ")
-        assert [apply_kernels.resolve_tier() for _ in range(3)] == ["reference"] * 3
+        with kernels.forced_tier("reference"):
+            assert [apply_kernels.resolve_tier() for _ in range(3)] == ["reference"] * 3
         assert parsed == ["reference"]
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "numpy")
         assert apply_kernels.resolve_tier() == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
-        assert apply_kernels.resolve_tier() == "reference"
-        assert parsed == ["reference", "numpy", "reference"]
-        monkeypatch.delenv("REPRO_KERNEL_TIER")
-        assert kernels.get_tier() is None
 
     def test_set_tier_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel tier"):
