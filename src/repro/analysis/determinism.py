@@ -136,11 +136,10 @@ def _solve_digests(
     reproduce bitwise."""
     from repro.core.driver import solve_case  # deferred: heavy import
 
-    # partition_graph and distribute_matrix themselves, every run: the case
-    # remembers its memberships and distributions, and a remembered one
-    # reproduces vacuously
+    # partition_graph and distribute_matrix themselves, every run: a remembered
+    # membership or distribution reproduces vacuously
     membership = case.partition(nparts, seed=solve_kw.get("seed", 0))
-    case._distributions.clear()
+    case.forget_distributions()
     with kernels.forced_tier(tier):
         out = solve_case(
             case, precond=precond, nparts=nparts, backend=backend,

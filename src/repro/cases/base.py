@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,9 +57,7 @@ class TestCase:
     _node_graph: Graph | None = field(default=None, repr=False)
     _coupling_graph: Graph | None = field(default=None, repr=False)
     _memberships: dict = field(default_factory=dict, repr=False, compare=False)
-    #: filled by :func:`repro.core.stages.distribute`
     _distributions: dict = field(default_factory=dict, repr=False, compare=False)
-    #: held while a memo entry is built, so each key is built once
     _memo_lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
@@ -102,16 +101,34 @@ class TestCase:
         key = (nparts, seed, scheme)
         with self._memo_lock:  # held while partitioning: once per key
             if key not in self._memberships:
-                self._remember(self._memberships, key, self.partition(nparts, seed, scheme))
+                fresh = self.partition(nparts, seed, scheme)
+                if len(self._memberships) >= MEMBERSHIP_MEMO_SIZE:
+                    del self._memberships[next(iter(self._memberships))]
+                self._memberships[key] = fresh
             return self._memberships[key]
 
-    @staticmethod
-    def _remember(memo: dict, key: tuple, value: object) -> None:
-        """Put ``value`` in a memo (lock held); the oldest entry goes first."""
-        memo.pop(key, None)
-        if len(memo) >= MEMBERSHIP_MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = value
+    def distribution(
+        self, nparts: int, membership: np.ndarray, build: Callable[[np.ndarray], Any]
+    ) -> tuple[Any, bool]:
+        """``build`` of a copy of ``membership``, and whether it was remembered
+        (the last ``MEMBERSHIP_MEMO_SIZE``, by ``nparts`` and the membership's
+        bytes, while ``self.matrix`` is the one built from; once per key)."""
+        key = (nparts, membership.dtype.str, membership.tobytes())
+        memo = self._distributions
+        with self._memo_lock:  # held while building
+            if key in memo and memo[key][0] is self.matrix:
+                return memo[key][1], True
+            memo.pop(key, None)
+            if len(memo) >= MEMBERSHIP_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            matrix, value = self.matrix, build(membership.copy())
+            memo[key] = (matrix, value)
+            return value, False
+
+    def forget_distributions(self) -> None:
+        """Drop every remembered distribution: the next one is built afresh."""
+        with self._memo_lock:
+            self._distributions.clear()
 
     def partition(
         self,

@@ -164,7 +164,7 @@ class CommunicationPattern:
                 self._deliver(comm, t, owned, ghost)
                 continue
             ghost[t.dst][t.recv_ghost] = owned[t.src][t.send_local]
-        comm.ledger.add_phase(self._charge)
+        comm.ledger.add_charge(self._charge)
 
     def _deliver(
         self,

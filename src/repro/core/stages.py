@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import faults, obs
 from repro.cases.base import TestCase
@@ -59,38 +58,24 @@ def distribute(
 ) -> DistributedMatrix:
     """Partition ``case`` over ``nparts`` ranks (unless ``membership`` is
     given) and distribute its matrix; the layout is the result's ``pm``.
-
-    Like its membership, a distribution is a per-case precomputation: the
-    case remembers its last ``MEMBERSHIP_MEMO_SIZE`` by ``nparts`` and the
-    membership's bytes (explicit memberships arrive as fresh arrays) and
-    hands the same read-only object out again while ``case.matrix`` is the
-    matrix it was built from.  Both spans say ``memo="hit"``/``"miss"``.
-    """
-    with case._memo_lock:  # held while building: one build per key
-        with obs.span("partition", scheme=scheme) as span:
-            if membership is None:
-                membership = case.membership(nparts, seed=seed, scheme=scheme)
-            key = (nparts, membership.dtype.str, membership.tobytes())
-            entry = case._distributions.get(key)
-            memo = "hit" if entry is not None and entry[0] is case.matrix else "miss"
-            span.set(memo=memo)
-            if memo == "miss":
-                pm = PartitionMap(case.coupling_graph, membership.copy(), num_ranks=nparts)
-        with obs.span("distribute", memo=memo):
-            if memo == "miss":
-                entry = (case.matrix, _read_only(distribute_matrix(case.matrix, pm)))
-                case._remember(case._distributions, key, entry)
-        return entry[1]
+    The case remembers it, read-only (:meth:`TestCase.distribution`); both
+    spans say whether it did, ``memo="hit"|"miss"``."""
+    with obs.span("partition", scheme=scheme) as part:
+        if membership is None:
+            membership = case.membership(nparts, seed=seed, scheme=scheme)
+    with obs.span("distribute") as dist:
+        dmat, hit = case.distribution(nparts, membership, lambda labels: _read_only(
+            distribute_matrix(case.matrix, PartitionMap(case.coupling_graph, labels, nparts)), set()
+        ))
+    for span in (part, dist):  # set once the memo has answered
+        span.set(memo="hit" if hit else "miss")
+    return dmat
 
 
-def _read_only(obj: object, seen: set[int] | None = None) -> object:
-    """Make every array ``obj`` holds, sparse matrices' too, read-only."""
-    seen = set() if seen is None else seen
+def _read_only(obj: object, seen: set[int]) -> object:
+    """Make every array ``obj`` holds (a sparse matrix's too) read-only."""
     if isinstance(obj, np.ndarray):
         obj.flags.writeable = False
-    elif sp.issparse(obj):
-        for a in (obj.data, obj.indices, obj.indptr):
-            a.flags.writeable = False
     elif id(obj) not in seen and (isinstance(obj, list) or hasattr(obj, "__dict__")):
         seen.add(id(obj))
         for item in obj if isinstance(obj, list) else vars(obj).values():

@@ -106,8 +106,7 @@ class DistributedMatrix:
         # the whole charge of one matvec with its ghost exchange
         self.matvec_flops = np.asarray([2.0 * a.nnz for a in self.local])
         self._matvec_charge = Charge(
-            pm.num_ranks, self.matvec_flops,
-            pm.pattern.msgs_per_rank, pm.pattern.bytes_per_rank,
+            pm.num_ranks, self.matvec_flops, pm.pattern.msgs_per_rank, pm.pattern.bytes_per_rank
         )
         # lazily built worker-shipping blocks (rank -> RankBlock)
         self._rank_blocks: dict[int, RankBlock] = {}
@@ -154,13 +153,14 @@ class DistributedMatrix:
             (rows.data, np.searchsorted(cols, rows.indices), rows.indptr),
             shape=(hi - lo, len(cols)),
         )
+        for arr in (a.data, a.indices, a.indptr, cols):
+            arr.flags.writeable = False  # a remembered distribution is shared
         blk = RankBlock(
             key=FactorCache.key("matvec-block", a, (lo, hi), family="worker-ship"),
             a=a,
             cols=cols,
         )
-        self._rank_blocks[r] = blk
-        return blk
+        return self._rank_blocks.setdefault(r, blk)  # racing builders share one
 
     # -- operator application ----------------------------------------------
 
@@ -179,7 +179,7 @@ class DistributedMatrix:
         return self._matvec_charged(comm, x)
 
     def _matvec_charged(self, comm: Communicator, x: np.ndarray) -> np.ndarray:
-        comm.ledger.add_phase(self._matvec_charge)
+        comm.ledger.add_charge(self._matvec_charge)
         # tier-dispatched product (repro.kernels.apply): scipy's compiled CSR
         # matvec on the numpy tier, the scalar spec loop on reference —
         # both bit-compatible, so forcing a tier pins the whole solve.  On a

@@ -15,7 +15,7 @@ import numpy as np
 from repro import obs
 from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
-from repro.krylov.ops import tree_pairs
+from repro.krylov.ops import fixed_tree_sum
 from repro.perfmodel.costs import Charge
 
 
@@ -28,9 +28,9 @@ class DistributedOps:
         self.comm = comm
         self.layout = layout
         self._slices = layout.slices
-        self._tree = tree_pairs(len(self._slices))
         # one multiply-add per entry: what a dot and an axpy both cost a rank
-        self._vector_charges = {1: Charge(comm.size, 2.0 * layout.sizes)}
+        self._vector_flops = 2.0 * layout.sizes
+        self._dot_charge = Charge(comm.size, self._vector_flops)
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         """Global inner product (charges per-rank flops + one allreduce).
@@ -44,21 +44,15 @@ class DistributedOps:
         partial is the historical whole-vector product.
         """
         ledger = self.comm.ledger
-        ledger.add_phase(self._vector_charges[1])
+        ledger.add_charge(self._dot_charge)
         ledger.add_allreduce(nbytes=8)
         if obs.enabled():
             obs.event("comm.allreduce", bytes=8)
-        parts = [float(np.dot(x[s], y[s])) for s in self._slices]
-        for i, j in self._tree:
-            parts[i] += parts[j]
-        return parts[0]
+        return fixed_tree_sum([np.dot(x[s], y[s]) for s in self._slices])
 
     def norm(self, x: np.ndarray) -> float:
         return float(np.sqrt(max(self.dot(x, x), 0.0)))
 
     def charge_local_axpy(self, count: int = 1) -> None:
         """Charge ``count`` vector updates (2 flops/entry, no communication)."""
-        charges = self._vector_charges
-        if count not in charges:
-            charges[count] = Charge(self.comm.size, count * charges[1].flops)
-        self.comm.ledger.add_phase(charges[count])
+        self.comm.ledger.add_phase(count * self._vector_flops)

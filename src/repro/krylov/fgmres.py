@@ -46,11 +46,10 @@ def _arnoldi_column(
 
     Orthogonalises ``w`` (in place) against ``V[:j+1]`` by modified
     Gram-Schmidt into column j of ``H``, stores ``V[j+1]``, applies the
-    stored rotations ``cs``/``sn`` and a new Givens pair to that column and
-    to ``g``.  The column is rotated as Python floats (the same IEEE
-    operations as on NumPy scalars) and written to ``H`` once.  Returns
-    ``(h_next, breakdown)``; a non-finite ``h_next`` returns at once, with
-    only the dots written to ``H`` and ``V``, ``g`` left as they were.
+    stored rotations and a new Givens pair to that column (rotated as Python
+    floats, the same IEEE operations, and written to ``H`` once) and to ``g``.
+    Returns ``(h_next, breakdown)``; a non-finite ``h_next`` returns at once,
+    with only the dots written to ``H`` and ``V``, ``g`` left as they were.
     """
     h = [0.0] * (j + 2)
     for i in range(j + 1):

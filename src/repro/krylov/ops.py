@@ -31,17 +31,6 @@ def fixed_tree_sum(parts) -> float:
     return vals[0]
 
 
-def tree_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """:func:`fixed_tree_sum`'s additions over ``n`` partials, in order:
-    ``parts[i] += parts[j]`` for each ``(i, j)`` leaves the sum in ``parts[0]``."""
-    pairs: list[tuple[int, int]] = []
-    step = 1  # level by level, each partial absorbs its neighbour a stride away
-    while step < n:
-        pairs += [(i, i + step) for i in range(0, n - step, 2 * step)]
-        step *= 2
-    return tuple(pairs)
-
-
 class KernelOps(Protocol):
     """The three kernels a Krylov method needs (paper Sec. 1)."""
 

@@ -36,35 +36,28 @@ COUNT_FIELDS = (
 )
 
 
-def _per_rank(num_ranks: int, x: np.ndarray | float) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a if a.shape == (num_ranks,) else np.broadcast_to(a, (num_ranks,))
-
-
 def _reduced(num_ranks: int, x: np.ndarray | float) -> tuple[float, float] | None:
     """Max and sum of a per-rank vector; ``None`` for a scalar zero."""
     if not (isinstance(x, np.ndarray) or x):
         return None
-    a = _per_rank(num_ranks, x)
+    a = np.broadcast_to(np.asarray(x, dtype=np.float64), (num_ranks,))
     return float(a.max()), float(a.sum())
 
 
 class Charge:
-    """One phase's per-rank flops, messages and bytes, reduced to max and
-    sum once: :meth:`CostLedger.add_phase` does the same float adds, in the
-    same order, as for the vectors.  Owners build their constant charges
-    (a matvec, an exchange, a dot) once."""
+    """A constant phase (a matvec, an exchange, a dot) reduced once, for
+    :meth:`CostLedger.add_charge` to add as :meth:`CostLedger.add_phase`
+    adds the same vectors, float for float."""
 
-    __slots__ = ("flops", "flops_max", "flops_sum", "msgs", "nbytes")
+    __slots__ = ("flops", "reduced", "msgs", "nbytes")
 
     def __init__(
         self, num_ranks: int, flops: np.ndarray | float,
         msgs: np.ndarray | float = 0.0, nbytes: np.ndarray | float = 0.0,
     ) -> None:
-        self.flops = _per_rank(num_ranks, flops)
-        self.flops_max, self.flops_sum = float(self.flops.max()), float(self.flops.sum())
-        self.msgs = _reduced(num_ranks, msgs)
-        self.nbytes = _reduced(num_ranks, nbytes)
+        self.flops = np.broadcast_to(np.asarray(flops, dtype=np.float64), (num_ranks,))
+        self.reduced = float(self.flops.max()), float(self.flops.sum())
+        self.msgs, self.nbytes = _reduced(num_ranks, msgs), _reduced(num_ranks, nbytes)
 
 
 @dataclass
@@ -98,9 +91,13 @@ class CostLedger:
         if self.per_rank_flops is None:
             self.per_rank_flops = np.zeros(self.num_ranks)
 
+    def _per_rank(self, x: np.ndarray | float) -> np.ndarray:
+        a = np.asarray(x, dtype=np.float64)
+        return a if a.shape == (self.num_ranks,) else np.broadcast_to(a, (self.num_ranks,))
+
     def add_phase(
         self,
-        flops_per_rank: Charge | np.ndarray | float,
+        flops_per_rank: np.ndarray | float,
         msgs_per_rank: np.ndarray | float = 0.0,
         bytes_per_rank: np.ndarray | float = 0.0,
     ) -> None:
@@ -108,14 +105,27 @@ class CostLedger:
 
         Scalar arguments mean "the same on every rank".  A scalar zero (the
         default for messages and bytes) adds exactly nothing and is skipped;
-        the per-rank sums keep NumPy's summation order either way.  A
-        :class:`Charge` carries its own messages and bytes.
+        the per-rank sums keep NumPy's summation order either way.
         """
-        c = flops_per_rank
-        if not isinstance(c, Charge):
-            c = Charge(self.num_ranks, c, msgs_per_rank, bytes_per_rank)
-        self.crit_flops += c.flops_max
-        self.total_flops += c.flops_sum
+        f = self._per_rank(flops_per_rank)
+        self.crit_flops += float(f.max())
+        self.total_flops += float(f.sum())
+        self.per_rank_flops = self.per_rank_flops + f
+        if isinstance(msgs_per_rank, np.ndarray) or msgs_per_rank:
+            m = self._per_rank(msgs_per_rank)
+            self.crit_msgs += float(m.max())
+            self.total_msgs += float(m.sum())
+        if isinstance(bytes_per_rank, np.ndarray) or bytes_per_rank:
+            b = self._per_rank(bytes_per_rank)
+            self.crit_bytes += float(b.max())
+            self.total_bytes += float(b.sum())
+        self.phases += 1
+
+    def add_charge(self, c: Charge) -> None:
+        """:meth:`add_phase` of a :class:`Charge`: the same adds, in the same
+        order, with the reductions taken when the charge was built."""
+        self.crit_flops += c.reduced[0]
+        self.total_flops += c.reduced[1]
         self.per_rank_flops = self.per_rank_flops + c.flops
         if c.msgs is not None:
             self.crit_msgs += c.msgs[0]
@@ -136,7 +146,7 @@ class CostLedger:
         The bulk-synchronous model waits for the slowest rank, so only the
         per-rank maximum enters the critical path.
         """
-        self.delay_seconds += float(_per_rank(self.num_ranks, seconds_per_rank).max())
+        self.delay_seconds += float(self._per_rank(seconds_per_rank).max())
 
     def merge(self, other: "CostLedger") -> None:
         """Fold another ledger (e.g. a setup phase) into this one."""

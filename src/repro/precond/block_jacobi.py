@@ -132,7 +132,7 @@ class BlockPreconditioner(ParallelPreconditioner):
             return self._apply_krylov(r)
         with obs.span("block.local_solves", variant=self.variant):
             z = self.local_solver.solve(self.pm.layout, r)
-            self.comm.ledger.add_phase(self._apply_charge)
+            self.comm.ledger.add_charge(self._apply_charge)
         return z
 
     def _apply_krylov(self, r: np.ndarray) -> np.ndarray:

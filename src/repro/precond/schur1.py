@@ -162,13 +162,13 @@ class Schur1Preconditioner(ParallelPreconditioner):
         s = self._solve_b.solve(csr_matvec(self._F, y))
         out = csr_matvec(self._C, y) - csr_matvec(self._E, s)
         out[self._coupled_rows] += coupling
-        self.comm.ledger.add_phase(self._matvec_charge)
+        self.comm.ledger.add_charge(self._matvec_charge)
         return out
 
     def _schur_precond(self, g: np.ndarray) -> np.ndarray:
         """Block Jacobi on S: independent (L_S, U_S) solves per subdomain."""
         out = self._solve_s.solve(g)
-        self.comm.ledger.add_phase(self._precond_charge)
+        self.comm.ledger.add_charge(self._precond_charge)
         return out
 
     def _solve_schur_system(self, ghat: np.ndarray) -> np.ndarray:

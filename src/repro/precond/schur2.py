@@ -196,7 +196,7 @@ class Schur2Preconditioner(ParallelPreconditioner):
         )
         out = csr_matvec(self._s_hat, y)
         out[self._coupled_rows] += coupling
-        self.comm.ledger.add_phase(self._matvec_charge)
+        self.comm.ledger.add_charge(self._matvec_charge)
         return out
 
     def _expanded_precond(self, g: np.ndarray) -> np.ndarray:
@@ -207,7 +207,7 @@ class Schur2Preconditioner(ParallelPreconditioner):
             out = self._global_fac.solve(g)
         else:
             out = self._solve_s.solve(g)
-        self.comm.ledger.add_phase(self._precond_charge)
+        self.comm.ledger.add_charge(self._precond_charge)
         return out
 
     def _solve_expanded_system(self, ghat: np.ndarray) -> np.ndarray:

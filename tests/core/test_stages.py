@@ -77,6 +77,13 @@ def test_another_membership_nparts_or_matrix_misses(tc1):
     assert stages.distribute(tc1, 3, seed=0) is again
 
 
+def test_forgotten_distributions_are_built_afresh(tc1):
+    first = stages.distribute(tc1, 3, seed=0)
+    tc1.forget_distributions()
+    again = stages.distribute(tc1, 3, seed=0)
+    assert again is not first and stages.distribute(tc1, 3, seed=0) is again
+
+
 def test_memo_is_bounded_and_drops_the_oldest(tc1):
     first = stages.distribute(tc1, 2, seed=0)
     for seed in range(1, MEMBERSHIP_MEMO_SIZE + 2):
@@ -97,6 +104,10 @@ def test_remembered_arrays_are_read_only_and_inputs_are_not(tc1):
         dmat.ghost_coupling[0].indptr,
     ]
     assert not any(a.flags.writeable for a in frozen)
+    # a RankBlock is built later, on the shared object: it is frozen too
+    blk = dmat.rank_block(1)
+    assert not any(a.flags.writeable for a in (blk.a.data, blk.a.indices, blk.a.indptr, blk.cols))
+    assert dmat.rank_block(1) is blk
     # what the caller handed in is copied, not frozen under them
     assert explicit.flags.writeable and tc1.matrix.data.flags.writeable
 

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.krylov.ops import fixed_tree_sum, tree_pairs
+from repro.krylov.ops import fixed_tree_sum
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e12, max_value=1e12)
@@ -47,12 +47,3 @@ class TestFixedTreeSum:
                 nxt.append(vals[-1])
             vals = nxt
         assert fixed_tree_sum(parts) == vals[0]
-
-    @given(parts=st.lists(FLOATS, min_size=1, max_size=17))
-    @settings(max_examples=200, deadline=None)
-    def test_tree_pairs_in_place_is_the_same_tree(self, parts):
-        # DistributedOps.dot runs the tree as these in-place additions
-        vals = list(parts)
-        for i, j in tree_pairs(len(vals)):
-            vals[i] += vals[j]
-        assert np.float64(vals[0]).tobytes() == np.float64(fixed_tree_sum(parts)).tobytes()

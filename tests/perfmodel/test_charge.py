@@ -55,7 +55,7 @@ def test_charges_and_vectors_leave_identical_ledgers():
         for (f, m, b), charge in zip(PHASES, charges):
             _reference_phase(reference, f, m, b)
             plain.add_phase(f, msgs_per_rank=m, bytes_per_rank=b)
-            charged.add_phase(charge)
+            charged.add_charge(charge)
     assert _bits(plain) == _bits(reference)
     assert _bits(charged) == _bits(reference)
 
@@ -66,6 +66,6 @@ def test_scalar_zero_messages_and_bytes_are_skipped():
     # an all-zero vector is still a vector: it is reduced, not skipped
     assert Charge(3, 0.0, np.zeros(3)).msgs == (0.0, 0.0)
     led = CostLedger(3)
-    led.add_phase(charge)
+    led.add_charge(charge)
     assert (led.crit_msgs, led.total_msgs, led.crit_bytes, led.phases) == (0.0, 0.0, 0.0, 1)
 
