@@ -2,7 +2,7 @@
 
 A :class:`CheckpointManager` owns one directory of numbered
 ``<prefix>_<step>.ckpt`` files.  ``save`` is atomic and prunes old
-snapshots down to ``keep``; ``load_latest`` walks the snapshots newest
+snapshots down to ``KEEP``; ``load_latest`` walks the snapshots newest
 first and *skips* any that fail integrity validation (emitting a
 ``resilience.ckpt.corrupt`` trace event), so a torn disk or a crashed
 writer degrades to an older restore point instead of a failed restart.
@@ -19,6 +19,9 @@ from repro import obs
 from repro.checkpoint.errors import CheckpointCorruption, CheckpointNotFound
 from repro.checkpoint.format import Checkpoint, read_checkpoint, write_checkpoint
 
+#: snapshots retained per prefix; older ones are pruned after each save
+KEEP = 3
+
 
 class CheckpointManager:
     """Numbered checkpoints in one directory, newest-first recovery.
@@ -29,21 +32,13 @@ class CheckpointManager:
         Where snapshots live; created on first save.
     prefix:
         Filename stem, so several state families can share a directory.
-    keep:
-        Snapshots retained per prefix; older ones are pruned after each
-        save (``0`` = keep everything).
     """
 
-    def __init__(
-        self, directory: str | Path, prefix: str = "ckpt", keep: int = 3
-    ) -> None:
-        if keep < 0:
-            raise ValueError("keep must be >= 0")
+    def __init__(self, directory: str | Path, prefix: str = "ckpt") -> None:
         if not re.fullmatch(r"[A-Za-z0-9._-]+", prefix):
             raise ValueError(f"prefix {prefix!r} must be filename-safe")
         self.directory = Path(directory)
         self.prefix = prefix
-        self.keep = keep
         self._step_re = re.compile(re.escape(prefix) + r"_(\d+)\.ckpt$")
 
     def path_for(self, step: int) -> Path:
@@ -71,9 +66,8 @@ class CheckpointManager:
         meta["step"] = int(step)
         path = write_checkpoint(self.path_for(step), arrays, meta)
         obs.event("resilience.ckpt.save", step=int(step), path=str(path))
-        if self.keep:
-            for old in self.steps()[: -self.keep]:
-                self.path_for(old).unlink(missing_ok=True)
+        for old in self.steps()[:-KEEP]:
+            self.path_for(old).unlink(missing_ok=True)
         return path
 
     def load(self, step: int) -> Checkpoint:

@@ -25,7 +25,6 @@ from repro.comm.backends.supervisor import (
     READY,
     SPAWNED,
     SUSPECT,
-    HeartbeatPolicy,
     RankRecord,
     RankSupervisor,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "SUSPECT",
     "ExecutionBackend",
     "Frame",
-    "HeartbeatPolicy",
     "InProcessBackend",
     "MultiprocessBackend",
     "RankRecord",

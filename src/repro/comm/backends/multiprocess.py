@@ -53,7 +53,7 @@ from repro.comm.backends.base import (
     TransportBroken,
     TransportTimeout,
 )
-from repro.comm.backends.supervisor import READY, HeartbeatPolicy, RankSupervisor
+from repro.comm.backends.supervisor import READY, RankSupervisor
 from repro.comm.communicator import RetryPolicy
 from repro.resilience.errors import CommFault, MessageCorruption
 
@@ -61,6 +61,9 @@ from repro.resilience.errors import CommFault, MessageCorruption
 #: milliseconds, so a wider window than the simulated default, still bounded
 #: well under a second per transfer
 REAL_RETRY_POLICY = RetryPolicy(max_retries=3, timeout=0.1, backoff=2.0)
+
+#: bound on a rank's spawn -> HELLO handshake and on joining a killed rank
+STARTUP_TIMEOUT = 15.0
 
 #: how long :meth:`MultiprocessBackend.shutdown` waits for a rank to exit on
 #: its SHUTDOWN frame before it kills the process
@@ -125,10 +128,9 @@ class MultiprocessBackend(ExecutionBackend):
     name = "multiprocess"
     is_real = True
 
-    def __init__(self, size: int, heartbeat: HeartbeatPolicy | None = None) -> None:
+    def __init__(self, size: int) -> None:
         super().__init__(size)
-        self.heartbeat = heartbeat or HeartbeatPolicy()
-        self.supervisor = RankSupervisor(size, self.heartbeat)
+        self.supervisor = RankSupervisor(size)
         # fork keeps spawn cost in the low milliseconds; fall back to the
         # platform default (spawn) where fork does not exist
         self._ctx = multiprocessing.get_context(
@@ -210,7 +212,7 @@ class MultiprocessBackend(ExecutionBackend):
         proc, conn = self._procs[rank], self._conns[rank]
         if proc is not None:
             proc.kill()
-            proc.join(timeout=self.heartbeat.startup_timeout)
+            proc.join(timeout=STARTUP_TIMEOUT)
         if conn is not None:
             conn.close()
         self._spawn(rank)
@@ -221,7 +223,7 @@ class MultiprocessBackend(ExecutionBackend):
     def _await_hello(self, rank: int) -> None:
         conn = self._conns[rank]
         assert conn is not None
-        deadline = monotonic() + self.heartbeat.startup_timeout
+        deadline = monotonic() + STARTUP_TIMEOUT
         while monotonic() < deadline:
             remaining = deadline - monotonic()
             if not conn.poll(max(remaining, 0.0)):
@@ -259,7 +261,7 @@ class MultiprocessBackend(ExecutionBackend):
             proc.join(timeout=SHUTDOWN_GRACE)
             if proc.is_alive():
                 proc.kill()
-                proc.join(timeout=self.heartbeat.startup_timeout)
+                proc.join(timeout=STARTUP_TIMEOUT)
             else:
                 clean += 1
             if conn is not None:
@@ -396,7 +398,7 @@ class MultiprocessBackend(ExecutionBackend):
         self.supervisor.record_fenced(rank)
         if proc is not None and proc.is_alive():
             proc.kill()
-            proc.join(timeout=self.heartbeat.startup_timeout)
+            proc.join(timeout=STARTUP_TIMEOUT)
         self._record_exit_if_dead(rank, force=True)
 
     def rank_pid(self, rank: int) -> int | None:
@@ -422,7 +424,7 @@ class MultiprocessBackend(ExecutionBackend):
         proc = self._procs[rank]
         if proc is not None and proc.is_alive():
             proc.kill()  # SIGKILL — the process gets no chance to clean up
-            proc.join(timeout=self.heartbeat.startup_timeout)
+            proc.join(timeout=STARTUP_TIMEOUT)
         self._record_exit_if_dead(rank, force=True)
 
     def hang_rank(self, rank: int) -> None:

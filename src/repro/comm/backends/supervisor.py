@@ -20,7 +20,7 @@ classifies the terminal states into the existing
 * a rank whose OS process **exited** (clean exit, SIGKILL, crash) is DEAD
   and classifies as :class:`RankDeadError`;
 * a rank that is alive but **unresponsive** (SIGSTOP, livelock) lets
-  command rounds time out and is SUSPECT; once ``fence_after`` consecutive
+  command rounds time out and is SUSPECT; once ``FENCE_AFTER`` consecutive
   rounds have timed out the supervisor *fences* it — SIGKILLs the stuck
   process so it cannot wake up mid-recovery and corrupt the rebuilt world —
   and the rank is DEAD;
@@ -31,7 +31,7 @@ Nothing probes a rank.  Liveness is what the driver already observes: the
 HELLO handshake at spawn, the OS exit status, and the command rounds
 (``docs/robustness.md``, "The delivery round").  Every reply a rank sends
 to a round calls :meth:`RankSupervisor.record_ready`, which is what makes
-``fence_after`` a budget of *consecutive* misses; every window a round
+``FENCE_AFTER`` a budget of *consecutive* misses; every window a round
 lets pass calls :meth:`RankSupervisor.record_miss`.  A loopback ACK of a
 ghost exchange is not news of a rank and counts for neither.  Every
 transition emits a ``comm.backend.*`` trace event
@@ -61,23 +61,8 @@ _TRANSITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class HeartbeatPolicy:
-    """Supervision knobs (the table in ``docs/robustness.md``).
-
-    ``fence_after`` consecutive timed-out rounds escalate SUSPECT → DEAD by
-    fencing (SIGKILL) the unresponsive process; ``startup_timeout`` bounds
-    the spawn → HELLO handshake.
-    """
-
-    fence_after: int = 3
-    startup_timeout: float = 15.0
-
-    def __post_init__(self) -> None:
-        if self.fence_after < 1:
-            raise ValueError("fence_after must be >= 1")
-        if self.startup_timeout <= 0:
-            raise ValueError("startup_timeout must be > 0")
+#: consecutive timed-out rounds after which a SUSPECT rank is fenced (SIGKILL)
+FENCE_AFTER = 3
 
 
 @dataclass
@@ -112,10 +97,9 @@ class RankSupervisor:
     only it holds the process handles.
     """
 
-    def __init__(self, size: int, policy: HeartbeatPolicy | None = None) -> None:
+    def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError("supervisor size must be >= 1")
-        self.policy = policy or HeartbeatPolicy()
         self.records = [RankRecord(rank=r) for r in range(size)]
 
     # -- observations ------------------------------------------------------
@@ -156,7 +140,7 @@ class RankSupervisor:
         rec.misses += 1
         obs.event(
             "comm.backend.heartbeat_miss", rank=rank, misses=rec.misses,
-            fence_after=self.policy.fence_after,
+            fence_after=FENCE_AFTER,
         )
         return rec.state
 
@@ -192,7 +176,7 @@ class RankSupervisor:
         return (
             rec.state == SUSPECT
             and not rec.fenced
-            and rec.misses >= self.policy.fence_after
+            and rec.misses >= FENCE_AFTER
         )
 
     def state(self, rank: int) -> str:

@@ -98,11 +98,6 @@ class CommunicationPattern:
                 out.add(t.src)
         return sorted(out)
 
-    def max_neighbor_count(self) -> int:
-        return max(
-            (len(self.neighbors_of(r)) for r in range(self.num_ranks)), default=0
-        )
-
     def exchange(
         self,
         comm: Communicator,

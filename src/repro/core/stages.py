@@ -191,7 +191,7 @@ def krylov(
             lambda v: dmat.matvec(comm, v), b, apply_m=preconditioner, x0=x0,
             rtol=rtol, atol=atol, maxiter=maxiter, restart=restart,
             ops=DistributedOps(comm, dmat.pm.layout),
-            apply_ma=preconditioner.apply_matvec, on_restart=on_restart,
+            on_restart=on_restart,
         )
 
 

@@ -24,11 +24,6 @@ from repro.mesh.mesh import Mesh
 from repro.sparse.csr import csr_from_coo
 
 
-def elasticity_dof(node: np.ndarray | int, comp: int) -> np.ndarray | int:
-    """Global dof index of displacement component ``comp`` at ``node``."""
-    return 2 * np.asarray(node) + comp if not np.isscalar(node) else 2 * node + comp
-
-
 def assemble_elasticity(mesh: Mesh, mu: float, lam: float) -> sp.csr_matrix:
     """Stiffness matrix of the Navier operator on a 2-D P1 mesh.
 

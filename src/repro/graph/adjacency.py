@@ -33,11 +33,6 @@ class Graph:
     def num_vertices(self) -> int:
         return len(self.indptr) - 1
 
-    @property
-    def num_edges(self) -> int:
-        """Undirected edge count (each edge stored twice in CSR)."""
-        return len(self.indices) // 2
-
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 

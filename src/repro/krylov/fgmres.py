@@ -271,9 +271,9 @@ def fgmres(
 
     ``apply_m`` is the (possibly iteration-varying) right preconditioner,
     identity when omitted; ``apply_ma`` an optional fused step
-    v → (M⁻¹ v, A M⁻¹ v) for the Arnoldi expansion (e.g.
-    ``ParallelPreconditioner.apply_matvec``), which must agree with the two
-    composed — ``apply_a`` still gives the initial and restart residuals.
+    v → (M⁻¹ v, A M⁻¹ v) for the Arnoldi expansion, which must agree with
+    the two composed — ``apply_a`` still gives the initial and restart
+    residuals.
     ``restart`` is the cycle length m (paper: 20); convergence is
     ‖r‖ ≤ max(rtol ‖r_0‖, atol) (paper: rtol = 1e-6); ``maxiter < 1`` takes
     no step.  ``on_restart(iterations, x)`` is the checkpoint hook: called

@@ -21,6 +21,9 @@ from repro import obs
 #: the classified outcomes of a Krylov solve (docs/robustness.md)
 STATUSES = ("converged", "maxiter", "stagnated", "diverged", "breakdown")
 
+#: a residual grown past ``DIVTOL`` times the initial one counts as diverged
+DIVTOL = 1e10
+
 
 @dataclass
 class KrylovResult:
@@ -79,13 +82,11 @@ class ConvergenceMonitor:
 
     Besides the convergence test, the monitor carries the resilience layer's
     divergence detector: the residual became non-finite, or grew past
-    ``divtol`` times the initial residual (``divtol=None`` disables the
-    growth test; non-finite always counts as divergence).
+    ``DIVTOL`` times the initial residual.
     """
 
     rtol: float = 1e-6
     atol: float = 0.0
-    divtol: float | None = 1e10
     residuals: list[float] = field(default_factory=list)
     _threshold: float | None = None
 
@@ -126,7 +127,5 @@ class ConvergenceMonitor:
         last = self.residuals[-1]
         if not math.isfinite(last):
             return True
-        if self.divtol is None:
-            return False
         r0 = self.residuals[0]
-        return math.isfinite(r0) and last > self.divtol * max(r0, 1e-300)
+        return math.isfinite(r0) and last > DIVTOL * max(r0, 1e-300)

@@ -51,19 +51,6 @@ class ParallelPreconditioner(ABC):
                 return self._guarded_apply(r)
         return self._guarded_apply(r)
 
-    def apply_matvec(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fused ``z = M^{-1} r`` and ``v = A z`` for the inner Krylov step.
-
-        Every Krylov iteration applies the preconditioner and immediately
-        multiplies the result by the operator; routing both through one
-        entry point gives subclasses a hook to overlap or fuse the two.
-        The base implementation composes them — emitting exactly the spans
-        and ledger charges of the unfused path, so traces and cost models
-        are unchanged — and returns ``(z, v)``.
-        """
-        z = self(r)
-        return z, self.dmat.matvec(self.comm, z)
-
     def _check_input(self, r: np.ndarray) -> np.ndarray:
         """The single shape/dtype guard for all preconditioner applications.
 

@@ -15,6 +15,7 @@ import numpy as np
 from repro import obs
 from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
+from repro.perfmodel.costs import Charge
 from repro.precond.base import ParallelPreconditioner
 
 
@@ -36,11 +37,11 @@ class JacobiPreconditioner(ParallelPreconditioner):
         self._inv_diag = 1.0 / d
         # setup cost: one reciprocal per owned point
         self._charge_setup(self.pm.layout.sizes.astype(float))
-        self._apply_flops = self.pm.layout.sizes.astype(float)
+        self._apply_charge = Charge(comm.size, self.pm.layout.sizes.astype(float))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         z = r * self._inv_diag
-        self.comm.ledger.add_phase(self._apply_flops)
+        self.comm.ledger.add_charge(self._apply_charge)
         return z
 
 

@@ -22,6 +22,7 @@ from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
+from repro.perfmodel.costs import Charge
 from repro.precond.base import ParallelPreconditioner
 from repro.precond.block_jacobi import estimate_ilu_setup_flops
 from repro.utils.validation import ensure_csr
@@ -101,15 +102,14 @@ class OverlappingBlockPreconditioner(ParallelPreconditioner):
             setup_bytes[r] = 16.0 * (block.nnz - dmat.owned_square[r].nnz)
         self.comm.ledger.add_phase(setup, msgs_per_rank=2.0, bytes_per_rank=setup_bytes)
 
-        self._apply_flops = np.asarray([f.solve_flops() for f in self.factors])
-        # per-apply exchange: import residual values on the overlap region
-        self._bytes = np.asarray(
-            [8.0 * (len(ext) - sd.n_owned)
-             for ext, sd in zip(self.ext_ids, self.pm.subdomains)]
-        )
-        self._msgs = np.asarray(
-            [2.0 * max(1, len(self.pm.pattern.neighbors_of(r)))
-             for r in range(comm.size)]
+        # per-apply solves, and the exchange importing residual values on
+        # the overlap region
+        self._apply_charge = Charge(
+            comm.size, [f.solve_flops() for f in self.factors],
+            msgs=[2.0 * max(1, len(self.pm.pattern.neighbors_of(r)))
+                  for r in range(comm.size)],
+            nbytes=[8.0 * (len(ext) - sd.n_owned)
+                    for ext, sd in zip(self.ext_ids, self.pm.subdomains)],
         )
         self._global_n = a_global.shape[0]
 
@@ -120,7 +120,5 @@ class OverlappingBlockPreconditioner(ParallelPreconditioner):
             correction = self.factors[rank].solve(r_glob[self.ext_ids[rank]])
             # restricted scatter: keep only this rank's owned entries
             self.pm.layout.local(z, rank)[:] = correction[self._own_pos[rank]]
-        self.comm.ledger.add_phase(
-            self._apply_flops, msgs_per_rank=self._msgs, bytes_per_rank=self._bytes
-        )
+        self.comm.ledger.add_charge(self._apply_charge)
         return z

@@ -15,6 +15,7 @@ import numpy as np
 from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
 from repro.krylov.spectra import lanczos_extremes
+from repro.perfmodel.costs import Charge
 from repro.precond.base import ParallelPreconditioner
 
 
@@ -60,6 +61,9 @@ class ChebyshevPreconditioner(ParallelPreconditioner):
         self.lmin, self.lmax = float(lmin), float(lmax)
         self._theta = 0.5 * (self.lmax + self.lmin)
         self._delta = 0.5 * (self.lmax - self.lmin)
+        self._apply_charge = Charge(
+            comm.size, 6.0 * self.pm.layout.sizes * max(degree - 1, 1)
+        )
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Standard Chebyshev semi-iteration on A z = r from z = 0
@@ -75,5 +79,5 @@ class ChebyshevPreconditioner(ParallelPreconditioner):
             d = rho_new * rho * d + (2.0 * rho_new / delta) * res
             rho = rho_new
             z = z + d
-        self.comm.ledger.add_phase(6.0 * self.pm.layout.sizes * max(self.degree - 1, 1))
+        self.comm.ledger.add_charge(self._apply_charge)
         return z

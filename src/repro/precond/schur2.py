@@ -120,6 +120,11 @@ class Schur2Preconditioner(ParallelPreconditioner):
         self._matvec_charge = Charge(comm.size, [
             2.0 * (f.s_hat.nnz + g.nnz) for f, g in zip(finals, dmat.ghost_coupling)
         ])
+        # the ARMS steps 1 and 3 of every apply
+        self._forward_charge = Charge(
+            comm.size, [f.forward_full_flops() for f in self.arms]
+        )
+        self._back_charge = Charge(comm.size, [f.back_full_flops() for f in self.arms])
 
         self._global_fac = None
         if global_ilu == "block":
@@ -235,7 +240,6 @@ class Schur2Preconditioner(ParallelPreconditioner):
         pm = self.pm
         ghat = np.empty(self._exp_layout.total)
         f_parts: list[list[np.ndarray]] = []
-        flops = np.zeros(self.comm.size)
 
         # Step 1: exact group elimination ĝ_i = g_i − Ẽ_i D_i^{-1} f_i
         with obs.span("schur.forward"):
@@ -244,22 +248,18 @@ class Schur2Preconditioner(ParallelPreconditioner):
                 f_stack, g_i = fac.forward_eliminate_full(pm.layout.local(r, rank))
                 f_parts.append(f_stack)
                 self._exp_layout.local(ghat, rank)[:] = g_i
-                flops[rank] = fac.forward_full_flops()
-            self.comm.ledger.add_phase(flops)
+            self.comm.ledger.add_charge(self._forward_charge)
 
         # Step 2: distributed GMRES on the global expanded Schur system
         y = self._solve_expanded_system(ghat)
 
         # Step 3: back substitution u_i = D_i^{-1}(f_i − F̃_i y_i)
         z = np.empty_like(r)
-        flops = np.zeros(self.comm.size)
         with obs.span("schur.back"):
             for rank in range(self.comm.size):
-                fac = self.arms[rank]
                 y_i = self._exp_layout.local(y, rank)
-                pm.layout.local(z, rank)[:] = fac.back_substitute_full(
+                pm.layout.local(z, rank)[:] = self.arms[rank].back_substitute_full(
                     f_parts[rank], y_i
                 )
-                flops[rank] = fac.back_full_flops()
-            self.comm.ledger.add_phase(flops)
+            self.comm.ledger.add_charge(self._back_charge)
         return z

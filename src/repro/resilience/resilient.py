@@ -29,11 +29,17 @@ import numpy as np
 from repro import obs
 from repro.cases.base import TestCase
 from repro.core import stages
-from repro.core.driver import PRECONDITIONER_NAMES, SolveOutcome, solve_case
+from repro.core.driver import SolveOutcome, solve_case
 from repro.resilience.errors import RankDeadError, SolverFault
 
-#: default fallback order: strongest first, the unbreakable Jacobi last
+#: fallback order: strongest first, the unbreakable Jacobi last
 FALLBACK_CHAIN = ("schur2", "schur1", "block2", "block1", "jacobi")
+
+#: same-preconditioner retries, remedies applied, before the fallback chain
+MAX_RETRIES = 1
+
+#: the retry diagonal shift is ``SHIFT_SCALE * mean(|diag(A)|)``
+SHIFT_SCALE = 1e-2
 
 #: preconditioners whose factorizations accept the diagonal-shift remedy
 _SHIFT_CAPABLE = frozenset({"schur1", "schur2", "block1", "block2", "blockk"})
@@ -85,33 +91,10 @@ class ResilientOutcome:
 class ResilientSolver:
     """Bounded-retry + fallback-chain wrapper around ``solve_case``.
 
-    Parameters
-    ----------
-    max_retries:
-        Same-preconditioner retries (with remedies applied) before walking
-        the fallback chain.
-    fallback_chain:
-        Preconditioner short names tried in order after the primary fails;
-        the primary itself is skipped if it appears in the chain.
-    shift_scale:
-        The retry diagonal shift is ``shift_scale * mean(|diag(A)|)``.
+    A failed primary is retried ``MAX_RETRIES`` times on the same
+    preconditioner with remedies applied, then ``FALLBACK_CHAIN`` is walked
+    (the primary itself is skipped if it appears in the chain).
     """
-
-    def __init__(
-        self,
-        *,
-        max_retries: int = 1,
-        fallback_chain: tuple[str, ...] = FALLBACK_CHAIN,
-        shift_scale: float = 1e-2,
-    ) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        unknown = [n for n in fallback_chain if n not in PRECONDITIONER_NAMES]
-        if unknown:
-            raise ValueError(f"unknown fallback preconditioners {unknown}")
-        self.max_retries = max_retries
-        self.fallback_chain = tuple(fallback_chain)
-        self.shift_scale = shift_scale
 
     # -- single attempt -------------------------------------------------------
 
@@ -192,7 +175,7 @@ class ResilientSolver:
         """Breakdown remedies: diagonal shift + tightened ILUT dropping."""
         remedied = dict(params)
         diag = np.abs(case.matrix.diagonal())
-        remedied["shift"] = self.shift_scale * float(diag.mean() if diag.size else 1.0)
+        remedied["shift"] = SHIFT_SCALE * float(diag.mean() if diag.size else 1.0)
         if "drop_tol" in remedied:
             remedied["drop_tol"] = remedied["drop_tol"] * 0.1
         return remedied
@@ -224,7 +207,7 @@ class ResilientSolver:
             # bounded retry on the same preconditioner, remedies applied
             if precond in _SHIFT_CAPABLE:
                 retry_params = self._remedy_params(case, params)
-                for k in range(self.max_retries):
+                for k in range(MAX_RETRIES):
                     obs.event(
                         "resilience.retry",
                         precond=precond, attempt=k + 1,
@@ -239,7 +222,7 @@ class ResilientSolver:
 
             # walk the fallback chain; fallbacks run with default parameters
             # (the primary's tuning rarely transfers across preconditioners)
-            for name in self.fallback_chain:
+            for name in FALLBACK_CHAIN:
                 if name == precond:
                     continue
                 obs.event(

@@ -14,7 +14,7 @@ SIGTERM drain; see :mod:`repro.service.serve`.
 """
 
 from repro.service.admission import AdmissionController, TenantPolicy, TokenBucket
-from repro.service.breaker import BreakerBoard, BreakerPolicy
+from repro.service.breaker import BreakerBoard
 from repro.service.deadline import (
     Deadline,
     IterationRateEstimator,
@@ -22,8 +22,6 @@ from repro.service.deadline import (
     scaled_retry_policy,
 )
 from repro.service.errors import (
-    DeadlineExceeded,
-    JobCancelled,
     ServiceFault,
     ServiceOverload,
     ServiceShutdown,
@@ -44,7 +42,6 @@ __all__ = [
     "TenantPolicy",
     "TokenBucket",
     "BreakerBoard",
-    "BreakerPolicy",
     "Deadline",
     "IterationRateEstimator",
     "iteration_budget",
@@ -52,8 +49,6 @@ __all__ = [
     "ServiceFault",
     "ServiceOverload",
     "ServiceShutdown",
-    "DeadlineExceeded",
-    "JobCancelled",
     "UnknownJob",
     "JOB_STATUSES",
     "TERMINAL_STATUSES",

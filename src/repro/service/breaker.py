@@ -3,16 +3,16 @@
 A preconditioner that keeps breaking down (repeated
 :class:`~repro.resilience.errors.FactorizationBreakdown`, divergence, NaN
 faults) wastes every job's retry budget rediscovering the same failure.
-The breaker board remembers: after ``fail_threshold`` consecutive failures
+The breaker board remembers: after ``FAIL_THRESHOLD`` consecutive failures
 a preconditioner's circuit **opens** and the runner routes new jobs
 straight down the fallback chain (:data:`repro.resilience.FALLBACK_CHAIN`)
-instead of attempting it.  After ``cooldown_s`` the circuit goes
+instead of attempting it.  After ``COOLDOWN_S`` the circuit goes
 **half-open** and admits one probe job; a success closes it, a failure
 re-opens it for another cooldown.
 
 ::
 
-    closed ──fail_threshold failures──▶ open ──cooldown, allow()──▶ half-open
+    closed ──FAIL_THRESHOLD failures──▶ open ──cooldown, allow()──▶ half-open
       ▲  ▲                              │  ▲                           │
       │  └──── late success ────────────┘  └────── probe failure ──────┤
       └──────────────────────── probe success ─────────────────────────┘
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 
 from repro import obs
 
@@ -51,18 +50,11 @@ _TRANSITIONS = {
 UNBREAKABLE = frozenset({"jacobi", "none"})
 
 
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Trip/cooldown knobs shared by every tracked preconditioner."""
+#: consecutive failures that open a preconditioner's circuit
+FAIL_THRESHOLD = 3
 
-    fail_threshold: int = 3
-    cooldown_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.fail_threshold < 1:
-            raise ValueError("fail_threshold must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
+#: seconds an open circuit waits before it admits one half-open probe
+COOLDOWN_S = 5.0
 
 
 class _Circuit:
@@ -86,10 +78,7 @@ class _Circuit:
 class BreakerBoard:
     """Thread-safe circuit breakers keyed by preconditioner short name."""
 
-    def __init__(
-        self, policy: BreakerPolicy | None = None, clock=time.monotonic
-    ) -> None:
-        self.policy = policy or BreakerPolicy()
+    def __init__(self, clock=time.monotonic) -> None:
         self.clock = clock
         self._lock = threading.Lock()
         self._circuits: dict[str, _Circuit] = {}
@@ -110,7 +99,7 @@ class BreakerBoard:
                 return True
             if circuit.state == OPEN:
                 elapsed = self.clock() - (circuit.opened_at or 0.0)
-                if elapsed < self.policy.cooldown_s:
+                if elapsed < COOLDOWN_S:
                     return False
                 circuit.move(HALF_OPEN)
                 obs.event("service.breaker.half_open", precond=name)
@@ -139,7 +128,7 @@ class BreakerBoard:
             circuit.consecutive_failures += 1
             tripped = (
                 circuit.state == HALF_OPEN
-                or circuit.consecutive_failures >= self.policy.fail_threshold
+                or circuit.consecutive_failures >= FAIL_THRESHOLD
             )
             if tripped and circuit.state != OPEN:
                 circuit.move(OPEN)

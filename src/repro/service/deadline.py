@@ -27,6 +27,15 @@ import time
 
 from repro.comm.communicator import RetryPolicy
 
+#: EWMA weight of the newest chunk's seconds-per-iteration
+RATE_ALPHA = 0.3
+
+#: seconds-per-iteration assumed for a shape no chunk has timed yet
+RATE_DEFAULT_S = 1e-3
+
+#: share of the time left that one transfer's worst-case retry wait may take
+RETRY_SHARE = 0.1
+
 
 class Deadline:
     """Absolute end-to-end deadline on an injectable monotonic clock.
@@ -63,11 +72,7 @@ class Deadline:
 class IterationRateEstimator:
     """EWMA seconds-per-iteration, keyed by (case, precond, size) shape."""
 
-    def __init__(self, alpha: float = 0.3, default: float = 1e-3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.default = default
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._rates: dict[tuple, float] = {}
 
@@ -80,11 +85,11 @@ class IterationRateEstimator:
             if prev is None:
                 self._rates[key] = rate
             else:
-                self._rates[key] = (1 - self.alpha) * prev + self.alpha * rate
+                self._rates[key] = (1 - RATE_ALPHA) * prev + RATE_ALPHA * rate
 
     def estimate(self, key: tuple) -> float:
         with self._lock:
-            return self._rates.get(key, self.default)
+            return self._rates.get(key, RATE_DEFAULT_S)
 
 
 def iteration_budget(
@@ -105,14 +110,12 @@ def iteration_budget(
     return max(restart, min(max_chunk, cycles * restart))
 
 
-def scaled_retry_policy(
-    base: RetryPolicy, remaining_s: float, share: float = 0.1
-) -> RetryPolicy:
+def scaled_retry_policy(base: RetryPolicy, remaining_s: float) -> RetryPolicy:
     """Shrink ``base`` so one transfer's worst case fits the deadline.
 
     The worst-case cumulative wait of a policy is
     ``timeout * (backoff^(max_retries+1) - 1) / (backoff - 1)``; the scaled
-    policy caps that at ``share * remaining_s`` (floored at 1 ms so a
+    policy caps that at ``RETRY_SHARE * remaining_s`` (floored at 1 ms so a
     nearly-dead job still gets one honest attempt).  Without a deadline the
     base policy is returned unchanged.
     """
@@ -123,7 +126,7 @@ def scaled_retry_policy(
         worst = base.timeout * (base.backoff**attempts - 1) / (base.backoff - 1)
     else:
         worst = base.timeout * attempts
-    budget = max(1e-3, share * max(remaining_s, 0.0))
+    budget = max(1e-3, RETRY_SHARE * max(remaining_s, 0.0))
     if worst <= budget or worst <= 0:
         return base
     return RetryPolicy(

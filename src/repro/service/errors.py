@@ -48,18 +48,6 @@ class ServiceOverload(ServiceFault):
         self.record = record
 
 
-class DeadlineExceeded(ServiceFault):
-    """A job's end-to-end deadline elapsed (in queue or mid-solve)."""
-
-    reason = "deadline"
-
-
-class JobCancelled(ServiceFault):
-    """A client cancelled the job before it reached a solver outcome."""
-
-    reason = "cancelled"
-
-
 class UnknownJob(ServiceFault):
     """A job id the service has never seen (or has already forgotten)."""
 

@@ -40,7 +40,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.service.admission import AdmissionController, TenantPolicy
-from repro.service.breaker import BreakerBoard, BreakerPolicy
+from repro.service.breaker import BreakerBoard
 from repro.service.deadline import IterationRateEstimator
 from repro.service.errors import ServiceOverload, ServiceShutdown
 from repro.service.job import JobRecord, JobSpec, JobTable
@@ -48,6 +48,9 @@ from repro.service.runner import CaseCache, RunnerContext, run_job
 from repro.service.workers import WorkerPool
 
 DRAIN_SCHEMA = "repro.service.drain.v1"
+
+#: how long an idle worker thread waits on the queues between stop checks
+POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,14 @@ class ServiceConfig:
     workers: int = 2
     max_total_queue: int = 64
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    poll_s: float = 0.05            # worker dequeue wait granularity
     drain_timeout_s: float = 30.0
     spool_dir: str | None = None    # None = private temp dir
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.poll_s <= 0 or self.drain_timeout_s <= 0:
-            raise ValueError("poll_s and drain_timeout_s must be > 0")
+        if self.drain_timeout_s <= 0:
+            raise ValueError("drain_timeout_s must be > 0")
 
 
 class SolveService:
@@ -90,7 +91,7 @@ class SolveService:
             max_total=self.config.max_total_queue,
             clock=clock,
         )
-        self.breakers = BreakerBoard(self.config.breaker, clock=clock)
+        self.breakers = BreakerBoard(clock=clock)
         self.rates = IterationRateEstimator()
         self.jobs = JobTable()
         self._draining = threading.Event()
@@ -134,7 +135,7 @@ class SolveService:
 
     def _worker_loop(self, name: str) -> None:
         while not self._stop.is_set():
-            record = self.admission.next_job(timeout=self.config.poll_s)
+            record = self.admission.next_job(timeout=POLL_S)
             if record is None:
                 continue
             record.worker = name
@@ -276,7 +277,7 @@ class SolveService:
 
         self._stop.set()
         for t in self._threads:
-            t.join(timeout=max(1.0, self.config.poll_s * 4))
+            t.join(timeout=1.0)  # a thread sees _stop within one POLL_S
         self._threads = []
         self._ctx.workers.shutdown()
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.checkpoint import manager
 from repro.checkpoint import (
     FORMAT,
     CheckpointCorruption,
@@ -103,14 +104,15 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointNotFound):
             mgr.load(5)
 
-    def test_retention_prunes_oldest(self, tmp_path):
-        mgr = CheckpointManager(tmp_path, keep=2)
+    def test_retention_prunes_oldest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(manager, "KEEP", 2)
+        mgr = CheckpointManager(tmp_path)
         for step in range(5):
             mgr.save(step, {"u": np.full(2, float(step))})
         assert mgr.steps() == [3, 4]
 
     def test_load_latest_skips_corrupt(self, tmp_path):
-        mgr = CheckpointManager(tmp_path, keep=0)
+        mgr = CheckpointManager(tmp_path)
         mgr.save(1, {"u": np.array([1.0])})
         mgr.save(2, {"u": np.array([2.0])})
         raw = bytearray(mgr.path_for(2).read_bytes())
@@ -142,11 +144,12 @@ class TestConcurrentWriterRace:
     """Restore racing a live writer must land on a complete CRC-valid
     snapshot — the drain/resume handoff depends on this."""
 
-    def test_restore_during_concurrent_saves(self, tmp_path):
+    def test_restore_during_concurrent_saves(self, tmp_path, monkeypatch):
         import threading
 
-        writer = CheckpointManager(tmp_path, keep=2)
-        reader = CheckpointManager(tmp_path, keep=2)
+        monkeypatch.setattr(manager, "KEEP", 2)
+        writer = CheckpointManager(tmp_path)
+        reader = CheckpointManager(tmp_path)
         writer.save(0, {"u": np.full(4, 0.0)}, meta={"tag": "race"})
         stop = threading.Event()
         failures: list[str] = []
@@ -180,7 +183,7 @@ class TestConcurrentWriterRace:
         assert not failures, failures[0]
 
     def test_reader_falls_back_past_corrupt_newest_to_last_valid(self, tmp_path):
-        mgr = CheckpointManager(tmp_path, keep=0)
+        mgr = CheckpointManager(tmp_path)
         for step in range(3):
             mgr.save(step, {"u": np.full(2, float(step))})
         # a writer crash mid-rename cannot happen (atomic), but a bad disk
@@ -203,7 +206,7 @@ class TestConcurrentWriterRace:
     def test_snapshot_vanishing_mid_walk_is_skipped(self, tmp_path, monkeypatch):
         from repro.checkpoint import manager as manager_mod
 
-        mgr = CheckpointManager(tmp_path, keep=0)
+        mgr = CheckpointManager(tmp_path)
         mgr.save(1, {"u": np.full(1, 1.0)})
         mgr.save(2, {"u": np.full(1, 2.0)})
         real_read = manager_mod.read_checkpoint
@@ -222,11 +225,12 @@ class TestConcurrentWriterRace:
     def test_listing_pruned_whole_mid_walk_lists_again(self, tmp_path, monkeypatch):
         from repro.checkpoint import manager as manager_mod
 
-        mgr = CheckpointManager(tmp_path, keep=2)
+        monkeypatch.setattr(manager_mod, "KEEP", 2)
+        mgr = CheckpointManager(tmp_path)
         mgr.save(1, {"u": np.full(1, 1.0)})
         mgr.save(2, {"u": np.full(1, 2.0)})
         real_read = manager_mod.read_checkpoint
-        writer = CheckpointManager(tmp_path, keep=2)
+        writer = CheckpointManager(tmp_path)
 
         def read_after_two_saves(path):
             # a writer saves twice between the listing and the first read:

@@ -17,9 +17,8 @@ from repro.comm.backends import (
     make_backend,
     resolve_backend,
 )
-from repro.comm.backends import pool
+from repro.comm.backends import pool, supervisor
 from repro.comm.backends.base import TransportBroken, TransportTimeout
-from repro.comm.backends.supervisor import HeartbeatPolicy
 from repro.comm.communicator import Communicator, RetryPolicy
 from repro.comm.delivery import deliver_round
 from repro.resilience.errors import MessageTimeout, RankDeadError
@@ -47,8 +46,9 @@ def _voluntary_switches(pid):
 
 
 @pytest.fixture()
-def mp_backend():
-    b = MultiprocessBackend(3, heartbeat=HeartbeatPolicy(fence_after=2))
+def mp_backend(monkeypatch):
+    monkeypatch.setattr(supervisor, "FENCE_AFTER", 2)
+    b = MultiprocessBackend(3)
     yield b
     b.shutdown()
 

@@ -20,7 +20,8 @@ from repro import faults, obs
 from repro.comm import compute
 from repro.comm.backends import ExecutionBackend, framing, worker
 from repro.comm.backends.base import TransportBroken, TransportTimeout
-from repro.comm.backends.supervisor import HeartbeatPolicy, RankSupervisor
+from repro.comm.backends import supervisor
+from repro.comm.backends.supervisor import RankSupervisor
 from repro.comm.communicator import Communicator, RetryPolicy
 from repro.comm.delivery import _loopback, deliver_round
 from repro.comm.pattern import CommunicationPattern, ExchangeSpec
@@ -50,6 +51,15 @@ RESIDENT = {
 SINGULAR = sp.csr_matrix((np.zeros(2), ([0, 1], [0, 1])), shape=(2, 2))
 
 
+@pytest.fixture(autouse=True)
+def fence_after(monkeypatch):
+    """The ranks' miss budget: 10, past any scenario's, unless a test sets it."""
+    def set_budget(n):
+        monkeypatch.setattr(supervisor, "FENCE_AFTER", n)
+    set_budget(10)
+    return set_budget
+
+
 class ScriptedBackend(ExecutionBackend):
     """Real-looking ranks whose next replies are scripted per rank.
 
@@ -58,16 +68,16 @@ class ScriptedBackend(ExecutionBackend):
     opcode byte names another op than the command's); once exhausted the
     rank answers like a rank process, with the executed command's RESULT.
     Supervision is the real :class:`RankSupervisor`, fenced like
-    ``MultiprocessBackend``.
+    ``MultiprocessBackend`` after the ``fence_after`` fixture's budget.
     """
 
     name = "scripted"
     is_real = True
 
-    def __init__(self, size, script=None, fence_after=10):
+    def __init__(self, size, script=None):
         super().__init__(size)
         self.script = {r: list(steps) for r, steps in (script or {}).items()}
-        self.supervisor = RankSupervisor(size, HeartbeatPolicy(fence_after=fence_after))
+        self.supervisor = RankSupervisor(size)
         for rank in range(size):
             self.supervisor.record_ready(rank)
         self.store = worker.SubdomainStore()
@@ -249,13 +259,14 @@ def test_delivery_contract(scenario, edge):
 
 
 @pytest.mark.parametrize("run", [_data_edge, _cmd_edge])
-def test_successful_delivery_resets_the_miss_count(run):
-    """Drift 1: ``fence_after`` budgets *consecutive* misses.  A rank that
+def test_successful_delivery_resets_the_miss_count(run, fence_after):
+    """Drift 1: ``FENCE_AFTER`` budgets *consecutive* misses.  A rank that
     times out once and then answers, round after round, stays READY; a
     dropped ghost transfer is answered by the loopback and never counts
     against the rank at all (before, the fourth such exchange SIGKILLed a
     healthy rank)."""
-    backend = ScriptedBackend(2, fence_after=3)
+    fence_after(3)
+    backend = ScriptedBackend(2)
     comm = Communicator(2, retry_policy=POLICY, backend=backend)
     for _ in range(4):
         if run is _cmd_edge:
@@ -305,8 +316,9 @@ def test_worker_error_is_named_after_the_op_sent():
     assert str(exc.value) == "worker rank 1 failed apply: scripted"
 
 
-def test_consecutive_misses_still_fence():
-    backend = ScriptedBackend(2, {1: ["timeout"] * ATTEMPTS}, fence_after=ATTEMPTS)
+def test_consecutive_misses_still_fence(fence_after):
+    fence_after(ATTEMPTS)
+    backend = ScriptedBackend(2, {1: ["timeout"] * ATTEMPTS})
     comm = Communicator(2, retry_policy=POLICY, backend=backend)
     with pytest.raises(RankDeadError, match="fenced"):
         _cmd_edge(comm)

@@ -38,11 +38,10 @@ class TestCommunicationPattern:
     def test_neighbors_of(self, two_rank_pattern):
         assert two_rank_pattern.neighbors_of(0) == [1]
         assert two_rank_pattern.neighbors_of(1) == [0]
-        assert two_rank_pattern.max_neighbor_count() == 1
 
     def test_empty_pattern(self):
         p = CommunicationPattern(num_ranks=3, transfers=[])
-        assert p.max_neighbor_count() == 0
+        assert [p.neighbors_of(r) for r in range(3)] == [[], [], []]
         comm = Communicator(3)
         p.exchange(comm, [np.zeros(1)] * 3, [np.zeros(0)] * 3)
         assert comm.ledger.total_msgs == 0

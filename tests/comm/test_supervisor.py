@@ -3,12 +3,12 @@
 import pytest
 
 from repro import obs
+from repro.comm.backends import multiprocess, supervisor
 from repro.comm.backends.supervisor import (
     DEAD,
     READY,
     SPAWNED,
     SUSPECT,
-    HeartbeatPolicy,
     RankSupervisor,
 )
 from repro.resilience.errors import MessageTimeout, RankDeadError
@@ -21,18 +21,14 @@ def _events(tracer, name):
     return evs
 
 
-class TestHeartbeatPolicy:
-    def test_defaults_are_sane(self):
-        p = HeartbeatPolicy()
-        assert p.fence_after >= 1 and p.startup_timeout > 0
+@pytest.fixture()
+def fence_after(monkeypatch):
+    """Set the supervisor's miss budget for one test."""
+    return lambda n: monkeypatch.setattr(supervisor, "FENCE_AFTER", n)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"fence_after": 0},
-        {"startup_timeout": 0.0},
-    ])
-    def test_invalid_knobs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            HeartbeatPolicy(**kwargs)
+
+def test_supervision_constants_are_sane():
+    assert supervisor.FENCE_AFTER >= 1 and multiprocess.STARTUP_TIMEOUT > 0
 
 
 class TestStateMachine:
@@ -89,8 +85,9 @@ class TestStateMachine:
 
 
 class TestFencing:
-    def test_fence_only_after_budget_exhausted(self):
-        sup = RankSupervisor(1, HeartbeatPolicy(fence_after=3))
+    def test_fence_only_after_budget_exhausted(self, fence_after):
+        fence_after(3)
+        sup = RankSupervisor(1)
         sup.record_ready(0)
         sup.record_miss(0)
         sup.record_miss(0)
@@ -98,8 +95,9 @@ class TestFencing:
         sup.record_miss(0)
         assert sup.should_fence(0)
 
-    def test_fence_not_advised_twice(self):
-        sup = RankSupervisor(1, HeartbeatPolicy(fence_after=1))
+    def test_fence_not_advised_twice(self, fence_after):
+        fence_after(1)
+        sup = RankSupervisor(1)
         sup.record_ready(0)
         sup.record_miss(0)
         assert sup.should_fence(0)
@@ -108,15 +106,17 @@ class TestFencing:
         assert not sup.should_fence(0)
         assert sup.records[0].fenced
 
-    def test_ready_rank_never_fenced(self):
-        sup = RankSupervisor(1, HeartbeatPolicy(fence_after=1))
+    def test_ready_rank_never_fenced(self, fence_after):
+        fence_after(1)
+        sup = RankSupervisor(1)
         sup.record_ready(0)
         assert not sup.should_fence(0)
 
-    def test_double_fence_is_a_noop(self):
+    def test_double_fence_is_a_noop(self, fence_after):
+        fence_after(1)
         # two recovery paths may both decide to fence; the second SIGKILL
         # against an already-fenced rank must not re-emit or re-count
-        sup = RankSupervisor(1, HeartbeatPolicy(fence_after=1))
+        sup = RankSupervisor(1)
         sup.record_ready(0)
         sup.record_miss(0)
         with obs.tracing() as tracer:
@@ -125,10 +125,11 @@ class TestFencing:
         assert len(_events(tracer, "comm.backend.fenced")) == 1
         assert sup.records[0].fenced
 
-    def test_fencing_an_already_dead_rank_is_a_noop(self):
+    def test_fencing_an_already_dead_rank_is_a_noop(self, fence_after):
+        fence_after(1)
         # the rank crashed (exit recorded) before the fence advice landed:
         # it died on its own, so it must not be reported as fenced
-        sup = RankSupervisor(1, HeartbeatPolicy(fence_after=1))
+        sup = RankSupervisor(1)
         sup.record_ready(0)
         sup.record_exit(0, exitcode=-9)
         with obs.tracing() as tracer:
@@ -168,9 +169,10 @@ class TestClassification:
 
 
 class TestTelemetry:
-    def test_lifecycle_emits_backend_events(self):
+    def test_lifecycle_emits_backend_events(self, fence_after):
+        fence_after(2)
         with obs.tracing() as tracer:
-            sup = RankSupervisor(1, HeartbeatPolicy(fence_after=2))
+            sup = RankSupervisor(1)
             sup.record_ready(0)
             sup.record_miss(0)
             sup.record_ready(0)       # recovered
@@ -179,7 +181,8 @@ class TestTelemetry:
             sup.record_fenced(0)
             sup.record_exit(0, exitcode=-9)
             sup.classify(0)
-        assert len(_events(tracer, "comm.backend.heartbeat_miss")) == 3
+        misses = _events(tracer, "comm.backend.heartbeat_miss")
+        assert [e["attrs"]["fence_after"] for e in misses] == [2, 2, 2]
         (rec,) = _events(tracer, "comm.backend.recovered")
         assert rec["attrs"]["rank"] == 0
         (fenced,) = _events(tracer, "comm.backend.fenced")

@@ -45,8 +45,7 @@ def reference_fgmres(
         identity when omitted.
     apply_ma:
         Optional fused step v → (M^{-1} v, A M^{-1} v) used for the inner
-        Arnoldi expansion (e.g. ``ParallelPreconditioner.apply_matvec``);
-        must agree with ``apply_m``/``apply_a`` composed.  ``apply_a`` is
+        Arnoldi expansion; must agree with ``apply_m``/``apply_a`` composed.  ``apply_a`` is
         still required for the initial and restart residuals.
     restart:
         Krylov cycle length m (paper default 20).

@@ -9,6 +9,7 @@ from repro.core.driver import solve_case
 from repro.distributed.partition_map import PartitionMap
 from repro.distributed.matrix import distribute_matrix
 from repro.krylov import STATUSES
+from repro.krylov import monitors
 from repro.krylov.fgmres import fgmres
 from repro.krylov.monitors import ConvergenceMonitor, KrylovResult
 from repro.precond.base import ParallelPreconditioner
@@ -27,8 +28,8 @@ class TestKrylovResultStatus:
 
 
 class TestMonitorDetectors:
-    def _monitor(self, residuals, **kw):
-        mon = ConvergenceMonitor(**kw)
+    def _monitor(self, residuals):
+        mon = ConvergenceMonitor()
         mon.start(residuals[0])
         for r in residuals[1:]:
             mon.check(r)
@@ -39,11 +40,12 @@ class TestMonitorDetectors:
         assert mon.diverged()
 
     def test_residual_explosion_is_divergence(self):
-        mon = self._monitor([1.0, 1e11], divtol=1e10)
+        mon = self._monitor([1.0, 1e11])
         assert mon.diverged()
 
-    def test_divtol_none_disables_growth_test(self):
-        mon = self._monitor([1.0, 1e30], divtol=None)
+    def test_growth_within_divtol_is_not_divergence(self, monkeypatch):
+        monkeypatch.setattr(monitors, "DIVTOL", 1e40)
+        mon = self._monitor([1.0, 1e30])
         assert not mon.diverged()
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro import faults
 from repro.cases.poisson2d import poisson2d_case
 from repro.factor import cache as factor_cache
-from repro.resilience import ResilientSolver
+from repro.resilience import ResilientSolver, resilient
 
 
 @pytest.fixture()
@@ -25,14 +25,16 @@ def fresh_cache():
 
 
 class TestZeroRedundantFactorizations:
-    def test_fallback_reuses_primary_factors(self, case, fresh_cache):
+    def test_fallback_reuses_primary_factors(self, case, fresh_cache, monkeypatch):
         """Block K and Block 2 issue identical ILUT calls on the same owned
         blocks, so after Block K diverges on a transient matvec NaN, the
         Block 2 fallback must find every factor in the cache — the operator
         has not changed, and re-factoring it would be pure waste."""
         nparts = 4
         plan = faults.FaultPlan(faults.FaultSpec("nan-kernel", count=1))
-        solver = ResilientSolver(max_retries=0, fallback_chain=("block2",))
+        monkeypatch.setattr(resilient, "MAX_RETRIES", 0)
+        monkeypatch.setattr(resilient, "FALLBACK_CHAIN", ("block2",))
+        solver = ResilientSolver()
         with faults.inject(plan):
             res = solver.solve(case, precond="blockk", nparts=nparts)
 
@@ -47,9 +49,11 @@ class TestZeroRedundantFactorizations:
         assert s["hits"] == nparts
         assert s["bypasses"] == 0
 
-    def test_same_precond_repeat_solve_is_all_hits(self, case, fresh_cache):
+    def test_same_precond_repeat_solve_is_all_hits(self, case, fresh_cache, monkeypatch):
         """A clean re-solve of an unchanged operator re-factors nothing."""
-        solver = ResilientSolver(max_retries=0, fallback_chain=())
+        monkeypatch.setattr(resilient, "MAX_RETRIES", 0)
+        monkeypatch.setattr(resilient, "FALLBACK_CHAIN", ())
+        solver = ResilientSolver()
         res1 = solver.solve(case, precond="block2", nparts=4)
         assert res1.converged
         misses_after_first = fresh_cache.stats()["misses"]
@@ -61,14 +65,15 @@ class TestZeroRedundantFactorizations:
         assert s["misses"] == misses_after_first  # no new factorizations
         assert s["hits"] == 4
 
-    def test_retry_with_remedies_is_an_honest_miss(self, case, fresh_cache):
+    def test_retry_with_remedies_is_an_honest_miss(self, case, fresh_cache, monkeypatch):
         """The shifted retry factors a different operator (A + sigma*I with
         tightened dropping), so it must NOT be served from the cache."""
         plan = faults.FaultPlan(
             faults.FaultSpec("tiny-pivot", count=-1, target="block2",
                              stride=100)
         )
-        solver = ResilientSolver(max_retries=1, fallback_chain=())
+        monkeypatch.setattr(resilient, "FALLBACK_CHAIN", ())
+        solver = ResilientSolver()
         with faults.inject(plan):
             res = solver.solve(
                 case, precond="block2", nparts=4,

@@ -9,7 +9,7 @@ import pytest
 from repro import faults
 from repro.cases import poisson2d_case
 from repro.comm.backends import InProcessBackend, MultiprocessBackend
-from repro.comm.backends.supervisor import HeartbeatPolicy
+from repro.comm.backends import supervisor
 from repro.comm.communicator import RetryPolicy
 from repro.faults import FaultPlan, FaultSpec
 from repro.resilience import ResilientSolver
@@ -61,8 +61,12 @@ class TestDegradedInProcess:
 
 
 class TestRealBackend:
+    @pytest.fixture(autouse=True)
+    def _fence_after_two(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "FENCE_AFTER", 2)
+
     def _backend(self):
-        return MultiprocessBackend(3, heartbeat=HeartbeatPolicy(fence_after=2))
+        return MultiprocessBackend(3)
 
     def test_proc_kill_sends_a_real_sigkill(self):
         backend = self._backend()

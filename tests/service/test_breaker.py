@@ -1,12 +1,14 @@
 """Circuit breakers: trip, cooldown, half-open probe, unbreakable rungs."""
 
+import pytest
+
 from repro import obs
+from repro.service import breaker
 from repro.service.breaker import (
     CLOSED,
     HALF_OPEN,
     OPEN,
     BreakerBoard,
-    BreakerPolicy,
 )
 
 
@@ -21,11 +23,14 @@ class FakeClock:
         self.t += dt
 
 
-def board(clock, threshold=3, cooldown=5.0):
-    return BreakerBoard(
-        BreakerPolicy(fail_threshold=threshold, cooldown_s=cooldown),
-        clock=clock,
-    )
+@pytest.fixture()
+def board(monkeypatch):
+    """A board on ``clock`` with the breaker constants set for one test."""
+    def make(clock, threshold=3, cooldown=5.0):
+        monkeypatch.setattr(breaker, "FAIL_THRESHOLD", threshold)
+        monkeypatch.setattr(breaker, "COOLDOWN_S", cooldown)
+        return BreakerBoard(clock=clock)
+    return make
 
 
 def _events(tracer, name):
@@ -36,7 +41,7 @@ def _events(tracer, name):
 
 
 class TestTrip:
-    def test_closed_until_threshold_consecutive_failures(self):
+    def test_closed_until_threshold_consecutive_failures(self, board):
         b = board(FakeClock(), threshold=3)
         b.record_failure("schur1")
         b.record_failure("schur1")
@@ -44,28 +49,28 @@ class TestTrip:
         b.record_failure("schur1")
         assert b.state("schur1") == OPEN and not b.allow("schur1")
 
-    def test_success_resets_the_consecutive_count(self):
+    def test_success_resets_the_consecutive_count(self, board):
         b = board(FakeClock(), threshold=2)
         b.record_failure("schur1")
         b.record_success("schur1")
         b.record_failure("schur1")
         assert b.state("schur1") == CLOSED
 
-    def test_trip_emits_breaker_open_event(self):
+    def test_trip_emits_breaker_open_event(self, board):
         b = board(FakeClock(), threshold=1)
         with obs.tracing() as tracer:
             b.record_failure("schur2")
         (ev,) = _events(tracer, "service.breaker.open")
         assert ev["attrs"]["precond"] == "schur2"
 
-    def test_circuits_are_independent(self):
+    def test_circuits_are_independent(self, board):
         b = board(FakeClock(), threshold=1)
         b.record_failure("schur1")
         assert not b.allow("schur1") and b.allow("schur2")
 
 
 class TestCooldownAndProbe:
-    def test_open_holds_until_cooldown_then_half_open_probe(self):
+    def test_open_holds_until_cooldown_then_half_open_probe(self, board):
         clock = FakeClock()
         b = board(clock, threshold=1, cooldown=5.0)
         b.record_failure("schur1")
@@ -76,7 +81,7 @@ class TestCooldownAndProbe:
         assert b.state("schur1") == HALF_OPEN
         assert not b.allow("schur1")             # everyone else held back
 
-    def test_probe_success_closes(self):
+    def test_probe_success_closes(self, board):
         clock = FakeClock()
         b = board(clock, threshold=1, cooldown=1.0)
         b.record_failure("schur1")
@@ -85,7 +90,7 @@ class TestCooldownAndProbe:
         b.record_success("schur1")
         assert b.state("schur1") == CLOSED and b.allow("schur1")
 
-    def test_probe_failure_reopens_for_another_cooldown(self):
+    def test_probe_failure_reopens_for_another_cooldown(self, board):
         clock = FakeClock()
         b = board(clock, threshold=3, cooldown=1.0)
         for _ in range(3):
@@ -98,7 +103,7 @@ class TestCooldownAndProbe:
 
 
 class TestUnbreakable:
-    def test_jacobi_is_never_tripped(self):
+    def test_jacobi_is_never_tripped(self, board):
         b = board(FakeClock(), threshold=1)
         for _ in range(10):
             b.record_failure("jacobi")

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.comm.communicator import RetryPolicy
+from repro.service import deadline
 from repro.service.deadline import (
     Deadline,
     IterationRateEstimator,
@@ -47,8 +48,9 @@ class TestDeadline:
 
 
 class TestIterationRateEstimator:
-    def test_defaults_until_observed(self):
-        est = IterationRateEstimator(default=1e-2)
+    def test_defaults_until_observed(self, monkeypatch):
+        monkeypatch.setattr(deadline, "RATE_DEFAULT_S", 1e-2)
+        est = IterationRateEstimator()
         assert est.estimate(("tc1", 13)) == 1e-2
 
     def test_first_observation_taken_whole(self):
@@ -56,14 +58,16 @@ class TestIterationRateEstimator:
         est.observe(("k",), wall_s=1.0, iterations=10)
         assert est.estimate(("k",)) == pytest.approx(0.1)
 
-    def test_ewma_blends_toward_new_rate(self):
-        est = IterationRateEstimator(alpha=0.5)
+    def test_ewma_blends_toward_new_rate(self, monkeypatch):
+        monkeypatch.setattr(deadline, "RATE_ALPHA", 0.5)
+        est = IterationRateEstimator()
         est.observe(("k",), wall_s=1.0, iterations=10)   # 0.1 s/it
         est.observe(("k",), wall_s=3.0, iterations=10)   # 0.3 s/it
         assert est.estimate(("k",)) == pytest.approx(0.2)
 
-    def test_degenerate_observations_ignored(self):
-        est = IterationRateEstimator(default=5.0)
+    def test_degenerate_observations_ignored(self, monkeypatch):
+        monkeypatch.setattr(deadline, "RATE_DEFAULT_S", 5.0)
+        est = IterationRateEstimator()
         est.observe(("k",), wall_s=0.0, iterations=10)
         est.observe(("k",), wall_s=1.0, iterations=0)
         assert est.estimate(("k",)) == 5.0
@@ -93,9 +97,10 @@ class TestScaledRetryPolicy:
         base = RetryPolicy(max_retries=3, timeout=0.1, backoff=2.0)
         assert scaled_retry_policy(base, 1e4) is base
 
-    def test_tight_deadline_shrinks_timeout_not_structure(self):
+    def test_tight_deadline_shrinks_timeout_not_structure(self, monkeypatch):
+        monkeypatch.setattr(deadline, "RETRY_SHARE", 0.1)
         base = RetryPolicy(max_retries=3, timeout=0.1, backoff=2.0)
-        scaled = scaled_retry_policy(base, remaining_s=1.0, share=0.1)
+        scaled = scaled_retry_policy(base, remaining_s=1.0)
         assert scaled.max_retries == base.max_retries
         assert scaled.backoff == base.backoff
         assert scaled.timeout < base.timeout

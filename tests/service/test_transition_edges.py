@@ -20,11 +20,10 @@ from repro.comm.backends.supervisor import (
     DEAD,
     READY,
     SUSPECT,
-    HeartbeatPolicy,
     RankSupervisor,
 )
 from repro.service import breaker
-from repro.service.breaker import BreakerBoard, BreakerPolicy
+from repro.service.breaker import BreakerBoard
 from repro.service.job import (
     _TRANSITIONS,
     JOB_STATUSES,
@@ -117,13 +116,15 @@ class TestJobRecordRejectsIllegalEdges:
 
 
 class TestSupervisorTerminalAndFencing:
-    def _sup(self, fence_after: int = 3) -> RankSupervisor:
-        return RankSupervisor(
-            size=1, policy=HeartbeatPolicy(fence_after=fence_after)
-        )
+    @pytest.fixture()
+    def make_sup(self, monkeypatch):
+        def make(fence_after: int = 3) -> RankSupervisor:
+            monkeypatch.setattr(supervisor, "FENCE_AFTER", fence_after)
+            return RankSupervisor(1)
+        return make
 
-    def test_no_resurrection_after_dead(self):
-        sup = self._sup()
+    def test_no_resurrection_after_dead(self, make_sup):
+        sup = make_sup()
         sup.record_exit(0, exitcode=-9)
         assert sup.state(0) == DEAD
         sup.record_ready(0)  # late reply from a fenced rank: noise
@@ -131,8 +132,8 @@ class TestSupervisorTerminalAndFencing:
         sup.record_miss(0)
         assert sup.state(0) == DEAD and sup.records[0].misses == 0
 
-    def test_fence_requires_suspect_and_exhausted_budget(self):
-        sup = self._sup(fence_after=2)
+    def test_fence_requires_suspect_and_exhausted_budget(self, make_sup):
+        sup = make_sup(fence_after=2)
         assert not sup.should_fence(0)          # SPAWNED: never
         sup.record_ready(0)
         assert not sup.should_fence(0)          # READY: never
@@ -145,8 +146,8 @@ class TestSupervisorTerminalAndFencing:
         sup.record_exit(0, exitcode=-9)
         assert not sup.should_fence(0)          # DEAD: never again
 
-    def test_probe_reply_deescalates_suspect(self):
-        sup = self._sup(fence_after=2)
+    def test_probe_reply_deescalates_suspect(self, make_sup):
+        sup = make_sup(fence_after=2)
         sup.record_miss(0)
         assert sup.state(0) == SUSPECT
         sup.record_ready(0)
@@ -154,13 +155,14 @@ class TestSupervisorTerminalAndFencing:
 
 
 class TestBreakerSingleProbe:
+    @pytest.fixture(autouse=True)
+    def _constants(self, monkeypatch):
+        monkeypatch.setattr(breaker, "FAIL_THRESHOLD", 2)
+        monkeypatch.setattr(breaker, "COOLDOWN_S", 5.0)
+
     def _board(self) -> tuple[BreakerBoard, FakeClock]:
         clock = FakeClock()
-        board = BreakerBoard(
-            policy=BreakerPolicy(fail_threshold=2, cooldown_s=5.0),
-            clock=clock,
-        )
-        return board, clock
+        return BreakerBoard(clock=clock), clock
 
     def _trip(self, board: BreakerBoard) -> None:
         board.record_failure("ilu0")
@@ -240,9 +242,12 @@ class TestSupervisorExploration:
             sup.record_fenced(0)
 
     @pytest.mark.parametrize("fence_after", [1, 2, 3])
-    def test_fence_only_from_suspect_with_the_budget_spent(self, fence_after):
+    def test_fence_only_from_suspect_with_the_budget_spent(
+            self, fence_after, monkeypatch):
+        monkeypatch.setattr(supervisor, "FENCE_AFTER", fence_after)
+
         def start():
-            return RankSupervisor(1, HeartbeatPolicy(fence_after=fence_after))
+            return RankSupervisor(1)
 
         def key(sup):
             rec = sup.records[0]  # misses past the budget fence the same
@@ -267,12 +272,9 @@ class TestBreakerExploration:
     """Every reachable (state, failures, probes in flight) of a real board."""
 
     class _Harness:
-        def __init__(self, threshold):
+        def __init__(self):
             self.clock = FakeClock()
-            self.board = BreakerBoard(
-                BreakerPolicy(fail_threshold=threshold, cooldown_s=5.0),
-                clock=self.clock,
-            )
+            self.board = BreakerBoard(clock=self.clock)
             self.probes = 0  # allow() grants since the circuit left closed
 
     @staticmethod
@@ -291,7 +293,10 @@ class TestBreakerExploration:
             h.probes = 0
 
     @pytest.mark.parametrize("threshold", [1, 2, 3])
-    def test_half_open_admits_exactly_one_probe(self, threshold):
+    def test_half_open_admits_exactly_one_probe(self, threshold, monkeypatch):
+        monkeypatch.setattr(breaker, "FAIL_THRESHOLD", threshold)
+        monkeypatch.setattr(breaker, "COOLDOWN_S", 5.0)
+
         def key(h):
             state = h.board.state("ilu0")
             failures = h.board.stats()["ilu0"]["consecutive_failures"]
@@ -300,7 +305,7 @@ class TestBreakerExploration:
 
         reached, taken = set(), set()
         for _event, before, after in _explore(
-                lambda: self._Harness(threshold),
+                self._Harness,
                 ("allow-cool", "allow-warm", "success", "failure"),
                 self._step, key):
             reached.add(after)

@@ -23,6 +23,7 @@ from repro.comm.communicator import RetryPolicy
 from repro.resilience import ResilientSolver
 from repro.service import JobSpec, ServiceConfig, SolveService
 from repro.service import runner
+from repro.service import service as service_module
 from repro.service.breaker import BreakerBoard
 from repro.service.deadline import IterationRateEstimator
 from repro.service.job import _TRANSITIONS, JOB_STATUSES, TERMINAL_STATUSES, JobRecord
@@ -47,9 +48,14 @@ class FakeClock:
         self.t += dt
 
 
+@pytest.fixture(autouse=True)
+def _quick_poll(monkeypatch):
+    monkeypatch.setattr(service_module, "POLL_S", 0.01)
+
+
 def service(tmp_path, workers=2, **kw):
     return SolveService(ServiceConfig(
-        workers=workers, spool_dir=str(tmp_path / "spool"), poll_s=0.01,
+        workers=workers, spool_dir=str(tmp_path / "spool"),
     ), **kw)
 
 
