@@ -136,8 +136,9 @@ def test_whole_solve_speedup():
     a, case = _tc1_subdomain_block()
 
     # RCM ordering keeps the ILUT window of these n ~ 2500 blocks a 1.4 MB
-    # band; in natural ordering it is a 50 MB square, over BAND_MEM_CAP, and
-    # both tiers would factor with the reference kernel
+    # band; in natural ordering their plain window is a 50 MB square, over
+    # BAND_MEM_CAP, and the numpy tier factors on the band bordered by the
+    # interface rows instead (8 MB for block 0)
     def run():
         return solve_case(
             case, precond="block2", nparts=4, seed=0,

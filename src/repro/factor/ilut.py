@@ -58,8 +58,8 @@ def ilut(
     # so only a live pivot spec forces the reference tier and a cache bypass
     pivot_faults = plan is not None and plan.pivot_faults_possible()
 
-    bw = band.bandwidth(n, a.indptr, a.indices)
-    tier = kernels.resolve(band.window_bytes(n, bw), require_reference=pivot_faults)
+    s, bw, nbytes = band.window(n, a.indptr, a.indices, kernels.BAND_MEM_CAP)
+    tier = kernels.resolve(nbytes, require_reference=pivot_faults)
     family = "reference" if tier == "reference" else "band"
 
     cache = factor_cache.get_cache()
@@ -87,7 +87,8 @@ def ilut(
             norms = band.row_norms2(n, a.indptr, a.data)
             (l_indptr, l_indices, l_data,
              u_indptr, u_indices, u_data, floored) = band.ilut_factor(
-                n, a.indptr, a.indices, a.data, drop_tol, fill, shift, norms
+                n, a.indptr, a.indices, a.data, drop_tol, fill, shift, norms,
+                (s, bw),
             )
             _check_breakdown("ilut", floored, n, breakdown_frac, shift)
             l_csr = sp.csr_matrix((l_data, l_indices, l_indptr), shape=a.shape)

@@ -18,9 +18,12 @@ Every operation has the reference path plus one fast path:
   (:mod:`repro.kernels.apply`).  Their factors are byte-identical to the
   reference's.
 
-Under ``"auto"`` policy every operation takes its fast path; the one
-exception is a factorization whose array workspace would exceed
-``BAND_MEM_CAP``, which stays on the reference kernel whatever is forced.
+Under ``"auto"`` policy every operation takes its fast path.  A
+factorization reaches the reference kernel only for MILU, a live pivot
+fault plan, a forced ``"reference"`` tier, or an array workspace over
+``BAND_MEM_CAP`` whatever is forced: an ILUT whose best window, the band
+bordered by the interface rows and columns (:func:`band.window`), is still
+over the cap, or an ILU(0) whose busiest pivot is.
 Override with :func:`set_tier`/:func:`forced_tier` (``"auto"`` |
 ``"reference"`` | ``"numpy"``); ``check-determinism --tiers`` forces each
 tier in turn.
@@ -48,7 +51,7 @@ __all__ = [
 _TIERS = ("reference", "numpy")
 
 # safety cap on one factorization's array workspace: the ILUT window is
-# O(n * min(n, bandwidth)), and each solve-service worker process factors
+# O(n * (bandwidth + border)), and each solve-service worker process factors
 # one block at a time, so a service holds one window per worker process
 BAND_MEM_CAP = 32 * 2**20
 

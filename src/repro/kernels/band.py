@@ -1,22 +1,28 @@
 """Array-native window ILUT kernel (the fast factorization path).
 
-ILUT is reformulated right-looking over a dense window of A: entry
-``(i, c)`` lives at flat index ``i * stride + c + off``, which is a band
-window (``stride = 2 bw``, ``off = bw``) when that is smaller than the
-square one (``stride = n``, ``off = 0``) — the same code serves both.  Rows
-finalize in ascending order; step k selects the surviving upper entries of
-row k (the dual threshold), floors the pivot, divides column k, and applies
-ONE rank-1 update restricted to the *index set* ``rows x cols`` of kept L
-entries of column k and kept U entries of row k.  The cost of a step is a
-scan of one window row and one window column plus the size of that set, so
-it does not grow with the square of the bandwidth.
+ILUT is reformulated right-looking over a dense window of A, a band
+bordered at a split s: rows and columns below s keep the band of the
+leading s x s block (bandwidth bw), entry ``(i, c)`` at flat index
+``i * pitch + c + bw``, ``pitch = 2 bw + n - s``; each such row stores its
+columns >= s (the border) right after its band, and rows >= s are stored
+whole.  ``s = n`` is the plain band, ``s = 0`` the square, and
+:func:`window` picks s.  Rows finalize in ascending order; step k selects
+the surviving upper entries of row k (the dual threshold), floors the
+pivot, divides column k, and applies ONE rank-1 update restricted to the
+*index set* ``rows x cols`` of kept L entries of column k and kept U
+entries of row k.  The cost of a step is a scan of one window row and one
+window column plus the size of that set, so it does not grow with the
+square of the bandwidth.
 
-Why this is exact: every window element receives the same ascending-k
-sequence of ``w - lik * ukj`` (multiply, then subtract — no fused
-multiply-add) as the reference left-looking row sweep, the drop and fill-cap
-decisions are taken on the same values with the same tie-break (larger
-magnitude, then smaller column), and dropped entries are never read again —
-so the factors are bit-identical to :mod:`repro.factor.reference`.
+Why this is exact: elimination without pivoting keeps fill inside the
+leading block's band (by induction on k) and the border is stored whole,
+so no entry the reference computes falls outside the window.  Every window
+element receives the same ascending-k sequence of ``w - lik * ukj``
+(multiply, then subtract — no fused multiply-add) as the reference
+left-looking row sweep, the drop and fill-cap decisions are taken on the
+same values with the same tie-break (larger magnitude, then smaller
+column), and dropped entries are never read again — so the factors are
+bit-identical to :mod:`repro.factor.reference`.
 
 The kernel is deliberately hook-free: fault-injection pivot hooks are
 semantics of the reference kernel, and the factor layer routes those cases
@@ -54,9 +60,23 @@ def bandwidth(n: int, indptr: np.ndarray, indices: np.ndarray) -> int:
     return max(int(np.abs(indices - csr_row_ids(n, indptr)).max()), 1)
 
 
-def window_bytes(n: int, bw: int) -> int:
-    """Footprint of the ILUT window: the band or the square, whichever is smaller."""
-    return 8 * n * min(2 * bw + 1, n)
+def window(n: int, indptr: np.ndarray, indices: np.ndarray, cap: int | None = None):
+    """The ILUT window ``(s, bw, nbytes)`` of a matrix.
+
+    The plain band (``s = n``), or the square when that is smaller, unless
+    it exceeds ``cap`` bytes: then the split of smallest footprint, ``bw``
+    being the bandwidth of its leading s x s block.
+    """
+    rows = csr_row_ids(n, indptr)
+    lead_bw = np.zeros(n + 1, dtype=np.int64)  # [s]: leading s x s bandwidth
+    np.maximum.at(lead_bw, np.maximum(rows, indices) + 1, np.abs(indices - rows))
+    lead_bw = np.maximum(np.maximum.accumulate(lead_bw), 1)  # repro: noqa(RPR005) — integer max, exact
+    s = np.arange(n + 1, dtype=np.int64)
+    size = s * (2 * lead_bw + 1 + n - s) + (n - s) * n
+    best = n if size[n] < size[0] else 0
+    if cap is not None and 8 * size[best] > cap:
+        best = int(size.argmin())
+    return best, int(lead_bw[best]), 8 * int(size[best])
 
 
 def row_norms2(n: int, indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -78,36 +98,52 @@ def row_norms2(n: int, indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
 # index-set elimination sweep
 # ---------------------------------------------------------------------------
 
-def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms):
-    """ILUT(τ, p) elimination; returns the factors as per-step gathers.
+def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s):
+    """ILUT(τ, p) elimination over the window split at ``s``; returns the
+    factors as per-step gathers of window positions.
 
-    ``u_cols[k]``/``u_vals[k]`` hold row k of strict U (columns relative to
-    ``k + 1``), ``l_rows[k]``/``l_vals[k]`` column k of L (rows relative to
-    ``k + 1``, before the per-row fill cap), ``diags`` the pivots.
+    ``u_cols[k]``/``u_vals[k]`` hold row k of strict U, ``l_rows[k]``/
+    ``l_vals[k]`` column k of L (before the per-row fill cap), ``diags`` the
+    pivots.  Position p of row k is column ``k + 1 + p``, and on a leading
+    row the border column ``s + p - bw`` once ``p >= bw``; position i of
+    column k is row ``k + 1 + i``, and row ``s + i - m`` once ``i`` passes
+    the ``m`` band rows (:func:`_translate`).
     """
-    stride, off = (2 * bw, bw) if 2 * bw + 1 < n else (n, 0)
-    step = stride + 1  # flat distance between consecutive diagonal entries
-    wflat = np.zeros(n * step + off)
+    nb = n - s  # border width
+    pitch = 2 * bw + nb  # flat distance down a leading column
+    lead = s * (pitch + 1)  # row r >= s starts at lead + (r - s) * n
+    ar = np.arange(n, dtype=np.int64)
+    base = np.where(ar < s, ar * pitch + bw, lead + (ar - s) * n)  # + column
+    jump = np.where(ar < s, ar + bw + 1 - s, 0)  # + again for a border column
+    wflat = np.zeros(lead + nb * n)
     rows = csr_row_ids(n, indptr)
-    wflat[rows * stride + (indices + off)] = data
+    wflat[base[rows] + indices + (indices >= s) * jump[rows]] = data
+    dpos = base + ar
     if shift:
-        wflat[off::step] += shift
+        wflat[dpos] += shift
 
     taus = drop_tol * norms
-    taus_l = taus.tolist()
+    taus_l, tail_taus = taus.tolist(), taus[s:]
     lims = (_PIVOT_FLOOR * norms).tolist()
-    row_off = np.arange(min(bw, n), dtype=np.int64) * stride  # of future row k+1+r
+    dpos = dpos.tolist()
+    row_off = np.arange(bw, dtype=np.int64) * pitch  # of band row k+1+r
+    u_len, ub = bw + nb, bw  # upper scan of a leading row; its first border position
+    last = s - 1  # the band ends at row (and column) s - 1
     u_cols, u_vals, l_rows, l_vals = [[None] * n for _ in range(4)]
     diags = [0.0] * n
     floored = 0
-    np_abs, item = np.abs, wflat.item
+    np_abs, item, cat, nnz = np.abs, wflat.item, np.concatenate, np.count_nonzero
 
     for k in range(n):
-        b = k * step + off  # flat index of the diagonal (k, k)
-        m = min(bw, n - 1 - k)  # trailing columns / future rows in the window
+        if k == s:  # rows >= s are whole: the square window from here on
+            pitch, u_len, ub, nb, last = n, 0, n, 0, n - 1
+            bw = bandwidth(n, indptr, indices)
+            row_off = np.arange(n - s, dtype=np.int64) * n
+        b = dpos[k]  # flat index of the diagonal (k, k)
+        m = min(bw, last - k)  # band rows below k, band columns right of it
 
         # ---- dual-threshold selection of row k's upper part ----
-        up = wflat[b + 1: b + 1 + m]
+        up = wflat[b + 1: b + 1 + max(m, u_len)]
         a_up = np_abs(up)
         uc = (a_up > taus_l[k]).nonzero()[0]
         if uc.size > fill:
@@ -126,16 +162,30 @@ def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms):
         diags[k] = diag
 
         # ---- column k of L, then one rank-1 update of rows x cols ----
-        col = wflat[b + stride: b + stride * m + 1: stride] / diag
-        lr = (np_abs(col) > taus[k + 1: k + 1 + m]).nonzero()[0]
+        col, tc = wflat[b + pitch: b + pitch * m + 1: pitch], taus[k + 1: k + 1 + m]
+        if nb and nnz(tail := wflat[lead + k::n]):  # on down the whole rows
+            col, tc = cat((col, tail)), cat((tc, tail_taus))
+        col = col / diag
+        lr = (np_abs(col) > tc).nonzero()[0]
         lv = col[lr]
         l_rows[k], l_vals[k] = lr, lv
         if lr.size and uc.size:
-            corner = wflat[b + step:]  # from (k+1, k+1) on
-            idx = row_off[lr][:, None] + uc
-            corner[idx] = corner[idx] - lv[:, None] * uv
+            if lr[-1] < m and uc[-1] < ub:  # inside the band: from (k+1, k+1) on
+                corner = wflat[b + pitch + 1:]
+                idx = row_off[lr][:, None] + uc
+                corner[idx] = corner[idx] - lv[:, None] * uv
+            else:  # the update reaches the border: flat indices of (row, column)
+                r, c = _translate(k, lr, m, s), _translate(k, uc, ub, s)
+                idx = base[r][:, None] + c + (c >= s) * jump[r][:, None]
+                wflat[idx] = wflat[idx] - lv[:, None] * uv
 
     return u_cols, u_vals, l_rows, l_vals, np.asarray(diags), floored
+
+
+def _translate(k, pos, first, s):
+    """Rows (columns) of window positions ``pos`` of step k: ``k + 1 + pos``
+    in the band, ``s + pos - first`` from the border's first position on."""
+    return pos + np.where(pos < first, k + 1, s - first)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +210,17 @@ def _concat(parts, dtype):
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
-def ilut_factor(n, indptr, indices, data, drop_tol, fill, shift, norms):
-    """Window ILUT: returns ``(l_indptr, l_indices, l_data, u_indptr,
+def ilut_factor(n, indptr, indices, data, drop_tol, fill, shift, norms, win=None):
+    """Window ILUT on the ``(s, bw)`` window ``win`` (default: the uncapped
+    :func:`window`): returns ``(l_indptr, l_indices, l_data, u_indptr,
     u_indices, u_data, floored)`` with diagonal-first upper rows."""
-    bw = bandwidth(n, indptr, indices)
+    s, bw = win or window(n, indptr, indices)[:2]
     u_cols, u_vals, l_rows, l_vals, diags, floored = ilut_sweep(
-        n, indptr, indices, data, drop_tol, fill, shift, bw, norms
+        n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s
     )
     ar = np.arange(n, dtype=np.int64)
+    first_u = np.where(ar < s, bw, n)  # first border position of each step
+    first_l = np.where(ar < s, np.minimum(bw, s - 1 - ar), n)
 
     # U rows: the (always nonzero, floored) pivot first, then the kept entries
     ucnt = np.fromiter(map(len, u_cols), np.int64, n)
@@ -177,15 +230,15 @@ def ilut_factor(n, indptr, indices, data, drop_tol, fill, shift, norms):
     strict = np.ones(u_indptr[-1], dtype=bool)
     strict[u_indptr[:-1]] = False
     u_indices[u_indptr[:-1]], u_data[u_indptr[:-1]] = ar, diags
-    u_indices[strict] = _concat(u_cols, np.int64) + np.repeat(ar + 1, ucnt)
+    k = np.repeat(ar, ucnt)
+    u_indices[strict] = _translate(k, _concat(u_cols, np.int64), first_u[k], s)
     u_data[strict] = _concat(u_vals, np.float64)
 
     # L arrives column by column: a stable sort on the row makes it CSR
-    lcnt = np.fromiter(map(len, l_rows), np.int64, n)
-    ri = _concat(l_rows, np.int64) + np.repeat(ar + 1, lcnt)
+    k = np.repeat(ar, np.fromiter(map(len, l_rows), np.int64, n))
+    ri = _translate(k, _concat(l_rows, np.int64), first_l[k], s)
     order = np.argsort(ri, kind="stable")
     ri, lcols, lvals, cnt = _cap_lower_fill(
-        n, ri[order], np.repeat(ar, lcnt)[order],
-        _concat(l_vals, np.float64)[order], fill,
+        n, ri[order], k[order], _concat(l_vals, np.float64)[order], fill,
     )
     return counts_to_indptr(cnt), lcols, lvals, u_indptr, u_indices, u_data, floored

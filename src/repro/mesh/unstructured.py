@@ -15,7 +15,6 @@ centroid falls inside the hole.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from repro.mesh.mesh import Mesh, boundary_edges_2d
 from repro.utils.rng import make_rng
@@ -80,6 +79,8 @@ def plate_with_hole(
         [cx + hole_radius * np.cos(theta), cy + hole_radius * np.sin(theta)]
     )
     points = np.vstack([pts, circle])
+
+    from scipy.spatial import Delaunay  # only TC3 meshes load scipy.spatial
 
     tri = Delaunay(points)
     cent = points[tri.simplices].mean(axis=1)

@@ -11,7 +11,6 @@ diagonalizes: eigenvalues λ_jk = (2 − 2cos(jπ/(mx+1))) + (2 − 2cos(kπ/(my
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 
 class FFTPoissonSolver:
@@ -43,6 +42,8 @@ class FFTPoissonSolver:
             w = w.reshape(self.mx, self.my)
         elif w.shape != (self.mx, self.my):
             raise ValueError(f"expected ({self.mx}, {self.my}) data, got {w.shape}")
+        from scipy.fft import dstn, idstn  # only Schwarz's FFT solve loads scipy.fft
+
         what = dstn(w, type=1)
         zhat = what / self._eig
         z = idstn(zhat, type=1) / self.scale

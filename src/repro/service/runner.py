@@ -50,7 +50,7 @@ from repro.checkpoint import CheckpointManager
 from repro.comm.backends import REAL_RETRY_POLICY
 from repro.comm.communicator import RetryPolicy
 from repro.comm.compute import HEAVY_FLOOR
-from repro.resilience import FAILURE_STATUSES, FALLBACK_CHAIN, ResilientSolver
+from repro.resilience import FAILURE_STATUSES, ResilientSolver, resilient
 from repro.service.breaker import BreakerBoard
 from repro.service.deadline import (
     Deadline,
@@ -173,7 +173,7 @@ class RunnerContext:
 
 def _route_precond(primary: str, breakers: BreakerBoard) -> tuple[str, bool]:
     """Strongest non-tripped preconditioner, primary first."""
-    chain = (primary,) + tuple(n for n in FALLBACK_CHAIN if n != primary)
+    chain = (primary,) + tuple(n for n in resilient.FALLBACK_CHAIN if n != primary)
     for name in chain:
         if breakers.allow(name):
             return name, name != primary

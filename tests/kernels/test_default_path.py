@@ -3,9 +3,10 @@
 PR 15's traffic audit found every block of every benchmark workload on the
 interpreted kernels while the gated fast sweep ran on a block nobody built.
 These tests pin the traffic, not just the kernel: for the five benchmark
-tuples every owned block and every ARMS expanded Schur block whose workspace
-fits ``BAND_MEM_CAP`` must reach the fast kernel under the auto policy, and
-its factors must be byte-identical to the forced-reference ones.
+tuples every owned block and every ARMS expanded Schur block must reach the
+fast kernel under the auto policy, and its factors must be byte-identical
+to the forced-reference ones.  The ILUT window of ``mp_ranks``' n ~ 5,000
+blocks fits ``BAND_MEM_CAP`` only with the interface border.
 """
 
 import hashlib
@@ -67,18 +68,20 @@ def test_benchmark_blocks_take_the_fast_kernels(key, size, nparts, reference_cal
     for r in range(nparts):
         a = dmat.owned_square[r]
         n = a.shape[0]
-        window = band.window_bytes(n, band.bandwidth(n, a.indptr, a.indices))
-        # ILU(0) (Block 1) always fits; the ILUT window (Block 2, Schur 1)
-        # does except on the n ~ 5100 blocks of mp_ranks
+        s, _, nbytes = band.window(n, a.indptr, a.indices, kernels.BAND_MEM_CAP)
+        # ILU(0) (Block 1) and the ILUT window (Block 2, Schur 1) always fit
         assert triples.workspace_bytes(n, a.indptr, a.indices) <= kernels.BAND_MEM_CAP
-        assert (window <= kernels.BAND_MEM_CAP) == (n < 4000)
+        assert nbytes <= kernels.BAND_MEM_CAP
+        if n < 4000:  # the plain window: here always the square, s = 0
+            assert (s, nbytes) == (0, 8 * n * n)
+        else:  # mp_ranks: the band of the interior rows, bordered
+            assert pm.subdomains[r].n_internal <= s < n
+            assert nbytes < 16.5 * 2**20 < 8 * n * n
         before = dict(reference_calls)
-        fast = [ilu0(a)]
-        if window <= kernels.BAND_MEM_CAP:
-            fast.append(ilut(a, 1e-3, 10))
+        fast = [ilu0(a), ilut(a, 1e-3, 10)]
         assert reference_calls == before, "an owned block reached a reference kernel"
         with kernels.forced_tier("reference"):
-            ref = [ilu0(a)] + ([ilut(a, 1e-3, 10)] if len(fast) == 2 else [])
+            ref = [ilu0(a), ilut(a, 1e-3, 10)]
         assert [_digest(f) for f in fast] == [_digest(f) for f in ref]
 
         if n < 4000:  # Schur 2 runs on neither mp_ranks op

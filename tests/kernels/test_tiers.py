@@ -91,7 +91,7 @@ class TestIlutTierEquality:
             list(range(-bw, bw + 1)), format="csr",
         ) + sp.diags(np.full(n, 3.0))
         a = sp.csr_matrix(a)
-        assert band.window_bytes(n, bw) == 8 * n * (2 * bw + 1)
+        assert band.window(n, a.indptr, a.indices) == (n, bw, 8 * n * (2 * bw + 1))
         _assert_factors_equal(*_tiers(lambda: ilut(a, 1e-3, fill, shift=0.1)))
 
     def test_floored_pivots_share_one_row_norm(self):
@@ -184,23 +184,48 @@ class TestDispatchPolicy:
         with kernels.forced_tier("numpy"):
             assert kernels.resolve(1000, require_reference=True) == "reference"
 
+    @staticmethod
+    def _window(n, bw, cap=None):
+        # the diagonal plus one entry bw off it: bandwidth bw
+        a = sp.csr_matrix(sp.eye(n) + sp.csr_matrix(([1.0], ([n - 1], [n - 1 - bw])), shape=(n, n)))
+        return band.window(n, a.indptr, a.indices, cap)
+
     def test_auto_takes_the_fast_kernel_at_any_bandwidth(self):
         # no economy gate: bw ~ n (a natural-ordered subdomain block) is fine
         for n, bw in ((100, 5), (400, 200), (473, 312), (1000, 999)):
-            assert kernels.resolve(band.window_bytes(n, bw)) == "numpy"
+            assert kernels.resolve(self._window(n, bw, kernels.BAND_MEM_CAP)[2]) == "numpy"
 
     def test_window_is_the_smaller_of_band_and_square(self):
-        assert band.window_bytes(1000, 10) == 8 * 1000 * 21
-        assert band.window_bytes(400, 300) == 8 * 400 * 400
+        assert self._window(1000, 10) == (1000, 10, 8 * 1000 * 21)
+        assert self._window(400, 300) == (0, 1, 8 * 400 * 400)
+
+    def test_over_the_cap_the_window_borders_the_band(self):
+        # the whole band (2 * 5000 + 1 wide) is over the cap; the leading
+        # 5000 x 5000 block is the diagonal, so the split at 5000 keeps a
+        # 3-wide band plus a one-column border and one whole row
+        n = 5001
+        s, bw, nbytes = self._window(n, n - 1, kernels.BAND_MEM_CAP)
+        assert (s, bw, nbytes) == (n - 1, 1, 8 * ((n - 1) * 4 + n))
 
     def test_memory_cap_is_a_safety_cap(self):
         assert kernels.resolve(kernels.BAND_MEM_CAP) == "numpy"
         assert kernels.resolve(kernels.BAND_MEM_CAP + 1) == "reference"
-        # TC1 n=101 P=2 natural ordering: bw ~ n, a 225 MB square window;
+        # an X (diagonal + anti-diagonal): every split leaves a wide band
+        # or a wide border, and the best window, 54 MB, is over the cap;
         # forcing never overrides the cap
+        n = 3000
+        i = np.arange(n)
+        x = sp.csr_matrix(
+            (np.r_[np.full(n, 4.0), np.ones(n)], (np.r_[i, i], np.r_[i, n - 1 - i])),
+            shape=(n, n),
+        )
+        nbytes = band.window(n, x.indptr, x.indices, kernels.BAND_MEM_CAP)[2]
+        assert nbytes == 54_012_016 > kernels.BAND_MEM_CAP
         with kernels.forced_tier("numpy"):
-            assert kernels.resolve(band.window_bytes(5311, 5175)) == "reference"
-            assert kernels.resolve(band.window_bytes(10**6, 100)) == "reference"
+            assert kernels.resolve(nbytes) == "reference"
+            f_np = ilut(x, 1e-3, 10)
+        with kernels.forced_tier("reference"):
+            _assert_factors_equal(ilut(x, 1e-3, 10), f_np)
 
     def test_ilu0_workspace_is_a_chunk_or_the_busiest_pivot(self):
         # tridiagonal: one candidate triple per pivot, so a chunk's worth

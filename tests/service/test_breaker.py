@@ -109,3 +109,30 @@ class TestUnbreakable:
             b.record_failure("jacobi")
         assert b.allow("jacobi") and b.state("jacobi") == CLOSED
         assert "jacobi" not in b.stats()
+
+
+class TestOneChain:
+    """The breaker router and ``ResilientSolver`` walk the same chain, read
+    from ``resilient.FALLBACK_CHAIN`` when they run, not when they import."""
+
+    def test_patched_chain_reaches_router_and_solver(self, board, monkeypatch):
+        from repro import faults
+        from repro.cases.poisson2d import poisson2d_case
+        from repro.resilience import ResilientSolver, resilient
+        from repro.service import runner
+
+        monkeypatch.setattr(resilient, "FALLBACK_CHAIN", ("block1", "jacobi"))
+        b = board(FakeClock(), threshold=1)
+        b.record_failure("schur1")
+        routed, degraded = runner._route_precond("schur1", b)
+
+        plan = faults.FaultPlan(
+            faults.FaultSpec("bad-pivot", count=-1, target="schur1")
+        )
+        with faults.inject(plan):
+            res = ResilientSolver().solve(
+                poisson2d_case(n=16), precond="schur1", nparts=2
+            )
+        walked = [a.precond for a in res.attempts if a.kind == "fallback"]
+        assert (routed, degraded) == ("block1", True)
+        assert walked[0] == routed
