@@ -17,9 +17,10 @@ events, the worker table of ``repro trace``).
 Six commands: ``LOAD_MATRIX`` and ``LOAD_FACTOR`` make state resident,
 ``FACTOR`` eliminates a resident matrix, and the two per-iteration ops are
 ``MATVEC`` (a row block times the compacted input slice) and ``APPLY`` (the
-triangular sweeps).  Those two carry no arrays: their vectors cross in the
-rank's shared-memory arena (:mod:`~repro.comm.backends.arena`), and the
-frames carry the slot lengths and CRCs.  Every stored matrix is a plain CSR.
+triangular sweeps, and optionally the next product's internal rows).  Those
+two carry no arrays: their vectors cross in the rank's shared-memory arena
+(:mod:`~repro.comm.backends.arena`), and the frames carry the slot lengths
+and CRCs.  Every stored matrix is a plain CSR.
 ``RUN_CHUNK`` is the coarse one: a solve service's worker process runs one
 whole chunk of a job (:func:`repro.service.runner.serve_chunk`) and returns
 its attempts and residual history.
@@ -252,11 +253,26 @@ def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict
     :meth:`~repro.factor.base.ILUFactorization.solve` (fused SuperLU fast
     path with probe, level-scheduled fallback), including the RCM
     permutation round-trip when the factor was built in permuted order.
+
+    A meta naming a resident ``matvec`` row block asks for ``[z; y]``, y
+    its first ``rows`` (internal) rows times z: they read only this rank's
+    columns, which start at ``own``, so the ghost columns stay zero.
     """
     from repro.factor.base import solve_permuted
+    from repro.kernels.apply import csr_matvec
 
     fac, perm = store.get(store.factors, meta["key"], "factor")
-    return _slot_op(store, meta, lambda r: solve_permuted(fac, perm, np.array(r)))
+    a = store.get(store.matrices, meta["matvec"], "matrix") if "matvec" in meta else None
+
+    def compute(r: np.ndarray) -> np.ndarray:
+        z = solve_permuted(fac, perm, np.array(r))
+        if a is None:
+            return z
+        x = np.zeros(a.shape[1])
+        x[meta["own"] : meta["own"] + z.size] = z
+        return np.concatenate([z, csr_matvec(a, x)[: meta["rows"]]])
+
+    return _slot_op(store, meta, compute)
 
 
 def _handle_run_chunk(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
@@ -305,6 +321,7 @@ def execute(store: SubdomainStore, payload: bytes) -> bytes:
         return pack_command(op, {
             "error": str(exc),
             "etype": type(exc).__name__,
+            **({"key": exc.context["key"]} if isinstance(exc, NotResident) else {}),
             "seconds": perf_counter() - t0,
             "cpu_seconds": process_time() - c0,
         })

@@ -3,9 +3,10 @@
 :mod:`repro.comm.backends.worker` defines what a rank process can execute;
 the functions here drive it, given a communicator on a real backend (their
 callers test ``comm.backend.is_real``; simulated ranks never get here): the
-row-block MATVEC and the triangular-sweep APPLY of every iteration, and the
-FACTOR of set-up, as batched ``CMD`` rounds whose vectors cross in each
-rank's shared-memory arena.  Every real backend's ranks compute.
+row-block MATVEC and the triangular-sweep APPLY of every iteration (a Block
+1/2 APPLY with the next MATVEC's internal rows: one round per Arnoldi step),
+and the FACTOR of set-up, as batched ``CMD`` rounds whose vectors cross in
+each rank's shared-memory arena.  Every real backend's ranks compute.
 
 State is keyed by content hash (the factor cache's identity), and **the
 ranks are the only record of what they hold**.  A round goes out as it is;
@@ -209,11 +210,11 @@ def _resident_round(
     load, **hooks,
 ) -> dict[int, tuple[dict, list]]:
     """A round over state the ranks should hold: the ranks that refuse are
-    shipped ``load(rank)`` (their LOAD payload) in one round, and the op is
-    repeated for them alone; a second refusal is the typed fault."""
+    shipped ``load(rank, key)``, the LOAD of the key each named, in one round,
+    and the op is repeated for them alone; a second refusal is the typed fault."""
     out, refused = _round(comm, op, payloads, floor, **hooks)
     if refused:
-        ship(comm, {rank: load(rank) for rank in sorted(refused)})
+        ship(comm, {rank: load(rank, refused[rank]["key"]) for rank in sorted(refused)})
         again, refused = _round(
             comm, op, {rank: payloads[rank] for rank in sorted(refused)},
             floor, **hooks)
@@ -225,22 +226,22 @@ def _resident_round(
 
 
 def _vector_round(
-    comm: Communicator, pack, keys: dict[int, str], load,
+    comm: Communicator, pack, metas: dict[int, dict], load,
     src: dict[int, np.ndarray], nout: dict[int, int],
 ) -> dict[int, np.ndarray]:
-    """MATVEC / APPLY of the state ``keys`` names: rank r's input ``src[r]``
-    goes through its arena, and so does its ``nout[r]``-long result (a view
-    of the output slot, valid until the rank's next vector op).
-    ``pack(meta)`` encodes the command that names them."""
+    """MATVEC / APPLY of the state ``metas[r]`` names: rank r's input
+    ``src[r]`` goes through its arena, and so does its ``nout[r]``-long
+    result (a view of the output slot, valid until the rank's next vector
+    op).  ``pack(meta)`` encodes the command."""
     backend = comm.backend
     arenas = {rank: backend.arena(rank, max(src[rank].size, nout[rank]))
-              for rank in sorted(keys)}
+              for rank in sorted(metas)}
     payloads = {
         rank: pack({
-            "key": keys[rank], "arena": arenas[rank].spec,
+            **metas[rank], "arena": arenas[rank].spec,
             "n": int(src[rank].size), "crc": slot_crc(src[rank]),
         })
-        for rank in sorted(keys)
+        for rank in sorted(metas)
     }
     op = payloads[min(payloads)][0]
     out = _resident_round(
@@ -278,7 +279,8 @@ def factor(
             meta["has_perm"] = True
             arrays = [np.asarray(perm, dtype=np.int64)]
         payloads[rank] = pack_command(OP_FACTOR, meta, arrays)
-    return _resident_round(comm, OP_FACTOR, payloads, HEAVY_FLOOR, matrices.__getitem__)
+    return _resident_round(comm, OP_FACTOR, payloads, HEAVY_FLOOR,
+                           lambda rank, key: matrices[rank])
 
 
 def matvec(comm: Communicator, dmat, x: np.ndarray) -> np.ndarray:
@@ -292,8 +294,8 @@ def matvec(comm: Communicator, dmat, x: np.ndarray) -> np.ndarray:
     blocks = [dmat.rank_block(rank) for rank in range(comm.size)]
     got = _vector_round(
         comm, lambda meta: pack_command(OP_MATVEC, meta),
-        {rank: blk.key for rank, blk in enumerate(blocks)},
-        lambda rank: load_matrix(blocks[rank].key, blocks[rank].a),
+        {rank: {"key": blk.key} for rank, blk in enumerate(blocks)},
+        lambda rank, key: load_matrix(key, blocks[rank].a),
         {rank: np.take(x, blk.cols) for rank, blk in enumerate(blocks)},
         {rank: blk.a.shape[0] for rank, blk in enumerate(blocks)},
     )
@@ -312,10 +314,33 @@ def apply_factors(
     ``load(rank)`` is the :func:`load_factor` payload of rank's factor,
     shipped if the rank refuses.
     """
+    return apply_matvec(comm, keys, layout, r, load)[0]
+
+
+def apply_matvec(
+    comm: Communicator, keys: dict[int, str], layout, r: np.ndarray, load,
+    dmat=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`apply_factors`, each rank then multiplying its internal rows of
+    ``dmat.rank_block`` (they read only its own z_r) in the same round:
+    ``(z, y)``, y's interface rows left to ``dmat.matvec(comm, z, part=y)``.
+    A rank that lacks the block refuses naming it and is shipped it."""
     src = {rank: r[layout.local_slice(rank)] for rank in sorted(keys)}
-    got = _vector_round(comm, lambda meta: pack_command(OP_APPLY, meta), keys,
-                        load, src, {rank: src[rank].size for rank in sorted(src)})
-    z = np.empty_like(r)
+    metas = {rank: {"key": keys[rank]} for rank in sorted(keys)}
+    rows = {rank: 0 for rank in sorted(keys)}
+    for rank in sorted(keys) if dmat is not None else ():
+        rows[rank] = dmat.pm.subdomains[rank].n_internal
+        blk = dmat.rank_block(rank)
+        metas[rank].update(matvec=blk.key, rows=rows[rank], own=blk.own)
+    got = _vector_round(
+        comm, lambda meta: pack_command(OP_APPLY, meta), metas,
+        lambda rank, key: load(rank) if key == keys[rank]
+        else load_matrix(key, dmat.rank_block(rank).a),
+        src, {rank: src[rank].size + rows[rank] for rank in sorted(keys)},
+    )
+    z, y = np.empty_like(r), np.empty_like(r)
     for rank in sorted(keys):
-        z[layout.local_slice(rank)] = got[rank]
-    return z
+        lo, n = layout.rank_ptr[rank], src[rank].size
+        z[lo : lo + n] = got[rank][:n]
+        y[lo : lo + rows[rank]] = got[rank][n:]
+    return z, y

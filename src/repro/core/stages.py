@@ -182,7 +182,8 @@ def krylov(
     system ``preconditioner`` was set up for (``b``, ``x0`` distributed).
 
     FGMRES is the only outer solver: the Schur, Block K and Schwarz applies
-    are nonlinear, and a flexible method is the one that stays valid.
+    are nonlinear, and a flexible method is the one that stays valid.  A
+    ``fused_step`` (Block 1/2 on a real backend) makes each step one round.
     """
     dmat, comm = preconditioner.dmat, preconditioner.comm
     with obs.span("krylov.solve", solver=f"fgmres({restart})", rtol=rtol), \
@@ -191,7 +192,7 @@ def krylov(
             lambda v: dmat.matvec(comm, v), b, apply_m=preconditioner, x0=x0,
             rtol=rtol, atol=atol, maxiter=maxiter, restart=restart,
             ops=DistributedOps(comm, dmat.pm.layout),
-            on_restart=on_restart,
+            on_restart=on_restart, apply_ma=preconditioner.fused_step(),
         )
 
 

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro import faults, obs
 from repro.comm import compute as worker_compute
@@ -45,13 +46,15 @@ class RankBlock:
     each row's accumulation in the identical order — the worker-side
     product is bitwise equal to the matching slice of the fused product.
     ``cols`` are the distributed-global indices backing ``xsub``, so a
-    MATVEC ships ``x[cols]``.  ``key`` is the content digest the shipping
-    protocol dedupes on.
+    MATVEC ships ``x[cols]``.  ``cols`` has all the rank's own columns,
+    from ``own`` on, for the internal rows, which read no other.  ``key``
+    is the content digest the shipping protocol dedupes on.
     """
 
     key: str
     a: sp.csr_matrix
     cols: np.ndarray
+    own: int
 
 
 class DistributedMatrix:
@@ -148,7 +151,7 @@ class DistributedMatrix:
         lo = int(self.pm.layout.rank_ptr[r])
         hi = int(self.pm.layout.rank_ptr[r + 1])
         rows = self._fused[lo:hi].tocsr()
-        cols = np.unique(rows.indices) if rows.nnz else np.empty(0, dtype=rows.indices.dtype)
+        cols = np.union1d(rows.indices, np.arange(lo, hi))
         a = sp.csr_matrix(
             (rows.data, np.searchsorted(cols, rows.indices), rows.indptr),
             shape=(hi - lo, len(cols)),
@@ -159,6 +162,7 @@ class DistributedMatrix:
             key=FactorCache.key("matvec-block", a, (lo, hi), family="worker-ship"),
             a=a,
             cols=cols,
+            own=int(np.searchsorted(cols, lo)),
         )
         return self._rank_blocks.setdefault(r, blk)  # racing builders share one
 
@@ -169,16 +173,25 @@ class DistributedMatrix:
         n = self.pm.layout.total
         return (n, n)
 
-    def matvec(self, comm: Communicator, x: np.ndarray) -> np.ndarray:
-        """Distributed matvec (fused execution, full distributed cost)."""
+    def matvec(self, comm: Communicator, x: np.ndarray, part=None) -> np.ndarray:
+        """Distributed matvec (fused execution, full distributed cost);
+        ``part`` is a y whose internal rows the ranks computed
+        (:func:`repro.comm.compute.apply_matvec`), the interface rows left."""
         # hot path: the enabled() guard keeps the disabled-tracing overhead
         # below anything bench_kernels_micro can measure
         if obs.enabled():
             with obs.span("dist.matvec"):
-                return self._matvec_charged(comm, x)
-        return self._matvec_charged(comm, x)
+                return self._matvec_charged(comm, x, part)
+        return self._matvec_charged(comm, x, part)
 
-    def _matvec_charged(self, comm: Communicator, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _interface_rows(self) -> tuple[np.ndarray, sp.csr_matrix]:
+        """Where the interface rows sit (only coupled ranks have any), and
+        those rows of the fused operator, each in its storage order."""
+        rows = self.coupled_rows(self.pm.layout)
+        return rows, ensure_csr(self._fused[rows])
+
+    def _matvec_charged(self, comm: Communicator, x: np.ndarray, part) -> np.ndarray:
         comm.ledger.add_charge(self._matvec_charge)
         # tier-dispatched product (repro.kernels.apply): scipy's compiled CSR
         # matvec on the numpy tier, the scalar spec loop on reference —
@@ -186,7 +199,11 @@ class DistributedMatrix:
         # real backend the product runs *in the rank processes* over
         # column-compacted row blocks (bitwise equal by construction); the
         # guard and fault hooks below see the assembled result either way.
-        if comm.backend.is_real:
+        if part is not None:
+            rows, interface = self._interface_rows
+            y = part
+            y[rows] = apply_kernels.csr_matvec(interface, x)
+        elif comm.backend.is_real:
             y = worker_compute.matvec(comm, self, x)
         else:
             y = apply_kernels.csr_matvec(self._fused, x)

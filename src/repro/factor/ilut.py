@@ -58,25 +58,29 @@ def ilut(
     # so only a live pivot spec forces the reference tier and a cache bypass
     pivot_faults = plan is not None and plan.pivot_faults_possible()
 
-    s, bw, nbytes = band.window(n, a.indptr, a.indices, kernels.BAND_MEM_CAP)
-    tier = kernels.resolve(nbytes, require_reference=pivot_faults)
-    family = "reference" if tier == "reference" else "band"
-
+    # the key names the kernel's family, and only a miss pays for the window
+    # that picks it: resolve(0) is the forced tier and fault plan alone, and
+    # a window over the cap moves a "band" miss to the "reference" key
+    tier = kernels.resolve(0, require_reference=pivot_faults)
     cache = factor_cache.get_cache()
-    key = None
+    params = (float(drop_tol), int(fill), float(shift))
+    key: str | None = None
+    fac: ILUFactorization | None = None
     if pivot_faults:
         if cache.enabled:
             cache.note_bypass("ilut", reason="fault-plan")
     elif cache.enabled:
-        key = cache.key(
-            "ilut", a, (float(drop_tol), int(fill), float(shift)), family
-        )
+        key = cache.key("ilut", a, params, "band" if tier == "numpy" else "reference")
         fac = cache.get(key, "ilut")
-        if fac is not None:
-            _check_breakdown(
-                "ilut", fac.stats.floored_pivots, n, breakdown_frac, shift
-            )
-            return fac
+    if fac is None and tier == "numpy":
+        s, bw, nbytes = band.window(n, a.indptr, a.indices, kernels.BAND_MEM_CAP)
+        tier = kernels.resolve(nbytes)
+        if tier == "reference" and key is not None:
+            key = cache.key("ilut", a, params, "reference")
+            fac = cache.get(key, "ilut")
+    if fac is not None:
+        _check_breakdown("ilut", fac.stats.floored_pivots, n, breakdown_frac, shift)
+        return fac
 
     with kernel_guard(f"factor.ilut.{tier}"):
         if tier == "reference":

@@ -119,6 +119,8 @@ class _Run:
 
 
 Step = Callable[[np.ndarray, list[int]], np.ndarray]
+#: ``v -> (M⁻¹ v, A M⁻¹ v)``: a real-backend Block 1/2's ``fused_step()``,
+#: one worker round, which :func:`repro.core.stages.krylov` passes to fgmres
 FusedStep = Callable[[np.ndarray, list[int]], tuple[np.ndarray, np.ndarray]]
 
 
@@ -273,7 +275,8 @@ def fgmres(
     identity when omitted; ``apply_ma`` an optional fused step
     v → (M⁻¹ v, A M⁻¹ v) for the Arnoldi expansion, which must agree with
     the two composed — ``apply_a`` still gives the initial and restart
-    residuals.
+    residuals.  :func:`repro.core.stages.krylov` passes
+    :meth:`~repro.precond.base.ParallelPreconditioner.fused_step` here.
     ``restart`` is the cycle length m (paper: 20); convergence is
     ‖r‖ ≤ max(rtol ‖r_0‖, atol) (paper: rtol = 1e-6); ``maxiter < 1`` takes
     no step.  ``on_restart(iterations, x)`` is the checkpoint hook: called

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Callable
 
 import numpy as np
 
@@ -69,8 +70,16 @@ class ParallelPreconditioner(ABC):
             r = r.astype(np.float64)
         return r
 
+    def fused_step(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None:
+        """``v -> (self(v), dmat.matvec(comm, self(v)))`` in one worker round,
+        which :func:`repro.core.stages.krylov` passes as ``fgmres(apply_ma=)``;
+        None where the apply does not run in the rank processes."""
+        return None
+
     def _guarded_apply(self, r: np.ndarray) -> np.ndarray:
-        z = self.apply(r)
+        return self._check_output(self.apply(r))
+
+    def _check_output(self, z: np.ndarray) -> np.ndarray:
         # same two-stage NaN/Inf guard as the distributed matvec: cheap sum
         # test, exact check only before raising
         if not np.isfinite(z.sum()) and not np.all(np.isfinite(z)):

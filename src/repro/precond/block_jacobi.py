@@ -135,6 +135,21 @@ class BlockPreconditioner(ParallelPreconditioner):
             self.comm.ledger.add_charge(self._apply_charge)
         return z
 
+    def fused_step(self):
+        fused = self.variant != "krylov" and self.local_solver.solves_in_ranks
+        return self._apply_matvec if fused else None
+
+    def _apply_matvec(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``self(v)`` and its product, with the composed pair's spans,
+        charges and guards in their order, in one round."""
+        v = self._check_input(v)
+        with obs.span("precond.apply", precond=self.name):
+            with obs.span("block.local_solves", variant=self.variant):
+                z, y = self.local_solver.solve_multiply(self.dmat, v)
+                self.comm.ledger.add_charge(self._apply_charge)
+            self._check_output(z)
+        return z, self.dmat.matvec(self.comm, z, part=y)
+
     def _apply_krylov(self, r: np.ndarray) -> np.ndarray:
         """A few ILUT-preconditioned GMRES iterations on every subdomain, all
         ranks in lockstep on the stacked A_i and one sweep of their factors

@@ -168,13 +168,24 @@ class LocalSolver:
         :func:`~repro.factor.base.solve_permuted` on its resident factor.
         Either way the assembled z is bitwise equal to solving rank by rank.
         """
-        if not self._comm.backend.is_real:
+        if not self.solves_in_ranks:
             return self.sweep(layout, r)
         # a rank without its factor refuses the round and is shipped it: on
         # the steady path (after set-up in the ranks, after the first solve,
         # or on a world an earlier solve left them in) none refuses
-        return worker_compute.apply_factors(
-            self._comm, self.keys, layout, r,
-            lambda rank: worker_compute.load_factor(
-                self.keys[rank], self.factors[rank], self.perms[rank]),
-        )
+        return worker_compute.apply_factors(self._comm, self.keys, layout, r, self._load)
+
+    @property
+    def solves_in_ranks(self) -> bool:
+        """Whether :meth:`solve` runs in the rank processes."""
+        return self._comm.backend.is_real
+
+    def solve_multiply(self, dmat, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`solve` in the ranks and ``dmat``'s internal rows of the
+        product, in one round (:func:`repro.comm.compute.apply_matvec`)."""
+        return worker_compute.apply_matvec(
+            self._comm, self.keys, dmat.pm.layout, r, self._load, dmat)
+
+    def _load(self, rank: int) -> bytes:
+        return worker_compute.load_factor(
+            self.keys[rank], self.factors[rank], self.perms[rank])

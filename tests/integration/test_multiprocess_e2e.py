@@ -192,9 +192,18 @@ class TestWorkerResidentState:
         assert set(seq) <= {"load-matrix", "load-factor", "factor", "apply", "matvec"}
         assert "apply" in seq and "matvec" in seq
         assert set(seq) & {"load-factor", "factor"}
-        # every preconditioned vector goes straight into the next matvec
-        preconditioned = sum(pair == ("apply", "matvec") for pair in zip(seq, seq[1:]))
-        assert seq.count("apply") == preconditioned
+        # one round per Arnoldi step: each apply round also multiplies the
+        # internal rows of the next product, so a matvec round is only the
+        # initial residual or a restart's, and never follows an apply that
+        # has a successor in its cycle
+        cycles = -(-out.iterations // 20)
+        assert seq.count("apply") == out.iterations
+        assert seq.count("matvec") == 1 + cycles
+        solve = seq[seq.index("matvec"):]
+        assert solve == ["matvec"] + [
+            op for c in range(cycles)
+            for op in ["apply"] * min(20, out.iterations - 20 * c) + ["matvec"]
+        ]
         # per-rank attribution present on every round
         for e in rounds:
             assert len(e["attrs"]["seconds"]) == len(e["attrs"]["ranks"])
