@@ -105,15 +105,17 @@ class ExecutionBackend:
 
     def arena(self, rank: int, nfloats: int) -> Arena:
         """``rank``'s arena, with slots of at least ``nfloats`` doubles;
-        created at the first vector op and replaced by a larger one when a
-        later op outgrows it."""
+        created at the first vector op with twice its room (a solve's first
+        op is a MATVEC of all the rank's columns, and its fused APPLY moves
+        ``[z_r; internal rows]``, at most twice the rank's own) and replaced
+        by a larger one when a later op outgrows it."""
         have = self._arenas.get(rank)
         if have is not None and have.nfloats >= nfloats:
             return have
         if have is not None:
             have.close()
         self._arena_gen += 1
-        made = Arena.create(max(nfloats, 1, 2 * (have.nfloats if have else 0)),
+        made = Arena.create(2 * max(nfloats, 1, have.nfloats if have else 0),
                             self._arena_gen)
         self._arenas[rank] = made
         obs.event("comm.backend.arena", backend=self.name, rank=rank,

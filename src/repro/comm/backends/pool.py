@@ -6,7 +6,7 @@ process keeps **at most one idle world per rank count**: a communicator's
 ``close()`` hands its world back (:func:`release`) and the next
 communicator of that size leases it (:func:`lease`), ranks, resident state,
 arenas and seq counters included, so a repeated solve spawns, ships and
-probes nothing.
+prepares nothing.
 
 The rules that make reuse safe:
 

@@ -38,8 +38,9 @@ State is **content-addressed**: ``LOAD``/``FACTOR`` store objects under the
 driver-computed SHA-256 content key, so repeated solves over the same
 operator skip the transfer and a re-ship after ``absorb_rank`` recovery
 reproduces the exact factors the digest names.  The store is the only
-record of what a rank holds: a command naming a key it lacks raises
-:class:`NotResident`, and the driver ships the key and repeats the command.
+record of what a rank holds: a command naming keys it lacks raises
+:class:`NotResident` naming every one, and the driver ships them and
+repeats the command.
 """
 
 from __future__ import annotations
@@ -143,12 +144,19 @@ class SubdomainStore:
         while len(table) > self.capacity:
             table.popitem(last=False)
 
-    def get(self, table: OrderedDict, key: str, what: str):
-        """The resident entry under ``key``, freshly used; else NotResident."""
-        if key not in table:
-            raise NotResident(f"{what} {key[:12]} not resident", key=key)
-        table.move_to_end(key)
-        return table[key]
+    def get(self, *wants: tuple[OrderedDict, str, str]) -> list:
+        """The resident entries ``(table, key, what)`` names, freshly used;
+        else :class:`NotResident` naming every missing key, so one refusal
+        gets a command all it lacks."""
+        missing = [(key, what) for table, key, what in wants if key not in table]
+        if missing:
+            raise NotResident(
+                ", ".join(f"{what} {key[:12]}" for key, what in missing) + " not resident",
+                keys=[key for key, _ in missing],
+            )
+        for table, key, _ in wants:
+            table.move_to_end(key)
+        return [table[key] for table, key, _ in wants]
 
     def attach(self, spec) -> Arena:
         """The arena ``spec`` names, mapped here on first sight."""
@@ -166,29 +174,28 @@ def _csr_from(arrays, nrows: int, ncols: int):
     return sp.csr_matrix((data, indices, indptr), shape=(nrows, ncols))
 
 
-def _handle_load_matrix(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
-    key = meta["key"]
-    if key in store.matrices:
-        store.matrices.move_to_end(key)
+def _load(store: SubdomainStore, table: OrderedDict, key: str, build) -> tuple[dict, list]:
+    """Store ``build()`` under ``key`` unless the rank holds it already."""
+    cached = key in table
+    if cached:
+        table.move_to_end(key)
         store.cached += 1
-        return {"stored": True, "cached": True, "key": key}, []
-    store.put(store.matrices, key,
-              _csr_from(arrays, int(meta["nrows"]), int(meta["ncols"])))
-    store.loads += 1
-    return {"stored": True, "cached": False, "key": key}, []
+    else:
+        store.put(table, key, build())
+        store.loads += 1
+    return {"stored": True, "cached": cached, "key": key}, []
+
+
+def _handle_load_matrix(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
+    return _load(store, store.matrices, meta["key"],
+                 lambda: _csr_from(arrays, int(meta["nrows"]), int(meta["ncols"])))
 
 
 def _handle_load_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
     from repro.factor.base import ILUFactorization
 
-    key = meta["key"]
-    if key in store.factors:
-        store.factors.move_to_end(key)
-        store.cached += 1
-        return {"stored": True, "cached": True, "key": key}, []
-    store.put(store.factors, key, ILUFactorization.from_wire(meta, arrays))
-    store.loads += 1
-    return {"stored": True, "cached": False, "key": key}, []
+    return _load(store, store.factors, meta["key"],
+                 lambda: ILUFactorization.from_wire(meta, arrays))
 
 
 def _handle_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
@@ -206,9 +213,9 @@ def _handle_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dic
     factor_key = meta["factor_key"]
     if factor_key in store.factors:
         store.cached += 1
-        fac, _ = store.get(store.factors, factor_key, "factor")
+        ((fac, _),) = store.get((store.factors, factor_key, "factor"))
     else:
-        a = store.get(store.matrices, matrix_key, "matrix")
+        (a,) = store.get((store.matrices, matrix_key, "matrix"))
         bf = meta.get("breakdown_frac")
         if meta["alg"] == "ilu0":
             fac = ilu0(a, shift=float(meta.get("shift", 0.0)), breakdown_frac=bf)
@@ -242,7 +249,7 @@ def _handle_matvec(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dic
     """``y = A_r @ x_sub``: the compacted input slice is in the arena."""
     from repro.kernels import apply as apply_kernels
 
-    a = store.get(store.matrices, meta["key"], "matrix")
+    (a,) = store.get((store.matrices, meta["key"], "matrix"))
     return _slot_op(store, meta, lambda x: apply_kernels.csr_matvec(a, x))
 
 
@@ -251,7 +258,7 @@ def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict
 
     Identical code path to the driver's
     :meth:`~repro.factor.base.ILUFactorization.solve` (fused SuperLU fast
-    path with probe, level-scheduled fallback), including the RCM
+    path, spec-loop fallback), including the RCM
     permutation round-trip when the factor was built in permuted order.
 
     A meta naming a resident ``matvec`` row block asks for ``[z; y]``, y
@@ -261,8 +268,11 @@ def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict
     from repro.factor.base import solve_permuted
     from repro.kernels.apply import csr_matvec
 
-    fac, perm = store.get(store.factors, meta["key"], "factor")
-    a = store.get(store.matrices, meta["matvec"], "matrix") if "matvec" in meta else None
+    wants = [(store.factors, meta["key"], "factor")]
+    if "matvec" in meta:
+        wants.append((store.matrices, meta["matvec"], "matrix"))
+    (fac, perm), *block = store.get(*wants)
+    a = block[0] if block else None
 
     def compute(r: np.ndarray) -> np.ndarray:
         z = solve_permuted(fac, perm, np.array(r))
@@ -321,7 +331,7 @@ def execute(store: SubdomainStore, payload: bytes) -> bytes:
         return pack_command(op, {
             "error": str(exc),
             "etype": type(exc).__name__,
-            **({"key": exc.context["key"]} if isinstance(exc, NotResident) else {}),
+            **({"keys": exc.context["keys"]} if isinstance(exc, NotResident) else {}),
             "seconds": perf_counter() - t0,
             "cpu_seconds": process_time() - c0,
         })

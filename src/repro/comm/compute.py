@@ -12,12 +12,12 @@ State is keyed by content hash (the factor cache's identity), and **the
 ranks are the only record of what they hold**.  A round goes out as it is;
 a rank whose store lacks the key the command names (never shipped, evicted
 by the rank's bounded store, or a new process after a respawn or an
-``absorb_rank`` recovery) answers :class:`~repro.resilience.errors.NotResident`.
-The round records every rank that refused, ships those ranks their entries
-in one LOAD round and repeats the op for them alone; a rank that refuses
-again is the typed fault.  So a warm op sends nothing but its own round, at
-any rank count, and a world leased from the pool re-ships only what its
-ranks lack.
+``absorb_rank`` recovery) answers :class:`~repro.resilience.errors.NotResident`,
+naming every key it lacks.  The round records every rank that refused,
+ships them their entries in one LOAD round per kind and repeats the op for
+them alone; a rank that refuses again is the typed fault.  So a warm op
+sends nothing but its own round, at any rank count, and a world leased
+from the pool re-ships only what its ranks lack.
 
 A **round** is one delivery round (:func:`repro.comm.delivery.deliver_round`,
 ``docs/robustness.md`` "The delivery round") with a ``CMD`` edge per
@@ -210,11 +210,15 @@ def _resident_round(
     load, **hooks,
 ) -> dict[int, tuple[dict, list]]:
     """A round over state the ranks should hold: the ranks that refuse are
-    shipped ``load(rank, key)``, the LOAD of the key each named, in one round,
-    and the op is repeated for them alone; a second refusal is the typed fault."""
+    shipped ``load(rank, key)`` for every key each named, one round per kind
+    of LOAD, and the op is repeated for them alone; a second refusal is the
+    typed fault."""
     out, refused = _round(comm, op, payloads, floor, **hooks)
     if refused:
-        ship(comm, {rank: load(rank, refused[rank]["key"]) for rank in sorted(refused)})
+        loads = [(rank, load(rank, key)) for rank in sorted(refused)
+                 for key in refused[rank]["keys"]]
+        for kind in sorted({payload[0] for _, payload in loads}):
+            ship(comm, {rank: payload for rank, payload in loads if payload[0] == kind})
         again, refused = _round(
             comm, op, {rank: payloads[rank] for rank in sorted(refused)},
             floor, **hooks)
@@ -324,7 +328,7 @@ def apply_matvec(
     """:func:`apply_factors`, each rank then multiplying its internal rows of
     ``dmat.rank_block`` (they read only its own z_r) in the same round:
     ``(z, y)``, y's interface rows left to ``dmat.matvec(comm, z, part=y)``.
-    A rank that lacks the block refuses naming it and is shipped it."""
+    A rank lacking the block, the factor or both refuses once, naming them."""
     src = {rank: r[layout.local_slice(rank)] for rank in sorted(keys)}
     metas = {rank: {"key": keys[rank]} for rank in sorted(keys)}
     rows = {rank: 0 for rank in sorted(keys)}

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.factor.ilu0 import ilu0
 from repro.graph.adjacency import graph_from_matrix
 from repro.resilience.errors import FactorizationBreakdown
@@ -112,13 +113,13 @@ class ArmsFactorization:
         self.shift = shift
         self.breakdown_frac = breakdown_frac
 
-        graph = graph_from_matrix(a_local)
-        gis = find_group_independent_sets(
-            graph,
-            max_group_size=group_size,
-            candidates=np.arange(n_internal, dtype=np.int64),
-            seed=seed,
-        )
+        with obs.span("setup.independent_sets", n=n):
+            gis = find_group_independent_sets(
+                graph_from_matrix(a_local),
+                max_group_size=group_size,
+                candidates=np.arange(n_internal, dtype=np.int64),
+                seed=seed,
+            )
         self.n = n
         self.n_internal = n_internal
         self.gis = gis
@@ -136,7 +137,8 @@ class ArmsFactorization:
 
         # exact inverse of every (small) group block, as one explicit
         # block-diagonal matrix for vectorized application
-        self.d_inv = _invert_group_blocks(self.D, gis.group_ptr, shift)
+        with obs.span("setup.block_inverses", groups=len(gis.group_ptr) - 1):
+            self.d_inv = _invert_group_blocks(self.D, gis.group_ptr, shift)
 
         # approximate expanded Schur complement with dropping
         if ng:

@@ -67,8 +67,9 @@ class ILUFactorization:
         """Apply (LU)^{-1}: forward then backward substitution.
 
         Both sweeps run fused through :class:`repro.kernels.apply.UnitSweeps`
-        (one compiled gstrs call on the numpy tier, probe-verified bitwise
-        against the scalar spec on first use — see docs/performance.md),
+        (one compiled gstrs call on the numpy tier, bitwise the scalar spec
+        by the operation-order argument of docs/algorithms.md and the
+        once-per-process check of :func:`repro.kernels.apply.gstrs_trusted`),
         bit-compatible with composing ``self.L.solve`` and ``self.U.solve``.
         """
         x = self.sweeps.solve(b)

@@ -27,7 +27,7 @@ Design points:
 
 What is built *from* cached factors — Schur blocks, rank stacks — is
 remembered beside them (:meth:`FactorCache.remember`), so a warm set-up
-reuses the stack and the probe verdict its sweeps already earned.  The memo
+reuses the stack and the gstrs slots its sweeps already built.  The memo
 lives and dies with its factors: keyed by their content keys plus whatever
 else determines the build (split points), dropped with any one of them
 (eviction, :meth:`~FactorCache.clear`, ``configure(enabled=False)``), and
@@ -153,8 +153,8 @@ class FactorCache:
         ``tag`` names what ``build`` makes from the factors and whatever
         else it depends on (split points).  While the cache holds every one
         of these factor objects, the first build is kept and returned to
-        every later caller — with whatever state it has since earned, such
-        as a stack's probe verdict.  Two threads that build at once both
+        every later caller — with whatever state it has since built, such
+        as a stack's gstrs slots.  Two threads that build at once both
         get the one that was stored first.  A factor the cache does not hold
         (cache disabled, fault-plan bypass, evicted, replaced) gets a fresh,
         unremembered build.

@@ -14,7 +14,7 @@ trailing blocks).  Schur 1 is built exactly this way.
 up from: the blocks of one factor, and all ranks' pairs as two rank-stacked
 sweeps.  Both are remembered beside the cached factors they come from
 (:meth:`repro.factor.cache.FactorCache.remember`), so a warm set-up reuses
-them and the probe verdict of their sweeps.
+them and the gstrs slots of their sweeps.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.factor.base import ILUFactorization
 from repro.factor.cache import get_cache
 from repro.sparse.triangular import FusedLU, TriangularFactor
@@ -82,16 +83,17 @@ def extract_schur_blocks(ilu: ILUFactorization, n_internal: int) -> SchurBlocks:
     n = ilu.n
     if not 0 <= n_internal <= n:
         raise ValueError(f"n_internal={n_internal} outside [0, {n}]")
-    u_diag = ilu.u_upper.diagonal()
-    u_strict = sp.triu(ilu.u_upper, k=1, format="csr")
-    return SchurBlocks(
-        n_internal=n_internal,
-        n_interface=n - n_internal,
-        LB=_triangular_block(ilu.l_strict, None, 0, n_internal, lower=True),
-        UB=_triangular_block(u_strict, u_diag, 0, n_internal, lower=False),
-        LS=_triangular_block(ilu.l_strict, None, n_internal, n, lower=True),
-        US=_triangular_block(u_strict, u_diag, n_internal, n, lower=False),
-    )
+    with obs.span("setup.schur_extract", n=n):
+        u_diag = ilu.u_upper.diagonal()
+        u_strict = sp.triu(ilu.u_upper, k=1, format="csr")
+        return SchurBlocks(
+            n_internal=n_internal,
+            n_interface=n - n_internal,
+            LB=_triangular_block(ilu.l_strict, None, 0, n_internal, lower=True),
+            UB=_triangular_block(u_strict, u_diag, 0, n_internal, lower=False),
+            LS=_triangular_block(ilu.l_strict, None, n_internal, n, lower=True),
+            US=_triangular_block(u_strict, u_diag, n_internal, n, lower=False),
+        )
 
 
 def schur_blocks(ilu: ILUFactorization, n_internal: int) -> SchurBlocks:
@@ -108,7 +110,7 @@ def stacked_schur_solves(
 ) -> tuple[FusedLU, FusedLU]:
     """All ranks' (L_B, U_B) and (L_S, U_S) pairs as two rank-stacked sweeps;
     ``blocks[r]`` are the Schur blocks of ``factors[r]``.  Remembered beside
-    the factors while the cache holds every one, probe verdicts included."""
+    the factors while the cache holds every one, gstrs slots included."""
     splits = tuple(b.n_internal for b in blocks)
     return get_cache().remember(
         factors, ("schur_stacks", splits),

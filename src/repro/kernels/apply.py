@@ -6,19 +6,13 @@ the same names and the same bit-compatibility contract:
 
 * ``"reference"`` — the interpreted scalar loops in
   :mod:`repro.kernels.applyspec`.
-* ``"numpy"`` — both unit sweeps of one preconditioner application
-  executed by a single call into scipy's compiled SuperLU ``gstrs``
-  routine.  Its column-oriented substitution performs, per unknown, the
-  identical sequence of multiply-subtract operations as the row-oriented
-  spec (ascending column order forward, descending backward — see
-  :mod:`repro.kernels.applyspec`), so the result is bitwise identical.
-  Because that identity rests on an external library's implementation
-  detail, it is *probe-verified*: the first application through each
-  prepared factor is recomputed with the interpreted spec and compared
-  bitwise; any mismatch drops that factor to the spec loops for good and
-  emits an ``apply.probe_mismatch`` observability event.  The spec loops
-  are also the fallback when SuperLU's private module moves or a factor
-  overflows its C-int index arrays.
+* ``"numpy"`` — both unit sweeps of one preconditioner application in a
+  single call into scipy's compiled SuperLU ``gstrs``, which gives each
+  unknown the spec's multiply-subtracts in the spec's order, so the same
+  bits (the argument: docs/algorithms.md, "Why gstrs is the spec").  What
+  the argument cannot see, how scipy was compiled, :func:`gstrs_trusted`
+  checks once per process; a mismatch, a moved private module or a C-int
+  overflow runs the spec loops.
 
 Matvec: scipy's compiled CSR product accumulates each row left-to-right
 into a scalar, matching ``applyspec.csr_matvec`` bitwise, so the numpy
@@ -29,8 +23,7 @@ Everything that is block-diagonal over ranks — the subdomain factors, the
 Schur blocks — is applied *stacked*: :func:`stack_csr` concatenates the
 per-rank triangles into one operator and one :class:`UnitSweeps` /
 one product serves all ranks.  Stacking keeps every row's storage order
-and every unknown's multiply-subtract sequence, so the bits cannot move;
-the probe runs once per stacked sweep.
+and every unknown's multiply-subtract sequence, so the bits cannot move.
 
 All sweeps here solve *unit* triangles.  Non-unit diagonals are handled by
 the factor objects (column-scale the strict triangle by ``invd`` at
@@ -41,7 +34,6 @@ both tiers share one elementwise scaling and the sweeps never divide.
 from __future__ import annotations
 
 import importlib
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -97,17 +89,29 @@ def resolve_tier() -> str:
 # -- SuperLU slot preparation -------------------------------------------------
 
 
-def _csc_slot(mat: sp.spmatrix):
-    """CSC arrays ``(nnz, data, indices, indptr)`` for one gstrs slot."""
-    csc = sp.csc_matrix(mat)
-    csc.sort_indices()
-    if csc.nnz > _INTC_MAX or csc.shape[0] > _INTC_MAX:
+def _slot(n: int, tri: sp.spmatrix | None, unit: bool):
+    """CSC ``(nnz, data, indices, indptr)`` of one gstrs slot: the strict
+    triangle ``tri`` (``None``: empty), with a unit diagonal at the head of
+    each column if ``unit``; ``None`` past C ints.  The diagonal is inserted,
+    not summed in: a sum drops stored zeros, whose products the spec
+    subtracts (``-0.0 - 0.0 * -1.0`` is ``+0.0``)."""
+    if tri is None:
+        data, indices, indptr = np.empty(0), np.empty(0, np.intc), np.zeros(n + 1, np.intc)
+    else:
+        csc = tri.tocsc()
+        csc.sort_indices()
+        data, indices, indptr = csc.data, csc.indices, csc.indptr
+    if unit:
+        data = np.insert(data, indptr[:-1], 1.0)
+        indices = np.insert(indices, indptr[:-1], np.arange(n))
+        indptr = indptr + np.arange(n + 1)
+    if data.size > _INTC_MAX or n > _INTC_MAX:
         return None
     return (
-        int(csc.nnz),
-        np.ascontiguousarray(csc.data, dtype=np.float64),
-        np.ascontiguousarray(csc.indices, dtype=np.intc),
-        np.ascontiguousarray(csc.indptr, dtype=np.intc),
+        int(data.size),
+        np.ascontiguousarray(data, dtype=np.float64),
+        np.ascontiguousarray(indices, dtype=np.intc),
+        np.ascontiguousarray(indptr, dtype=np.intc),
     )
 
 
@@ -118,13 +122,9 @@ def _gstrs_slots(n: int, lower: sp.csr_matrix | None, upper: sp.csr_matrix | Non
     diagonal present; the U factor's diagonal is implicit.  Passing the
     conventions the other way round silently produces garbage.  A missing
     triangle is the identity L slot / the all-zero U slot.  ``None`` when
-    gstrs is not importable or a slot overflows its C-int index arrays.
+    a slot overflows its C-int index arrays.
     """
-    if not superlu_available():
-        return None
-    eye = sp.eye(n, format="csc")
-    lslot = _csc_slot(eye if lower is None else eye + lower)
-    uslot = _csc_slot(sp.csc_matrix((n, n)) if upper is None else upper)
+    lslot, uslot = _slot(n, lower, True), _slot(n, upper, False)
     if lslot is None or uslot is None:
         return None
     return lslot, uslot
@@ -160,10 +160,9 @@ class UnitSweeps:
     ``lower`` / ``upper`` are strictly triangular CSR matrices with sorted
     indices; ``None`` stands for the identity, so a solo forward or
     backward sweep and the fused ILU apply are the same object.  On the
-    numpy tier the first solve prepares the gstrs slots and probes them
-    against the spec loops; this factor then stays on whichever path the
-    probe chose.  The probe runs once however many threads share the
-    object (a stack remembered by the factor cache is shared).
+    numpy tier, in a process whose gstrs passed :func:`gstrs_trusted`, the
+    first solve builds the gstrs slots (threads meeting there may both
+    build them, equal) and every solve is one gstrs call.
     """
 
     def __init__(
@@ -172,10 +171,7 @@ class UnitSweeps:
         self.n = n
         self.lower = lower
         self.upper = upper
-        self._slots: tuple = ()  # set before superlu_ok turns True
-        # None = gstrs not tried yet; False = this factor runs the spec loops
-        self.superlu_ok: bool | None = None
-        self._probe_lock = threading.Lock()
+        self._slots: tuple | None = None  # () = slots past C ints: run the spec
 
     def spec(self, b: np.ndarray) -> np.ndarray:
         """Both sweeps through the interpreted scalar spec."""
@@ -190,36 +186,82 @@ class UnitSweeps:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Tier-dispatched solve; ``b`` is not mutated."""
-        ok = self.superlu_ok
-        if ok is False or resolve_tier() == "reference":
+        if resolve_tier() == "reference" or not gstrs_trusted():
             return self.spec(b)
-        if ok is None:
-            with self._probe_lock:
-                if self.superlu_ok is None:
-                    return self._probe(b)
-            return self.solve(b)  # another thread's probe decided meanwhile
+        if self._slots is None:
+            self._slots = _gstrs_slots(self.n, self.lower, self.upper) or ()
+        if not self._slots:
+            return self.spec(b)
         return gstrs_sweeps(self.n, self._slots[0], self._slots[1], b)
 
-    def _probe(self, b: np.ndarray) -> np.ndarray:
-        """First numpy-tier solve: gstrs must exist, fit C ints and
-        reproduce the spec's bits, or this factor keeps to the spec."""
-        x = self.spec(b)
-        slots = _gstrs_slots(self.n, self.lower, self.upper)
-        if slots is None:
-            self.superlu_ok = False
-            return x
-        y = gstrs_sweeps(self.n, slots[0], slots[1], b)
-        self._slots = slots
-        self.superlu_ok = bool(np.array_equal(y, x))
-        if not self.superlu_ok:
-            if self.lower is not None and self.upper is not None:
-                obs.event("apply.probe_mismatch", kernel="ilu_fused", n=self.n)
-            else:
-                obs.event(
-                    "apply.probe_mismatch", kernel="triangular",
-                    n=self.n, lower=self.upper is None,
-                )
-        return x
+
+_trusted: bool | None = None  # the process's verdict; a forked child inherits it
+
+
+def gstrs_trusted() -> bool:
+    """Whether this process's gstrs gives the spec's bytes, decided at the
+    first call by :func:`_battery_mismatch` (a mismatch emits an
+    ``apply.gstrs_mismatch`` event).  Unlocked, so that a fork can never
+    inherit it held: threads meeting at the very first call each run the
+    battery and reach the same verdict."""
+    global _trusted
+    if _trusted is None:
+        if not superlu_available():
+            return False
+        shape = _battery_mismatch()
+        if shape is not None:
+            obs.event("apply.gstrs_mismatch", shape=shape[0], sweeps=shape[1])
+        _trusted = shape is None
+    return _trusted
+
+
+def _battery() -> list[tuple[str, sp.csr_matrix, sp.csr_matrix, np.ndarray]]:
+    """The check's fixed systems ``(shape, L, U, b)``: n = 1, no entries,
+    stored zeros that decide a sign, a dense and a random sparse pair, and
+    all of them stacked with an empty block.  Values and right-hand sides
+    are salted with signed zeros and subnormals."""
+    rng = np.random.default_rng(2003)
+    salt = [1.0, 1.0, 1.0, 0.0, -0.0, 1e-310]
+    systems = [(
+        "signed zeros",
+        sp.csr_matrix(([0.0, -0.0], [0, 2], [0, 0, 1, 1, 2, 2, 2]), shape=(6, 6)),
+        sp.csr_matrix(([0.0, -0.0], [3, 5], [0, 0, 0, 1, 1, 2, 2]), shape=(6, 6)),
+        np.array([-1.0, -0.0, -0.0, 2.0, -0.0, 3.0]),
+    )]
+    for shape, n, density in (
+        ("n=1", 1, 0), ("no entries", 5, 0), ("dense", 12, 1), ("sparse", 40, 0.1),
+    ):
+        values = rng.standard_normal((n, n)) * rng.choice(salt, (n, n))
+        keep = rng.random((n, n)) < density
+        lower, upper = (  # every kept entry stored, zeros included
+            sp.csr_matrix((values[m], np.nonzero(m)[1], counts_to_indptr(m.sum(1))), shape=(n, n))
+            for m in (np.tril(keep, -1), np.triu(keep, 1))
+        )
+        systems.append((shape, lower, upper, rng.standard_normal(n) * rng.choice(salt, n)))
+    blocks = systems[:2] + [("", sp.csr_matrix((0, 0)), sp.csr_matrix((0, 0)), np.empty(0))]
+    blocks += systems[2:]
+    systems.append((
+        "stacked", stack_csr([s[1] for s in blocks]), stack_csr([s[2] for s in blocks]),
+        np.concatenate([s[3] for s in blocks]),
+    ))
+    return systems
+
+
+def _battery_mismatch() -> tuple[str, str] | None:
+    """``(shape, sweeps)`` of the first :func:`_battery` system on which
+    gstrs and the spec differ in a byte, else ``None``; each system is swept
+    fused, lower only and upper only."""
+    for shape, lower, upper, b in _battery():
+        n = len(b)
+        low, upp = _slot(n, lower, True), _slot(n, upper, False)
+        for sweeps, slots, tri in (
+            ("lower+upper", (low, upp), (lower, upper)),
+            ("lower", (low, _slot(n, None, False)), (lower, None)),
+            ("upper", (_slot(n, None, True), upp), (None, upper)),
+        ):
+            if gstrs_sweeps(n, *slots, b).tobytes() != UnitSweeps(n, *tri).spec(b).tobytes():
+                return shape, sweeps
+    return None
 
 
 # -- rank stacking -------------------------------------------------------------

@@ -123,7 +123,8 @@ class BlockPreconditioner(ParallelPreconditioner):
         self._apply_charge = Charge(comm.size, self._apply_flops)
         if variant == "krylov":
             # the inner operator, in natural order, of all ranks stacked
-            self._a_hat = stack_csr(dmat.owned_square)
+            with obs.span("setup.stack"):
+                self._a_hat = stack_csr(dmat.owned_square)
             self._a_flops = [2.0 * a.nnz for a in dmat.owned_square]
 
     def apply(self, r: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro import faults
+from repro import faults, obs
 from repro.comm import compute as worker_compute
 from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
@@ -136,12 +136,13 @@ class LocalSolver:
 
     def _stack(self, layout: Layout) -> None:
         """All ranks' factors as one fused pair — remembered beside cached
-        factors, probe verdict included — and (RCM) the orders they were
+        factors, gstrs slots included — and (RCM) the orders they were
         built in as one permutation of the distributed vector."""
-        self._fused = factor_cache.get_cache().remember(
-            self.factors, ("local.fused",),
-            lambda: FusedLU.stacked([f.L for f in self.factors], [f.U for f in self.factors]),
-        )
+        with obs.span("setup.stack"):
+            self._fused = factor_cache.get_cache().remember(
+                self.factors, ("local.fused",),
+                lambda: FusedLU.stacked([f.L for f in self.factors], [f.U for f in self.factors]),
+            )
         if any(p is not None for p in self.perms):
             self._perm = np.concatenate([
                 lo + (np.arange(f.n) if p is None else p)

@@ -28,7 +28,7 @@ one stacked B product and one stacked (L_B, U_B) sweep per inner iteration
 for all ranks, each rank with its own Hessenberg, its own dots on its own
 slice and its own early exit.  The Schur blocks and both sweep stacks are
 remembered beside the cached factors they come from
-(:meth:`~repro.factor.cache.FactorCache.remember`), probe verdict included.
+(:meth:`~repro.factor.cache.FactorCache.remember`), gstrs slots included.
 """
 
 from __future__ import annotations
@@ -96,11 +96,12 @@ class Schur1Preconditioner(ParallelPreconditioner):
 
         # the operators of all ranks, stacked
         blocks, sbs = dmat.blocks, self.schur_blocks
-        self._B = stack_csr([b.B for b in blocks])
-        self._F = stack_csr([b.F for b in blocks])
-        self._E = stack_csr([b.E for b in blocks])
-        self._C = stack_csr([b.C for b in blocks])
-        self._solve_b, self._solve_s = stacked_schur_solves(factors, sbs)
+        with obs.span("setup.stack"):
+            self._B = stack_csr([b.B for b in blocks])
+            self._F = stack_csr([b.F for b in blocks])
+            self._E = stack_csr([b.E for b in blocks])
+            self._C = stack_csr([b.C for b in blocks])
+            self._solve_b, self._solve_s = stacked_schur_solves(factors, sbs)
         self._coupled_rows = dmat.coupled_rows(self._ifc_layout)
         # where each rank's internal / interface unknowns sit in a distributed
         # vector, and where its internal ones sit in the stacked B system

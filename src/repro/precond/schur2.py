@@ -110,7 +110,8 @@ class Schur2Preconditioner(ParallelPreconditioner):
 
         # the expanded Schur operator of all ranks, stacked, and its cost
         finals = [f.final for f in self.arms]
-        self._s_hat = stack_csr([f.s_hat for f in finals])
+        with obs.span("setup.stack"):
+            self._s_hat = stack_csr([f.s_hat for f in finals])
         self._coupled_rows = dmat.coupled_rows(self._exp_layout)
         # neighbors only ever see the interdomain-interface slice
         self._ifc_slices = [
@@ -130,7 +131,8 @@ class Schur2Preconditioner(ParallelPreconditioner):
         if global_ilu == "block":
             # an empty expanded block has no factor and nothing to solve
             ilus = [f.s_ilu for f in finals if f.s_ilu is not None]
-            self._solve_s = FusedLU.stacked([f.L for f in ilus], [f.U for f in ilus])
+            with obs.span("setup.stack"):
+                self._solve_s = FusedLU.stacked([f.L for f in ilus], [f.U for f in ilus])
             self._precond_charge = Charge(
                 comm.size, [f.solve_s_flops() for f in finals]
             )

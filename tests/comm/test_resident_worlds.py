@@ -82,8 +82,8 @@ def case():
 class TestReuse:
     def test_second_solve_ships_and_probes_nothing(self, case, tmp_path, monkeypatch):
         """The second ``solve_case`` on one world leaves every rank's
-        ``store.loads`` where it was and runs no ``gstrs`` probe: the
-        factors stay resident with their verdicts."""
+        ``store.loads`` where it was and prepares no ``gstrs`` slots: the
+        factors stay resident with their slots."""
         log = tmp_path / "calls"
 
         def logged(tag, fn):
@@ -94,8 +94,8 @@ class TestReuse:
             return wrapper
 
         # the ranks are forked after this, so they run the logged methods
-        monkeypatch.setattr(apply_kernels.UnitSweeps, "_probe",
-                            logged("probe", apply_kernels.UnitSweeps._probe))
+        monkeypatch.setattr(apply_kernels, "_gstrs_slots",
+                            logged("slots", apply_kernels._gstrs_slots))
         monkeypatch.setattr(worker.SubdomainStore, "put",
                             logged("load", worker.SubdomainStore.put))
 
@@ -107,7 +107,7 @@ class TestReuse:
         world = _idle_world()
         pids = {world.rank_pid(rank) for rank in range(2)}
         before = rank_calls(pids)
-        assert {line.split()[0] for line in before} == {"load", "probe"}
+        assert {line.split()[0] for line in before} == {"load", "slots"}
         with obs.tracing() as tracer:
             second = solve_case(case, "block1", nparts=2, backend="multiprocess")
         assert rank_calls(pids) == before

@@ -160,3 +160,48 @@ def test_a_rank_without_the_row_block_is_shipped_it():
         assert y.tobytes() == dmat.matvec(comm, z).tobytes()
     finally:
         comm.close()
+
+
+def test_a_rank_without_factor_or_row_block_refuses_once():
+    """After a set-up whose factors all came from the cache, a fresh world's
+    ranks hold nothing: the first fused step finds each rank lacking its
+    factor *and* its row block.  Each rank refuses once, naming both; both
+    are shipped and the step is repeated, with the in-process bits."""
+    case = build_case("tc1", 17)
+    dmat = stages.distribute(case, 2)
+    inproc, _ = stages.set_up("block1", dmat, Communicator(2), case)
+    v = np.linspace(-1.0, 1.0, dmat.shape[0])
+    want_z = inproc.apply(v)
+    want_y = dmat.matvec(Communicator(2), want_z)
+    warm = Communicator(2, backend="multiprocess")
+    stages.set_up("block1", dmat, warm, case)  # the ranks' factors, cached
+    warm.close()
+    pool.drain()
+    comm = Communicator(2, backend="multiprocess")
+    try:
+        hits = factor_cache.stats()["hits"]
+        precond, _ = stages.set_up("block1", dmat, comm, case)
+        assert factor_cache.stats()["hits"] == hits + 2
+        with obs.tracing() as tracer:
+            z, y = precond.fused_step()(v)
+        rounds = _events(tracer, "comm.worker.round")
+        assert sorted(e["attrs"]["op"] for e in rounds[:2]) == ["load-factor", "load-matrix"]
+        assert [e["attrs"]["op"] for e in rounds[2:]] == ["apply"]
+        assert z.tobytes() == want_z.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+    finally:
+        comm.close()
+
+
+def test_a_fresh_world_maps_one_arena_per_rank():
+    """The first vector op sizes each rank's arena for the whole solve: the
+    fused APPLY's ``[z; internal rows]`` fits the arena the initial
+    residual's MATVEC made."""
+    case = build_case("tc1", 33)
+    ref = solve_case(case, "block1", nparts=2)
+    pool.drain()
+    with obs.tracing() as tracer:
+        out = solve_case(case, "block1", nparts=2, backend="multiprocess")
+    arenas = _events(tracer, "comm.backend.arena")
+    assert sorted(e["attrs"]["rank"] for e in arenas) == [0, 1]
+    assert out.x_global.tobytes() == ref.x_global.tobytes()

@@ -2,14 +2,16 @@
 
 The contract (docs/performance.md, "Apply phase"): both tiers of the
 triangular sweeps, the fused ILU apply and the CSR matvec produce
-bit-identical output, and a factor whose compiled sweep cannot be trusted
-falls back to the spec loops.  These tests compare raw arrays with
-``np.array_equal`` — no tolerances anywhere.
+bit-identical output, and a process whose compiled sweep cannot be trusted
+runs the spec loops.  These tests compare raw arrays with
+``np.array_equal`` or as bytes — no tolerances anywhere.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernels, obs
 from repro.factor.ilu0 import ilu0
@@ -44,7 +46,7 @@ class TestTriangularTierEquivalence:
         a = _test_matrix()
         fac = factorizer(a)
         _assert_tiers_bitwise(fac, rng.standard_normal(a.shape[0]))
-        assert fac.sweeps.superlu_ok is apply_kernels.superlu_available()
+        assert bool(fac.sweeps._slots) is apply_kernels.gstrs_trusted()
 
     def test_solo_sweeps_bitwise_across_tiers(self, rng):
         a = _test_matrix(seed=11)
@@ -204,59 +206,81 @@ class _FlippedGstrs:
         return x, info
 
 
-def _probe_events(tracer):
+def _mismatch_events(tracer):
     return [
         e["attrs"] for span in tracer.spans for e in span.events
-        if e["name"] == "apply.probe_mismatch"
+        if e["name"] == "apply.gstrs_mismatch"
     ]
 
 
+@pytest.fixture()
+def unchecked(monkeypatch):
+    """This process's gstrs verdict forgotten for the test, restored after."""
+    monkeypatch.setattr(apply_kernels, "_trusted", None)
+
+
 class TestProbeVerification:
-    def test_probe_runs_once_and_accepts(self, rng, monkeypatch):
-        calls = []
-        orig = apply_kernels.gstrs_sweeps
+    """gstrs is trusted by argument plus one battery per process
+    (docs/algorithms.md, "Why gstrs is the spec"), not probed per factor."""
 
-        def counting(*args, **kw):
-            calls.append(1)
-            return orig(*args, **kw)
-
-        monkeypatch.setattr(apply_kernels, "gstrs_sweeps", counting)
-        fac = ilut(_test_matrix(seed=23), 1e-4, 15)
-        b = rng.standard_normal(fac.n)
+    def test_probe_runs_once_and_accepts(self, rng, monkeypatch, unchecked):
+        """The battery runs at the first numpy-tier sweep of the process and
+        never again; after it every solve of every factor is one gstrs call
+        and no interpreted pass."""
+        checks = []
+        battery = apply_kernels._battery_mismatch
+        monkeypatch.setattr(
+            apply_kernels, "_battery_mismatch", lambda: checks.append(1) or battery()
+        )
+        facs = [ilut(_test_matrix(seed=seed), 1e-4, 15) for seed in (23, 24)]
+        b = rng.standard_normal(facs[0].n)
+        with kernels.forced_tier("reference"):
+            refs = [fac.solve(b) for fac in facs]
+        assert checks == []
         with kernels.forced_tier("numpy"):
-            x1 = fac.solve(b)
-            x2 = fac.solve(b)
-        assert np.array_equal(x1, x2)
-        assert fac.sweeps.superlu_ok is True
-        assert len(calls) == 2  # probe compares, it does not re-run gstrs
+            facs[0].solve(b)
+            assert checks == [1]
+            calls, passes = [], []
+            gstrs, forward = apply_kernels.gstrs_sweeps, applyspec.forward_unit
+            monkeypatch.setattr(
+                apply_kernels, "gstrs_sweeps", lambda *a: calls.append(1) or gstrs(*a)
+            )
+            monkeypatch.setattr(
+                applyspec, "forward_unit", lambda *a: passes.append(1) or forward(*a)
+            )
+            xs = [fac.solve(b) for fac in facs for _ in range(2)]
+        assert checks == [1] and apply_kernels.gstrs_trusted() is True
+        assert len(calls) == 4 and passes == []
+        assert [x.tobytes() for x in xs] == [r.tobytes() for r in refs for _ in range(2)]
 
-    @pytest.mark.parametrize("pick,attrs", [
-        pytest.param(lambda fac: fac, {"kernel": "ilu_fused"}, id="fused"),
-        pytest.param(
-            lambda fac: fac.L, {"kernel": "triangular", "lower": True}, id="L"
-        ),
-        pytest.param(
-            lambda fac: fac.U, {"kernel": "triangular", "lower": False}, id="U"
-        ),
+    @pytest.mark.parametrize("pick", [
+        pytest.param(lambda fac: fac, id="fused"),
+        pytest.param(lambda fac: fac.L, id="L"),
+        pytest.param(lambda fac: fac.U, id="U"),
     ])
-    def test_probe_mismatch_falls_back(self, rng, monkeypatch, pick, attrs):
-        """A gstrs that stops being bit-identical is dropped, not trusted:
-        one event, the spec's bits, and no further gstrs call for that factor."""
+    def test_probe_mismatch_falls_back(self, rng, monkeypatch, unchecked, pick):
+        """A gstrs that differs from the spec on the battery is not trusted
+        for anything: whichever sweep runs first, the process emits one
+        event naming the shape, and every sweep — the fused one and both
+        solo ones, on any factor — returns the spec's bits with no further
+        gstrs call."""
         flipped = _FlippedGstrs()
         monkeypatch.setattr(apply_kernels, "_superlu", lambda: flipped)
-        fac = pick(ilut(_test_matrix(seed=29), 1e-4, 15))
+        fac = ilut(_test_matrix(seed=29), 1e-4, 15)
+        other = ilu0(_test_matrix(seed=30))
+        sweeps = [pick(fac), fac, fac.L, fac.U, other]
         b = rng.standard_normal(fac.n)
         with kernels.forced_tier("reference"):
-            ref = fac.solve(b)
+            refs = [f.solve(b) for f in sweeps]
         with obs.tracing() as tracer, tracer.span("apply"):
             with kernels.forced_tier("numpy"):
-                xs = [fac.solve(b) for _ in range(3)]
-        assert all(np.array_equal(x, ref) for x in xs)
-        assert flipped.calls == 1
-        assert fac.sweeps.superlu_ok is False
-        assert _probe_events(tracer) == [{"n": fac.n, **attrs}]
+                xs = [f.solve(b) for f in sweeps for _ in range(2)]
+        assert [x.tobytes() for x in xs] == [r.tobytes() for r in refs for _ in range(2)]
+        assert flipped.calls == 1  # the battery's first comparison
+        assert _mismatch_events(tracer) == [{"shape": "signed zeros", "sweeps": "lower+upper"}]
+        assert all(f.sweeps._slots is None for f in sweeps)
 
-    def test_missing_superlu_runs_the_spec_silently(self, rng, monkeypatch):
+    def test_missing_superlu_runs_the_spec_silently(self, rng, monkeypatch, unchecked):
         monkeypatch.setattr(apply_kernels, "_superlu", lambda: None)
         fac = ilut(_test_matrix(seed=31), 1e-4, 15)
         b = rng.standard_normal(fac.n)
@@ -266,10 +290,12 @@ class TestProbeVerification:
             with kernels.forced_tier("numpy"):
                 got = [f.solve(b) for f in (fac, fac.L, fac.U)]
         assert all(np.array_equal(x, r) for x, r in zip(got, refs))
-        assert fac.sweeps.superlu_ok is False
-        assert _probe_events(tracer) == []
+        assert fac.sweeps._slots is None
+        assert _mismatch_events(tracer) == []
+        assert apply_kernels._trusted is None  # nothing was checked
 
     def test_intc_overflow_runs_the_spec(self, rng, monkeypatch):
+        assert apply_kernels.gstrs_trusted()
         monkeypatch.setattr(apply_kernels, "_INTC_MAX", 10)
         fac = ilut(_test_matrix(seed=37), 1e-4, 15)
         b = rng.standard_normal(fac.n)
@@ -277,7 +303,61 @@ class TestProbeVerification:
             ref = fac.solve(b)
         with kernels.forced_tier("numpy"):
             assert np.array_equal(fac.solve(b), ref)
-        assert fac.sweeps.superlu_ok is False
+        assert fac.sweeps._slots == ()
+
+    def test_the_battery_sees_a_dropped_stored_zero(self, monkeypatch):
+        """The slot builder before the check summed ``I + L`` and so dropped
+        L's stored zeros; the spec subtracts their products, and one decides
+        a sign (``-0.0 - 0.0 * -1.0`` is ``+0.0``).  The battery names it."""
+        def summed(n, tri, unit):
+            if not unit:
+                return slot(n, tri, unit)
+            m = sp.csc_matrix(sp.eye(n) + (sp.csc_matrix((n, n)) if tri is None else tri))
+            m.sort_indices()
+            return m.nnz, m.data, m.indices.astype(np.intc), m.indptr.astype(np.intc)
+
+        slot = apply_kernels._slot
+        assert apply_kernels._battery_mismatch() is None
+        monkeypatch.setattr(apply_kernels, "_slot", summed)
+        assert apply_kernels._battery_mismatch() == ("signed zeros", "lower+upper")
+
+
+@st.composite
+def _unit_triangles(draw):
+    """A strict triangle pair with stored zeros, signed zeros and
+    subnormals among its values, and a right-hand side salted the same way."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    special = np.array([0.0, -0.0, 5e-324, -3e-310, 1e300])
+
+    def salted(shape):
+        v = rng.standard_normal(shape)
+        pick = rng.random(shape) < 0.2
+        v[pick] = rng.choice(special, int(pick.sum()))
+        return v
+
+    def stored(mask):  # every kept entry stored, zeros included
+        indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+        return sp.csr_matrix((values[mask], np.nonzero(mask)[1], indptr), shape=(n, n))
+
+    values, keep = salted((n, n)), rng.random((n, n)) < density
+    return n, stored(np.tril(keep, -1)), stored(np.triu(keep, 1)), salted(n)
+
+
+@given(_unit_triangles(), st.sampled_from(["lower+upper", "lower", "upper"]))
+@settings(max_examples=80, deadline=None)
+def test_gstrs_is_the_spec_byte_for_byte(system, sweeps):
+    """One gstrs call reproduces the interpreted spec's bytes on random unit
+    triangles, dense ones included (the argument of docs/algorithms.md)."""
+    n, lower, upper, b = system
+    low = None if sweeps == "upper" else lower
+    upp = None if sweeps == "lower" else upper
+    slots = apply_kernels._gstrs_slots(n, low, upp)
+    got = apply_kernels.gstrs_sweeps(n, slots[0], slots[1], b)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 overflows, inf - inf
+        want = apply_kernels.UnitSweeps(n, low, upp).spec(b)
+    assert got.tobytes() == want.tobytes()
 
 
 def _chain(n, rng):

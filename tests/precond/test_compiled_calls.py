@@ -7,8 +7,9 @@ microsecond kernel.  What bounds both is one stacked sweep / product per
 phase instead of one per rank — counted here, at P = 8 with the default
 iteration counts, so that a reintroduced per-rank loop fails a test and not
 a memory graph.  A preconditioner built on warm factors also inherits the
-stacks — and their probe verdicts — of the one built before it, so its
-first apply runs no interpreted sweep at all.
+stacks — and their gstrs slots — of the one built before it, so its first
+apply prepares nothing; no apply runs an interpreted sweep once the
+process has checked its gstrs.
 """
 
 import numpy as np
@@ -51,7 +52,7 @@ def _calls_per_apply(dmat, monkeypatch, name, params=None):
     case, dmat = dmat
     m = make_preconditioner(name, dmat, Communicator(P), case, params)
     r = np.random.default_rng(0).standard_normal(dmat.pm.layout.total)
-    m.apply(r)  # every sweep is probed and prepared
+    m.apply(r)  # every sweep is prepared
     sweeps = _Counting(apply_kernels._superlu(), "gstrs")
     products = _Counting(apply_kernels._sparsetools(), "csr_matvec")
     monkeypatch.setattr(apply_kernels, "_superlu", lambda: sweeps)
@@ -119,23 +120,27 @@ def warm_cache():
 
 @pytest.mark.parametrize("name,stacks", [("schur1", 2), ("block2", 1)])
 def test_warm_factors_keep_their_probe(dmat, monkeypatch, warm_cache, name, stacks):
-    """The first set-up probes each stacked sweep once (one interpreted
-    pass); a second one on the same, now warm, factors gets the very same
-    stacks and runs zero spec-loop passes."""
+    """What a new stack pays at its first apply is its gstrs slots, once per
+    stacked sweep, and no interpreted pass (the process checked its gstrs
+    once, before); a second set-up on the same, now warm, factors gets the
+    very same stacks and prepares nothing."""
     case, dmat = dmat
     r = np.random.default_rng(1).standard_normal(dmat.pm.layout.total)
+    assert apply_kernels.gstrs_trusted()
     passes = _Counting(applyspec, "forward_unit")
     monkeypatch.setattr(applyspec, "forward_unit", passes.forward_unit)
+    slots = _Counting(apply_kernels, "_gstrs_slots")
+    monkeypatch.setattr(apply_kernels, "_gstrs_slots", slots._gstrs_slots)
 
     def build_and_apply():
         m = make_preconditioner(name, dmat, Communicator(P), case, None)
         return m, m.apply(r)
 
     first, z_first = build_and_apply()
-    assert passes.calls == stacks
+    assert (slots.calls, passes.calls) == (stacks, 0)
     before = warm_cache.stats()
     second, z_second = build_and_apply()
-    assert passes.calls == stacks
+    assert (slots.calls, passes.calls) == (stacks, 0)
     after = warm_cache.stats()
     assert after["stack_misses"] == before["stack_misses"]
     assert after["stack_hits"] > before["stack_hits"]
