@@ -93,8 +93,9 @@ def make_parser() -> argparse.ArgumentParser:
                        help="wrap the solve in the retry/fallback chain "
                        "(docs/robustness.md)")
     solve.add_argument("--checkpoint-dir", default=None,
-                       help="snapshot the FGMRES iterate at restarts into "
-                       "this directory (repro.ckpt.v1)")
+                       help="snapshot the FGMRES iterate into this directory "
+                       "(repro.ckpt.v1) at the end of each restart cycle the "
+                       "solve does not converge in")
     solve.add_argument("--checkpoint-every", type=int, default=1,
                        help="restart cycles between snapshots")
     solve.add_argument("--restore", action="store_true",

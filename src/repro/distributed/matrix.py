@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Callable, Generic, NamedTuple, TypeVar
 
 from repro import faults, obs
 from repro.comm import compute as worker_compute
@@ -35,6 +35,43 @@ from repro.perfmodel.costs import Charge
 from repro.resilience.errors import NumericalFault
 from repro.sparse.blocksplit import BlockSplit, split_2x2
 from repro.utils.validation import ensure_csr
+
+T = TypeVar("T")
+
+
+class shared_property(Generic[T]):
+    """A value derived from the distribution alone, built at first use and
+    kept in the instance: racing builders each build, and every one gets
+    the value stored first (``functools.cached_property`` takes no lock
+    from Python 3.12 on, so its racing builders keep their own)."""
+
+    def __init__(self, build: Callable[..., T]) -> None:
+        self._build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        # after the first store the instance attribute shadows this
+        return obj.__dict__.setdefault(self._name, self._build(obj))
+
+
+class Stack(NamedTuple):
+    """One kind of block of every rank, stacked (``stack_csr``, read-only),
+    and the flops each rank is charged for its block's product."""
+
+    a: sp.csr_matrix
+    flops: tuple[float, ...]
+
+
+def _stack(blocks: list[sp.csr_matrix]) -> Stack:
+    a = apply_kernels.stack_csr(blocks)
+    for arr in (a.data, a.indices, a.indptr):
+        arr.flags.writeable = False  # a remembered distribution is shared
+    return Stack(a, tuple(2.0 * b.nnz for b in blocks))
 
 
 @dataclass(frozen=True)
@@ -184,12 +221,54 @@ class DistributedMatrix:
                 return self._matvec_charged(comm, x, part)
         return self._matvec_charged(comm, x, part)
 
-    @cached_property
+    @shared_property
     def _interface_rows(self) -> tuple[np.ndarray, sp.csr_matrix]:
         """Where the interface rows sit (only coupled ranks have any), and
         those rows of the fused operator, each in its storage order."""
         rows = self.coupled_rows(self.pm.layout)
         return rows, ensure_csr(self._fused[rows])
+
+    # -- stacks of the rank blocks, built once per distribution --------------
+
+    @shared_property
+    def split_stacks(self) -> tuple[Stack, Stack, Stack, Stack]:
+        """Eq. (4)'s B, F, E and C of every rank, each stacked — Schur 1's
+        operators."""
+        blocks = self.blocks
+        return (
+            _stack([b.B for b in blocks]), _stack([b.F for b in blocks]),
+            _stack([b.E for b in blocks]), _stack([b.C for b in blocks]),
+        )
+
+    @shared_property
+    def owned_stack(self) -> Stack:
+        """Every rank's owned square block, stacked — Block K's inner
+        operator Â."""
+        return _stack(self.owned_square)
+
+    @shared_property
+    def split_rows(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """Where every rank's internal, then its interface, unknowns sit in a
+        distributed vector, and where each rank's internal ones start in the
+        stacked B system (with the total last)."""
+        splits = [sd.n_internal for sd in self.pm.subdomains]
+        ptr = self.pm.layout.rank_ptr
+        internal = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            np.arange(lo, lo + n) for lo, n in zip(ptr, splits)
+        ])
+        interface = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            np.arange(lo + n, hi) for lo, n, hi in zip(ptr, splits, ptr[1:])
+        ])
+        for arr in (internal, interface):
+            arr.flags.writeable = False
+        return internal, interface, tuple(np.concatenate(([0], np.cumsum(splits))).tolist())
+
+    @shared_property
+    def interface_coupled_rows(self) -> np.ndarray:
+        """:meth:`coupled_rows` of the interface layout (``pm.interface_layout``)."""
+        rows = self.coupled_rows(self.pm.interface_layout)
+        rows.flags.writeable = False
+        return rows
 
     def _matvec_charged(self, comm: Communicator, x: np.ndarray, part) -> np.ndarray:
         comm.ledger.add_charge(self._matvec_charge)

@@ -81,6 +81,11 @@ class ILUFactorization:
         """Flop count of one forward+backward solve (for the perf model)."""
         return float(self.L.flops() + self.U.flops())
 
+    def setup_flops(self) -> float:
+        """Rough factorization cost: each L entry triggers one U-row update."""
+        avg_u_row = self.u_upper.nnz / max(self.n, 1)
+        return 2.0 * self.l_strict.nnz * avg_u_row + 2.0 * self.nnz
+
     # -- the wire codec: the only definition of a factor's layout on a pipe --
 
     def to_wire(self, key: str, perm: np.ndarray | None = None) -> tuple[dict, list]:

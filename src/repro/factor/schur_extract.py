@@ -10,9 +10,10 @@ ILU of A_i provide, for free, both an approximate solver for B_i (the leading
 blocks) and an approximate solver for the local Schur complement S_i (the
 trailing blocks).  Schur 1 is built exactly this way.
 
-:func:`schur_blocks` and :func:`stacked_schur_solves` are what Schur 1 sets
-up from: the blocks of one factor, and all ranks' pairs as two rank-stacked
-sweeps.  Both are remembered beside the cached factors they come from
+:func:`schur_blocks`, :func:`stacked_schur_solves` and :func:`schur_charges`
+are what Schur 1 sets up from: the blocks of one factor, all ranks' pairs as
+two rank-stacked sweeps, and what those cost the ranks.  All are remembered
+beside the cached factors they come from
 (:meth:`repro.factor.cache.FactorCache.remember`), so a warm set-up reuses
 them and the gstrs slots of their sweeps.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +30,7 @@ import scipy.sparse as sp
 from repro import obs
 from repro.factor.base import ILUFactorization
 from repro.factor.cache import get_cache
+from repro.perfmodel.costs import Charge
 from repro.sparse.triangular import FusedLU, TriangularFactor
 from repro.utils.validation import ensure_csr
 
@@ -119,3 +121,34 @@ def stacked_schur_solves(
             FusedLU.stacked([b.LS for b in blocks], [b.US for b in blocks]),
         ),
     )
+
+
+class SchurCharges(NamedTuple):
+    """What Schur 1's factors cost the ranks, per rank or as a phase."""
+
+    setup: Charge
+    solve_b_flops: tuple[float, ...]  # one (L_B, U_B) sweep
+    matvec: Charge  # one S-matvec: its block products and one (L_B, U_B) sweep
+    solve_s: Charge  # one (L_S, U_S) sweep
+
+
+def schur_charges(
+    factors: Sequence[ILUFactorization], blocks: Sequence[SchurBlocks],
+    products: tuple[float, ...],
+) -> SchurCharges:
+    """The :class:`SchurCharges` of ``factors`` (with their Schur ``blocks``),
+    an S-matvec's block products costing rank r ``products[r]`` flops.
+    Remembered beside the factors while the cache holds every one."""
+    splits = tuple(b.n_internal for b in blocks)
+
+    def build() -> SchurCharges:
+        size = len(factors)
+        solve_b = tuple(b.solve_b_flops() for b in blocks)
+        return SchurCharges(
+            Charge(size, [fac.setup_flops() for fac in factors]),
+            solve_b,
+            Charge(size, [p + s for p, s in zip(products, solve_b)]),
+            Charge(size, [b.solve_s_flops() for b in blocks]),
+        )
+
+    return get_cache().remember(factors, ("schur_charges", splits, products), build)

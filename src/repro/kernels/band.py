@@ -118,6 +118,11 @@ def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s):
     wflat = np.zeros(lead + nb * n)
     rows = csr_row_ids(n, indptr)
     wflat[base[rows] + indices + (indices >= s) * jump[rows]] = data
+    # the leading columns whole rows may hold an entry in: those of A, and
+    # every column an update of a whole row writes (a superset does no harm,
+    # a zero never passes the drop test)
+    tail_live = np.zeros(n, dtype=bool)
+    tail_live[indices[rows >= s]] = True
     dpos = base + ar
     if shift:
         wflat[dpos] += shift
@@ -132,7 +137,7 @@ def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s):
     u_cols, u_vals, l_rows, l_vals = [[None] * n for _ in range(4)]
     diags = [0.0] * n
     floored = 0
-    np_abs, item, cat, nnz = np.abs, wflat.item, np.concatenate, np.count_nonzero
+    np_abs, item, cat = np.abs, wflat.item, np.concatenate
 
     for k in range(n):
         if k == s:  # rows >= s are whole: the square window from here on
@@ -163,8 +168,8 @@ def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s):
 
         # ---- column k of L, then one rank-1 update of rows x cols ----
         col, tc = wflat[b + pitch: b + pitch * m + 1: pitch], taus[k + 1: k + 1 + m]
-        if nb and nnz(tail := wflat[lead + k::n]):  # on down the whole rows
-            col, tc = cat((col, tail)), cat((tc, tail_taus))
+        if nb and tail_live[k]:  # on down the whole rows
+            col, tc = cat((col, wflat[lead + k::n])), cat((tc, tail_taus))
         col = col / diag
         lr = (np_abs(col) > tc).nonzero()[0]
         lv = col[lr]
@@ -178,6 +183,8 @@ def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s):
                 r, c = _translate(k, lr, m, s), _translate(k, uc, ub, s)
                 idx = base[r][:, None] + c + (c >= s) * jump[r][:, None]
                 wflat[idx] = wflat[idx] - lv[:, None] * uv
+                if lr[-1] >= m:
+                    tail_live[c] = True
 
     return u_cols, u_vals, l_rows, l_vals, np.asarray(diags), floored
 

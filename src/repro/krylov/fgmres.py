@@ -242,11 +242,12 @@ def _cycle(
                 x[run.sl] = x_prev[s]
                 run.finish(x, "diverged")
                 continue
+            if run.beta <= run.mon.threshold:
+                run.finish(x, "converged")  # nothing resumes from it: no hook
+                continue
             if on_restart is not None:
                 on_restart(run.iters, x[run.sl])
-            if run.beta <= run.mon.threshold:
-                run.finish(x, "converged")
-            elif run.breakdown and run.beta >= beta_prev * (1.0 - 1e-12):
+            if run.breakdown and run.beta >= beta_prev * (1.0 - 1e-12):
                 run.finish(x, "stagnated")  # Krylov space exhausted, no progress
             elif run.iters >= maxiter:
                 run.finish(x, "maxiter")
@@ -280,8 +281,11 @@ def fgmres(
     ``restart`` is the cycle length m (paper: 20); convergence is
     ‖r‖ ≤ max(rtol ‖r_0‖, atol) (paper: rtol = 1e-6); ``maxiter < 1`` takes
     no step.  ``on_restart(iterations, x)`` is the checkpoint hook: called
-    after the true-residual recompute at the end of each cycle, once the
-    iterate is known to be finite, so a later fault can resume from it.
+    after the true-residual recompute at the end of each cycle that a
+    resume could start from — one the solve goes on from, or one it stops
+    in unconverged (``maxiter``, ``stagnated``) — once the iterate is known
+    to be finite.  A converged cycle returns its iterate instead, and a
+    diverged one the previous iterate, so neither calls it.
     """
     return _cycle(
         lambda v, live: apply_a(v), b, [0, len(b)],

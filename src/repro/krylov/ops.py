@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Protocol
 
@@ -30,6 +31,20 @@ def fixed_tree_sum(parts) -> float:
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
+
+
+@functools.cache
+def tree_plan(n: int) -> tuple[tuple[int, int], ...]:
+    """:func:`fixed_tree_sum`'s pairing of ``n`` partials as in-place adds,
+    in order: after ``p[i] += p[j]`` for each ``(i, j)``, ``p[0]`` is the
+    tree sum of a list ``p`` of Python floats, bit for bit (each pair's
+    left operand holds its subtree's sum; the adds are the same, in the
+    same order).  Built once per rank count."""
+    steps, heads = [], list(range(n))
+    while len(heads) > 1:
+        steps += [(heads[i], heads[i + 1]) for i in range(0, len(heads) - 1, 2)]
+        heads = heads[::2]
+    return tuple(steps)
 
 
 def vector_norm(x: np.ndarray) -> float:

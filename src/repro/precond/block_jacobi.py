@@ -31,7 +31,7 @@ from repro.distributed.matrix import DistributedMatrix
 from repro.factor.base import ILUFactorization
 from repro.graph.adjacency import graph_from_matrix
 from repro.graph.rcm import reverse_cuthill_mckee
-from repro.kernels.apply import csr_matvec, stack_csr
+from repro.kernels.apply import csr_matvec
 from repro.krylov.fgmres import fgmres_lockstep
 from repro.krylov.ops import CountingOps
 from repro.perfmodel.costs import Charge
@@ -41,10 +41,16 @@ from repro.resilience.errors import InnerSolveDivergence
 from repro.sparse.reorder import apply_symmetric_permutation
 
 
-def estimate_ilu_setup_flops(fac: ILUFactorization) -> float:
-    """Rough factorization cost: each L entry triggers one U-row update."""
-    avg_u_row = fac.u_upper.nnz / max(fac.n, 1)
-    return 2.0 * fac.l_strict.nnz * avg_u_row + 2.0 * fac.nnz
+def _charges(
+    size: int, factors: list[ILUFactorization]
+) -> tuple[Charge, tuple[float, ...], Charge]:
+    """What the factors cost the ranks: the set-up, and one sweep (per rank
+    and as a charge)."""
+    sweep = tuple(f.solve_flops() for f in factors)
+    return (
+        Charge(size, [f.setup_flops() for f in factors]),
+        sweep, Charge(size, sweep),
+    )
 
 
 class BlockPreconditioner(ParallelPreconditioner):
@@ -110,22 +116,21 @@ class BlockPreconditioner(ParallelPreconditioner):
         )
         self.where = self.local_solver.where
         self.factors = self.local_solver.factors
-        setup = np.zeros(comm.size)
         for r, fac in enumerate(self.factors):
             if fac.stats.floored_pivots:
                 obs.event(
                     "factor.stats", rank=r, precond=variant,
                     floored_pivots=fac.stats.floored_pivots, n=fac.stats.n,
                 )
-            setup[r] = estimate_ilu_setup_flops(fac)
-        self._charge_setup(setup)
-        self._apply_flops = np.asarray([f.solve_flops() for f in self.factors])
-        self._apply_charge = Charge(comm.size, self._apply_flops)
+        setup, self._apply_flops, self._apply_charge = self.local_solver.remember(
+            ("block.charges",), lambda: _charges(comm.size, self.factors),
+        )
+        comm.ledger.add_charge(setup)
         if variant == "krylov":
             # the inner operator, in natural order, of all ranks stacked
+            # (once per distribution)
             with obs.span("setup.stack"):
-                self._a_hat = stack_csr(dmat.owned_square)
-            self._a_flops = [2.0 * a.nnz for a in dmat.owned_square]
+                self._a_hat, self._a_flops = dmat.owned_stack
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         if self.variant == "krylov":

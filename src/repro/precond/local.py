@@ -25,7 +25,7 @@ round ships it by content key and repeats, and only then.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +39,8 @@ from repro.factor.base import ILUFactorization
 from repro.factor.ilu0 import _check_breakdown, ilu0
 from repro.factor.ilut import ilut
 from repro.sparse.triangular import FusedLU
+
+T = TypeVar("T")
 
 
 def _factor(
@@ -133,6 +135,12 @@ class LocalSolver:
                 if cache.enabled:
                     cache.put(self.keys[r], factors[r])
         return [factors[r] for r in range(len(matrices))]
+
+    def remember(self, tag: tuple, build: Callable[[], T]) -> T:
+        """``build()`` of what follows from the factors alone, remembered
+        beside them while the cache holds every one
+        (:meth:`~repro.factor.cache.FactorCache.remember`)."""
+        return factor_cache.get_cache().remember(self.factors, tag, build)
 
     def _stack(self, layout: Layout) -> None:
         """All ranks' factors as one fused pair — remembered beside cached

@@ -24,7 +24,6 @@ from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
 from repro.perfmodel.costs import Charge
 from repro.precond.base import ParallelPreconditioner
-from repro.precond.block_jacobi import estimate_ilu_setup_flops
 from repro.utils.validation import ensure_csr
 
 
@@ -97,7 +96,7 @@ class OverlappingBlockPreconditioner(ParallelPreconditioner):
             block = ensure_csr(a_global[ext][:, ext])
             fac = ilu0(block) if variant == "ilu0" else ilut(block, drop_tol, fill)
             self.factors.append(fac)
-            setup[r] = estimate_ilu_setup_flops(fac)
+            setup[r] = fac.setup_flops()
             # one-time neighbor fetch of the overlap rows
             setup_bytes[r] = 16.0 * (block.nnz - dmat.owned_square[r].nnz)
         self.comm.ledger.add_phase(setup, msgs_per_rank=2.0, bytes_per_rank=setup_bytes)

@@ -19,16 +19,19 @@ FGMRES.
 Execution is fused, cost is per rank (the
 :class:`~repro.distributed.matrix.DistributedMatrix` idiom): everything here
 is block-diagonal over ranks, so B, F, E, C, Ē and the (L_B, U_B) /
-(L_S, U_S) pairs are stacked once at set-up and one S-matvec is three
+(L_S, U_S) pairs are stacked and one S-matvec is three
 products, one sweep and one exchange whatever P is — with the bits of the
 per-rank loop, and its per-rank flops charged as a constant.  The inner
 solves of steps 1 and 3 run in lockstep (:func:`~repro.krylov.fgmres_lockstep`,
 the FGMRES cycle Block K's inner solves and the step-2 ``fgmres`` run too):
 one stacked B product and one stacked (L_B, U_B) sweep per inner iteration
 for all ranks, each rank with its own Hessenberg, its own dots on its own
-slice and its own early exit.  The Schur blocks and both sweep stacks are
-remembered beside the cached factors they come from
-(:meth:`~repro.factor.cache.FactorCache.remember`), gstrs slots included.
+slice and its own early exit.  B, F, E and C are stacked once per
+distribution (:attr:`~repro.distributed.matrix.DistributedMatrix.split_stacks`);
+the Schur blocks, both sweep stacks and their charges are remembered beside
+the cached factors they come from
+(:meth:`~repro.factor.cache.FactorCache.remember`), gstrs slots included, so
+a warm set-up stacks nothing.
 """
 
 from __future__ import annotations
@@ -40,13 +43,16 @@ from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
 from repro.distributed.ops import DistributedOps
 from repro.factor.ilut import ilut
-from repro.factor.schur_extract import SchurBlocks, schur_blocks, stacked_schur_solves
-from repro.kernels.apply import csr_matvec, stack_csr
+from repro.factor.schur_extract import (
+    SchurBlocks,
+    schur_blocks,
+    schur_charges,
+    stacked_schur_solves,
+)
+from repro.kernels.apply import csr_matvec
 from repro.krylov.fgmres import fgmres, fgmres_lockstep
 from repro.krylov.ops import CountingOps
-from repro.perfmodel.costs import Charge
 from repro.precond.base import ParallelPreconditioner
-from repro.precond.block_jacobi import estimate_ilu_setup_flops
 from repro.resilience.errors import InnerSolveDivergence
 
 
@@ -75,7 +81,6 @@ class Schur1Preconditioner(ParallelPreconditioner):
 
         factors = []
         self.schur_blocks: list[SchurBlocks] = []
-        setup = np.zeros(comm.size)
         for r, sd in enumerate(self.pm.subdomains):
             fac = ilut(
                 dmat.owned_square[r], drop_tol, fill,
@@ -88,42 +93,32 @@ class Schur1Preconditioner(ParallelPreconditioner):
                     "factor.stats", rank=r, precond="schur1",
                     floored_pivots=fac.stats.floored_pivots, n=fac.stats.n,
                 )
-            setup[r] = estimate_ilu_setup_flops(fac)
-        self._charge_setup(setup)
 
         self._ifc_layout = self.pm.interface_layout
         self._ifc_ops = DistributedOps(comm, self._ifc_layout)
 
-        # the operators of all ranks, stacked
-        blocks, sbs = dmat.blocks, self.schur_blocks
+        # the operators of all ranks, stacked: B, F, E and C once per
+        # distribution, the (L_B, U_B) / (L_S, U_S) sweeps beside the factors
         with obs.span("setup.stack"):
-            self._B = stack_csr([b.B for b in blocks])
-            self._F = stack_csr([b.F for b in blocks])
-            self._E = stack_csr([b.E for b in blocks])
-            self._C = stack_csr([b.C for b in blocks])
-            self._solve_b, self._solve_s = stacked_schur_solves(factors, sbs)
-        self._coupled_rows = dmat.coupled_rows(self._ifc_layout)
+            B, F, E, C = dmat.split_stacks
+            self._solve_b, self._solve_s = stacked_schur_solves(factors, self.schur_blocks)
+        self._B, self._F, self._E, self._C = B.a, F.a, E.a, C.a
+        self._coupled_rows = dmat.interface_coupled_rows
         # where each rank's internal / interface unknowns sit in a distributed
         # vector, and where its internal ones sit in the stacked B system
-        splits = [sd.n_internal for sd in self.pm.subdomains]
-        ptr = self.pm.layout.rank_ptr
-        self._internal = np.concatenate([np.empty(0, dtype=np.int64)] + [
-            np.arange(lo, lo + n) for lo, n in zip(ptr, splits)
-        ])
-        self._interface = np.concatenate([np.empty(0, dtype=np.int64)] + [
-            np.arange(lo + n, hi) for lo, n, hi in zip(ptr, splits, ptr[1:])
-        ])
-        self._b_ptr = np.concatenate(([0], np.cumsum(splits))).tolist()
+        self._internal, self._interface, self._b_ptr = dmat.split_rows
         # ... and what the ranks are charged for them, product by product
-        self._b_flops = [2.0 * b.B.nnz for b in blocks]
-        self._lu_b_flops = [s.solve_b_flops() for s in sbs]
-        self._e_flops = [2.0 * b.E.nnz for b in blocks]
-        self._f_flops = [2.0 * b.F.nnz for b in blocks]
-        self._matvec_charge = Charge(comm.size, [
-            2.0 * (b.F.nnz + b.C.nnz + b.E.nnz + g.nnz) + s.solve_b_flops()
-            for b, g, s in zip(blocks, dmat.ghost_coupling, sbs)
-        ])
-        self._precond_charge = Charge(comm.size, [s.solve_s_flops() for s in sbs])
+        self._b_flops, self._e_flops, self._f_flops = B.flops, E.flops, F.flops
+        # 2·nnz(F + C + E + Ē) per rank: integers below 2**53, so summing
+        # the per-block flops is exact
+        products = tuple(
+            f + c + e + 2.0 * g.nnz
+            for f, c, e, g in zip(F.flops, C.flops, E.flops, dmat.ghost_coupling)
+        )
+        charges = schur_charges(factors, self.schur_blocks, products)
+        self._lu_b_flops = charges.solve_b_flops
+        self._matvec_charge, self._precond_charge = charges.matvec, charges.solve_s
+        comm.ledger.add_charge(charges.setup)
 
     # -- subdomain-local approximate B solves (steps 1 and 3) ----------------
 

@@ -40,6 +40,7 @@ import contextlib
 import resource
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -218,6 +219,9 @@ def run_job(record: JobRecord, ctx: RunnerContext) -> None:
         return
 
     record.transition("running", worker=record.worker)
+    # the job's spool directory exists while it runs; a snapshot lands in it
+    # only for a cycle the job could resume from, never the converged one
+    Path(record.checkpoint_dir).mkdir(parents=True, exist_ok=True)
     obs.event("service.dispatch", job=record.job_id, tenant=spec.tenant,
               worker=record.worker, precond=spec.precond)
 

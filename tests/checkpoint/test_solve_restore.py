@@ -1,4 +1,5 @@
-"""A restored ``solve_case`` numbers its snapshots on from the one it read.
+"""A restored ``solve_case`` numbers its snapshots on from the one it read,
+and only a cycle the solve does not converge in is snapshotted.
 
 Snapshot steps count the whole job's iterations.  Numbered by the resumed
 run's own count instead, a resumed run shorter than the one before it
@@ -39,3 +40,31 @@ def test_restore_from_an_empty_directory_numbers_from_zero(tmp_path):
     mgr = CheckpointManager(tmp_path, prefix="solve")
     assert mgr.steps() == [20, 40]
     np.testing.assert_array_equal(mgr.load_latest()["x"], out.x_global)
+
+
+def test_a_converged_solve_snapshots_only_its_unconverged_cycles(tmp_path):
+    """Nothing resumes from a converged cycle, so it writes no snapshot; a
+    restore from the newest one (the last unconverged cycle) finishes the
+    solve with the same bytes and status."""
+    case = CASE_BUILDERS["tc1"](17)
+    solve = dict(precond="block1", nparts=3, restart=20, rtol=1e-10)
+    first = solve_case(case, checkpoint_dir=str(tmp_path), **solve)
+    assert first.status == "converged" and first.iterations == 45
+    mgr = CheckpointManager(tmp_path, prefix="solve")
+    assert mgr.steps() == [20, 40]
+    assert mgr.load_latest().meta["iterations"] < first.iterations
+
+    again = solve_case(case, checkpoint_dir=str(tmp_path), restore=True, **solve)
+    assert again.status == first.status
+    assert again.iterations == first.iterations - 40
+    assert again.x_global.tobytes() == first.x_global.tobytes()
+    assert mgr.steps() == [20, 40]
+
+
+def test_a_solve_converged_in_its_first_cycle_writes_nothing(tmp_path):
+    case = CASE_BUILDERS["tc1"](17)
+    out = solve_case(case, precond="schur1", nparts=3,
+                     checkpoint_dir=str(tmp_path / "ckpt"))
+    assert out.status == "converged" and out.iterations < 20
+    assert CheckpointManager(tmp_path / "ckpt", prefix="solve").steps() == []
+    assert not (tmp_path / "ckpt").exists()

@@ -13,6 +13,7 @@ from repro.comm.communicator import Communicator, RetryPolicy
 from repro.comm.delivery import deliver_round
 from repro.distributed.matrix import distribute_matrix
 from repro.distributed.partition_map import PartitionMap
+from repro.factor import cache as factor_cache
 from repro.fem.assembly import assemble_load, assemble_stiffness
 from repro.fem.boundary import apply_dirichlet
 from repro.graph.adjacency import graph_from_elements
@@ -22,12 +23,16 @@ from repro.resilience.errors import CommFault
 
 
 @pytest.fixture(autouse=True)
-def _no_idle_worlds():
-    """Every test starts and ends without idle rank worlds: a world one
-    test leaves in the pool must not carry state into the next."""
+def _fresh_process_state():
+    """Every test starts and ends without idle rank worlds and with an empty
+    factor cache (the stacks remembered beside its factors go with them):
+    a world or a factor one test leaves behind must not carry state into
+    the next, so a set-up hits the cache only where the test warmed it."""
     pool.drain()
+    factor_cache.get_cache().clear()
     yield
     pool.drain()
+    factor_cache.get_cache().clear()
 
 
 @pytest.fixture(scope="session")

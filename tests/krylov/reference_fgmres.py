@@ -4,8 +4,10 @@ byte-compared against, the way ``loop_schur1_apply`` keeps Schur 1's
 per-rank loop.
 
 Word for word the deleted body, less its ``monitor=`` argument and the
-stall-window branch only a hand-built monitor could arm; it shares the MGS +
-Givens step and the back-substitution with the cycle, as it did then.
+stall-window branch only a hand-built monitor could arm, and with
+``on_restart`` called only at the end of a cycle that does not converge
+(nothing resumes from a converged one); it shares the MGS + Givens step and
+the back-substitution with the cycle, as it did then.
 """
 
 from __future__ import annotations
@@ -53,9 +55,11 @@ def reference_fgmres(
         Relative residual reduction target (paper: 1e-6).
     on_restart:
         Called as ``on_restart(iterations, x)`` after the true-residual
-        recompute at the end of each cycle, once the iterate is known to be
-        finite.  The checkpoint hook: callers snapshot ``x`` here so a later
-        fault can resume from the last completed cycle.
+        recompute at the end of each cycle that ends unconverged, once the
+        iterate is known to be finite.  The checkpoint hook: callers
+        snapshot ``x`` here so a later fault can resume from the last
+        completed cycle; a converged cycle's iterate is returned, not
+        snapshotted.
     """
     if restart < 1:
         raise ValueError("restart must be >= 1")
@@ -153,10 +157,10 @@ def reference_fgmres(
                 x=x_prev, iterations=iters, status="diverged",
                 residuals=mon.residuals,
             )
-        if on_restart is not None:
-            on_restart(iters, x)
         converged = beta <= mon.threshold
         if not converged:
+            if on_restart is not None:
+                on_restart(iters, x)
             if breakdown and beta >= beta_prev * (1.0 - 1e-12):
                 status = "stagnated"  # Krylov space exhausted with no progress
                 break

@@ -5,7 +5,8 @@ replaced lives on in ``reference_fgmres``.  Both run on the same system and
 must agree on x (as bytes), status, iterations, residual history, the
 ``CountingOps`` flops, every operator call (its kind and the bytes it was
 handed), the ``krylov.*`` and ``resilience.detected`` events in order with
-their attributes, and the ``on_restart`` calls (iterations and x as bytes).
+their attributes, and the ``on_restart`` calls (iterations and x as bytes),
+which come only at the end of a cycle the solve does not converge in.
 The systems hit every way the loop ends: ``x0``, ``atol > 0``, fused and
 split steps, restarts, ``maxiter = 0``, no rows, NaN at the first residual,
 overflow in the Hessenberg update, divergence at a restart and a singular
@@ -99,7 +100,25 @@ def _assert_same(system, **kw):
     assert calls == want_calls
     assert events == want_events
     assert restarts == want_restarts
+    _assert_hook_contract(got, events, restarts)
     return got, events
+
+
+def _assert_hook_contract(res, events, restarts):
+    """``on_restart`` sees the end of every cycle a resume could start from
+    and no other: a cycle that converges, or diverges at its true residual,
+    ends the solve without it, and a solve that stops unconverged hands its
+    last hook the iterate it returns."""
+    ends = sum(name == "krylov.restart" for name, _ in events)
+    unresumable = res.status == "converged" or any(
+        "fgmres.restart" in attrs for _, attrs in events
+    )
+    assert len(restarts) == ends - (1 if unresumable and ends else 0)
+    assert all(k < res.iterations for k, _ in restarts[:-1])
+    if res.status in ("maxiter", "stagnated") and ends:
+        assert restarts[-1] == (res.iterations, res.x.tobytes())
+    if res.status == "converged":
+        assert all(k < res.iterations for k, _ in restarts)
 
 
 @st.composite

@@ -1,10 +1,15 @@
 """Fixed-order pairwise tree reduction: the deterministic-dot contract."""
 
+import struct
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.krylov.ops import fixed_tree_sum
+from repro.comm.communicator import Communicator
+from repro.distributed.layout import Layout
+from repro.distributed.ops import DistributedOps
+from repro.krylov.ops import fixed_tree_sum, tree_plan
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e12, max_value=1e12)
@@ -47,3 +52,43 @@ class TestFixedTreeSum:
                 nxt.append(vals[-1])
             vals = nxt
         assert fixed_tree_sum(parts) == vals[0]
+
+
+#: partials as a rank's dot can return them: signed zeros, both infinities
+#: and NaN included
+PARTIALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+)
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+class TestTreePlan:
+    @given(parts=st.lists(PARTIALS, min_size=1, max_size=9))
+    @settings(max_examples=400, deadline=None)
+    def test_the_plan_is_the_tree_to_the_bit(self, parts):
+        p = [float(v) for v in parts]
+        for i, j in tree_plan(len(p)):
+            p[i] += p[j]
+        assert _bits(p[0]) == _bits(fixed_tree_sum(parts))
+
+    @given(data=st.data(), nranks=st.integers(min_value=1, max_value=9))
+    @settings(max_examples=200, deadline=None)
+    def test_distributed_dot_is_the_tree_of_rank_partials_to_the_bit(
+        self, data, nranks
+    ):
+        sizes = data.draw(st.lists(
+            st.integers(min_value=0, max_value=4), min_size=nranks, max_size=nranks))
+        n = sum(sizes)
+        x = np.array(data.draw(st.lists(PARTIALS, min_size=n, max_size=n)), dtype=float)
+        y = np.array(data.draw(st.lists(PARTIALS, min_size=n, max_size=n)), dtype=float)
+        lay = Layout.from_sizes(sizes)
+        comm = Communicator(nranks)
+        with np.errstate(all="ignore"):
+            got = DistributedOps(comm, lay).dot(x, y)
+            want = fixed_tree_sum([np.dot(x[s], y[s]) for s in lay.slices])
+        assert _bits(got) == _bits(want)
+        assert (comm.ledger.allreduces, comm.ledger.total_flops) == (1, 2.0 * n)

@@ -3,7 +3,7 @@
 cache.  The factor kernels and the cache must be safe under concurrent
 callers — same factors bit for bit, no race report — and so must the stacks
 the cache remembers beside warm factors: every thread gets the one stack,
-and none runs an interpreted sweep.
+and none runs an interpreted sweep.  So must the stacks a distribution keeps.
 """
 
 import sys
@@ -15,6 +15,8 @@ from repro.analysis import sanitize
 from repro.analysis.determinism import _digest
 from repro.analysis.sanitize import race
 from repro.comm.communicator import Communicator
+from repro.distributed import matrix as matrix_module
+from repro.distributed.matrix import distribute_matrix
 from repro.factor import cache as factor_cache
 from repro.kernels import apply as apply_kernels
 from repro.kernels import applyspec
@@ -171,3 +173,31 @@ def test_warm_stacks_are_shared_and_probed_once(partitioned_poisson, armed, monk
     stats = armed.stats()
     assert stats["misses"] == 0
     assert stats["stack_hits"] >= NTHREADS * (nranks + 1)
+
+
+def test_racing_set_ups_share_the_distributions_stacks(
+    partitioned_poisson, poisson_system, monkeypatch
+):
+    """Four Schur 1 set-ups race on a distribution nothing has stacked yet,
+    all four inside the build at once (each waits for the others at its
+    first stack): every one ends up with the one B, F, E, C the
+    distribution keeps — racing builders each build, and the first value
+    stored is everyone's."""
+    pm = partitioned_poisson[0]
+    dmat = distribute_matrix(poisson_system[0], pm)
+    met, entered = threading.Barrier(NTHREADS), threading.local()
+    stack = matrix_module._stack
+
+    def all_inside(blocks):
+        if not getattr(entered, "done", False):
+            entered.done = True
+            met.wait(timeout=60)
+        return stack(blocks)
+
+    monkeypatch.setattr(matrix_module, "_stack", all_inside)
+    results = _run_threads(lambda i: Schur1Preconditioner(dmat, Communicator(pm.num_ranks)))
+
+    assert not [x for x in results if isinstance(x, BaseException)], results
+    stacks = dmat.split_stacks
+    for M in results:
+        assert all(a is s.a for a, s in zip((M._B, M._F, M._E, M._C), stacks))

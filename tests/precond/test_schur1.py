@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from repro.cases.poisson2d import poisson2d_case
 from repro.comm.communicator import Communicator
+from repro.core import stages
 from repro.distributed.matrix import distribute_matrix
+from repro.kernels import apply as apply_kernels
+from repro.kernels.apply import stack_csr
 from repro.krylov.fgmres import fgmres
 from repro.precond.schur1 import Schur1Preconditioner
 from repro.resilience.errors import InnerSolveDivergence
+from repro.sparse import triangular
 
 
 @pytest.fixture()
@@ -121,3 +126,40 @@ def test_local_divergence_names_the_lowest_rank(partitioned_poisson, poisson_sys
     assert (comm.ledger.counts(), comm.ledger.per_rank_flops.tobytes()) == (
         before[0], before[1].tobytes()
     )
+
+
+def test_a_warm_set_up_stacks_nothing(monkeypatch):
+    """B, F, E and C are stacked once per distribution, the sweeps and
+    their charges once per set of cached factors: a new distribution of
+    warm factors stacks each of its operators exactly once (its Ē coupling
+    at distribution), and a second set-up on it stacks nothing — with the
+    charges of a cold one."""
+    case = poisson2d_case(n=17)
+    cold = Communicator(4)
+    Schur1Preconditioner(stages.distribute(case, 4), cold)
+    case.forget_distributions()
+
+    calls = []
+
+    def spy(blocks):
+        calls.append([id(b) for b in blocks])
+        return stack_csr(blocks)
+
+    monkeypatch.setattr(apply_kernels, "stack_csr", spy)
+    monkeypatch.setattr(triangular, "stack_csr", spy)
+    dmat = stages.distribute(case, 4)
+    Schur1Preconditioner(dmat, Communicator(4))
+    blocks = dmat.blocks
+    assert calls == [
+        [id(g) for r, g in enumerate(dmat.ghost_coupling) if r in dmat.coupled_ranks],
+        [id(b.B) for b in blocks], [id(b.F) for b in blocks],
+        [id(b.E) for b in blocks], [id(b.C) for b in blocks],
+    ]
+
+    del calls[:]
+    warm = Communicator(4)
+    M = Schur1Preconditioner(dmat, warm)
+    assert calls == []
+    assert M._B is dmat.split_stacks[0].a
+    assert warm.ledger.counts() == cold.ledger.counts()
+    assert warm.ledger.per_rank_flops.tobytes() == cold.ledger.per_rank_flops.tobytes()

@@ -18,6 +18,7 @@ import pytest
 
 from repro import faults
 from repro.cases import build_case
+from repro.checkpoint import CheckpointManager
 from repro.comm.backends import make_backend
 from repro.comm.communicator import RetryPolicy
 from repro.resilience import ResilientSolver
@@ -252,6 +253,40 @@ class TestWorkerDeath:
         stats = worker_stats(svc, "worker-0")
         assert stats["respawns"] == 0 and stats["pid"] == pid
         assert stats["state"] == "dead"
+
+
+class TestDeathAfterConvergence:
+    def test_a_worker_killed_after_convergence_converges_on_retry(
+        self, tmp_path, monkeypatch
+    ):
+        """The converged cycle is never snapshotted: a worker that dies
+        between convergence and its reply costs a retry from the job's
+        last unconverged snapshot (iteration 200 of 219), which converges
+        to the relres of a job nobody killed."""
+        died = tmp_path / "died"
+        solve = runner.solve_chunk
+
+        def solve_then_die(case, kwargs):
+            chunk = solve(case, kwargs)
+            if chunk.converged and not died.exists():
+                died.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return chunk
+
+        # patched before the fork, so the worker processes run it
+        monkeypatch.setattr(runner, "solve_chunk", solve_then_die)
+        with service(tmp_path, workers=1) as svc:
+            victim = svc.submit(JobSpec(**LONG))
+            assert svc.wait(victim.job_id, timeout=120.0).status == "converged"
+            control = svc.submit(JobSpec(**LONG))
+            assert svc.wait(control.job_id, timeout=120.0).status == "converged"
+        assert died.exists()
+        assert [a["kind"] for a in victim.attempts].count("worker") == 1
+        assert [a["kind"] for a in control.attempts] == ["primary"] * 3
+        assert victim.final_relres == control.final_relres
+        assert victim.iterations == control.iterations == 219
+        steps = CheckpointManager(victim.checkpoint_dir, prefix="solve").steps()
+        assert steps and max(steps) == 200
 
 
 # -- fault plans lent to one chunk at a time -------------------------------------------
