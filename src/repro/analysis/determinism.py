@@ -195,11 +195,6 @@ def _factor_digest(blocks: Sequence[sp.csr_matrix], tier: str) -> str:
     return h.hexdigest()
 
 
-def available_tiers() -> tuple[str, ...]:
-    """The kernel tiers this process can force."""
-    return kernels.available_tiers()
-
-
 def check_determinism(
     cases: Sequence[TestCase],
     nparts: int = 4,
@@ -221,7 +216,7 @@ def check_determinism(
 
     ``checks`` selects a subset of :data:`CHECK_KINDS` (default: all).
     """
-    tiers = tuple(tiers) if tiers is not None else available_tiers()
+    tiers = tuple(tiers) if tiers is not None else kernels.available_tiers()
     selected = tuple(checks) if checks is not None else CHECK_KINDS
     for kind in selected:
         if kind not in CHECK_KINDS:

@@ -527,11 +527,8 @@ def cmd_verify_protocol(args: argparse.Namespace) -> int:
 
 
 def cmd_check_determinism(args: argparse.Namespace) -> int:
-    from repro.analysis.determinism import (
-        CHECK_KINDS,
-        available_tiers,
-        check_determinism,
-    )
+    from repro import kernels
+    from repro.analysis.determinism import CHECK_KINDS, check_determinism
 
     cases = [
         _build_case(key.strip(), args.size)
@@ -541,7 +538,7 @@ def cmd_check_determinism(args: argparse.Namespace) -> int:
         raise SystemExit("no cases given")
     tiers = ([t for t in args.tiers.split(",") if t]
              if args.tiers is not None else None)
-    known = available_tiers()
+    known = kernels.available_tiers()
     for t in tiers or ():
         if t not in known:
             raise SystemExit(

@@ -196,7 +196,7 @@ class DistributedMatrix:
         for arr in (a.data, a.indices, a.indptr, cols):
             arr.flags.writeable = False  # a remembered distribution is shared
         blk = RankBlock(
-            key=FactorCache.key("matvec-block", a, (lo, hi), family="worker-ship"),
+            key=FactorCache.key("matvec-block", a, (lo, hi)),
             a=a,
             cols=cols,
             own=int(np.searchsorted(cols, lo)),

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.kernels.apply import UnitSweeps
+from repro.resilience.errors import FactorizationBreakdown
 from repro.sparse.triangular import TriangularFactor
 from repro.utils.validation import ensure_csr
 
@@ -31,6 +33,23 @@ class FactorStats:
     @property
     def floored_fraction(self) -> float:
         return self.floored_pivots / max(self.n, 1)
+
+
+def check_breakdown(
+    where: str, floored: int, n: int, breakdown_frac: float | None, shift: float
+) -> None:
+    """Shared floored-fraction breakdown test for the ILU variants."""
+    if breakdown_frac is None or floored <= breakdown_frac * n:
+        return
+    obs.event(
+        "resilience.detected", kind="breakdown", where=where,
+        floored=floored, n=n,
+    )
+    raise FactorizationBreakdown(
+        f"{where}: {floored}/{n} pivots collapsed to the floor "
+        f"(> breakdown_frac={breakdown_frac:g})",
+        floored=floored, n=n, breakdown_frac=breakdown_frac, shift=shift,
+    )
 
 
 class ILUFactorization:

@@ -6,9 +6,9 @@ rebuilds identical subdomain factors after checkpoint restore, and
 benchmark sweeps factor the same blocks across configurations.  This cache
 keys each factorization by a SHA-256 digest of the *content* that
 determines the result — algorithm, parameters, matrix shape, CSR structure
-and values, and the kernel-tier family — so any byte-identical request
-returns the stored :class:`~repro.factor.base.ILUFactorization` object
-without re-eliminating.
+and values — so any byte-identical request returns the stored
+:class:`~repro.factor.base.ILUFactorization` object without re-eliminating.
+Every kernel computes the same bytes, so the key does not name one.
 
 Design points:
 
@@ -18,8 +18,10 @@ Design points:
   a hit behaves exactly like a recomputation.
 * Factorizations are returned by reference (they are treated as immutable
   throughout the library).
-* Any active fault plan bypasses the cache entirely — injected faults are
-  non-deterministic with respect to matrix content, and hooks must fire.
+* A live pivot-fault plan bypasses the cache entirely — injected faults
+  are not a function of matrix content, and hooks must fire.  So does a
+  forced kernel tier, so that a cross-tier comparison never compares a
+  factor with itself.
 * Bounded LRU (default 32 entries) and thread-safe: the solve service's
   worker threads run their set-ups concurrently on this one cache.
 * Disable per call site with :func:`configure`, or per CLI run with
@@ -79,16 +81,32 @@ class FactorCache:
 
     # -- keying ----------------------------------------------------------
     @staticmethod
-    def key(alg: str, a: sp.csr_matrix, params: tuple, family: str) -> str:
+    def key(alg: str, a: sp.csr_matrix, params: tuple) -> str:
         """Digest of everything that determines the factorization result."""
         h = hashlib.sha256()
-        h.update(f"{alg}|{family}|{params!r}|{a.shape[0]}x{a.shape[1]}|".encode())
+        h.update(f"{alg}|{params!r}|{a.shape[0]}x{a.shape[1]}|".encode())
         h.update(np.ascontiguousarray(a.indptr))
         h.update(np.ascontiguousarray(a.indices))
         h.update(np.ascontiguousarray(a.data))
         return h.hexdigest()
 
     # -- lookup / insert -------------------------------------------------
+    def lookup(
+        self, alg: str, a: sp.csr_matrix, params: tuple, bypass: str | None
+    ) -> tuple[str | None, "ILUFactorization | None"]:
+        """``(key, cached factor)`` of one factorization: ``(None, None)``
+        when the cache is off, or when ``bypass`` names why this one must be
+        neither served nor stored (counted as a bypass)."""
+        if not self.enabled:
+            return None, None
+        if bypass is not None:
+            with self._lock:
+                self.bypasses += 1
+            obs.event("factor.cache", alg=alg, outcome="bypass", reason=bypass)
+            return None, None
+        key = self.key(alg, a, params)
+        return key, self.get(key, alg)
+
     def get(self, key: str, alg: str) -> "ILUFactorization | None":
         with self._lock:
             fac = self._store.get(key)
@@ -183,11 +201,6 @@ class FactorCache:
                 race_access(f"factor.cache.{id(self)}.memo", "write")
                 value = self._derived.setdefault((tag, keys), value)
         return value
-
-    def note_bypass(self, alg: str, reason: str) -> None:
-        with self._lock:
-            self.bypasses += 1
-        obs.event("factor.cache", alg=alg, outcome="bypass", reason=reason)
 
     # -- management ------------------------------------------------------
     def clear(self) -> None:

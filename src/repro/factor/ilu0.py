@@ -7,12 +7,11 @@ ILU(0) per subdomain; Schur 2 uses a distributed ILU(0) on the expanded Schur
 system.
 
 This module is the orchestrator: it validates input, consults the
-content-addressed factor cache (:mod:`repro.factor.cache`), dispatches to a
-kernel (:mod:`repro.kernels`), and assembles the result.  MILU's
-dropped-mass accumulation and the fault-injection pivot hooks exist only in
-the scalar kernel (:mod:`repro.factor.reference`), so those cases are pinned
-to it; otherwise the update-triple sweep (:mod:`repro.kernels.triples`)
-computes the same factors bit for bit.
+content-addressed factor cache (:mod:`repro.factor.cache`), runs the
+update-triple sweep (:mod:`repro.kernels.triples`), MILU's dropped mass and
+a live fault plan's pivot hooks included, and assembles the result.  Only
+a forced ``"reference"`` tier runs the scalar kernel
+(:mod:`repro.factor.reference`), which the sweep matches bit for bit.
 """
 
 from __future__ import annotations
@@ -22,12 +21,12 @@ import scipy.sparse as sp
 from repro import faults, kernels
 from repro.analysis.sanitize.fp import kernel_guard
 from repro.factor import cache as factor_cache
-from repro.factor.base import FactorStats, ILUFactorization
-from repro.factor.reference import _check_breakdown, ilu0_reference
+from repro.factor.base import FactorStats, ILUFactorization, check_breakdown
+from repro.factor.reference import ilu0_reference
 from repro.kernels import triples
 from repro.utils.validation import check_square, ensure_csr
 
-__all__ = ["ilu0", "_check_breakdown"]
+__all__ = ["ilu0"]
 
 
 def ilu0(
@@ -60,39 +59,27 @@ def ilu0(
     check_square(a, "a")
     n = a.shape[0]
     plan = faults.active()
-    # an exhausted or non-pivot fault plan cannot corrupt this factorization,
-    # so only a live pivot spec forces the reference kernel and a cache bypass
-    pivot_faults = plan is not None and plan.pivot_faults_possible()
-
-    tier = kernels.resolve(
-        triples.workspace_bytes(n, a.indptr, a.indices),
-        require_reference=modified or pivot_faults,
-    )
-    family = "reference" if tier == "reference" else "triples"
+    if plan is not None and not plan.pivot_faults_possible():
+        plan = None  # an exhausted or non-pivot plan cannot touch this factorization
+    forced = kernels.get_tier()
+    bypass = "fault-plan" if plan is not None else "forced-tier" if forced else None
 
     cache = factor_cache.get_cache()
-    key = None
-    if pivot_faults:
-        if cache.enabled:
-            cache.note_bypass("ilu0", reason="fault-plan")
-    elif cache.enabled:
-        key = cache.key("ilu0", a, (bool(modified), float(shift)), family)
-        fac = cache.get(key, "ilu0")
-        if fac is not None:
-            _check_breakdown(
-                "ilu0", fac.stats.floored_pivots, n, breakdown_frac, shift
-            )
-            return fac
+    key, fac = cache.lookup("ilu0", a, (bool(modified), float(shift)), bypass)
+    if fac is not None:
+        check_breakdown("ilu0", fac.stats.floored_pivots, n, breakdown_frac, shift)
+        return fac
 
+    tier = forced or "numpy"
     with kernel_guard(f"factor.ilu0.{tier}"):
         if tier == "reference":
             lu_data, floored = ilu0_reference(a, modified, shift)
         else:
             lu_data, floored = triples.ilu0_factor(
-                n, a.indptr, a.indices, a.data, shift
+                n, a.indptr, a.indices, a.data, shift, modified, plan
             )
 
-    _check_breakdown("ilu0", floored, n, breakdown_frac, shift)
+    check_breakdown("ilu0", floored, n, breakdown_frac, shift)
     lu = sp.csr_matrix((lu_data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
     l_strict = sp.tril(lu, k=-1, format="csr")
     u_upper = sp.triu(lu, k=0, format="csr")

@@ -7,11 +7,13 @@ the L part and p largest (plus the diagonal) in the U part.  Block 2 and the
 subdomain solves of Schur 1 are built on this factorization.
 
 This module is the orchestrator: it validates input, consults the
-content-addressed factor cache (:mod:`repro.factor.cache`), dispatches to a
-kernel (:mod:`repro.kernels`), and assembles the result.  Active pivot fault
-plans are pinned to the reference kernel (:mod:`repro.factor.reference`);
-the window sweep (:mod:`repro.kernels.band`) matches it bit for bit, |value|
-ties in the fill-cap selection included: both keep the smaller column.
+content-addressed factor cache (:mod:`repro.factor.cache`), runs the window
+sweep (:mod:`repro.kernels.band`), a live fault plan's pivot hooks
+included, and assembles the result.  The scalar kernel
+(:mod:`repro.factor.reference`) runs only under a forced ``"reference"``
+tier or for a matrix whose best window is over ``BAND_MEM_CAP``; the sweep
+matches it bit for bit, |value| ties in the fill-cap selection included:
+both keep the smaller column.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import scipy.sparse as sp
 from repro import faults, kernels
 from repro.analysis.sanitize.fp import kernel_guard
 from repro.factor import cache as factor_cache
-from repro.factor.base import FactorStats, ILUFactorization
-from repro.factor.reference import _check_breakdown, ilut_reference
+from repro.factor.base import FactorStats, ILUFactorization, check_breakdown
+from repro.factor.reference import ilut_reference
 from repro.kernels import band
 from repro.utils.validation import check_square, ensure_csr
 
@@ -54,50 +56,38 @@ def ilut(
         raise ValueError("fill must be >= 1")
     n = a.shape[0]
     plan = faults.active()
-    # an exhausted or non-pivot fault plan cannot corrupt this factorization,
-    # so only a live pivot spec forces the reference tier and a cache bypass
-    pivot_faults = plan is not None and plan.pivot_faults_possible()
+    if plan is not None and not plan.pivot_faults_possible():
+        plan = None  # an exhausted or non-pivot plan cannot touch this factorization
+    forced = kernels.get_tier()
+    bypass = "fault-plan" if plan is not None else "forced-tier" if forced else None
 
-    # the key names the kernel's family, and only a miss pays for the window
-    # that picks it: resolve(0) is the forced tier and fault plan alone, and
-    # a window over the cap moves a "band" miss to the "reference" key
-    tier = kernels.resolve(0, require_reference=pivot_faults)
     cache = factor_cache.get_cache()
     params = (float(drop_tol), int(fill), float(shift))
-    key: str | None = None
-    fac: ILUFactorization | None = None
-    if pivot_faults:
-        if cache.enabled:
-            cache.note_bypass("ilut", reason="fault-plan")
-    elif cache.enabled:
-        key = cache.key("ilut", a, params, "band" if tier == "numpy" else "reference")
-        fac = cache.get(key, "ilut")
-    if fac is None and tier == "numpy":
-        s, bw, nbytes = band.window(n, a.indptr, a.indices, kernels.BAND_MEM_CAP)
-        tier = kernels.resolve(nbytes)
-        if tier == "reference" and key is not None:
-            key = cache.key("ilut", a, params, "reference")
-            fac = cache.get(key, "ilut")
+    key, fac = cache.lookup("ilut", a, params, bypass)
     if fac is not None:
-        _check_breakdown("ilut", fac.stats.floored_pivots, n, breakdown_frac, shift)
+        check_breakdown("ilut", fac.stats.floored_pivots, n, breakdown_frac, shift)
         return fac
 
+    tier = "reference"
+    if forced != "reference":
+        s, bw, nbytes = band.window(n, a.indptr, a.indices, kernels.BAND_MEM_CAP)
+        if nbytes <= kernels.BAND_MEM_CAP:  # else no window fits: the scalar kernel
+            tier = "numpy"
     with kernel_guard(f"factor.ilut.{tier}"):
         if tier == "reference":
             l_csr, u_strict, u_diag, floored = ilut_reference(a, drop_tol, fill, shift)
-            _check_breakdown("ilut", floored, n, breakdown_frac, shift)
             u_upper = (u_strict + sp.diags(u_diag, format="csr")).tocsr()
         else:
             norms = band.row_norms2(n, a.indptr, a.data)
             (l_indptr, l_indices, l_data,
              u_indptr, u_indices, u_data, floored) = band.ilut_factor(
                 n, a.indptr, a.indices, a.data, drop_tol, fill, shift, norms,
-                (s, bw),
+                (s, bw), plan,
             )
-            _check_breakdown("ilut", floored, n, breakdown_frac, shift)
             l_csr = sp.csr_matrix((l_data, l_indices, l_indptr), shape=a.shape)
             u_upper = sp.csr_matrix((u_data, u_indices, u_indptr), shape=a.shape)
 
+    check_breakdown("ilut", floored, n, breakdown_frac, shift)
     stats = FactorStats(n=n, floored_pivots=floored, shift=shift)
     fac = ILUFactorization(l_csr, ensure_csr(u_upper), stats=stats)
     if key is not None:

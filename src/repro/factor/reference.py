@@ -1,11 +1,12 @@
 """Reference scalar ILU kernels — the semantic ground truth.
 
 These are the original dict/heap row-by-row eliminations (Saad, Alg. 10.4
-and 10.6), kept verbatim as the ``"reference"`` kernel tier.  They are the
-only tier that supports the fault-injection pivot hooks (``pivot_pre`` /
-``pivot_post`` fire per row, in elimination order) and MILU's dropped-mass
-accumulation, so :mod:`repro.kernels` routes those cases here.  The fast
-tiers are validated against these kernels.
+and 10.6), kept verbatim as the ``"reference"`` kernel tier: MILU's
+dropped-mass accumulation and the fault-injection pivot hooks
+(``pivot_pre`` / ``pivot_post`` fire per row, in elimination order) are
+defined here, and the array kernels of :mod:`repro.kernels` are validated
+against them.  At run time only a forced ``"reference"`` tier reaches
+them, or an ILUT whose window is over ``BAND_MEM_CAP``.
 
 The public entry points remain :func:`repro.factor.ilu0.ilu0` and
 :func:`repro.factor.ilut.ilut`; this module only computes.
@@ -18,28 +19,8 @@ import heapq
 import numpy as np
 import scipy.sparse as sp
 
-from repro import faults, obs
-from repro.kernels.band import row_norms2
-from repro.resilience.errors import FactorizationBreakdown
-
-_PIVOT_FLOOR = 1e-12
-
-
-def _check_breakdown(
-    where: str, floored: int, n: int, breakdown_frac: float | None, shift: float
-) -> None:
-    """Shared floored-fraction breakdown test for the ILU variants."""
-    if breakdown_frac is None or floored <= breakdown_frac * n:
-        return
-    obs.event(
-        "resilience.detected", kind="breakdown", where=where,
-        floored=floored, n=n,
-    )
-    raise FactorizationBreakdown(
-        f"{where}: {floored}/{n} pivots collapsed to the floor "
-        f"(> breakdown_frac={breakdown_frac:g})",
-        floored=floored, n=n, breakdown_frac=breakdown_frac, shift=shift,
-    )
+from repro import faults
+from repro.kernels.band import PIVOT_FLOOR, row_norms2
 
 
 def ilu0_reference(
@@ -95,9 +76,9 @@ def ilu0_reference(
             data[dp] -= dropped
         if plan is not None:
             data[dp] = plan.pivot_pre(i, float(data[dp]))
-        if abs(data[dp]) < _PIVOT_FLOOR * rownorm:
+        if abs(data[dp]) < PIVOT_FLOOR * rownorm:
             floored += 1
-            data[dp] = _PIVOT_FLOOR * rownorm if data[dp] >= 0 else -_PIVOT_FLOOR * rownorm
+            data[dp] = PIVOT_FLOOR * rownorm if data[dp] >= 0 else -PIVOT_FLOOR * rownorm
         if plan is not None:
             data[dp] = plan.pivot_post(i, float(data[dp]))
 
@@ -169,9 +150,9 @@ def ilut_reference(
 
         if plan is not None:
             diag = plan.pivot_pre(i, diag)
-        if abs(diag) < _PIVOT_FLOOR * rownorm:
+        if abs(diag) < PIVOT_FLOOR * rownorm:
             floored += 1
-            diag = _PIVOT_FLOOR * rownorm if diag >= 0 else -_PIVOT_FLOOR * rownorm
+            diag = PIVOT_FLOOR * rownorm if diag >= 0 else -PIVOT_FLOOR * rownorm
         if plan is not None:
             diag = plan.pivot_post(i, diag)
         u_diag[i] = diag

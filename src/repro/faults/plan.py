@@ -348,13 +348,13 @@ class FaultPlan:
     def pivot_faults_possible(self) -> bool:
         """Could a pivot-hook spec still fire in the current scope?
 
-        Side-effect free (no opportunity is consumed).  The factor cache and
-        the kernel-tier dispatcher consult this: while a ``bad-pivot`` /
-        ``tiny-pivot`` spec has budget left for this scope, factorizations
-        must run on the reference tier (which hosts the hooks) and must not
-        be served from — or stored into — the cache.  Once the budget is
-        spent, factors are clean again and caching resumes, which is what
-        lets a post-fault retry skip redundant factorizations.
+        Side-effect free (no opportunity is consumed).  The factorizations
+        consult this: while a ``bad-pivot`` / ``tiny-pivot`` spec has budget
+        left for this scope, their kernels run the pivot hooks, and their
+        factors are neither served from nor stored into the cache.  Once
+        the budget is spent, factors are clean again and caching resumes,
+        which is what lets a post-fault retry skip redundant
+        factorizations.
         """
         scope = self.scope
         with self._lock:

@@ -1,32 +1,29 @@
 """Kernel tier dispatch for the factorization and apply kernels.
 
-One tier policy covers both phases: the setup-phase eliminations
-dispatched below and the apply-phase triangular sweeps/matvec dispatched
-by :mod:`repro.kernels.apply` (which consults the same forced tier, so
-one :func:`forced_tier` pins the whole solve).
+One tier policy covers both phases: the setup-phase eliminations and the
+apply-phase triangular sweeps/matvec dispatched by
+:mod:`repro.kernels.apply` (which consults the same forced tier, so one
+:func:`forced_tier` pins the whole solve).
 
 Every operation has the reference path plus one fast path:
 
 * ``"reference"`` — the interpreted scalar kernels: the dict/heap
   factorizations in :mod:`repro.factor.reference` and the apply loops in
-  :mod:`repro.kernels.applyspec`.  Always available, and the only tier that
-  supports MILU's dropped-mass accumulation and fault-injection pivot
-  hooks, so those cases are routed here unconditionally.
+  :mod:`repro.kernels.applyspec`.  They are the spec the fast path is held
+  to, MILU's dropped mass and the fault-injection pivot hooks included.
 * ``"numpy"`` — the array kernels: the index-set window ILUT sweep
   (:mod:`repro.kernels.band`), the update-triple ILU(0) sweep
   (:mod:`repro.kernels.triples`) and the compiled apply kernels
   (:mod:`repro.kernels.apply`).  Their factors are byte-identical to the
-  reference's.
+  reference's, under MILU and live pivot-fault plans too.
 
-Under ``"auto"`` policy every operation takes its fast path.  A
-factorization reaches the reference kernel only for MILU, a live pivot
-fault plan, a forced ``"reference"`` tier, or an array workspace over
-``BAND_MEM_CAP`` whatever is forced: an ILUT whose best window, the band
-bordered by the interface rows and columns (:func:`band.window`), is still
-over the cap, or an ILU(0) whose busiest pivot is.
-Override with :func:`set_tier`/:func:`forced_tier` (``"auto"`` |
-``"reference"`` | ``"numpy"``); ``check-determinism --tiers`` forces each
-tier in turn.
+Under ``"auto"`` policy every operation takes its fast path.  One input
+sends a factorization to the reference kernel whatever is forced: an ILUT
+whose best window, the band bordered by the interface rows and columns
+(:func:`band.window`), is over ``BAND_MEM_CAP``.  Otherwise only a forced
+``"reference"`` tier does.  Override with :func:`set_tier`/:func:`forced_tier`
+(``"auto"`` | ``"reference"`` | ``"numpy"``); ``check-determinism --tiers``
+forces each tier in turn, and a forced tier bypasses the factor cache.
 """
 
 from __future__ import annotations
@@ -45,14 +42,13 @@ __all__ = [
     "get_tier",
     "set_tier",
     "forced_tier",
-    "resolve",
 ]
 
 _TIERS = ("reference", "numpy")
 
-# safety cap on one factorization's array workspace: the ILUT window is
-# O(n * (bandwidth + border)), and each solve-service worker process factors
-# one block at a time, so a service holds one window per worker process
+# safety cap on the ILUT window, O(n * (bandwidth + border)): each
+# solve-service worker process factors one block at a time, so a service
+# holds one window per worker process
 BAND_MEM_CAP = 32 * 2**20
 
 _forced: str | None = None
@@ -96,17 +92,3 @@ def forced_tier(name: str | None) -> Iterator[None]:
     finally:
         _forced = prev
 
-
-def resolve(workspace_bytes: int, *, require_reference: bool = False) -> str:
-    """Pick the kernel for one factorization from its workspace footprint.
-
-    ``require_reference`` is set by the factor layer when semantics demand
-    the scalar kernels (MILU, active pivot fault plans); it wins over any
-    forced policy so fault hooks are never silently skipped.  Forcing
-    ``"numpy"`` never overrides the ``BAND_MEM_CAP`` *safety* cap: a
-    workspace that large is a dense allocation.
-    """
-    forced = get_tier()
-    if require_reference or forced == "reference":
-        return "reference"
-    return "numpy" if workspace_bytes <= BAND_MEM_CAP else "reference"

@@ -24,10 +24,11 @@ same values with the same tie-break (larger magnitude, then smaller
 column), and dropped entries are never read again — so the factors are
 bit-identical to :mod:`repro.factor.reference`.
 
-The kernel is deliberately hook-free: fault-injection pivot hooks are
-semantics of the reference kernel, and the factor layer routes those cases
-there.  L and U entries are gathered at elimination time; the window is
-never scanned or copied as a whole.
+A live fault plan's pivot hooks run at step k as the reference runs them at
+row k: ``pivot_pre``, the floor, ``pivot_post``, in ascending k, on the same
+pivot value, so ``plan.injected`` is the reference's too.  L and U entries
+are gathered at elimination time; the window is never scanned or copied as
+a whole.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 
 from repro.analysis.sanitize.fp import kernel_guard
 
-_PIVOT_FLOOR = 1e-12
+# the sign-preserving pivot floor of every ILU kernel, times the row norm
+PIVOT_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +100,9 @@ def row_norms2(n: int, indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
 # index-set elimination sweep
 # ---------------------------------------------------------------------------
 
-def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s):
+def ilut_sweep(
+    n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s, plan=None
+):
     """ILUT(τ, p) elimination over the window split at ``s``; returns the
     factors as per-step gathers of window positions.
 
@@ -107,7 +111,8 @@ def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s):
     pivots.  Position p of row k is column ``k + 1 + p``, and on a leading
     row the border column ``s + p - bw`` once ``p >= bw``; position i of
     column k is row ``k + 1 + i``, and row ``s + i - m`` once ``i`` passes
-    the ``m`` band rows (:func:`_translate`).
+    the ``m`` band rows (:func:`_translate`).  ``plan``, a live fault plan,
+    gets each pivot's hooks.
     """
     nb = n - s  # border width
     pitch = 2 * bw + nb  # flat distance down a leading column
@@ -129,7 +134,7 @@ def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s):
 
     taus = drop_tol * norms
     taus_l, tail_taus = taus.tolist(), taus[s:]
-    lims = (_PIVOT_FLOOR * norms).tolist()
+    lims = (PIVOT_FLOOR * norms).tolist()
     dpos = dpos.tolist()
     row_off = np.arange(bw, dtype=np.int64) * pitch  # of band row k+1+r
     u_len, ub = bw + nb, bw  # upper scan of a leading row; its first border position
@@ -158,12 +163,16 @@ def ilut_sweep(n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s):
         uv = up[uc]
         u_cols[k], u_vals[k] = uc, uv
 
-        # ---- sign-preserving pivot floor ----
+        # ---- sign-preserving pivot floor, between the plan's hooks ----
         diag = item(b)
+        if plan is not None:
+            diag = plan.pivot_pre(k, diag)
         lim = lims[k]
         if -lim < diag < lim:
             floored += 1
             diag = lim if diag >= 0 else -lim
+        if plan is not None:
+            diag = plan.pivot_post(k, diag)
         diags[k] = diag
 
         # ---- column k of L, then one rank-1 update of rows x cols ----
@@ -217,13 +226,16 @@ def _concat(parts, dtype):
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
-def ilut_factor(n, indptr, indices, data, drop_tol, fill, shift, norms, win=None):
+def ilut_factor(
+    n, indptr, indices, data, drop_tol, fill, shift, norms, win=None, plan=None
+):
     """Window ILUT on the ``(s, bw)`` window ``win`` (default: the uncapped
-    :func:`window`): returns ``(l_indptr, l_indices, l_data, u_indptr,
-    u_indices, u_data, floored)`` with diagonal-first upper rows."""
+    :func:`window`), with a live fault ``plan``'s pivot hooks: returns
+    ``(l_indptr, l_indices, l_data, u_indptr, u_indices, u_data, floored)``
+    with diagonal-first upper rows."""
     s, bw = win or window(n, indptr, indices)[:2]
     u_cols, u_vals, l_rows, l_vals, diags, floored = ilut_sweep(
-        n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s
+        n, indptr, indices, data, drop_tol, fill, shift, bw, norms, s, plan
     )
     ar = np.arange(n, dtype=np.int64)
     first_u = np.where(ar < s, bw, n)  # first border position of each step

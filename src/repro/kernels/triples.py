@@ -2,19 +2,21 @@
 
 ILU(0) never changes the pattern, so every update it will ever make is
 known up front: a triple ``(i, k, j)`` with ``(i, k)`` below the diagonal,
-``(k, j)`` above it and ``(i, j)`` stored.  They are enumerated once from
-the sorted CSR keys (``repeat`` for the candidates, ``searchsorted`` for the
-target positions), grouped by pivot k, and swept k = 0 … n-1: floor pivot k,
-then one gather–multiply–subtract–scatter over the group.  Within a group
-every target is distinct, and an entry meets its pivots in ascending k — the
-same sequence of ``x - lik * ukj`` (an exactly-zero ``lik`` skipped) as the
-reference row loop applies, so the factors are bit-identical to
-:func:`repro.factor.reference.ilu0_reference`.  Grouping by elimination
-*level* instead would be faster to sweep and is not: it reorders the updates
-an entry receives (docs/algorithms.md).
-
-Hook-free like :mod:`repro.kernels.band`: MILU and live pivot fault plans
-stay on the reference kernel.
+``(k, j)`` above it and ``(i, j)`` stored.  They are enumerated a chunk at a
+time from the sorted CSR keys (``repeat`` for the candidates,
+``searchsorted`` for the target positions), in pivot order, and swept
+k = 0 … n-1: settle pivot k as the reference ends row k (MILU's dropped
+mass, a live fault plan's ``pivot_pre``, the floor, ``pivot_post``), then
+one gather–multiply–subtract–scatter over its group.  A group's targets are
+distinct and it reads none of them, so a chunk may end inside it; an entry
+meets its pivots in ascending k — the reference row loop's sequence of
+``x - lik * ukj``, an exactly-zero ``lik`` skipped — and MILU adds the
+candidates with no stored target to their rows' mass in candidate order,
+the reference's (k, j) order.  So the factors, the floored count and the
+plan's ``injected`` list are :func:`repro.factor.reference.ilu0_reference`'s
+(docs/algorithms.md).  Grouping by elimination *level* instead would be
+faster to sweep and is not bit-identical: it reorders the updates an entry
+receives.
 """
 
 from __future__ import annotations
@@ -22,43 +24,34 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.sanitize.fp import kernel_guard
-from repro.kernels.band import counts_to_indptr, csr_row_ids
+from repro.kernels.band import PIVOT_FLOOR, counts_to_indptr, csr_row_ids
 
-_PIVOT_FLOOR = 1e-12
 # candidate triples enumerated at a time: bounds the index scratch (64 KiB
-# per array), however many triples the matrix has
+# per array) to a chunk, or to one lower entry's strict-upper pivot row
 _CHUNK = 1 << 13
 
 
-def workspace_bytes(n: int, indptr: np.ndarray, indices: np.ndarray) -> int:
-    """Index scratch of :func:`ilu0_factor`: five words per candidate triple
-    of a chunk, i.e. ``_CHUNK`` of them or the busiest single pivot's."""
-    rows = csr_row_ids(n, indptr)
-    n_lower = np.bincount(indices[indices < rows], minlength=n)  # per column
-    n_upper = np.bincount(rows[indices > rows], minlength=n)  # per row
-    return 40 * max(_CHUNK, int((n_lower * n_upper).max(initial=0)))
-
-
 def _enumerate(low, first_u, reps, starts, rows, indices, keys, n):
-    """Update triples of a run of lower entries ``low``.
+    """Candidates of a run of lower entries ``low``, in order.
 
     Candidates pair every lower entry ``(i, k)`` with every strict-upper
     entry ``(k, j)`` of its pivot row (``reps`` of them from position
     ``first_u``, candidate numbers from ``starts``); a triple is a candidate
-    whose target ``(i, j)`` is stored.  Returns the positions of l, u and
-    target per triple, and the candidate number of each triple (ascending).
+    whose target ``(i, j)`` is stored.
+    Returns the positions of l and u per candidate, of its target if stored,
+    and the mask of the triples.
     """
     tl = np.repeat(low, reps)
     tu = np.arange(tl.size, dtype=np.int64)
     tu -= np.repeat(starts - first_u, reps)
     want = rows[tl] * n + indices[tu]
     tt = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    hit = np.flatnonzero(keys[tt] == want)
-    return tl[hit], tu[hit], tt[hit], hit
+    return tl, tu, tt, keys[tt] == want
 
 
-def ilu0_factor(n, indptr, indices, data, shift):
-    """ILU(0) of a sorted, duplicate-free CSR matrix: ``(lu_data, floored)``.
+def ilu0_factor(n, indptr, indices, data, shift, modified=False, plan=None):
+    """ILU(0), or MILU(0) when ``modified``, of a sorted, duplicate-free CSR
+    matrix, with a live fault ``plan``'s pivot hooks: ``(lu_data, floored)``.
 
     ``lu_data`` is aligned to the pattern (L below the diagonal with unit
     diagonal implicit, U on and above it).
@@ -78,47 +71,71 @@ def ilu0_factor(n, indptr, indices, data, shift):
     low = np.flatnonzero(indices < rows)
     low = low[np.argsort(indices[low], kind="stable")]
     kk = indices[low]
-    col_ptr = np.searchsorted(kk, np.arange(n + 1))
+    col_ptr = np.searchsorted(kk, np.arange(n + 1)).tolist()
     first_u = dpos[kk] + 1  # the pivot row's strict-upper entries: first position
     reps = indptr[1:][kk] - first_u  # and how many
     keys = rows * n + indices
+    dropped = np.zeros(n if modified else 0)  # MILU's, per row
     with kernel_guard("kernels.triples.ilu0_factor"):
         cand = counts_to_indptr(reps)  # candidates before each lower entry
-        cand_ptr = cand[col_ptr]  # and before each column
         norms = np.maximum.reduceat(np.abs(data), indptr[:-1])
         norms[norms <= 0.0] = 1.0  # a max of magnitudes: only exactly-zero rows
-        lims = (_PIVOT_FLOOR * norms).tolist()
+        lims = (PIVOT_FLOOR * norms).tolist()
         dp = dpos.tolist()
 
         floored = 0
-        k0 = 0
-        while k0 < n:
-            # the next pivots k0..k1-1: as many as fit the scratch, at least one
-            fit = np.searchsorted(cand_ptr, cand_ptr[k0] + _CHUNK, side="right") - 1
-            k1 = max(k0 + 1, int(fit))
-            span = slice(col_ptr[k0], col_ptr[k1])
-            tl, tu, tt, hit = _enumerate(
-                low[span], first_u[span], reps[span], cand[span] - cand_ptr[k0],
-                rows, indices, keys, n,
-            )
-            bounds = np.searchsorted(hit, cand_ptr[k0: k1 + 1] - cand_ptr[k0]).tolist()
+        c0 = c1 = 0  # the enumerated chunk: lower entries c0..c1-1
+        for k, d, lim, p, end in zip(range(n), dp, lims, col_ptr, col_ptr[1:]):
+            # ---- settle pivot k: dropped mass, hooks and floor, written back ----
+            if modified:
+                data[d] -= dropped[k]
+            piv = data.item(d)
+            if plan is not None:
+                piv = plan.pivot_pre(k, piv)
+            if abs(piv) < lim:
+                floored += 1
+                piv = lim if piv >= 0 else -lim
+                data[d] = piv
+            if plan is not None:
+                piv = plan.pivot_post(k, piv)
+                data[d] = piv
 
-            for k, a, b in zip(range(k0, k1), bounds, bounds[1:]):
-                piv = data.item(dp[k])
-                lim = lims[k]
-                if abs(piv) < lim:
-                    floored += 1
-                    piv = lim if piv >= 0 else -lim
-                    data[dp[k]] = piv
-                if a == b:
-                    continue
-                lik = data[tl[a:b]] / piv
-                targets, ukj = tt[a:b], data[tu[a:b]]
-                if np.count_nonzero(lik) != b - a:
-                    keep = lik != 0.0  # repro: noqa(RPR001) — the reference's exact-zero skip
-                    lik, targets, ukj = lik[keep], targets[keep], ukj[keep]
-                data[targets] = data[targets] - lik * ukj
-            k0 = k1
+            # ---- group k, a chunk at a time ----
+            while p < end:
+                if p == c1:  # the next lower entries: as many as fit, at least one
+                    c0 = p
+                    fit = np.searchsorted(cand, cand[p] + _CHUNK, side="right") - 1
+                    c1 = max(p + 1, int(fit))
+                    off = cand[c0: c1 + 1] - cand[c0]  # candidates before each
+                    tl, tu, tt, is_triple = _enumerate(
+                        low[c0:c1], first_u[c0:c1], reps[c0:c1], off[:-1],
+                        rows, indices, keys, n,
+                    )
+                    if modified:  # the candidates MILU drops: l, u and row
+                        miss = np.flatnonzero(~is_triple)
+                        m_bounds = np.searchsorted(miss, off).tolist()
+                        ml, mu = tl[miss], tu[miss]
+                        mrow = rows[ml]
+                    hit = np.flatnonzero(is_triple)
+                    bounds = np.searchsorted(hit, off).tolist()
+                    tl, tu, tt = tl[hit], tu[hit], tt[hit]
+                q = min(end, c1)
+                a, b = bounds[p - c0], bounds[q - c0]
+                if a < b:
+                    lik = data[tl[a:b]] / piv
+                    targets, ukj = tt[a:b], data[tu[a:b]]
+                    if np.count_nonzero(lik) != b - a:
+                        keep = lik != 0.0  # repro: noqa(RPR001) — the reference's exact-zero skip
+                        lik, targets, ukj = lik[keep], targets[keep], ukj[keep]
+                    data[targets] = data[targets] - lik * ukj
+                if modified:
+                    a, b = m_bounds[p - c0], m_bounds[q - c0]
+                    if a < b:
+                        lik = data[ml[a:b]] / piv
+                        keep = lik != 0.0  # repro: noqa(RPR001) — the reference's exact-zero skip
+                        mass = lik[keep] * data[mu[a:b][keep]]
+                        np.add.at(dropped, mrow[a:b][keep], mass)
+                p = q
         # every L entry is final once its pivot is: divide them all at once
         data[low] /= data[dpos][kk]
     return data, floored

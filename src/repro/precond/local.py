@@ -35,8 +35,8 @@ from repro.comm import compute as worker_compute
 from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
 from repro.factor import cache as factor_cache
-from repro.factor.base import ILUFactorization
-from repro.factor.ilu0 import _check_breakdown, ilu0
+from repro.factor.base import ILUFactorization, check_breakdown
+from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
 from repro.sparse.triangular import FusedLU
 
@@ -76,10 +76,10 @@ class LocalSolver:
         breakdown_frac: float | None,
     ) -> None:
         self.perms = list(perms)
-        # "worker" family: the factors a key names are transport-independent
-        # by the bitwise contract (the same kernel runs on either side)
+        # the factors a key names are transport-independent by the bitwise
+        # contract (the same kernel runs on either side)
         self.keys = {
-            r: factor_cache.FactorCache.key(alg, a, params, "worker")
+            r: factor_cache.FactorCache.key(f"worker.{alg}", a, params)
             for r, a in enumerate(matrices)
         }
         self._comm = comm
@@ -112,12 +112,12 @@ class LocalSolver:
         for r, a in enumerate(matrices):
             cached = cache.get(self.keys[r], alg) if cache.enabled else None
             if cached is not None:
-                _check_breakdown(
+                check_breakdown(
                     alg, cached.stats.floored_pivots, cached.n, breakdown_frac, shift
                 )
                 factors[r] = cached
                 continue
-            mkey = factor_cache.FactorCache.key(alg, a, params, "worker-matrix")
+            mkey = factor_cache.FactorCache.key("worker.matrix", a, (alg, params))
             load[r] = worker_compute.load_matrix(mkey, a)
             todo[r] = {
                 "alg": alg, "matrix_key": mkey, "factor_key": self.keys[r],

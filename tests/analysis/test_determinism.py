@@ -5,13 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import kernels, obs
 from repro.analysis.determinism import (
     DETERMINISM_SCHEMA,
     Check,
     DeterminismReport,
     _digest,
-    available_tiers,
     check_determinism,
 )
 from repro.cases import CASE_BUILDERS
@@ -83,7 +82,7 @@ class TestReportAggregation:
 
 class TestAvailableTiers:
     def test_reference_and_numpy_always_present(self):
-        tiers = available_tiers()
+        tiers = kernels.available_tiers()
         assert tiers[:2] == ("reference", "numpy")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import faults
+from repro import faults, kernels, obs
 from repro.factor import cache as factor_cache
 from repro.resilience.errors import FactorizationBreakdown
 from repro.factor.cache import FactorCache
@@ -218,16 +218,27 @@ class TestLru:
 class TestKeying:
     def test_key_is_deterministic(self):
         a = random_spd_csr(15, 0.3, 14)
-        k1 = FactorCache.key("ilut", a, (1e-3, 10, 0.0), "band")
-        k2 = FactorCache.key("ilut", a, (1e-3, 10, 0.0), "band")
+        k1 = FactorCache.key("ilut", a, (1e-3, 10, 0.0))
+        k2 = FactorCache.key("ilut", a, (1e-3, 10, 0.0))
         assert k1 == k2 and len(k1) == 64
 
-    def test_key_separates_family(self):
-        # reference and band factors may differ on |value| ties, so the
-        # tier family is part of the address
+    @pytest.mark.parametrize("tier", ["reference", "numpy"])
+    @pytest.mark.parametrize("factor", [
+        lambda a: ilu0(a),
+        lambda a: ilut(a, 1e-3, 10),
+    ])
+    def test_forced_tier_bypasses(self, fresh_cache, factor, tier):
+        # every kernel computes the same bytes, so the key names none; a
+        # forced tier is a comparison of kernels, and must not be served a
+        # factor another kernel computed
         a = random_spd_csr(15, 0.3, 15)
-        assert FactorCache.key("ilut", a, (1e-3, 10, 0.0), "band") != \
-            FactorCache.key("ilut", a, (1e-3, 10, 0.0), "reference")
+        cached = factor(a)
+        with obs.tracing() as tracer, kernels.forced_tier(tier):
+            assert factor(a) is not cached
+        s = fresh_cache.stats()
+        assert (s["bypasses"], s["misses"], s["hits"], s["size"]) == (1, 1, 0, 1)
+        (event,) = [e for e in tracer.orphan_events if e["name"] == "factor.cache"]
+        assert event["attrs"] | {"outcome": "bypass", "reason": "forced-tier"} == event["attrs"]
 
 
 class TestRemember:

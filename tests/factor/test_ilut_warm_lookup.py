@@ -1,10 +1,11 @@
 """A warm ILUT call pays for the cache lookup, not for the window.
 
-The cache key names the kernel family that built the factor, and the
-family of an auto or ``numpy`` call hangs on the window's footprint.  A
-``"band"`` key exists only for a window within the cap, so the lookup tries
-it first and only a miss computes the window; a window over the cap then
-tries the ``"reference"`` key.  Every key names the factor it named before.
+Every kernel computes the same bytes, so the cache key names none: a call
+looks up one key, and only a miss computes the window that picks the
+kernel.  A window over the cap sends the miss to the reference kernel, the
+one route the input selects, and its factor is stored under the same key.
+A forced tier bypasses the cache, and a forced ``"reference"`` tier needs
+no window.
 """
 
 import pytest
@@ -23,6 +24,7 @@ PARAMS = (1e-3, 10, 0.0)
 def cache():
     cache = factor_cache.configure(enabled=True)
     cache.clear()
+    cache.reset_stats()
     yield cache
     cache.clear()
 
@@ -41,15 +43,15 @@ def windows(monkeypatch):
     return calls
 
 
-def _key(a, family):
-    return FactorCache.key("ilut", a, PARAMS, family)
+def _key(a):
+    return FactorCache.key("ilut", a, PARAMS)
 
 
 def test_a_warm_call_computes_no_window(cache, windows):
     a = random_nonsymmetric_csr(40, 0.2, 0)
     fac = ilut(a, *PARAMS[:2])
     assert windows == [40]
-    assert _key(a, "band") in cache._store
+    assert list(cache._store) == [_key(a)]
     assert ilut(a, *PARAMS[:2]) is fac
     assert windows == [40]
 
@@ -58,22 +60,21 @@ def test_a_forced_reference_tier_needs_no_window(cache, windows):
     a = random_nonsymmetric_csr(40, 0.2, 1)
     with kernels.forced_tier("reference"):
         fac = ilut(a, *PARAMS[:2])
-        assert ilut(a, *PARAMS[:2]) is fac
+        assert ilut(a, *PARAMS[:2]) is not fac
     assert windows == []
-    assert list(cache._store) == [_key(a, "reference")]
-    # the band kernel's own factor is keyed apart, and byte-equal
-    with kernels.forced_tier("numpy"):
-        band_fac = ilut(a, *PARAMS[:2])
-    assert band_fac is not fac
+    assert len(cache) == 0 and cache.bypasses == 2
+    # the band kernel's factor is byte-equal
+    band_fac = ilut(a, *PARAMS[:2])
     assert band_fac.l_strict.data.tobytes() == fac.l_strict.data.tobytes()
     assert band_fac.u_upper.data.tobytes() == fac.u_upper.data.tobytes()
 
 
-def test_a_window_over_the_cap_is_keyed_reference(cache, windows, monkeypatch):
+def test_a_warm_call_over_the_cap_is_one_hit_and_no_window(cache, windows, monkeypatch):
     monkeypatch.setattr(kernels, "BAND_MEM_CAP", 64)
     a = random_nonsymmetric_csr(40, 0.2, 2)
     fac = ilut(a, *PARAMS[:2])
-    assert list(cache._store) == [_key(a, "reference")]
-    # warm: the "band" key misses, the window sends it to "reference"
+    assert list(cache._store) == [_key(a)]
+    assert (cache.misses, cache.hits) == (1, 0)
     assert ilut(a, *PARAMS[:2]) is fac
-    assert windows == [40, 40]
+    assert (cache.misses, cache.hits) == (1, 1)
+    assert windows == [40]

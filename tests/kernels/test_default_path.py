@@ -10,7 +10,6 @@ blocks fits ``BAND_MEM_CAP`` only with the interface border.
 """
 
 import hashlib
-import sys
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
 from repro.kernels import band, triples
 from tests.conftest import random_nonsymmetric_csr
+from tests.kernels.test_kernels_property import _outcome
 
 # (case, size, P): table_sweep, setup_bound, krylov_march (the matrix
 # TransientHeatSolver factors), mp_ranks, service_closed
@@ -41,23 +41,6 @@ def _digest(fac):
     return h.hexdigest()
 
 
-@pytest.fixture
-def reference_calls(monkeypatch):
-    """Count calls into the two reference kernels."""
-    calls = {"ilut": 0, "ilu0": 0}
-    for alg in calls:
-        # the package re-exports the functions under the submodules' names
-        mod = sys.modules[f"repro.factor.{alg}"]
-        real = getattr(mod, f"{alg}_reference")
-
-        def counted(*args, _alg=alg, _real=real):
-            calls[_alg] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(mod, f"{alg}_reference", counted)
-    return calls
-
-
 @pytest.mark.parametrize("key,size,nparts", BENCHMARK_TUPLES)
 def test_benchmark_blocks_take_the_fast_kernels(key, size, nparts, reference_calls):
     case = CASE_BUILDERS[key](size)
@@ -69,8 +52,7 @@ def test_benchmark_blocks_take_the_fast_kernels(key, size, nparts, reference_cal
         a = dmat.owned_square[r]
         n = a.shape[0]
         s, _, nbytes = band.window(n, a.indptr, a.indices, kernels.BAND_MEM_CAP)
-        # ILU(0) (Block 1) and the ILUT window (Block 2, Schur 1) always fit
-        assert triples.workspace_bytes(n, a.indptr, a.indices) <= kernels.BAND_MEM_CAP
+        # the ILUT window (Block 2, Schur 1) always fits; ILU(0) has no cap
         assert nbytes <= kernels.BAND_MEM_CAP
         if n < 4000:  # the plain window: here always the square, s = 0
             assert (s, nbytes) == (0, 8 * n * n)
@@ -92,14 +74,18 @@ def test_benchmark_blocks_take_the_fast_kernels(key, size, nparts, reference_cal
                 assert _digest(ilu0(arms.s_hat)) == _digest(arms.s_ilu)
 
 
-class TestReferenceOnlySemantics:
-    """MILU and live pivot fault plans stay on the scalar kernels."""
+class TestArrayKernelSemantics:
+    """MILU and live pivot fault plans run on the array kernels, with the
+    reference's bytes, floored count and injected faults."""
 
-    def test_modified_ilu0_reaches_reference(self, reference_calls):
+    @pytest.mark.parametrize("tier", [None, "numpy"])
+    def test_modified_ilu0_takes_the_triples(self, tier, reference_calls):
         a = random_nonsymmetric_csr(30, 0.2, 1)
-        with kernels.forced_tier("numpy"):
-            ilu0(a, modified=True)
-        assert reference_calls["ilu0"] == 1
+        with kernels.forced_tier(tier):
+            fast = _outcome(lambda: ilu0(a, modified=True))
+        assert reference_calls["ilu0"] == 0
+        with kernels.forced_tier("reference"):
+            assert _outcome(lambda: ilu0(a, modified=True)) == fast
 
     @pytest.mark.parametrize("factor,alg", [
         (lambda a: ilu0(a), "ilu0"),
@@ -107,16 +93,25 @@ class TestReferenceOnlySemantics:
     ])
     def test_live_pivot_plan_fires_its_hooks(self, factor, alg, reference_calls):
         a = random_nonsymmetric_csr(30, 0.2, 2)
-        plan = faults.FaultPlan(faults.FaultSpec("bad-pivot", count=3))
-        with faults.inject(plan), kernels.forced_tier("numpy"):
-            factor(a)
-        assert reference_calls[alg] == 1
-        assert len(plan.injected) == 3  # one hook opportunity per row, as ever
+        runs = []
+        for tier in (None, "reference"):
+            plan = faults.FaultPlan(faults.FaultSpec("bad-pivot", count=3))
+            with faults.inject(plan), kernels.forced_tier(tier):
+                runs.append((_outcome(lambda: factor(a)), plan.injected))
+        assert reference_calls[alg] == 1  # the forced run only
+        assert len(runs[0][1]) == 3  # one hook opportunity per row, as ever
+        assert runs[0] == runs[1]
 
-    def test_exhausted_plan_goes_back_to_the_fast_kernel(self, reference_calls):
+    def test_exhausted_plan_runs_no_hooks(self, monkeypatch):
         a = random_nonsymmetric_csr(30, 0.2, 3)
         plan = faults.FaultPlan(faults.FaultSpec("bad-pivot", count=1))
+        hooked = []
+        real = triples.ilu0_factor
+        monkeypatch.setattr(
+            triples, "ilu0_factor",
+            lambda *args: hooked.append(args[-1] is not None) or real(*args),
+        )
         with faults.inject(plan):
             ilu0(a)
             ilu0(a)
-        assert reference_calls["ilu0"] == 1
+        assert hooked == [True, False]

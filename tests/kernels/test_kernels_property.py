@@ -6,12 +6,18 @@ of |value| ties and exact cancellations) — and the contract is byte
 equality of L, U and the floored-pivot count, or the same exception.
 """
 
+import contextlib
+import functools
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from repro import kernels
+from repro import CASE_BUILDERS, faults, kernels
+from repro.distributed.matrix import distribute_matrix
+from repro.distributed.partition_map import PartitionMap
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
 from repro.kernels import triples
@@ -130,3 +136,98 @@ def test_ilu0_chunking_never_shows(build, chunk):
             assert _outcome(lambda: ilu0(build())) == whole
         finally:
             triples._CHUNK = saved
+
+
+# -- MILU and the pivot hooks on the array kernels ------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _structured():
+    """FE owned blocks (tc1 n = 17 over two ranks) and an arrow pointing the
+    wrong way: pivot 0 pairs all 399 lower with all 399 upper entries."""
+    case = CASE_BUILDERS["tc1"](17)
+    pm = PartitionMap(case.coupling_graph, case.membership(2, seed=0), num_ranks=2)
+    dmat = distribute_matrix(case.matrix, pm)
+    n = 400
+    arrow = sp.lil_matrix((n, n))
+    arrow.setdiag(4.0)
+    arrow[0, :] = 1.0
+    arrow[:, 0] = 1.0
+    return [dmat.owned_square[0], dmat.owned_square[1], sp.csr_matrix(arrow)]
+
+
+def _hooked(tier, fn, spec):
+    """``fn``'s outcome under ``tier`` and a fresh fault plan of ``spec``
+    (``None`` = no plan), with the faults the plan injected."""
+    plan = faults.FaultPlan(faults.FaultSpec(**spec)) if spec else None
+    with kernels.forced_tier(tier), faults.inject(plan):
+        return _outcome(fn), repr(plan.injected) if plan else None
+
+
+@contextlib.contextmanager
+def _chunk(size):
+    saved, triples._CHUNK = triples._CHUNK, size
+    try:
+        yield
+    finally:
+        triples._CHUNK = saved
+
+
+_SPECS = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["bad-pivot", "tiny-pivot"]),
+        "count": st.sampled_from([-1, 1, 3]),
+        "start": st.integers(min_value=0, max_value=4),
+        "stride": st.integers(min_value=1, max_value=3),
+        "value": st.sampled_from([1e-300, 1e-8]),
+    }),
+)
+
+
+@pytest.mark.parametrize("chunk", [triples._CHUNK, 7, 1])
+@given(csr_builders(), st.booleans(), st.sampled_from([0.0, 0.3]), _SPECS)
+@settings(max_examples=60, deadline=None)
+def test_milu_and_hooks_on_the_triples(chunk, build, modified, shift, spec):
+    """A chunk of 7 or 1 candidates splits pivot groups; every split gives
+    the reference's bytes, floored count and injected faults."""
+    with _chunk(chunk), np.errstate(all="ignore"):
+        ref, fast = (
+            _hooked(tier, lambda: ilu0(build(), modified, shift=shift), spec)
+            for tier in ("reference", "numpy")
+        )
+    assert ref == fast
+
+
+@pytest.mark.parametrize("chunk", [triples._CHUNK, 7, 1])
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["fe0", "fe1", "arrow"])
+@pytest.mark.parametrize("modified", [False, True])
+@pytest.mark.parametrize("kind", [None, "bad-pivot", "tiny-pivot"])
+def test_milu_and_hooks_on_structured_blocks(chunk, which, modified, kind):
+    a = _structured()[which]
+    spec = kind and {"kind": kind, "count": 5, "start": 2, "stride": 3}
+    with _chunk(chunk), np.errstate(all="ignore"):
+        ref, fast = (
+            _hooked(tier, lambda: ilu0(a, modified, shift=0.3 * modified), spec)
+            for tier in ("reference", "numpy")
+        )
+    assert ref == fast
+
+
+@given(
+    csr_builders(), st.sampled_from([0.0, 1e-3]), st.integers(min_value=1, max_value=6),
+    _SPECS,
+)
+@settings(max_examples=80, deadline=None)
+def test_hooks_on_the_window_sweep(build, drop_tol, fill, spec):
+    """The window sweep fires the hooks as the reference does while every
+    value stays finite (docs/algorithms.md §3): a reference run that
+    overflows or makes a NaN is no example."""
+    def finite():
+        with np.errstate(over="raise", invalid="raise"):  # inside the plan's
+            return ilut(build(), drop_tol, fill)
+
+    try:
+        ref = _hooked("reference", finite, spec)
+    except FloatingPointError:
+        reject()
+    assert _hooked("numpy", lambda: ilut(build(), drop_tol, fill), spec) == ref

@@ -160,8 +160,8 @@ class TestBreakdownParityAcrossTiers:
         assert f_np.stats.floored_pivots == 4
 
 
-class TestCacheKeyedByKernel:
-    """A forced tier must recompute, never be served the other tier's factor."""
+class TestForcedTierBypassesTheCache:
+    """A forced tier must recompute, never be served another kernel's factor."""
 
     @pytest.mark.parametrize("factor", [
         lambda a: ilu0(a),
@@ -174,15 +174,17 @@ class TestCacheKeyedByKernel:
         cache.reset_stats()
         f_ref, f_np = _tiers(lambda: factor(a))
         assert f_np is not f_ref
-        assert (cache.hits, cache.misses) == (0, 2)
+        assert (cache.hits, cache.misses, cache.bypasses, len(cache)) == (0, 0, 2, 0)
         with kernels.forced_tier("numpy"):
-            assert factor(a) is f_np
+            assert factor(a) is not f_np
 
 
 class TestDispatchPolicy:
-    def test_require_reference_wins_over_forced(self):
-        with kernels.forced_tier("numpy"):
-            assert kernels.resolve(1000, require_reference=True) == "reference"
+    """One runtime route is left that the input selects: an ILUT whose best
+    window is over ``BAND_MEM_CAP`` runs the reference kernel, whatever is
+    forced.  Everything else takes the array kernels unless the reference
+    tier is forced (MILU and live pivot plans included:
+    ``test_default_path.py::TestArrayKernelSemantics``)."""
 
     @staticmethod
     def _window(n, bw, cap=None):
@@ -193,7 +195,7 @@ class TestDispatchPolicy:
     def test_auto_takes_the_fast_kernel_at_any_bandwidth(self):
         # no economy gate: bw ~ n (a natural-ordered subdomain block) is fine
         for n, bw in ((100, 5), (400, 200), (473, 312), (1000, 999)):
-            assert kernels.resolve(self._window(n, bw, kernels.BAND_MEM_CAP)[2]) == "numpy"
+            assert self._window(n, bw, kernels.BAND_MEM_CAP)[2] <= kernels.BAND_MEM_CAP
 
     def test_window_is_the_smaller_of_band_and_square(self):
         assert self._window(1000, 10) == (1000, 10, 8 * 1000 * 21)
@@ -207,12 +209,21 @@ class TestDispatchPolicy:
         s, bw, nbytes = self._window(n, n - 1, kernels.BAND_MEM_CAP)
         assert (s, bw, nbytes) == (n - 1, 1, 8 * ((n - 1) * 4 + n))
 
-    def test_memory_cap_is_a_safety_cap(self):
-        assert kernels.resolve(kernels.BAND_MEM_CAP) == "numpy"
-        assert kernels.resolve(kernels.BAND_MEM_CAP + 1) == "reference"
+    def test_memory_cap_is_a_safety_cap(self, monkeypatch, reference_calls):
+        # a window of exactly the cap is factored on it, one byte more is not
+        a = random_nonsymmetric_csr(40, 0.2, 12)
+        nbytes = band.window(40, a.indptr, a.indices)[2]
+        monkeypatch.setattr(kernels, "BAND_MEM_CAP", nbytes)
+        f_np = ilut(a, 1e-3, 10)
+        assert reference_calls["ilut"] == 0
+        monkeypatch.setattr(kernels, "BAND_MEM_CAP", nbytes - 1)
+        with kernels.forced_tier("numpy"):  # forcing never overrides the cap
+            _assert_factors_equal(ilut(a, 1e-3, 10), f_np)
+        assert reference_calls["ilut"] == 1
+
+    def test_an_x_is_over_the_cap_and_takes_the_reference(self, reference_calls):
         # an X (diagonal + anti-diagonal): every split leaves a wide band
-        # or a wide border, and the best window, 54 MB, is over the cap;
-        # forcing never overrides the cap
+        # or a wide border, and the best window, 54 MB, is over the cap
         n = 3000
         i = np.arange(n)
         x = sp.csr_matrix(
@@ -221,34 +232,40 @@ class TestDispatchPolicy:
         )
         nbytes = band.window(n, x.indptr, x.indices, kernels.BAND_MEM_CAP)[2]
         assert nbytes == 54_012_016 > kernels.BAND_MEM_CAP
-        with kernels.forced_tier("numpy"):
-            assert kernels.resolve(nbytes) == "reference"
-            f_np = ilut(x, 1e-3, 10)
+        f_auto = ilut(x, 1e-3, 10)
+        assert reference_calls["ilut"] == 1
         with kernels.forced_tier("reference"):
-            _assert_factors_equal(ilut(x, 1e-3, 10), f_np)
+            _assert_factors_equal(ilut(x, 1e-3, 10), f_auto)
 
-    def test_ilu0_workspace_is_a_chunk_or_the_busiest_pivot(self):
-        # tridiagonal: one candidate triple per pivot, so a chunk's worth
-        a = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(50, 50), format="csr")
-        assert triples.workspace_bytes(50, a.indptr, a.indices) == 40 * triples._CHUNK
-        # an arrow pointing the wrong way: pivot 0 alone has (n-1)^2 candidates
-        n = 4000
+    def test_ilu0_scratch_is_a_chunk_or_one_upper_row(self, monkeypatch):
+        # an arrow pointing the wrong way: pivot 0 alone pairs (n-1)^2
+        # candidates, enumerated one upper row's worth at a time at most
+        n = 1000
         arrow = sp.lil_matrix((n, n))
         arrow.setdiag(4.0)
         arrow[0, :] = 1.0
         arrow[:, 0] = 1.0
         arrow = sp.csr_matrix(arrow)
-        nbytes = triples.workspace_bytes(n, arrow.indptr, arrow.indices)
-        assert nbytes == 40 * (n - 1) ** 2
-        assert kernels.resolve(nbytes) == "reference"
-        assert triples.workspace_bytes(0, np.zeros(1, dtype=int), np.zeros(0, dtype=int)) == 40 * triples._CHUNK
+        sizes = []
+        enumerate_ = triples._enumerate
 
-    def test_forced_tier_reaches_resolve(self):
+        def recorded(low, first_u, reps, *rest):
+            sizes.append(int(reps.sum()))
+            return enumerate_(low, first_u, reps, *rest)
+
+        monkeypatch.setattr(triples, "_CHUNK", 7)
+        monkeypatch.setattr(triples, "_enumerate", recorded)
+        fac = ilu0(arrow)
+        assert max(sizes) == n - 1 > triples._CHUNK  # one lower entry's row
+        assert sum(sizes) == (n - 1) ** 2
+        with kernels.forced_tier("reference"):
+            _assert_factors_equal(ilu0(arrow), fac)
+
+    def test_forced_tier_is_read_by_get_tier(self):
         with kernels.forced_tier("numpy"):
             assert kernels.get_tier() == "numpy"
-            assert kernels.resolve(1000) == "numpy"
         with kernels.forced_tier("reference"):
-            assert kernels.resolve(1000) == "reference"
+            assert kernels.get_tier() == "reference"
         with kernels.forced_tier("auto"):
             assert kernels.get_tier() is None
 
