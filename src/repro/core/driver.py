@@ -155,24 +155,23 @@ def solve_case(
             atol = 0.0
             on_restart = None
             if manager is not None:
-                # the target the run is aiming for, anchored to the *original*
-                # start: a restored solve must finish the old job, not chase a
-                # fresh rtol reduction relative to its (already nearly
-                # converged) restart point
-                r0 = b_dist - dmat.matvec(comm, pm.to_distributed(x0_global))
-                target = rtol * float(np.linalg.norm(r0))
-                # snapshot steps count the whole job's iterations, so a
-                # restored run's snapshots are newer than the one it read
-                base = 0
+                # the target the run is aiming for is anchored to the
+                # *original* start: a fresh solve's own first residual, a
+                # restored one's snapshot target (it must finish the old job,
+                # not chase a fresh rtol reduction relative to its already
+                # nearly converged restart point).  Snapshot steps count the
+                # whole job's iterations, so a restored run's snapshots are
+                # newer than the one it read
+                target, base = None, 0
                 if restore:
                     ckpt = manager.load_latest()
                     if ckpt is not None:
                         x0_global = ckpt["x"]
-                        atol = float(ckpt.meta.get("target", 0.0))
+                        atol = target = float(ckpt.meta.get("target", 0.0))
                         base = int(ckpt.meta["step"])
                 cycle = 0
 
-                def on_restart(iters: int, x_dist: np.ndarray) -> None:
+                def on_restart(iters: int, x_dist: np.ndarray, r0_norm: float) -> None:
                     nonlocal cycle
                     cycle += 1
                     if cycle % checkpoint_every == 0:
@@ -185,7 +184,7 @@ def solve_case(
                                 "precond": precond,
                                 "nparts": nparts,
                                 "iterations": base + int(iters),
-                                "target": target,
+                                "target": rtol * r0_norm if target is None else target,
                             },
                         )
 

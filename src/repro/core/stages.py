@@ -176,7 +176,7 @@ def krylov(
     precond: str, preconditioner: ParallelPreconditioner,
     b: np.ndarray, x0: np.ndarray, *, rtol: float, maxiter: int,
     restart: int = 20, atol: float = 0.0,
-    on_restart: Callable[[int, np.ndarray], None] | None = None,
+    on_restart: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> KrylovResult:
     """Run FGMRES(``restart``) under the fault scope ``precond`` on the
     system ``preconditioner`` was set up for (``b``, ``x0`` distributed).

@@ -8,9 +8,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
-from repro.kernels.apply import UnitSweeps
 from repro.resilience.errors import FactorizationBreakdown
-from repro.sparse.triangular import TriangularFactor
+from repro.sparse.triangular import FusedLU, TriangularFactor
 from repro.utils.validation import ensure_csr
 
 
@@ -80,21 +79,19 @@ class ILUFactorization:
         diag = self.u_upper.diagonal()
         self.L = TriangularFactor(self.l_strict, None, lower=True)
         self.U = TriangularFactor(ensure_csr(u_strict), diag, lower=False)
-        self.sweeps = UnitSweeps(n, self.L.scaled, self.U.scaled)
+        self._lu = FusedLU(self.L, self.U)
+        self.sweeps = self._lu.sweeps
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply (LU)^{-1}: forward then backward substitution.
 
-        Both sweeps run fused through :class:`repro.kernels.apply.UnitSweeps`
+        Both sweeps run fused through :class:`repro.sparse.triangular.FusedLU`
         (one compiled gstrs call on the numpy tier, bitwise the scalar spec
         by the operation-order argument of docs/algorithms.md and the
         once-per-process check of :func:`repro.kernels.apply.gstrs_trusted`),
         bit-compatible with composing ``self.L.solve`` and ``self.U.solve``.
         """
-        x = self.sweeps.solve(b)
-        if self.U.invd is not None:
-            x = x * self.U.invd
-        return x
+        return self._lu.solve(b)
 
     def solve_flops(self) -> float:
         """Flop count of one forward+backward solve (for the perf model)."""

@@ -128,7 +128,7 @@ def _cycle(
     apply_a: Step, b: np.ndarray, bounds: Sequence[int], apply_m: Step | None,
     ops: Sequence[KernelOps], restart: int, rtol: float, maxiter: int, *,
     x0: np.ndarray | None = None, atol: float = 0.0,
-    on_restart: Callable[[int, np.ndarray], None] | None = None,
+    on_restart: Callable[[int, np.ndarray, float], None] | None = None,
     apply_ma: FusedStep | None = None,
 ) -> tuple[np.ndarray, list[KrylovResult]]:
     """Restarted FGMRES on the systems ``bounds`` cuts ``b`` into, one
@@ -246,7 +246,7 @@ def _cycle(
                 run.finish(x, "converged")  # nothing resumes from it: no hook
                 continue
             if on_restart is not None:
-                on_restart(run.iters, x[run.sl])
+                on_restart(run.iters, x[run.sl], run.mon.residuals[0])
             if run.breakdown and run.beta >= beta_prev * (1.0 - 1e-12):
                 run.finish(x, "stagnated")  # Krylov space exhausted, no progress
             elif run.iters >= maxiter:
@@ -266,7 +266,7 @@ def fgmres(
     atol: float = 0.0,
     maxiter: int = 1000,
     ops: KernelOps | None = None,
-    on_restart: Callable[[int, np.ndarray], None] | None = None,
+    on_restart: Callable[[int, np.ndarray, float], None] | None = None,
     apply_ma: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> KrylovResult:
     """Solve ``A x = b`` with restarted flexible GMRES: the cycle on one
@@ -280,12 +280,14 @@ def fgmres(
     :meth:`~repro.precond.base.ParallelPreconditioner.fused_step` here.
     ``restart`` is the cycle length m (paper: 20); convergence is
     ‖r‖ ≤ max(rtol ‖r_0‖, atol) (paper: rtol = 1e-6); ``maxiter < 1`` takes
-    no step.  ``on_restart(iterations, x)`` is the checkpoint hook: called
-    after the true-residual recompute at the end of each cycle that a
+    no step.  ``on_restart(iterations, x, r0_norm)`` is the checkpoint hook:
+    called after the true-residual recompute at the end of each cycle that a
     resume could start from — one the solve goes on from, or one it stops
     in unconverged (``maxiter``, ``stagnated``) — once the iterate is known
-    to be finite.  A converged cycle returns its iterate instead, and a
-    diverged one the previous iterate, so neither calls it.
+    to be finite; ``r0_norm`` is the solve's first residual norm
+    ‖b − A x0‖, which anchors a checkpoint's target.  A converged cycle
+    returns its iterate instead, and a diverged one the previous iterate,
+    so neither calls it.
     """
     return _cycle(
         lambda v, live: apply_a(v), b, [0, len(b)],

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
-from repro.resilience.errors import NumericalFault
+from repro.krylov.fgmres import Step, _cycle, fgmres_lockstep
+from repro.krylov.monitors import KrylovResult
+from repro.krylov.ops import CountingOps, KernelOps
+from repro.resilience.errors import InnerSolveDivergence, NumericalFault
 
 
 class ParallelPreconditioner(ABC):
@@ -101,3 +104,48 @@ class ParallelPreconditioner(ABC):
     def _charge_setup(self, flops_per_rank: np.ndarray) -> None:
         """Charge a setup (factorization) phase."""
         self.comm.ledger.add_phase(flops_per_rank)
+
+
+def charged(
+    op: Callable[[np.ndarray], np.ndarray], flops: Sequence[float],
+    counters: Sequence[CountingOps],
+) -> Step:
+    """``op`` as an :func:`inner_solve` step that first charges every live
+    system's counter its ``flops``, in ascending order."""
+
+    def step(v: np.ndarray, live: list[int]) -> np.ndarray:
+        for s in live:
+            counters[s].add(flops[s])
+        return op(v)
+
+    return step
+
+
+def inner_solve(
+    apply_a: Step, b: np.ndarray, bounds: Sequence[int], apply_m: Step,
+    ops: Sequence[KernelOps], k: int, message: str, where: str,
+) -> np.ndarray:
+    """The paper's "a few GMRES iterations" (Algorithm 2.1's inner levels,
+    Block K's subdomain solves): FGMRES, restart = maxiter = ``k``, to a
+    1e-12 relative residual, on the systems ``bounds`` cuts ``b`` into, each
+    with its ``ops``.  The steps act on the whole stacked vector; returns
+    the stacked solution.
+
+    Several systems run in lockstep (:func:`~repro.krylov.fgmres_lockstep`),
+    which skips an empty block; one system spanning the vector runs
+    ``fgmres``'s own cycle, which still calls its operator when it has no
+    rows.  A diverged system raises :class:`InnerSolveDivergence`
+    (``message``, ``where``) for the lowest one, naming its ``rank`` when
+    there are several, before the caller charges anything.
+    """
+    solve: Callable[..., tuple[np.ndarray, list[KrylovResult]]] = (
+        _cycle if len(bounds) == 2 else fgmres_lockstep
+    )
+    x, results = solve(apply_a, b, bounds, apply_m, ops, restart=k, rtol=1e-12, maxiter=k)
+    for s, res in enumerate(results):
+        if res.status == "diverged":
+            rank = {"rank": s} if len(results) > 1 else {}
+            raise InnerSolveDivergence(
+                message, **rank, where=where, residual=float(res.final_residual),
+            )
+    return x

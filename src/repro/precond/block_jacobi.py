@@ -14,13 +14,15 @@ poor.  Three subdomain solvers are provided:
 Execution is fused, cost is per rank: on the driver the ranks' factors are
 one stacked sweep (:class:`~repro.precond.local.LocalSolver`), and Block K's
 inner GMRES runs on all ranks in lockstep
-(:func:`~repro.krylov.fgmres_lockstep`) — one product with the stacked A_i
+(:func:`~repro.precond.base.inner_solve`) — one product with the stacked A_i
 and one driver-side sweep per inner iteration, whatever the backend, each
 rank with its own Hessenberg, its own dots on its own slice and its own
 early exit.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,12 +34,10 @@ from repro.factor.base import ILUFactorization
 from repro.graph.adjacency import graph_from_matrix
 from repro.graph.rcm import reverse_cuthill_mckee
 from repro.kernels.apply import csr_matvec
-from repro.krylov.fgmres import fgmres_lockstep
 from repro.krylov.ops import CountingOps
 from repro.perfmodel.costs import Charge
-from repro.precond.base import ParallelPreconditioner
+from repro.precond.base import ParallelPreconditioner, charged, inner_solve
 from repro.precond.local import LocalSolver
-from repro.resilience.errors import InnerSolveDivergence
 from repro.sparse.reorder import apply_symmetric_permutation
 
 
@@ -161,30 +161,15 @@ class BlockPreconditioner(ParallelPreconditioner):
         ranks in lockstep on the stacked A_i and one sweep of their factors
         (in ``perm`` order; the operator is in natural order)."""
         counters = [CountingOps(a.shape[0]) for a in self.dmat.owned_square]
-
-        def apply_a(v: np.ndarray, live: list[int]) -> np.ndarray:
-            for rank in live:
-                counters[rank].add(self._a_flops[rank])
-            return csr_matvec(self._a_hat, v)
-
-        def apply_m(v: np.ndarray, live: list[int]) -> np.ndarray:
-            for rank in live:
-                counters[rank].add(self._apply_flops[rank])
-            return self.local_solver.sweep(self.pm.layout, v)
-
         with obs.span("block.local_solves", variant=self.variant):
-            z, results = fgmres_lockstep(
-                apply_a, r, self.pm.layout.rank_ptr.tolist(), apply_m, counters,
-                restart=self.inner_iterations, rtol=1e-12,
-                maxiter=self.inner_iterations,
+            z = inner_solve(
+                charged(partial(csr_matvec, self._a_hat), self._a_flops, counters),
+                r, self.pm.layout.rank_ptr.tolist(),
+                charged(partial(self.local_solver.sweep, self.pm.layout),
+                        self._apply_flops, counters),
+                counters, self.inner_iterations,
+                "Block K local Krylov solve diverged", "blockk.local",
             )
-            for rank, res in enumerate(results):
-                if res.status == "diverged":
-                    raise InnerSolveDivergence(
-                        "Block K local Krylov solve diverged",
-                        rank=rank, where="blockk.local",
-                        residual=float(res.final_residual),
-                    )
             self.comm.ledger.add_phase(np.asarray([c.flops for c in counters]))
         return z
 

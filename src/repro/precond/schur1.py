@@ -22,8 +22,9 @@ is block-diagonal over ranks, so B, F, E, C, Ē and the (L_B, U_B) /
 (L_S, U_S) pairs are stacked and one S-matvec is three
 products, one sweep and one exchange whatever P is — with the bits of the
 per-rank loop, and its per-rank flops charged as a constant.  The inner
-solves of steps 1 and 3 run in lockstep (:func:`~repro.krylov.fgmres_lockstep`,
-the FGMRES cycle Block K's inner solves and the step-2 ``fgmres`` run too):
+solves of steps 1 and 3 run in lockstep through
+:func:`~repro.precond.base.inner_solve`, the one inner solve Block K's
+subdomain solves and the step-2 interface solve call too:
 one stacked B product and one stacked (L_B, U_B) sweep per inner iteration
 for all ranks, each rank with its own Hessenberg, its own dots on its own
 slice and its own early exit.  B, F, E and C are stacked once per
@@ -35,6 +36,8 @@ a warm set-up stacks nothing.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -50,10 +53,8 @@ from repro.factor.schur_extract import (
     stacked_schur_solves,
 )
 from repro.kernels.apply import csr_matvec
-from repro.krylov.fgmres import fgmres, fgmres_lockstep
 from repro.krylov.ops import CountingOps
-from repro.precond.base import ParallelPreconditioner
-from repro.resilience.errors import InnerSolveDivergence
+from repro.precond.base import ParallelPreconditioner, charged, inner_solve
 
 
 class Schur1Preconditioner(ParallelPreconditioner):
@@ -125,29 +126,12 @@ class Schur1Preconditioner(ParallelPreconditioner):
     def _solve_local(self, f: np.ndarray, counters: list[CountingOps]) -> np.ndarray:
         """B̃_i⁻¹ f_i on every rank: a few local GMRES iterations on B_i,
         (L_B, U_B)-preconditioned, all ranks in lockstep on the stacks."""
-
-        def apply_a(v: np.ndarray, live: list[int]) -> np.ndarray:
-            for r in live:
-                counters[r].add(self._b_flops[r])
-            return csr_matvec(self._B, v)
-
-        def apply_m(v: np.ndarray, live: list[int]) -> np.ndarray:
-            for r in live:
-                counters[r].add(self._lu_b_flops[r])
-            return self._solve_b.solve(v)
-
-        u, results = fgmres_lockstep(
-            apply_a, f, self._b_ptr, apply_m, counters,
-            restart=self.local_iterations, rtol=1e-12, maxiter=self.local_iterations,
+        return inner_solve(
+            charged(partial(csr_matvec, self._B), self._b_flops, counters), f,
+            self._b_ptr, charged(self._solve_b.solve, self._lu_b_flops, counters),
+            counters, self.local_iterations,
+            "Schur 1 local B-block solve diverged", "schur1.local",
         )
-        for rank, res in enumerate(results):
-            if res.status == "diverged":
-                raise InnerSolveDivergence(
-                    "Schur 1 local B-block solve diverged",
-                    rank=rank, where="schur1.local",
-                    residual=float(res.final_residual),
-                )
-        return u
 
     # -- the distributed global Schur solve (step 2) --------------------------
 
@@ -169,22 +153,12 @@ class Schur1Preconditioner(ParallelPreconditioner):
 
     def _solve_schur_system(self, ghat: np.ndarray) -> np.ndarray:
         with obs.span("schur.solve", iterations=self.global_iterations):
-            res = fgmres(
-                self._schur_matvec,
-                ghat,
-                apply_m=self._schur_precond,
-                restart=self.global_iterations,
-                rtol=1e-12,
-                maxiter=self.global_iterations,
-                ops=self._ifc_ops,
+            return inner_solve(
+                lambda v, live: self._schur_matvec(v), ghat, [0, len(ghat)],
+                lambda v, live: self._schur_precond(v), [self._ifc_ops],
+                self.global_iterations,
+                "Schur 1 global interface solve diverged", "schur1.global",
             )
-        if res.status == "diverged":
-            raise InnerSolveDivergence(
-                "Schur 1 global interface solve diverged",
-                where="schur1.global",
-                residual=float(res.final_residual),
-            )
-        return res.x
 
     # -- Algorithm 2.1 ---------------------------------------------------------
 

@@ -31,10 +31,8 @@ from repro.distributed.matrix import DistributedMatrix
 from repro.distributed.ops import DistributedOps
 from repro.factor.arms import ArmsFactorization
 from repro.kernels.apply import csr_matvec, stack_csr
-from repro.krylov.fgmres import fgmres
 from repro.perfmodel.costs import Charge
-from repro.precond.base import ParallelPreconditioner
-from repro.resilience.errors import InnerSolveDivergence
+from repro.precond.base import ParallelPreconditioner, inner_solve
 from repro.sparse.triangular import FusedLU
 
 
@@ -219,22 +217,12 @@ class Schur2Preconditioner(ParallelPreconditioner):
 
     def _solve_expanded_system(self, ghat: np.ndarray) -> np.ndarray:
         with obs.span("schur.solve", iterations=self.global_iterations):
-            res = fgmres(
-                self._expanded_matvec,
-                ghat,
-                apply_m=self._expanded_precond,
-                restart=self.global_iterations,
-                rtol=1e-12,
-                maxiter=self.global_iterations,
-                ops=self._exp_ops,
+            return inner_solve(
+                lambda v, live: self._expanded_matvec(v), ghat, [0, len(ghat)],
+                lambda v, live: self._expanded_precond(v), [self._exp_ops],
+                self.global_iterations,
+                "Schur 2 global expanded-interface solve diverged", "schur2.global",
             )
-        if res.status == "diverged":
-            raise InnerSolveDivergence(
-                "Schur 2 global expanded-interface solve diverged",
-                where="schur2.global",
-                residual=float(res.final_residual),
-            )
-        return res.x
 
     # -- Algorithm 2.1, expanded variant ----------------------------------------
 

@@ -114,9 +114,9 @@ class TriangularFactor:
 class FusedLU:
     """``(L U)^{-1}`` for a unit-lower / upper pair: one fused sweep, one scaling.
 
-    What :meth:`repro.factor.base.ILUFactorization.solve` does, for any pair
-    of prepared triangles — the Schur blocks of a subdomain ILU, or the
-    rank-stacked triangles of a whole preconditioner
+    :meth:`repro.factor.base.ILUFactorization.solve` solves through one, and
+    so does any other pair of prepared triangles — the Schur blocks of a
+    subdomain ILU, or the rank-stacked triangles of a whole preconditioner
     (:meth:`stacked`).  Bit-compatible with ``upper.solve(lower.solve(b))``.
     """
 

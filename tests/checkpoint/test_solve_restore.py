@@ -68,3 +68,26 @@ def test_a_solve_converged_in_its_first_cycle_writes_nothing(tmp_path):
     assert out.status == "converged" and out.iterations < 20
     assert CheckpointManager(tmp_path / "ckpt", prefix="solve").steps() == []
     assert not (tmp_path / "ckpt").exists()
+
+
+def test_a_checkpointed_solve_is_charged_what_an_unchecked_one_is(tmp_path):
+    """The snapshot target comes from the solve's own first residual, so a
+    checkpointed solve makes no product of its own: its solve ledger and
+    its bytes are the unchecked solve's."""
+    case = CASE_BUILDERS["tc1"](17)
+    for solve, counts in (
+        (dict(precond="schur1", nparts=3), (292, 504.0, 197470.0)),
+        (dict(precond="block1", nparts=3, rtol=1e-10), None),
+    ):
+        plain = solve_case(case, **solve)
+        checked = solve_case(case, checkpoint_dir=str(tmp_path / solve["precond"]), **solve)
+        assert checked.solve_ledger.counts() == plain.solve_ledger.counts()
+        assert (checked.solve_ledger.per_rank_flops.tobytes()
+                == plain.solve_ledger.per_rank_flops.tobytes())
+        assert checked.x_global.tobytes() == plain.x_global.tobytes()
+        ledger = plain.solve_ledger
+        if counts is not None:
+            assert (ledger.phases, ledger.total_msgs, ledger.crit_flops) == counts
+    # block1 snapshots at 20 and 40: each carries rtol·‖b − A x0‖
+    latest = CheckpointManager(tmp_path / "block1", prefix="solve").load_latest()
+    assert latest.meta["target"] == 1e-10 * plain.residuals[0]

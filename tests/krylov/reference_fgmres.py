@@ -33,7 +33,7 @@ def reference_fgmres(
     atol: float = 0.0,
     maxiter: int = 1000,
     ops: KernelOps | None = None,
-    on_restart: Callable[[int, np.ndarray], None] | None = None,
+    on_restart: Callable[[int, np.ndarray, float], None] | None = None,
     apply_ma: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> KrylovResult:
     """Solve ``A x = b`` with restarted flexible GMRES.
@@ -54,9 +54,10 @@ def reference_fgmres(
     rtol:
         Relative residual reduction target (paper: 1e-6).
     on_restart:
-        Called as ``on_restart(iterations, x)`` after the true-residual
-        recompute at the end of each cycle that ends unconverged, once the
-        iterate is known to be finite.  The checkpoint hook: callers
+        Called as ``on_restart(iterations, x, r0_norm)`` after the
+        true-residual recompute at the end of each cycle that ends
+        unconverged, once the iterate is known to be finite; ``r0_norm`` is
+        the first residual norm.  The checkpoint hook: callers
         snapshot ``x`` here so a later fault can resume from the last
         completed cycle; a converged cycle's iterate is returned, not
         snapshotted.
@@ -160,7 +161,7 @@ def reference_fgmres(
         converged = beta <= mon.threshold
         if not converged:
             if on_restart is not None:
-                on_restart(iters, x)
+                on_restart(iters, x, mon.residuals[0])
             if breakdown and beta >= beta_prev * (1.0 - 1e-12):
                 status = "stagnated"  # Krylov space exhausted with no progress
                 break

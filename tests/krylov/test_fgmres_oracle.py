@@ -5,8 +5,9 @@ replaced lives on in ``reference_fgmres``.  Both run on the same system and
 must agree on x (as bytes), status, iterations, residual history, the
 ``CountingOps`` flops, every operator call (its kind and the bytes it was
 handed), the ``krylov.*`` and ``resilience.detected`` events in order with
-their attributes, and the ``on_restart`` calls (iterations and x as bytes),
-which come only at the end of a cycle the solve does not converge in.
+their attributes, and the ``on_restart`` calls (iterations, x as bytes and
+the first residual norm), which come only at the end of a cycle the solve
+does not converge in.
 The systems hit every way the loop ends: ``x0``, ``atol > 0``, fused and
 split steps, restarts, ``maxiter = 0``, no rows, NaN at the first residual,
 overflow in the Hessenberg update, divergence at a restart and a singular
@@ -77,7 +78,7 @@ def _solve(solver, system, *, restart, maxiter, x0=None, atol=0.0, fused=False):
         res = solver(
             apply_a, b, apply_m=apply_m, x0=x0, restart=restart, rtol=1e-10,
             atol=atol, maxiter=maxiter, ops=counter,
-            on_restart=lambda k, x: restarts.append((k, x.tobytes())),
+            on_restart=lambda k, x, r0: restarts.append((k, x.tobytes(), r0)),
             apply_ma=apply_ma if fused else None,
         )
     events = [(e["name"], repr(e["attrs"])) for e in tracer.orphan_events]
@@ -108,17 +109,19 @@ def _assert_hook_contract(res, events, restarts):
     """``on_restart`` sees the end of every cycle a resume could start from
     and no other: a cycle that converges, or diverges at its true residual,
     ends the solve without it, and a solve that stops unconverged hands its
-    last hook the iterate it returns."""
+    last hook the iterate it returns.  Every call hands it the first
+    residual norm."""
     ends = sum(name == "krylov.restart" for name, _ in events)
     unresumable = res.status == "converged" or any(
         "fgmres.restart" in attrs for _, attrs in events
     )
     assert len(restarts) == ends - (1 if unresumable and ends else 0)
-    assert all(k < res.iterations for k, _ in restarts[:-1])
+    assert all(k < res.iterations for k, _, _ in restarts[:-1])
+    assert all(r0 == res.residuals[0] for _, _, r0 in restarts)
     if res.status in ("maxiter", "stagnated") and ends:
-        assert restarts[-1] == (res.iterations, res.x.tobytes())
+        assert restarts[-1] == (res.iterations, res.x.tobytes(), res.residuals[0])
     if res.status == "converged":
-        assert all(k < res.iterations for k, _ in restarts)
+        assert all(k < res.iterations for k, _, _ in restarts)
 
 
 @st.composite

@@ -29,8 +29,7 @@ from repro.graph.adjacency import graph_from_matrix
 from repro.kernels.apply import csr_matvec
 from repro.krylov.fgmres import fgmres
 from repro.krylov.ops import CountingOps, fixed_tree_sum
-from repro.precond import block_jacobi as block_module
-from repro.precond import schur1 as schur1_module
+from repro.precond import base as base_module
 from repro.precond.block_jacobi import BlockPreconditioner, block2, block_krylov
 from repro.precond.schur1 import Schur1Preconditioner
 from repro.precond.schur2 import Schur2Preconditioner
@@ -362,6 +361,21 @@ def test_lockstep_schur1_apply_is_the_per_rank_loop(system, zero_rank, ilut):
     )
 
 
+def _spy_on_inner_solves(monkeypatch):
+    """The ``(iterations, status)`` of every system, per lockstep call of the
+    one inner solve (:func:`repro.precond.base.inner_solve`)."""
+    runs = []
+    lockstep = base_module.fgmres_lockstep
+
+    def spy(*args, **kwargs):
+        x, results = lockstep(*args, **kwargs)
+        runs.append([(res.iterations, res.status) for res in results])
+        return x, results
+
+    monkeypatch.setattr(base_module, "fgmres_lockstep", spy)
+    return runs
+
+
 def test_lockstep_schur1_covers_every_exit(monkeypatch):
     """P = 5, each rank leaving the inner solves its own way: rank 0 has no
     internal unknowns, rank 1 one (its basis vector is ±1, so MGS breaks
@@ -377,15 +391,7 @@ def test_lockstep_schur1_covers_every_exit(monkeypatch):
     m = Schur1Preconditioner(dmat, comm, drop_tol=0.5, fill=1)
     r = _zero_internal_slice(pm, _vector(pm.layout.total, 11), 2)
 
-    runs = []
-    lockstep = schur1_module.fgmres_lockstep
-
-    def spy(*args, **kwargs):
-        x, results = lockstep(*args, **kwargs)
-        runs.append([(res.iterations, res.status) for res in results])
-        return x, results
-
-    monkeypatch.setattr(schur1_module, "fgmres_lockstep", spy)
+    runs = _spy_on_inner_solves(monkeypatch)
     _assert_fused_matches(
         comm, m.apply, lambda v: _charged(comm, loop_schur1_apply, m, v), r
     )
@@ -426,15 +432,7 @@ def test_lockstep_blockk_covers_every_exit(monkeypatch, ordering):
     r = _vector(pm.layout.total, 11)
     pm.layout.local(r, 2)[:] = 0.0
 
-    runs = []
-    lockstep = block_module.fgmres_lockstep
-
-    def spy(*args, **kwargs):
-        x, results = lockstep(*args, **kwargs)
-        runs.append([(res.iterations, res.status) for res in results])
-        return x, results
-
-    monkeypatch.setattr(block_module, "fgmres_lockstep", spy)
+    runs = _spy_on_inner_solves(monkeypatch)
     _assert_fused_matches(
         comm, m.apply, lambda v: _charged(comm, loop_blockk_apply, m, v), r
     )
