@@ -272,8 +272,8 @@ def _driver_side(
 
 
 #: calls that frame one of their arguments as the kind: callee → (position,
-#: keyword).  ``deliver_round(comm, kind, ...)`` hands its ``kind`` straight
-#: to ``encode_frame``, so the kinds it constructs are at *its* call sites.
+#: keyword).  A ``deliver_round(comm, kind, ...)`` that hands its ``kind``
+#: straight to ``encode_frame`` constructs its kinds at *its* call sites.
 _KIND_ARGUMENT = {"encode_frame": (0, "kind"), "deliver_round": (1, "kind")}
 
 

@@ -74,7 +74,7 @@ def resolve_backend(
     owned backend, which the communicator hands to :func:`release_backend`
     on close: ``multiprocess`` leases a world from
     :mod:`~repro.comm.backends.pool`, idle ranks and resident state
-    included, and ``inprocess`` builds a new loopback.
+    included, and ``inprocess`` builds a new simulated world.
     """
     if isinstance(spec, ExecutionBackend):
         if spec.size != size:

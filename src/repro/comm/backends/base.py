@@ -11,7 +11,9 @@ execute and how bytes move between them* to an :class:`ExecutionBackend`:
   :class:`~repro.comm.backends.supervisor.RankSupervisor` tracks the rank
   lifecycle (handshake, real death, hangs, fencing).
 
-On both, a ghost exchange is a copy between arrays the driver holds.
+On both, a ghost exchange is a copy between arrays the driver holds; under
+a fault plan its transfers are ghost edges of the delivery round, which
+carry no frame and never reach the transport.
 
 The transport speaks two *internal* exceptions — :class:`TransportTimeout`
 and :class:`TransportBroken` — that never escape the delivery round

@@ -3,10 +3,9 @@
 Every byte string that crosses an execution-backend transport travels inside
 one **frame**: a fixed header (magic, frame kind, src/dst rank, per-edge
 sequence number, CRC-32, payload length) followed by the raw payload bytes.
-The header reuses the seq + CRC-32 integrity envelope that PR 3 introduced
-for the simulated ghost exchange — on the multiprocess backend the same
-envelope now frames *real* pipe traffic, and a failed validation maps onto
-the same typed taxonomy (:class:`~repro.resilience.errors.MessageCorruption`).
+Only bytes that cross a pipe are framed — a ghost exchange never does, its
+values stay on the driver — and a failed validation maps onto the typed
+taxonomy (:class:`~repro.resilience.errors.MessageCorruption`).
 
 The format is deliberately dumb: little-endian ``struct``, no varints, no
 compression.  ``decode_frame`` never raises anything but
@@ -28,21 +27,18 @@ from repro.resilience.errors import MessageCorruption
 #: first four bytes of every frame
 MAGIC = b"RPRB"
 
-#: frame kinds (the ``kind`` header field); 4 and 5 are unassigned, so a
-#: frame of either kind fails ``decode_frame`` like any unknown kind
-DATA = 1       #: a ghost-exchange payload under a fault plan (never piped)
-ACK = 2        #: the delivery round loopback's validated echo of a DATA
+#: frame kinds (the ``kind`` header field).  1, 2, 4 and 5 are unassigned
+#: (retired kinds) and are never reused: a frame of any of them fails
+#: ``decode_frame`` like any unknown kind
 NAK = 3        #: validation failure; payload is an ASCII reason
 HELLO = 6      #: startup handshake, rank process -> driver
 SHUTDOWN = 7   #: graceful stop request, driver -> rank process
 CMD = 8        #: worker-compute command, driver -> rank process
 RESULT = 9     #: worker-compute result, rank process -> driver
 
-FRAME_KINDS = (DATA, ACK, NAK, HELLO, SHUTDOWN, CMD, RESULT)
+FRAME_KINDS = (NAK, HELLO, SHUTDOWN, CMD, RESULT)
 
 KIND_NAMES = {
-    DATA: "data",
-    ACK: "ack",
     NAK: "nak",
     HELLO: "hello",
     SHUTDOWN: "shutdown",
@@ -87,11 +83,11 @@ def encode_frame(
 def peek_header(raw: bytes) -> tuple[int, int, int, int]:
     """Read ``(kind, src, dst, seq)`` from a frame header without validation.
 
-    The sender needs the addressing triple to match responses even when the
-    frame body is deliberately garbled (fault injection flips payload bits,
-    never header bytes), and the receiver needs it to address a NAK for a
-    frame whose checksum failed.  Only the header must be present and carry
-    the right magic; the payload is not inspected.
+    The sender needs the addressing triple to match a response to the
+    frame it sent, and a receiver needs it to address a NAK for bytes that
+    were garbled on a real pipe (a checksum that failed).  Only the header
+    must be present and carry the right magic; the payload is not
+    inspected.
 
     Truncated input — fewer bytes than the fixed header — must never reach
     ``struct.unpack_from`` (which would raise a bare ``struct.error`` out of

@@ -2,11 +2,10 @@
 
 Each rank runs :func:`_worker_main` — a loop on the child end of a duplex
 pipe that sleeps until a frame arrives, validates it
-(:mod:`~repro.comm.backends.framing`: seq + CRC-32, the PR 3 integrity
-envelope now framing real bytes), executes CMDs (NAKing one whose arena
-slot fails its CRC), exits on SHUTDOWN or pipe EOF and NAKs any other
-kind.  No ghost values cross the pipes: the driver holds both ends of
-every ghost exchange.  The parent side implements
+(:mod:`~repro.comm.backends.framing`: seq + CRC-32), executes CMDs
+(NAKing one whose arena slot fails its CRC), exits on SHUTDOWN or pipe
+EOF and NAKs any other kind.  No ghost values cross the pipes: the driver
+holds both ends of every ghost exchange.  The parent side implements
 :meth:`MultiprocessBackend.request_many` with deadline-based response
 matching (stale replies from earlier timed-out attempts are drained and
 discarded by ``(kind, src, dst, seq)``; the world keeps the seq counters,
@@ -285,7 +284,7 @@ class MultiprocessBackend(ExecutionBackend):
         """
         self.ensure_started()
         results: dict[int, framing.Frame | Exception] = {}
-        sent: dict[int, tuple[int, int, int, int]] = {}
+        sent: dict[int, tuple[int, int, int]] = {}
         for rank in sorted(messages):
             self._check_rank(rank)
             try:
@@ -302,32 +301,31 @@ class MultiprocessBackend(ExecutionBackend):
                 results[rank] = exc
         return results
 
-    def _send(self, rank: int, raw: bytes) -> tuple[int, int, int, int]:
-        """Push one frame down ``rank``'s pipe; returns its matching keys."""
+    def _send(self, rank: int, raw: bytes) -> tuple[int, int, int]:
+        """Push one CMD frame down ``rank``'s pipe; returns the ``(src,
+        dst, seq)`` its response must carry."""
         if self._record_exit_if_dead(rank):
             raise TransportBroken(rank, "process exited")
         conn = self._conns[rank]
         if conn is None:
             raise TransportBroken(rank, "transport closed")
-        # header-only peek: the outgoing frame may be deliberately garbled
-        # (corruption injection), and the matching keys live in the header
-        want = framing.peek_header(raw)
+        _, src, dst, seq = framing.peek_header(raw)
         try:
             conn.send_bytes(raw)
         except (BrokenPipeError, OSError) as exc:
             self._record_exit_if_dead(rank, force=True)
             raise TransportBroken(rank, str(exc)) from exc
-        return want
+        return src, dst, seq
 
     def _collect(
         self,
         rank: int,
-        want: tuple[int, int, int, int],
+        want: tuple[int, int, int],
         deadline: float,
         timeout: float,
     ) -> framing.Frame:
-        """Wait for the validated response matching ``want`` until ``deadline``."""
-        want_kind, want_src, want_dst, want_seq = want
+        """Wait for the validated RESULT or NAK matching ``want`` until
+        ``deadline``."""
         conn = self._conns[rank]
         if conn is None:
             raise TransportBroken(rank, "transport closed")
@@ -344,12 +342,10 @@ class MultiprocessBackend(ExecutionBackend):
                 raise TransportBroken(rank, str(exc)) from exc
             # a corrupt response frame raises MessageCorruption: the
             # delivery round counts a checksum failure and retransmits
-            if (resp.src, resp.dst, resp.seq) != (want_src, want_dst, want_seq):
-                continue  # stale reply from an earlier timed-out attempt
-            if want_kind == framing.CMD and resp.kind not in (
+            if (resp.src, resp.dst, resp.seq) != want or resp.kind not in (
                 framing.RESULT, framing.NAK
             ):
-                continue
+                continue  # stale reply from an earlier timed-out attempt
             return resp
 
     # -- liveness / supervision -------------------------------------------

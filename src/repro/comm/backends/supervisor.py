@@ -32,8 +32,8 @@ HELLO handshake at spawn, the OS exit status, and the command rounds
 (``docs/robustness.md``, "The delivery round").  Every reply a rank sends
 to a round calls :meth:`RankSupervisor.record_ready`, which is what makes
 ``FENCE_AFTER`` a budget of *consecutive* misses; every window a round
-lets pass calls :meth:`RankSupervisor.record_miss`.  A loopback ACK of a
-ghost exchange is not news of a rank and counts for neither.  Every
+lets pass calls :meth:`RankSupervisor.record_miss`.  A ghost edge of an
+exchange never reaches a rank and counts for neither.  Every
 transition emits a ``comm.backend.*`` trace event
 (``docs/observability.md``).
 """

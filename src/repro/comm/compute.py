@@ -168,7 +168,7 @@ def _round(
     refused: dict[int, dict] = {}
 
     def settle(edge: Delivery) -> None:
-        if edge.frame is None:
+        if not edge.delivered:
             return
         _, meta, arrays = unpack_command(edge.frame.payload)
         if meta.get("etype") == _errors.NotResident.__name__:
@@ -183,8 +183,7 @@ def _round(
     # commands ride the (rank, rank) self-edge of the envelope seq space —
     # ghost-exchange edges keep their own counters
     deliver_round(
-        comm, framing.CMD,
-        {rank: (rank, payloads[rank]) for rank in sorted(payloads)},
+        comm, {rank: (rank, payloads[rank]) for rank in sorted(payloads)},
         floor=floor, settle=settle, stage=stage, op=op_name,
     )
     if out and obs.enabled():

@@ -7,14 +7,14 @@ toolbox calls this "communication pattern recognition"; here the pattern is a
 static object built once from the partition and reused by every exchange.
 
 The exchange runs on the driver on every backend: the driver holds every
-rank's ``owned`` and ``ghost`` arrays, so a clean exchange is a direct copy.
-Under a fault plan each transfer travels inside an **integrity envelope** (a
-per-(src, dst) sequence number plus a CRC-32 payload checksum) as one DATA
-edge of a delivery round (:func:`repro.comm.delivery.deliver_round`,
-``docs/robustness.md``), answered by the round's loopback: a failed delivery
-(drop, corruption, dead peer) is retransmitted under the communicator's
-bounded :class:`~repro.comm.communicator.RetryPolicy`, and this module
-charges each burned timeout window and retransmission to the cost ledger.
+rank's ``owned`` and ``ghost`` arrays, so an exchange is a direct copy.
+Under a fault plan each transfer is one ghost edge of a delivery round
+(:func:`repro.comm.delivery.deliver_round`, ``docs/robustness.md``) with
+its own per-(src, dst) sequence number; no frame is built, and the plan's
+fate for each attempt (drop, corruption, dead peer, late) stands for the
+wire.  A failed delivery is retransmitted under the communicator's bounded
+:class:`~repro.comm.communicator.RetryPolicy`, and this module charges each
+burned timeout window and retransmission to the cost ledger.
 
 On a real backend the distributed matvec itself runs in the rank
 processes (:mod:`repro.comm.compute`): each ``MATVEC`` worker round hands
@@ -32,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from repro import faults, obs
-from repro.comm.backends import framing
 from repro.comm.communicator import Communicator
 from repro.comm.delivery import Delivery, deliver_round
 from repro.perfmodel.costs import Charge
@@ -143,8 +142,8 @@ class CommunicationPattern:
                     f"{t.src} has {len(owned[t.src])} owned values"
                 )
             if plan is not None:
-                # legacy silent kinds: corruption past the envelope — the
-                # checksum has already validated, detection falls to the
+                # silent kinds: corruption past the envelope, after any
+                # checksum would have passed — detection falls to the
                 # numerical guards downstream
                 action, value = plan.transfer_action(t.src, t.dst)
                 if action == "drop":
@@ -168,25 +167,19 @@ class CommunicationPattern:
         owned: list[np.ndarray],
         ghost: list[np.ndarray],
     ) -> None:
-        """Deliver one transfer as a DATA edge of a delivery round.
+        """Deliver one transfer as a ghost edge of a delivery round.
 
-        The ghost slots are written from the loopback's ACK, so the bytes
-        survived whatever the fault plan did to the attempts;
-        retransmissions and waits are charged whether the delivery
+        The edge carries no frame: the fault plan decides each attempt's
+        fate, and a delivered edge copies the owner's values into the ghost
+        slots; retransmissions and waits are charged whether the delivery
         succeeded or gave up.
         """
-        payload = owned[t.src][t.send_local]
-
         def settle(edge: Delivery) -> None:
-            if edge.frame is not None:
-                ghost[t.dst][t.recv_ghost] = np.frombuffer(
-                    edge.frame.payload, dtype=payload.dtype
-                )
+            if edge.delivered:
+                ghost[t.dst][t.recv_ghost] = owned[t.src][t.send_local]
             self._charge_recovery(comm, t, edge.retransmits, edge.delay)
 
-        deliver_round(
-            comm, framing.DATA, {t.dst: (t.src, payload.tobytes())}, settle=settle
-        )
+        deliver_round(comm, {t.dst: (t.src, None)}, settle=settle)
 
     def _charge_recovery(
         self, comm: Communicator, t: ExchangeSpec, retransmits: int, delay: float

@@ -29,12 +29,14 @@ Fault kinds and their hook points (see ``docs/robustness.md``):
     (e.g. memory corruption after checksum validation): they are silent,
     never retried, and detection falls to the numerical guards.
 ``message-drop`` / ``message-corrupt``
-    Fired per *delivery attempt* of an envelope-protected transfer: the
-    attempt is dropped (times out) or its payload arrives with a failing
-    checksum.  The envelope detects both and retransmits with backoff, so a
-    bounded spec (``count=1``) costs only a visible retry while an
-    unbounded one (``count=-1``) exhausts the retry budget and raises a
-    typed :class:`~repro.resilience.errors.CommFault`.
+    Fired per *delivery attempt* of a ghost-exchange transfer (a ghost
+    edge of the delivery round): the attempt is dropped (its timeout
+    window passes) or fails as the checksum miss a receiver's CRC check
+    would report.  No frame is built; the fate stands for the wire.  The
+    round retransmits both with backoff, so a bounded spec (``count=1``)
+    costs only a visible retry while an unbounded one (``count=-1``)
+    exhausts the retry budget and raises a typed
+    :class:`~repro.resilience.errors.CommFault`.
 ``rank-dead``
     Fired once per ghost *exchange* (``start=k`` aims at the k-th exchange
     of the run): the targeted ``rank`` stops responding, permanently.
@@ -271,7 +273,7 @@ class FaultPlan:
             return "corrupt", 0.0
         return "ok", 0.0
 
-    # -- communication-level hooks (the integrity envelope consults these) ---
+    # -- communication-level hooks (the delivery round consults these) ------
 
     def exchange_begin(self, backend=None) -> None:
         """Called once at the start of every delivery opportunity.
@@ -307,7 +309,7 @@ class FaultPlan:
                 backend.hang_rank(rank)
 
     def delivery_action(self, src: int, dst: int, attempt: int) -> str:
-        """Fate of one envelope delivery attempt: "ok" | "drop" | "corrupt"."""
+        """Fate of one attempt of a ghost edge: "ok" | "drop" | "corrupt"."""
         scope = self.scope
         fired = None
         with self._lock:

@@ -87,8 +87,8 @@ class InnerSolveDivergence(SolverFault):
 class CommFault(SolverFault):
     """Base class of confirmed communication failures.
 
-    Raised by the ghost-exchange integrity envelope
-    (:meth:`repro.comm.CommunicationPattern.exchange`) only after the
+    Raised by the delivery round (:func:`repro.comm.delivery.deliver_round`,
+    for ghost-exchange transfers and worker commands alike) only after the
     bounded timeout/retry/backoff policy (:class:`repro.comm.RetryPolicy`)
     is exhausted.  ``context`` always carries ``src``, ``dst`` and ``seq``
     (the envelope sequence number of the failed transfer).
@@ -111,7 +111,8 @@ class MessageTimeout(CommFault):
 class MessageCorruption(CommFault):
     """A message repeatedly failed its checksum validation.
 
-    The envelope CRC detected payload corruption on every delivery attempt;
+    Every delivery attempt failed a checksum check — a rank's NAK, a
+    garbled reply or result slot, or a ghost edge's ``corrupt`` fate;
     retransmission did not produce a clean copy within the retry budget.
     """
 

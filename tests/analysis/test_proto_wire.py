@@ -54,14 +54,14 @@ class TestCleanTrees:
     def test_src_repro_is_clean_with_full_coverage(self):
         violations, summary = check_wire(SRC)
         assert _messages(violations) == []
-        # the real protocol: 6 opcodes, 7 frame kinds, 4 dtypes — every
+        # the real protocol: 6 opcodes, 5 frame kinds, 4 dtypes — every
         # opcode encoded driver-side, every kind constructed and accepted
         assert set(summary["opcodes"]) == {
             "OP_LOAD_MATRIX", "OP_LOAD_FACTOR", "OP_FACTOR", "OP_MATVEC", "OP_APPLY",
             "OP_RUN_CHUNK",
         }
         assert all(op["encoded"] for op in summary["opcodes"].values())
-        assert len(summary["frame_kinds"]) == 7
+        assert len(summary["frame_kinds"]) == 5
         assert all(
             k["constructed"] and k["accepted"]
             for k in summary["frame_kinds"].values()

@@ -78,7 +78,7 @@ class TestCli:
     def test_exit_zero_on_clean_tree(self, capsys):
         assert main(["verify-protocol", str(SRC)]) == 0
         out = capsys.readouterr().out
-        assert "wire: 6 opcode(s), 7 frame kind(s), 4 dtype(s)" in out
+        assert "wire: 6 opcode(s), 5 frame kind(s), 4 dtype(s)" in out
         assert "machine rank-supervisor" in out
         assert "0 finding(s)" in out
 

@@ -149,10 +149,11 @@ def test_no_resource_tracker_and_no_named_segment():
     assert set(os.listdir("/dev/shm")) == shm
 
 
-def test_message_corrupt_flips_frames_not_slots():
-    """The ``message-corrupt`` injection still acts on a frame on the pipe
-    (Schur 1's ghost-exchange DATA frames here), never on an arena slot:
-    every retry is a DATA edge's, and the answer keeps its bits."""
+def test_message_corrupt_hits_ghost_edges_not_slots():
+    """The ``message-corrupt`` injection acts on the attempts of a ghost
+    edge (Schur 1's interface exchange here), never on an arena slot or a
+    command: every retry is a ghost edge's checksum miss, and the answer
+    keeps its bits."""
     case = poisson2d_case(12)
     ref = solve_case(case, "schur1", nparts=2)
     plan = faults.FaultPlan(faults.FaultSpec("message-corrupt", count=2))
@@ -162,4 +163,9 @@ def test_message_corrupt_flips_frames_not_slots():
     assert out.comm_stats["checksum_failures"] == 2
     retries = _events(tracer, "resilience.comm.retry")
     assert len(retries) == 2
-    assert all("op" not in e["attrs"] and e["attrs"]["nak"] == "checksum" for e in retries)
+    assert [
+        {k: e["attrs"][k] for k in ("src", "dst", "seq", "attempt", "reason")}
+        for e in retries
+    ] == [{"src": 1, "dst": 0, "seq": 0, "attempt": attempt, "reason": "checksum"}
+          for attempt in (0, 1)]
+    assert all("op" not in e["attrs"] and "nak" not in e["attrs"] for e in retries)

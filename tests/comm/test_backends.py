@@ -1,4 +1,5 @@
-"""Execution backends: resolution, loopback, and real process lifecycle."""
+"""Execution backends: resolution, the in-process backend, and real process
+lifecycle."""
 
 import os
 import signal
@@ -145,20 +146,6 @@ class TestCommunicatorOwnership:
 
 
 class TestInProcessLoopback:
-    def test_data_acked_with_payload_echo(self):
-        """A DATA edge is answered by the delivery round's loopback, on the
-        in-process backend as on any other."""
-        comm = Communicator(2)
-        for _ in range(9):
-            comm.next_seq(0, 1)
-        payload = np.arange(5.0).tobytes()
-        got = []
-        deliver_round(comm, framing.DATA, {1: (0, payload)}, settle=got.append)
-        (resp,) = [edge.frame for edge in got]
-        assert resp.kind == framing.ACK
-        assert (resp.src, resp.dst, resp.seq) == (0, 1, 9)
-        assert resp.payload == payload
-
     def test_no_transport(self):
         b = InProcessBackend(1)
         with pytest.raises(NotImplementedError, match="no transport"):
@@ -210,19 +197,20 @@ class TestMultiprocessLifecycle:
         assert resp.kind == framing.NAK
         assert b"checksum" in resp.payload
 
-    def test_stray_data_frame_nakked(self, mp_backend):
-        """No rank serves DATA: the driver holds both ends of every ghost
-        exchange, so a DATA frame on a pipe is an unexpected kind."""
-        raw = framing.encode_frame(framing.DATA, 0, 1, 0, b"ghosts")
+    def test_unexpected_kind_nakked(self, mp_backend):
+        """A rank serves CMD and SHUTDOWN only: any other valid frame is
+        NAKed as unexpected, on the frame's own envelope."""
+        raw = framing.encode_frame(framing.HELLO, 0, 1, 5)
         resp = _request(mp_backend, 1, raw, 1.0)
-        assert resp.kind == framing.NAK
-        assert resp.payload == b"unexpected data"
+        assert (resp.kind, resp.src, resp.dst, resp.seq) == (framing.NAK, 0, 1, 5)
+        assert resp.payload == b"unexpected hello"
         assert command_round(mp_backend, [1]) is None
 
-    @pytest.mark.parametrize("kind", [4, 5])
+    @pytest.mark.parametrize("kind", [1, 2, 4, 5])
     def test_retired_probe_kinds_nakked(self, mp_backend, kind):
-        """Kinds 4 and 5 are unassigned: a frame of either is NAKed as an
-        unknown kind, and the rank serves on."""
+        """Kinds 1, 2, 4 and 5 are unassigned (the retired DATA/ACK and
+        PING/PONG): a frame of any is NAKed as an unknown kind, and the
+        rank serves on."""
         raw = bytearray(framing.encode_frame(framing.HELLO, 1, 1, 3))
         raw[4] = kind
         resp = _request(mp_backend, 1, bytes(raw), 1.0)
@@ -421,7 +409,7 @@ class TestExchangeOverBackend:
                 (rec,) = plan.injected
                 assert rec["kind"] == "proc-kill" and rec["degraded"] is False
                 with pytest.raises(RankDeadError) as exc:
-                    deliver_round(comm, framing.CMD, {1: (1, load)},
+                    deliver_round(comm, {1: (1, load)},
                                   settle=lambda edge: None)
             assert exc.value.rank == 1
         finally:
@@ -444,7 +432,7 @@ class TestExchangeOverBackend:
         load = compute.load_matrix("k", sp.identity(2, format="csr"))
         try:
             with pytest.raises(RankDeadError) as exc:
-                deliver_round(comm, framing.CMD, {1: (1, load)},
+                deliver_round(comm, {1: (1, load)},
                               settle=lambda edge: None)
             assert exc.value.rank == 1
             assert exc.value.context["phase"] == "startup"

@@ -1,12 +1,12 @@
 """The delivery round's contract, one table for every edge kind and backend.
 
-Each scenario runs through the comm layer's real call sites — a DATA edge
-via ``CommunicationPattern.exchange`` on the ``inprocess`` backend and on a
-scripted real backend, and a CMD edge via ``compute.apply_factors`` on the
-scripted backend — and must leave identical ``CommStats``, retry reasons and
-fault class behind.  A DATA edge never reaches a backend: the round's
-loopback answers it on either backend and its failures come from the fault
-plan, so a script plays only the CMD edge.
+Each scenario runs through the comm layer's real call sites — a data edge
+(one transfer of a ghost exchange) via ``CommunicationPattern.exchange`` on
+the ``inprocess`` backend and on a scripted real backend, and a CMD edge via
+``compute.apply_factors`` on the scripted backend — and must leave identical
+``CommStats``, retry reasons and fault class behind.  A data edge carries no
+frame and never reaches a backend: the fault plan's per-attempt fate is its
+wire on either backend, so a script plays only the CMD edge.
 """
 
 import ast
@@ -23,7 +23,6 @@ from repro.comm.backends.base import TransportBroken, TransportTimeout
 from repro.comm.backends import supervisor
 from repro.comm.backends.supervisor import RankSupervisor
 from repro.comm.communicator import Communicator, RetryPolicy
-from repro.comm.delivery import _loopback, deliver_round
 from repro.comm.pattern import CommunicationPattern, ExchangeSpec
 from repro.distributed.layout import Layout
 from repro.factor.ilu0 import ilu0
@@ -130,7 +129,7 @@ def _stats(**moved):
 
 
 #: name -> (scripted replies of rank 1, the in-process fault spec that plays
-#: the same failure (None: a loopback cannot fail that way), expected stats,
+#: the same failure (None: a data edge cannot fail that way), expected stats,
 #: expected retry reasons, expected fault class)
 SCENARIOS = {
     "ok": ([], (), _stats(), [], None),
@@ -175,15 +174,21 @@ def _events(tracer, name):
 
 
 def _data_edge(comm):
-    """Ghost exchange 0->1 then 1->0; rank 1 receives the watched edge."""
+    """Ghost exchange 0->1 then 1->0; rank 1 receives the watched edge.
+
+    Rank 0 sends -0.0, a NaN with a payload and the smallest subnormal,
+    and the ghosts are compared by bytes: a delivered edge keeps every bit.
+    """
     pattern = CommunicationPattern(num_ranks=2, transfers=[
-        ExchangeSpec(0, 1, np.array([2]), np.array([0])),
+        ExchangeSpec(0, 1, np.array([2, 0, 1]), np.array([0, 1, 2])),
         ExchangeSpec(1, 0, np.array([0]), np.array([1])),
     ])
-    owned = [np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0])]
-    ghost = [np.zeros(2), np.zeros(1)]
+    salted = np.array([1 << 63, 0x7FF8_0000_DEAD_BEEF, 1], dtype=np.uint64)
+    owned = [salted.view(np.float64), np.array([10.0, 20.0])]
+    ghost = [np.zeros(2), np.zeros(3)]
     pattern.exchange(comm, owned, ghost)
-    assert ghost[1][0] == 3.0 and ghost[0][1] == 10.0
+    assert ghost[1].tobytes() == salted[[2, 0, 1]].tobytes()
+    assert ghost[0].tobytes() == np.array([0.0, 10.0]).tobytes()
 
 
 def _cmd_edge(comm):
@@ -208,7 +213,7 @@ EDGES = {
 @pytest.mark.parametrize("scenario,edge", [
     (scenario, edge)
     for scenario in sorted(SCENARIOS) for edge in sorted(EDGES)
-    # the loopback cannot garble a response or exit
+    # a data edge has no response to garble and no process to exit
     if not (edge.startswith("data-") and SCENARIOS[scenario][1] is None)
 ])
 def test_delivery_contract(scenario, edge):
@@ -262,9 +267,8 @@ def test_delivery_contract(scenario, edge):
 def test_successful_delivery_resets_the_miss_count(run, fence_after):
     """Drift 1: ``FENCE_AFTER`` budgets *consecutive* misses.  A rank that
     times out once and then answers, round after round, stays READY; a
-    dropped ghost transfer is answered by the loopback and never counts
-    against the rank at all (before, the fourth such exchange SIGKILLed a
-    healthy rank)."""
+    dropped ghost transfer never reaches the rank and never counts against
+    it at all (before, the fourth such exchange SIGKILLed a healthy rank)."""
     fence_after(3)
     backend = ScriptedBackend(2)
     comm = Communicator(2, retry_policy=POLICY, backend=backend)
@@ -325,41 +329,8 @@ def test_consecutive_misses_still_fence(fence_after):
     assert backend.supervisor.records[1].fenced
 
 
-class TestLoopback:
-    """DATA edges are answered by the delivery round itself."""
-
-    def test_loopback_answers_every_rank(self):
-        comm = Communicator(3)
-        sends = {r: ((r + 1) % 3, bytes([r]) * (r + 1)) for r in range(3)}
-        got = {}
-        deliver_round(comm, framing.DATA, sends,
-                      settle=lambda edge: got.update({edge.dst: edge.frame}))
-        assert sorted(got) == [0, 1, 2]
-        for r, frame in got.items():
-            assert frame.kind == framing.ACK
-            assert (frame.src, frame.dst, frame.seq) == (sends[r][0], r, 0)
-            assert frame.payload == sends[r][1]
-
-    @pytest.mark.parametrize("garble,envelope,reason", [
-        (lambda raw: raw[:-1] + bytes([raw[-1] ^ 0xFF]), (0, 1, 5), b"checksum"),
-        (lambda raw: raw + b"x", (0, 1, 5), b"length-mismatch"),
-        (lambda raw: raw[:4] + bytes([99]) + raw[5:], (0, 1, 5), b"bad-kind"),
-        # an unreadable header is NAKed on the receiver's self-edge
-        (lambda raw: raw[:framing.HEADER_SIZE - 1], (1, 1, 0), b"truncated"),
-        (lambda raw: b"XXXX" + raw[4:], (1, 1, 0), b"bad-magic"),
-        (lambda raw: framing.encode_frame(framing.HELLO, 0, 1, 5),
-         (0, 1, 5), b"unexpected hello"),
-        (lambda raw: framing.encode_frame(framing.CMD, 0, 1, 5, b"op"),
-         (0, 1, 5), b"unexpected cmd"),
-    ], ids=["checksum", "length-mismatch", "bad-kind", "truncated",
-            "bad-magic", "hello", "cmd"])
-    def test_loopback_naks_what_a_rank_would(self, garble, envelope, reason):
-        """A garbled DATA frame is NAKed with the check that failed, and a
-        frame of another kind as unexpected."""
-        raw = framing.encode_frame(framing.DATA, 0, 1, 5, b"ghosts")
-        nak = _loopback(1, garble(raw))
-        assert (nak.kind, nak.src, nak.dst, nak.seq) == (framing.NAK, *envelope)
-        assert nak.payload == reason
+class TestDataEdge:
+    """A data edge is delivered by the round alone, on every backend."""
 
     @pytest.mark.parametrize("spec,fault_cls", [
         (None, None),
@@ -368,9 +339,10 @@ class TestLoopback:
         (("rank-dead", {"rank": 1}), RankDeadError),
     ], ids=["clean", "dropped", "corrupted", "dead-rank"])
     def test_a_data_edge_never_reaches_the_backend(self, spec, fault_cls):
-        """On a real backend a DATA edge calls none of ``request_many``,
-        ``record_ready``, ``handle_timeout`` or ``classify``: a loopback
-        ACK is no heartbeat, and a give-up is typed from the attempts."""
+        """On a real backend a data edge calls none of ``request_many``,
+        ``record_ready``, ``handle_timeout`` or ``classify``: a delivered
+        ghost transfer is no heartbeat, and a give-up is typed from the
+        attempts."""
         backend = ScriptedBackend(2)
         for name in ("request_many", "record_ready", "handle_timeout", "classify"):
             setattr(backend, name, pytest.fail)

@@ -81,7 +81,9 @@ class TestDropAndCorrupt:
         # the failed attempt burned its timeout window on the ledger
         assert comm.ledger.delay_seconds == pytest.approx(comm.retry_policy.wait(0))
 
-    def test_checksum_retry_names_both_crcs(self, pattern):
+    def test_checksum_retry_names_the_edge(self, pattern):
+        """A corrupted attempt is a checksum miss of the transfer's own
+        edge; the retransmit delivers the owner's value."""
         comm = Communicator(2)
         owned, ghost = _buffers()
         plan = faults.FaultPlan(faults.FaultSpec("message-corrupt", count=1))
@@ -89,7 +91,8 @@ class TestDropAndCorrupt:
             pattern.exchange(comm, owned, ghost)
         assert ghost[1][0] == 3.0
         (ev,) = _events(tracer, "resilience.comm.retry")
-        assert ev["attrs"]["expected"] != ev["attrs"]["got"]
+        assert ev["attrs"] == {"src": 0, "dst": 1, "seq": 0, "attempt": 0,
+                               "reason": "checksum", "backend": "inprocess"}
 
     def test_underscore_kind_alias(self):
         assert faults.FaultSpec("message_drop").kind == "message-drop"

@@ -29,7 +29,7 @@ class TestEncodeValidation:
 
     def test_negative_seq_rejected(self):
         with pytest.raises(ValueError, match="seq"):
-            framing.encode_frame(framing.DATA, 0, 1, -1)
+            framing.encode_frame(framing.CMD, 0, 1, -1)
 
     def test_kind_names_cover_all_kinds(self):
         assert sorted(framing.KIND_NAMES) == sorted(framing.FRAME_KINDS)
@@ -48,9 +48,9 @@ def test_round_trip_preserves_every_field(kind, src, dst, seq, payload):
 @given(payload=PAYLOADS)
 @settings(max_examples=60, deadline=None)
 def test_float64_payload_round_trips_bitwise(payload):
-    # pad to a float64 boundary: the ghost exchange ships float64 arrays
+    # pad to a float64 boundary: ranks return float64 arrays
     payload = payload + b"\x00" * (-len(payload) % 8)
-    raw = framing.encode_frame(framing.DATA, 0, 1, 7, payload)
+    raw = framing.encode_frame(framing.RESULT, 0, 1, 7, payload)
     out = framing.decode_frame(raw).payload
     assert np.frombuffer(out, dtype=np.float64).tobytes() == payload
 
@@ -106,7 +106,7 @@ class TestPeekHeaderTruncation:
 
     @pytest.mark.parametrize("cut", range(framing.HEADER_SIZE))
     def test_every_short_prefix_of_a_real_frame_is_corruption(self, cut):
-        raw = framing.encode_frame(framing.DATA, 3, 1, 9, b"xyz")
+        raw = framing.encode_frame(framing.CMD, 3, 1, 9, b"xyz")
         with pytest.raises(MessageCorruption) as exc:
             framing.peek_header(raw[:cut])
         # every short prefix of a real frame starts with (a prefix of) the
@@ -128,6 +128,26 @@ class TestPeekHeaderTruncation:
     def test_full_header_still_peeks(self):
         raw = framing.encode_frame(framing.HELLO, 2, 2, 17)
         assert framing.peek_header(raw) == (framing.HELLO, 2, 2, 17)
+
+
+class TestNakReply:
+    """The NAK a rank answers a frame that fails ``decode_frame`` with."""
+
+    @pytest.mark.parametrize("garble,envelope,reason", [
+        (lambda raw: raw[:-1] + bytes([raw[-1] ^ 0xFF]), (0, 1, 5), b"checksum"),
+        (lambda raw: raw + b"x", (0, 1, 5), b"length-mismatch"),
+        (lambda raw: raw[:4] + bytes([99]) + raw[5:], (0, 1, 5), b"bad-kind"),
+        # an unreadable header is NAKed on the receiver's self-edge
+        (lambda raw: raw[:framing.HEADER_SIZE - 1], (1, 1, 0), b"truncated"),
+        (lambda raw: b"XXXX" + raw[4:], (1, 1, 0), b"bad-magic"),
+    ], ids=["checksum", "length-mismatch", "bad-kind", "truncated", "bad-magic"])
+    def test_nak_names_the_check_on_the_frames_envelope(self, garble, envelope, reason):
+        raw = garble(framing.encode_frame(framing.CMD, 0, 1, 5, b"payload"))
+        with pytest.raises(MessageCorruption) as exc:
+            framing.decode_frame(raw)
+        nak = framing.decode_frame(framing.nak_reply(raw, exc.value, 1))
+        assert (nak.kind, nak.src, nak.dst, nak.seq) == (framing.NAK, *envelope)
+        assert nak.payload == reason
 
 
 ARRAY_DTYPES = st.sampled_from(sorted(framing.ARRAY_DTYPES.values()))
@@ -241,14 +261,14 @@ class TestPipeTransport:
     def test_frames_survive_a_real_pipe_bitwise(self, pipe):
         a, b = pipe
         payload = np.linspace(-1.0, 1.0, 63).tobytes()
-        a.send_bytes(framing.encode_frame(framing.DATA, 2, 0, 41, payload))
+        a.send_bytes(framing.encode_frame(framing.RESULT, 2, 0, 41, payload))
         frame = framing.decode_frame(b.recv_bytes())
         assert (frame.src, frame.dst, frame.seq) == (2, 0, 41)
         assert frame.payload == payload
 
     def test_garbled_pipe_frame_raises_corruption(self, pipe):
         a, b = pipe
-        raw = bytearray(framing.encode_frame(framing.DATA, 0, 1, 3, b"abcdef"))
+        raw = bytearray(framing.encode_frame(framing.CMD, 0, 1, 3, b"abcdef"))
         raw[-2] ^= 0x10  # payload bit flip in transit
         a.send_bytes(bytes(raw))
         with pytest.raises(MessageCorruption) as exc:
@@ -257,7 +277,7 @@ class TestPipeTransport:
 
     def test_truncated_pipe_frame_raises_corruption(self, pipe):
         a, b = pipe
-        raw = framing.encode_frame(framing.DATA, 0, 1, 3, b"abcdef")
+        raw = framing.encode_frame(framing.CMD, 0, 1, 3, b"abcdef")
         a.send_bytes(raw[: framing.HEADER_SIZE - 4])
         with pytest.raises(MessageCorruption) as exc:
             framing.decode_frame(b.recv_bytes())
@@ -268,7 +288,7 @@ class TestPipeTransport:
     def test_pipe_round_trip_property(self, seq, payload):
         a, b = multiprocessing.Pipe(duplex=True)
         try:
-            a.send_bytes(framing.encode_frame(framing.DATA, 1, 2, seq, payload))
+            a.send_bytes(framing.encode_frame(framing.CMD, 1, 2, seq, payload))
             frame = framing.decode_frame(b.recv_bytes())
             assert frame.seq == seq and frame.payload == payload
         finally:

@@ -25,6 +25,7 @@ from repro.comm.backends.base import TransportTimeout
 from repro.comm.backends.supervisor import READY, SUSPECT
 from repro.comm.communicator import Communicator, RetryPolicy
 from repro.comm.delivery import deliver_round
+from repro.comm.pattern import CommunicationPattern, ExchangeSpec
 from repro.core.driver import solve_case
 from repro.distributed.layout import Layout
 from repro.factor import cache as factor_cache
@@ -137,7 +138,7 @@ class TestSeqContinuity:
         try:
             assert b.backend is a.backend
             got = []
-            deliver_round(b, framing.CMD, {0: (0, _load("fresh"))},
+            deliver_round(b, {0: (0, _load("fresh"))},
                           settle=lambda e: got.append(e.frame))
             (frame,) = got
             assert frame.seq == 1
@@ -181,7 +182,7 @@ class TestDamagedWorldsAreShutDown:
         world.hang_rank(1)
         try:
             with pytest.raises(MessageTimeout):
-                deliver_round(comm, framing.CMD, {1: (1, _load("x"))},
+                deliver_round(comm, {1: (1, _load("x"))},
                               settle=lambda e: None)
         finally:
             os.kill(world.rank_pid(1), signal.SIGCONT)
@@ -196,9 +197,16 @@ class TestDamagedWorldsAreShutDown:
             self._closes_unpooled(comm)
 
     def test_fault_plan_active_during_a_round(self):
+        """A ghost exchange under a plan is a delivery round even when the
+        plan fires on nothing, and the world it ran beside is not pooled."""
         comm = _started()
-        with faults.inject(faults.FaultPlan(faults.FaultSpec("ghost-drop", count=1))):
-            deliver_round(comm, framing.DATA, {1: (0, b"x")}, settle=lambda e: None)
+        pattern = CommunicationPattern(
+            num_ranks=2, transfers=[ExchangeSpec(0, 1, np.array([0]), np.array([0]))])
+        ghost = [np.zeros(0), np.zeros(1)]
+        plan = faults.FaultPlan(faults.FaultSpec("ghost-drop", count=1, start=1))
+        with faults.inject(plan):
+            pattern.exchange(comm, [np.full(1, 7.0), np.zeros(0)], ghost)
+        assert plan.injected == [] and ghost[1][0] == 7.0
         self._closes_unpooled(comm)
 
     def test_no_lease_from_the_pool_under_a_plan(self):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from repro.cases.poisson2d import poisson2d_case
 from repro.comm import compute
-from repro.comm.backends import framing, pool
+from repro.comm.backends import pool
 from repro.comm.communicator import Communicator, RetryPolicy
 from repro.comm.delivery import deliver_round
 from repro.distributed.matrix import distribute_matrix
@@ -103,7 +103,7 @@ def command_round(backend, ranks, retry_policy=None):
                         retry_policy=retry_policy or RetryPolicy(1, 2.0))
     load = compute.load_matrix("liveness", sp.identity(2, format="csr"))
     try:
-        deliver_round(comm, framing.CMD, {r: (r, load) for r in ranks},
+        deliver_round(comm, {r: (r, load) for r in ranks},
                       settle=lambda edge: None)
     except CommFault as exc:
         return exc
